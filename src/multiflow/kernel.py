@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ from .measure import (
     geometric_profile,
     multiscale_weight,
 )
-from .specfun import gamma_fn, kummer_phi
+from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
 __all__ = [
     "PdfEvaluation",
@@ -247,8 +249,13 @@ def pdf_evaluate(spec: DiffusionSpec, x, x0, sigma: float) -> PdfEvaluation:
     return PdfEvaluation(x=xp, x0=x0p, sigma=sigma, density=rho, model=spec.model)
 
 
+@cache
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _gl_nodes(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gl_rule(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * nodes, half * weights
 
@@ -326,68 +333,75 @@ def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order
     return tables
 
 
-def _trace_quadrature(spec: DiffusionSpec, sigma: float, halfwidth: float, order: int) -> float:
-    """Box integral of v(x) C(x, sigma) for the ordinary model, D <= 3."""
-    ell2 = dispersion(spec, sigma)
-    if spec.spatial_profile is not None:
-        alpha_list = [spec.spatial_profile.binomial_params()[0]] * spec.dim
-    elif spec.charges is not None:
-        alpha_list = list(spec.charges.alphas)
-    else:
-        alpha_list = [1.0] * spec.dim
+# Largest number of grid cells the binomial box sum holds at once.
+_SLICE_CELLS = 1 << 16
 
+
+def _bracket_box_sum(
+    gauss_norm: float, coeff: float, phis: list[np.ndarray], weights: list[np.ndarray]
+) -> float:
+    """sum of w / (gauss_norm + coeff prod_mu Phi_mu) over the tensor grid of the axes.
+
+    The grid of the axes after the first is flattened once; the first axis
+    is reduced in slices of at most :data:`_SLICE_CELLS` cells, so no N^D
+    array is built for D = 3.
+    """
+    rest_phi, rest_w = np.ones(1), np.ones(1)
+    for p, w in zip(phis[1:], weights[1:]):
+        rest_phi = np.multiply.outer(rest_phi, p).ravel()
+        rest_w = np.multiply.outer(rest_w, w).ravel()
+    first_phi, first_w = coeff * phis[0], weights[0]
+    rows = max(1, _SLICE_CELLS // rest_phi.size)
+    total = 0.0
+    for start in range(0, first_phi.size, rows):
+        cells = gauss_norm + np.multiply.outer(first_phi[start : start + rows], rest_phi)
+        total += float(first_w[start : start + rows] @ ((1.0 / cells) @ rest_w))
+    return total
+
+
+def _trace_quadrature(spec: DiffusionSpec, sigma: float, halfwidth: float, order: int) -> float:
+    """Box integral of v(x) C(x, sigma) for the ordinary model, D <= 3.
+
+    With fixed per-direction charges, or no measure, C^-1 is a product of
+    per-direction factors and the box sum is the product of one-dimensional
+    sums.  The binomial bracket does not factorize: its Kummer values are
+    taken once per node set and summed over the 2^D term combinations.
+    """
+    ell2 = dispersion(spec, sigma)
+    ell = math.sqrt(ell2)
     # the normalization varies on the diffusion-length scale around the origin;
     # a few-ell central panel plus decade panels resolve the transition zone
-    transition = 4.0 * math.sqrt(ell2)
+    transition = 4.0 * ell
     tables = _axis_tables(spec, halfwidth, transition, order)
 
-    def phi_vec(alpha: float, xs: np.ndarray) -> np.ndarray:
-        return np.array(
-            [kummer_phi((1.0 - alpha) / 2.0, 0.5, -(x * x) / (4.0 * ell2)) for x in xs]
-        )
+    def phi_nodes(alpha: float, xs: np.ndarray) -> np.ndarray:
+        return _kummer_phi_array((1.0 - alpha) / 2.0, 0.5, -(xs * xs) / (4.0 * ell2))
 
-    ell = math.sqrt(ell2)
+    if spec.spatial_profile is None:
+        alphas = spec.charges.alphas if spec.charges is not None else (1.0,) * spec.dim
+        axis_sums = {}
+        total = 1.0
+        for ((g, x_nodes, w),), a in zip(tables, alphas):
+            if a not in axis_sums:
+                axis = gamma_fn(a / 2.0) / gamma_fn(a) * (2.0 * ell) ** a * phi_nodes(a, x_nodes)
+                axis_sums[a] = g * float(np.sum(w / axis))
+            total *= axis_sums[a]
+        return total
+
+    alpha, lstar = spec.spatial_profile.binomial_params()
     gauss_norm = (4.0 * math.pi * ell2) ** (spec.dim / 2.0)
-    if spec.spatial_profile is not None:
-        alpha, lstar = spec.spatial_profile.binomial_params()
-        bracket_coeff = lstar ** spec.dim * (
-            gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
-        ) ** spec.dim
-    else:
-        bracket_coeff = None
-
+    bracket_coeff = lstar ** spec.dim * (
+        gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
+    ) ** spec.dim
+    # every direction carries the same (constant, fractional) term tables
+    entries = tables[0]
+    phis = [phi_nodes(alpha, x_nodes) for _, x_nodes, _ in entries]
     total = 0.0
-    # Iterate over the product of per-direction measure terms (2^D for the
-    # binomial profile, a single combination otherwise).
-    from itertools import product as iproduct
-
-    for combo in iproduct(*tables):
-        prefactor = 1.0
-        phis = []
-        wts = []
-        for (g, x_nodes, w), alpha in zip(combo, alpha_list):
-            prefactor *= g
-            phis.append(phi_vec(alpha, x_nodes))
-            wts.append(w)
-        # C(x, sigma): binomial bracket or factorized fixed-dimension form.
-        if bracket_coeff is not None:
-            phi_grid = phis[0]
-            for p in phis[1:]:
-                phi_grid = np.multiply.outer(phi_grid, p)
-            c_grid = 1.0 / (gauss_norm + bracket_coeff * phi_grid)
-        else:
-            axes = [
-                gamma_fn(a / 2.0) / gamma_fn(a) * (2.0 * ell) ** a * p
-                for p, a in zip(phis, alpha_list)
-            ]
-            inv_grid = axes[0]
-            for axis in axes[1:]:
-                inv_grid = np.multiply.outer(inv_grid, axis)
-            c_grid = 1.0 / inv_grid
-        w_grid = wts[0]
-        for w in wts[1:]:
-            w_grid = np.multiply.outer(w_grid, w)
-        total += prefactor * float(np.sum(w_grid * c_grid))
+    for combo in product(range(len(entries)), repeat=spec.dim):
+        prefactor = math.prod(entries[i][0] for i in combo)
+        total += prefactor * _bracket_box_sum(
+            gauss_norm, bracket_coeff, [phis[i] for i in combo], [entries[i][2] for i in combo]
+        )
     return total
 
 

@@ -10,6 +10,10 @@ Three scalar functions are exposed:
   ``z < -1`` in the one-parameter pattern ``F(1, b; b+1; z)`` that the
   dispersion integrals of binomial multiscale measures produce.
 
+The heat-kernel trace evaluates ``Phi`` on whole arrays of quadrature nodes
+through the private ``_kummer_phi_array``, which takes the scalar branches
+and sums their series term for term; the scalar function is its oracle.
+
 The continuation used for that pattern is
 
     F(1, b; b+1; z) = b/(b-1) * w * F(1, 1; 2-b; w) + Gamma(b+1)Gamma(1-b)(-z)^(-b)
@@ -68,6 +72,8 @@ _F21_CONTINUATION_CUT = -0.5
 # Largest growth (-z)^(-b) of the continuation terms accepted inside the disk;
 # beyond it their cancellation costs more digits than the 1e-8 contract allows.
 _CONTINUATION_GROWTH_MAX = 64.0
+# Terms generated per step by the array series of Phi (_term_block).
+_SERIES_BLOCK = 32
 # Gauss-Legendre order of every decade panel (decade_panels).
 _PANEL_ORDER = 48
 # Decades of Euler's integral below t = max(1, -z)^-1 covered by panels.
@@ -195,6 +201,163 @@ def _asymptotic_1f1_negative(a: float, b: float, z: float, ctl: SeriesControl) -
         )
     prefactor = gamma_fn(b) / gamma_fn(b - a) * (-z) ** (-a)
     return prefactor * total
+
+
+def _term_block(
+    coeff: np.ndarray, x: np.ndarray, n: np.ndarray, term: np.ndarray, total: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terms n of a sum with term ratio coeff_n x / (n + 1), and its partial sums.
+
+    One row per element of ``x``, one column per term index in ``n``;
+    ``term`` and ``total`` are each row's last term and sum before the
+    block.  Running products and sums along a row perform the scalar loop's
+    multiplications and additions in the scalar loop's order.
+    """
+    terms = coeff * x[:, None] / (n + 1)
+    terms[:, 0] *= term
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    sums = terms.copy()
+    sums[:, 0] += total
+    np.add.accumulate(sums, axis=1, out=sums)
+    return terms, sums
+
+
+def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+    """:func:`_series_1f1` for every element of ``z`` at once; caller guarantees b > 0.
+
+    Terms come :data:`_SERIES_BLOCK` at a time for every unfinished element.
+    Each element stops at the term where the scalar sum stops, with the same
+    cancellation test.
+    """
+    out = np.empty_like(z)
+    live = np.arange(z.size)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    peak = np.ones_like(z)
+    prev_abs = np.ones_like(z)
+    was_small = np.zeros(z.shape, dtype=bool)
+    for start in range(0, ctl.max_terms, _SERIES_BLOCK):
+        n = np.arange(start, min(start + _SERIES_BLOCK, ctl.max_terms))
+        terms, sums = _term_block((a + n) / (b + n), z, n, term, total)
+        mags = np.abs(terms)
+        peaks = np.maximum.accumulate(mags, axis=1)
+        np.maximum(peaks, peak[:, None], out=peaks)
+        # a stop is trusted from the second term on, once magnitudes decrease
+        settled = np.empty(mags.shape, dtype=bool)
+        settled[:, 0] = (mags[:, 0] <= prev_abs) & (start > 0)
+        np.less_equal(mags[:, 1:], mags[:, :-1], out=settled[:, 1:])
+        small = settled & (mags <= np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(sums)))
+        # two small terms in a row end the sum
+        done = small.copy()
+        done[:, 0] &= was_small
+        done[:, 1:] &= small[:, :-1]
+        hit = done.any(axis=1)
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            cols = np.argmax(done[rows], axis=1)
+            bad = 5e-16 * peaks[rows, cols] > _CANCELLATION_BAR(ctl) * np.abs(sums[rows, cols])
+            if bad.any():
+                raise ConvergenceError(
+                    f"Phi({a};{b};{float(z[rows[bad][0]])}) series cancellation: fewer than "
+                    "six significant digits are achievable in double precision"
+                )
+            out[live[rows]] = sums[rows, cols]
+            if hit.all():
+                return out
+            keep = ~hit
+            live, z = live[keep], z[keep]
+        else:
+            keep = slice(None)
+        term, total, peak, prev_abs, was_small = (
+            v[keep, -1] for v in (terms, sums, peaks, mags, small)
+        )
+    raise ConvergenceError(
+        f"Phi({a};{b};{float(z[0])}) series did not converge within {ctl.max_terms} terms"
+    )
+
+
+def _asymptotic_1f1_negative_array(
+    a: float, b: float, z: np.ndarray, ctl: SeriesControl
+) -> np.ndarray:
+    """:func:`_asymptotic_1f1_negative` for every element of ``z`` at once.
+
+    Terms come :data:`_SERIES_BLOCK` at a time for every unfinished element.
+    Each element stops its correction series where the scalar sum stops, and
+    the same truncation floor is required of every element.
+    """
+    if _is_nonpositive_integer(b - a):
+        raise DomainError(
+            f"asymptotic branch of Phi undefined for b - a = {b - a} (leading term vanishes)"
+        )
+    inv = 1.0 / (-z)
+    sums_at = np.empty_like(z)
+    floors = np.empty_like(z)
+    live = np.arange(z.size)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    prev = np.full_like(z, math.inf)
+    for start in range(0, ctl.max_terms, _SERIES_BLOCK):
+        k = np.arange(start, min(start + _SERIES_BLOCK, ctl.max_terms))
+        terms, sums = _term_block((a + k) * (a - b + 1.0 + k), inv, k, term, total)
+        mags = np.abs(terms)
+        prevs = np.empty_like(mags)
+        prevs[:, 0] = prev
+        prevs[:, 1:] = mags[:, :-1]
+        # divergent tail reached: stop at the smallest term, without adding this one
+        diverged = mags >= prevs
+        stop = diverged | (mags <= np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(sums)))
+        hit = stop.any(axis=1)
+        rows = np.flatnonzero(hit)
+        cols = np.argmax(stop[rows], axis=1)
+        div = diverged[rows, cols]
+        before = np.where(cols > 0, sums[rows, cols - 1], total[rows])
+        sums_at[live[rows]] = np.where(div, before, sums[rows, cols])
+        floors[live[rows]] = np.where(div, prevs[rows, cols], mags[rows, cols])
+        keep = ~hit
+        if not keep.any():
+            break
+        live, inv = live[keep], inv[keep]
+        term, total, prev = terms[keep, -1], sums[keep, -1], mags[keep, -1]
+    else:
+        sums_at[live] = total
+        floors[live] = prev
+    coarse = floors > 1e-8 * np.abs(sums_at)
+    if coarse.any():
+        i = int(np.argmax(coarse))
+        raise ConvergenceError(
+            f"Phi({a};{b};{float(z[i])}) asymptotic truncation floor {floors[i]:.2e} is too "
+            "coarse; argument not deep enough for these parameters"
+        )
+    return gamma_fn(b) / gamma_fn(b - a) * (-z) ** (-a) * sums_at
+
+
+def _kummer_phi_array(
+    a: float, b: float, z: np.ndarray, ctl: SeriesControl = DEFAULT_CONTROL
+) -> np.ndarray:
+    """:func:`kummer_phi` over an array of arguments ``z``, element by element.
+
+    Each element takes the branch the scalar function takes.  The reflection
+    branch (-30 < z < 0 with b > 0 and b - a > 0) and the large-|z| branch
+    (z <= -30) are summed for all their elements together, with the scalar
+    term recurrences, stopping rules and refusals; every other nonzero
+    element goes through :func:`kummer_phi` itself.
+    """
+    if _is_nonpositive_integer(b):
+        raise PoleError(f"Phi pole: b = {b} is a non-positive integer")
+    z = np.asarray(z, dtype=float)
+    if a == 0.0:
+        return np.ones_like(z)
+    out = np.ones_like(z)
+    # a == b is exp(z), which the scalar function returns on every branch
+    deep = (z <= -_PHI_ASYMPTOTIC_CUT) & (a != b)
+    mid = (z < 0.0) & ~deep & (b > 0.0 and b - a > 0.0)
+    if deep.any():
+        out[deep] = _asymptotic_1f1_negative_array(a, b, z[deep], ctl)
+    if mid.any():
+        out[mid] = np.exp(z[mid]) * _series_1f1_array(b - a, b, -z[mid], ctl)
+    for i in np.flatnonzero(~(deep | mid | (z == 0.0))):
+        out.flat[i] = kummer_phi(a, b, float(z.flat[i]), ctl)
+    return out
 
 
 def kummer_phi(a: float, b: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:

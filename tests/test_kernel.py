@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from multiflow.kernel import (
     return_probability,
     weighted_pdf,
 )
+from multiflow.kernel import _axis_tables, _trace_quadrature, default_box_halfwidth
 from multiflow.measure import (
     DIFFUSION_TIME,
     POSITION,
@@ -30,6 +33,7 @@ from multiflow.measure import (
     MeasureProfile,
 )
 from multiflow.spectral import spectral_q_flow, spectral_weighted_flow
+from multiflow.specfun import kummer_phi
 
 
 def ordinary_spec(alpha, dim=1, beta=1.0, nu=1.0, kappa=1.0):
@@ -463,3 +467,92 @@ class TestOrdinaryWeightedDuality:
         got = ds_from_kernel(curve, mid)
         expected = spectral_weighted_flow(wspec, mid)
         assert abs(got - expected) < 1e-2
+
+
+def multiscale_space_spec(alpha, dim, lstar=1.0):
+    return DiffusionSpec(
+        model="ordinary",
+        dim=dim,
+        scales=GeometryScales(lstar=lstar, beta=1.0),
+        spatial_profile=MeasureProfile.binomial(alpha, lstar, kind=POSITION),
+    )
+
+
+def tensor_trace_oracle(spec, sigma, halfwidth, order):
+    """Box sum of v(x) C(x, sigma) on full tensor-product grids, scalar Kummer calls."""
+    ell2 = dispersion(spec, sigma)
+    ell = math.sqrt(ell2)
+    tables = _axis_tables(spec, halfwidth, 4.0 * ell, order)
+    if spec.spatial_profile is not None:
+        alpha, lstar = spec.spatial_profile.binomial_params()
+        alphas = [alpha] * spec.dim
+        coeff = lstar ** spec.dim * (
+            math.gamma(alpha / 2.0) / math.gamma(alpha) * (2.0 * ell / lstar) ** alpha
+        ) ** spec.dim
+    else:
+        alphas = list(spec.charges.alphas)
+    total = 0.0
+    for combo in itertools.product(*tables):
+        prefactor = math.prod(g for g, _, _ in combo)
+        phis = [
+            np.array([kummer_phi((1.0 - a) / 2.0, 0.5, -(x * x) / (4.0 * ell2)) for x in xs])
+            for (_, xs, _), a in zip(combo, alphas)
+        ]
+        if spec.spatial_profile is not None:
+            grid = coeff * np.ones(())
+            for p in phis:
+                grid = np.multiply.outer(grid, p)
+            c_grid = 1.0 / ((4.0 * math.pi * ell2) ** (spec.dim / 2.0) + grid)
+        else:
+            inverse = np.ones(())
+            for p, a in zip(phis, alphas):
+                axis = math.gamma(a / 2.0) / math.gamma(a) * (2.0 * ell) ** a * p
+                inverse = np.multiply.outer(inverse, axis)
+            c_grid = 1.0 / inverse
+        w_grid = np.ones(())
+        for _, _, w in combo:
+            w_grid = np.multiply.outer(w_grid, w)
+        total += prefactor * float(np.sum(w_grid * c_grid))
+    return total
+
+
+class TestTraceQuadrature:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ordinary_spec(0.45, dim=1),
+            DiffusionSpec(
+                model="ordinary", dim=2, scales=GeometryScales(),
+                charges=FractionalCharges((0.4, 0.7)),
+            ),
+            DiffusionSpec(
+                model="ordinary", dim=3, scales=GeometryScales(),
+                charges=FractionalCharges((0.35, 0.55, 1.0)),
+            ),
+            multiscale_space_spec(0.5, dim=1),
+            multiscale_space_spec(0.5, dim=2),
+            multiscale_space_spec(0.4, dim=3, lstar=2.0),
+        ],
+        ids=["frac-d1", "frac-d2", "frac-d3", "binomial-d1", "binomial-d2", "binomial-d3"],
+    )
+    @pytest.mark.parametrize("sigma", [0.03, 2.0])
+    def test_matches_tensor_product_sum(self, spec, sigma):
+        halfwidth = default_box_halfwidth(spec, sigma)
+        got = _trace_quadrature(spec, sigma, halfwidth, 8)
+        assert math.isclose(got, tensor_trace_oracle(spec, sigma, halfwidth, 8), rel_tol=1e-13)
+
+    def test_isotropic_d3_is_d1_cubed(self):
+        for sigma in (0.05, 1.0, 20.0):
+            z1 = return_probability(ordinary_spec(0.5, dim=1), sigma)
+            z3 = return_probability(ordinary_spec(0.5, dim=3), sigma)
+            assert math.isclose(z3, z1 ** 3, rel_tol=1e-13)
+
+    def test_d3_trace_memory(self):
+        spec = ordinary_spec(0.5, dim=3)
+        tracemalloc.start()
+        try:
+            return_probability(spec, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

@@ -8,7 +8,12 @@ from scipy import integrate
 from multiflow.errors import ConvergenceError, DomainError, PoleError
 from multiflow.specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, gauss_2f1, kummer_phi
 
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    """Every oracle here works at 50 digits, without leaking the precision."""
+    with mp.workdps(50):
+        yield
 
 
 def phi_series_oracle(a, b, z, terms=2000):
