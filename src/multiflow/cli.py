@@ -39,10 +39,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _sigma_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.log:
-        return np.geomspace(cfg.sigma_min, cfg.sigma_max, cfg.points)
-    return np.linspace(cfg.sigma_min, cfg.sigma_max, cfg.points)
+def _sigma_grid(cfg: RunConfig, points: int) -> np.ndarray:
+    make = walker.geometric_grid if cfg.log else walker.uniform_grid
+    return make(cfg.sigma_min, cfg.sigma_max, points)
 
 
 def _d_hausdorff(spec: DiffusionSpec) -> float:
@@ -53,12 +52,13 @@ def _d_hausdorff(spec: DiffusionSpec) -> float:
 def run_flow(cfg: RunConfig) -> None:
     """Write (sigma, ell2, ds, d_w, model) rows with asymptote metadata."""
     spec = build_spec(cfg)
-    grid = _sigma_grid(cfg)
+    grid = _sigma_grid(cfg, cfg.points)
     d_h = _d_hausdorff(spec)
     meta = {"model": spec.model, "dim": spec.dim, "fuzzy": spec.fuzzy}
 
+    ell2 = None
     if spec.model in ("weighted", "ordinary") and spec.multiscale is not None:
-        flow = spectral.weighted_flow_curve(spec, grid)
+        flow, ell2 = spectral._weighted_flow_and_dispersion(spec, grid)
     elif spec.model == "q":
         from .dispersion import q_time_profile
 
@@ -87,7 +87,8 @@ def run_flow(cfg: RunConfig) -> None:
         uv_asymptote=flow.uv_asymptote, ir_asymptote=flow.ir_asymptote,
         uv_converged=flow.uv_converged, ir_converged=flow.ir_converged,
     )
-    ell2 = np.array([dispersion(spec, s) for s in grid])
+    if ell2 is None:
+        ell2 = np.array([dispersion(spec, s) for s in grid])
     rows = [
         (s, e2, d, spectral.walk_dimension(spec.model, spec.dim, d_h, d), spec.model)
         for s, e2, d in zip(grid, ell2, flow.ds)
@@ -100,11 +101,7 @@ def run_flow(cfg: RunConfig) -> None:
 def run_simulate(cfg: RunConfig) -> None:
     """Run a walker ensemble; emit trajectory and MSD summary files."""
     spec = build_spec(cfg)
-    grid = (
-        walker.geometric_grid(cfg.sigma_min, cfg.sigma_max, cfg.steps)
-        if cfg.log
-        else walker.uniform_grid(cfg.sigma_min, cfg.sigma_max, cfg.steps)
-    )
+    grid = _sigma_grid(cfg, cfg.steps)
     ensemble = walker.simulate(cfg.process, cfg.paths, grid, spec, cfg.seed)
     sigmas, mean_sq, stderr = walker.msd(ensemble)
     window = (cfg.sigma_max / 100.0, cfg.sigma_max)  # last two decades
@@ -179,7 +176,7 @@ def run_pdf(cfg: RunConfig) -> None:
 def run_kernel(cfg: RunConfig) -> None:
     """Sample the return probability Z(sigma) and write (sigma, Z, convention)."""
     spec = build_spec(cfg)
-    grid = _sigma_grid(cfg)
+    grid = _sigma_grid(cfg, cfg.points)
     curve = kernel_mod.heat_kernel_curve(spec, grid, box_halfwidth=cfg.box)
     write_csv(
         cfg.out, "kernel", ("sigma", "Z", "convention"), curve.rows(),

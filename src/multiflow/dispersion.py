@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConvergenceError,
@@ -30,6 +29,7 @@ from .errors import (
     ExponentDomainError,
     GridError,
 )
+from .grid import check_grid
 from .measure import (
     DIFFUSION_TIME,
     FractionalCharges,
@@ -133,10 +133,9 @@ class DispersionCurve:
         object.__setattr__(self, "ell2", e2)
         if self.method not in ("closed-form", "quadrature"):
             raise DomainError(f"unknown curve method {self.method!r}")
-        if sig.ndim != 1 or sig.size < 2 or e2.shape != sig.shape:
-            raise GridError("curve needs matching 1-d sigma and ell2 arrays (>= 2 points)")
-        if np.any(sig <= 0.0) or np.any(np.diff(sig) <= 0.0):
-            raise GridError("sigma grid must be positive and strictly increasing")
+        check_grid(sig)
+        if sig.size < 2 or e2.shape != sig.shape:
+            raise GridError("curve needs matching sigma and ell2 arrays (>= 2 points)")
         if np.any(e2 < 0.0):
             raise DomainError("dispersion must be nonnegative")
         if np.any(np.diff(e2) < 0.0):
@@ -322,6 +321,8 @@ def dispersion_quadrature(
             return s ** (nu - 1.0) / weight(s)
 
         upper = sigma
+
+    from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)

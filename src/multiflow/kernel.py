@@ -21,6 +21,7 @@ import numpy as np
 
 from .dispersion import DiffusionSpec, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, GridError
+from .grid import check_grid, five_point_slope, log_slope
 from .measure import (
     FractionalCharges,
     fractional_weight,
@@ -93,10 +94,9 @@ class HeatKernelCurve:
         object.__setattr__(self, "Z", zz)
         if self.convention not in (PER_INTEGER_VOLUME, PER_HAUSDORFF_VOLUME):
             raise DomainError(f"unknown volume convention {self.convention!r}")
-        if sig.ndim != 1 or zz.shape != sig.shape or sig.size < 2:
-            raise GridError("curve needs matching 1-d sigma and Z arrays (>= 2 points)")
-        if np.any(sig <= 0.0) or np.any(np.diff(sig) <= 0.0):
-            raise GridError("sigma grid must be positive and strictly increasing")
+        check_grid(sig)
+        if zz.shape != sig.shape or sig.size < 2:
+            raise GridError("curve needs matching sigma and Z arrays (>= 2 points)")
         if np.any(zz <= 0.0):
             raise DomainError("return probability must be positive")
         if np.any(np.diff(zz) >= 0.0):
@@ -439,10 +439,7 @@ def return_probability(
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if spec.model == "weighted":
-        ell2 = dispersion(spec, sigma)
-        return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
-    if spec.model == "q":
+    if spec.model in ("weighted", "q"):
         ell2 = dispersion(spec, sigma)
         return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
     if spec.model == "legacy":
@@ -501,7 +498,7 @@ def fixed_dim_trace_slopes(
                     spec, box_halfwidth
                 )
             zs.append(math.log(z))
-        return -2.0 * (zs[0] - 8.0 * zs[1] + 8.0 * zs[3] - zs[4]) / (12.0 * h)
+        return -2.0 * five_point_slope(zs, h)
 
     ell_ir = math.sqrt(dispersion(spec, ir_sigma))
     if ell_ir < 30.0 * box_halfwidth:
@@ -537,23 +534,6 @@ def ds_from_kernel(
     the estimate at the smallest usable grid point (the small-sigma limit
     favoured when Z is not a global power law).
     """
-    logs = np.log(curve.sigmas)
-    steps = np.diff(logs)
-    h = steps[0]
-    if np.any(np.abs(steps - h) > 1e-8 * max(abs(h), 1.0)):
-        raise GridError("kernel slope needs a log-uniform grid")
     if curve.sigmas.size < 5:
         raise GridError("kernel slope needs at least five grid points")
-    if limit:
-        idx = 2
-    else:
-        if sigma is None:
-            raise DomainError("pass sigma or set limit=True")
-        idx = int(np.argmin(np.abs(curve.sigmas - sigma)))
-        if not math.isclose(curve.sigmas[idx], sigma, rel_tol=1e-9):
-            raise GridError(f"sigma = {sigma} is not a grid point of the curve")
-        if idx < 2 or idx > curve.sigmas.size - 3:
-            raise GridError(f"sigma = {sigma} is too close to the grid edge")
-    f = np.log(curve.Z[idx - 2 : idx + 3])
-    slope = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
-    return -2.0 * slope
+    return -2.0 * log_slope(curve.sigmas, curve.Z, curve.sigmas[2] if limit else sigma)

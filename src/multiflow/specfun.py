@@ -133,25 +133,39 @@ def gamma_fn(x: float) -> float:
         raise PoleError(f"gamma evaluation failed at x = {x}") from exc
 
 
-def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
-    """Direct Taylor sum of Phi(a;b;z).  Caller guarantees b has no pole.
+def _series(
+    ratio: Callable[[int], float], crossing: float, ctl: SeriesControl, label: Callable[[], str]
+) -> float:
+    """Sum 1 + t_1 + t_2 + ... with t_(n+1) = t_n * ratio(n): the Taylor loop
+    of every hypergeometric series here.  ``label`` names the function in an
+    error message and is only called when one is raised.
 
     Tracks the largest intermediate term: for alternating sums whose result
     is far below the peak term, the roundoff floor can exceed the requested
     tolerance, and pretending otherwise would return garbage.
+
+    A negative (non-integer) lower parameter makes the denominators pass close
+    to zero near n = ``crossing``: the terms dip through a deep valley and
+    resurge on the other side.  Convergence stops are suppressed until that
+    point is passed, otherwise the resurgent contribution (which can dominate
+    the sum) would be silently dropped.
     """
+    if crossing >= ctl.max_terms:
+        raise ConvergenceError(
+            f"{label()} needs more than max_terms={ctl.max_terms} terms "
+            "to clear the denominator zero crossing"
+        )
     total = 1.0
     term = 1.0
     peak = 1.0
     prev_abs = 1.0
     small_runs = 0
-    crossing = -b if b < 0.0 else 0.0
     for n in range(ctl.max_terms):
-        term *= (a + n) / (b + n) * z / (n + 1)
+        term *= ratio(n)
         total += term
         peak = max(peak, abs(term))
-        # negative non-integer b: denominators pass near zero; only trust a
-        # stop past the crossing and once magnitudes are decreasing again
+        # only trust a stop past the crossing and once magnitudes are
+        # decreasing again (the resurgent bump is over)
         settled = n > crossing and abs(term) <= prev_abs
         prev_abs = abs(term)
         if settled and abs(term) <= ctl.threshold(total):
@@ -159,14 +173,22 @@ def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
             if small_runs >= 2:
                 if 5e-16 * peak > _CANCELLATION_BAR(ctl) * abs(total):
                     raise ConvergenceError(
-                        f"Phi({a};{b};{z}) series cancellation: fewer than six "
+                        f"{label()} series cancellation: fewer than six "
                         "significant digits are achievable in double precision"
                     )
                 return total
         else:
             small_runs = 0
-    raise ConvergenceError(
-        f"Phi({a};{b};{z}) series did not converge within {ctl.max_terms} terms"
+    raise ConvergenceError(f"{label()} series did not converge within {ctl.max_terms} terms")
+
+
+def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
+    """Direct Taylor sum of Phi(a;b;z).  Caller guarantees b has no pole."""
+    return _series(
+        lambda n: (a + n) / (b + n) * z / (n + 1),
+        -b if b < 0.0 else 0.0,
+        ctl,
+        lambda: f"Phi({a};{b};{z})",
     )
 
 
@@ -373,7 +395,10 @@ def kummer_phi(a: float, b: float, z: float, ctl: SeriesControl = DEFAULT_CONTRO
     if z == 0.0 or a == 0.0:
         return 1.0
     if a == b:
-        return math.exp(z)
+        try:
+            return math.exp(z)
+        except OverflowError as exc:
+            raise ConvergenceError(f"Phi overflow for z = {z}") from exc
     if z > 0.0:
         if z > 700.0:
             raise ConvergenceError(f"Phi overflow for z = {z}")
@@ -386,46 +411,12 @@ def kummer_phi(a: float, b: float, z: float, ctl: SeriesControl = DEFAULT_CONTRO
 
 
 def _series_2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl) -> float:
-    """Direct Taylor sum of F(a,b;c;z); caller guarantees |z| < 1 and valid c.
-
-    A negative (non-integer) c makes the denominators (c)_n pass close to
-    zero near n = -c: the terms dip through a deep valley and resurge on the
-    other side.  Convergence stops are suppressed until that point is passed,
-    otherwise the resurgent contribution (which can dominate the sum) would
-    be silently dropped.
-    """
-    total = 1.0
-    term = 1.0
-    peak = 1.0
-    prev_abs = 1.0
-    small_runs = 0
-    crossing = -c if c < 0.0 else 0.0
-    if crossing >= ctl.max_terms:
-        raise ConvergenceError(
-            f"F({a},{b};{c};{z}) needs more than max_terms={ctl.max_terms} terms "
-            "to clear the denominator zero crossing"
-        )
-    for n in range(ctl.max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        peak = max(peak, abs(term))
-        # a stop is only trusted past the crossing and once the resurgent
-        # bump (growing magnitudes) is over
-        settled = n > crossing and abs(term) <= prev_abs
-        prev_abs = abs(term)
-        if settled and abs(term) <= ctl.threshold(total):
-            small_runs += 1
-            if small_runs >= 2:
-                if 5e-16 * peak > _CANCELLATION_BAR(ctl) * abs(total):
-                    raise ConvergenceError(
-                        f"F({a},{b};{c};{z}) series cancellation: fewer than six "
-                        "significant digits are achievable in double precision"
-                    )
-                return total
-        else:
-            small_runs = 0
-    raise ConvergenceError(
-        f"F({a},{b};{c};{z}) series did not converge within {ctl.max_terms} terms"
+    """Direct Taylor sum of F(a,b;c;z); caller guarantees |z| < 1 and valid c."""
+    return _series(
+        lambda n: (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
+        -c if c < 0.0 else 0.0,
+        ctl,
+        lambda: f"F({a},{b};{c};{z})",
     )
 
 

@@ -12,7 +12,6 @@ a stencil-based numeric extractor that works on any sampled dispersion curve.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +24,7 @@ from .dispersion import (
     dispersion_multiscale_weighted,
 )
 from .errors import DomainError, GridError
+from .grid import check_grid, log_slope
 from .measure import FractionalCharges, MeasureProfile, multiscale_weight
 
 __all__ = [
@@ -80,10 +80,9 @@ class SpectralFlow:
         ds = np.asarray(self.ds, dtype=float)
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "ds", ds)
-        if sig.ndim != 1 or ds.shape != sig.shape:
-            raise GridError("flow needs matching 1-d sigma and ds arrays")
-        if np.any(sig <= 0.0) or np.any(np.diff(sig) <= 0.0):
-            raise GridError("sigma grid must be positive and strictly increasing")
+        check_grid(sig)
+        if ds.shape != sig.shape:
+            raise GridError("flow needs matching sigma and ds arrays")
 
     def rows(self):
         for s, d in zip(self.sigmas, self.ds):
@@ -107,23 +106,16 @@ def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> 
     must sit at least two grid points away from either edge; the grid must be
     geometric (uniform in ln sigma).
     """
-    logs = np.log(curve.sigmas)
-    steps = np.diff(logs)
-    h = steps[0]
-    if np.any(np.abs(steps - h) > 1e-8 * max(abs(h), 1.0)):
-        raise GridError("numeric spectral dimension needs a log-uniform grid")
-    idx = int(np.argmin(np.abs(curve.sigmas - sigma)))
-    if not math.isclose(curve.sigmas[idx], sigma, rel_tol=1e-9):
-        raise GridError(f"sigma = {sigma} is not a grid point of the curve")
-    if idx < 2 or idx > curve.sigmas.size - 3:
-        raise GridError(f"sigma = {sigma} is too close to the grid edge for a 5-point stencil")
-    f = np.log(curve.ell2[idx - 2 : idx + 3])
-    slope = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
-    return dim * slope
+    return dim * log_slope(curve.sigmas, curve.ell2, sigma)
 
 
 def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
     """Closed-form weighted-model flow d_S(sigma) = D kappa sigma / (v(sigma) ell^2(sigma))."""
+    return _weighted_flow_point(spec, sigma)[1]
+
+
+def _weighted_flow_point(spec: DiffusionSpec, sigma: float) -> tuple[float, float]:
+    """(ell^2, d_S) of the weighted-model flow at one sigma."""
     if spec.model not in ("weighted", "ordinary"):
         raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
     if spec.multiscale is None:
@@ -134,7 +126,7 @@ def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
         raise DomainError(f"sigma must be positive, got {sigma}")
     v = multiscale_weight(sigma, spec.multiscale)
     ell2 = dispersion_multiscale_weighted(spec, sigma)
-    return spec.dim * spec.scales.kappa * sigma / (v * ell2)
+    return ell2, spec.dim * spec.scales.kappa * sigma / (v * ell2)
 
 
 def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
@@ -243,16 +235,24 @@ def _convergence_flags(flow_at, lstar: float) -> tuple[bool, bool]:
 
 def weighted_flow_curve(spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray) -> SpectralFlow:
     """Sample the weighted-model flow with its analytic asymptotes attached."""
+    return _weighted_flow_and_dispersion(spec, sigmas)[0]
+
+
+def _weighted_flow_and_dispersion(
+    spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray
+) -> tuple[SpectralFlow, np.ndarray]:
+    """:func:`weighted_flow_curve` and the dispersion ell^2 it was computed from."""
     sig = np.asarray(sigmas, dtype=float)
-    ds = np.array([spectral_weighted_flow(spec, s) for s in sig])
+    points = [_weighted_flow_point(spec, s) for s in sig]
     uv, ir = weighted_flow_asymptotes(spec)
     _, lstar = spec.multiscale.binomial_params()
     uv_ok, ir_ok = _convergence_flags(lambda s: spectral_weighted_flow(spec, s), lstar)
-    return SpectralFlow(
-        sigmas=sig, ds=ds, uv_asymptote=uv, ir_asymptote=ir,
+    flow = SpectralFlow(
+        sigmas=sig, ds=np.array([d for _, d in points]), uv_asymptote=uv, ir_asymptote=ir,
         model="weighted-fuzzy" if spec.fuzzy else spec.model,
         uv_converged=uv_ok, ir_converged=ir_ok,
     )
+    return flow, np.array([e for e, _ in points])
 
 
 def q_flow_curve(

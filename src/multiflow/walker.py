@@ -11,15 +11,14 @@ Five processes are simulated, all reducible to Gaussian increments:
 
 Reproducibility contract: every path draws from its own counter-based Philox
 stream keyed by (master seed, path index), consumed in (step, direction)
-order, so ensembles are bit-identical for a fixed (seed, grid, spec)
-regardless of how many worker threads are used.
+order, so ensembles are bit-identical for a fixed (seed, grid, spec).  Paths
+are drawn one after another in one thread: the per-path loop holds the
+interpreter lock, so worker threads only contend for it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .dispersion import DiffusionSpec, time_weight
 from .errors import DomainError, GridError, SingularPointError
+from .grid import check_grid
 
 __all__ = [
     "WalkerEnsemble",
@@ -45,28 +45,11 @@ __all__ = [
     "fit_scaling_exponent",
     "fit_scaling_exponent_batched",
     "increment_diagnostics",
-    "worker_count",
 ]
 
 PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
 
-_THREADS_ENV = "MULTIFLOW_THREADS"
 _MEDIAN_BATCHES = 16
-
-
-def worker_count() -> int:
-    """Worker threads to use: min(cpu count, MULTIFLOW_THREADS if set)."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return max(1, min(cpus, 8))
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"{_THREADS_ENV} must be >= 1, got {cap}")
-    return min(cap, cpus) if cpus > 0 else cap
 
 
 @dataclass(frozen=True)
@@ -88,8 +71,9 @@ class WalkerEnsemble:
         object.__setattr__(self, "positions", pos)
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}")
-        if grid.ndim != 1 or grid.size < 2 or grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise GridError("grid must be 1-d, strictly increasing, and start after 0")
+        check_grid(grid)
+        if grid.size < 2:
+            raise GridError("grid needs at least 2 steps")
         if pos.ndim != 3 or pos.shape[1] != grid.size:
             raise GridError(f"positions shape {pos.shape} does not match grid of {grid.size} steps")
         if not np.all(np.isfinite(pos)):
@@ -147,28 +131,29 @@ class IncrementReport:
         return abs(self.correlation_tstat) < 3.0
 
 
-def geometric_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray:
-    """Log-spaced grid, the default: exact variance differences need no small
-    steps and the decades of a scaling law get equal weight."""
+def _check_grid_args(sigma_min: float, sigma_max: float, n_steps: int) -> None:
     if not 0.0 < sigma_min < sigma_max:
         raise GridError(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
     if n_steps < 2:
         raise GridError(f"need at least 2 steps, got {n_steps}")
+
+
+def geometric_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray:
+    """Log-spaced grid, the default: exact variance differences need no small
+    steps and the decades of a scaling law get equal weight."""
+    _check_grid_args(sigma_min, sigma_max, n_steps)
     return np.geomspace(sigma_min, sigma_max, n_steps)
 
 
 def uniform_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray:
     """Uniformly spaced grid starting after zero (for increment diagnostics)."""
-    if not 0.0 < sigma_min < sigma_max:
-        raise GridError(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
-    if n_steps < 2:
-        raise GridError(f"need at least 2 steps, got {n_steps}")
+    _check_grid_args(sigma_min, sigma_max, n_steps)
     return np.linspace(sigma_min, sigma_max, n_steps)
 
 
 def _path_generator(key: np.ndarray, path: int) -> Generator:
-    # Each path owns a 2^128-wide counter block: bit-identical streams no
-    # matter how paths are distributed over workers.
+    # Each path owns a 2^128-wide counter block: its stream does not depend
+    # on how many paths are drawn or in which order.
     counter = np.array([0, 0, path, 0], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
 
@@ -189,20 +174,9 @@ def _accumulate_bm(
     scale = np.sqrt(2.0 * kappa * dtau)[:, None]  # (n_steps, 1)
     key = SeedSequence(seed).generate_state(2, np.uint64)
     out = np.empty((n_paths, grid.size, dim), dtype=float)
-
-    def fill(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            normals = _path_generator(key, p).standard_normal((grid.size, dim))
-            np.cumsum(normals * scale, axis=0, out=out[p])
-
-    workers = worker_count()
-    if workers == 1 or n_paths < 2 * workers:
-        fill(0, n_paths)
-    else:
-        chunk = (n_paths + workers - 1) // workers
-        bounds = [(i, min(i + chunk, n_paths)) for i in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    for p in range(n_paths):
+        normals = _path_generator(key, p).standard_normal((grid.size, dim))
+        np.cumsum(normals * scale, axis=0, out=out[p])
     return out
 
 

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import multiflow
 from multiflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from multiflow.config import RunConfig, build_spec, merge_overrides, parse_config, serialize_config
 from multiflow.csvio import CSV_VERSION
@@ -352,3 +356,14 @@ class TestDeterministicOutput:
         out = tmp_path / "x.csv"
         code = main(["flow", "--model", "weighted", "--fuzzy", "--out", str(out)])
         assert code == EXIT_CONFIG
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of the import time; only the quadrature oracles use it
+    src = os.path.dirname(os.path.dirname(multiflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, multiflow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

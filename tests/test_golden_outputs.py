@@ -1,0 +1,105 @@
+"""Byte-level pins of the CLI outputs.
+
+Each case runs one CLI job on a small grid and compares the SHA-256 of every
+file it writes with a recorded digest.  A refactoring that keeps these
+digests keeps the outputs byte-identical; a change that moves one value by
+one unit in the last place fails here.  The digests depend on the platform's
+floating-point library, so they were recorded on x86-64 Linux.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from multiflow.cli import EXIT_OK, main
+
+_FLOW = ("--dim", "4", "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "60")
+_KERNEL = ("kernel", "--model", "ordinary", "--sigma-min", "1e-2", "--sigma-max", "1e2")
+_WALK = ("--paths", "200", "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10")
+
+# name -> (argv without --out, digest of the main file, digest of the trajectory file)
+GOLDEN = {
+    "flow-weighted-0.5": (
+        ("flow", "--model", "weighted", "--beta-star", "0.5", *_FLOW),
+        "ce40eb3b45766930372b68c0351f548394990ea2aed5f4e16bdc598a6eed7bd1",
+        None,
+    ),
+    "flow-weighted-1.5": (
+        ("flow", "--model", "weighted", "--beta-star", "1.5", *_FLOW),
+        "6233f1813b97dff4bacf1a888b680732a72a4572dad39b36d9ac1402658de48a",
+        None,
+    ),
+    "flow-weighted-pole": (
+        ("flow", "--model", "weighted", "--beta-star", repr(1.0 + 1.0 / 3.0), *_FLOW),
+        "2e29c3f97a819ff3646614b58f073ca4db419f50621cc72366f57578758fcddf",
+        None,
+    ),
+    "flow-fuzzy": (
+        ("flow", "--model", "weighted", "--beta-star", "0.5", "--fuzzy", *_FLOW),
+        "4134e13fda9935e1a30303cfffb1a376e141b2b642ebe3c0efc518a3267138cc",
+        None,
+    ),
+    "flow-q": (
+        ("flow", "--model", "q", "--beta-star", "0.5", *_FLOW),
+        "f0c15fded9bc452cbd9362917e666c7ac4453d4ee8bcc412d6a14afcb0ecd2e8",
+        None,
+    ),
+    "flow-legacy": (
+        ("flow", "--model", "legacy", "--alpha", "0.5", *_FLOW),
+        "4453e822daf1b9baac8d6e2fa5bd5f6cc83cd8f6ae9d577804661bf03053027c",
+        None,
+    ),
+    "flow-ordinary-fixed": (
+        ("flow", "--model", "ordinary", "--beta", "0.5", *_FLOW),
+        "c25b7c51a0586004b9529f96d301d06b7ff4a1a5b09bb6b0653e7ca4cb4d8202",
+        None,
+    ),
+    "kernel-d1": (
+        (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--sigma-points", "9"),
+        "2851604636555a043ab2f2f9e6948eb3e7329d7cda39cb728d5d7c04228538e4",
+        None,
+    ),
+    "kernel-d2": (
+        (*_KERNEL, "--dim", "2", "--alpha", "0.45", "--sigma-points", "5"),
+        "f91ff76782c9259df69bae66686a9e85925ce0417c64c48af707382e7ef68297",
+        None,
+    ),
+    "kernel-multiscale-d1": (
+        (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "7"),
+        "e001d4cef647ec0f9066feb02ed2e0927cdfa27b23ff449136b0950ff6323cfc",
+        None,
+    ),
+    "pdf-ordinary": (
+        ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--sigma", "1.0",
+         "--x-points", "41"),
+        "f58a92109af2000211a12c199a77d0683733a40cdcae8565b8b6fc644735827a",
+        None,
+    ),
+    "simulate-bm": (
+        ("simulate", "--model", "bm", "--dim", "2", *_WALK, "--seed", "7", "--traj-paths", "5"),
+        "df0ccd09ad1e3565dfe51d7ac288c93f49aaf0769f8f7741e5720fc0329c4941",
+        "97ddd0ca254292f47d59332de410de5da74d6819c59b61cc624e8cc75dcb2557",
+    ),
+    "simulate-fsbm-q": (
+        ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
+         *_WALK, "--seed", "11", "--traj-paths", "0"),
+        "f7c1a522fabba7766853e1b166a3e5838e558b4d26a007b249cccf8108d50414",
+        None,
+    ),
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_pinned(name, tmp_path):
+    argv, main_digest, traj_digest = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert _digest(out) == main_digest
+    traj = tmp_path / "out.traj.csv"
+    assert (_digest(traj) if traj.exists() else None) == traj_digest

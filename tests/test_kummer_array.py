@@ -117,6 +117,8 @@ def test_two_dimensional_input_keeps_its_shape():
         # the leading asymptotic term vanishes
         (1.5, 0.5, -40.0, SeriesControl(), DomainError),
         (0.3, -2.0, -5.0, SeriesControl(), PoleError),
+        # Phi(a; a; z) = e^z overflows
+        (0.5, 0.5, 800.0, SeriesControl(), ConvergenceError),
     ],
 )
 def test_refusals_match_scalar(a, b, z, ctl, error):

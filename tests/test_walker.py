@@ -18,7 +18,6 @@ from multiflow.walker import (
     simulate_fsbm_v,
     simulate_sbm,
     uniform_grid,
-    worker_count,
 )
 
 SEED = 20130409
@@ -57,14 +56,6 @@ class TestDeterminism:
         c = simulate_bm(50, grid, 1.0, 1, 8)
         assert np.array_equal(a.positions, b.positions)
         assert not np.array_equal(a.positions, c.positions)
-
-    def test_worker_count_env_validation(self, monkeypatch):
-        monkeypatch.setenv("MULTIFLOW_THREADS", "0")
-        with pytest.raises(DomainError):
-            worker_count()
-        monkeypatch.setenv("MULTIFLOW_THREADS", "junk")
-        with pytest.raises(DomainError):
-            worker_count()
 
 
 class TestBrownian:
