@@ -13,6 +13,7 @@ Parsing then serializing then parsing is the identity on :class:`RunConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .dispersion import DiffusionSpec, MODELS
@@ -72,6 +73,11 @@ class RunConfig:
     box: float | None = None  # None: automatic box half-width
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.command == "simulate":

@@ -5,13 +5,14 @@ The dispersion is the Gaussian width entering each probability density,
     ell^2(sigma) = lbar^2 + kappa * int_0^sigma ds s^(nu-1) / v(s),
 
 where ``v`` is the diffusion-time measure weight.  Closed forms are provided
-for the fractional weight (pure power law), the binomial multiscale weight
-(Gauss hypergeometric), and the q-model polynomial form; an adaptive
+for the fractional weight (pure power law) and the q-model polynomial form.
+The binomial multiscale weight has the hypergeometric closed form
+sigma * F(1, b; b+1; z), whose terms cancel next to its removable poles
+beta_star = 1 +- 1/k; its integral is summed instead by one decade-panel
+Gauss rule on the defining integral, within 1e-14 of mpmath for every
+beta_star in (0, 2) and sigma/lstar in [1e-280, 1e280].  An adaptive
 quadrature evaluates the defining integral directly and doubles as the
-oracle for every closed form.  Near the removable poles of the binomial
-form, beta_star = 1 +- 1/k, its hypergeometric terms cancel; there the
-defining integral is summed by a decade-panel Gauss rule instead (within
-1e-14 of mpmath).
+oracle for every closed form.
 """
 
 from __future__ import annotations
@@ -37,15 +38,7 @@ from .measure import (
     MeasureProfile,
     multiscale_weight,
 )
-from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    decade_panels,
-    gamma_fn,
-    gauss_2f1,
-    in_removable_pole_window,
-    sinpi,
-)
+from .specfun import decade_panels, gamma_fn
 
 __all__ = [
     "DiffusionSpec",
@@ -63,10 +56,6 @@ __all__ = [
 ]
 
 MODELS = ("weighted", "ordinary", "q", "legacy")
-
-# Width of the excluded strip around beta_star = 1, where the hypergeometric
-# parameters of the binomial closed form leave the validated range.
-_BETA_STAR_GAP = 1e-4
 
 _QUAD_REL_TOL = 1e-9
 
@@ -165,84 +154,47 @@ def dispersion_fractional(spec: DiffusionSpec, sigma: float) -> float:
     return sc.lbar ** 2 + sc.kappa * gamma_fn(sc.beta) / exponent * sigma ** exponent
 
 
-# |b| = 1/|beta*-1| above which the hypergeometric routes become
-# numerically treacherous for beta* > 1 (resurgent continuation series);
-# a fixed decade-panel Gauss rule on the defining integral takes over.
-_PANEL_B_CUT = 40.0
 _PANEL_DECADES = 18
 
 
-def _binomial_integral_panels(beta_star: float, lstar: float, sigma: float) -> float:
-    """Decade-panel Gauss-Legendre evaluation of int_0^sigma ds/v_*(s).
-
-    Used for beta* close to 1 and next to the removable poles.  The
-    integrand 1/(1 + (s/lstar)^(beta*-1)) is positive, bounded by 1 and
-    smooth on every decade (its only singularity in reach is the branch
-    point at s = 0), so a fixed-order rule per decade is exact to near
-    machine precision.  The truncated head [0, sigma*10^-18] contributes at
-    most ~1e-18 of the total.
-    """
-    power = beta_star - 1.0
-    # below sigma*1e-18 the integrand is 1 + O((s/lstar)^power) for beta* > 1
-    # and O((s/lstar)^|power|) for beta* < 1
-    head = sigma * 10.0 ** (-_PANEL_DECADES) if power > 0.0 else 0.0
-    return head + decade_panels(
-        lambda s: 1.0 / (1.0 + (s / lstar) ** power), sigma, _PANEL_DECADES
-    )
-
-
-def binomial_time_integral(
-    beta_star: float,
-    lstar: float,
-    sigma: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
+def binomial_time_integral(beta_star: float, lstar: float, sigma: float) -> float:
     """int_0^sigma ds / (1 + (s/lstar)^(beta_star-1)) for 0 < beta_star < 2.
 
-    Evaluated through the hypergeometric closed form.  Writing
-    b = 1/(beta_star - 1) and z = -(sigma/lstar)^(beta_star-1):
-
-    * beta_star > 1: sigma * F(1, b; b+1; z), continued for z <= -1;
-    * beta_star < 1: the additive constant fixed by ell^2(0) = 0 cancels the
-      second continuation term exactly, leaving the manifestly regular form
-      sigma * b/(b-1) * w * F(1, 1; 2-b; w), w = 1/(1-z), for strongly
-      negative z, and the direct series plus the explicit constant
-      -lstar * pi b / sin(pi b) otherwise;
-    * b within ``specfun.REMOVABLE_POLE_WINDOW`` of an integer
-      (beta_star = 1 +- 1/k and its neighbourhood, both branches), and
-      b > 40: the two terms above would cancel (or the continuation
-      resurge), so the decade-panel rule sums the positive integrand
-      directly.  It is within 1e-14 of mpmath for k <= 40 and
-      sigma/lstar in [1e-4, 1e4], at every offset from the pole.
+    Summed by the decade-panel Gauss-Legendre rule of
+    :func:`specfun.decade_panels` on the 18 decades below sigma, with one
+    more decade for every decade of sigma/lstar beyond 1e7, so that the
+    panels always reach below 1e-11 lstar.  The integrand is positive,
+    bounded by 1 and smooth on every decade (its only singularity in reach
+    is the branch point at s = 0), so nothing cancels: the hypergeometric
+    closed form sigma * F(1, b; b+1; z), b = 1/(beta*-1), has removable
+    poles at beta* = 1 +- 1/k and a resurgent continuation for beta* next
+    to 1, but this rule sees neither.  It is within 1e-14 of mpmath for
+    every beta* in (0, 2), 1 +- 1e-12 included, and sigma/lstar in
+    [1e-280, 1e280]; outside that range :class:`DomainError` is raised.
     """
     if lstar <= 0.0:
         raise DomainError(f"lstar must be positive, got {lstar}")
     if sigma < 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if not 0.0 < beta_star < 2.0 or abs(beta_star - 1.0) <= _BETA_STAR_GAP:
-        raise DomainError(
-            f"beta_star = {beta_star} outside validated range (0,2) minus "
-            f"a {_BETA_STAR_GAP} strip around 1"
-        )
+    if not 0.0 < beta_star < 2.0:
+        raise DomainError(f"beta_star = {beta_star} outside the range (0, 2)")
     if sigma == 0.0:
         return 0.0
-    b = 1.0 / (beta_star - 1.0)
-    if b > _PANEL_B_CUT or in_removable_pole_window(b):
-        # beta* just above 1: both hypergeometric routes degrade (slow series
-        # near |z| = 1, resurgent continuation); next to a removable pole the
-        # two continuation terms cancel.  The bounded integrand is trivial
-        # for a fixed panel rule instead.
-        return _binomial_integral_panels(beta_star, lstar, sigma)
-    z = -((sigma / lstar) ** (beta_star - 1.0))
-    if beta_star > 1.0:
-        return sigma * gauss_2f1(1.0, b, b + 1.0, z, ctl)
-    if z <= -0.5:
-        # pre-cancelled continuation: the additive constant and the second
-        # continuation term cancel exactly, leaving a form regular in b
-        w = 1.0 / (1.0 - z)
-        return sigma * (b / (b - 1.0)) * w * gauss_2f1(1.0, 1.0, 2.0 - b, w, ctl)
-    constant = lstar * math.pi * b / sinpi(b)
-    return sigma * gauss_2f1(1.0, b, b + 1.0, z, ctl) - constant
+    ratio = sigma / lstar
+    # beyond, the panel nodes push (s/lstar)^power out of the double range
+    if not 1e-280 <= ratio <= 1e280:
+        raise DomainError(f"sigma/lstar = {ratio} outside [1e-280, 1e280]")
+    power = beta_star - 1.0
+    # up to sigma/lstar = 1e7 the 18 decades reach below 1e-11 lstar, and
+    # each further decade of sigma/lstar adds one: there the integrand is
+    # 1 + O((s/lstar)^power) for beta* > 1, so the head is its length; for
+    # beta* <= 1 it increases with s, so the dropped head is below 1e-17 of
+    # the total
+    decades = _PANEL_DECADES
+    if ratio > 1e7:
+        decades += math.ceil(math.log10(ratio)) - 7
+    head = sigma * 10.0 ** (-decades) if power > 0.0 else 0.0
+    return head + decade_panels(lambda s: 1.0 / (1.0 + (s / lstar) ** power), sigma, decades)
 
 
 def dispersion_multiscale_weighted(spec: DiffusionSpec, sigma: float) -> float:
@@ -383,7 +335,7 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
 def dispersion(spec: DiffusionSpec, sigma: float) -> float:
     """Model-appropriate dispersion at one diffusion time.
 
-    weighted/ordinary: multiscale hypergeometric form when a profile is
+    weighted/ordinary: binomial multiscale form when a profile is
     attached, fixed-dimensionality power law otherwise (the two models share
     the same Gaussian width).  q: polynomial form.  legacy: kappa * sigma.
     """

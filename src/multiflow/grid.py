@@ -15,9 +15,13 @@ __all__ = ["check_grid", "five_point_slope", "log_slope"]
 
 
 def check_grid(sigmas: np.ndarray) -> None:
-    """Raise :class:`GridError` unless ``sigmas`` is 1-d, positive and strictly increasing."""
-    if sigmas.ndim != 1 or np.any(sigmas <= 0.0) or np.any(np.diff(sigmas) <= 0.0):
-        raise GridError("sigma grid must be 1-d, positive and strictly increasing")
+    """Raise :class:`GridError` unless ``sigmas`` is 1-d, finite, positive and strictly increasing."""
+    if (
+        sigmas.ndim != 1
+        or not np.all(np.isfinite(sigmas) & (sigmas > 0.0))
+        or np.any(np.diff(sigmas) <= 0.0)
+    ):
+        raise GridError("sigma grid must be 1-d, finite, positive and strictly increasing")
 
 
 def five_point_slope(f: Sequence[float], h: float) -> float:

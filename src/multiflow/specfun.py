@@ -6,33 +6,30 @@ Three scalar functions are exposed:
 * :func:`kummer_phi` -- Kummer's confluent hypergeometric function
   ``Phi(a; b; z)``, stable for strongly negative arguments,
 * :func:`gauss_2f1` -- the Gauss hypergeometric function ``F(a, b; c; z)``,
-  summed as a series inside the unit disk and analytically continued for
-  ``z < -1`` in the one-parameter pattern ``F(1, b; b+1; z)`` that the
-  dispersion integrals of binomial multiscale measures produce.
+  summed as a series inside the unit disk and extended to ``z <= -1`` in
+  the one-parameter pattern ``F(1, b; b+1; z)`` that the dispersion
+  integrals of binomial multiscale measures produce.
 
 The heat-kernel trace evaluates ``Phi`` on whole arrays of quadrature nodes
 through the private ``_kummer_phi_array``, which takes the scalar branches
 and sums their series term for term; the scalar function is its oracle.
 
-The continuation used for that pattern is
-
-    F(1, b; b+1; z) = b/(b-1) * w * F(1, 1; 2-b; w) + Gamma(b+1)Gamma(1-b)(-z)^(-b)
-
-with ``w = 1/(1-z)``.  It holds for every ``z < 0``, but near a positive
-integer ``b = k`` both terms grow like ``1/|b-k|`` while their sum stays
-finite, so the rounding error of each term is amplified by that factor.
-Within :data:`REMOVABLE_POLE_WINDOW` of such an integer the pattern is
-therefore taken from Euler's integral instead,
+For ``z <= -0.5`` the pattern takes one of two routes.  For ``b > 0`` it is
+Euler's integral
 
     F(1, b; b+1; z) = b * int_0^1 t^(b-1) / (1 - z t) dt,
 
 whose integrand is positive for ``z < 0``: a fixed decade-panel
-Gauss-Legendre rule (:func:`decade_panels`) evaluates it with nothing to
-cancel.  Against ``mpmath.hyp2f1`` the window route is within 1e-13 for
-``k <= 40``, ``-1e5 <= z <= -0.5`` and every offset ``b - k`` down to 0;
-outside the window the continuation (with the exactly reduced
-:func:`sinpi`) stays within 1e-9.  The same window selects the panel rule
-of ``dispersion.binomial_time_integral``.
+Gauss-Legendre rule (:func:`decade_panels`) sums it with nothing to cancel,
+also at the integers ``b = k``, where the continuation below has removable
+poles.  Against ``mpmath.hyp2f1`` it is within 1e-12 for ``0 < b <= 200``
+and ``-1e5 <= z <= -0.5``; its error grows with ``b`` (6e-11 at
+``b = 400``), so larger ``b`` keeps the Taylor series inside the disk and is
+refused for ``z <= -1``.  For ``b <= 0`` the continuation
+
+    F(1, b; b+1; z) = b/(b-1) * w * F(1, 1; 2-b; w) + Gamma(b+1)Gamma(1-b)(-z)^(-b)
+
+with ``w = 1/(1-z)`` is summed, with the exactly reduced :func:`sinpi`.
 """
 
 from __future__ import annotations
@@ -49,37 +46,28 @@ from .errors import ConvergenceError, DomainError, PoleError
 __all__ = [
     "SeriesControl",
     "DEFAULT_CONTROL",
-    "REMOVABLE_POLE_WINDOW",
     "gamma_fn",
     "kummer_phi",
     "gauss_2f1",
     "sinpi",
-    "in_removable_pole_window",
     "decade_panels",
 ]
 
 # |z| above which the confluent series is abandoned for the large-|z| expansion.
 _PHI_ASYMPTOTIC_CUT = 30.0
-# |b - k| below which the two O(1/|b-k|) continuation terms are not summed:
-# F(1, b; b+1; z) near a positive integer k comes from Euler's integral, and
-# the binomial dispersion integral from its panel rule.
-REMOVABLE_POLE_WINDOW = 1e-2
 # |sin(pi*b)| below which b is treated as sitting on an integer: a pole of
 # F(1, b; b+1; z) for negative b, the value F = 1 - b log(1-z) next to b = 0.
 _INTEGER_B_SIN = 1e-8
-# z at or below which the (1, b; b+1; z) pattern is continued instead of summed.
-_F21_CONTINUATION_CUT = -0.5
-# Largest growth (-z)^(-b) of the continuation terms accepted inside the disk;
-# beyond it their cancellation costs more digits than the 1e-8 contract allows.
-_CONTINUATION_GROWTH_MAX = 64.0
+# z at or below which the (1, b; b+1; z) pattern leaves the direct series.
+_F21_PATTERN_CUT = -0.5
 # Terms generated per step by the array series of Phi (_term_block).
 _SERIES_BLOCK = 32
 # Gauss-Legendre order of every decade panel (decade_panels).
 _PANEL_ORDER = 48
 # Decades of Euler's integral below t = max(1, -z)^-1 covered by panels.
 _EULER_DECADES = 18
-# largest non-integer b whose continuation valley stays above double precision.
-_CONTINUATION_B_MAX = 60.0
+# Largest b of Euler's integral, whose error grows with b.
+_EULER_B_MAX = 200.0
 
 
 def _CANCELLATION_BAR(ctl: "SeriesControl") -> float:
@@ -432,11 +420,6 @@ def sinpi(x: float) -> float:
     return -s if k % 2 else s
 
 
-def in_removable_pole_window(b: float) -> bool:
-    """True when b lies within :data:`REMOVABLE_POLE_WINDOW` of an integer."""
-    return abs(b - round(b)) < REMOVABLE_POLE_WINDOW
-
-
 @cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL_ORDER)
@@ -465,7 +448,14 @@ def _f21_pattern_euler(b: float, z: float) -> float:
     where the continuation cancels.  The panels reach down to
     eps = 10^-D with eps * max(1, c) <= 1e-18; below, the head
     b int_0^eps t^(b-1) / (1 + c t) dt is eps^b to a relative c * eps.
+    The rounding error grows with b, from 3.3e-13 at b = 200 to 6e-11 at
+    b = 400, so beyond :data:`_EULER_B_MAX` :class:`ConvergenceError` is
+    raised.
     """
+    if b > _EULER_B_MAX:
+        raise ConvergenceError(
+            f"Euler's integral of F(1,{b};{b + 1};{z}) loses its accuracy for b > {_EULER_B_MAX}"
+        )
     c = -z
     decades = _EULER_DECADES + max(0, math.ceil(math.log10(c)))
     body = decade_panels(lambda t: t ** (b - 1.0) / (1.0 + c * t), 1.0, decades)
@@ -473,33 +463,17 @@ def _f21_pattern_euler(b: float, z: float) -> float:
 
 
 def _f21_pattern_continuation(b: float, z: float, ctl: SeriesControl) -> float:
-    """F(1, b; b+1; z) for z < 0 via the w = 1/(1-z) continuation.
+    """F(1, b; b+1; z) for b <= 0 and z < 0 via the w = 1/(1-z) continuation.
 
-    Near a positive integer b the two continuation terms diverge with a
-    finite sum; inside :data:`REMOVABLE_POLE_WINDOW` Euler's integral is
-    used instead.  Next to b = 0 the first-order value 1 - b log(1-z) is
-    returned, and next to a negative integer b the function itself
-    diverges (:class:`PoleError`).  For large non-integer b the inner series
-    develops a deep valley followed by a resurgent tail (its denominators
-    pass close to zero); beyond b ~ 60 the valley undercuts double precision
-    and the evaluation is rejected rather than silently degraded.
+    Next to b = 0 the first-order value 1 - b log(1-z) is returned, and next
+    to a negative integer b the function itself diverges
+    (:class:`PoleError`).
     """
-    k = round(b)
     if abs(sinpi(b)) < _INTEGER_B_SIN:
+        k = round(b)
         if k == 0:
             return 1.0 - b * math.log1p(-z)
-        if k < 0:
-            raise PoleError(
-                f"F(1,b;b+1;z) diverges at negative integer b = {k} (c = b+1 pole)"
-            )
-    if b > _CONTINUATION_B_MAX:
-        raise ConvergenceError(
-            f"continuation of F(1,{b};{b + 1};{z}) is unstable for b > "
-            f"{_CONTINUATION_B_MAX}: the resurgent part of the inner series "
-            "falls below double precision"
-        )
-    if k >= 1 and in_removable_pole_window(b):
-        return _f21_pattern_euler(b, z)
+        raise PoleError(f"F(1,b;b+1;z) diverges at negative integer b = {k} (c = b+1 pole)")
     w = 1.0 / (1.0 - z)
     head = b / (b - 1.0) * w * _series_2f1(1.0, 1.0, 2.0 - b, w, ctl)
     # Gamma(b+1)Gamma(1-b)(-z)^(-b) = pi b/sin(pi b) * (-z)^(-b), assembled in
@@ -510,7 +484,7 @@ def _f21_pattern_continuation(b: float, z: float, ctl: SeriesControl) -> float:
         raise ConvergenceError(
             f"F(1,{b};{b + 1};{z}) continuation term overflows (exponent {log_mag:.1f})"
         )
-    sign = 1.0 if (b > 0.0) == (sin_pi_b > 0.0) else -1.0
+    sign = -1.0 if sin_pi_b > 0.0 else 1.0
     return head + sign * math.exp(log_mag)
 
 
@@ -520,9 +494,11 @@ def gauss_2f1(
     """Gauss hypergeometric F(a,b;c;z) = sum (a)_n (b)_n/(c)_n z^n/n!.
 
     Supported domain: the Taylor series for |z| < 1 with any parameters, plus
-    the analytic continuation to z <= -1 restricted to the pattern
-    (1, b; b+1; z).  Other arguments outside the unit disk raise
-    :class:`DomainError`; near-negative-integer b in the continuation raises
+    z <= -1 for the pattern (1, b; b+1; z), which for z <= -0.5 comes from
+    Euler's integral (0 < b <= 200) or the continuation (b <= 0); for
+    b > 200 the series keeps -1 < z <= -0.5.  Other arguments outside the
+    unit disk raise :class:`DomainError`; b > 200 with z <= -1 raises
+    :class:`ConvergenceError`, and near-negative-integer b raises
     :class:`PoleError` (the function itself diverges there).
     """
     if _is_nonpositive_integer(c):
@@ -534,14 +510,13 @@ def gauss_2f1(
     pattern = abs(a - 1.0) <= _PATTERN_TOL and abs(c - (b + 1.0)) <= _PATTERN_TOL * max(
         1.0, abs(b) + 1.0
     )
-    if pattern and z <= _F21_CONTINUATION_CUT:
-        # Inside the disk (-1 < z <= -0.5) the continuation converges much
-        # faster than the direct series; but its two terms grow like
-        # (1/|z|)^b there, so for larger b the cancellation would eat the
-        # answer and the direct series (still geometric) is the stable route.
-        if z <= -0.95 or (b <= 12.0 and (-z) ** -b <= _CONTINUATION_GROWTH_MAX):
+    if pattern and z <= _F21_PATTERN_CUT:
+        if b <= 0.0:
             return _f21_pattern_continuation(b, z, ctl)
-        return _series_2f1(a, b, c, z, ctl)
+        # the series converges inside the disk for every b; Euler's integral
+        # is needed beyond it and is within 1e-12 up to _EULER_B_MAX
+        if b <= _EULER_B_MAX or z <= -1.0:
+            return _f21_pattern_euler(b, z)
     if abs(z) < 1.0:
         return _series_2f1(a, b, c, z, ctl)
     raise DomainError(

@@ -94,6 +94,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             merge_overrides(RunConfig(), {"definitely_not_a_key": 1})
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", "--model", "weighted", "--beta-star", "0.5", "--lstar", "inf"),
+            ("flow", "--model", "weighted", "--beta-star", "0.5", "--kappa", "inf"),
+            ("flow", "--model", "q", "--beta-star", "0.5", "--sigma-max", "inf"),
+            ("flow", "--model", "ordinary", "--beta", "0.5", "--sigma-max", "inf"),
+            ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x0", "inf"),
+            ("pdf", "--model", "q", "--dim", "1", "--alpha", "0.5", "--x-max", "inf"),
+        ],
+    )
+    def test_non_finite_setting_is_config_error(self, argv, tmp_path):
+        # refused before any numerics: no nan or inf rows are written
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_non_finite_charge_list_rejected(self):
+        with pytest.raises(ConfigError, match="alphas"):
+            RunConfig(dim=2, alphas=(0.5, float("inf"))).validate()
+
     def test_build_spec_multiscale(self):
         cfg = RunConfig(model="weighted", beta_star=0.5, fuzzy=True).validate()
         spec = build_spec(cfg)

@@ -18,6 +18,7 @@ from multiflow.dispersion import (
     time_weight,
 )
 from multiflow.errors import DomainError, ExponentDomainError, GridError
+from multiflow.grid import check_grid
 from multiflow.measure import DIFFUSION_TIME, GeometryScales, MeasureProfile
 
 BETA_STARS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -108,11 +109,15 @@ class TestMultiscaleWeighted:
         assert math.isclose(dispersion_multiscale_weighted(spec, 0.0), 4.0, rel_tol=1e-12)
         assert math.isclose(dispersion_multiscale_weighted(spec, 1e-10), 4.0, rel_tol=1e-6)
 
-    def test_rejects_near_unit_charge(self):
-        with pytest.raises(DomainError):
-            binomial_time_integral(1.0 + 1e-4, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            binomial_time_integral(1.0 - 1e-4, 1.0, 1.0)
+    @pytest.mark.parametrize("offset", [1e-4, -1e-4, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12])
+    def test_near_unit_charge_matches_quadrature(self, offset):
+        # beta* next to 1 is inside the domain: the panel rule is held to the
+        # adaptive quadrature there, on both sides
+        beta_star = 1.0 + offset
+        for sigma in (1e-3, 1.0, 1e3):
+            got = binomial_time_integral(beta_star, 1.0, sigma)
+            oracle = quad_dispersion_oracle(beta_star, 1.0, 1.0, sigma)
+            assert math.isclose(got, oracle, rel_tol=1e-7), (beta_star, sigma, got, oracle)
 
     def test_requires_nu_one(self):
         spec = binomial_spec(0.5)
@@ -211,6 +216,11 @@ class TestSpecAndCurve:
             DispersionCurve(sigmas=sig[::-1], ell2=sig, method="closed-form")
         with pytest.raises(DomainError):
             DispersionCurve(sigmas=sig, ell2=sig, method="bogus")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_grid_rejects_non_finite_sigma(self, bad):
+        with pytest.raises(GridError):
+            check_grid(np.array([1.0, 2.0, bad]))
 
     def test_sampling_methods_agree(self):
         spec = binomial_spec(0.5)

@@ -36,6 +36,16 @@ GOLDEN = {
         "2e29c3f97a819ff3646614b58f073ca4db419f50621cc72366f57578758fcddf",
         None,
     ),
+    "flow-weighted-regular-below": (
+        ("flow", "--model", "weighted", "--beta-star", "0.3", *_FLOW),
+        "abbc2ab08d149a46f689101e99301fbdb40edf6e3f271ab8349534a6d041bd11",
+        None,
+    ),
+    "flow-weighted-regular-above": (
+        ("flow", "--model", "weighted", "--beta-star", "1.7", *_FLOW),
+        "0df6a4b9c0e158cb3d480dc64309e7ca81a8b1fc61d898c96255ebb87b86d7e1",
+        None,
+    ),
     "flow-fuzzy": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", "--fuzzy", *_FLOW),
         "4134e13fda9935e1a30303cfffb1a376e141b2b642ebe3c0efc518a3267138cc",

@@ -1,11 +1,13 @@
 """Dense sweeps next to the removable poles of the binomial dispersion.
 
 With b = 1/(beta* - 1), the closed form sigma * F(1, b; b+1; z) of the
-binomial dispersion integral is assembled from two terms that grow like
+binomial dispersion integral can be assembled from two terms that grow like
 1/|b - k| next to every integer k, while their sum stays finite.  These
-sweeps hold both closed forms to mpmath next to every pole with k <= 40, on
-both sides of it and at offsets from 1e-3 down to 1e-10; the sample points
-are drawn from seeded generators.
+sweeps hold the dispersion integral and F(1, b; b+1; z) to mpmath next to
+every pole with k <= 40, on both sides of it and at offsets from 1e-3 down
+to 1e-10, and over their whole domains: beta* in (0, 2) with
+sigma/lstar in [1e-280, 1e280], and 0 < b <= 200 with z in [-1e5, -0.5].
+The sample points are drawn from seeded generators.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from multiflow.dispersion import binomial_time_integral
-from multiflow.errors import MultiflowError
+from multiflow.errors import ConvergenceError, DomainError, MultiflowError
 from multiflow.specfun import gauss_2f1, sinpi
 
 mp = pytest.importorskip("mpmath")
@@ -33,6 +35,24 @@ def quad_oracle(beta_star: float, sigma: float) -> float:
         power = mp.mpf(beta_star) - 1
         nodes = [0, 1, sigma] if sigma > 1.0 else [0, sigma]
         return float(mp.quad(lambda s: 1 / (1 + s ** power), nodes))
+
+
+def decade_quad_oracle(beta_star: float, lstar: float, sigma: float) -> float:
+    """int_0^sigma ds / (1 + (s/lstar)^(beta*-1)) at any sigma/lstar.
+
+    With s = sigma t and r = sigma/lstar this is sigma f(1) int_0^1 f(t)/f(1)
+    dt, f(t) = 1/(1 + (r t)^(beta*-1)); the rescaled integrand is of order
+    one, and mpmath.quad sums it decade by decade down to 1e-30 below
+    min(1, 1/r), across the turnover at t = 1/r.
+    """
+    with mp.workdps(30):
+        power = mp.mpf(beta_star) - 1
+        r = mp.mpf(sigma) / mp.mpf(lstar)
+        f1 = 1 / (1 + r ** power)
+        low = min(0, int(mp.floor(-mp.log10(r)))) - 30
+        nodes = sorted({0, 1, *(mp.mpf(10) ** k for k in range(low, 0)), *([1 / r] if r > 1 else [])})
+        body = mp.quad(lambda t: 1 / ((1 + (r * t) ** power) * f1), nodes)
+        return float(mp.mpf(sigma) * f1 * body)
 
 
 def hyp2f1_oracle(b: float, z: float) -> float:
@@ -94,3 +114,60 @@ def test_sinpi_relative_accuracy_next_to_integers():
                 assert got == 0.0
             else:
                 assert abs(got - expected) <= 4e-16 * abs(expected), (x, got, expected)
+
+
+def test_binomial_integral_whole_domain():
+    # beta* uniform in (0, 2), next to 1 down to 1e-12 and at a few poles;
+    # sigma/lstar log-uniform in [1e-30, 1e30], and at the ends 1e-280 and
+    # 1e280 of the accepted range: within 1e-14 everywhere
+    rng = np.random.default_rng([SEED, 200])
+    near_one = [1.0 + sign * 10.0 ** -e for e in (4, 6, 9, 12) for sign in (1.0, -1.0)]
+    poles = [1.0 + sign / k for k in (2, 3, 8, 40) for sign in (1.0, -1.0)]
+    points = [
+        (float(beta_star), 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-30.0, 30.0))
+        for beta_star in [*rng.uniform(0.0, 2.0, 40), *near_one, *poles]
+    ]
+    edges = [(beta_star, 1.0, ratio) for beta_star in (0.999, 1.0 + 1e-12, 1.99) for ratio in (1e-280, 1e280)]
+    for beta_star, lstar, ratio in [*points, *edges]:
+        sigma = lstar * ratio
+        got = binomial_time_integral(beta_star, lstar, sigma)
+        expected = decade_quad_oracle(beta_star, lstar, sigma)
+        assert 0.0 < expected and abs(got - expected) <= 1e-14 * expected, (
+            beta_star, lstar, sigma, got, expected
+        )
+    nan, inf = float("nan"), float("inf")
+    for lstar, sigma in ((1.0, 1e-281), (1.0, 1e281), (nan, 1.0), (1.0, nan), (1.0, inf), (inf, 1.0)):
+        with pytest.raises(DomainError):
+            binomial_time_integral(1.5, lstar, sigma)
+
+
+def test_gauss_2f1_pattern_whole_range():
+    # b log-uniform in (1e-6, 200] and z log-uniform in [-1e5, -0.5], plus
+    # b beyond 60 (where the continuation's inner series undercuts double
+    # precision) at fixed z, and the largest b at the disk's edge: within
+    # 1e-12 everywhere
+    rng = np.random.default_rng([SEED, 201])
+    points = [
+        (10.0 ** rng.uniform(-6.0, math.log10(200.0)), -(10.0 ** rng.uniform(math.log10(0.5), 5.0)))
+        for _ in range(120)
+    ]
+    large_b = [
+        (float(b), z)
+        for b in 10.0 ** rng.uniform(math.log10(60.0), math.log10(200.0), 4)
+        for z in (-0.6, -5.0, -300.0, -1e5)
+    ]
+    for b, z in [*points, *large_b, (200.0, -0.5), (200.0, -1e5)]:
+        got = gauss_2f1(1.0, b, b + 1.0, z)
+        expected = hyp2f1_oracle(b, z)
+        assert abs(got - expected) <= 1e-12 * abs(expected), (b, z, got, expected)
+
+
+def test_gauss_2f1_beyond_euler_b_max():
+    # b > 200 keeps the Taylor series inside the disk and is refused beyond
+    for b, z in ((250.0, -0.6), (1000.0, -0.95)):
+        got = gauss_2f1(1.0, b, b + 1.0, z)
+        expected = hyp2f1_oracle(b, z)
+        assert abs(got - expected) <= 1e-12 * abs(expected), (b, z, got, expected)
+    for b in (250.0, 1000.0):
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(1.0, b, b + 1.0, -5.0)

@@ -163,8 +163,8 @@ class TestGauss2F1:
             )
 
     def test_pattern_series_and_continuation_agree_inside_disk(self, rng):
-        # z in (-1, -0.5] routes the pattern through the continuation; it must
-        # agree with the plain series to full accuracy
+        # z in (-1, -0.5] routes the pattern with b > 0 through Euler's
+        # integral; it must agree with the plain series to full accuracy
         for _ in range(30):
             b = float(rng.uniform(1.05, 4.0))
             z = float(rng.uniform(-0.95, -0.5))
