@@ -102,14 +102,14 @@ def run_simulate(cfg: RunConfig) -> None:
     """Run a walker ensemble; emit trajectory and MSD summary files."""
     spec = build_spec(cfg)
     grid = _sigma_grid(cfg, cfg.steps)
-    ensemble = walker.simulate(cfg.process, cfg.paths, grid, spec, cfg.seed)
+    ensemble = walker.simulate(cfg.process, cfg.paths, grid, spec, cfg.seed, keep=cfg.traj_paths)
     sigmas, mean_sq, stderr = walker.msd(ensemble)
     window = (cfg.sigma_max / 100.0, cfg.sigma_max)  # last two decades
     heavy_tailed = cfg.process == "fsbm-q"
     if heavy_tailed:
         fit = walker.fit_scaling_exponent_batched(ensemble, window)
     else:
-        fit = walker.fit_scaling_exponent(sigmas, mean_sq, window)
+        fit = walker.fit_scaling_exponent(sigmas, mean_sq, window, sq_radii=ensemble.sq_radii)
 
     meta = {
         "process": cfg.process, "dim": spec.dim, "paths": cfg.paths,
@@ -129,20 +129,20 @@ def run_simulate(cfg: RunConfig) -> None:
         base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
         traj_path = f"{base}.traj.csv"
         columns = ["path_id", "step", "sigma"] + [f"x_{i + 1}" for i in range(spec.dim)]
-        n_show = min(cfg.traj_paths, ensemble.n_paths)
+        steps = range(0, ensemble.n_steps, cfg.subsample)
+        sigma_cells = [repr(s) for s in grid[::cfg.subsample].tolist()]
         rows = (
-            [p, s, float(grid[s]), *map(float, ensemble.positions[p, s])]
-            for p in range(n_show)
-            for s in range(0, ensemble.n_steps, cfg.subsample)
+            [p, s, sigma, *xs]
+            for p, path in enumerate(ensemble.positions[:, ::cfg.subsample].tolist())
+            for s, sigma, xs in zip(steps, sigma_cells, path)
         )
         write_csv(traj_path, "trajectory", columns, rows, {"process": cfg.process, "subsample": cfg.subsample})
         if cfg.svg:
-            steps = list(range(0, ensemble.n_steps, cfg.subsample))
             series = [
-                (f"path {p}", [float(ensemble.positions[p, s, 0]) for s in steps])
-                for p in range(min(3, n_show))
+                (f"path {p}", ensemble.positions[p, ::cfg.subsample, 0].tolist())
+                for p in range(min(3, ensemble.n_kept))
             ]
-            write_line_chart(cfg.svg, [float(grid[s]) for s in steps], series)
+            write_line_chart(cfg.svg, grid[::cfg.subsample].tolist(), series)
 
 
 def run_pdf(cfg: RunConfig) -> None:

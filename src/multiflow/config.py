@@ -85,6 +85,8 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown process {self.process!r}; expected one of {PROCESSES}"
                 )
+            if self.paths < 2:
+                raise ConfigError(f"simulate needs paths >= 2 for a standard error, got {self.paths}")
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.dim < 1:

@@ -19,6 +19,11 @@ __all__ = ["CSV_VERSION", "write_csv", "format_cell", "write_line_chart"]
 
 
 def format_cell(value) -> str:
+    kind = type(value)  # exact built-in types first: the cells of large files
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -46,7 +51,7 @@ def write_csv(
         lines.append(f"# {key}={format_cell(value)}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+        lines.append(",".join(map(format_cell, row)))
     for key, value in (footer or {}).items():
         lines.append(f"# {key}={format_cell(value)}")
     with open(path, "w", newline="\n") as fh:

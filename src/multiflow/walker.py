@@ -10,10 +10,16 @@ Five processes are simulated, all reducible to Gaussian increments:
   sign-preserving inverse geometric profile x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha).
 
 Reproducibility contract: every path draws from its own counter-based Philox
-stream keyed by (master seed, path index), consumed in (step, direction)
-order, so ensembles are bit-identical for a fixed (seed, grid, spec).  Paths
-are drawn one after another in one thread: the per-path loop holds the
-interpreter lock, so worker threads only contend for it.
+stream keyed by the master seed, starting at counter [0, 0, path, 0], consumed
+in (step, direction) order, so ensembles are bit-identical for a fixed (seed,
+grid, spec) whatever the path count.  Paths are simulated in blocks of
+``_BLOCK_BYTES`` = 1 MB of positions (256 paths at D = 4 and 128 steps),
+small enough to stay in cache: one Philox generator is reset to each path's
+counter in turn and draws straight into the block buffer, which is then
+scaled, summed along the steps and mapped by the process in place, and
+finally reduced to squared radii.  An ensemble therefore holds the squared
+radius of every path and step, O(paths * steps) memory plus one block, and
+full positions only for the first ``keep`` paths (all of them by default).
 """
 
 from __future__ import annotations
@@ -50,15 +56,22 @@ __all__ = [
 PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
 
 _MEDIAN_BATCHES = 16
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class WalkerEnsemble:
-    """Sampled trajectories of one process on a common diffusion-time grid."""
+    """Sampled trajectories of one process on a common diffusion-time grid.
+
+    ``sq_radii`` holds the squared distance from the origin of every path at
+    every grid time; ``positions`` holds the full coordinates of the first
+    ``n_kept`` paths only.
+    """
 
     process: str
     grid: np.ndarray
-    positions: np.ndarray  # (n_paths, n_steps, dim)
+    sq_radii: np.ndarray  # (n_paths, n_steps)
+    positions: np.ndarray  # (n_kept, n_steps, dim), n_kept <= n_paths
     seed: int
     kappa: float = 1.0
     params: dict = field(default_factory=dict)
@@ -66,26 +79,34 @@ class WalkerEnsemble:
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
+        sq = np.asarray(self.sq_radii, dtype=float)
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "sq_radii", sq)
         object.__setattr__(self, "positions", pos)
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}")
         check_grid(grid)
         if grid.size < 2:
             raise GridError("grid needs at least 2 steps")
-        if pos.ndim != 3 or pos.shape[1] != grid.size:
-            raise GridError(f"positions shape {pos.shape} does not match grid of {grid.size} steps")
-        if not np.all(np.isfinite(pos)):
+        if sq.ndim != 2 or sq.shape[1] != grid.size:
+            raise GridError(f"squared radii shape {sq.shape} does not match grid of {grid.size} steps")
+        if pos.ndim != 3 or pos.shape[1] != grid.size or pos.shape[0] > sq.shape[0]:
+            raise GridError(f"positions shape {pos.shape} does not match {sq.shape[0]} paths of {grid.size} steps")
+        if not (np.all(np.isfinite(sq)) and np.all(np.isfinite(pos))):
             raise DomainError("ensemble contains non-finite positions")
 
     @property
     def n_paths(self) -> int:
+        return self.sq_radii.shape[0]
+
+    @property
+    def n_kept(self) -> int:
         return self.positions.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.positions.shape[1]
+        return self.grid.size
 
     @property
     def dim(self) -> int:
@@ -151,42 +172,82 @@ def uniform_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray
     return np.linspace(sigma_min, sigma_max, n_steps)
 
 
-def _path_generator(key: np.ndarray, path: int) -> Generator:
-    # Each path owns a 2^128-wide counter block: its stream does not depend
-    # on how many paths are drawn or in which order.
-    counter = np.array([0, 0, path, 0], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key))
+def _block_paths(n_steps: int, dim: int) -> int:
+    """Paths per block: as many as fit ``_BLOCK_BYTES`` of float64 positions."""
+    return max(1, _BLOCK_BYTES // (8 * n_steps * dim))
 
 
-def _accumulate_bm(
-    grid: np.ndarray, kappa: float, nu: float, dim: int, seed: int, n_paths: int
-) -> np.ndarray:
-    """Brownian paths in the (possibly rescaled) time sigma^nu.
+def _simulate_paths(
+    grid: np.ndarray,
+    kappa: float,
+    nu: float,
+    dim: int,
+    seed: int,
+    n_paths: int,
+    keep: int | None,
+    transform=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brownian paths in the (possibly rescaled) time sigma^nu, by block.
 
     Increment n has variance 2*kappa*(sigma_{n}^nu - sigma_{n-1}^nu) per
     direction, with sigma_{-1} = 0, which is the exact simulation of the time
-    change (no Euler bias).
+    change (no Euler bias).  ``transform`` maps a block of positions in place
+    before it is reduced.  Returns the squared radii (n_paths, n_steps) and
+    the positions of the first ``keep`` paths (all when ``keep`` is None).
     """
     taus = grid.astype(float) ** nu
     dtau = np.diff(np.concatenate(([0.0], taus)))
     if np.any(dtau <= 0.0):
         raise GridError("time-change increments must be positive")
-    scale = np.sqrt(2.0 * kappa * dtau)[:, None]  # (n_steps, 1)
+    if n_paths < 0 or (keep is not None and keep < 0):
+        raise DomainError(f"path and kept-path counts must be nonnegative, got {n_paths}, {keep}")
+    keep = n_paths if keep is None else min(keep, n_paths)
+    # (n_steps, dim), not broadcast from (n_steps, 1): a contiguous operand
+    # keeps the in-place product one long inner loop.
+    scale = np.repeat(np.sqrt(2.0 * kappa * dtau)[:, None], dim, axis=1)
     key = SeedSequence(seed).generate_state(2, np.uint64)
-    out = np.empty((n_paths, grid.size, dim), dtype=float)
-    for p in range(n_paths):
-        normals = _path_generator(key, p).standard_normal((grid.size, dim))
-        np.cumsum(normals * scale, axis=0, out=out[p])
-    return out
+    bitgen = Philox(key=key)
+    gen = Generator(bitgen)
+    # Path p's stream starts at counter [0, 0, p, 0] with an empty buffer,
+    # exactly as a freshly constructed Philox(counter=..., key=key) does.
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    per_block = _block_paths(grid.size, dim)
+    block = np.empty((min(per_block, n_paths), grid.size, dim))
+    sq = np.empty((n_paths, grid.size))
+    pos = np.empty((keep, grid.size, dim))
+    for lo in range(0, n_paths, per_block):
+        hi = min(lo + per_block, n_paths)
+        buf = block[: hi - lo]
+        for i in range(hi - lo):
+            counter[2] = lo + i
+            bitgen.state = state
+            gen.standard_normal(out=buf[i])
+        buf *= scale
+        np.cumsum(buf, axis=1, out=buf)
+        if transform is not None:
+            transform(buf)
+        if lo < keep:
+            pos[lo: min(hi, keep)] = buf[: min(hi, keep) - lo]
+        np.square(buf, out=buf)
+        np.sum(buf, axis=2, out=sq[lo:hi])
+    return sq, pos
 
 
 def simulate_bm(
-    n_paths: int, grid: Sequence[float] | np.ndarray, kappa: float, dim: int, seed: int
+    n_paths: int,
+    grid: Sequence[float] | np.ndarray,
+    kappa: float,
+    dim: int,
+    seed: int,
+    keep: int | None = None,
 ) -> WalkerEnsemble:
     """Brownian motion: independent Gaussian increments, <X^2> = 2 D kappa sigma."""
     grid = np.asarray(grid, dtype=float)
-    pos = _accumulate_bm(grid, kappa, 1.0, dim, seed, n_paths)
-    return WalkerEnsemble(process="bm", grid=grid, positions=pos, seed=seed, kappa=kappa)
+    sq, pos = _simulate_paths(grid, kappa, 1.0, dim, seed, n_paths, keep)
+    return WalkerEnsemble(process="bm", grid=grid, sq_radii=sq, positions=pos, seed=seed, kappa=kappa)
 
 
 def simulate_sbm(
@@ -196,19 +257,25 @@ def simulate_sbm(
     nu: float,
     dim: int,
     seed: int,
+    keep: int | None = None,
 ) -> WalkerEnsemble:
     """Scaled Brownian motion X(sigma) = BM(sigma^nu); time ordering needs nu > 0."""
     if nu <= 0.0:
         raise DomainError(f"nu must be positive, got {nu}")
     grid = np.asarray(grid, dtype=float)
-    pos = _accumulate_bm(grid, kappa, nu, dim, seed, n_paths)
+    sq, pos = _simulate_paths(grid, kappa, nu, dim, seed, n_paths, keep)
     return WalkerEnsemble(
-        process="sbm", grid=grid, positions=pos, seed=seed, kappa=kappa, params={"nu": nu}
+        process="sbm", grid=grid, sq_radii=sq, positions=pos, seed=seed, kappa=kappa,
+        params={"nu": nu},
     )
 
 
 def simulate_fsbm_v(
-    n_paths: int, grid: Sequence[float] | np.ndarray, spec: DiffusionSpec, seed: int
+    n_paths: int,
+    grid: Sequence[float] | np.ndarray,
+    spec: DiffusionSpec,
+    seed: int,
+    keep: int | None = None,
 ) -> WalkerEnsemble:
     """Multiscale-spacetime Brownian motion: BM (or SBM for nu != 1) divided
     pointwise by sqrt(v(sigma)).
@@ -224,12 +291,17 @@ def simulate_fsbm_v(
     v = np.array([weight(s) for s in grid])
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
-    pos = _accumulate_bm(grid, sc.kappa, sc.nu, spec.dim, seed, n_paths)
-    pos /= np.sqrt(v)[None, :, None]
+    root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)
+
+    def divide(block: np.ndarray) -> None:
+        block /= root_v
+
+    sq, pos = _simulate_paths(grid, sc.kappa, sc.nu, spec.dim, seed, n_paths, keep, divide)
     process = "fsbm-v" if abs(sc.nu - 1.0) <= 1e-12 else "fssbm"
     return WalkerEnsemble(
         process=process,
         grid=grid,
+        sq_radii=sq,
         positions=pos,
         seed=seed,
         kappa=sc.kappa,
@@ -246,6 +318,7 @@ def simulate_fsbm_q(
     dim: int,
     seed: int,
     kappa: float = 1.0,
+    keep: int | None = None,
 ) -> WalkerEnsemble:
     """q-model walker: SBM with nu = beta pushed through the inverse profile.
 
@@ -258,13 +331,21 @@ def simulate_fsbm_q(
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     grid = np.asarray(grid, dtype=float)
-    pos = _accumulate_bm(grid, kappa, beta, dim, seed, n_paths)
+    transform = None
     if alpha != 1.0:
         gamma_a1 = math.gamma(alpha + 1.0)
-        pos = np.sign(pos) * (gamma_a1 * np.abs(pos)) ** (1.0 / alpha)
+
+        def transform(block: np.ndarray) -> None:
+            mag = gamma_a1 * np.abs(block)
+            mag **= 1.0 / alpha
+            np.sign(block, out=block)
+            block *= mag
+
+    sq, pos = _simulate_paths(grid, kappa, beta, dim, seed, n_paths, keep, transform)
     return WalkerEnsemble(
         process="fsbm-q",
         grid=grid,
+        sq_radii=sq,
         positions=pos,
         seed=seed,
         kappa=kappa,
@@ -278,18 +359,23 @@ def simulate(
     grid: Sequence[float] | np.ndarray,
     spec: DiffusionSpec,
     seed: int,
+    keep: int | None = None,
 ) -> WalkerEnsemble:
-    """Dispatch by process tag, pulling parameters from the spec."""
+    """Dispatch by process tag, pulling parameters from the spec.
+
+    ``keep`` is how many leading paths keep their full positions (all when
+    None); every path keeps its squared radius.
+    """
     sc = spec.scales
     if process == "bm":
-        return simulate_bm(n_paths, grid, sc.kappa, spec.dim, seed)
+        return simulate_bm(n_paths, grid, sc.kappa, spec.dim, seed, keep)
     if process == "sbm":
-        return simulate_sbm(n_paths, grid, sc.kappa, sc.nu, spec.dim, seed)
+        return simulate_sbm(n_paths, grid, sc.kappa, sc.nu, spec.dim, seed, keep)
     if process in ("fsbm-v", "fssbm"):
-        return simulate_fsbm_v(n_paths, grid, spec, seed)
+        return simulate_fsbm_v(n_paths, grid, spec, seed, keep)
     if process == "fsbm-q":
         alpha = spec.charges.alphas[0] if spec.charges is not None else 1.0
-        return simulate_fsbm_q(n_paths, grid, alpha, sc.beta, spec.dim, seed, sc.kappa)
+        return simulate_fsbm_q(n_paths, grid, alpha, sc.beta, spec.dim, seed, sc.kappa, keep)
     raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
 
 
@@ -297,11 +383,12 @@ def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean squared displacement from the origin at each grid time.
 
     Returns (sigmas, msd, stderr); the ensemble mean is a fixed-order
-    reduction, so it inherits the simulator's determinism.
+    reduction, so it inherits the simulator's determinism.  The standard
+    error needs at least 2 paths.
     """
-    if ensemble.n_paths == 0:
-        raise DomainError("empty ensemble")
-    sq = np.sum(ensemble.positions ** 2, axis=2)  # (n_paths, n_steps)
+    if ensemble.n_paths < 2:
+        raise DomainError(f"msd needs at least 2 paths, got {ensemble.n_paths}")
+    sq = ensemble.sq_radii
     mean = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
     return ensemble.grid.copy(), mean, stderr
@@ -311,11 +398,18 @@ def fit_scaling_exponent(
     sigmas: np.ndarray,
     values: np.ndarray,
     window: tuple[float, float],
+    sq_radii: np.ndarray | None = None,
 ) -> MsdFit:
     """Least-squares slope of ln(values) against ln(sigmas) inside the window.
 
-    Needs at least 10 strictly positive points; the standard error is the
-    usual OLS slope error from the fit residuals.
+    Needs at least 10 strictly positive points.  The standard error is the
+    usual OLS slope error from the fit residuals, unless ``sq_radii``, the
+    (paths, steps) squared radii whose path mean is ``values``, is given.
+    Then it is the batch-means error: the sd of the slopes fitted to
+    ``_MEDIAN_BATCHES`` contiguous path batches over sqrt(batches).  MSD
+    points share their paths, so their errors are correlated and the OLS
+    error understates the seed-to-seed spread (Flyvbjerg & Petersen,
+    J. Chem. Phys. 91, 1989).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -334,10 +428,28 @@ def fit_scaling_exponent(
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    variance = float(np.sum(resid ** 2)) / (n - 2) if n > 2 else 0.0
-    stderr = math.sqrt(variance / sxx)
+    if sq_radii is None:
+        resid = y - (intercept + slope * x)
+        variance = float(np.sum(resid ** 2)) / (n - 2) if n > 2 else 0.0
+        stderr = math.sqrt(variance / sxx)
+    else:
+        batches = _batch_exponents(sigmas, sq_radii, window, _MEDIAN_BATCHES)
+        stderr = float(np.std(batches, ddof=1)) / math.sqrt(_MEDIAN_BATCHES)
     return MsdFit(exponent=slope, prefactor=math.exp(intercept), stderr=stderr, window=(lo, hi))
+
+
+def _batch_exponents(
+    sigmas: np.ndarray, sq_radii: np.ndarray, window: tuple[float, float], n_batches: int
+) -> np.ndarray:
+    """Exponents fitted to the MSD of each of ``n_batches`` contiguous path batches."""
+    n_paths = sq_radii.shape[0]
+    if n_paths < n_batches:
+        raise DomainError(f"need at least {n_batches} paths, got {n_paths}")
+    bounds = np.linspace(0, n_paths, n_batches + 1, dtype=int)
+    return np.array([
+        fit_scaling_exponent(sigmas, sq_radii[lo:hi].mean(axis=0), window).exponent
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ])
 
 
 def fit_scaling_exponent_batched(
@@ -352,14 +464,7 @@ def fit_scaling_exponent_batched(
     error.  This keeps the scaling estimate robust when squared displacements
     have large kurtosis (the q-model walker raises Gaussians to 1/alpha).
     """
-    if ensemble.n_paths < n_batches:
-        raise DomainError(f"need at least {n_batches} paths, got {ensemble.n_paths}")
-    bounds = np.linspace(0, ensemble.n_paths, n_batches + 1, dtype=int)
-    exponents = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sq = np.sum(ensemble.positions[lo:hi] ** 2, axis=2).mean(axis=0)
-        exponents.append(fit_scaling_exponent(ensemble.grid, sq, window).exponent)
-    exponents = np.asarray(exponents)
+    exponents = _batch_exponents(ensemble.grid, ensemble.sq_radii, window, n_batches)
     med = float(np.median(exponents))
     mad = float(np.median(np.abs(exponents - med)))
     stderr = 1.4826 * mad / math.sqrt(n_batches)
@@ -378,6 +483,11 @@ def increment_diagnostics(ensemble: WalkerEnsemble, lag: int) -> IncrementReport
     the last lag-sized increments (disjoint and maximally separated).  The
     t statistic uses stderr = 1/sqrt(n_paths).
     """
+    if ensemble.n_kept < ensemble.n_paths:
+        raise DomainError(
+            f"increment diagnostics need the positions of all {ensemble.n_paths} paths; "
+            f"the ensemble keeps {ensemble.n_kept}"
+        )
     if lag < 1 or lag >= ensemble.n_steps:
         raise DomainError(f"lag must lie in [1, n_steps), got {lag}")
     n_pairs = ensemble.n_steps - lag

@@ -239,6 +239,42 @@ class TestSimulateCommand:
         _, _, rows = read_csv(tmp_path / "s.traj.csv")
         assert len(rows) == 3 * (64 // 8)
 
+    def test_single_path_refused(self, tmp_path, capsys):
+        # one path has no standard error: refused before any file is written
+        out = tmp_path / "one.csv"
+        code = main(
+            [
+                "simulate", "--model", "bm", "--dim", "2", "--paths", "1", "--steps", "64",
+                "--sigma-min", "1e-3", "--sigma-max", "10", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "paths >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_stderr_covers_seed_spread(self, tmp_path):
+        # MSD points share their paths, so the error of the fitted exponent
+        # must come from path batches; the OLS residual error is ~10x too small
+        exponents, errors = [], []
+        for seed in range(8):
+            out = tmp_path / f"sbm_{seed}.csv"
+            code = main(
+                [
+                    "simulate", "--model", "sbm", "--nu", "0.5", "--dim", "2",
+                    "--paths", "2000", "--steps", "256", "--sigma-min", "1e-3",
+                    "--sigma-max", "10", "--seed", str(seed), "--traj-paths", "0",
+                    "--out", str(out),
+                ]
+            )
+            assert code == EXIT_OK
+            meta, _, _ = read_csv(out)
+            assert meta["heavy_tailed"] == "false"
+            exponents.append(float(meta["fit_exponent"]))
+            errors.append(float(meta["fit_stderr"]))
+        spread = float(np.std(exponents, ddof=1))
+        ratio = float(np.median(errors)) / spread
+        assert 1.0 / 3.0 < ratio < 3.0
+
 
 class TestKernelAndPdfCommands:
     def test_kernel_curve(self, tmp_path):

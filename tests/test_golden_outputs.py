@@ -14,10 +14,14 @@ import hashlib
 import pytest
 
 from multiflow.cli import EXIT_OK, main
+from multiflow.walker import _block_paths
 
 _FLOW = ("--dim", "4", "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "60")
 _KERNEL = ("kernel", "--model", "ordinary", "--sigma-min", "1e-2", "--sigma-max", "1e2")
 _WALK = ("--paths", "200", "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10")
+# 256 steps: the walker's path blocks then hold 256 paths at D = 2 and 170 at
+# D = 3, so these pins cross block edges (see test_block_pins_cross_block_edges).
+_WALK_BLOCKS = ("--steps", "256", "--sigma-min", "1e-3", "--sigma-max", "10")
 
 # name -> (argv without --out, digest of the main file, digest of the trajectory file)
 GOLDEN = {
@@ -89,13 +93,31 @@ GOLDEN = {
     ),
     "simulate-bm": (
         ("simulate", "--model", "bm", "--dim", "2", *_WALK, "--seed", "7", "--traj-paths", "5"),
-        "df0ccd09ad1e3565dfe51d7ac288c93f49aaf0769f8f7741e5720fc0329c4941",
+        "bf316d3250dea62be38866be44421aca3a72ff5ec481c429a699d5d947aaa3f5",
         "97ddd0ca254292f47d59332de410de5da74d6819c59b61cc624e8cc75dcb2557",
     ),
     "simulate-fsbm-q": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
          *_WALK, "--seed", "11", "--traj-paths", "0"),
         "f7c1a522fabba7766853e1b166a3e5838e558b4d26a007b249cccf8108d50414",
+        None,
+    ),
+    "simulate-bm-d3-blocks": (
+        ("simulate", "--model", "bm", "--dim", "3", "--paths", "600", *_WALK_BLOCKS,
+         "--seed", "21", "--traj-paths", "300"),
+        "0ba3c685cdee4fc2af04a51c1eb31d62b93137ba7ccfbd865a7e7c57484d5cf5",
+        "c25fc19e8348f826a6b4b649cc88754a87b0f18fb4405646175ffd9296b0cf0e",
+    ),
+    "simulate-fsbm-v-binomial-blocks": (
+        ("simulate", "--model", "fsbm-v", "--dim", "2", "--beta-star", "1.5", "--paths", "513",
+         *_WALK_BLOCKS, "--seed", "23", "--traj-paths", "3"),
+        "f60d3ca5823cadd2fe1e45572b260843d1c059c3ea8f92c4a8bc0e4df7506e1e",
+        "0a812954ad97bbc256b92928183abee70fed6e5e8c04148b98dbd470c5a07b3f",
+    ),
+    "simulate-fsbm-q-blocks": (
+        ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
+         "--paths", "700", *_WALK_BLOCKS, "--seed", "29", "--traj-paths", "0"),
+        "381006a55a11973b85ad9577fc6d51a0d37f7a1919990aa1adc66f3bf5c1df0d",
         None,
     ),
 }
@@ -113,3 +135,18 @@ def test_output_bytes_pinned(name, tmp_path):
     assert _digest(out) == main_digest
     traj = tmp_path / "out.traj.csv"
     assert (_digest(traj) if traj.exists() else None) == traj_digest
+
+
+def _flag(argv, name):
+    return int(argv[argv.index(name) + 1])
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(GOLDEN) if n.endswith("-blocks")])
+def test_block_pins_cross_block_edges(name):
+    # every block pin spans three or more path blocks, the last one partly filled
+    argv = GOLDEN[name][0]
+    block = _block_paths(_flag(argv, "--steps"), _flag(argv, "--dim"))
+    paths = _flag(argv, "--paths")
+    assert paths > 2 * block and paths % block != 0
+    if name == "simulate-bm-d3-blocks":  # its trajectory file spans two blocks
+        assert block < _flag(argv, "--traj-paths") < 2 * block

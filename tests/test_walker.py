@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from conftest import binomial_spec, fractional_spec
+from multiflow.dispersion import time_weight
 from multiflow.errors import DomainError, GridError
 from multiflow.walker import (
+    PROCESSES,
+    WalkerEnsemble,
+    _block_paths,
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
     geometric_grid,
@@ -273,3 +279,96 @@ class TestDispatcher:
             simulate_bm(10, np.array([0.0, 1.0, 2.0]), 1.0, 1, 0)
         with pytest.raises(GridError):
             simulate_bm(10, np.array([1.0, 0.5]), 1.0, 1, 0)
+
+
+# The stream tests run on a grid whose blocks hold 170 paths at D = 3.
+STREAM_GRID = geometric_grid(1e-3, 10.0, 256)
+STREAM_DIM = 3
+STREAM_BLOCK = _block_paths(STREAM_GRID.size, STREAM_DIM)
+
+
+def _stream_spec(process):
+    nu = 0.75 if process in ("sbm", "fssbm") else 1.0
+    return fractional_spec(beta=0.5, nu=nu, dim=STREAM_DIM, alpha=0.5)
+
+
+def _reference_paths(process, spec, n_paths, seed):
+    """The ensemble as drawn before path blocks: one freshly built generator
+    per path, counter [0, 0, p, 0], positions for every path."""
+    sc = spec.scales
+    nu = {"bm": 1.0, "fsbm-q": sc.beta}.get(process, sc.nu)
+    dtau = np.diff(np.concatenate(([0.0], STREAM_GRID ** nu)))
+    scale = np.sqrt(2.0 * sc.kappa * dtau)[:, None]
+    key = SeedSequence(seed).generate_state(2, np.uint64)
+    pos = np.empty((n_paths, STREAM_GRID.size, STREAM_DIM))
+    for p in range(n_paths):
+        gen = Generator(Philox(counter=np.array([0, 0, p, 0], dtype=np.uint64), key=key))
+        np.cumsum(gen.standard_normal((STREAM_GRID.size, STREAM_DIM)) * scale, axis=0, out=pos[p])
+    if process in ("fsbm-v", "fssbm"):
+        weight = time_weight(spec)
+        pos /= np.sqrt(np.array([weight(s) for s in STREAM_GRID]))[None, :, None]
+    elif process == "fsbm-q":
+        alpha = spec.charges.alphas[0]
+        pos = np.sign(pos) * (math.gamma(alpha + 1.0) * np.abs(pos)) ** (1.0 / alpha)
+    return pos, np.sum(pos ** 2, axis=2)
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize(
+        "n_paths", [2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 5]
+    )
+    def test_equals_per_path_generators(self, process, n_paths):
+        spec = _stream_spec(process)
+        pos, sq = _reference_paths(process, spec, n_paths, 31)
+        for keep in sorted({0, 1, min(STREAM_BLOCK + 3, n_paths), n_paths}):
+            ens = simulate(process, n_paths, STREAM_GRID, spec, 31, keep=keep)
+            assert ens.process == process
+            assert ens.n_paths == n_paths and ens.n_kept == keep
+            assert np.array_equal(ens.sq_radii, sq)
+            assert np.array_equal(ens.positions, pos[:keep])
+        assert np.array_equal(simulate(process, n_paths, STREAM_GRID, spec, 31).positions, pos)
+
+    def test_keep_beyond_paths_keeps_all(self):
+        ens = simulate_bm(5, STREAM_GRID, 1.0, 2, 3, keep=50)
+        assert ens.n_kept == 5
+
+    def test_negative_counts_refused(self):
+        with pytest.raises(DomainError):
+            simulate_bm(5, STREAM_GRID, 1.0, 2, 3, keep=-1)
+        with pytest.raises(DomainError):
+            simulate_bm(-1, STREAM_GRID, 1.0, 2, 3)
+
+    def test_memory_is_squared_radii_plus_one_block(self):
+        # 12 000 paths x 128 steps: 12.3 MB of squared radii; the full
+        # positions at D = 4 would be 49 MB
+        grid = geometric_grid(1e-3, 10.0, 128)
+        spec = fractional_spec(beta=1.0, dim=4)
+        tracemalloc.start()
+        try:
+            ens = simulate("bm", 12000, grid, spec, 5, keep=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.positions.shape == (10, 128, 4)
+        assert peak < 48 * 2 ** 20
+
+    def test_increment_diagnostics_need_all_positions(self):
+        ens = simulate_bm(20, uniform_grid(0.1, 1.0, 32), 1.0, 1, 0, keep=19)
+        with pytest.raises(DomainError):
+            increment_diagnostics(ens, lag=4)
+
+    def test_non_finite_refused(self):
+        ens = simulate_bm(4, STREAM_GRID, 1.0, 2, 3, keep=2)
+        sq, pos = ens.sq_radii.copy(), ens.positions.copy()
+        sq[3, 7] = math.nan
+        with pytest.raises(DomainError):
+            WalkerEnsemble("bm", STREAM_GRID, sq, ens.positions, seed=3)
+        pos[1, 7, 0] = math.inf
+        with pytest.raises(DomainError):
+            WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, pos, seed=3)
+
+    def test_msd_needs_two_paths(self):
+        ens = simulate_bm(1, STREAM_GRID, 1.0, 2, 3)
+        with pytest.raises(DomainError):
+            msd(ens)
