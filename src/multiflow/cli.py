@@ -89,9 +89,10 @@ def run_flow(cfg: RunConfig) -> None:
     )
     if ell2 is None:
         ell2 = np.array([dispersion(spec, s) for s in grid])
+    # Python floats, not numpy scalars: format_cell takes its exact-float path
     rows = [
         (s, e2, d, spectral.walk_dimension(spec.model, spec.dim, d_h, d), spec.model)
-        for s, e2, d in zip(grid, ell2, flow.ds)
+        for s, e2, d in zip(grid.tolist(), ell2.tolist(), flow.ds.tolist())
     ]
     write_csv(cfg.out, "flow", ("sigma", "ell2", "ds", "d_w", "model"), rows, meta)
     if cfg.svg:

@@ -10,7 +10,12 @@ The binomial multiscale weight has the hypergeometric closed form
 sigma * F(1, b; b+1; z), whose terms cancel next to its removable poles
 beta_star = 1 +- 1/k; its integral is summed instead by one decade-panel
 Gauss rule on the defining integral, within 1e-14 of mpmath for every
-beta_star in (0, 2) and sigma/lstar in [1e-280, 1e280].  An adaptive
+beta_star in (0, 2) and sigma/lstar in [1e-280, 1e280].  The rule takes a
+whole sigma grid in one call, summed in cache-sized blocks of
+``specfun._PANEL_BLOCK`` values, each with the bits of its scalar call;
+:func:`sample_dispersion` and the closed-form flow use it that way, and
+the flow keeps the weight v(sigma) on Python floats, since numpy's
+vectorised power rounds differently from ``pow``.  An adaptive
 quadrature evaluates the defining integral directly and doubles as the
 oracle for every closed form.
 """
@@ -157,53 +162,76 @@ def dispersion_fractional(spec: DiffusionSpec, sigma: float) -> float:
 _PANEL_DECADES = 18
 
 
-def binomial_time_integral(beta_star: float, lstar: float, sigma: float) -> float:
+def binomial_time_integral(
+    beta_star: float, lstar: float, sigma: float | np.ndarray
+) -> float | np.ndarray:
     """int_0^sigma ds / (1 + (s/lstar)^(beta_star-1)) for 0 < beta_star < 2.
 
+    ``sigma`` is a float or an array; a float gives a float, an array an
+    array of its shape, each element bit for bit the value its float gives.
     Summed by the decade-panel Gauss-Legendre rule of
     :func:`specfun.decade_panels` on the 18 decades below sigma, with one
     more decade for every decade of sigma/lstar beyond 1e7, so that the
-    panels always reach below 1e-11 lstar.  The integrand is positive,
+    panels always reach below 1e-11 lstar; an array is summed in one call
+    per decade count, in cache-sized blocks.  The integrand is positive,
     bounded by 1 and smooth on every decade (its only singularity in reach
     is the branch point at s = 0), so nothing cancels: the hypergeometric
     closed form sigma * F(1, b; b+1; z), b = 1/(beta*-1), has removable
     poles at beta* = 1 +- 1/k and a resurgent continuation for beta* next
     to 1, but this rule sees neither.  It is within 1e-14 of mpmath for
     every beta* in (0, 2), 1 +- 1e-12 included, and sigma/lstar in
-    [1e-280, 1e280]; outside that range :class:`DomainError` is raised.
+    [1e-280, 1e280]; outside that range, or for a negative sigma,
+    :class:`DomainError` is raised if any element is.  sigma = 0 gives 0.
     """
+    sig = np.asarray(sigma, dtype=float)
+    flat = sig.reshape(-1)
     if lstar <= 0.0:
         raise DomainError(f"lstar must be positive, got {lstar}")
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    negative = flat[flat < 0.0]
+    if negative.size:
+        raise DomainError(f"sigma must be nonnegative, got {float(negative[0])}")
     if not 0.0 < beta_star < 2.0:
         raise DomainError(f"beta_star = {beta_star} outside the range (0, 2)")
-    if sigma == 0.0:
-        return 0.0
-    ratio = sigma / lstar
+    nonzero = np.flatnonzero(flat != 0.0)
+    ratio = flat[nonzero] / lstar
     # beyond, the panel nodes push (s/lstar)^power out of the double range
-    if not 1e-280 <= ratio <= 1e280:
-        raise DomainError(f"sigma/lstar = {ratio} outside [1e-280, 1e280]")
+    outside = ratio[~((ratio >= 1e-280) & (ratio <= 1e280))]
+    if outside.size:
+        raise DomainError(f"sigma/lstar = {float(outside[0])} outside [1e-280, 1e280]")
     power = beta_star - 1.0
     # up to sigma/lstar = 1e7 the 18 decades reach below 1e-11 lstar, and
     # each further decade of sigma/lstar adds one: there the integrand is
     # 1 + O((s/lstar)^power) for beta* > 1, so the head is its length; for
     # beta* <= 1 it increases with s, so the dropped head is below 1e-17 of
     # the total
-    decades = _PANEL_DECADES
-    if ratio > 1e7:
-        decades += math.ceil(math.log10(ratio)) - 7
-    head = sigma * 10.0 ** (-decades) if power > 0.0 else 0.0
-    return head + decade_panels(lambda s: 1.0 / (1.0 + (s / lstar) ** power), sigma, decades)
+    decades = np.full(nonzero.size, _PANEL_DECADES)
+    beyond = np.flatnonzero(ratio > 1e7)
+    decades[beyond] += np.array(
+        [math.ceil(math.log10(r)) - 7 for r in ratio[beyond].tolist()], dtype=int
+    )
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + (s / lstar) ** power)
+
+    out = np.zeros(flat.size)
+    for count in np.unique(decades).tolist():
+        index = nonzero[decades == count]
+        upper = flat[index]
+        head = upper * 10.0 ** (-count) if power > 0.0 else 0.0
+        out[index] = head + decade_panels(integrand, upper, count)
+    return float(out[0]) if sig.ndim == 0 else out.reshape(sig.shape)
 
 
-def dispersion_multiscale_weighted(spec: DiffusionSpec, sigma: float) -> float:
+def dispersion_multiscale_weighted(
+    spec: DiffusionSpec, sigma: float | np.ndarray
+) -> float | np.ndarray:
     """Dispersion of the weighted/ordinary models with a binomial time measure.
 
     ell^2(sigma) = ell2(0) + kappa * int_0^sigma ds / v_*(s), where the
     integral is :func:`binomial_time_integral` and ell2(0) is zero for the
     pointlike initial condition or lstar^2 in the fuzzy scenario (Gaussian
-    initial spread of width lstar).
+    initial spread of width lstar).  ``sigma`` is a float or an array, as
+    for :func:`binomial_time_integral`, and every element is checked.
     """
     if spec.multiscale is None:
         raise DomainError("multiscale dispersion requires a diffusion-time profile")
@@ -212,11 +240,13 @@ def dispersion_multiscale_weighted(spec: DiffusionSpec, sigma: float) -> float:
         raise DomainError(f"multiscale weighted dispersion is defined at nu = 1, got nu = {sc.nu}")
     beta_star, lstar = spec.multiscale.binomial_params()
     base = lstar ** 2 if spec.fuzzy else 0.0
-    if sigma == 0.0:
-        return base
     value = base + sc.kappa * binomial_time_integral(beta_star, lstar, sigma)
-    if value < 0.0:
-        raise DomainError(f"dispersion came out negative ({value}) at sigma = {sigma}")
+    negative = np.flatnonzero(np.asarray(value) < 0.0)
+    if negative.size:
+        i = negative[0]
+        raise DomainError(
+            f"dispersion came out negative ({np.ravel(value)[i]}) at sigma = {np.ravel(sigma)[i]}"
+        )
     return value
 
 
@@ -359,7 +389,10 @@ def sample_dispersion(
     """Evaluate the dispersion on a grid, by closed form or by quadrature."""
     sig = np.asarray(sigmas, dtype=float)
     if method == "closed-form":
-        e2 = np.array([dispersion(spec, s) for s in sig])
+        if spec.model in ("weighted", "ordinary") and spec.multiscale is not None:
+            e2 = dispersion_multiscale_weighted(spec, sig)
+        else:
+            e2 = np.array([dispersion(spec, s) for s in sig])
     elif method == "quadrature":
         weight = time_weight(spec)
         base = spec.scales.lstar ** 2 if spec.fuzzy else 0.0

@@ -64,6 +64,9 @@ _F21_PATTERN_CUT = -0.5
 _SERIES_BLOCK = 32
 # Gauss-Legendre order of every decade panel (decade_panels).
 _PANEL_ORDER = 48
+# Uppers whose panels decade_panels sums in one array: 32 x 18 decades x 48
+# nodes is about 27k nodes, 220 KB per float64 array, small enough for cache.
+_PANEL_BLOCK = 32
 # Decades of Euler's integral below t = max(1, -z)^-1 covered by panels.
 _EULER_DECADES = 18
 # Largest b of Euler's integral, whose error grows with b.
@@ -425,19 +428,34 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 
-def decade_panels(f: Callable[[np.ndarray], np.ndarray], upper: float, decades: int) -> float:
+def decade_panels(
+    f: Callable[[np.ndarray], np.ndarray], upper: float | np.ndarray, decades: int
+) -> float | np.ndarray:
     """int of f over [upper * 10^-decades, upper], one Gauss-Legendre rule per decade.
 
-    ``f`` takes and returns arrays; it is called once, on the nodes of every
-    decade together.  The rule suits integrands that are smooth on each
-    decade, with their singularities at or left of 0: a branch point at 0
-    limits a 48-node rule to about 1e-27 of the panel's scale.
+    ``f`` takes and returns arrays.  ``upper`` is a float or a 1-d array of
+    uppers; a float gives a float, an array an array of the same length.
+    The uppers are summed :data:`_PANEL_BLOCK` at a time: ``f`` is called
+    once per block, on the nodes of every decade of every upper in it,
+    stacked as (block, decades, order), so the working set stays in cache
+    whatever the number of uppers.  Each upper's panel sums are added by
+    ``math.fsum``, in the same operations and order for every block size,
+    so an upper gets the same bits alone as in any array.  The rule suits
+    integrands that are smooth on each decade, with their singularities at
+    or left of 0: a branch point at 0 limits a 48-node rule to about 1e-27
+    of the panel's scale.
     """
     nodes, weights = _panel_rule()
-    lo = upper * 10.0 ** -np.arange(decades, 0, -1, dtype=float)
-    half = 4.5 * lo
-    x = (lo + half)[:, None] + half[:, None] * nodes
-    return math.fsum(half * (f(x) @ weights))
+    scale = 10.0 ** -np.arange(decades, 0, -1, dtype=float)
+    uppers = np.asarray(upper, dtype=float)
+    flat = uppers.reshape(-1)
+    sums = []
+    for start in range(0, flat.size, _PANEL_BLOCK):
+        lo = flat[start: start + _PANEL_BLOCK, None] * scale
+        half = 4.5 * lo
+        x = (lo + half)[..., None] + half[..., None] * nodes
+        sums.extend(map(math.fsum, (half * (f(x) @ weights)).tolist()))
+    return sums[0] if uppers.ndim == 0 else np.array(sums)
 
 
 def _f21_pattern_euler(b: float, z: float) -> float:

@@ -111,22 +111,34 @@ def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> 
 
 def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
     """Closed-form weighted-model flow d_S(sigma) = D kappa sigma / (v(sigma) ell^2(sigma))."""
-    return _weighted_flow_point(spec, sigma)[1]
+    return _weighted_flow_points(spec, np.array([sigma], dtype=float))[1][0]
 
 
-def _weighted_flow_point(spec: DiffusionSpec, sigma: float) -> tuple[float, float]:
-    """(ell^2, d_S) of the weighted-model flow at one sigma."""
+def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """ell^2 and d_S of the weighted-model flow on a 1-d sigma array.
+
+    ell^2 comes from one array call of the dispersion.  d_S is worked out on
+    Python floats with the scalar weight v(sigma): numpy's vectorised power
+    rounds differently from ``pow`` in a few percent of elements, so an
+    array weight would move the last bits of d_S.
+    """
     if spec.model not in ("weighted", "ordinary"):
         raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
     if spec.multiscale is None:
         raise DomainError("weighted flow requires a binomial diffusion-time profile")
     if abs(spec.scales.nu - 1.0) > 1e-12:
         raise DomainError(f"weighted flow is defined at nu = 1, got {spec.scales.nu}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    v = multiscale_weight(sigma, spec.multiscale)
-    ell2 = dispersion_multiscale_weighted(spec, sigma)
-    return ell2, spec.dim * spec.scales.kappa * sigma / (v * ell2)
+    nonpositive = sig[sig <= 0.0]
+    if nonpositive.size:
+        raise DomainError(f"sigma must be positive, got {float(nonpositive[0])}")
+    ell2 = dispersion_multiscale_weighted(spec, sig)
+    profile = spec.multiscale
+    scale = spec.dim * spec.scales.kappa
+    ds = [
+        scale * s / (multiscale_weight(s, profile) * e)
+        for s, e in zip(sig.tolist(), ell2.tolist())
+    ]
+    return ell2, ds
 
 
 def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
@@ -243,16 +255,16 @@ def _weighted_flow_and_dispersion(
 ) -> tuple[SpectralFlow, np.ndarray]:
     """:func:`weighted_flow_curve` and the dispersion ell^2 it was computed from."""
     sig = np.asarray(sigmas, dtype=float)
-    points = [_weighted_flow_point(spec, s) for s in sig]
+    ell2, ds = _weighted_flow_points(spec, sig)
     uv, ir = weighted_flow_asymptotes(spec)
     _, lstar = spec.multiscale.binomial_params()
     uv_ok, ir_ok = _convergence_flags(lambda s: spectral_weighted_flow(spec, s), lstar)
     flow = SpectralFlow(
-        sigmas=sig, ds=np.array([d for _, d in points]), uv_asymptote=uv, ir_asymptote=ir,
+        sigmas=sig, ds=np.array(ds), uv_asymptote=uv, ir_asymptote=ir,
         model="weighted-fuzzy" if spec.fuzzy else spec.model,
         uv_converged=uv_ok, ir_converged=ir_ok,
     )
-    return flow, np.array([e for e, _ in points])
+    return flow, ell2
 
 
 def q_flow_curve(

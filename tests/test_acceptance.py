@@ -12,6 +12,8 @@ import numpy as np
 from scipy import integrate
 
 from conftest import binomial_spec, fractional_spec, quad_dispersion_oracle, weighted_norm_quad_1d
+from multiflow import specfun as specfun_mod
+from multiflow import walker as walker_mod
 from multiflow.cli import EXIT_OK, main
 from multiflow.dispersion import (
     DiffusionSpec,
@@ -328,12 +330,22 @@ def test_criterion_9_pdf_suite():
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
-def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
-    with _Budget(10, "byte-identical CSVs for MULTIFLOW_THREADS in {1, 8}", 60.0):
+def test_criterion_10_block_size_determinism(tmp_path, monkeypatch):
+    # the walker's path block and the panel rule's upper block are cache
+    # sizes only: one path per block, and 1 or 7 uppers per panel block,
+    # must write the bytes of the default blocks
+    walker_block, panel_block = walker_mod._BLOCK_BYTES, specfun_mod._PANEL_BLOCK
+    settings = (
+        ("default", walker_block, panel_block),
+        ("one-path-one-upper", 1, 1),
+        ("seven-uppers", walker_block, 7),
+    )
+    with _Budget(10, "byte-identical CSVs for every walker and panel block size", 60.0):
         outputs = {}
-        for threads in ("1", "8"):
-            monkeypatch.setenv("MULTIFLOW_THREADS", threads)
-            sim_out = tmp_path / f"sim_{threads}.csv"
+        for name, block_bytes, uppers in settings:
+            monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(specfun_mod, "_PANEL_BLOCK", uppers)
+            sim_out = tmp_path / f"sim_{name}.csv"
             code = main(
                 [
                     "simulate", "--model", "fsbm-v", "--dim", "1", "--beta", "0.5",
@@ -342,7 +354,7 @@ def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
                 ]
             )
             assert code == EXIT_OK
-            flow_out = tmp_path / f"flow_{threads}.csv"
+            flow_out = tmp_path / f"flow_{name}.csv"
             code = main(
                 [
                     "flow", "--model", "weighted", "--dim", "4", "--beta-star", "0.5",
@@ -351,9 +363,10 @@ def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
                 ]
             )
             assert code == EXIT_OK
-            outputs[threads] = (
+            outputs[name] = (
                 sim_out.read_bytes(),
-                (tmp_path / f"sim_{threads}.traj.csv").read_bytes(),
+                (tmp_path / f"sim_{name}.traj.csv").read_bytes(),
                 flow_out.read_bytes(),
             )
-        assert outputs["1"] == outputs["8"]
+        assert outputs["one-path-one-upper"] == outputs["default"]
+        assert outputs["seven-uppers"] == outputs["default"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import multiflow
+from multiflow import walker
 from multiflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from multiflow.config import RunConfig, build_spec, merge_overrides, parse_config, serialize_config
 from multiflow.csvio import CSV_VERSION
@@ -350,11 +351,12 @@ class TestValidateCommand:
 
 
 class TestDeterministicOutput:
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_block_sizes(self, tmp_path, monkeypatch):
+        # one path per walker block writes the bytes of the default 1 MB block
         blobs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("MULTIFLOW_THREADS", threads)
-            out = tmp_path / f"run_{threads}.csv"
+        for name, block_bytes in (("default", walker._BLOCK_BYTES), ("one-path", 1)):
+            monkeypatch.setattr(walker, "_BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"run_{name}.csv"
             code = main(
                 [
                     "simulate", "--model", "fsbm-v", "--dim", "1", "--beta", "0.5",
@@ -363,7 +365,7 @@ class TestDeterministicOutput:
                 ]
             )
             assert code == EXIT_OK
-            blobs.append(out.read_bytes() + (tmp_path / f"run_{threads}.traj.csv").read_bytes())
+            blobs.append(out.read_bytes() + (tmp_path / f"run_{name}.traj.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_identical_config_identical_bytes(self, tmp_path):

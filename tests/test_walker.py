@@ -7,12 +7,14 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from conftest import binomial_spec, fractional_spec
+from multiflow import walker as walker_mod
 from multiflow.dispersion import time_weight
 from multiflow.errors import DomainError, GridError
 from multiflow.walker import (
     PROCESSES,
     WalkerEnsemble,
     _block_paths,
+    _sum_squares,
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
     geometric_grid,
@@ -46,14 +48,17 @@ def last_two_decades(grid):
 
 
 class TestDeterminism:
-    def test_bit_identical_across_worker_counts(self, monkeypatch):
+    def test_bit_identical_across_block_sizes(self, monkeypatch):
+        # one path per block draws and reduces the paths of the default block
         grid = geometric_grid(1e-2, 1.0, 64)
         results = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("MULTIFLOW_THREADS", threads)
+        for block_bytes in (walker_mod._BLOCK_BYTES, 1):
+            monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
             ens = simulate_bm(200, grid, 1.0, 2, 99)
-            results.append(ens.positions.copy())
-        assert np.array_equal(results[0], results[1])
+            results.append((ens.positions.copy(), ens.sq_radii.copy()))
+        assert _block_paths(64, 2) == 1
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
 
     def test_same_seed_same_paths(self):
         grid = geometric_grid(1e-2, 1.0, 32)
@@ -352,6 +357,15 @@ class TestBlockStream:
             tracemalloc.stop()
         assert ens.positions.shape == (10, 128, 4)
         assert peak < 48 * 2 ** 20
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_squared_radii_equal_np_sum(self, dim):
+        # explicit adds below eight axes, np.sum from eight on: the same bits
+        block = np.random.default_rng([SEED, dim]).standard_normal((97, 256, dim)) * 3.0
+        expected = np.sum(np.square(block), axis=2)
+        got = np.empty(block.shape[:2])
+        _sum_squares(block.copy(), got)
+        assert np.array_equal(got, expected)
 
     def test_increment_diagnostics_need_all_positions(self):
         ens = simulate_bm(20, uniform_grid(0.1, 1.0, 32), 1.0, 1, 0, keep=19)
