@@ -14,6 +14,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -317,7 +318,9 @@ def run_validate(cfg: RunConfig, quick: bool = False, kappa_error: float = 0.0) 
     return status
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="multiflow",
         description="Diffusion, dimensional flow, and random walkers on multiscale spacetimes.",

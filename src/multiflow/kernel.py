@@ -7,6 +7,15 @@ normalization built from Kummer's function, and the q model is an ordinary
 Gaussian in geometric coordinates.  Return probabilities are traces of these
 densities per unit volume, with the volume convention an explicit tag since
 it decides the spectral dimension one reads off.
+
+The ordinary-model trace is a box quadrature of v(x) C(x, sigma).  Its
+integrand is even in every coordinate, so each axis is integrated over
+[0, L] with doubled weights, on Gauss-Legendre panels that start at the
+origin: a panel across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which
+is not smooth there, and converge only algebraically.  The order-24 sum is
+checked against the order-40 sum, which is returned.  A sigma grid shares
+its Kummer evaluations: the cases of consecutive sigmas go to one array call
+per charge, a block of at most :data:`_PHI_CHUNK` arguments at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -56,8 +64,8 @@ PER_HAUSDORFF_VOLUME = "per-hausdorff-volume"
 _BOX_ELL_FACTOR = 12.0
 _BOX_LSTAR_FACTOR = 10.0
 # Gauss-Legendre order per panel for the trace quadrature and its refinement check.
-_GL_ORDER = 40
-_GL_REFINE = 64
+_GL_ORDER = 24
+_GL_REFINE = 40
 _GL_RTOL = 1e-7
 
 
@@ -254,29 +262,24 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gl_nodes(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _gl_rule(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * nodes, half * weights
-
-
 def _panel_edges(center: float, upper: float) -> list[tuple[float, float]]:
-    """Symmetric panels: [-c, c] plus decade-spaced outer panels out to the box.
+    """Half-axis panels: [0, c] plus decade-spaced outer panels out to the box.
 
-    The central panel isolates the width-ell transition zone of the
+    The integrand is even in every coordinate, so only [0, L] is integrated.
+    The origin is a panel edge, never an interior point: in u = |x|^alpha the
+    integrand holds |u|^(2/alpha), which is smooth on either side of 0 but
+    not across it, so a panel spanning 0 converges only algebraically.  The
+    central panel isolates the width-ell transition zone of the
     normalization; the decade splitting keeps the slowly decaying power-law
     corrections polynomial-friendly on every panel.
     """
     if center >= upper:
-        return [(-upper, upper)]
-    edges = [center]
+        return [(0.0, upper)]
+    edges = [0.0, center]
     while edges[-1] * 10.0 < upper:
         edges.append(edges[-1] * 10.0)
     edges.append(upper)
-    panels = [(-b, -a) for a, b in zip(edges, edges[1:])][::-1]
-    panels.append((-center, center))
-    panels.extend((a, b) for a, b in zip(edges, edges[1:]))
-    return panels
+    return list(zip(edges, edges[1:]))
 
 
 def _axis_rule(
@@ -284,22 +287,22 @@ def _axis_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss rule for one axis term, returned as (x nodes, weights).
 
-    ``alpha_sub`` (when set) integrates in u = sgn(x)|x|^alpha, removing the
-    |x|^(alpha-1) endpoint singularity; the transition scale is mapped along.
+    The nodes are positive and the weights doubled: the rule integrates an
+    even function over [-L, L].  ``alpha_sub`` (when set) integrates in
+    u = |x|^alpha, removing the |x|^(alpha-1) endpoint singularity; the
+    transition scale is mapped along.
     """
     if alpha_sub is None:
         upper, center = halfwidth, min(transition, halfwidth)
     else:
         upper, center = halfwidth ** alpha_sub, min(transition ** alpha_sub, halfwidth ** alpha_sub)
-    nodes_list, weights_list = [], []
-    for lo, hi in _panel_edges(center, upper):
-        n, w = _gl_nodes(order, lo, hi)
-        nodes_list.append(n)
-        weights_list.append(w)
-    nodes = np.concatenate(nodes_list)
-    weights = np.concatenate(weights_list)
+    lo, hi = np.array(_panel_edges(center, upper)).T
+    gl_nodes, gl_weights = _gl_rule(order)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * gl_nodes).ravel()
+    weights = (2.0 * half[:, None] * gl_weights).ravel()
     if alpha_sub is not None:
-        nodes = np.sign(nodes) * np.abs(nodes) ** (1.0 / alpha_sub)
+        nodes = nodes ** (1.0 / alpha_sub)
     return nodes, weights
 
 
@@ -308,9 +311,9 @@ def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order
 
     The binomial spatial profile contributes a constant and a fractional term
     per direction (their product expands into 2^D combinations); fixed
-    per-direction charges contribute the fractional term only.
+    per-direction charges contribute the fractional term only.  Directions
+    with the same terms share one table.
     """
-    tables = []
     if spec.spatial_profile is not None:
         alpha, lstar = spec.spatial_profile.binomial_params()
         gfrac = lstar ** (1.0 - alpha)
@@ -320,21 +323,30 @@ def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order
         dims = [[("frac", 1.0, a)] for a in spec.charges.alphas]
     else:
         dims = [[("const", 1.0, 1.0)]] * spec.dim
+    rules = {}
+
+    def rule(alpha_sub: float | None):
+        if alpha_sub not in rules:
+            rules[alpha_sub] = _axis_rule(order, halfwidth, transition, alpha_sub)
+        return rules[alpha_sub]
+
+    tables = []
     for terms in dims:
         entries = []
         for kind, g, alpha in terms:
             if kind == "const" or alpha == 1.0:
-                x_nodes, w = _axis_rule(order, halfwidth, transition, None)
-                entries.append((g if kind == "frac" else 1.0, x_nodes, w))
+                entries.append((g if kind == "frac" else 1.0, *rule(None)))
             else:
-                x_nodes, w = _axis_rule(order, halfwidth, transition, alpha)
-                entries.append((g / gamma_fn(alpha + 1.0), x_nodes, w))
+                entries.append((g / gamma_fn(alpha + 1.0), *rule(alpha)))
         tables.append(entries)
     return tables
 
 
 # Largest number of grid cells the binomial box sum holds at once.
 _SLICE_CELLS = 1 << 16
+# Largest number of Kummer arguments of one trace block: the array series
+# holds a few (arguments x 32) float arrays, about 2 MB at 1024 arguments.
+_PHI_CHUNK = 1 << 10
 
 
 def _bracket_box_sum(
@@ -359,50 +371,89 @@ def _bracket_box_sum(
     return total
 
 
-def _trace_quadrature(spec: DiffusionSpec, sigma: float, halfwidth: float, order: int) -> float:
-    """Box integral of v(x) C(x, sigma) for the ordinary model, D <= 3.
+def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) -> list[float]:
+    """Box sums of a block of ``(ell2, {charge: axis table})`` cases.
+
+    Kummer's function is evaluated in one array call per distinct charge
+    over the nodes of the whole block; the array path works element by
+    element, so the blocking moves no bit.
+    """
+    args = {a: [] for a in alphas}
+    for ell2, axes in block:
+        for a, entries in axes.items():
+            args[a].extend(-(x_nodes * x_nodes) / (4.0 * ell2) for _, x_nodes, _ in entries)
+    phis = {}
+    for a, zs in args.items():
+        if zs:
+            values = _kummer_phi_array((1.0 - a) / 2.0, 0.5, np.concatenate(zs))
+            phis[a] = iter(np.split(values, np.cumsum([z.size for z in zs[:-1]])))
+
+    totals = []
+    for ell2, axes in block:
+        ell = math.sqrt(ell2)
+        axis_phis = {a: [next(phis[a]) for _ in entries] for a, entries in axes.items()}
+        if spec.spatial_profile is None:
+            axis_sums = {}
+            for a, ((g, _, w),) in axes.items():
+                inverse = gamma_fn(a / 2.0) / gamma_fn(a) * (2.0 * ell) ** a * axis_phis[a][0]
+                axis_sums[a] = g * float(np.sum(w / inverse))
+            totals.append(math.prod(axis_sums[a] for a in alphas))
+            continue
+        (alpha,) = axes
+        (_, _, const_w), (frac_g, _, frac_w) = axes[alpha]
+        const_phi, frac_phi = axis_phis[alpha]
+        lstar = spec.spatial_profile.binomial_params()[1]
+        gauss_norm = (4.0 * math.pi * ell2) ** (spec.dim / 2.0)
+        bracket_coeff = lstar ** spec.dim * (
+            gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
+        ) ** spec.dim
+        total = 0.0
+        for k in range(spec.dim + 1):  # k fractional axes, dim - k constant ones
+            total += math.comb(spec.dim, k) * frac_g ** k * _bracket_box_sum(
+                gauss_norm, bracket_coeff,
+                [frac_phi] * k + [const_phi] * (spec.dim - k),
+                [frac_w] * k + [const_w] * (spec.dim - k),
+            )
+        totals.append(total)
+    return totals
+
+
+def _trace_quadrature(
+    spec: DiffusionSpec, cases: Sequence[tuple[float, float, int]]
+) -> list[float]:
+    """Box integrals of v(x) C(x, sigma) for the ordinary model, D <= 3.
+
+    One total per ``(ell2, box half-width, Gauss order)`` case.  Every axis
+    is integrated over [0, L] with doubled weights (the integrand is even in
+    each coordinate).  Consecutive cases are gathered into blocks of at most
+    :data:`_PHI_CHUNK` Kummer arguments (a case with more makes a block of
+    its own), and each block takes one Kummer call per charge, so the
+    memory held stays flat however many cases there are.
 
     With fixed per-direction charges, or no measure, C^-1 is a product of
     per-direction factors and the box sum is the product of one-dimensional
-    sums.  The binomial bracket does not factorize: its Kummer values are
-    taken once per node set and summed over the 2^D term combinations.
+    sums.  The binomial bracket does not factorize, but it is symmetric under
+    a permutation of the axes: of its 2^D term combinations only the number
+    k of fractional axes matters, so D + 1 box sums with weights C(D, k)
+    make the total.
     """
-    ell2 = dispersion(spec, sigma)
-    ell = math.sqrt(ell2)
-    # the normalization varies on the diffusion-length scale around the origin;
-    # a few-ell central panel plus decade panels resolve the transition zone
-    transition = 4.0 * ell
-    tables = _axis_tables(spec, halfwidth, transition, order)
-
-    def phi_nodes(alpha: float, xs: np.ndarray) -> np.ndarray:
-        return _kummer_phi_array((1.0 - alpha) / 2.0, 0.5, -(xs * xs) / (4.0 * ell2))
-
-    if spec.spatial_profile is None:
+    if spec.spatial_profile is not None:
+        alphas = (spec.spatial_profile.binomial_params()[0],) * spec.dim
+    else:
         alphas = spec.charges.alphas if spec.charges is not None else (1.0,) * spec.dim
-        axis_sums = {}
-        total = 1.0
-        for ((g, x_nodes, w),), a in zip(tables, alphas):
-            if a not in axis_sums:
-                axis = gamma_fn(a / 2.0) / gamma_fn(a) * (2.0 * ell) ** a * phi_nodes(a, x_nodes)
-                axis_sums[a] = g * float(np.sum(w / axis))
-            total *= axis_sums[a]
-        return total
-
-    alpha, lstar = spec.spatial_profile.binomial_params()
-    gauss_norm = (4.0 * math.pi * ell2) ** (spec.dim / 2.0)
-    bracket_coeff = lstar ** spec.dim * (
-        gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
-    ) ** spec.dim
-    # every direction carries the same (constant, fractional) term tables
-    entries = tables[0]
-    phis = [phi_nodes(alpha, x_nodes) for _, x_nodes, _ in entries]
-    total = 0.0
-    for combo in product(range(len(entries)), repeat=spec.dim):
-        prefactor = math.prod(entries[i][0] for i in combo)
-        total += prefactor * _bracket_box_sum(
-            gauss_norm, bracket_coeff, [phis[i] for i in combo], [entries[i][2] for i in combo]
-        )
-    return total
+    totals, block, held = [], [], 0
+    for ell2, halfwidth, order in cases:
+        # the normalization varies on the diffusion-length scale around the
+        # origin; a few-ell central panel plus decade panels resolve it
+        tables = _axis_tables(spec, halfwidth, 4.0 * math.sqrt(ell2), order)
+        axes = dict(zip(alphas, tables))
+        size = sum(x_nodes.size for entries in axes.values() for _, x_nodes, _ in entries)
+        if block and held + size > _PHI_CHUNK:
+            totals += _case_totals(spec, alphas, block)
+            block, held = [], 0
+        block.append((ell2, axes))
+        held += size
+    return totals + _case_totals(spec, alphas, block)
 
 
 def _hausdorff_box_volume(spec: DiffusionSpec, halfwidth: float) -> float:
@@ -446,25 +497,44 @@ def return_probability(
         alpha = spec.alpha_average
         ell2 = spec.scales.kappa * sigma
         return ell2 ** (-spec.dim * alpha / 2.0)
-    # ordinary model: quadrature
+    return _ordinary_traces(spec, [sigma], box_halfwidth)[0]
+
+
+def _ordinary_traces(
+    spec: DiffusionSpec, sigmas: Sequence[float], box_halfwidth: float | None
+) -> list[float]:
+    """Ordinary-model Z at each sigma: the box trace per Hausdorff volume of the box.
+
+    The order-:data:`_GL_ORDER` and order-:data:`_GL_REFINE` traces of every
+    sigma come from one :func:`_trace_quadrature` call; the refinement test
+    is then made sigma by sigma, in grid order.
+    """
     if spec.dim > 3:
         raise DomainError("trace quadrature supports D <= 3")
-    ell = math.sqrt(dispersion(spec, sigma))
-    if box_halfwidth is None:
-        box_halfwidth = default_box_halfwidth(spec, sigma)
-    if box_halfwidth < _BOX_ELL_FACTOR * ell:
-        raise BoxError(
-            f"box half-width {box_halfwidth} is below {_BOX_ELL_FACTOR} "
-            f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
-            "contaminate the trace"
-        )
-    coarse = _trace_quadrature(spec, sigma, box_halfwidth, _GL_ORDER)
-    fine = _trace_quadrature(spec, sigma, box_halfwidth, _GL_REFINE)
-    if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
-        raise ConvergenceError(
-            f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
-        )
-    return fine / _hausdorff_box_volume(spec, box_halfwidth)
+    cases, halfwidths = [], []
+    for sigma in sigmas:
+        if sigma <= 0.0:
+            raise DomainError(f"sigma must be positive, got {sigma}")
+        ell2 = dispersion(spec, sigma)
+        ell = math.sqrt(ell2)
+        halfwidth = default_box_halfwidth(spec, sigma) if box_halfwidth is None else box_halfwidth
+        if halfwidth < _BOX_ELL_FACTOR * ell:
+            raise BoxError(
+                f"box half-width {halfwidth} is below {_BOX_ELL_FACTOR} "
+                f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
+                "contaminate the trace"
+            )
+        halfwidths.append(halfwidth)
+        cases += [(ell2, halfwidth, _GL_ORDER), (ell2, halfwidth, _GL_REFINE)]
+    totals = _trace_quadrature(spec, cases)
+    traces = []
+    for sigma, halfwidth, coarse, fine in zip(sigmas, halfwidths, totals[::2], totals[1::2]):
+        if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
+            raise ConvergenceError(
+                f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
+            )
+        traces.append(fine / _hausdorff_box_volume(spec, halfwidth))
+    return traces
 
 
 def fixed_dim_trace_slopes(
@@ -488,17 +558,14 @@ def fixed_dim_trace_slopes(
 
     def slope_at(sigma: float, enforce_box: bool) -> float:
         h = 0.05
-        zs = []
-        for k in (-2, -1, 0, 1, 2):
-            s = sigma * math.exp(k * h)
-            if enforce_box:
-                z = return_probability(spec, s, box_halfwidth)
-            else:
-                z = _trace_quadrature(spec, s, box_halfwidth, _GL_REFINE) / _hausdorff_box_volume(
-                    spec, box_halfwidth
-                )
-            zs.append(math.log(z))
-        return -2.0 * five_point_slope(zs, h)
+        sigmas = [sigma * math.exp(k * h) for k in (-2, -1, 0, 1, 2)]
+        if enforce_box:
+            zs = _ordinary_traces(spec, sigmas, box_halfwidth)
+        else:
+            cases = [(dispersion(spec, s), box_halfwidth, _GL_REFINE) for s in sigmas]
+            volume = _hausdorff_box_volume(spec, box_halfwidth)
+            zs = [total / volume for total in _trace_quadrature(spec, cases)]
+        return -2.0 * five_point_slope([math.log(z) for z in zs], h)
 
     ell_ir = math.sqrt(dispersion(spec, ir_sigma))
     if ell_ir < 30.0 * box_halfwidth:
@@ -518,9 +585,17 @@ def heat_kernel_curve(
     sigmas: Sequence[float] | np.ndarray,
     box_halfwidth: float | None = None,
 ) -> HeatKernelCurve:
-    """Sample Z(sigma) on a grid with the model's volume convention tag."""
+    """Sample Z(sigma) on a grid with the model's volume convention tag.
+
+    The ordinary-model traces of the whole grid share one quadrature call,
+    which evaluates Kummer's function in a few array calls per charge; each
+    value equals the one-sigma :func:`return_probability` bit for bit.
+    """
     sig = np.asarray(sigmas, dtype=float)
-    zz = np.array([return_probability(spec, s, box_halfwidth) for s in sig])
+    if spec.model == "ordinary":
+        zz = np.array(_ordinary_traces(spec, list(sig), box_halfwidth))
+    else:
+        zz = np.array([return_probability(spec, s, box_halfwidth) for s in sig])
     convention = PER_HAUSDORFF_VOLUME if spec.model in ("q", "ordinary") else PER_INTEGER_VOLUME
     return HeatKernelCurve(sigmas=sig, Z=zz, convention=convention, model=spec.model)
 

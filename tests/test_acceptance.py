@@ -12,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from conftest import binomial_spec, fractional_spec, quad_dispersion_oracle, weighted_norm_quad_1d
+from multiflow import kernel as kernel_mod
 from multiflow import specfun as specfun_mod
 from multiflow import walker as walker_mod
 from multiflow.cli import EXIT_OK, main
@@ -331,20 +332,23 @@ def test_criterion_9_pdf_suite():
 
 
 def test_criterion_10_block_size_determinism(tmp_path, monkeypatch):
-    # the walker's path block and the panel rule's upper block are cache
-    # sizes only: one path per block, and 1 or 7 uppers per panel block,
-    # must write the bytes of the default blocks
+    # the walker's path block, the panel rule's upper block and the trace's
+    # Kummer block are cache sizes only: one path per block, 1 or 7 uppers
+    # per panel block and one trace case per Kummer call must write the
+    # bytes of the default blocks
     walker_block, panel_block = walker_mod._BLOCK_BYTES, specfun_mod._PANEL_BLOCK
+    phi_chunk = kernel_mod._PHI_CHUNK
     settings = (
-        ("default", walker_block, panel_block),
-        ("one-path-one-upper", 1, 1),
-        ("seven-uppers", walker_block, 7),
+        ("default", walker_block, panel_block, phi_chunk),
+        ("one-path-one-upper-one-case", 1, 1, 1),
+        ("seven-uppers", walker_block, 7, phi_chunk),
     )
-    with _Budget(10, "byte-identical CSVs for every walker and panel block size", 60.0):
+    with _Budget(10, "byte-identical CSVs for every walker, panel and Kummer block size", 60.0):
         outputs = {}
-        for name, block_bytes, uppers in settings:
+        for name, block_bytes, uppers, chunk in settings:
             monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
             monkeypatch.setattr(specfun_mod, "_PANEL_BLOCK", uppers)
+            monkeypatch.setattr(kernel_mod, "_PHI_CHUNK", chunk)
             sim_out = tmp_path / f"sim_{name}.csv"
             code = main(
                 [
@@ -363,10 +367,20 @@ def test_criterion_10_block_size_determinism(tmp_path, monkeypatch):
                 ]
             )
             assert code == EXIT_OK
+            kernel_out = tmp_path / f"kernel_{name}.csv"
+            code = main(
+                [
+                    "kernel", "--model", "ordinary", "--dim", "2", "--alpha", "0.7",
+                    "--multiscale-space", "--sigma-min", "1e-2", "--sigma-max", "1e2",
+                    "--sigma-points", "9", "--out", str(kernel_out),
+                ]
+            )
+            assert code == EXIT_OK
             outputs[name] = (
                 sim_out.read_bytes(),
                 (tmp_path / f"sim_{name}.traj.csv").read_bytes(),
                 flow_out.read_bytes(),
+                kernel_out.read_bytes(),
             )
-        assert outputs["one-path-one-upper"] == outputs["default"]
+        assert outputs["one-path-one-upper-one-case"] == outputs["default"]
         assert outputs["seven-uppers"] == outputs["default"]

@@ -308,6 +308,24 @@ class TestKernelAndPdfCommands:
         assert columns == ["x", "density", "model"]
         assert all(float(r[1]) >= 0.0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "charge", [("--dim", "2", "--alpha", "0.6437150360218323"), ("--dim", "1", "--alpha", "0.8")],
+        ids=["d2-0.644", "d1-0.8"],
+    )
+    def test_high_charge_trace_converges(self, charge, tmp_path):
+        # both jobs were refused (exit 3) while x = 0 sat inside a Gauss panel
+        out = tmp_path / "k.csv"
+        code = main(
+            [
+                "kernel", "--model", "ordinary", *charge, "--sigma-min", "1e-2",
+                "--sigma-max", "1e2", "--sigma-points", "19", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        _, _, rows = read_csv(out)
+        z = [float(r[1]) for r in rows]
+        assert len(z) == 19 and all(b < a for a, b in zip(z, z[1:]))
+
     def test_numeric_error_exit_code(self, tmp_path):
         out = tmp_path / "bad.csv"
         code = main(

@@ -72,17 +72,17 @@ GOLDEN = {
     ),
     "kernel-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--sigma-points", "9"),
-        "2851604636555a043ab2f2f9e6948eb3e7329d7cda39cb728d5d7c04228538e4",
+        "0732921c62cf231afb0d82be4312f760d4c53de57b9cec578a52f2acbfc82634",
         None,
     ),
     "kernel-d2": (
         (*_KERNEL, "--dim", "2", "--alpha", "0.45", "--sigma-points", "5"),
-        "f91ff76782c9259df69bae66686a9e85925ce0417c64c48af707382e7ef68297",
+        "388aac24e1478fe3ae82d2de423415400a7335180ee51db003c0e09159f0cd32",
         None,
     ),
     "kernel-multiscale-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "7"),
-        "e001d4cef647ec0f9066feb02ed2e0927cdfa27b23ff449136b0950ff6323cfc",
+        "84ba2862d32769a6ab0c5e49f68c425591c11826d546333b22ac913ad647b34e",
         None,
     ),
     "pdf-ordinary": (
@@ -135,6 +135,16 @@ def test_output_bytes_pinned(name, tmp_path):
     assert _digest(out) == main_digest
     traj = tmp_path / "out.traj.csv"
     assert (_digest(traj) if traj.exists() else None) == traj_digest
+
+
+def test_pins_hold_across_jobs_in_one_process(tmp_path):
+    # the CLI parser is built once per process: a flag given to one job
+    # (--fuzzy, --multiscale-space) must not reach the next
+    for i, name in enumerate(("flow-fuzzy", "kernel-multiscale-d1", "flow-weighted-0.5")):
+        argv, main_digest, _ = GOLDEN[name]
+        out = tmp_path / f"job{i}.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert _digest(out) == main_digest, name
 
 
 def _flag(argv, name):

@@ -2,13 +2,15 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 from conftest import binomial_spec, fractional_spec, weighted_norm_quad_1d
 from multiflow.dispersion import DiffusionSpec, dispersion
-from multiflow.errors import BoxError, DomainError, GridError
+from multiflow import kernel as kernel_mod
+from multiflow.errors import BoxError, ConvergenceError, DomainError, GridError
 from multiflow.kernel import (
     PER_HAUSDORFF_VOLUME,
     PER_INTEGER_VOLUME,
@@ -538,7 +540,7 @@ class TestTraceQuadrature:
     @pytest.mark.parametrize("sigma", [0.03, 2.0])
     def test_matches_tensor_product_sum(self, spec, sigma):
         halfwidth = default_box_halfwidth(spec, sigma)
-        got = _trace_quadrature(spec, sigma, halfwidth, 8)
+        got = _trace_quadrature(spec, [(dispersion(spec, sigma), halfwidth, 8)])[0]
         assert math.isclose(got, tensor_trace_oracle(spec, sigma, halfwidth, 8), rel_tol=1e-13)
 
     def test_isotropic_d3_is_d1_cubed(self):
@@ -556,3 +558,194 @@ class TestTraceQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+class TestCurveBatch:
+    """heat_kernel_curve takes every sigma's trace from one blocked quadrature."""
+
+    SPECS = {
+        "frac-d1": ordinary_spec(0.8, dim=1),
+        "frac-d2": DiffusionSpec(
+            model="ordinary", dim=2, scales=GeometryScales(),
+            charges=FractionalCharges((0.3, 0.9)),
+        ),
+        "frac-d3": DiffusionSpec(
+            model="ordinary", dim=3, scales=GeometryScales(),
+            charges=FractionalCharges((0.25, 0.6, 0.6)),
+        ),
+        "binomial-d1": multiscale_space_spec(0.7, dim=1),
+        "binomial-d2": multiscale_space_spec(0.35, dim=2, lstar=2.0),
+    }
+
+    @pytest.mark.parametrize("chunk", ["one-case", "default"])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_curve_equals_scalar_calls(self, name, chunk, monkeypatch):
+        spec = self.SPECS[name]
+        grid = np.geomspace(1e-2, 1e2, 9)
+        scalar = [return_probability(spec, s) for s in grid]
+        if chunk == "one-case":
+            monkeypatch.setattr(kernel_mod, "_PHI_CHUNK", 1)
+        curve = heat_kernel_curve(spec, grid)
+        assert curve.Z.tolist() == scalar
+
+    def test_refusal_names_first_failing_sigma(self, monkeypatch):
+        spec = self.SPECS["frac-d1"]
+        grid = np.geomspace(10 ** -1.5, 1e2, 8)
+        monkeypatch.setattr(kernel_mod, "_GL_RTOL", 4e-12)
+        messages = []
+        for s in grid:
+            try:
+                return_probability(spec, s)
+            except ConvergenceError as exc:
+                messages.append(str(exc))
+        # the first sigma passes, so the refusal must come from later in the grid
+        assert messages and f"at sigma = {grid[0]}" not in messages[0]
+        with pytest.raises(ConvergenceError) as refused:
+            heat_kernel_curve(spec, grid)
+        assert str(refused.value) == messages[0]
+
+    def test_long_curve_memory(self):
+        # cases are reduced block by block, so the memory held does not grow
+        # with the grid
+        spec = ordinary_spec(0.6, dim=1)
+        tracemalloc.start()
+        try:
+            curve = heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.Z.size == 2000
+        assert peak < 4 * 2 ** 20
+
+
+def _mp_phi(alpha, xs, ell2):
+    """Phi[(1-alpha)/2; 1/2; -x^2/(4 ell^2)] at each x, from mpmath at 20 digits."""
+    with mp.workdps(20):
+        a = (1 - mp.mpf(alpha)) / 2
+        return np.array([float(mp.hyp1f1(a, 0.5, -mp.mpf(x) ** 2 / (4 * ell2))) for x in xs])
+
+
+def trace_d1_mpquad(alpha, sigma, multiscale, lstar=1.0):
+    """mpmath.quad of the one-dimensional ordinary-model trace per Hausdorff box volume.
+
+    beta = nu = kappa = 1, so ell^2 = sigma; the box is max(12 ell, 10 lstar).
+    Fixed charge: v = |x|^(alpha-1)/Gamma(alpha); binomial profile:
+    v = 1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha).  The fractional part
+    is integrated in u = x^alpha, with breaks at a few diffusion lengths.
+    """
+    with mp.workdps(20):
+        a = mp.mpf(alpha)
+        ell2 = mp.mpf(sigma)
+        ell = mp.sqrt(ell2)
+        box = max(12 * ell, 10 * mp.mpf(lstar))
+        kummer = mp.gamma(a / 2) / mp.gamma(a) * (2 * ell) ** a
+        breaks = [ell * k for k in (1, 2, 4, 8, 16) if ell * k < box]
+        if multiscale:
+            gauss = mp.sqrt(4 * mp.pi * ell2)
+            frac = lstar * (2 * ell / lstar) ** a * mp.gamma(a / 2) / mp.gamma(a)
+
+            def c(x):
+                return 1 / (gauss + frac * mp.hyp1f1((1 - a) / 2, 0.5, -x * x / (4 * ell2)))
+
+            gfrac, const = lstar ** (1 - a), mp.quad(c, [0, *breaks, box])
+            volume = 2 * box + gfrac * 2 * box ** a / mp.gamma(a + 1)
+        else:
+
+            def c(x):
+                return 1 / (kummer * mp.hyp1f1((1 - a) / 2, 0.5, -x * x / (4 * ell2)))
+
+            gfrac, const = 1, 0
+            volume = 2 * box ** a / mp.gamma(a + 1)
+        pts = [0, *(b ** a for b in breaks), box ** a]
+        fractional = mp.quad(lambda u: c(u ** (1 / a)), pts) / a / mp.gamma(a)
+        return float(2 * (const + gfrac * fractional) / volume)
+
+
+def _geometric_half_axis(upper, ell, alpha):
+    """Composite 16-node Gauss rule on [0, upper], panels growing 2.5-fold from
+    ell/64; in u = x^alpha when alpha is set (weights then carry 1/alpha)."""
+    edges = [0.0]
+    edge = ell / 64.0
+    while edge < upper:
+        edges.append(edge)
+        edge *= 2.5
+    edges = np.array(edges + [upper])
+    if alpha is not None:
+        edges = edges ** alpha
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    u, w = (mid + half * nodes).ravel(), (half * weights).ravel()
+    return (u, w) if alpha is None else (u ** (1.0 / alpha), w / alpha)
+
+
+def trace_binomial_tensor(dim, alpha, sigma, lstar=1.0):
+    """Binomial-profile trace per Hausdorff box volume by a tensor-product rule.
+
+    Each axis takes the geometric-panel rule above, for the constant and the
+    fractional measure term, with Kummer values from mpmath; all 2^D term
+    combinations are summed over the positive orthant and doubled per axis.
+    """
+    ell2 = sigma
+    ell = math.sqrt(ell2)
+    box = max(12.0 * ell, 10.0 * lstar)
+    gauss = (4.0 * math.pi * ell2) ** (dim / 2.0)
+    coeff = lstar ** dim * (
+        math.gamma(alpha / 2.0) / math.gamma(alpha) * (2.0 * ell / lstar) ** alpha
+    ) ** dim
+    terms = []
+    for frac in (False, True):
+        x, w = _geometric_half_axis(box, ell, alpha if frac else None)
+        if frac:
+            w = w * lstar ** (1.0 - alpha) / math.gamma(alpha)
+        terms.append((_mp_phi(alpha, x, ell2), w))
+    total = 0.0
+    for combo in itertools.product(terms, repeat=dim):
+        rest_phi, rest_w = np.ones(1), np.ones(1)
+        for phi, w in combo[1:]:
+            rest_phi = np.multiply.outer(rest_phi, phi).ravel()
+            rest_w = np.multiply.outer(rest_w, w).ravel()
+        first_phi, first_w = combo[0]
+        for i in range(0, first_phi.size, 16):
+            cells = gauss + coeff * np.multiply.outer(first_phi[i : i + 16], rest_phi)
+            total += float(first_w[i : i + 16] @ ((1.0 / cells) @ rest_w))
+    per_axis = 2.0 * box + lstar ** (1.0 - alpha) * 2.0 * box ** alpha / math.gamma(alpha + 1.0)
+    return 2 ** dim * total / per_axis ** dim
+
+
+class TestTraceAccuracySweep:
+    """Ordinary-model traces against independent oracles at 1e-10, seeded sweep.
+
+    Charges in [0.2, 0.95], sigma in [1e-2, 1e2].  Fixed charges (one per
+    axis, drawn separately) factorize, so the D-dimensional oracle is the
+    product of one-dimensional mpmath quadratures; a binomial spatial
+    profile takes mpmath.quad at D = 1 and the tensor-product rule above at
+    D = 2 and 3.
+    """
+
+    CASES = {(1, False): 6, (2, False): 4, (3, False): 3, (1, True): 5, (2, True): 4, (3, True): 2}
+
+    @pytest.mark.parametrize(
+        "dim,multiscale", sorted(CASES),
+        ids=[f"d{d}-{'binomial' if m else 'frac'}" for d, m in sorted(CASES)],
+    )
+    def test_sweep(self, dim, multiscale):
+        rng = np.random.default_rng(1000 * dim + multiscale)
+        for _ in range(self.CASES[dim, multiscale]):
+            sigma = float(10.0 ** rng.uniform(-2.0, 2.0))
+            if multiscale:
+                alpha = float(rng.uniform(0.2, 0.95))
+                spec = multiscale_space_spec(alpha, dim)
+                want = (
+                    trace_d1_mpquad(alpha, sigma, True) if dim == 1
+                    else trace_binomial_tensor(dim, alpha, sigma)
+                )
+            else:
+                alphas = rng.uniform(0.2, 0.95, dim).tolist()
+                spec = DiffusionSpec(
+                    model="ordinary", dim=dim, scales=GeometryScales(),
+                    charges=FractionalCharges(tuple(alphas)),
+                )
+                want = math.prod(trace_d1_mpquad(a, sigma, False) for a in alphas)
+            got = return_probability(spec, sigma)
+            assert abs(got / want - 1.0) < 1e-10, (spec, sigma, got, want)
