@@ -71,7 +71,7 @@ from .spectral import (
     walk_dimension,
     weighted_flow_curve,
 )
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, gauss_2f1, kummer_phi
+from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, kummer_phi
 from .walker import (
     IncrementReport,
     MsdFit,

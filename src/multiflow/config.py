@@ -97,6 +97,10 @@ class RunConfig:
             raise ConfigError(
                 f"need 0 < sigma-min < sigma-max, got {self.sigma_min}, {self.sigma_max}"
             )
+        if self.x_points < 2 or self.x_max <= 0.0:
+            raise ConfigError(
+                f"pdf needs x-points >= 2 and x-max > 0, got {self.x_points}, {self.x_max}"
+            )
         if self.paths < 1 or self.steps < 2:
             raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
         if self.subsample < 1 or self.traj_paths < 0:

@@ -1,35 +1,17 @@
 """Special functions behind the closed-form dispersion and normalization laws.
 
-Three scalar functions are exposed:
+Three functions are exposed:
 
 * :func:`gamma_fn` -- the gamma function with explicit pole detection,
 * :func:`kummer_phi` -- Kummer's confluent hypergeometric function
   ``Phi(a; b; z)``, stable for strongly negative arguments,
-* :func:`gauss_2f1` -- the Gauss hypergeometric function ``F(a, b; c; z)``,
-  summed as a series inside the unit disk and extended to ``z <= -1`` in
-  the one-parameter pattern ``F(1, b; b+1; z)`` that the dispersion
-  integrals of binomial multiscale measures produce.
+* :func:`decade_panels` -- a fixed Gauss-Legendre rule per decade of an
+  integral over ``[upper * 10^-decades, upper]``, for one upper or a whole
+  array of them; the binomial dispersion integral is summed by it.
 
 The heat-kernel trace evaluates ``Phi`` on whole arrays of quadrature nodes
 through the private ``_kummer_phi_array``, which takes the scalar branches
 and sums their series term for term; the scalar function is its oracle.
-
-For ``z <= -0.5`` the pattern takes one of two routes.  For ``b > 0`` it is
-Euler's integral
-
-    F(1, b; b+1; z) = b * int_0^1 t^(b-1) / (1 - z t) dt,
-
-whose integrand is positive for ``z < 0``: a fixed decade-panel
-Gauss-Legendre rule (:func:`decade_panels`) sums it with nothing to cancel,
-also at the integers ``b = k``, where the continuation below has removable
-poles.  Against ``mpmath.hyp2f1`` it is within 1e-12 for ``0 < b <= 200``
-and ``-1e5 <= z <= -0.5``; its error grows with ``b`` (6e-11 at
-``b = 400``), so larger ``b`` keeps the Taylor series inside the disk and is
-refused for ``z <= -1``.  For ``b <= 0`` the continuation
-
-    F(1, b; b+1; z) = b/(b-1) * w * F(1, 1; 2-b; w) + Gamma(b+1)Gamma(1-b)(-z)^(-b)
-
-with ``w = 1/(1-z)`` is summed, with the exactly reduced :func:`sinpi`.
 """
 
 from __future__ import annotations
@@ -48,18 +30,11 @@ __all__ = [
     "DEFAULT_CONTROL",
     "gamma_fn",
     "kummer_phi",
-    "gauss_2f1",
-    "sinpi",
     "decade_panels",
 ]
 
 # |z| above which the confluent series is abandoned for the large-|z| expansion.
 _PHI_ASYMPTOTIC_CUT = 30.0
-# |sin(pi*b)| below which b is treated as sitting on an integer: a pole of
-# F(1, b; b+1; z) for negative b, the value F = 1 - b log(1-z) next to b = 0.
-_INTEGER_B_SIN = 1e-8
-# z at or below which the (1, b; b+1; z) pattern leaves the direct series.
-_F21_PATTERN_CUT = -0.5
 # Terms generated per step by the array series of Phi (_term_block).
 _SERIES_BLOCK = 32
 # Gauss-Legendre order of every decade panel (decade_panels).
@@ -67,18 +42,12 @@ _PANEL_ORDER = 48
 # Uppers whose panels decade_panels sums in one array: 32 x 18 decades x 48
 # nodes is about 27k nodes, 220 KB per float64 array, small enough for cache.
 _PANEL_BLOCK = 32
-# Decades of Euler's integral below t = max(1, -z)^-1 covered by panels.
-_EULER_DECADES = 18
-# Largest b of Euler's integral, whose error grows with b.
-_EULER_B_MAX = 200.0
 
 
 def _CANCELLATION_BAR(ctl: "SeriesControl") -> float:
     """Largest tolerated roundoff-floor-to-result ratio before a series
     evaluation is refused instead of silently degraded."""
     return max(1e-6, ctl.rel_tol)
-
-_PATTERN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,26 +93,24 @@ def gamma_fn(x: float) -> float:
         raise PoleError(f"gamma evaluation failed at x = {x}") from exc
 
 
-def _series(
-    ratio: Callable[[int], float], crossing: float, ctl: SeriesControl, label: Callable[[], str]
-) -> float:
-    """Sum 1 + t_1 + t_2 + ... with t_(n+1) = t_n * ratio(n): the Taylor loop
-    of every hypergeometric series here.  ``label`` names the function in an
-    error message and is only called when one is raised.
+def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
+    """Direct Taylor sum of Phi(a;b;z).  Caller guarantees b has no pole.
 
-    Tracks the largest intermediate term: for alternating sums whose result
+    Sums 1 + t_1 + t_2 + ... with t_(n+1) = t_n (a+n)/(b+n) z/(n+1), and
+    tracks the largest intermediate term: for alternating sums whose result
     is far below the peak term, the roundoff floor can exceed the requested
     tolerance, and pretending otherwise would return garbage.
 
-    A negative (non-integer) lower parameter makes the denominators pass close
-    to zero near n = ``crossing``: the terms dip through a deep valley and
-    resurge on the other side.  Convergence stops are suppressed until that
-    point is passed, otherwise the resurgent contribution (which can dominate
-    the sum) would be silently dropped.
+    A negative (non-integer) b makes the denominators pass close to zero
+    near n = -b: the terms dip through a deep valley and resurge on the
+    other side.  Convergence stops are suppressed until that point is
+    passed, otherwise the resurgent contribution (which can dominate the
+    sum) would be silently dropped.
     """
+    crossing = -b if b < 0.0 else 0.0
     if crossing >= ctl.max_terms:
         raise ConvergenceError(
-            f"{label()} needs more than max_terms={ctl.max_terms} terms "
+            f"Phi({a};{b};{z}) needs more than max_terms={ctl.max_terms} terms "
             "to clear the denominator zero crossing"
         )
     total = 1.0
@@ -152,7 +119,7 @@ def _series(
     prev_abs = 1.0
     small_runs = 0
     for n in range(ctl.max_terms):
-        term *= ratio(n)
+        term *= (a + n) / (b + n) * z / (n + 1)
         total += term
         peak = max(peak, abs(term))
         # only trust a stop past the crossing and once magnitudes are
@@ -164,23 +131,13 @@ def _series(
             if small_runs >= 2:
                 if 5e-16 * peak > _CANCELLATION_BAR(ctl) * abs(total):
                     raise ConvergenceError(
-                        f"{label()} series cancellation: fewer than six "
+                        f"Phi({a};{b};{z}) series cancellation: fewer than six "
                         "significant digits are achievable in double precision"
                     )
                 return total
         else:
             small_runs = 0
-    raise ConvergenceError(f"{label()} series did not converge within {ctl.max_terms} terms")
-
-
-def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
-    """Direct Taylor sum of Phi(a;b;z).  Caller guarantees b has no pole."""
-    return _series(
-        lambda n: (a + n) / (b + n) * z / (n + 1),
-        -b if b < 0.0 else 0.0,
-        ctl,
-        lambda: f"Phi({a};{b};{z})",
-    )
+    raise ConvergenceError(f"Phi({a};{b};{z}) series did not converge within {ctl.max_terms} terms")
 
 
 def _asymptotic_1f1_negative(a: float, b: float, z: float, ctl: SeriesControl) -> float:
@@ -401,28 +358,6 @@ def kummer_phi(a: float, b: float, z: float, ctl: SeriesControl = DEFAULT_CONTRO
     return _series_1f1(a, b, z, ctl)
 
 
-def _series_2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl) -> float:
-    """Direct Taylor sum of F(a,b;c;z); caller guarantees |z| < 1 and valid c."""
-    return _series(
-        lambda n: (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
-        -c if c < 0.0 else 0.0,
-        ctl,
-        lambda: f"F({a},{b};{c};{z})",
-    )
-
-
-def sinpi(x: float) -> float:
-    """sin(pi x) to full relative accuracy, also next to the integers.
-
-    ``math.sin(math.pi * x)`` rounds ``pi * x`` first, an absolute error of
-    about 1e-16 |x| that becomes a relative error of 1e-16 |x| / |x - k|
-    near an integer k.  Here the integer part is removed exactly first.
-    """
-    k = round(x)
-    s = math.sin(math.pi * (x - k))
-    return -s if k % 2 else s
-
-
 @cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL_ORDER)
@@ -457,86 +392,3 @@ def decade_panels(
         sums.extend(map(math.fsum, (half * (f(x) @ weights)).tolist()))
     return sums[0] if uppers.ndim == 0 else np.array(sums)
 
-
-def _f21_pattern_euler(b: float, z: float) -> float:
-    """F(1, b; b+1; z) for b > 0 and z < 0 from Euler's integral.
-
-    F = b int_0^1 t^(b-1) / (1 + c t) dt with c = -z.  The integrand is
-    positive and has no pole at integer b, so this route holds its accuracy
-    where the continuation cancels.  The panels reach down to
-    eps = 10^-D with eps * max(1, c) <= 1e-18; below, the head
-    b int_0^eps t^(b-1) / (1 + c t) dt is eps^b to a relative c * eps.
-    The rounding error grows with b, from 3.3e-13 at b = 200 to 6e-11 at
-    b = 400, so beyond :data:`_EULER_B_MAX` :class:`ConvergenceError` is
-    raised.
-    """
-    if b > _EULER_B_MAX:
-        raise ConvergenceError(
-            f"Euler's integral of F(1,{b};{b + 1};{z}) loses its accuracy for b > {_EULER_B_MAX}"
-        )
-    c = -z
-    decades = _EULER_DECADES + max(0, math.ceil(math.log10(c)))
-    body = decade_panels(lambda t: t ** (b - 1.0) / (1.0 + c * t), 1.0, decades)
-    return 10.0 ** (-decades * b) + b * body
-
-
-def _f21_pattern_continuation(b: float, z: float, ctl: SeriesControl) -> float:
-    """F(1, b; b+1; z) for b <= 0 and z < 0 via the w = 1/(1-z) continuation.
-
-    Next to b = 0 the first-order value 1 - b log(1-z) is returned, and next
-    to a negative integer b the function itself diverges
-    (:class:`PoleError`).
-    """
-    if abs(sinpi(b)) < _INTEGER_B_SIN:
-        k = round(b)
-        if k == 0:
-            return 1.0 - b * math.log1p(-z)
-        raise PoleError(f"F(1,b;b+1;z) diverges at negative integer b = {k} (c = b+1 pole)")
-    w = 1.0 / (1.0 - z)
-    head = b / (b - 1.0) * w * _series_2f1(1.0, 1.0, 2.0 - b, w, ctl)
-    # Gamma(b+1)Gamma(1-b)(-z)^(-b) = pi b/sin(pi b) * (-z)^(-b), assembled in
-    # log space: the factors overflow for large |b| while the product is tame.
-    sin_pi_b = sinpi(b)
-    log_mag = math.log(math.pi * abs(b)) - math.log(abs(sin_pi_b)) - b * math.log(-z)
-    if log_mag > 700.0:
-        raise ConvergenceError(
-            f"F(1,{b};{b + 1};{z}) continuation term overflows (exponent {log_mag:.1f})"
-        )
-    sign = -1.0 if sin_pi_b > 0.0 else 1.0
-    return head + sign * math.exp(log_mag)
-
-
-def gauss_2f1(
-    a: float, b: float, c: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL
-) -> float:
-    """Gauss hypergeometric F(a,b;c;z) = sum (a)_n (b)_n/(c)_n z^n/n!.
-
-    Supported domain: the Taylor series for |z| < 1 with any parameters, plus
-    z <= -1 for the pattern (1, b; b+1; z), which for z <= -0.5 comes from
-    Euler's integral (0 < b <= 200) or the continuation (b <= 0); for
-    b > 200 the series keeps -1 < z <= -0.5.  Other arguments outside the
-    unit disk raise :class:`DomainError`; b > 200 with z <= -1 raises
-    :class:`ConvergenceError`, and near-negative-integer b raises
-    :class:`PoleError` (the function itself diverges there).
-    """
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"F pole: c = {c} is a non-positive integer")
-    if z == 0.0:
-        return 1.0
-    if z >= 1.0:
-        raise DomainError(f"F(a,b;c;z) not defined for z >= 1 (got z = {z})")
-    pattern = abs(a - 1.0) <= _PATTERN_TOL and abs(c - (b + 1.0)) <= _PATTERN_TOL * max(
-        1.0, abs(b) + 1.0
-    )
-    if pattern and z <= _F21_PATTERN_CUT:
-        if b <= 0.0:
-            return _f21_pattern_continuation(b, z, ctl)
-        # the series converges inside the disk for every b; Euler's integral
-        # is needed beyond it and is within 1e-12 up to _EULER_B_MAX
-        if b <= _EULER_B_MAX or z <= -1.0:
-            return _f21_pattern_euler(b, z)
-    if abs(z) < 1.0:
-        return _series_2f1(a, b, c, z, ctl)
-    raise DomainError(
-        f"F({a},{b};{c};{z}) is outside the series radius and the (1,b;b+1;z) continuation pattern"
-    )

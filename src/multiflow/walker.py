@@ -383,7 +383,8 @@ def simulate(
     """Dispatch by process tag, pulling parameters from the spec.
 
     ``keep`` is how many leading paths keep their full positions (all when
-    None); every path keeps its squared radius.
+    None); every path keeps its squared radius.  ``fsbm-q`` maps every axis
+    with one charge, so anisotropic charges raise :class:`DomainError`.
     """
     sc = spec.scales
     if process == "bm":
@@ -393,8 +394,10 @@ def simulate(
     if process in ("fsbm-v", "fssbm"):
         return simulate_fsbm_v(n_paths, grid, spec, seed, keep)
     if process == "fsbm-q":
-        alpha = spec.charges.alphas[0] if spec.charges is not None else 1.0
-        return simulate_fsbm_q(n_paths, grid, alpha, sc.beta, spec.dim, seed, sc.kappa, keep)
+        alphas = spec.charges.alphas if spec.charges is not None else (1.0,)
+        if len(set(alphas)) > 1:
+            raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
+        return simulate_fsbm_q(n_paths, grid, alphas[0], sc.beta, spec.dim, seed, sc.kappa, keep)
     raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
 
 

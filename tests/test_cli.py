@@ -94,6 +94,9 @@ class TestConfig:
             RunConfig(sigma_min=2.0, sigma_max=1.0).validate()
         with pytest.raises(ConfigError):
             merge_overrides(RunConfig(), {"definitely_not_a_key": 1})
+        for x_points, x_max in ((0, 5.0), (1, 5.0), (41, 0.0), (41, -3.0)):
+            with pytest.raises(ConfigError, match="x-points"):
+                RunConfig(command="pdf", x_points=x_points, x_max=x_max).validate()
 
     @pytest.mark.parametrize(
         "argv",
@@ -104,10 +107,12 @@ class TestConfig:
             ("flow", "--model", "ordinary", "--beta", "0.5", "--sigma-max", "inf"),
             ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x0", "inf"),
             ("pdf", "--model", "q", "--dim", "1", "--alpha", "0.5", "--x-max", "inf"),
+            ("pdf", "--model", "weighted", "--dim", "1", "--x-points", "1", "--x-max", "0"),
         ],
     )
     def test_non_finite_setting_is_config_error(self, argv, tmp_path):
-        # refused before any numerics: no nan or inf rows are written
+        # refused before any numerics: no nan or inf rows, and no empty or
+        # reversed pdf grid, are written
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

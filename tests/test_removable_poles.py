@@ -1,23 +1,22 @@
 """Dense sweeps next to the removable poles of the binomial dispersion.
 
-With b = 1/(beta* - 1), the closed form sigma * F(1, b; b+1; z) of the
-binomial dispersion integral can be assembled from two terms that grow like
-1/|b - k| next to every integer k, while their sum stays finite.  These
-sweeps hold the dispersion integral and F(1, b; b+1; z) to mpmath next to
-every pole with k <= 40, on both sides of it and at offsets from 1e-3 down
-to 1e-10, and over their whole domains: beta* in (0, 2) with
-sigma/lstar in [1e-280, 1e280], and 0 < b <= 200 with z in [-1e5, -0.5].
+With b = 1/(beta* - 1), the closed form sigma * F(1, b; b+1; z),
+z = -(sigma/lstar)^(1/b), of the binomial dispersion integral can be
+assembled from two terms that grow like 1/|b - k| next to every integer k,
+while their sum stays finite.  The integral itself is summed by a
+decade-panel rule that sees no pole.  These sweeps hold it to mpmath
+quadrature next to every pole with k <= 40, on both sides of it and at
+offsets from 1e-3 down to 1e-10, and over its whole domain: beta* in (0, 2)
+with sigma/lstar in [1e-280, 1e280].  The closed form, evaluated by
+mpmath.hyp2f1, is a second oracle on the poles beta* = 1 + 1/k themselves.
 The sample points are drawn from seeded generators.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from multiflow.dispersion import binomial_time_integral
-from multiflow.errors import ConvergenceError, DomainError, MultiflowError
-from multiflow.specfun import gauss_2f1, sinpi
+from multiflow.errors import DomainError
 
 mp = pytest.importorskip("mpmath")
 
@@ -55,9 +54,25 @@ def decade_quad_oracle(beta_star: float, lstar: float, sigma: float) -> float:
         return float(mp.mpf(sigma) * f1 * body)
 
 
-def hyp2f1_oracle(b: float, z: float) -> float:
+def hyp2f1_oracle(b, z):
+    """F(1, b; b+1; z) at 40 digits, unrounded: callers may cancel against it."""
     with mp.workdps(40):
-        return float(mp.hyp2f1(1, mp.mpf(b), mp.mpf(b) + 1, mp.mpf(z)))
+        return mp.hyp2f1(1, mp.mpf(b), mp.mpf(b) + 1, mp.mpf(z))
+
+
+def closed_form_oracle(beta_star: float, lstar: float, sigma: float) -> float:
+    """sigma F(1, b; b+1; -(sigma/lstar)^(1/b)), b = 1/(beta* - 1).
+
+    For beta* < 1 (b < -1) the closed form exceeds the integral by
+    lstar pi b / sin(pi b), which is taken off again.
+    """
+    with mp.workdps(40):
+        b = 1 / (mp.mpf(beta_star) - 1)
+        ratio = mp.mpf(sigma) / mp.mpf(lstar)
+        value = mp.mpf(sigma) * hyp2f1_oracle(b, -ratio ** (1 / b))
+        if b < 0:
+            value -= mp.mpf(lstar) * mp.pi * b / mp.sin(mp.pi * b)
+        return float(value)
 
 
 @pytest.mark.parametrize("k", range(1, K_MAX + 1))
@@ -76,44 +91,6 @@ def test_binomial_integral_near_pole(k):
             got = binomial_time_integral(beta_star, 1.0, sigma)
             expected = quad_oracle(beta_star, sigma)
             assert abs(got - expected) <= 1e-7 * expected, (beta_star, sigma, got, expected)
-
-
-@pytest.mark.parametrize("k", range(0, K_MAX + 1))
-def test_gauss_2f1_near_integer_b(k):
-    # b = k + offset, offsets 1e-1 ... 1e-10 (both sides of the window);
-    # z at the disk's edge -0.5 (where the continuation terms grow most),
-    # inside the disk, in [-316, -1] and beyond.  Up to z = -316 the 1e-8
-    # contract holds; beyond, a typed refusal is allowed but no wrong value.
-    rng = np.random.default_rng([SEED, 100 + k])
-    for offset in _offsets(1, 10):
-        b = k + offset
-        if b < 0.0 and abs(b - round(b)) < 1e-8:
-            continue  # F itself diverges there (c = b+1 is a pole)
-        disk = -float(rng.uniform(0.5, 1.0))
-        near = -(10.0 ** rng.uniform(0.0, math.log10(316.0)))
-        far = -(10.0 ** rng.uniform(math.log10(316.0), 5.0))
-        for z in (-0.5, disk, near):
-            got = gauss_2f1(1.0, b, b + 1.0, z)
-            expected = hyp2f1_oracle(b, z)
-            assert abs(got - expected) <= 1e-8 * abs(expected), (b, z, got, expected)
-        try:
-            got = gauss_2f1(1.0, b, b + 1.0, far)
-        except MultiflowError:
-            continue
-        expected = hyp2f1_oracle(b, far)
-        assert abs(got - expected) <= 1e-8 * abs(expected), (b, far, got, expected)
-
-
-def test_sinpi_relative_accuracy_next_to_integers():
-    for k in (-40, -3, 0, 1, 2, 12, 40):
-        for offset in _offsets(1, 12):
-            x = k + offset
-            expected = float(mp.sinpi(mp.mpf(x)))
-            got = sinpi(x)
-            if expected == 0.0:
-                assert got == 0.0
-            else:
-                assert abs(got - expected) <= 4e-16 * abs(expected), (x, got, expected)
 
 
 def test_binomial_integral_whole_domain():
@@ -141,33 +118,20 @@ def test_binomial_integral_whole_domain():
             binomial_time_integral(1.5, lstar, sigma)
 
 
-def test_gauss_2f1_pattern_whole_range():
-    # b log-uniform in (1e-6, 200] and z log-uniform in [-1e5, -0.5], plus
-    # b beyond 60 (where the continuation's inner series undercuts double
-    # precision) at fixed z, and the largest b at the disk's edge: within
-    # 1e-12 everywhere
-    rng = np.random.default_rng([SEED, 201])
-    points = [
-        (10.0 ** rng.uniform(-6.0, math.log10(200.0)), -(10.0 ** rng.uniform(math.log10(0.5), 5.0)))
-        for _ in range(120)
-    ]
-    large_b = [
-        (float(b), z)
-        for b in 10.0 ** rng.uniform(math.log10(60.0), math.log10(200.0), 4)
-        for z in (-0.6, -5.0, -300.0, -1e5)
-    ]
-    for b, z in [*points, *large_b, (200.0, -0.5), (200.0, -1e5)]:
-        got = gauss_2f1(1.0, b, b + 1.0, z)
-        expected = hyp2f1_oracle(b, z)
-        assert abs(got - expected) <= 1e-12 * abs(expected), (b, z, got, expected)
-
-
-def test_gauss_2f1_beyond_euler_b_max():
-    # b > 200 keeps the Taylor series inside the disk and is refused beyond
-    for b, z in ((250.0, -0.6), (1000.0, -0.95)):
-        got = gauss_2f1(1.0, b, b + 1.0, z)
-        expected = hyp2f1_oracle(b, z)
-        assert abs(got - expected) <= 1e-12 * abs(expected), (b, z, got, expected)
-    for b in (250.0, 1000.0):
-        with pytest.raises(ConvergenceError):
-            gauss_2f1(1.0, b, b + 1.0, -5.0)
+def test_binomial_integral_matches_closed_form():
+    # on the poles beta* = 1 + 1/k themselves (b = k; k = 1 is beta* = 2,
+    # outside the domain), and at beta* < 1 off the negative integers b,
+    # where the closed form itself diverges; sigma/lstar log-uniform in
+    # [1e-4, 1e4]
+    rng = np.random.default_rng([SEED, 300])
+    poles = [1.0 + 1.0 / k for k in range(2, K_MAX + 1)]
+    below_one = [1.0 + 1.0 / b for b in (-1.5, -4.0 / 3.0, -2.5, -7.25, -20.5)]
+    for beta_star in [*poles, *below_one]:
+        for lstar in (1.0, float(10.0 ** rng.uniform(-2.0, 2.0))):
+            sigma = lstar * 10.0 ** rng.uniform(-4.0, 4.0)
+            got = binomial_time_integral(beta_star, lstar, sigma)
+            expected = closed_form_oracle(beta_star, lstar, sigma)
+            assert abs(got - expected) <= 1e-14 * expected, (beta_star, lstar, sigma, got, expected)
+    # F(1, 2; 3; -5) = 0.25665924246175559994, at beta* = 3/2 and sigma = 25
+    frozen = 25.0 * 0.25665924246175559994
+    assert abs(binomial_time_integral(1.5, 1.0, 25.0) - frozen) <= 1e-14 * frozen

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import binomial_spec, fractional_spec
 from multiflow import walker as walker_mod
 from multiflow.dispersion import time_weight
 from multiflow.errors import DomainError, GridError
+from multiflow.measure import FractionalCharges
 from multiflow.walker import (
     PROCESSES,
     WalkerEnsemble,
@@ -278,6 +280,14 @@ class TestDispatcher:
             assert ens.n_paths == 20
         with pytest.raises(DomainError):
             simulate("bogus", 20, full_grid, spec, 1)
+
+    def test_fsbm_q_refuses_anisotropic_charges(self, full_grid):
+        # the q-model walker maps every axis with one charge
+        spec = replace(
+            fractional_spec(beta=0.5, dim=2, alpha=0.5), charges=FractionalCharges((0.5, 0.8))
+        )
+        with pytest.raises(DomainError, match="isotropic"):
+            simulate("fsbm-q", 20, full_grid, spec, 1)
 
     def test_grid_validation(self):
         with pytest.raises(GridError):
