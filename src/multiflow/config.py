@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError(
                 f"pdf needs x-points >= 2 and x-max > 0, got {self.x_points}, {self.x_max}"
             )
+        if self.box is not None and self.box <= 0.0:
+            raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
         if self.paths < 1 or self.steps < 2:
             raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
         if self.subsample < 1 or self.traj_paths < 0:

@@ -14,8 +14,11 @@ integrand is even in every coordinate, so each axis is integrated over
 origin: a panel across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which
 is not smooth there, and converge only algebraically.  The order-24 sum is
 checked against the order-40 sum, which is returned.  A sigma grid shares
-its Kummer evaluations: the cases of consecutive sigmas go to one array call
-per charge, a block of at most :data:`_PHI_CHUNK` arguments at a time.
+its Kummer evaluations: the cases of consecutive sigmas go to one call of
+the array engine ``specfun._kummer_phi_array`` per charge, a block of at
+most :data:`_PHI_CHUNK` arguments at a time.  The scalar ``kummer_phi`` is
+left to the pointwise normalization, :func:`ordinary_normalization`, which
+shares its Gamma-ratio prefactors with the trace.
 """
 
 from __future__ import annotations
@@ -164,12 +167,19 @@ def weighted_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
     return gaussian_pdf(x, x0, ell2, spec.dim) / v
 
 
-def _direction_normalization(alpha: float, ell: float, z: float) -> float:
-    """One direction of the inverse normalization:
-    Gamma(a/2)/Gamma(a) (2 ell)^a Phi[(1-a)/2; 1/2; z]."""
-    return gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell) ** alpha * kummer_phi(
-        (1.0 - alpha) / 2.0, 0.5, z
-    )
+def _kummer_prefactor(alpha: float, length: float) -> float:
+    """Gamma(a/2)/Gamma(a) length^a: the factor of Phi[(1-a)/2; 1/2; z] in
+    one direction of the inverse normalization, at length = 2 ell."""
+    return gamma_fn(alpha / 2.0) / gamma_fn(alpha) * length ** alpha
+
+
+def _bracket_terms(dim: int, alpha: float, lstar: float, ell2: float) -> tuple[float, float]:
+    """Gaussian term and Phi-product coefficient of the binomial bracket of C^-1:
+    (4 pi ell^2)^(D/2) and lstar^D (Gamma(a/2)/Gamma(a) (2 ell/lstar)^a)^D."""
+    ell = math.sqrt(ell2)
+    return (4.0 * math.pi * ell2) ** (dim / 2.0), lstar ** dim * _kummer_prefactor(
+        alpha, 2.0 * ell / lstar
+    ) ** dim
 
 
 def ordinary_normalization(x0, sigma: float, spec: DiffusionSpec) -> float:
@@ -189,19 +199,18 @@ def ordinary_normalization(x0, sigma: float, spec: DiffusionSpec) -> float:
     x0p = _as_point(x0, spec.dim)
     if spec.spatial_profile is not None:
         alpha, lstar = spec.spatial_profile.binomial_params()
-        dim = spec.dim
         phi_product = 1.0
         for xi in x0p:
             phi_product *= kummer_phi((1.0 - alpha) / 2.0, 0.5, -(xi ** 2) / (4.0 * ell2))
-        bracket = (4.0 * math.pi * ell2) ** (dim / 2.0) + lstar ** dim * (
-            gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
-        ) ** dim * phi_product
-        return 1.0 / bracket
+        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, lstar, ell2)
+        return 1.0 / (gauss_norm + bracket_coeff * phi_product)
     if spec.charges is None:
         return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
     inverse = 1.0
     for xi, a in zip(x0p, spec.charges.alphas):
-        inverse *= _direction_normalization(a, ell, -(xi ** 2) / (4.0 * ell2))
+        inverse *= _kummer_prefactor(a, 2.0 * ell) * kummer_phi(
+            (1.0 - a) / 2.0, 0.5, -(xi ** 2) / (4.0 * ell2)
+        )
     return 1.0 / inverse
 
 
@@ -390,12 +399,11 @@ def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) ->
 
     totals = []
     for ell2, axes in block:
-        ell = math.sqrt(ell2)
         axis_phis = {a: [next(phis[a]) for _ in entries] for a, entries in axes.items()}
         if spec.spatial_profile is None:
             axis_sums = {}
             for a, ((g, _, w),) in axes.items():
-                inverse = gamma_fn(a / 2.0) / gamma_fn(a) * (2.0 * ell) ** a * axis_phis[a][0]
+                inverse = _kummer_prefactor(a, 2.0 * math.sqrt(ell2)) * axis_phis[a][0]
                 axis_sums[a] = g * float(np.sum(w / inverse))
             totals.append(math.prod(axis_sums[a] for a in alphas))
             continue
@@ -403,10 +411,7 @@ def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) ->
         (_, _, const_w), (frac_g, _, frac_w) = axes[alpha]
         const_phi, frac_phi = axis_phis[alpha]
         lstar = spec.spatial_profile.binomial_params()[1]
-        gauss_norm = (4.0 * math.pi * ell2) ** (spec.dim / 2.0)
-        bracket_coeff = lstar ** spec.dim * (
-            gamma_fn(alpha / 2.0) / gamma_fn(alpha) * (2.0 * ell / lstar) ** alpha
-        ) ** spec.dim
+        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, lstar, ell2)
         total = 0.0
         for k in range(spec.dim + 1):  # k fractional axes, dim - k constant ones
             total += math.comb(spec.dim, k) * frac_g ** k * _bracket_box_sum(
@@ -501,13 +506,19 @@ def return_probability(
 
 
 def _ordinary_traces(
-    spec: DiffusionSpec, sigmas: Sequence[float], box_halfwidth: float | None
+    spec: DiffusionSpec,
+    sigmas: Sequence[float],
+    box_halfwidth: float | None,
+    *,
+    check_box: bool = True,
 ) -> list[float]:
     """Ordinary-model Z at each sigma: the box trace per Hausdorff volume of the box.
 
     The order-:data:`_GL_ORDER` and order-:data:`_GL_REFINE` traces of every
     sigma come from one :func:`_trace_quadrature` call; the refinement test
-    is then made sigma by sigma, in grid order.
+    is then made sigma by sigma, in grid order.  ``check_box=False`` drops
+    only the minimum-box precondition, for the infrared traces of
+    :func:`fixed_dim_trace_slopes`.
     """
     if spec.dim > 3:
         raise DomainError("trace quadrature supports D <= 3")
@@ -518,7 +529,7 @@ def _ordinary_traces(
         ell2 = dispersion(spec, sigma)
         ell = math.sqrt(ell2)
         halfwidth = default_box_halfwidth(spec, sigma) if box_halfwidth is None else box_halfwidth
-        if halfwidth < _BOX_ELL_FACTOR * ell:
+        if check_box and halfwidth < _BOX_ELL_FACTOR * ell:
             raise BoxError(
                 f"box half-width {halfwidth} is below {_BOX_ELL_FACTOR} "
                 f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
@@ -551,20 +562,15 @@ def fixed_dim_trace_slopes(
     but tagged non-physical: it reflects the volume normalization of a
     scale-free measure, not local geometry.  In the infrared regime the
     normalization is flat across the box, so the minimum-box precondition is
-    deliberately not applied there.
+    deliberately not applied there; the refinement test still is.
     """
     if spec.model != "ordinary" or spec.charges is None or spec.spatial_profile is not None:
         raise DomainError("trace slopes target the fixed-dimensionality ordinary model")
 
-    def slope_at(sigma: float, enforce_box: bool) -> float:
+    def slope_at(sigma: float, check_box: bool) -> float:
         h = 0.05
         sigmas = [sigma * math.exp(k * h) for k in (-2, -1, 0, 1, 2)]
-        if enforce_box:
-            zs = _ordinary_traces(spec, sigmas, box_halfwidth)
-        else:
-            cases = [(dispersion(spec, s), box_halfwidth, _GL_REFINE) for s in sigmas]
-            volume = _hausdorff_box_volume(spec, box_halfwidth)
-            zs = [total / volume for total in _trace_quadrature(spec, cases)]
+        zs = _ordinary_traces(spec, sigmas, box_halfwidth, check_box=check_box)
         return -2.0 * five_point_slope([math.log(z) for z in zs], h)
 
     ell_ir = math.sqrt(dispersion(spec, ir_sigma))

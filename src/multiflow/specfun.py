@@ -9,9 +9,11 @@ Three functions are exposed:
   integral over ``[upper * 10^-decades, upper]``, for one upper or a whole
   array of them; the binomial dispersion integral is summed by it.
 
-The heat-kernel trace evaluates ``Phi`` on whole arrays of quadrature nodes
-through the private ``_kummer_phi_array``, which takes the scalar branches
-and sums their series term for term; the scalar function is its oracle.
+Kummer's function has one engine, the private ``_kummer_phi_array``: it
+takes every branch of ``Phi`` and sums each branch's series for all its
+arguments together, term block by term block.  The heat-kernel trace calls
+it on whole arrays of quadrature nodes; ``kummer_phi`` is a one-element call
+of it.  The scalar loops it replaced are kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ class SeriesControl:
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
 
-    def threshold(self, accumulated: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(accumulated))
-
 
 DEFAULT_CONTROL = SeriesControl()
 
@@ -93,86 +92,6 @@ def gamma_fn(x: float) -> float:
         raise PoleError(f"gamma evaluation failed at x = {x}") from exc
 
 
-def _series_1f1(a: float, b: float, z: float, ctl: SeriesControl) -> float:
-    """Direct Taylor sum of Phi(a;b;z).  Caller guarantees b has no pole.
-
-    Sums 1 + t_1 + t_2 + ... with t_(n+1) = t_n (a+n)/(b+n) z/(n+1), and
-    tracks the largest intermediate term: for alternating sums whose result
-    is far below the peak term, the roundoff floor can exceed the requested
-    tolerance, and pretending otherwise would return garbage.
-
-    A negative (non-integer) b makes the denominators pass close to zero
-    near n = -b: the terms dip through a deep valley and resurge on the
-    other side.  Convergence stops are suppressed until that point is
-    passed, otherwise the resurgent contribution (which can dominate the
-    sum) would be silently dropped.
-    """
-    crossing = -b if b < 0.0 else 0.0
-    if crossing >= ctl.max_terms:
-        raise ConvergenceError(
-            f"Phi({a};{b};{z}) needs more than max_terms={ctl.max_terms} terms "
-            "to clear the denominator zero crossing"
-        )
-    total = 1.0
-    term = 1.0
-    peak = 1.0
-    prev_abs = 1.0
-    small_runs = 0
-    for n in range(ctl.max_terms):
-        term *= (a + n) / (b + n) * z / (n + 1)
-        total += term
-        peak = max(peak, abs(term))
-        # only trust a stop past the crossing and once magnitudes are
-        # decreasing again (the resurgent bump is over)
-        settled = n > crossing and abs(term) <= prev_abs
-        prev_abs = abs(term)
-        if settled and abs(term) <= ctl.threshold(total):
-            small_runs += 1
-            if small_runs >= 2:
-                if 5e-16 * peak > _CANCELLATION_BAR(ctl) * abs(total):
-                    raise ConvergenceError(
-                        f"Phi({a};{b};{z}) series cancellation: fewer than six "
-                        "significant digits are achievable in double precision"
-                    )
-                return total
-        else:
-            small_runs = 0
-    raise ConvergenceError(f"Phi({a};{b};{z}) series did not converge within {ctl.max_terms} terms")
-
-
-def _asymptotic_1f1_negative(a: float, b: float, z: float, ctl: SeriesControl) -> float:
-    """Phi(a;b;z) for z -> -inf:  Gamma(b)/Gamma(b-a) (-z)^(-a) [1 + O(1/z)].
-
-    The correction series sum_k (a)_k (a-b+1)_k / (k! (-z)^k) is summed to its
-    smallest term; at |z| >= 30 and moderate parameters the truncation floor is
-    far below every tolerance used in this package.
-    """
-    if _is_nonpositive_integer(b - a):
-        raise DomainError(
-            f"asymptotic branch of Phi undefined for b - a = {b - a} (leading term vanishes)"
-        )
-    inv = 1.0 / (-z)
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(ctl.max_terms):
-        term *= (a + k) * (a - b + 1.0 + k) * inv / (k + 1)
-        if abs(term) >= prev:  # divergent tail reached: stop at smallest term
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= ctl.threshold(total):
-            break
-    if prev > 1e-8 * abs(total):
-        # the optimally truncated expansion cannot certify ~8 digits here
-        raise ConvergenceError(
-            f"Phi({a};{b};{z}) asymptotic truncation floor {prev:.2e} is too "
-            "coarse; argument not deep enough for these parameters"
-        )
-    prefactor = gamma_fn(b) / gamma_fn(b - a) * (-z) ** (-a)
-    return prefactor * total
-
-
 def _term_block(
     coeff: np.ndarray, x: np.ndarray, n: np.ndarray, term: np.ndarray, total: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +99,8 @@ def _term_block(
 
     One row per element of ``x``, one column per term index in ``n``;
     ``term`` and ``total`` are each row's last term and sum before the
-    block.  Running products and sums along a row perform the scalar loop's
-    multiplications and additions in the scalar loop's order.
+    block.  Running products and sums along a row perform the multiplications
+    and additions of a term-by-term loop, in its order.
     """
     terms = coeff * x[:, None] / (n + 1)
     terms[:, 0] *= term
@@ -193,12 +112,28 @@ def _term_block(
 
 
 def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    """:func:`_series_1f1` for every element of ``z`` at once; caller guarantees b > 0.
+    """Direct Taylor sum of Phi(a;b;z) for every element of ``z``; caller guarantees b has no pole.
 
-    Terms come :data:`_SERIES_BLOCK` at a time for every unfinished element.
-    Each element stops at the term where the scalar sum stops, with the same
-    cancellation test.
+    Sums 1 + t_1 + t_2 + ... with t_(n+1) = t_n (a+n)/(b+n) z/(n+1),
+    :data:`_SERIES_BLOCK` terms at a time for every unfinished element.  An
+    element stops once two consecutive terms fall below the tolerance while
+    magnitudes decrease.  The largest intermediate term is tracked: for
+    alternating sums whose result is far below the peak term, the roundoff
+    floor can exceed the requested tolerance, and pretending otherwise would
+    return garbage.
+
+    A negative (non-integer) b makes the denominators pass close to zero
+    near n = -b: the terms dip through a deep valley and resurge on the
+    other side.  Stops are suppressed until that point is passed, otherwise
+    the resurgent contribution (which can dominate the sum) would be
+    silently dropped.
     """
+    crossing = -b if b < 0.0 else 0.0
+    if crossing >= ctl.max_terms:
+        raise ConvergenceError(
+            f"Phi({a};{b};{float(z[0])}) needs more than max_terms={ctl.max_terms} "
+            "terms to clear the denominator zero crossing"
+        )
     out = np.empty_like(z)
     live = np.arange(z.size)
     term = np.ones_like(z)
@@ -212,10 +147,11 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
         mags = np.abs(terms)
         peaks = np.maximum.accumulate(mags, axis=1)
         np.maximum(peaks, peak[:, None], out=peaks)
-        # a stop is trusted from the second term on, once magnitudes decrease
+        # a stop is trusted past the crossing, once magnitudes decrease
         settled = np.empty(mags.shape, dtype=bool)
-        settled[:, 0] = (mags[:, 0] <= prev_abs) & (start > 0)
+        settled[:, 0] = mags[:, 0] <= prev_abs
         np.less_equal(mags[:, 1:], mags[:, :-1], out=settled[:, 1:])
+        settled &= n > crossing
         small = settled & (mags <= np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(sums)))
         # two small terms in a row end the sum
         done = small.copy()
@@ -249,11 +185,13 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
 def _asymptotic_1f1_negative_array(
     a: float, b: float, z: np.ndarray, ctl: SeriesControl
 ) -> np.ndarray:
-    """:func:`_asymptotic_1f1_negative` for every element of ``z`` at once.
+    """Phi(a;b;z) for z -> -inf:  Gamma(b)/Gamma(b-a) (-z)^(-a) [1 + O(1/z)], per element of ``z``.
 
-    Terms come :data:`_SERIES_BLOCK` at a time for every unfinished element.
-    Each element stops its correction series where the scalar sum stops, and
-    the same truncation floor is required of every element.
+    The correction series sum_k (a)_k (a-b+1)_k / (k! (-z)^k) is summed to its
+    smallest term, :data:`_SERIES_BLOCK` terms at a time for every unfinished
+    element; at |z| >= 30 and moderate parameters the truncation floor is far
+    below every tolerance used in this package, and every element must
+    certify about 8 digits.
     """
     if _is_nonpositive_integer(b - a):
         raise DomainError(
@@ -304,58 +242,58 @@ def _asymptotic_1f1_negative_array(
 def _kummer_phi_array(
     a: float, b: float, z: np.ndarray, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> np.ndarray:
-    """:func:`kummer_phi` over an array of arguments ``z``, element by element.
+    """Kummer's Phi(a;b;z) = sum (a)_n/(b)_n z^n/n! for every element of ``z``.
 
-    Each element takes the branch the scalar function takes.  The reflection
-    branch (-30 < z < 0 with b > 0 and b - a > 0) and the large-|z| branch
-    (z <= -30) are summed for all their elements together, with the scalar
-    term recurrences, stopping rules and refusals; every other nonzero
-    element goes through :func:`kummer_phi` itself.
+    Branches, element by element: Phi = 1 at z = 0 or a = 0, and e^z at
+    a = b (refused where it overflows); the direct series for 0 < z <= 700
+    (refused above); the large-|z| expansion ~ Gamma(b)/Gamma(b-a) (-z)^(-a)
+    for z <= -30; for -30 < z < 0 the reflection
+    Phi(a;b;z) = e^z Phi(b-a;b;-z) when b > 0 and b - a > 0 (all its series
+    terms positive, killing cancellation), else the direct series.  The
+    elements of each branch are summed together, and each element gets the
+    bits it gets alone.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"Phi pole: b = {b} is a non-positive integer")
     z = np.asarray(z, dtype=float)
     if a == 0.0:
         return np.ones_like(z)
+    if a == b:
+        with np.errstate(over="ignore"):
+            out = np.exp(z)
+        over = np.isposinf(out)
+        if over.any():
+            raise ConvergenceError(f"Phi overflow for z = {float(z[over][0])}")
+        return out
+    over = z > 700.0
+    if over.any():
+        raise ConvergenceError(f"Phi overflow for z = {float(z[over][0])}")
     out = np.ones_like(z)
-    # a == b is exp(z), which the scalar function returns on every branch
-    deep = (z <= -_PHI_ASYMPTOTIC_CUT) & (a != b)
-    mid = (z < 0.0) & ~deep & (b > 0.0 and b - a > 0.0)
+    deep = z <= -_PHI_ASYMPTOTIC_CUT
+    direct = z > 0.0
+    # -30 < z < 0, and nan, which every series refuses as unconverged
+    mid = ~(deep | direct | (z == 0.0))
+    if b > 0.0 and b - a > 0.0:
+        if mid.any():
+            out[mid] = np.exp(z[mid]) * _series_1f1_array(b - a, b, -z[mid], ctl)
+    else:
+        direct |= mid
+    if direct.any():
+        out[direct] = _series_1f1_array(a, b, z[direct], ctl)
     if deep.any():
         out[deep] = _asymptotic_1f1_negative_array(a, b, z[deep], ctl)
-    if mid.any():
-        out[mid] = np.exp(z[mid]) * _series_1f1_array(b - a, b, -z[mid], ctl)
-    for i in np.flatnonzero(~(deep | mid | (z == 0.0))):
-        out.flat[i] = kummer_phi(a, b, float(z.flat[i]), ctl)
     return out
 
 
 def kummer_phi(a: float, b: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Kummer confluent hypergeometric function Phi(a;b;z) = sum (a)_n/(b)_n z^n/n!.
+    """Kummer confluent hypergeometric function Phi(a;b;z) at one argument.
 
-    Branches: direct series for z >= 0; the reflection
-    Phi(a;b;z) = e^z Phi(b-a;b;-z) for moderately negative z (all series terms
-    positive when b > a, killing cancellation); the large-|z| expansion
-    ~ Gamma(b)/Gamma(b-a) (-z)^(-a) below ``z = -30``.
+    Phi = 1 at z = 0 or a = 0 is returned at once; every other argument is
+    a one-element call of :func:`_kummer_phi_array`, which takes the branch.
     """
-    if _is_nonpositive_integer(b):
-        raise PoleError(f"Phi pole: b = {b} is a non-positive integer")
-    if z == 0.0 or a == 0.0:
+    if (z == 0.0 or a == 0.0) and not _is_nonpositive_integer(b):
         return 1.0
-    if a == b:
-        try:
-            return math.exp(z)
-        except OverflowError as exc:
-            raise ConvergenceError(f"Phi overflow for z = {z}") from exc
-    if z > 0.0:
-        if z > 700.0:
-            raise ConvergenceError(f"Phi overflow for z = {z}")
-        return _series_1f1(a, b, z, ctl)
-    if z <= -_PHI_ASYMPTOTIC_CUT:
-        return _asymptotic_1f1_negative(a, b, z, ctl)
-    if b > 0.0 and b - a > 0.0:
-        return math.exp(z) * _series_1f1(b - a, b, -z, ctl)
-    return _series_1f1(a, b, z, ctl)
+    return float(_kummer_phi_array(a, b, np.array([z], dtype=float), ctl)[0])
 
 
 @cache

@@ -97,6 +97,9 @@ class TestConfig:
         for x_points, x_max in ((0, 5.0), (1, 5.0), (41, 0.0), (41, -3.0)):
             with pytest.raises(ConfigError, match="x-points"):
                 RunConfig(command="pdf", x_points=x_points, x_max=x_max).validate()
+        for box in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="box"):
+                RunConfig(command="kernel", box=box).validate()
 
     @pytest.mark.parametrize(
         "argv",
@@ -108,11 +111,14 @@ class TestConfig:
             ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x0", "inf"),
             ("pdf", "--model", "q", "--dim", "1", "--alpha", "0.5", "--x-max", "inf"),
             ("pdf", "--model", "weighted", "--dim", "1", "--x-points", "1", "--x-max", "0"),
+            ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--box", "-1"),
+            ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--box", "0"),
+            ("kernel", "--model", "q", "--dim", "1", "--alpha", "0.5", "--box", "-1"),
         ],
     )
     def test_non_finite_setting_is_config_error(self, argv, tmp_path):
-        # refused before any numerics: no nan or inf rows, and no empty or
-        # reversed pdf grid, are written
+        # refused before any numerics: no nan or inf rows, no empty or
+        # reversed pdf grid and no empty kernel box are written
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

@@ -427,6 +427,24 @@ class TestFixedDimTraceSlopes:
         with pytest.raises(BoxError):
             fixed_dim_trace_slopes(spec, 10.0, uv_sigma=1e-5, ir_sigma=1.0)
 
+    def test_ir_traces_take_the_refinement_test(self, monkeypatch):
+        # the infrared traces skip only the box precondition: an order-24
+        # total off by 1e-6 must still be refused
+        spec = ordinary_spec(0.5, dim=1, beta=0.5)
+        ir_ell2 = dispersion(spec, 3e3 * math.exp(-0.1))
+        quadrature = kernel_mod._trace_quadrature
+
+        def perturbed(spec, cases):
+            totals = quadrature(spec, cases)
+            return [
+                t * (1.0 + 1e-6) if order == kernel_mod._GL_ORDER and ell2 >= ir_ell2 else t
+                for t, (ell2, _, order) in zip(totals, cases)
+            ]
+
+        monkeypatch.setattr(kernel_mod, "_trace_quadrature", perturbed)
+        with pytest.raises(ConvergenceError, match="not converged"):
+            fixed_dim_trace_slopes(spec, 10.0, uv_sigma=1e-5, ir_sigma=3e3)
+
     def test_model_guard(self):
         with pytest.raises(DomainError):
             fixed_dim_trace_slopes(fractional_spec(beta=0.5), 10.0, 1e-5, 3e3)

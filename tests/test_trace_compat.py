@@ -1,0 +1,52 @@
+"""CLI jobs run under the benchmark's tracer.
+
+``benchmark/tracing.py`` wraps every public function of the package and
+reads some arguments by position (``kummer_phi``'s ``z`` as a float, for
+one).  A signature change that breaks a traced run fails here, in the test
+suite, rather than in a benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import multiflow
+import multiflow.cli as cli
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+JOBS = {
+    "kernel": (
+        "kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5",
+        "--sigma-min", "1e-2", "--sigma-max", "1e2", "--sigma-points", "9",
+    ),
+    "pdf": ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x-points", "41"),
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("multiflow_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert cli.main([*JOBS[name], "--out", str(plain)]) == 0
+    tracer = tracing.Tracer(multiflow)
+    tracer.install()
+    try:
+        code = cli.main([*JOBS[name], "--out", str(traced)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.stats["cli.main"].calls == 1
+    assert tracer.stats[f"cli.run_{name}"].calls == 1
+    if name == "pdf":
+        # the off-origin normalization takes traced scalar Kummer calls
+        assert tracer.stats["specfun.kummer_phi"].calls > 0
+    assert traced.read_bytes() == plain.read_bytes()
