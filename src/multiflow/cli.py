@@ -15,6 +15,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -90,12 +91,11 @@ def run_flow(cfg: RunConfig) -> None:
     )
     if ell2 is None:
         ell2 = np.array([dispersion(spec, s) for s in grid])
-    # Python floats, not numpy scalars: format_cell takes its exact-float path
-    rows = [
-        (s, e2, d, spectral.walk_dimension(spec.model, spec.dim, d_h, d), spec.model)
-        for s, e2, d in zip(grid.tolist(), ell2.tolist(), flow.ds.tolist())
-    ]
-    write_csv(cfg.out, "flow", ("sigma", "ell2", "ds", "d_w", "model"), rows, meta)
+    d_w = spectral.walk_dimension(spec.model, spec.dim, d_h, flow.ds)
+    write_csv(
+        cfg.out, "flow", ("sigma", "ell2", "ds", "d_w", "model"),
+        (grid, ell2, flow.ds, d_w, spec.model), meta,
+    )
     if cfg.svg:
         write_line_chart(cfg.svg, list(grid), [("ds", list(flow.ds))], logx=cfg.log)
 
@@ -124,21 +124,25 @@ def run_simulate(cfg: RunConfig) -> None:
     }
     write_csv(
         cfg.out, "msd", ("sigma", "msd", "stderr"),
-        zip(sigmas, mean_sq, stderr), meta, footer,
+        (sigmas, mean_sq, stderr), meta, footer,
     )
 
     if cfg.traj_paths > 0:
         base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
         traj_path = f"{base}.traj.csv"
-        columns = ["path_id", "step", "sigma"] + [f"x_{i + 1}" for i in range(spec.dim)]
+        header = ["path_id", "step", "sigma"] + [f"x_{i + 1}" for i in range(spec.dim)]
+        kept = ensemble.positions[:, ::cfg.subsample]
+        n_paths, n_steps = kept.shape[:2]
+        # the path id and the "step,sigma" prefix are formatted once and
+        # repeated down the rows of each path
         steps = range(0, ensemble.n_steps, cfg.subsample)
-        sigma_cells = [repr(s) for s in grid[::cfg.subsample].tolist()]
-        rows = (
-            [p, s, sigma, *xs]
-            for p, path in enumerate(ensemble.positions[:, ::cfg.subsample].tolist())
-            for s, sigma, xs in zip(steps, sigma_cells, path)
-        )
-        write_csv(traj_path, "trajectory", columns, rows, {"process": cfg.process, "subsample": cfg.subsample})
+        prefix = [f"{s},{sigma!r}" for s, sigma in zip(steps, grid[::cfg.subsample].tolist())]
+        columns = [
+            chain.from_iterable(repeat(str(p), n_steps) for p in range(n_paths)),
+            chain.from_iterable(repeat(prefix, n_paths)),
+            *kept.reshape(-1, spec.dim).T,
+        ]
+        write_csv(traj_path, "trajectory", header, columns, {"process": cfg.process, "subsample": cfg.subsample})
         if cfg.svg:
             series = [
                 (f"path {p}", ensemble.positions[p, ::cfg.subsample, 0].tolist())
@@ -158,21 +162,20 @@ def run_pdf(cfg: RunConfig) -> None:
     transverse = spec.scales.lstar
     x0 = np.full(spec.dim, transverse)
     x0[0] = cfg.x0
-    rows = []
+    if spec.model in ("weighted", "legacy"):
+        xs = xs[xs != 0.0]  # measure-singular point of the weighted density
+    densities = []
     for x1 in xs:
-        if x1 == 0.0 and spec.model in ("weighted", "legacy"):
-            continue  # measure-singular point of the weighted density
         point = np.full(spec.dim, transverse)
         point[0] = x1
-        evaluation = kernel_mod.pdf_evaluate(spec, point, x0, cfg.sigma)
-        rows.append((float(x1), evaluation.density, spec.model))
+        densities.append(kernel_mod.pdf_evaluate(spec, point, x0, cfg.sigma).density)
     write_csv(
-        cfg.out, "pdf", ("x", "density", "model"), rows,
+        cfg.out, "pdf", ("x", "density", "model"), (xs, np.array(densities), spec.model),
         {"model": spec.model, "dim": spec.dim, "sigma": cfg.sigma,
          "x0": cfg.x0, "transverse": transverse},
     )
     if cfg.svg:
-        write_line_chart(cfg.svg, [r[0] for r in rows], [("density", [r[1] for r in rows])])
+        write_line_chart(cfg.svg, xs.tolist(), [("density", densities)])
 
 
 def run_kernel(cfg: RunConfig) -> None:
@@ -181,7 +184,7 @@ def run_kernel(cfg: RunConfig) -> None:
     grid = _sigma_grid(cfg, cfg.points)
     curve = kernel_mod.heat_kernel_curve(spec, grid, box_halfwidth=cfg.box)
     write_csv(
-        cfg.out, "kernel", ("sigma", "Z", "convention"), curve.rows(),
+        cfg.out, "kernel", ("sigma", "Z", "convention"), (curve.sigmas, curve.Z, curve.convention),
         {"model": spec.model, "dim": spec.dim, "convention": curve.convention},
     )
     if cfg.svg:

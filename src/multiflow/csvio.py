@@ -3,27 +3,27 @@
 Every file starts with a versioned schema comment so downstream tooling can
 detect format drift.  Floats are written with ``repr`` (shortest round-trip
 form), newlines are always ``\\n``: identical inputs produce byte-identical
-files on every platform and worker count.
+files on every platform and worker count.  Data are handed over column by
+column and formatted a whole column at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 CSV_VERSION = "multiflow-csv v1"
+# Lines formatted and written together: few writes, and a bounded buffer.
+_LINES_PER_WRITE = 4096
 
 __all__ = ["CSV_VERSION", "write_csv", "format_cell", "write_line_chart"]
 
 
 def format_cell(value) -> str:
-    kind = type(value)  # exact built-in types first: the cells of large files
-    if kind is float:
-        return repr(value)
-    if kind is int or kind is str:
-        return str(value)
+    """One metadata value as text, by the same rules as the data columns."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -33,29 +33,50 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _column_cells(column) -> Iterable[str]:
+    """The text cells of one column, made lazily in one pass over it."""
+    if isinstance(column, str):
+        return repeat(column)
+    if not isinstance(column, np.ndarray):
+        return column  # cells already formatted
+    kind = column.dtype.kind
+    if kind == "b":
+        return map(("false", "true").__getitem__, column.tolist())
+    if kind == "f":
+        return map(repr, column.tolist())
+    if kind in "iu":
+        return map(str, column.tolist())
+    raise TypeError(f"cannot write a column of dtype {column.dtype}")
+
+
 def write_csv(
     path: str,
     kind: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    header: Sequence[str],
+    columns: Sequence,
     meta: dict | None = None,
     footer: dict | None = None,
 ) -> None:
-    """Write a schema-versioned CSV.
+    """Write a schema-versioned CSV from whole columns.
 
+    Each entry of ``columns`` is a 1-d numpy array (float, int or bool), a
+    ``str`` written on every row, or an iterable of already formatted cells;
+    at least one must be an array, and the arrays set the number of rows.
     ``meta`` becomes ``# key=value`` header comments; ``footer`` becomes the
     same after the data rows (for records derived from them, like fits).
     """
-    lines = [f"# {CSV_VERSION} {kind}"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={format_cell(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(format_cell, row)))
-    for key, value in (footer or {}).items():
-        lines.append(f"# {key}={format_cell(value)}")
+    shapes = {c.shape for c in columns if isinstance(c, np.ndarray)}
+    if len(shapes) != 1 or len(min(shapes)) != 1:
+        raise ValueError(f"columns need one common 1-d array shape, got {sorted(shapes)}")
+    head = [f"# {CSV_VERSION} {kind}"]
+    head += [f"# {key}={format_cell(value)}" for key, value in (meta or {}).items()]
+    head.append(",".join(header))
+    tail = [f"# {key}={format_cell(value)}" for key, value in (footer or {}).items()]
+    rows = map(",".join, zip(*map(_column_cells, columns)))
+    lines = chain(head, rows, tail)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while block := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _scale(values, log: bool, lo: float, hi: float, out_lo: float, out_hi: float):

@@ -135,10 +135,6 @@ class DispersionCurve:
         if np.any(np.diff(e2) < 0.0):
             raise DomainError("dispersion must be nondecreasing in sigma")
 
-    def rows(self):
-        for s, e in zip(self.sigmas, self.ell2):
-            yield s, e, self.method
-
 
 def dispersion_fractional(spec: DiffusionSpec, sigma: float) -> float:
     """Fixed-dimensionality dispersion kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
@@ -211,7 +207,11 @@ def binomial_time_integral(
     )
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + (s / lstar) ** power)
+        # 1 / (1 + (s/lstar)^power), in place on one temporary
+        t = s / lstar
+        t **= power
+        t += 1.0
+        return np.divide(1.0, t, out=t)
 
     out = np.zeros(flat.size)
     for count in np.unique(decades).tolist():

@@ -113,10 +113,6 @@ class HeatKernelCurve:
         if np.any(np.diff(zz) >= 0.0):
             raise DomainError("return probability must be strictly decreasing")
 
-    def rows(self):
-        for s, z in zip(self.sigmas, self.Z):
-            yield s, z, self.convention
-
 
 def _as_point(x, dim: int) -> np.ndarray:
     pt = np.atleast_1d(np.asarray(x, dtype=float))

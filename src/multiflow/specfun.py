@@ -111,6 +111,15 @@ def _term_block(
     return terms, sums
 
 
+def _refuse_overflow(a: float, b: float, z: np.ndarray, sums: np.ndarray) -> None:
+    over = ~np.isfinite(sums)
+    if over.any():
+        raise ConvergenceError(
+            f"Phi({a};{b};{float(z[over][0])}) series sum is not finite"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a sum off the double range is refused below
 def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> np.ndarray:
     """Direct Taylor sum of Phi(a;b;z) for every element of ``z``; caller guarantees b has no pole.
 
@@ -127,6 +136,9 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
     other side.  Stops are suppressed until that point is passed, otherwise
     the resurgent contribution (which can dominate the sum) would be
     silently dropped.
+
+    A sum that leaves the double range (terms growing like z^(a-b) e^z for
+    large positive z) is refused as soon as its partial sum does.
     """
     crossing = -b if b < 0.0 else 0.0
     if crossing >= ctl.max_terms:
@@ -161,6 +173,7 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
         if hit.any():
             rows = np.flatnonzero(hit)
             cols = np.argmax(done[rows], axis=1)
+            _refuse_overflow(a, b, z[rows], sums[rows, cols])
             bad = 5e-16 * peaks[rows, cols] > _CANCELLATION_BAR(ctl) * np.abs(sums[rows, cols])
             if bad.any():
                 raise ConvergenceError(
@@ -177,6 +190,7 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
         term, total, peak, prev_abs, was_small = (
             v[keep, -1] for v in (terms, sums, peaks, mags, small)
         )
+        _refuse_overflow(a, b, z, total)  # a partial sum off the range stays off it
     raise ConvergenceError(
         f"Phi({a};{b};{float(z[0])}) series did not converge within {ctl.max_terms} terms"
     )
@@ -271,7 +285,7 @@ def _kummer_phi_array(
     out = np.ones_like(z)
     deep = z <= -_PHI_ASYMPTOTIC_CUT
     direct = z > 0.0
-    # -30 < z < 0, and nan, which every series refuses as unconverged
+    # -30 < z < 0, and nan, which every series refuses
     mid = ~(deep | direct | (z == 0.0))
     if b > 0.0 and b - a > 0.0:
         if mid.any():
@@ -326,7 +340,8 @@ def decade_panels(
     for start in range(0, flat.size, _PANEL_BLOCK):
         lo = flat[start: start + _PANEL_BLOCK, None] * scale
         half = 4.5 * lo
-        x = (lo + half)[..., None] + half[..., None] * nodes
+        x = half[..., None] * nodes
+        x += (lo + half)[..., None]
         sums.extend(map(math.fsum, (half * (f(x) @ weights)).tolist()))
     return sums[0] if uppers.ndim == 0 else np.array(sums)
 

@@ -25,7 +25,7 @@ from .dispersion import (
 )
 from .errors import DomainError, GridError
 from .grid import check_grid, log_slope
-from .measure import FractionalCharges, MeasureProfile, multiscale_weight
+from .measure import FractionalCharges, MeasureProfile
 
 __all__ = [
     "SpectralFlow",
@@ -84,10 +84,6 @@ class SpectralFlow:
         if ds.shape != sig.shape:
             raise GridError("flow needs matching sigma and ds arrays")
 
-    def rows(self):
-        for s, d in zip(self.sigmas, self.ds):
-            yield s, d, self.model, self.uv_asymptote, self.ir_asymptote
-
 
 @dataclass(frozen=True)
 class DimensionTriple:
@@ -111,16 +107,18 @@ def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> 
 
 def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
     """Closed-form weighted-model flow d_S(sigma) = D kappa sigma / (v(sigma) ell^2(sigma))."""
-    return _weighted_flow_points(spec, np.array([sigma], dtype=float))[1][0]
+    return float(_weighted_flow_points(spec, np.array([sigma], dtype=float))[1][0])
 
 
-def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ell^2 and d_S of the weighted-model flow on a 1-d sigma array.
 
-    ell^2 comes from one array call of the dispersion.  d_S is worked out on
-    Python floats with the scalar weight v(sigma): numpy's vectorised power
-    rounds differently from ``pow`` in a few percent of elements, so an
-    array weight would move the last bits of d_S.
+    ell^2 comes from one array call of the dispersion.  The weight
+    v(sigma) = sum_n g_n sigma^(c_n - 1) takes each power as a scalar
+    ``pow`` on a Python float: numpy's vectorised power rounds differently
+    in a few percent of elements, so an array power would move the last
+    bits of d_S.  The sums, products and quotient are the scalar ones, in
+    the same order, done on whole arrays.
     """
     if spec.model not in ("weighted", "ordinary"):
         raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
@@ -132,13 +130,12 @@ def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndar
     if nonpositive.size:
         raise DomainError(f"sigma must be positive, got {float(nonpositive[0])}")
     ell2 = dispersion_multiscale_weighted(spec, sig)
-    profile = spec.multiscale
-    scale = spec.dim * spec.scales.kappa
-    ds = [
-        scale * s / (multiscale_weight(s, profile) * e)
-        for s, e in zip(sig.tolist(), ell2.tolist())
-    ]
-    return ell2, ds
+    points = sig.tolist()
+    weight = 0
+    for g, c in spec.multiscale.terms:
+        power = c - 1.0
+        weight = weight + g * np.array([s ** power for s in points])
+    return ell2, spec.dim * spec.scales.kappa * sig / (weight * ell2)
 
 
 def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
@@ -217,16 +214,24 @@ def legacy_ds(charges: FractionalCharges) -> float:
     return float(sum(charges.alphas))
 
 
-def walk_dimension(model: str, dim: int, d_h: float, d_s: float) -> float:
+def walk_dimension(model: str, dim: int, d_h: float, d_s: float | np.ndarray) -> float | np.ndarray:
     """Walk dimension: 2 d_H/d_S for q/legacy (fractal relation), 2 D/d_S for
-    weighted/ordinary (integer-volume state counting)."""
-    if d_s <= 0.0:
-        raise DomainError(f"walk dimension undefined for d_S = {d_s} <= 0")
+    weighted/ordinary (integer-volume state counting).
+
+    ``d_s`` is a float or an array of them; a float gives a float, an array
+    an array, and any d_S <= 0 raises :class:`DomainError`.
+    """
+    d = np.asarray(d_s, dtype=float)
+    low = d[d <= 0.0]
+    if low.size:
+        raise DomainError(f"walk dimension undefined for d_S = {float(low[0])} <= 0")
     if model in ("q", "legacy"):
-        return 2.0 * d_h / d_s
-    if model in ("weighted", "ordinary"):
-        return 2.0 * dim / d_s
-    raise DomainError(f"unknown model {model!r}")
+        d_w = 2.0 * d_h / d
+    elif model in ("weighted", "ordinary"):
+        d_w = 2.0 * dim / d
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    return float(d_w) if d.ndim == 0 else d_w
 
 
 def density_of_states_exponent(d_s: float) -> float:
@@ -239,10 +244,15 @@ def _plateau_converged(values: Sequence[float]) -> bool:
     return all(d < _PLATEAU_TOL for d in diffs)
 
 
-def _convergence_flags(flow_at, lstar: float) -> tuple[bool, bool]:
-    uv = [flow_at(lstar * _UV_PROBE * 10.0 ** k) for k in (2, 1, 0)]
-    ir = [flow_at(lstar * _IR_PROBE * 10.0 ** (-k)) for k in (2, 1, 0)]
-    return _plateau_converged(uv), _plateau_converged(ir)
+def _probe_sigmas(lstar: float) -> list[float]:
+    """The three UV then the three IR scales at which the plateaus are probed."""
+    uv = [lstar * _UV_PROBE * 10.0 ** k for k in (2, 1, 0)]
+    return uv + [lstar * _IR_PROBE * 10.0 ** (-k) for k in (2, 1, 0)]
+
+
+def _convergence_flags(probed: Sequence[float]) -> tuple[bool, bool]:
+    """(UV, IR) plateau flags from the flow at :func:`_probe_sigmas`."""
+    return _plateau_converged(probed[:3]), _plateau_converged(probed[3:])
 
 
 def weighted_flow_curve(spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray) -> SpectralFlow:
@@ -253,18 +263,23 @@ def weighted_flow_curve(spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarra
 def _weighted_flow_and_dispersion(
     spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray
 ) -> tuple[SpectralFlow, np.ndarray]:
-    """:func:`weighted_flow_curve` and the dispersion ell^2 it was computed from."""
+    """:func:`weighted_flow_curve` and the dispersion ell^2 it was computed from.
+
+    The plateau probes ride in the same array call as the grid: every
+    element gets the bits of its own call.
+    """
     sig = np.asarray(sigmas, dtype=float)
-    ell2, ds = _weighted_flow_points(spec, sig)
     uv, ir = weighted_flow_asymptotes(spec)
     _, lstar = spec.multiscale.binomial_params()
-    uv_ok, ir_ok = _convergence_flags(lambda s: spectral_weighted_flow(spec, s), lstar)
+    n = sig.size
+    ell2, ds = _weighted_flow_points(spec, np.concatenate([sig.reshape(-1), _probe_sigmas(lstar)]))
+    uv_ok, ir_ok = _convergence_flags(ds[n:].tolist())
     flow = SpectralFlow(
-        sigmas=sig, ds=np.array(ds), uv_asymptote=uv, ir_asymptote=ir,
+        sigmas=sig, ds=ds[:n], uv_asymptote=uv, ir_asymptote=ir,
         model="weighted-fuzzy" if spec.fuzzy else spec.model,
         uv_converged=uv_ok, ir_converged=ir_ok,
     )
-    return flow, ell2
+    return flow, ell2[:n]
 
 
 def q_flow_curve(
@@ -277,7 +292,7 @@ def q_flow_curve(
     sig = np.asarray(sigmas, dtype=float)
     ds = np.array([spectral_q_flow(profile, dim, s) for s in sig])
     uv, ir = q_flow_asymptotes(profile, dim)
-    uv_ok, ir_ok = _convergence_flags(lambda s: spectral_q_flow(profile, dim, s), lstar)
+    uv_ok, ir_ok = _convergence_flags([spectral_q_flow(profile, dim, s) for s in _probe_sigmas(lstar)])
     return SpectralFlow(
         sigmas=sig, ds=ds, uv_asymptote=uv, ir_asymptote=ir,
         model="q", uv_converged=uv_ok, ir_converged=ir_ok,

@@ -44,14 +44,17 @@ class TestCurveSerialization:
         sig = np.geomspace(0.1, 10.0, 5)
         curve = DispersionCurve(sigmas=sig, ell2=sig.copy(), method="closed-form")
         path = tmp_path / "disp.csv"
-        write_csv(path, "dispersion", ("sigma", "ell2", "method"), curve.rows())
+        write_csv(path, "dispersion", ("sigma", "ell2", "method"),
+                  (curve.sigmas, curve.ell2, curve.method))
         _, columns, rows = read_csv(path)
         assert columns == ["sigma", "ell2", "method"] and rows[0][2] == "closed-form"
 
         flow = SpectralFlow(sigmas=sig, ds=np.full(5, 2.0), uv_asymptote=2.0,
                             ir_asymptote=4.0, model="q")
         path = tmp_path / "flow.csv"
-        write_csv(path, "spectral", ("sigma", "ds", "model", "uv", "ir"), flow.rows())
+        write_csv(path, "spectral", ("sigma", "ds", "model", "uv", "ir"),
+                  (flow.sigmas, flow.ds, flow.model, repr(flow.uv_asymptote),
+                   repr(flow.ir_asymptote)))
         _, columns, rows = read_csv(path)
         assert columns == ["sigma", "ds", "model", "uv", "ir"]
         assert rows[0][2] == "q" and float(rows[0][4]) == 4.0
@@ -59,9 +62,95 @@ class TestCurveSerialization:
         kern = HeatKernelCurve(sigmas=sig, Z=1.0 / sig, convention=PER_INTEGER_VOLUME,
                                model="weighted")
         path = tmp_path / "kern.csv"
-        write_csv(path, "kernel", ("sigma", "Z", "convention"), kern.rows())
+        write_csv(path, "kernel", ("sigma", "Z", "convention"),
+                  (kern.sigmas, kern.Z, kern.convention))
         _, columns, rows = read_csv(path)
         assert columns == ["sigma", "Z", "convention"]
+
+
+def _reference_cell(value) -> str:
+    """A cell by the row-wise writer's rules: exact built-in types first."""
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def _reference_csv(kind, header, rows, meta=None, footer=None) -> bytes:
+    lines = [f"# {CSV_VERSION} {kind}"]
+    lines += [f"# {k}={_reference_cell(v)}" for k, v in (meta or {}).items()]
+    lines.append(",".join(header))
+    lines += [",".join(map(_reference_cell, row)) for row in rows]
+    lines += [f"# {k}={_reference_cell(v)}" for k, v in (footer or {}).items()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestColumnWriter:
+    """write_csv formats whole columns; its bytes are those of a row-wise writer."""
+
+    FLOATS = np.array([-0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0, -2.5, 1e300, 0.1 + 0.2])
+
+    def test_bytes_equal_row_wise_reference(self, tmp_path):
+        from multiflow.csvio import write_csv
+
+        n = self.FLOATS.size
+        singles = np.array([-0.0, 1e-45, 1e16, 1e-5, 1.0 / 3.0, -2.5, 3e38, 0.1], dtype=np.float32)
+        ints = np.arange(-3, n - 3)
+        small = np.arange(n, dtype=np.uint8)
+        flags = np.arange(n) % 3 == 0
+        header = ("f", "f32", "i", "u", "b", "tag")
+        meta = {"seed": 7, "np_int": np.int64(-4), "scale": 1e-5, "np_float": np.float64(1 / 3),
+                "flag": True, "np_flag": np.bool_(False), "name": "x"}
+        footer = {"fit": -0.0, "tiny": 5e-324}
+        path = tmp_path / "cols.csv"
+        write_csv(path, "test", header,
+                  (self.FLOATS, singles, ints, small, flags, "const"), meta, footer)
+        rows = [
+            (f, f32, int(i), u, bool(b), "const")
+            for f, f32, i, u, b in zip(self.FLOATS.tolist(), singles, ints.tolist(), small, flags)
+        ]
+        expected = _reference_csv("test", header, rows, meta, footer)
+        assert path.read_bytes() == expected
+        assert b"-0.0,-0.0," in expected and b"5e-324" in expected and b"1e+16" in expected
+        assert b"1e-05" in expected and b"0.3333333333333333" in expected
+
+    def test_numpy_and_python_ints_write_alike(self, tmp_path):
+        from multiflow.csvio import write_csv
+
+        path = tmp_path / "ints.csv"
+        write_csv(path, "ints", ("a", "b"), (np.array([0, 7, -12], dtype=np.int32),
+                                             iter(["x", "y", "z"])))
+        expected = _reference_csv("ints", ("a", "b"), [(0, "x"), (7, "y"), (-12, "z")])
+        assert path.read_bytes() == expected
+
+    def test_empty_table(self, tmp_path):
+        from multiflow.csvio import write_csv
+
+        path = tmp_path / "empty.csv"
+        write_csv(path, "empty", ("sigma", "model"), (np.array([]), "q"), {"dim": 1}, {"n": 0})
+        assert path.read_bytes() == _reference_csv("empty", ("sigma", "model"), [],
+                                                   {"dim": 1}, {"n": 0})
+
+    @pytest.mark.parametrize("columns", [
+        ("only", "constants"),
+        (np.zeros(3), np.zeros(4)),
+        (np.zeros((2, 2)),),
+    ])
+    def test_refuses_columns_without_one_row_count(self, columns, tmp_path):
+        from multiflow.csvio import write_csv
+
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, "bad", ("a",) * len(columns), columns)
+        assert not path.exists()
 
 
 class TestConfig:

@@ -65,6 +65,18 @@ GOLDEN = {
         "4453e822daf1b9baac8d6e2fa5bd5f6cc83cd8f6ae9d577804661bf03053027c",
         None,
     ),
+    "flow-ordinary-multiscale": (
+        ("flow", "--model", "ordinary", "--beta-star", "0.3", *_FLOW),
+        "9a5021c8e6981d911f75d559052d4cc5059c8f7dc95c75bb4e33924edbca0a5c",
+        None,
+    ),
+    # 1000 sigmas fill 32 blocks of the panel rule; the plateau probes ride along
+    "flow-weighted-1.5-dense": (
+        ("flow", "--model", "weighted", "--beta-star", "1.5", "--dim", "4",
+         "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "1000"),
+        "f6db47b124b7976524cb6cf3f463da909cc45fc637c603a7374f1c5c6e5259c0",
+        None,
+    ),
     "flow-ordinary-fixed": (
         ("flow", "--model", "ordinary", "--beta", "0.5", *_FLOW),
         "c25b7c51a0586004b9529f96d301d06b7ff4a1a5b09bb6b0653e7ca4cb4d8202",
@@ -91,10 +103,23 @@ GOLDEN = {
         "f58a92109af2000211a12c199a77d0683733a40cdcae8565b8b6fc644735827a",
         None,
     ),
+    # an odd point count puts x = 0 on the grid, where the weighted density is skipped
+    "pdf-weighted-odd": (
+        ("pdf", "--model", "weighted", "--dim", "2", "--beta-star", "0.5", "--sigma", "1.0",
+         "--x-points", "41"),
+        "2ded663d6ec2a0aaf6f88e71d4a06d649d210bf91a3acd9e3f1c5163ec151109",
+        None,
+    ),
     "simulate-bm": (
         ("simulate", "--model", "bm", "--dim", "2", *_WALK, "--seed", "7", "--traj-paths", "5"),
         "bf316d3250dea62be38866be44421aca3a72ff5ec481c429a699d5d947aaa3f5",
         "97ddd0ca254292f47d59332de410de5da74d6819c59b61cc624e8cc75dcb2557",
+    ),
+    "simulate-fsbm-v-subsample": (
+        ("simulate", "--model", "fsbm-v", "--dim", "2", "--beta", "0.5", *_WALK, "--seed", "13",
+         "--subsample", "8", "--traj-paths", "3"),
+        "de386531241b0698a4143c28d8b15ab333758db4e8c89475949981367c3d7b26",
+        "1685fbe457d60b1313933d2c064454bae1779ec5736637ce53b41d83aee5718f",
     ),
     "simulate-fsbm-q": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",

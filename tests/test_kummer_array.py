@@ -11,6 +11,7 @@ never takes.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -36,7 +37,8 @@ def series_oracle(a, b, z, ctl):
     Sums 1 + t_1 + t_2 + ... with t_(n+1) = t_n (a+n)/(b+n) z/(n+1).  Stops
     after two consecutive small terms, trusted only past the denominator zero
     crossing n = -b of a negative b and while magnitudes decrease; refuses a
-    sum whose roundoff floor (from its largest term) exceeds the bar.
+    sum whose roundoff floor (from its largest term) exceeds the bar, and a
+    sum that leaves the double range.
     """
     crossing = -b if b < 0.0 else 0.0
     if crossing >= ctl.max_terms:
@@ -49,6 +51,8 @@ def series_oracle(a, b, z, ctl):
     for n in range(ctl.max_terms):
         term *= (a + n) / (b + n) * z / (n + 1)
         total += term
+        if not math.isfinite(total):
+            raise ConvergenceError(f"Phi({a};{b};{z}) series sum is not finite")
         peak = max(peak, abs(term))
         settled = n > crossing and abs(term) <= prev_abs
         prev_abs = abs(term)
@@ -281,6 +285,9 @@ def test_mixed_branch_array_equals_one_element_calls(a, b):
         (0.3, -40.5, 5.0, SeriesControl(max_terms=40), ConvergenceError),
         # b - a <= 0: the alternating direct series cancels to e^z (1 + 2z) = 0
         (1.5, 0.5, -0.5, SeriesControl(), ConvergenceError),
+        # below the z = 700 cut the direct series still leaves the double range
+        (0.3, -40.5, 650.0, SeriesControl(), ConvergenceError),
+        (5.0, 0.5, 690.0, SeriesControl(), ConvergenceError),
     ],
 )
 def test_refusals_match_scalar(a, b, z, ctl, error):
@@ -293,3 +300,19 @@ def test_refusals_match_scalar(a, b, z, ctl, error):
     zs = np.array(passing[:2] + [z] + passing[2:])
     with pytest.raises(error):
         _kummer_phi_array(a, b, zs, ctl)
+
+
+@pytest.mark.parametrize("a,b,z", [(0.3, -40.5, 650.0), (5.0, 0.5, 690.0)])
+def test_direct_series_overflow_is_refused(a, b, z):
+    # these sums pass 1.8e308 (to -inf and to +inf) well below the z = 700 cut;
+    # the refusal comes without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="sum is not finite"):
+            kummer_phi(a, b, z)
+        with pytest.raises(ConvergenceError, match="sum is not finite"):
+            _kummer_phi_array(a, b, np.array([1.0, 600.0, z, 2.0]))
+        # 100 below, the same sums are finite and agree with mpmath
+        near = kummer_phi(a, b, z - 100.0)
+    with mp.workdps(40):
+        assert abs(near - float(mp.hyp1f1(a, b, z - 100.0))) <= 1e-13 * abs(near)

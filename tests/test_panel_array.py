@@ -154,3 +154,21 @@ def test_grid_route_refuses_nonpositive_sigma():
         _weighted_flow_and_dispersion(spec, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
         dispersion_multiscale_weighted(spec, np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("beta_star,flags", [
+    (0.1, (True, False)), (0.5, (False, False)), (1.9, (True, False)),
+    (1.0 + 1.0 / 45.5, (False, False)),
+])
+def test_plateau_flags_equal_scalar_probes(beta_star, flags):
+    # the six plateau probes ride in the grid's array call; the flags are
+    # those of six one-sigma calls
+    spec = binomial_spec(beta_star, dim=4, lstar=0.8)
+    flow, _ = _weighted_flow_and_dispersion(spec, np.geomspace(1e-3, 1e3, 40))
+    uv = [spectral_weighted_flow(spec, 0.8 * 1e-6 * 10.0 ** k) for k in (2, 1, 0)]
+    ir = [spectral_weighted_flow(spec, 0.8 * 1e6 * 10.0 ** (-k)) for k in (2, 1, 0)]
+
+    def flat(values):
+        return all(abs(b - a) < 1e-3 for a, b in zip(values, values[1:]))
+
+    assert (flow.uv_converged, flow.ir_converged) == (flat(uv), flat(ir)) == flags

@@ -232,6 +232,20 @@ class TestWalkDimension:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             walk_dimension("q", 4, 2.0, 0.0)
+        with pytest.raises(DomainError, match="-1.5"):
+            walk_dimension("weighted", 4, 2.0, np.array([3.0, -1.5, 0.0]))
+
+    @pytest.mark.parametrize("model,d_h", [("q", 2.7), ("legacy", 1.3), ("weighted", 4.0),
+                                           ("ordinary", 3.1)])
+    def test_array_equals_float_calls(self, model, d_h):
+        # float in, float out; an array gives each element its float call's bits
+        d_s = np.random.default_rng(3).uniform(0.1, 8.0, 200)
+        got = walk_dimension(model, 4, d_h, d_s)
+        assert isinstance(got, np.ndarray)
+        scalar = [walk_dimension(model, 4, d_h, d) for d in d_s.tolist()]
+        assert all(type(d_w) is float for d_w in scalar)
+        numerator = 2.0 * (d_h if model in ("q", "legacy") else 4)
+        assert got.tolist() == scalar == [numerator / d for d in d_s.tolist()]
 
     def test_q_model_scaling_closure(self):
         # d_W = 2 d_H / d_S with d_H = D alpha, d_S = D beta gives 2 alpha/beta

@@ -17,11 +17,21 @@ import multiflow.cli as cli
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 JOBS = {
+    "flow": (
+        "flow", "--model", "weighted", "--beta-star", "1.5", "--dim", "4",
+        "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "40",
+    ),
     "kernel": (
         "kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5",
         "--sigma-min", "1e-2", "--sigma-max", "1e2", "--sigma-points", "9",
     ),
     "pdf": ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x-points", "41"),
+    # writes the msd file and a trajectory file
+    "simulate": (
+        "simulate", "--model", "bm", "--dim", "2", "--paths", "50", "--steps", "32",
+        "--sigma-min", "1e-3", "--sigma-max", "10", "--seed", "5", "--subsample", "4",
+        "--traj-paths", "3",
+    ),
 }
 
 
@@ -35,12 +45,14 @@ def tracing():
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
-    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
-    assert cli.main([*JOBS[name], "--out", str(plain)]) == 0
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    plain.mkdir()
+    traced.mkdir()
+    assert cli.main([*JOBS[name], "--out", str(plain / "out.csv")]) == 0
     tracer = tracing.Tracer(multiflow)
     tracer.install()
     try:
-        code = cli.main([*JOBS[name], "--out", str(traced)])
+        code = cli.main([*JOBS[name], "--out", str(traced / "out.csv")])
     finally:
         tracer.uninstall()
     assert code == 0
@@ -49,4 +61,11 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
     if name == "pdf":
         # the off-origin normalization takes traced scalar Kummer calls
         assert tracer.stats["specfun.kummer_phi"].calls > 0
-    assert traced.read_bytes() == plain.read_bytes()
+    written = sorted(traced.iterdir())
+    assert [f.name for f in written] == sorted(f.name for f in plain.iterdir())
+    assert len(written) == (2 if name == "simulate" else 1)
+    for f in written:
+        assert f.read_bytes() == (plain / f.name).read_bytes()
+    # the tracer reads the written file's path from write_csv's first argument
+    assert tracer.stats["csvio.write_csv"].calls == len(written)
+    assert tracer.bytes_written == sum(f.stat().st_size for f in written)
