@@ -82,6 +82,22 @@ GOLDEN = {
         "c25b7c51a0586004b9529f96d301d06b7ff4a1a5b09bb6b0653e7ca4cb4d8202",
         None,
     ),
+    # a single-term q profile: no beta*, the charge is --beta
+    "flow-q-single-term": (
+        ("flow", "--model", "q", "--beta", "0.7"),
+        "5d4cd7baaedd804d71f664c15d1f585fc47544e37c772346d6743d12d765611f",
+        None,
+    ),
+    "flow-weighted-fixed-nu": (
+        ("flow", "--model", "weighted", "--beta", "0.6", "--nu", "0.8"),
+        "4a37b16e659a0ade2c897a224381e47ef2156b676fc8525a50a66262d794a087",
+        None,
+    ),
+    "flow-weighted-uniform-grid": (
+        ("flow", "--model", "weighted", "--beta-star", "0.5", "--sigma-log", "false"),
+        "e788eaf17011c9b72e5137ae67bd1242b05cb2f01b3a21be77094df6bc253bd7",
+        None,
+    ),
     "kernel-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--sigma-points", "9"),
         "0732921c62cf231afb0d82be4312f760d4c53de57b9cec578a52f2acbfc82634",
@@ -95,6 +111,12 @@ GOLDEN = {
     "kernel-multiscale-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "7"),
         "84ba2862d32769a6ab0c5e49f68c425591c11826d546333b22ac913ad647b34e",
+        None,
+    ),
+    # a binomial diffusion-time measure sets ell^2 and the box of the trace
+    "kernel-d1-binomial-time": (
+        ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
+        "8e38f0d98191ae518af34b01f38831f41331ceed607b3b40d6aca2cf4d730cc4",
         None,
     ),
     "pdf-ordinary": (
