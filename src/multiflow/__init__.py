@@ -63,13 +63,12 @@ from .spectral import (
     density_of_states_exponent,
     dimension_triple,
     fixed_point_ds,
+    flow_curve,
     legacy_ds,
-    q_flow_curve,
     spectral_from_dispersion,
     spectral_q_flow,
     spectral_weighted_flow,
     walk_dimension,
-    weighted_flow_curve,
 )
 from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, kummer_phi
 from .walker import (

@@ -32,7 +32,7 @@ from .dispersion import (
     time_weight,
 )
 from .errors import ConfigError, MultiflowError
-from .measure import FractionalCharges
+from .measure import hausdorff_dimension
 from .spectral import LegacyAnsatzWarning
 
 EXIT_OK = 0
@@ -47,51 +47,24 @@ def _sigma_grid(cfg: RunConfig, points: int) -> np.ndarray:
 
 
 def _d_hausdorff(spec: DiffusionSpec) -> float:
-    charges = spec.charges or FractionalCharges.isotropic(1.0, spec.dim)
-    return float(sum(charges.alphas))
+    return hausdorff_dimension(spec.spatial_charges)
 
 
 def run_flow(cfg: RunConfig) -> None:
     """Write (sigma, ell2, ds, d_w, model) rows with asymptote metadata."""
     spec = build_spec(cfg)
     grid = _sigma_grid(cfg, cfg.points)
-    d_h = _d_hausdorff(spec)
     meta = {"model": spec.model, "dim": spec.dim, "fuzzy": spec.fuzzy}
-
-    ell2 = None
-    if spec.model in ("weighted", "ordinary") and spec.multiscale is not None:
-        flow, ell2 = spectral._weighted_flow_and_dispersion(spec, grid)
-    elif spec.model == "q":
-        from .dispersion import q_time_profile
-
-        flow = spectral.q_flow_curve(
-            q_time_profile(spec), spec.dim, grid, lstar=spec.scales.lstar
-        )
-    elif spec.model == "legacy":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LegacyAnsatzWarning)
-            ds0 = spectral.legacy_ds(spec.charges or FractionalCharges.isotropic(1.0, spec.dim))
-        flow = spectral.SpectralFlow(
-            sigmas=grid, ds=np.full(grid.size, ds0),
-            uv_asymptote=ds0, ir_asymptote=ds0, model="legacy",
-            uv_converged=True, ir_converged=True,
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LegacyAnsatzWarning)
+        flow, ell2 = spectral.flow_curve(spec, grid)
+    if spec.model == "legacy":
         meta["caveat"] = "legacy ansatz: regularized, normalization-dependent trace"
-    else:  # fixed-dimensionality weighted/ordinary: constant spectral dimension
-        ds0 = spectral.fixed_point_ds(spec.model, spec.dim, beta=spec.scales.beta, nu=spec.scales.nu)
-        flow = spectral.SpectralFlow(
-            sigmas=grid, ds=np.full(grid.size, ds0),
-            uv_asymptote=ds0, ir_asymptote=ds0, model=spec.model,
-            uv_converged=True, ir_converged=True,
-        )
-
     meta.update(
         uv_asymptote=flow.uv_asymptote, ir_asymptote=flow.ir_asymptote,
         uv_converged=flow.uv_converged, ir_converged=flow.ir_converged,
     )
-    if ell2 is None:
-        ell2 = np.array([dispersion(spec, s) for s in grid])
-    d_w = spectral.walk_dimension(spec.model, spec.dim, d_h, flow.ds)
+    d_w = spectral.walk_dimension(spec.model, spec.dim, _d_hausdorff(spec), flow.ds)
     write_csv(
         cfg.out, "flow", ("sigma", "ell2", "ds", "d_w", "model"),
         (grid, ell2, flow.ds, d_w, spec.model), meta,
@@ -213,15 +186,15 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         cfg_ms = merge_overrides(cfg, {"command": "flow", "model": "weighted", "beta_star": beta_star})
         spec = build_spec(cfg_ms)
         weight = time_weight(spec)
-        worst = 0.0
-        for s in sigmas:
-            closed = kappa_fudge * dispersion(spec, s)
-            quad = dispersion_quadrature(
+        closed = kappa_fudge * dispersion(spec, np.asarray(sigmas, dtype=float))
+        quad = np.array([
+            dispersion_quadrature(
                 weight, spec.scales.kappa, 1.0, s, 0.0,
                 min_charge=spec.multiscale.min_charge,
             )
-            worst = max(worst, abs(closed - quad) / quad)
-        return worst
+            for s in sigmas
+        ])
+        return float(np.max(np.abs(closed - quad) / quad))
 
     # Closed-form dispersion against adaptive quadrature of its defining integral.
     beta_stars = (0.5, 1.5) if quick else (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -246,11 +219,10 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
     spec = build_spec(cfg_flow)
     grid = np.geomspace(1e-2 * cfg.lstar, 1e2 * cfg.lstar, 40 if quick else 200)
     curve = sample_dispersion(spec, grid, method="closed-form")
-    worst = 0.0
-    for s in grid[2:-2:5]:
-        numeric = spectral.spectral_from_dispersion(curve, spec.dim, s)
-        closed = spectral.spectral_weighted_flow(spec, s)
-        worst = max(worst, abs(numeric - closed))
+    probes = grid[2:-2:5]
+    numeric = [spectral.spectral_from_dispersion(curve, spec.dim, s) for s in probes]
+    closed = spectral.flow_curve(spec, probes)[0].ds
+    worst = float(np.max(np.abs(np.array(numeric) - closed)))
     checks.append(_Check("numeric-vs-closed-flow", worst, 0.0, 1e-3))
 
     # Fixed points are exact identities.
@@ -273,10 +245,11 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         )
         spec_k = build_spec(cfg_k)
         worst = 0.0
+        sigmas_k = (0.2, 2.0)
+        ell2s = dispersion(spec_k, np.array(sigmas_k)).tolist()
         for x0 in (0.5, 2.0):
-            for s in (0.2, 2.0):
+            for s, ell2 in zip(sigmas_k, ell2s):
                 c_closed = kernel_mod.ordinary_normalization([x0], s, spec_k)
-                ell2 = dispersion(spec_k, s)
 
                 def integrand(x, _x0=x0, _e2=ell2):
                     return abs(x) ** (-0.5) / math.gamma(0.5) * math.exp(

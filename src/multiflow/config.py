@@ -25,7 +25,7 @@ from .measure import (
     GeometryScales,
     MeasureProfile,
 )
-from .walker import PROCESSES
+from .walker import FIT_BATCHES, PROCESSES
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_spec"]
 
@@ -85,8 +85,10 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown process {self.process!r}; expected one of {PROCESSES}"
                 )
-            if self.paths < 2:
-                raise ConfigError(f"simulate needs paths >= 2 for a standard error, got {self.paths}")
+            if self.paths < FIT_BATCHES:
+                raise ConfigError(
+                    f"simulate needs paths >= {FIT_BATCHES} for the batch-means fit, got {self.paths}"
+                )
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.dim < 1:

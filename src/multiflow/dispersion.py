@@ -12,12 +12,12 @@ beta_star = 1 +- 1/k; its integral is summed instead by one decade-panel
 Gauss rule on the defining integral, within 1e-14 of mpmath for every
 beta_star in (0, 2) and sigma/lstar in [1e-280, 1e280].  The rule takes a
 whole sigma grid in one call, summed in cache-sized blocks of
-``specfun._PANEL_BLOCK`` values, each with the bits of its scalar call;
-:func:`sample_dispersion` and the closed-form flow use it that way, and
-the flow keeps the weight v(sigma) on Python floats, since numpy's
-vectorised power rounds differently from ``pow``.  An adaptive
-quadrature evaluates the defining integral directly and doubles as the
-oracle for every closed form.
+``specfun._PANEL_BLOCK`` values.  Every closed form takes a float or an
+array of sigma, each element with the bits of its scalar call: powers of
+sigma stay on Python floats (:func:`grid.powers`), since numpy's vectorised
+power rounds differently from ``pow``.  An adaptive quadrature evaluates
+each model's defining integral directly and doubles as the oracle for
+every closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     ExponentDomainError,
     GridError,
 )
-from .grid import check_grid
+from .grid import check_grid, powers
 from .measure import (
     DIFFUSION_TIME,
     FractionalCharges,
@@ -107,8 +107,13 @@ class DiffusionSpec:
                 )
 
     @property
+    def spatial_charges(self) -> FractionalCharges:
+        """The fractional charges; unit charges (ordinary space) when none are attached."""
+        return self.charges or FractionalCharges.isotropic(1.0, self.dim)
+
+    @property
     def alpha_average(self) -> float:
-        return self.charges.average if self.charges is not None else 1.0
+        return self.spatial_charges.average
 
 
 @dataclass(frozen=True)
@@ -136,23 +141,38 @@ class DispersionCurve:
             raise DomainError("dispersion must be nondecreasing in sigma")
 
 
-def dispersion_fractional(spec: DiffusionSpec, sigma: float) -> float:
-    """Fixed-dimensionality dispersion kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
+def _nonnegative(sigma: float | np.ndarray) -> np.ndarray:
+    """sigma as a float array; :class:`DomainError` if any element is negative."""
+    sig = np.asarray(sigma, dtype=float)
+    negative = sig[sig < 0.0]
+    if negative.size:
+        raise DomainError(f"sigma must be nonnegative, got {float(negative[0])}")
+    return sig
+
+
+def _shaped(sig: np.ndarray, values: np.ndarray) -> float | np.ndarray:
+    """A float for a 0-d sigma, else ``values`` in the shape of sigma."""
+    return values.item() if sig.ndim == 0 else values.reshape(sig.shape)
+
+
+def dispersion_fractional(
+    spec: DiffusionSpec, sigma: float | np.ndarray
+) -> float | np.ndarray:
+    """Fixed-dimensionality dispersion lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
 
     Requires 1 + nu - beta > 0; otherwise no normalizable pointlike initial
-    condition exists and :class:`ExponentDomainError` is raised.
+    condition exists and :class:`ExponentDomainError` is raised.  ``sigma``
+    is a float or an array, as for :func:`dispersion`.
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    sig = _nonnegative(sigma)
     sc = spec.scales
     exponent = 1.0 + sc.nu - sc.beta
     if exponent <= 0.0:
         raise ExponentDomainError(
             f"1 + nu - beta = {exponent} must be positive for a pointlike initial condition"
         )
-    if sigma == 0.0:
-        return sc.lbar ** 2
-    return sc.lbar ** 2 + sc.kappa * gamma_fn(sc.beta) / exponent * sigma ** exponent
+    coeff = sc.kappa * gamma_fn(sc.beta) / exponent
+    return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 
 
 _PANEL_DECADES = 18
@@ -179,13 +199,10 @@ def binomial_time_integral(
     [1e-280, 1e280]; outside that range, or for a negative sigma,
     :class:`DomainError` is raised if any element is.  sigma = 0 gives 0.
     """
-    sig = np.asarray(sigma, dtype=float)
+    sig = _nonnegative(sigma)
     flat = sig.reshape(-1)
     if lstar <= 0.0:
         raise DomainError(f"lstar must be positive, got {lstar}")
-    negative = flat[flat < 0.0]
-    if negative.size:
-        raise DomainError(f"sigma must be nonnegative, got {float(negative[0])}")
     if not 0.0 < beta_star < 2.0:
         raise DomainError(f"beta_star = {beta_star} outside the range (0, 2)")
     nonzero = np.flatnonzero(flat != 0.0)
@@ -219,7 +236,7 @@ def binomial_time_integral(
         upper = flat[index]
         head = upper * 10.0 ** (-count) if power > 0.0 else 0.0
         out[index] = head + decade_panels(integrand, upper, count)
-    return float(out[0]) if sig.ndim == 0 else out.reshape(sig.shape)
+    return _shaped(sig, out)
 
 
 def dispersion_multiscale_weighted(
@@ -250,15 +267,17 @@ def dispersion_multiscale_weighted(
     return value
 
 
-def dispersion_q(profile: MeasureProfile, kappa: float, sigma: float) -> float:
-    """q-model dispersion kappa * sum_n g_n sigma^(beta_n)."""
+def dispersion_q(
+    profile: MeasureProfile, kappa: float, sigma: float | np.ndarray
+) -> float | np.ndarray:
+    """q-model dispersion kappa * sum_n g_n sigma^(beta_n); ``sigma`` a float or an array."""
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0.0:
-        return 0.0
-    return kappa * sum(g * sigma ** c for g, c in profile.terms)
+    sig = _nonnegative(sigma)
+    total = 0
+    for g, c in profile.terms:
+        total = total + g * powers(sig, c)
+    return _shaped(sig, kappa * total)
 
 
 def dispersion_quadrature(
@@ -362,12 +381,15 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
     )
 
 
-def dispersion(spec: DiffusionSpec, sigma: float) -> float:
-    """Model-appropriate dispersion at one diffusion time.
+def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
+    """Model-appropriate dispersion at a diffusion time or a whole array of them.
 
     weighted/ordinary: binomial multiscale form when a profile is
     attached, fixed-dimensionality power law otherwise (the two models share
     the same Gaussian width).  q: polynomial form.  legacy: kappa * sigma.
+    A float gives a float, an array an array of its shape, each element
+    bit for bit the value its float gives; a negative element raises
+    :class:`DomainError` before anything is evaluated.
     """
     if spec.model in ("weighted", "ordinary"):
         if spec.multiscale is not None:
@@ -376,9 +398,8 @@ def dispersion(spec: DiffusionSpec, sigma: float) -> float:
     if spec.model == "q":
         return dispersion_q(q_time_profile(spec), spec.scales.kappa, sigma)
     # legacy ansatz: ordinary Brownian width
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    return spec.scales.kappa * sigma
+    sig = _nonnegative(sigma)
+    return _shaped(sig, spec.scales.kappa * sig)
 
 
 def sample_dispersion(
@@ -386,54 +407,40 @@ def sample_dispersion(
     sigmas: Sequence[float] | np.ndarray,
     method: str = "closed-form",
 ) -> DispersionCurve:
-    """Evaluate the dispersion on a grid, by closed form or by quadrature."""
+    """Evaluate the dispersion on a grid, by closed form or by quadrature.
+
+    The quadrature integrates each model's own defining integral: the
+    q model its derivative kappa sum_n g_n c_n s^(c_n - 1), the legacy
+    ansatz the Brownian kappa, the others kappa s^(nu-1)/v(s) from their
+    initial width (lstar^2 fuzzy, lbar^2 at fixed dimensionality).
+    """
     sig = np.asarray(sigmas, dtype=float)
     if method == "closed-form":
-        if spec.model in ("weighted", "ordinary") and spec.multiscale is not None:
-            e2 = dispersion_multiscale_weighted(spec, sig)
-        else:
-            e2 = np.array([dispersion(spec, s) for s in sig])
+        e2 = dispersion(spec, sig)
     elif method == "quadrature":
-        weight = time_weight(spec)
-        base = spec.scales.lstar ** 2 if spec.fuzzy else 0.0
-        if spec.multiscale is not None:
-            min_charge = spec.multiscale.min_charge
-        else:
-            min_charge = spec.scales.beta
+        sc = spec.scales
+        nu, base, min_charge = sc.nu, 0.0, None
         if spec.model == "q":
-            # the q dispersion integrates its own derivative kappa sum g c s^(c-1)
             profile = q_time_profile(spec)
+            nu, min_charge = 1.0, profile.min_charge
 
-            def inverse_rate(s: float) -> float:
+            def weight(s: float) -> float:
                 return 1.0 / sum(g * c * s ** (c - 1.0) for g, c in profile.terms)
 
-            e2 = np.array(
-                [
-                    dispersion_quadrature(
-                        inverse_rate,
-                        spec.scales.kappa,
-                        1.0,
-                        s,
-                        0.0,
-                        min_charge=profile.min_charge,
-                    )
-                    for s in sig
-                ]
-            )
+        elif spec.model == "legacy":
+            nu = 1.0
+
+            def weight(s: float) -> float:
+                return 1.0
+
+        elif spec.multiscale is not None:
+            weight, min_charge = time_weight(spec), spec.multiscale.min_charge
+            base = sc.lstar ** 2 if spec.fuzzy else 0.0
         else:
-            e2 = np.array(
-                [
-                    dispersion_quadrature(
-                        weight,
-                        spec.scales.kappa,
-                        spec.scales.nu,
-                        s,
-                        base,
-                        min_charge=min_charge,
-                    )
-                    for s in sig
-                ]
-            )
+            weight, min_charge, base = time_weight(spec), sc.beta, sc.lbar ** 2
+        e2 = np.array(
+            [dispersion_quadrature(weight, sc.kappa, nu, s, base, min_charge) for s in sig.tolist()]
+        )
     else:
         raise DomainError(f"unknown sampling method {method!r}")
     return DispersionCurve(sigmas=sig, ell2=e2, method=method, spec=spec)

@@ -1,6 +1,6 @@
 """Diffusion-time grids: the check every sampled curve makes of its sigma
-grid, and the five-point stencil in ln sigma that turns a sampled curve into
-a log-log slope (a spectral dimension)."""
+grid, the power of every grid point, and the five-point stencil in ln sigma
+that turns a sampled curve into a log-log slope (a spectral dimension)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, GridError
 
-__all__ = ["check_grid", "five_point_slope", "log_slope"]
+__all__ = ["check_grid", "five_point_slope", "log_slope", "powers"]
 
 
 def check_grid(sigmas: np.ndarray) -> None:
@@ -22,6 +22,16 @@ def check_grid(sigmas: np.ndarray) -> None:
         or np.any(np.diff(sigmas) <= 0.0)
     ):
         raise GridError("sigma grid must be 1-d, finite, positive and strictly increasing")
+
+
+def powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent element by element, each a scalar ``pow`` on a Python float.
+
+    numpy's vectorised power rounds differently from ``pow`` in a few
+    percent of elements; this keeps every element the bits of its scalar
+    expression.  ``values`` is flattened.
+    """
+    return np.array([v ** exponent for v in np.ravel(values).tolist()], dtype=float)
 
 
 def five_point_slope(f: Sequence[float], h: float) -> float:

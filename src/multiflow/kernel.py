@@ -33,12 +33,7 @@ import numpy as np
 from .dispersion import DiffusionSpec, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, GridError
 from .grid import check_grid, five_point_slope, log_slope
-from .measure import (
-    FractionalCharges,
-    fractional_weight,
-    geometric_profile,
-    multiscale_weight,
-)
+from .measure import fractional_weight, geometric_profile, multiscale_weight
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
 __all__ = [
@@ -233,9 +228,8 @@ def q_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
         raise DomainError(f"dispersion must be positive, got {ell2}")
     xp = _as_point(x, spec.dim)
     x0p = _as_point(x0, spec.dim)
-    charges = spec.charges or FractionalCharges.isotropic(1.0, spec.dim)
     density = 1.0
-    for xi, x0i, a in zip(xp, x0p, charges.alphas):
+    for xi, x0i, a in zip(xp, x0p, spec.spatial_charges.alphas):
         dq = geometric_profile(float(xi), a) - geometric_profile(float(x0i), a)
         density *= math.exp(-(dq ** 2) / (4.0 * ell2)) / math.sqrt(4.0 * math.pi * ell2)
     return density
@@ -248,15 +242,12 @@ def pdf_evaluate(spec: DiffusionSpec, x, x0, sigma: float) -> PdfEvaluation:
     (its normalized solution), so it maps onto :func:`weighted_pdf` with the
     Brownian dispersion.
     """
-    if spec.model == "weighted":
+    if spec.model in ("weighted", "legacy"):
         rho = weighted_pdf(x, x0, sigma, spec)
     elif spec.model == "ordinary":
         rho = ordinary_pdf(x, x0, sigma, spec)
-    elif spec.model == "q":
+    else:
         rho = q_pdf(x, x0, sigma, spec)
-    else:  # legacy
-        ell2 = spec.scales.kappa * sigma
-        rho = gaussian_pdf(x, x0, ell2, spec.dim) / position_weight(spec, x)
     xp = tuple(float(v) for v in _as_point(x, spec.dim))
     x0p = tuple(float(v) for v in _as_point(x0, spec.dim))
     return PdfEvaluation(x=xp, x0=x0p, sigma=sigma, density=rho, model=spec.model)
@@ -473,9 +464,13 @@ def _hausdorff_box_volume(spec: DiffusionSpec, halfwidth: float) -> float:
     return (2.0 * halfwidth) ** spec.dim
 
 
+def _box_for(spec: DiffusionSpec, ell2: float) -> float:
+    """Default box half-width at dispersion ell2: max(12 ell, 10 lstar)."""
+    return max(_BOX_ELL_FACTOR * math.sqrt(ell2), _BOX_LSTAR_FACTOR * spec.scales.lstar)
+
+
 def default_box_halfwidth(spec: DiffusionSpec, sigma: float) -> float:
-    ell = math.sqrt(dispersion(spec, sigma))
-    return max(_BOX_ELL_FACTOR * ell, _BOX_LSTAR_FACTOR * spec.scales.lstar)
+    return _box_for(spec, dispersion(spec, sigma))
 
 
 def return_probability(
@@ -491,14 +486,12 @@ def return_probability(
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if spec.model in ("weighted", "q"):
-        ell2 = dispersion(spec, sigma)
-        return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
+    if spec.model == "ordinary":
+        return _ordinary_traces(spec, [sigma], box_halfwidth)[0]
+    ell2 = dispersion(spec, sigma)
     if spec.model == "legacy":
-        alpha = spec.alpha_average
-        ell2 = spec.scales.kappa * sigma
-        return ell2 ** (-spec.dim * alpha / 2.0)
-    return _ordinary_traces(spec, [sigma], box_halfwidth)[0]
+        return ell2 ** (-spec.dim * spec.alpha_average / 2.0)
+    return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
 
 
 def _ordinary_traces(
@@ -518,13 +511,13 @@ def _ordinary_traces(
     """
     if spec.dim > 3:
         raise DomainError("trace quadrature supports D <= 3")
+    nonpositive = [s for s in sigmas if s <= 0.0]
+    if nonpositive:
+        raise DomainError(f"sigma must be positive, got {nonpositive[0]}")
     cases, halfwidths = [], []
-    for sigma in sigmas:
-        if sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
-        ell2 = dispersion(spec, sigma)
+    for ell2 in dispersion(spec, np.asarray(sigmas, dtype=float)).tolist():
         ell = math.sqrt(ell2)
-        halfwidth = default_box_halfwidth(spec, sigma) if box_halfwidth is None else box_halfwidth
+        halfwidth = _box_for(spec, ell2) if box_halfwidth is None else box_halfwidth
         if check_box and halfwidth < _BOX_ELL_FACTOR * ell:
             raise BoxError(
                 f"box half-width {halfwidth} is below {_BOX_ELL_FACTOR} "

@@ -5,9 +5,10 @@ The spectral dimension probes how a diffusing particle sees the geometry:
     d_S(sigma) = D * dln ell^2(sigma) / dln sigma,
 
 constant for pure power-law dispersions and flowing between an ultraviolet
-and an infrared plateau for binomial multiscale measures.  Closed-form flows
-are provided for the weighted-Laplacian and q-Laplacian models together with
-a stencil-based numeric extractor that works on any sampled dispersion curve.
+and an infrared plateau for binomial multiscale measures.  :func:`flow_curve`
+samples the closed-form flow of every model, with the dispersion it came
+from, in one array pass over the grid and the plateau probes; a
+stencil-based numeric extractor works on any sampled dispersion curve.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import numpy as np
 from .dispersion import (
     DiffusionSpec,
     DispersionCurve,
+    dispersion,
     dispersion_multiscale_weighted,
+    q_time_profile,
 )
 from .errors import DomainError, GridError
-from .grid import check_grid, log_slope
+from .grid import check_grid, log_slope, powers
 from .measure import FractionalCharges, MeasureProfile
 
 __all__ = [
@@ -40,8 +43,7 @@ __all__ = [
     "legacy_ds",
     "walk_dimension",
     "density_of_states_exponent",
-    "weighted_flow_curve",
-    "q_flow_curve",
+    "flow_curve",
     "flow_from_curve",
     "dimension_triple",
 ]
@@ -105,20 +107,27 @@ def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> 
     return dim * log_slope(curve.sigmas, curve.ell2, sigma)
 
 
+def _positive(sigma: float | Sequence[float] | np.ndarray) -> np.ndarray:
+    """sigma as a 1-d float array; :class:`DomainError` if any element is not positive."""
+    sig = np.asarray(sigma, dtype=float).reshape(-1)
+    nonpositive = sig[sig <= 0.0]
+    if nonpositive.size:
+        raise DomainError(f"sigma must be positive, got {float(nonpositive[0])}")
+    return sig
+
+
 def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
     """Closed-form weighted-model flow d_S(sigma) = D kappa sigma / (v(sigma) ell^2(sigma))."""
-    return float(_weighted_flow_points(spec, np.array([sigma], dtype=float))[1][0])
+    return float(_weighted_flow_points(spec, _positive(sigma))[1][0])
 
 
 def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ell^2 and d_S of the weighted-model flow on a 1-d sigma array.
 
     ell^2 comes from one array call of the dispersion.  The weight
-    v(sigma) = sum_n g_n sigma^(c_n - 1) takes each power as a scalar
-    ``pow`` on a Python float: numpy's vectorised power rounds differently
-    in a few percent of elements, so an array power would move the last
-    bits of d_S.  The sums, products and quotient are the scalar ones, in
-    the same order, done on whole arrays.
+    v(sigma) = sum_n g_n sigma^(c_n - 1) takes its powers from
+    :func:`grid.powers`; the sums, products and quotient are the scalar
+    ones, in the same order, so d_S keeps the bits of its scalar formula.
     """
     if spec.model not in ("weighted", "ordinary"):
         raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
@@ -126,15 +135,10 @@ def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndar
         raise DomainError("weighted flow requires a binomial diffusion-time profile")
     if abs(spec.scales.nu - 1.0) > 1e-12:
         raise DomainError(f"weighted flow is defined at nu = 1, got {spec.scales.nu}")
-    nonpositive = sig[sig <= 0.0]
-    if nonpositive.size:
-        raise DomainError(f"sigma must be positive, got {float(nonpositive[0])}")
     ell2 = dispersion_multiscale_weighted(spec, sig)
-    points = sig.tolist()
     weight = 0
     for g, c in spec.multiscale.terms:
-        power = c - 1.0
-        weight = weight + g * np.array([s ** power for s in points])
+        weight = weight + g * powers(sig, c - 1.0)
     return ell2, spec.dim * spec.scales.kappa * sig / (weight * ell2)
 
 
@@ -157,11 +161,23 @@ def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
 
 def spectral_q_flow(profile: MeasureProfile, dim: int, sigma: float) -> float:
     """q-model flow: charge average D sum g c sigma^c / sum g sigma^c."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    num = sum(g * c * sigma ** c for g, c in profile.terms)
-    den = sum(g * sigma ** c for g, c in profile.terms)
-    return dim * num / den
+    return float(_q_flow_points(profile, dim, _positive(sigma))[1][0])
+
+
+def _q_flow_points(
+    profile: MeasureProfile, dim: int, sig: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum g sigma^c and d_S of the q-model flow on a 1-d sigma array.
+
+    One power per term gives both sums; kappa times the first is
+    :func:`dispersion.dispersion_q` bit for bit.
+    """
+    num = den = 0
+    for g, c in profile.terms:
+        p = powers(sig, c)
+        num = num + g * c * p
+        den = den + g * p
+    return den, dim * num / den
 
 
 def q_flow_asymptotes(profile: MeasureProfile, dim: int) -> tuple[float, float]:
@@ -255,24 +271,35 @@ def _convergence_flags(probed: Sequence[float]) -> tuple[bool, bool]:
     return _plateau_converged(probed[:3]), _plateau_converged(probed[3:])
 
 
-def weighted_flow_curve(spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray) -> SpectralFlow:
-    """Sample the weighted-model flow with its analytic asymptotes attached."""
-    return _weighted_flow_and_dispersion(spec, sigmas)[0]
-
-
-def _weighted_flow_and_dispersion(
+def flow_curve(
     spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray
 ) -> tuple[SpectralFlow, np.ndarray]:
-    """:func:`weighted_flow_curve` and the dispersion ell^2 it was computed from.
+    """The model's flow on a sigma grid, with its asymptotes, and the ell^2 it came from.
 
-    The plateau probes ride in the same array call as the grid: every
-    element gets the bits of its own call.
+    weighted/ordinary with a binomial time profile: D kappa sigma / (v ell^2).
+    q: D sum g c sigma^c / sum g sigma^c.  legacy and fixed dimensionality:
+    the constant :func:`fixed_point_ds`.  The six plateau probes ride in the
+    same array pass as the grid; every element has the bits of its own
+    one-sigma call.  A nonpositive sigma raises :class:`DomainError`.
     """
     sig = np.asarray(sigmas, dtype=float)
-    uv, ir = weighted_flow_asymptotes(spec)
-    _, lstar = spec.multiscale.binomial_params()
     n = sig.size
-    ell2, ds = _weighted_flow_points(spec, np.concatenate([sig.reshape(-1), _probe_sigmas(lstar)]))
+    sc = spec.scales
+    binomial = spec.model in ("weighted", "ordinary") and spec.multiscale is not None
+    lstar = spec.multiscale.binomial_params()[1] if binomial else sc.lstar
+    points = np.concatenate([_positive(sig), _probe_sigmas(lstar)])
+    if spec.model == "q":
+        profile = q_time_profile(spec)
+        den, ds = _q_flow_points(profile, spec.dim, points)
+        ell2 = sc.kappa * den
+        uv, ir = q_flow_asymptotes(profile, spec.dim)
+    elif binomial:
+        ell2, ds = _weighted_flow_points(spec, points)
+        uv, ir = weighted_flow_asymptotes(spec)
+    else:  # legacy or fixed dimensionality: no scale, a constant flow
+        uv = ir = fixed_point_ds(spec.model, spec.dim, sc.beta, sc.nu, spec.spatial_charges)
+        ell2 = dispersion(spec, points)
+        ds = np.full(points.size, uv)
     uv_ok, ir_ok = _convergence_flags(ds[n:].tolist())
     flow = SpectralFlow(
         sigmas=sig, ds=ds[:n], uv_asymptote=uv, ir_asymptote=ir,
@@ -280,23 +307,6 @@ def _weighted_flow_and_dispersion(
         uv_converged=uv_ok, ir_converged=ir_ok,
     )
     return flow, ell2[:n]
-
-
-def q_flow_curve(
-    profile: MeasureProfile,
-    dim: int,
-    sigmas: Sequence[float] | np.ndarray,
-    lstar: float = 1.0,
-) -> SpectralFlow:
-    """Sample the q-model flow with its analytic asymptotes attached."""
-    sig = np.asarray(sigmas, dtype=float)
-    ds = np.array([spectral_q_flow(profile, dim, s) for s in sig])
-    uv, ir = q_flow_asymptotes(profile, dim)
-    uv_ok, ir_ok = _convergence_flags([spectral_q_flow(profile, dim, s) for s in _probe_sigmas(lstar)])
-    return SpectralFlow(
-        sigmas=sig, ds=ds, uv_asymptote=uv, ir_asymptote=ir,
-        model="q", uv_converged=uv_ok, ir_converged=ir_ok,
-    )
 
 
 def flow_from_curve(curve: DispersionCurve, dim: int, model: str = "numeric") -> SpectralFlow:

@@ -56,7 +56,9 @@ __all__ = [
 
 PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
 
-_MEDIAN_BATCHES = 16
+# Path batches of the batch-means and median-of-batches fits; every batch
+# needs a path, so ``simulate`` needs at least this many.
+FIT_BATCHES = 16
 _BLOCK_BYTES = 1 << 20
 
 
@@ -428,7 +430,7 @@ def fit_scaling_exponent(
     usual OLS slope error from the fit residuals, unless ``sq_radii``, the
     (paths, steps) squared radii whose path mean is ``values``, is given.
     Then it is the batch-means error: the sd of the slopes fitted to
-    ``_MEDIAN_BATCHES`` contiguous path batches over sqrt(batches).  MSD
+    ``FIT_BATCHES`` contiguous path batches over sqrt(batches).  MSD
     points share their paths, so their errors are correlated and the OLS
     error understates the seed-to-seed spread (Flyvbjerg & Petersen,
     J. Chem. Phys. 91, 1989).
@@ -455,8 +457,8 @@ def fit_scaling_exponent(
         variance = float(np.sum(resid ** 2)) / (n - 2) if n > 2 else 0.0
         stderr = math.sqrt(variance / sxx)
     else:
-        batches = _batch_exponents(sigmas, sq_radii, window, _MEDIAN_BATCHES)
-        stderr = float(np.std(batches, ddof=1)) / math.sqrt(_MEDIAN_BATCHES)
+        batches = _batch_exponents(sigmas, sq_radii, window, FIT_BATCHES)
+        stderr = float(np.std(batches, ddof=1)) / math.sqrt(FIT_BATCHES)
     return MsdFit(exponent=slope, prefactor=math.exp(intercept), stderr=stderr, window=(lo, hi))
 
 
@@ -477,7 +479,7 @@ def _batch_exponents(
 def fit_scaling_exponent_batched(
     ensemble: WalkerEnsemble,
     window: tuple[float, float],
-    n_batches: int = _MEDIAN_BATCHES,
+    n_batches: int = FIT_BATCHES,
 ) -> MsdFit:
     """Median-of-batches exponent fit for heavy-tailed walkers.
 

@@ -350,8 +350,20 @@ class TestSimulateCommand:
             ]
         )
         assert code == EXIT_CONFIG
-        assert "paths >= 2" in capsys.readouterr().err
+        assert "paths >= 16" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_path_floor_is_the_fit_batch_count(self, tmp_path, capsys):
+        # the batch-means fit needs one path per batch: 15 paths are refused
+        # before any file is written, 16 run through
+        argv = ["simulate", "--model", "bm", "--dim", "2", "--steps", "64",
+                "--sigma-min", "1e-3", "--sigma-max", "10"]
+        few, enough = tmp_path / "few.csv", tmp_path / "enough.csv"
+        assert main([*argv, "--paths", "15", "--out", str(few)]) == EXIT_CONFIG
+        assert "paths >= 16" in capsys.readouterr().err
+        assert not few.exists() and not (tmp_path / "few.traj.csv").exists()
+        assert main([*argv, "--paths", "16", "--out", str(enough)]) == EXIT_OK
+        assert enough.exists()
 
     def test_fit_stderr_covers_seed_spread(self, tmp_path):
         # MSD points share their paths, so the error of the fitted exponent

@@ -239,6 +239,26 @@ class TestSpecAndCurve:
         quad = sample_dispersion(spec, grid, "quadrature")
         assert np.allclose(closed.ell2, quad.ell2, rtol=1e-7)
 
+    @pytest.mark.parametrize("case", ["fixed-lbar", "legacy", "q", "multiscale", "fuzzy"])
+    def test_quadrature_integrates_each_models_own_law(self, case):
+        # the oracle integrates the model's own law from its own initial
+        # width: lbar^2 at fixed dimensionality, kappa alone for the legacy
+        # ansatz whatever beta is
+        binomial = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
+        spec = {
+            "fixed-lbar": DiffusionSpec(
+                model="weighted", dim=2, scales=GeometryScales(lbar=0.5, kappa=1.3, beta=0.5)
+            ),
+            "legacy": DiffusionSpec(model="legacy", dim=2, scales=GeometryScales(kappa=1.3, beta=0.5)),
+            "q": DiffusionSpec(model="q", dim=2, scales=GeometryScales(kappa=1.3), multiscale=binomial),
+            "multiscale": binomial_spec(1.5, dim=2, lstar=0.8, kappa=1.3),
+            "fuzzy": binomial_spec(0.5, dim=2, lstar=0.8, kappa=1.3, fuzzy=True),
+        }[case]
+        grid = np.geomspace(1e-3, 1e3, 13)
+        closed = sample_dispersion(spec, grid, "closed-form").ell2
+        quad = sample_dispersion(spec, grid, "quadrature").ell2
+        assert np.max(np.abs(closed - quad) / closed) < 1e-8
+
     def test_dispersion_dispatcher_legacy(self):
         spec = DiffusionSpec(model="legacy", dim=4, scales=GeometryScales(kappa=2.0))
         assert dispersion(spec, 3.0) == 6.0

@@ -1,12 +1,15 @@
-"""The decade-panel rule of the binomial dispersion on whole sigma arrays.
+"""The dispersion and the flow of every model on whole sigma arrays.
 
 ``binomial_time_integral`` sums an array of sigma in blocks of
 ``specfun._PANEL_BLOCK`` uppers.  Every element must carry the bits of its
 own scalar call, and of the one-upper rule written out below, wherever it
 sits in a block and whatever decade count it needs; every refusal of the
-scalar call must apply to each element.
+scalar call must apply to each element.  The other closed forms, and
+``spectral.flow_curve`` on them, are held to their scalar formulas written
+out on Python floats.
 """
 
+import importlib
 import math
 import tracemalloc
 
@@ -16,13 +19,22 @@ import pytest
 from conftest import binomial_spec
 from multiflow import specfun
 from multiflow.dispersion import (
+    DiffusionSpec,
     binomial_time_integral,
+    dispersion,
     dispersion_multiscale_weighted,
+    q_time_profile,
     sample_dispersion,
 )
 from multiflow.errors import DomainError
-from multiflow.measure import multiscale_weight
-from multiflow.spectral import _weighted_flow_and_dispersion, spectral_weighted_flow
+from multiflow.measure import (
+    DIFFUSION_TIME,
+    FractionalCharges,
+    GeometryScales,
+    MeasureProfile,
+    multiscale_weight,
+)
+from multiflow.spectral import flow_curve, spectral_q_flow, spectral_weighted_flow
 
 SEED = 20130409
 BLOCK = specfun._PANEL_BLOCK
@@ -140,7 +152,7 @@ def test_grid_routes_equal_scalar_route(fuzzy):
     scalar = [dispersion_multiscale_weighted(spec, s) for s in grid.tolist()]
     assert dispersion_multiscale_weighted(spec, grid).tolist() == scalar
     assert sample_dispersion(spec, grid, "closed-form").ell2.tolist() == scalar
-    flow, ell2 = _weighted_flow_and_dispersion(spec, grid)
+    flow, ell2 = flow_curve(spec, grid)
     assert ell2.tolist() == scalar
     weight = [multiscale_weight(s, spec.multiscale) for s in grid.tolist()]
     ds = [3 * 1.3 * s / (v * e) for s, v, e in zip(grid.tolist(), weight, scalar)]
@@ -151,7 +163,7 @@ def test_grid_routes_equal_scalar_route(fuzzy):
 def test_grid_route_refuses_nonpositive_sigma():
     spec = binomial_spec(0.5, dim=2)
     with pytest.raises(DomainError):
-        _weighted_flow_and_dispersion(spec, np.array([1.0, 0.0, 2.0]))
+        flow_curve(spec, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
         dispersion_multiscale_weighted(spec, np.array([1.0, -2.0]))
 
@@ -164,7 +176,7 @@ def test_plateau_flags_equal_scalar_probes(beta_star, flags):
     # the six plateau probes ride in the grid's array call; the flags are
     # those of six one-sigma calls
     spec = binomial_spec(beta_star, dim=4, lstar=0.8)
-    flow, _ = _weighted_flow_and_dispersion(spec, np.geomspace(1e-3, 1e3, 40))
+    flow, _ = flow_curve(spec, np.geomspace(1e-3, 1e3, 40))
     uv = [spectral_weighted_flow(spec, 0.8 * 1e-6 * 10.0 ** k) for k in (2, 1, 0)]
     ir = [spectral_weighted_flow(spec, 0.8 * 1e6 * 10.0 ** (-k)) for k in (2, 1, 0)]
 
@@ -172,3 +184,107 @@ def test_plateau_flags_equal_scalar_probes(beta_star, flags):
         return all(abs(b - a) < 1e-3 for a, b in zip(values, values[1:]))
 
     assert (flow.uv_converged, flow.ir_converged) == (flat(uv), flat(ir)) == flags
+
+
+# the closed forms without a binomial time measure, on shared scales
+_SCALES = GeometryScales(lstar=0.8, lbar=0.5, kappa=1.3, nu=0.8, beta=0.6)
+OTHER_MODELS = {
+    "fixed-weighted": DiffusionSpec(model="weighted", dim=3, scales=_SCALES),
+    "fixed-ordinary": DiffusionSpec(
+        model="ordinary", dim=2, scales=GeometryScales(kappa=1.3, beta=0.5),
+        charges=FractionalCharges.isotropic(0.5, 2),
+    ),
+    "q-binomial": DiffusionSpec(
+        model="q", dim=4, scales=_SCALES,
+        multiscale=MeasureProfile.binomial(0.5, 0.8, kind=DIFFUSION_TIME),
+    ),
+    "q-single-term": DiffusionSpec(model="q", dim=4, scales=GeometryScales(kappa=1.3, beta=0.7)),
+    "legacy": DiffusionSpec(
+        model="legacy", dim=3, scales=_SCALES, charges=FractionalCharges((0.5, 0.7, 0.9))
+    ),
+}
+
+
+def scalar_dispersion(spec: DiffusionSpec, s: float) -> float:
+    """The closed forms of the scalar dispersion, on Python floats."""
+    sc = spec.scales
+    if spec.model == "legacy":
+        return sc.kappa * s
+    if spec.model == "q":
+        return sc.kappa * sum(g * s ** c for g, c in q_time_profile(spec).terms)
+    exponent = 1.0 + sc.nu - sc.beta
+    return sc.lbar ** 2 + sc.kappa * specfun.gamma_fn(sc.beta) / exponent * s ** exponent
+
+
+def scalar_q_flow(spec: DiffusionSpec, s: float) -> float:
+    terms = q_time_profile(spec).terms
+    return spec.dim * sum(g * c * s ** c for g, c in terms) / sum(g * s ** c for g, c in terms)
+
+
+def _grid(n: int) -> np.ndarray:
+    # log-uniform over 16 decades: numpy's vectorised power would differ
+    # from pow in the last bit on a few percent of these
+    rng = np.random.default_rng([SEED, 302, n])
+    return np.unique(10.0 ** rng.uniform(-8.0, 8.0, n))
+
+
+@pytest.mark.filterwarnings("ignore::multiflow.spectral.LegacyAnsatzWarning")
+@pytest.mark.parametrize("name", sorted(OTHER_MODELS))
+def test_every_model_on_a_grid_equals_its_scalar_formula(name):
+    spec = OTHER_MODELS[name]
+    grid = _grid(1000)
+    with_zero = np.concatenate([[0.0], grid])
+    expected = [scalar_dispersion(spec, s) for s in with_zero.tolist()]
+    assert dispersion(spec, with_zero).tolist() == expected
+    assert [dispersion(spec, s) for s in with_zero.tolist()] == expected
+    assert all(type(dispersion(spec, s)) is float for s in (0.0, 2.0, np.float64(3.0)))
+    assert dispersion(spec, with_zero.reshape(7, -1)).shape == (7, 143)
+    assert sample_dispersion(spec, grid, "closed-form").ell2.tolist() == expected[1:]
+    flow, ell2 = flow_curve(spec, grid)
+    assert ell2.tolist() == expected[1:]
+    if spec.model == "q":
+        ds = [scalar_q_flow(spec, s) for s in grid.tolist()]
+        profile = q_time_profile(spec)
+        assert [spectral_q_flow(profile, spec.dim, s) for s in grid.tolist()] == ds
+    else:
+        ds = [flow.uv_asymptote] * grid.size
+    assert flow.ds.tolist() == ds
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_MODELS) + ["weighted", "fuzzy"])
+def test_negative_sigma_refused_before_any_work(name, monkeypatch):
+    spec = OTHER_MODELS.get(name) or binomial_spec(0.5, dim=2, fuzzy=name == "fuzzy")
+    with pytest.raises(DomainError) as scalar:
+        dispersion(spec, -2.0)
+
+    def no_work(*args):
+        raise AssertionError("evaluated before the sigma check")
+
+    # the package binds the name ``dispersion`` to the function
+    module = importlib.import_module("multiflow.dispersion")
+    monkeypatch.setattr(module, "powers", no_work)
+    monkeypatch.setattr(module, "decade_panels", no_work)
+    with pytest.raises(DomainError) as array:
+        dispersion(spec, np.array([1.0, 0.0, -2.0, 3.0]))
+    assert str(array.value) == str(scalar.value) == "sigma must be nonnegative, got -2.0"
+
+
+@pytest.mark.filterwarnings("ignore::multiflow.spectral.LegacyAnsatzWarning")
+@pytest.mark.parametrize("name", sorted(OTHER_MODELS))
+def test_plateau_flags_of_every_model(name):
+    # the probes sit at lstar * 1e-6 ... lstar * 1e6 whatever the model;
+    # the scale-free flows are flat, the q flows flat only where a charge wins
+    spec = OTHER_MODELS[name]
+    flow, _ = flow_curve(spec, np.geomspace(1e-3, 1e3, 40))
+    if spec.model != "q":
+        assert flow.uv_converged and flow.ir_converged
+        return
+    lstar = spec.scales.lstar
+    uv = [scalar_q_flow(spec, lstar * 1e-6 * 10.0 ** k) for k in (2, 1, 0)]
+    ir = [scalar_q_flow(spec, lstar * 1e6 * 10.0 ** (-k)) for k in (2, 1, 0)]
+
+    def flat(values):
+        return all(abs(b - a) < 1e-3 for a, b in zip(values, values[1:]))
+
+    assert (flow.uv_converged, flow.ir_converged) == (flat(uv), flat(ir))
+    assert flow.model == "q"

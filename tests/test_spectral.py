@@ -17,15 +17,14 @@ from multiflow.spectral import (
     density_of_states_exponent,
     dimension_triple,
     fixed_point_ds,
+    flow_curve,
     legacy_ds,
     q_flow_asymptotes,
-    q_flow_curve,
     spectral_from_dispersion,
     spectral_q_flow,
     spectral_weighted_flow,
     walk_dimension,
     weighted_flow_asymptotes,
-    weighted_flow_curve,
 )
 
 BETA_STARS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
@@ -137,14 +136,12 @@ class TestWeightedFlow:
             assert np.all(ds <= max(uv, ir) + band) and np.all(ds >= min(uv, ir) - band)
 
     def test_flow_curve_convergence_flags(self):
-        flow = weighted_flow_curve(binomial_spec(0.5, dim=4), np.geomspace(1e-6, 1e6, 25))
+        flow, _ = flow_curve(binomial_spec(0.5, dim=4), np.geomspace(1e-6, 1e6, 25))
         assert flow.uv_asymptote == 6.0 and flow.ir_asymptote == 4.0
         # sqrt(sigma) transient: still drifting by > 1e-3 per decade at 1e-6
         assert not flow.uv_converged
         # the fuzzy flow dies like sigma^(2-beta*): flat to 1e-3 well before 1e-6
-        fuzzy = weighted_flow_curve(
-            binomial_spec(0.5, dim=4, fuzzy=True), np.geomspace(1e-6, 1e6, 25)
-        )
+        fuzzy, _ = flow_curve(binomial_spec(0.5, dim=4, fuzzy=True), np.geomspace(1e-6, 1e6, 25))
         assert fuzzy.uv_converged and fuzzy.sigmas.size == 25
 
 
@@ -181,7 +178,10 @@ class TestQFlow:
             assert abs(numeric - spectral_q_flow(profile, 4, float(s))) < 1e-3
 
     def test_flow_curve(self):
-        flow = q_flow_curve(q_binomial_profile(0.5), 4, np.geomspace(1e-6, 1e6, 30))
+        spec = DiffusionSpec(
+            model="q", dim=4, scales=GeometryScales(beta=0.5), multiscale=q_binomial_profile(0.5)
+        )
+        flow, _ = flow_curve(spec, np.geomspace(1e-6, 1e6, 30))
         assert flow.uv_asymptote == 2.0 and flow.ir_asymptote == 4.0
 
 

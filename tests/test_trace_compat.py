@@ -21,6 +21,15 @@ JOBS = {
         "flow", "--model", "weighted", "--beta-star", "1.5", "--dim", "4",
         "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "40",
     ),
+    # the q and legacy flows take the same array pass as the weighted one
+    "flow-q": (
+        "flow", "--model", "q", "--beta-star", "0.5", "--dim", "4",
+        "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "40",
+    ),
+    "flow-legacy": (
+        "flow", "--model", "legacy", "--alpha", "0.5", "--dim", "4",
+        "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "40",
+    ),
     "kernel": (
         "kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5",
         "--sigma-min", "1e-2", "--sigma-max", "1e2", "--sigma-points", "9",
@@ -57,13 +66,16 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
         tracer.uninstall()
     assert code == 0
     assert tracer.stats["cli.main"].calls == 1
-    assert tracer.stats[f"cli.run_{name}"].calls == 1
+    command = JOBS[name][0]
+    assert tracer.stats[f"cli.run_{command}"].calls == 1
+    if command == "flow":
+        assert tracer.stats["spectral.flow_curve"].calls == 1
     if name == "pdf":
         # the off-origin normalization takes traced scalar Kummer calls
         assert tracer.stats["specfun.kummer_phi"].calls > 0
     written = sorted(traced.iterdir())
     assert [f.name for f in written] == sorted(f.name for f in plain.iterdir())
-    assert len(written) == (2 if name == "simulate" else 1)
+    assert len(written) == (2 if command == "simulate" else 1)
     for f in written:
         assert f.read_bytes() == (plain / f.name).read_bytes()
     # the tracer reads the written file's path from write_csv's first argument
