@@ -183,7 +183,11 @@ def ordinary_normalization(x0, sigma: float, spec: DiffusionSpec) -> float:
     dimension).  As sigma -> 0 it approaches [(4 pi ell^2)^(D/2) v(x0)]^(-1),
     restoring the measure-weighted delta initial condition.
     """
-    ell2 = dispersion(spec, sigma)
+    return _normalization_at(x0, dispersion(spec, sigma), spec)
+
+
+def _normalization_at(x0, ell2: float, spec: DiffusionSpec) -> float:
+    """:func:`ordinary_normalization` at the dispersion ell2 = ell^2(sigma)."""
     if ell2 <= 0.0:
         raise DomainError(f"dispersion must be positive, got {ell2}")
     ell = math.sqrt(ell2)
@@ -211,7 +215,7 @@ def ordinary_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
     xp = _as_point(x, spec.dim)
     x0p = _as_point(x0, spec.dim)
     r2 = float(np.sum((xp - x0p) ** 2))
-    return ordinary_normalization(x0, sigma, spec) * math.exp(-r2 / (4.0 * ell2))
+    return _normalization_at(x0, ell2, spec) * math.exp(-r2 / (4.0 * ell2))
 
 
 def q_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
