@@ -32,17 +32,13 @@ from .errors import (
 )
 from .kernel import (
     HeatKernelCurve,
-    PdfEvaluation,
     ds_from_kernel,
     fixed_dim_trace_slopes,
     gaussian_pdf,
     heat_kernel_curve,
     ordinary_normalization,
-    ordinary_pdf,
-    pdf_evaluate,
-    q_pdf,
+    pdf,
     return_probability,
-    weighted_pdf,
 )
 from .measure import (
     FractionalCharges,

@@ -137,18 +137,16 @@ def run_pdf(cfg: RunConfig) -> None:
     x0[0] = cfg.x0
     if spec.model in ("weighted", "legacy"):
         xs = xs[xs != 0.0]  # measure-singular point of the weighted density
-    densities = []
-    for x1 in xs:
-        point = np.full(spec.dim, transverse)
-        point[0] = x1
-        densities.append(kernel_mod.pdf_evaluate(spec, point, x0, cfg.sigma).density)
+    points = np.full((xs.size, spec.dim), transverse)
+    points[:, 0] = xs
+    densities = kernel_mod.pdf(spec, points, x0, cfg.sigma)
     write_csv(
-        cfg.out, "pdf", ("x", "density", "model"), (xs, np.array(densities), spec.model),
+        cfg.out, "pdf", ("x", "density", "model"), (xs, densities, spec.model),
         {"model": spec.model, "dim": spec.dim, "sigma": cfg.sigma,
          "x0": cfg.x0, "transverse": transverse},
     )
     if cfg.svg:
-        write_line_chart(cfg.svg, xs.tolist(), [("density", densities)])
+        write_line_chart(cfg.svg, xs.tolist(), [("density", densities.tolist())])
 
 
 def run_kernel(cfg: RunConfig) -> None:

@@ -6,7 +6,9 @@ ordinary model keeps the bare Gaussian but acquires a position-dependent
 normalization built from Kummer's function, and the q model is an ordinary
 Gaussian in geometric coordinates.  Return probabilities are traces of these
 densities per unit volume, with the volume convention an explicit tag since
-it decides the spectral dimension one reads off.
+it decides the spectral dimension one reads off.  Each has one model
+dispatch: :func:`pdf` evaluates a whole slice of points from one ell^2, and
+every trace grid takes its ell^2 from one ``dispersion`` call.
 
 The ordinary-model trace is a box quadrature of v(x) C(x, sigma).  Its
 integrand is even in every coordinate, so each axis is integrated over
@@ -32,21 +34,17 @@ import numpy as np
 
 from .dispersion import DiffusionSpec, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, GridError
-from .grid import check_grid, five_point_slope, log_slope
+from .grid import check_grid, five_point_slope, log_slope, powers
 from .measure import fractional_weight, geometric_profile, multiscale_weight
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
 __all__ = [
-    "PdfEvaluation",
     "HeatKernelCurve",
     "PER_INTEGER_VOLUME",
     "PER_HAUSDORFF_VOLUME",
     "gaussian_pdf",
-    "weighted_pdf",
     "ordinary_normalization",
-    "ordinary_pdf",
-    "q_pdf",
-    "pdf_evaluate",
+    "pdf",
     "position_weight",
     "return_probability",
     "heat_kernel_curve",
@@ -65,23 +63,6 @@ _BOX_LSTAR_FACTOR = 10.0
 _GL_ORDER = 24
 _GL_REFINE = 40
 _GL_RTOL = 1e-7
-
-
-@dataclass(frozen=True)
-class PdfEvaluation:
-    """One density evaluation, tagged by model."""
-
-    x: tuple[float, ...]
-    x0: tuple[float, ...]
-    sigma: float
-    density: float
-    model: str
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if self.density < 0.0:
-            raise DomainError(f"densities are nonnegative, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +97,31 @@ def _as_point(x, dim: int) -> np.ndarray:
     return pt
 
 
-def gaussian_pdf(x, x0, ell2: float, dim: int) -> float:
-    """Isotropic Gaussian exp(-|x-x0|^2/(4 ell^2)) / (4 pi ell^2)^(D/2)."""
+def _as_rows(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Points as an (N, D) array, and whether ``x`` was one point of shape (D,)."""
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim == 2 and rows.shape[1] == dim:
+        return rows, False
+    return _as_point(x, dim)[None, :], True
+
+
+def _exp_factors(rows: np.ndarray, x0p: np.ndarray, ell2: float) -> np.ndarray:
+    """exp(-|x - x0|^2 / (4 ell^2)) at each row, each exp on a Python float."""
+    r2 = np.sum((rows - x0p) ** 2, axis=-1)
+    return np.array([math.exp(-r / (4.0 * ell2)) for r in r2.tolist()])
+
+
+def gaussian_pdf(x, x0, ell2: float, dim: int):
+    """Isotropic Gaussian exp(-|x-x0|^2/(4 ell^2)) / (4 pi ell^2)^(D/2).
+
+    ``x`` is one point, shape (D,), giving a float, or an (N, D) array of
+    points, giving N densities.
+    """
     if ell2 <= 0.0:
         raise DomainError(f"ell2 must be positive, got {ell2}")
-    xp = _as_point(x, dim)
-    x0p = _as_point(x0, dim)
-    r2 = float(np.sum((xp - x0p) ** 2))
-    return math.exp(-r2 / (4.0 * ell2)) / (4.0 * math.pi * ell2) ** (dim / 2.0)
+    rows, one = _as_rows(x, dim)
+    density = _exp_factors(rows, _as_point(x0, dim), ell2) / (4.0 * math.pi * ell2) ** (dim / 2.0)
+    return float(density[0]) if one else density
 
 
 def position_weight(spec: DiffusionSpec, x) -> float:
@@ -146,16 +144,49 @@ def position_weight(spec: DiffusionSpec, x) -> float:
     return 1.0
 
 
-def weighted_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
-    """Weighted-model density: model Gaussian divided by the position weight.
+def pdf(spec: DiffusionSpec, x, x0, sigma: float):
+    """Model density at one point, shape (D,), or at each row of an (N, D) array.
 
-    Normalized against the measure, int d^Dx v(x) P(x, x0, sigma) = 1, and
-    self-similar under (x, x0, sigma) -> (lam^s x, lam^s x0, lam sigma) with
-    s = (1 + nu - beta)/2.
+    One point gives a float, N points an array of N densities, each with
+    the bits of its one-point call.  ell^2(sigma) comes from one
+    :func:`dispersion` call and the model is dispatched once:
+
+    - weighted, and the legacy ansatz, whose normalized solution has the
+      weighted form at beta = nu = 1: the Gaussian divided by the position
+      weight.  Normalized against the measure, int d^Dx v(x) P = 1, and
+      self-similar under (x, x0, sigma) -> (lam^s x, lam^s x0, lam sigma)
+      with s = (1 + nu - beta)/2;
+    - ordinary: C(x0, sigma) exp(-|x-x0|^2/(4 ell^2)), one normalization
+      per call, since C depends on x0 only;
+    - q: the product of Gaussians in geometric coordinates,
+      prod_mu exp(-|q(x_mu) - q(x0_mu)|^2 / (4 ell^2)) / sqrt(4 pi ell^2);
+      normalization against the measure v = dq/dx is automatic.
     """
+    if sigma <= 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    rows, one = _as_rows(x, spec.dim)
+    x0p = _as_point(x0, spec.dim)
     ell2 = dispersion(spec, sigma)
-    v = position_weight(spec, x)
-    return gaussian_pdf(x, x0, ell2, spec.dim) / v
+    if ell2 <= 0.0:
+        raise DomainError(f"dispersion must be positive, got {ell2}")
+    if spec.model == "ordinary":
+        density = _normalization_at(x0p, ell2, spec) * _exp_factors(rows, x0p, ell2)
+    elif spec.model == "q":
+        alphas = spec.spatial_charges.alphas
+        q0 = [geometric_profile(xi, a) for xi, a in zip(x0p.tolist(), alphas)]
+        root = math.sqrt(4.0 * math.pi * ell2)
+        density = []
+        for row in rows.tolist():
+            product = 1.0
+            for xi, q0i, a in zip(row, q0, alphas):
+                dq = geometric_profile(xi, a) - q0i
+                product *= math.exp(-(dq ** 2) / (4.0 * ell2)) / root
+            density.append(product)
+        density = np.array(density)
+    else:
+        weights = np.array([position_weight(spec, row) for row in rows])
+        density = gaussian_pdf(rows, x0p, ell2, spec.dim) / weights
+    return float(density[0]) if one else density
 
 
 def _kummer_prefactor(alpha: float, length: float) -> float:
@@ -207,54 +238,6 @@ def _normalization_at(x0, ell2: float, spec: DiffusionSpec) -> float:
             (1.0 - a) / 2.0, 0.5, -(xi ** 2) / (4.0 * ell2)
         )
     return 1.0 / inverse
-
-
-def ordinary_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
-    """Ordinary-model density C(x0, sigma) exp(-|x-x0|^2/(4 ell^2))."""
-    ell2 = dispersion(spec, sigma)
-    xp = _as_point(x, spec.dim)
-    x0p = _as_point(x0, spec.dim)
-    r2 = float(np.sum((xp - x0p) ** 2))
-    return _normalization_at(x0, ell2, spec) * math.exp(-r2 / (4.0 * ell2))
-
-
-def q_pdf(x, x0, sigma: float, spec: DiffusionSpec) -> float:
-    """q-model density: product of Gaussians in geometric coordinates.
-
-    P = prod_mu exp(-|q(x_mu) - q(x0_mu)|^2 / (4 ell^2)) / sqrt(4 pi ell^2)
-    with ell^2 the (isotropic) q-model dispersion.  Normalization against the
-    measure v = dq/dx is automatic.
-    """
-    if spec.model != "q":
-        raise DomainError(f"q_pdf needs the q model, got {spec.model!r}")
-    ell2 = dispersion(spec, sigma)
-    if ell2 <= 0.0:
-        raise DomainError(f"dispersion must be positive, got {ell2}")
-    xp = _as_point(x, spec.dim)
-    x0p = _as_point(x0, spec.dim)
-    density = 1.0
-    for xi, x0i, a in zip(xp, x0p, spec.spatial_charges.alphas):
-        dq = geometric_profile(float(xi), a) - geometric_profile(float(x0i), a)
-        density *= math.exp(-(dq ** 2) / (4.0 * ell2)) / math.sqrt(4.0 * math.pi * ell2)
-    return density
-
-
-def pdf_evaluate(spec: DiffusionSpec, x, x0, sigma: float) -> PdfEvaluation:
-    """Model dispatcher returning a tagged density evaluation.
-
-    The legacy ansatz shares the weighted functional form at beta = nu = 1
-    (its normalized solution), so it maps onto :func:`weighted_pdf` with the
-    Brownian dispersion.
-    """
-    if spec.model in ("weighted", "legacy"):
-        rho = weighted_pdf(x, x0, sigma, spec)
-    elif spec.model == "ordinary":
-        rho = ordinary_pdf(x, x0, sigma, spec)
-    else:
-        rho = q_pdf(x, x0, sigma, spec)
-    xp = tuple(float(v) for v in _as_point(x, spec.dim))
-    x0p = tuple(float(v) for v in _as_point(x0, spec.dim))
-    return PdfEvaluation(x=xp, x0=x0p, sigma=sigma, density=rho, model=spec.model)
 
 
 @cache
@@ -480,46 +463,50 @@ def default_box_halfwidth(spec: DiffusionSpec, sigma: float) -> float:
 def return_probability(
     spec: DiffusionSpec, sigma: float, box_halfwidth: float | None = None
 ) -> float:
-    """Return probability Z(sigma) under the model's volume convention.
-
-    weighted (and the fixed-dimensionality closed forms): the measure-traced
-    Gaussian per unit integer volume, (4 pi ell^2)^(-D/2).  ordinary: box
-    quadrature of v(x) C(x, sigma) per Hausdorff volume of the box (D <= 3).
-    q: closed form per Hausdorff volume.  legacy: the regularized power law
-    ell^(-D alpha) with unit prefactor.
-    """
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if spec.model == "ordinary":
-        return _ordinary_traces(spec, [sigma], box_halfwidth)[0]
-    ell2 = dispersion(spec, sigma)
-    if spec.model == "legacy":
-        return ell2 ** (-spec.dim * spec.alpha_average / 2.0)
-    return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
+    """Return probability Z(sigma) under the model's volume convention: the
+    one-sigma call of :func:`heat_kernel_curve`'s trace path."""
+    return float(_traces(spec, np.array([sigma], dtype=float), box_halfwidth)[0])
 
 
-def _ordinary_traces(
+def _traces(
     spec: DiffusionSpec,
-    sigmas: Sequence[float],
+    sigmas: np.ndarray,
     box_halfwidth: float | None,
     *,
     check_box: bool = True,
-) -> list[float]:
-    """Ordinary-model Z at each sigma: the box trace per Hausdorff volume of the box.
+) -> np.ndarray:
+    """Z at each sigma of a 1-d array under the model's volume convention.
 
-    The order-:data:`_GL_ORDER` and order-:data:`_GL_REFINE` traces of every
-    sigma come from one :func:`_trace_quadrature` call; the refinement test
-    is then made sigma by sigma, in grid order.  ``check_box=False`` drops
-    only the minimum-box precondition, for the infrared traces of
-    :func:`fixed_dim_trace_slopes`.
+    Every sigma is checked positive before any work; ell^2 of the whole
+    array then comes from one :func:`dispersion` call.
+
+    - weighted (and the fixed-dimensionality closed forms): the
+      measure-traced Gaussian per unit integer volume, (4 pi ell^2)^(-D/2);
+      q: the same closed form per Hausdorff volume;
+    - legacy: the regularized power law ell^(-D alpha) with unit prefactor;
+    - ordinary: box quadrature of v(x) C(x, sigma) per Hausdorff volume of
+      the box (D <= 3).  The order-:data:`_GL_ORDER` and
+      order-:data:`_GL_REFINE` traces of every sigma come from one
+      :func:`_trace_quadrature` call; the refinement test is then made
+      sigma by sigma, in grid order.  ``check_box=False`` drops only the
+      minimum-box precondition, for the infrared traces of
+      :func:`fixed_dim_trace_slopes`.
+
+    The closed-form powers are taken on Python floats (:func:`powers`), so
+    each sigma keeps the bits of its scalar expression.
     """
-    if spec.dim > 3:
-        raise DomainError("trace quadrature supports D <= 3")
-    nonpositive = [s for s in sigmas if s <= 0.0]
-    if nonpositive:
+    nonpositive = sigmas[sigmas <= 0.0]
+    if nonpositive.size:
         raise DomainError(f"sigma must be positive, got {nonpositive[0]}")
+    if spec.model == "ordinary" and spec.dim > 3:
+        raise DomainError("trace quadrature supports D <= 3")
+    ell2s = dispersion(spec, sigmas)
+    if spec.model == "legacy":
+        return powers(ell2s, -spec.dim * spec.alpha_average / 2.0)
+    if spec.model != "ordinary":
+        return powers(4.0 * math.pi * ell2s, -spec.dim / 2.0)
     cases, halfwidths = [], []
-    for ell2 in dispersion(spec, np.asarray(sigmas, dtype=float)).tolist():
+    for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
         halfwidth = _box_for(spec, ell2) if box_halfwidth is None else box_halfwidth
         if check_box and halfwidth < _BOX_ELL_FACTOR * ell:
@@ -532,13 +519,13 @@ def _ordinary_traces(
         cases += [(ell2, halfwidth, _GL_ORDER), (ell2, halfwidth, _GL_REFINE)]
     totals = _trace_quadrature(spec, cases)
     traces = []
-    for sigma, halfwidth, coarse, fine in zip(sigmas, halfwidths, totals[::2], totals[1::2]):
+    for sigma, halfwidth, coarse, fine in zip(sigmas.tolist(), halfwidths, totals[::2], totals[1::2]):
         if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
             raise ConvergenceError(
                 f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
             )
         traces.append(fine / _hausdorff_box_volume(spec, halfwidth))
-    return traces
+    return np.array(traces)
 
 
 def fixed_dim_trace_slopes(
@@ -562,9 +549,9 @@ def fixed_dim_trace_slopes(
 
     def slope_at(sigma: float, check_box: bool) -> float:
         h = 0.05
-        sigmas = [sigma * math.exp(k * h) for k in (-2, -1, 0, 1, 2)]
-        zs = _ordinary_traces(spec, sigmas, box_halfwidth, check_box=check_box)
-        return -2.0 * five_point_slope([math.log(z) for z in zs], h)
+        sigmas = np.array([sigma * math.exp(k * h) for k in (-2, -1, 0, 1, 2)])
+        zs = _traces(spec, sigmas, box_halfwidth, check_box=check_box)
+        return -2.0 * five_point_slope([math.log(z) for z in zs.tolist()], h)
 
     ell_ir = math.sqrt(dispersion(spec, ir_sigma))
     if ell_ir < 30.0 * box_halfwidth:
@@ -586,17 +573,16 @@ def heat_kernel_curve(
 ) -> HeatKernelCurve:
     """Sample Z(sigma) on a grid with the model's volume convention tag.
 
-    The ordinary-model traces of the whole grid share one quadrature call,
-    which evaluates Kummer's function in a few array calls per charge; each
-    value equals the one-sigma :func:`return_probability` bit for bit.
+    The whole grid takes one dispersion call, and the ordinary-model traces
+    one quadrature call, which evaluates Kummer's function in a few array
+    calls per charge; each value equals the one-sigma
+    :func:`return_probability` bit for bit.
     """
     sig = np.asarray(sigmas, dtype=float)
-    if spec.model == "ordinary":
-        zz = np.array(_ordinary_traces(spec, list(sig), box_halfwidth))
-    else:
-        zz = np.array([return_probability(spec, s, box_halfwidth) for s in sig])
     convention = PER_HAUSDORFF_VOLUME if spec.model in ("q", "ordinary") else PER_INTEGER_VOLUME
-    return HeatKernelCurve(sigmas=sig, Z=zz, convention=convention, model=spec.model)
+    return HeatKernelCurve(
+        sigmas=sig, Z=_traces(spec, sig, box_halfwidth), convention=convention, model=spec.model
+    )
 
 
 def ds_from_kernel(

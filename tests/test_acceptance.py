@@ -26,9 +26,7 @@ from multiflow.kernel import (
     ds_from_kernel,
     heat_kernel_curve,
     ordinary_normalization,
-    pdf_evaluate,
-    q_pdf,
-    weighted_pdf,
+    pdf,
 )
 from multiflow.measure import (
     DIFFUSION_TIME,
@@ -273,7 +271,7 @@ def test_criterion_9_pdf_suite():
             for x, x0, sigma in zip(xs, x0s, sigmas):
                 if x == 0.0:
                     continue
-                assert pdf_evaluate(spec, [x], [x0], float(sigma)).density >= 0.0
+                assert pdf(spec, [x], [x0], float(sigma)) >= 0.0
 
         # measure-weighted normalization to 1e-6 in one dimension
         def quad_norm(weight, density, x0, ell):
@@ -293,7 +291,7 @@ def test_criterion_9_pdf_suite():
         ell = math.sqrt(dispersion(weighted, sigma))
         val = quad_norm(
             lambda x: abs(x) ** (-0.5) / math.gamma(0.5),
-            lambda x: weighted_pdf([x], [x0], sigma, weighted),
+            lambda x: pdf(weighted, [x], [x0], sigma),
             x0, ell,
         )
         assert abs(val - 1.0) <= 1e-6
@@ -312,7 +310,7 @@ def test_criterion_9_pdf_suite():
         x_half = (math.gamma(1.5) * 12.0 * ell_q) ** 2.0  # inverse profile at 12 ell
         val = quad_norm(
             lambda x: 0.5 * abs(x) ** (-0.5) / math.gamma(1.5),
-            lambda x: q_pdf([x], [x0], sigma, q_model),
+            lambda x: pdf(q_model, [x], [x0], sigma),
             x0, max(x_half, 12.0 * ell_q),
         )
         assert abs(val - 1.0) <= 1e-6
@@ -326,8 +324,8 @@ def test_criterion_9_pdf_suite():
             x = rng.uniform(0.1, 3.0, dim)
             x0v = rng.uniform(-3.0, -0.1, dim)
             sig = float(rng.uniform(0.2, 5.0))
-            lhs = weighted_pdf(lam ** s * x, lam ** s * x0v, lam * sig, spec)
-            rhs = lam ** (-dim * alpha * s) * weighted_pdf(x, x0v, sig, spec)
+            lhs = pdf(spec, lam ** s * x, lam ** s * x0v, lam * sig)
+            rhs = lam ** (-dim * alpha * s) * pdf(spec, x, x0v, sig)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 

@@ -189,6 +189,9 @@ class TestConfig:
         for box in (0.0, -1.0):
             with pytest.raises(ConfigError, match="box"):
                 RunConfig(command="kernel", box=box).validate()
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="sigma > 0"):
+                RunConfig(command="pdf", sigma=sigma).validate()
 
     @pytest.mark.parametrize(
         "argv",
@@ -437,6 +440,19 @@ class TestKernelAndPdfCommands:
         _, _, rows = read_csv(out)
         z = [float(r[1]) for r in rows]
         assert len(z) == 19 and all(b < a for a, b in zip(z, z[1:]))
+
+    @pytest.mark.parametrize(
+        "model", [("weighted",), ("ordinary", "--alpha", "0.5"), ("q", "--beta-star", "0.5"),
+                  ("legacy", "--alpha", "0.5")],
+        ids=lambda m: m[0],
+    )
+    @pytest.mark.parametrize("sigma", ["0", "-1"])
+    def test_nonpositive_pdf_sigma_is_config_error(self, model, sigma, tmp_path, capsys):
+        # each model used to exit 3 with its own message from the numerics
+        out = tmp_path / "p.csv"
+        assert main(["pdf", "--model", *model, "--sigma", sigma, "--out", str(out)]) == EXIT_CONFIG
+        assert "pdf needs sigma > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_error_exit_code(self, tmp_path):
         out = tmp_path / "bad.csv"

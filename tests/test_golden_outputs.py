@@ -119,6 +119,40 @@ GOLDEN = {
         "8e38f0d98191ae518af34b01f38831f41331ceed607b3b40d6aca2cf4d730cc4",
         None,
     ),
+    # the README's kernel example
+    "kernel-q": (
+        ("kernel", "--model", "q", "--dim", "2", "--beta-star", "0.5"),
+        "cbb3134d18179fa1f45c0086a26e6668538f300c1d6356cf31b775da503fe288",
+        None,
+    ),
+    # 200 sigmas of the binomial panel rule in one dispersion call
+    "kernel-weighted-binomial-time": (
+        ("kernel", "--model", "weighted", "--beta-star", "0.5", "--sigma-points", "200"),
+        "1fed8b70dd559de06969b8b4024eb59be9e66261c7c0d157d8c9dea1077f59fe",
+        None,
+    ),
+    "kernel-legacy-d4": (
+        ("kernel", "--model", "legacy", "--alpha", "0.5", "--dim", "4"),
+        "64e72eb3a0b2aaf32d89e64db3346caad85e325ae7a3226b956fc0883087eb5a",
+        None,
+    ),
+    "pdf-q": (
+        ("pdf", "--model", "q", "--dim", "2", "--beta-star", "0.5", "--sigma", "1.0"),
+        "67337908cd2971b3566a61994b5819fcbfba5531a8de36104a8972ad70cbeab7",
+        None,
+    ),
+    "pdf-legacy": (
+        ("pdf", "--model", "legacy", "--dim", "1", "--alpha", "0.5"),
+        "86e3a26ea52bf5b3651cc6fa37d6cbe49e9b77b0a0ee5d7886ddfff963fcbbf8",
+        None,
+    ),
+    # the binomial bracket of the normalization, off the origin, in two dimensions
+    "pdf-ordinary-multiscale-d2": (
+        ("pdf", "--model", "ordinary", "--dim", "2", "--multiscale-space", "--alpha", "0.5",
+         "--x0", "0.3"),
+        "598fb9ae220f4b3f0b57fe799e5d6fd03e270e1789967c192a394df7d8406059",
+        None,
+    ),
     "pdf-ordinary": (
         ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--sigma", "1.0",
          "--x-points", "41"),

@@ -20,11 +20,8 @@ from multiflow.kernel import (
     gaussian_pdf,
     heat_kernel_curve,
     ordinary_normalization,
-    ordinary_pdf,
-    pdf_evaluate,
-    q_pdf,
+    pdf,
     return_probability,
-    weighted_pdf,
 )
 from multiflow.kernel import _axis_tables, _trace_quadrature, default_box_halfwidth
 from multiflow.measure import (
@@ -91,7 +88,7 @@ class TestWeightedPdf:
         spec = fractional_spec(beta=1.0, alpha=1.0, dim=2)
         x, x0 = [0.3, -0.4], [0.1, 0.2]
         assert math.isclose(
-            weighted_pdf(x, x0, 1.3, spec), gaussian_pdf(x, x0, 1.3, 2), rel_tol=1e-14
+            pdf(spec, x, x0, 1.3), gaussian_pdf(x, x0, 1.3, 2), rel_tol=1e-14
         )
 
     def test_measure_weighted_normalization(self):
@@ -101,7 +98,7 @@ class TestWeightedPdf:
 
         def integrand(x):
             v = abs(x) ** (-0.5) / math.gamma(0.5)
-            return v * weighted_pdf([x], [0.4], sigma, spec)
+            return v * pdf(spec, [x], [0.4], sigma)
 
         hw = 12.0 * math.sqrt(ell2)
         total = 0.0
@@ -123,14 +120,14 @@ class TestWeightedPdf:
             x = rng.uniform(0.1, 3.0, dim)
             x0 = rng.uniform(-3.0, -0.1, dim)
             sigma = float(rng.uniform(0.2, 5.0))
-            lhs = weighted_pdf(lam ** s * x, lam ** s * x0, lam * sigma, spec)
-            rhs = lam ** (-dim * alpha * s) * weighted_pdf(x, x0, sigma, spec)
+            lhs = pdf(spec, lam ** s * x, lam ** s * x0, lam * sigma)
+            rhs = lam ** (-dim * alpha * s) * pdf(spec, x, x0, sigma)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_singular_point(self):
         spec = fractional_spec(beta=1.0, alpha=0.5, dim=1)
         with pytest.raises(DomainError):
-            weighted_pdf([0.0], [1.0], 1.0, spec)
+            pdf(spec, [0.0], [1.0], 1.0)
 
 
 class TestOrdinaryNormalization:
@@ -215,7 +212,7 @@ class TestQPdf:
         ell2 = dispersion(spec, sigma)
         x, x0 = [0.5, -0.3], [0.0, 0.4]
         assert math.isclose(
-            q_pdf(x, x0, sigma, spec), gaussian_pdf(x, x0, ell2, 2), rel_tol=1e-12
+            pdf(spec, x, x0, sigma), gaussian_pdf(x, x0, ell2, 2), rel_tol=1e-12
         )
 
     def test_peak_value(self):
@@ -224,7 +221,7 @@ class TestQPdf:
         ell2 = dispersion(spec, sigma)
         x0 = [1.3]
         assert math.isclose(
-            q_pdf(x0, x0, sigma, spec), (4.0 * math.pi * ell2) ** -0.5, rel_tol=1e-12
+            pdf(spec, x0, x0, sigma), (4.0 * math.pi * ell2) ** -0.5, rel_tol=1e-12
         )
 
     def test_measure_weighted_normalization(self):
@@ -236,7 +233,7 @@ class TestQPdf:
 
         def integrand(x):
             v = alpha * abs(x) ** (alpha - 1.0) / math.gamma(alpha + 1.0)
-            return v * q_pdf([x], [x0], sigma, spec)
+            return v * pdf(spec, [x], [x0], sigma)
 
         val = 0.0
         for a, b in ((-60.0, 0.0), (0.0, 60.0)):
@@ -246,11 +243,6 @@ class TestQPdf:
             )
             val += part
         assert abs(val - 1.0) < 1e-6
-
-    def test_model_guard(self):
-        spec = fractional_spec(beta=1.0)
-        with pytest.raises(DomainError):
-            q_pdf([1.0], [0.0], 1.0, spec)
 
 
 class TestPdfDispatcher:
@@ -265,8 +257,7 @@ class TestPdfDispatcher:
                 x = [float(rng.uniform(-8.0, 8.0)) or 0.1]
                 x0 = [float(rng.uniform(-2.0, 2.0))]
                 sigma = float(rng.uniform(0.05, 20.0))
-                evaluation = pdf_evaluate(spec, x, x0, sigma)
-                assert evaluation.density >= 0.0
+                assert pdf(spec, x, x0, sigma) >= 0.0
 
     def test_legacy_maps_to_normalized_gaussian(self):
         spec = DiffusionSpec(
@@ -275,9 +266,9 @@ class TestPdfDispatcher:
             scales=GeometryScales(kappa=1.0),
             charges=FractionalCharges.isotropic(0.5, 1),
         )
-        got = pdf_evaluate(spec, [1.0], [0.0], 2.0)
+        got = pdf(spec, [1.0], [0.0], 2.0)
         v = abs(1.0) ** (-0.5) / math.gamma(0.5)
-        assert math.isclose(got.density, gaussian_pdf([1.0], [0.0], 2.0, 1) / v, rel_tol=1e-12)
+        assert math.isclose(got, gaussian_pdf([1.0], [0.0], 2.0, 1) / v, rel_tol=1e-12)
 
 
 class TestReturnProbability:
@@ -369,7 +360,7 @@ class TestOrdinaryPdf:
         spec = ordinary_spec(0.5, dim=1, beta=0.5)
         x0, sigma = [0.7], 0.9
         assert math.isclose(
-            ordinary_pdf(x0, x0, sigma, spec),
+            pdf(spec, x0, x0, sigma),
             ordinary_normalization(x0, sigma, spec),
             rel_tol=1e-14,
         )
@@ -379,7 +370,7 @@ class TestOrdinaryPdf:
         sigma = 1.0
         ell2 = dispersion(spec, sigma)
         c = ordinary_normalization([0.5], sigma, spec)
-        got = ordinary_pdf([2.0], [0.5], sigma, spec)
+        got = pdf(spec, [2.0], [0.5], sigma)
         assert math.isclose(got, c * math.exp(-(1.5 ** 2) / (4.0 * ell2)), rel_tol=1e-12)
 
 
@@ -404,12 +395,12 @@ class TestWeightedNormalization2D:
             )
             total *= val
         assert abs(total - 1.0) < 1e-4
-        # spot check that the factorized integrand is v * weighted_pdf
+        # spot check that the factorized integrand is v * pdf
         x = (0.3, 0.2)
         v = 1.0
         for xi, a in zip(x, (0.5, 0.5)):
             v *= abs(xi) ** (a - 1.0) / math.gamma(a)
-        direct = v * weighted_pdf(list(x), list(x0), sigma, spec)
+        direct = v * pdf(spec, list(x), list(x0), sigma)
         factorized = weighted_density_1d(x[0], x0[0]) * weighted_density_1d(x[1], x0[1])
         assert math.isclose(direct, factorized, rel_tol=1e-12)
 

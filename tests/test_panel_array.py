@@ -6,7 +6,8 @@ own scalar call, and of the one-upper rule written out below, wherever it
 sits in a block and whatever decade count it needs; every refusal of the
 scalar call must apply to each element.  The other closed forms, and
 ``spectral.flow_curve`` on them, are held to their scalar formulas written
-out on Python floats.
+out on Python floats.  So are the heat-kernel traces of every model on a
+grid, and a density slice of every model is held to its one-point calls.
 """
 
 import importlib
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import binomial_spec
-from multiflow import specfun
+from multiflow import kernel, specfun
 from multiflow.dispersion import (
     DiffusionSpec,
     binomial_time_integral,
@@ -27,8 +28,16 @@ from multiflow.dispersion import (
     sample_dispersion,
 )
 from multiflow.errors import DomainError
+from multiflow.kernel import (
+    PER_HAUSDORFF_VOLUME,
+    PER_INTEGER_VOLUME,
+    heat_kernel_curve,
+    pdf,
+    return_probability,
+)
 from multiflow.measure import (
     DIFFUSION_TIME,
+    POSITION,
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
@@ -288,3 +297,86 @@ def test_plateau_flags_of_every_model(name):
 
     assert (flow.uv_converged, flow.ir_converged) == (flat(uv), flat(ir))
     assert flow.model == "q"
+
+
+# every model of the kernel: the closed forms above, a binomial time measure
+# with fractional charges, and the ordinary model in one dimension and with
+# a binomial space measure
+KERNEL_MODELS = {
+    **OTHER_MODELS,
+    "weighted": binomial_spec(0.5, dim=2, alpha=0.6),
+    "ordinary-d1": DiffusionSpec(
+        model="ordinary", dim=1, scales=_SCALES, charges=FractionalCharges.isotropic(0.4, 1)
+    ),
+    "ordinary-multiscale-space": DiffusionSpec(
+        model="ordinary", dim=2, scales=GeometryScales(lstar=0.8, beta=1.0),
+        spatial_profile=MeasureProfile.binomial(0.5, 0.8, kind=POSITION),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::multiflow.spectral.LegacyAnsatzWarning")
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_every_trace_on_a_grid_equals_its_scalar_formula(name):
+    spec = KERNEL_MODELS[name]
+    if spec.model == "ordinary":
+        # box quadrature: the grid equals its one-sigma calls
+        grid = np.geomspace(1e-2, 1e2, 9)
+        expected = [return_probability(spec, s) for s in grid.tolist()]
+    else:
+        rng = np.random.default_rng([SEED, 303])
+        grid = np.unique(10.0 ** rng.uniform(-2.0, 4.0, 300))
+        ell2 = [
+            scalar_dispersion(spec, s) if name in OTHER_MODELS else dispersion(spec, s)
+            for s in grid.tolist()
+        ]
+        if spec.model == "legacy":
+            expected = [e ** (-spec.dim * spec.alpha_average / 2.0) for e in ell2]
+        else:
+            expected = [(4.0 * math.pi * e) ** (-spec.dim / 2.0) for e in ell2]
+        assert [return_probability(spec, s) for s in grid.tolist()] == expected
+    curve = heat_kernel_curve(spec, grid)
+    assert curve.Z.tolist() == expected
+    hausdorff = spec.model in ("q", "ordinary")
+    assert curve.convention == (PER_HAUSDORFF_VOLUME if hausdorff else PER_INTEGER_VOLUME)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_pdf_slice_equals_its_point_calls(name):
+    spec = KERNEL_MODELS[name]
+    rng = np.random.default_rng([SEED, 304])
+    points = rng.uniform(-6.0, 6.0, (400, spec.dim))
+    x0 = rng.uniform(-2.0, 2.0, spec.dim)
+    for sigma in (1e-3, 0.7, 40.0):
+        densities = pdf(spec, points, x0, sigma)
+        assert densities.shape == (400,)
+        assert densities.tolist() == [pdf(spec, p, x0, sigma) for p in points]
+    assert type(pdf(spec, points[0], x0, 1.0)) is float
+    assert pdf(spec, points[:1], x0, 1.0).shape == (1,)
+    with pytest.raises(DomainError):
+        pdf(spec, np.ones((3, spec.dim + 1)), x0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::multiflow.spectral.LegacyAnsatzWarning")
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_kernel_refuses_nonpositive_sigma_before_any_work(name, monkeypatch):
+    # sigma = 0 would otherwise reach 0.0 ** (-D/2) in the closed-form trace
+    spec = KERNEL_MODELS[name]
+
+    def no_work(*args):
+        raise AssertionError("evaluated before the sigma check")
+
+    monkeypatch.setattr(kernel, "dispersion", no_work)
+    monkeypatch.setattr(kernel, "powers", no_work)
+    point = np.ones(spec.dim)
+    for bad in (0.0, -2.0):
+        calls = (
+            lambda: pdf(spec, point, point, bad),
+            lambda: pdf(spec, np.ones((3, spec.dim)), point, bad),
+            lambda: return_probability(spec, bad),
+            lambda: heat_kernel_curve(spec, np.array([bad, 1.0, 2.0])),
+        )
+        for call in calls:
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == f"sigma must be positive, got {bad}"

@@ -34,6 +34,10 @@ JOBS = {
         "kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5",
         "--sigma-min", "1e-2", "--sigma-max", "1e2", "--sigma-points", "9",
     ),
+    # the closed-form trace takes its whole grid from one dispersion call
+    "kernel-weighted": (
+        "kernel", "--model", "weighted", "--beta-star", "0.5", "--sigma-points", "20",
+    ),
     "pdf": ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x-points", "41"),
     # writes the msd file and a trajectory file
     "simulate": (
@@ -70,9 +74,12 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
     assert tracer.stats[f"cli.run_{command}"].calls == 1
     if command == "flow":
         assert tracer.stats["spectral.flow_curve"].calls == 1
+    if name in ("pdf", "kernel-weighted"):
+        # one ell^2 per slice and per grid
+        assert tracer.stats["dispersion.dispersion"].calls == 1
     if name == "pdf":
-        # the off-origin normalization takes traced scalar Kummer calls
-        assert tracer.stats["specfun.kummer_phi"].calls > 0
+        # the off-origin normalization is one traced scalar Kummer call per slice
+        assert tracer.stats["specfun.kummer_phi"].calls == 1
     written = sorted(traced.iterdir())
     assert [f.name for f in written] == sorted(f.name for f in plain.iterdir())
     assert len(written) == (2 if command == "simulate" else 1)
