@@ -4,7 +4,7 @@ Every file starts with a versioned schema comment so downstream tooling can
 detect format drift.  Floats are written with ``repr`` (shortest round-trip
 form), newlines are always ``\\n``: identical inputs produce byte-identical
 files on every platform and worker count.  Data are handed over column by
-column and formatted a whole column at a time.
+column, and each column is formatted one block of lines at a time.
 """
 
 from __future__ import annotations
@@ -34,19 +34,27 @@ def format_cell(value) -> str:
 
 
 def _column_cells(column) -> Iterable[str]:
-    """The text cells of one column, made lazily in one pass over it."""
+    """The text cells of one column, made lazily in one pass over it.
+
+    An array is turned into Python objects ``_LINES_PER_WRITE`` rows at a
+    time, so a write holds one block of them per column, not the column.
+    """
     if isinstance(column, str):
         return repeat(column)
     if not isinstance(column, np.ndarray):
         return column  # cells already formatted
     kind = column.dtype.kind
     if kind == "b":
-        return map(("false", "true").__getitem__, column.tolist())
-    if kind == "f":
-        return map(repr, column.tolist())
-    if kind in "iu":
-        return map(str, column.tolist())
-    raise TypeError(f"cannot write a column of dtype {column.dtype}")
+        convert = ("false", "true").__getitem__
+    elif kind == "f":
+        convert = repr
+    elif kind in "iu":
+        convert = str
+    else:
+        raise TypeError(f"cannot write a column of dtype {column.dtype}")
+    blocks = (column[lo: lo + _LINES_PER_WRITE].tolist()
+              for lo in range(0, column.size, _LINES_PER_WRITE))
+    return map(convert, chain.from_iterable(blocks))
 
 
 def write_csv(

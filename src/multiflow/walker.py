@@ -20,7 +20,8 @@ scaled, summed along the steps and mapped by the process in place, and
 finally reduced to squared radii by explicit adds in np.sum's order.  An
 ensemble therefore holds the squared radius of every path and step,
 O(paths * steps) memory plus one block, and full positions only for the
-first ``keep`` paths (all of them by default).
+first ``keep`` paths (all of them by default).  Its non-finite check and the
+standard error of ``msd`` also work one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class WalkerEnsemble:
             raise GridError(f"squared radii shape {sq.shape} does not match grid of {grid.size} steps")
         if pos.ndim != 3 or pos.shape[1] != grid.size or pos.shape[0] > sq.shape[0]:
             raise GridError(f"positions shape {pos.shape} does not match {sq.shape[0]} paths of {grid.size} steps")
-        if not (np.all(np.isfinite(sq)) and np.all(np.isfinite(pos))):
+        if not (_all_finite(sq, _block_paths(grid.size, 1))
+                and _all_finite(pos, _block_paths(grid.size, pos.shape[2]))):
             raise DomainError("ensemble contains non-finite positions")
 
     @property
@@ -178,6 +180,11 @@ def uniform_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray
 def _block_paths(n_steps: int, dim: int) -> int:
     """Paths per block: as many as fit ``_BLOCK_BYTES`` of float64 positions."""
     return max(1, _BLOCK_BYTES // (8 * n_steps * dim))
+
+
+def _all_finite(values: np.ndarray, rows: int) -> bool:
+    """Whether every value is finite, checked ``rows`` leading-axis rows at a time."""
+    return all(np.isfinite(values[lo: lo + rows]).all() for lo in range(0, values.shape[0], rows))
 
 
 def _simulate_paths(
@@ -408,13 +415,26 @@ def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (sigmas, msd, stderr); the ensemble mean is a fixed-order
     reduction, so it inherits the simulator's determinism.  The standard
-    error needs at least 2 paths.
+    error needs at least 2 paths.  It is ``sq.std(axis=0, ddof=1) / sqrt(n)``
+    bit for bit, but the squared deviations are made one block of
+    ``_BLOCK_BYTES`` at a time, never for the whole ensemble: row 0 of the
+    block buffer carries the running column sum, so each block's reduction
+    continues np.std's sequential row order.
     """
-    if ensemble.n_paths < 2:
-        raise DomainError(f"msd needs at least 2 paths, got {ensemble.n_paths}")
+    n = ensemble.n_paths
+    if n < 2:
+        raise DomainError(f"msd needs at least 2 paths, got {n}")
     sq = ensemble.sq_radii
     mean = sq.mean(axis=0)
-    stderr = sq.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+    rows = _block_paths(ensemble.n_steps, 1)
+    buf = np.zeros((min(rows, n) + 1, ensemble.n_steps))
+    for lo in range(0, n, rows):
+        blk = sq[lo: lo + rows]
+        dev = buf[1: blk.shape[0] + 1]
+        np.subtract(blk, mean, out=dev)
+        np.square(dev, out=dev)
+        buf[0] = np.add.reduce(buf[: blk.shape[0] + 1], axis=0)
+    stderr = np.sqrt(buf[0] / (n - 1)) / math.sqrt(n)
     return ensemble.grid.copy(), mean, stderr
 
 

@@ -139,6 +139,29 @@ class TestColumnWriter:
         assert path.read_bytes() == _reference_csv("empty", ("sigma", "model"), [],
                                                    {"dim": 1}, {"n": 0})
 
+    def test_memory_is_one_block_of_lines(self, tmp_path):
+        # 51 200 rows, 12.5 blocks of lines: converting whole columns to
+        # Python objects at once held 7.4 MiB for four float columns
+        import tracemalloc
+
+        from multiflow.csvio import write_csv
+
+        rng = np.random.default_rng(5)
+        n = 51200
+        columns = (rng.standard_normal(n), rng.standard_normal(n) * 1e-300,
+                   rng.integers(-10 ** 12, 10 ** 12, n), rng.standard_normal(n) > 0.0)
+        header = ("a", "b", "i", "flag")
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, "big", header, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        rows = zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist(), columns[3])
+        assert path.read_bytes() == _reference_csv("big", header, rows)
+
     @pytest.mark.parametrize("columns", [
         ("only", "constants"),
         (np.zeros(3), np.zeros(4)),
@@ -408,6 +431,18 @@ class TestKernelAndPdfCommands:
         assert rows[0][2] == "per-unit-integer-volume"
         z0, z1 = float(rows[0][1]), float(rows[-1][1])
         assert z0 > z1
+
+    def test_flat_trace_is_accepted(self, tmp_path):
+        # with lbar > 0, ell^2 rounds to lbar^2 at small sigma and Z is flat
+        # to double precision; a strictly decreasing check refused it (exit 3)
+        cfg_path = tmp_path / "flat.conf"
+        cfg_path.write_text("[model]\nmodel = weighted\ndim = 2\nbeta = 0.6\nlbar = 0.5\n")
+        out = tmp_path / "k.csv"
+        code = main(["kernel", "--config", str(cfg_path), "--sigma-min", "1e-14", "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv(out)
+        z = [float(r[1]) for r in rows]
+        assert z[0] == z[1] and all(b <= a for a, b in zip(z, z[1:])) and z[-1] < z[0]
 
     def test_pdf_slice(self, tmp_path):
         out = tmp_path / "p.csv"

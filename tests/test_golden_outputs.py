@@ -19,8 +19,9 @@ from multiflow.walker import _block_paths
 _FLOW = ("--dim", "4", "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "60")
 _KERNEL = ("kernel", "--model", "ordinary", "--sigma-min", "1e-2", "--sigma-max", "1e2")
 _WALK = ("--paths", "200", "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10")
-# 256 steps: the walker's path blocks then hold 256 paths at D = 2 and 170 at
-# D = 3, so these pins cross block edges (see test_block_pins_cross_block_edges).
+# 256 steps: the walker's path blocks then hold 512 paths at D = 1, 256 at D = 2
+# and 170 at D = 3, so these pins cross block edges (see
+# test_block_pins_cross_block_edges).
 _WALK_BLOCKS = ("--steps", "256", "--sigma-min", "1e-3", "--sigma-max", "10")
 
 # name -> (argv without --out, digest of the main file, digest of the trajectory file)
@@ -201,6 +202,13 @@ GOLDEN = {
         "381006a55a11973b85ad9577fc6d51a0d37f7a1919990aa1adc66f3bf5c1df0d",
         None,
     ),
+    # at D = 1 the msd row blocks are the path blocks: 512 + 512 + 276 rows
+    "simulate-sbm-d1-blocks": (
+        ("simulate", "--model", "sbm", "--nu", "0.5", "--dim", "1", "--paths", "1300",
+         *_WALK_BLOCKS, "--seed", "31", "--traj-paths", "0"),
+        "79c8c48f7fc60322a3f2919916fc38272e1a400a37dfb4e5560ef8c5a13469c1",
+        None,
+    ),
 }
 
 
@@ -241,3 +249,6 @@ def test_block_pins_cross_block_edges(name):
     assert paths > 2 * block and paths % block != 0
     if name == "simulate-bm-d3-blocks":  # its trajectory file spans two blocks
         assert block < _flag(argv, "--traj-paths") < 2 * block
+    if name == "simulate-sbm-d1-blocks":  # and so does its msd reduction
+        rows = _block_paths(_flag(argv, "--steps"), 1)
+        assert (rows, paths - 2 * rows) == (512, 276)

@@ -344,6 +344,15 @@ class TestDsFromKernel:
             got = ds_from_kernel(curve, float(s))
             assert abs(got - spectral_weighted_flow(spec, float(s))) < 1e-3
 
+    def test_curve_may_be_flat_but_not_increase(self):
+        sig = np.geomspace(0.1, 10.0, 4)
+        flat = HeatKernelCurve(sigmas=sig, Z=np.array([0.5, 0.5, 0.25, 0.125]),
+                               convention=PER_INTEGER_VOLUME, model="weighted")
+        assert flat.Z[0] == flat.Z[1]
+        with pytest.raises(DomainError, match="must not increase"):
+            HeatKernelCurve(sigmas=sig, Z=np.array([0.5, 0.25, 0.25 + 2 ** -54, 0.125]),
+                            convention=PER_INTEGER_VOLUME, model="weighted")
+
     def test_grid_errors(self):
         sig = np.geomspace(0.1, 10.0, 11)
         curve = HeatKernelCurve(

@@ -168,6 +168,24 @@ class TestFsbmV:
         assert abs(report.stationarity_tstat) > 5.0
         assert report.uncorrelated
 
+    @pytest.mark.parametrize(
+        "spec", [fractional_spec(beta=0.5, dim=2), binomial_spec(1.5, dim=2)],
+        ids=["fractional-0.5", "binomial-1.5"],
+    )
+    def test_exact_law_at_every_sigma(self, spec):
+        # X = B(sigma) / sqrt(v(sigma)), so <X^2> = 2 D kappa sigma / v(sigma)
+        # exactly; |X|^2 is that mean times a chi-square of D degrees over D,
+        # whose sd is the mean times sqrt(2 / D)
+        n = 4000
+        grid = geometric_grid(1e-4, 1e2, 64)
+        ens = simulate_fsbm_v(n, grid, spec, SEED, keep=0)
+        assert ens.process == "fsbm-v"
+        sig, mean_sq, stderr = msd(ens)
+        weight = time_weight(spec)
+        exact = np.array([2.0 * spec.dim * spec.scales.kappa * s / weight(s) for s in sig.tolist()])
+        assert np.all(np.abs(mean_sq - exact) < 5.0 * stderr)
+        assert np.all(np.abs(stderr / (exact * math.sqrt(2.0 / (spec.dim * n))) - 1.0) < 0.15)
+
     def test_multiscale_crossover_slopes(self):
         spec = binomial_spec(0.5, dim=1)
         grid = geometric_grid(1e-5, 1e4, FULL_STEPS)
@@ -203,7 +221,53 @@ class TestFsbmQ:
             simulate_fsbm_q(10, full_grid, 0.5, 1.5, 1, 0)
 
 
+# msd's row blocks: every steps x paths shape of at most 20 000 x 128 values
+MSD_STEPS = (2, 3, 4, 5, 7, 8, 9, 16, 17, 64, 128, 129, 1024)
+MSD_PATHS = (2, 3, 16, 17, 100, 1000, 5000, 20000)
+
+
+def _sq_ensemble(sq):
+    """An ensemble of the given squared radii and no kept positions."""
+    steps = sq.shape[1]
+    return WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, steps), sq, np.empty((0, steps, 1)), seed=0)
+
+
 class TestMsdAndFits:
+    @pytest.mark.parametrize("block_bytes", [walker_mod._BLOCK_BYTES, 1], ids=["default", "one-row"])
+    @pytest.mark.parametrize("steps", MSD_STEPS)
+    def test_msd_equals_numpy_reductions(self, steps, block_bytes, monkeypatch):
+        # the blocked standard error keeps np.std's bits at every block size
+        monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng([SEED, steps])
+        for n in (n for n in MSD_PATHS if n * steps <= 20000 * 128):
+            sq = rng.standard_exponential((n, steps)) * np.geomspace(1e-3, 1e3, steps)
+            _, mean, stderr = msd(_sq_ensemble(sq))
+            assert np.array_equal(mean, sq.mean(axis=0))
+            assert np.array_equal(stderr, sq.std(axis=0, ddof=1) / math.sqrt(n))
+
+    def test_msd_memory_is_one_block(self):
+        # np.std made a 19.6 MiB temporary of deviations for 20 000 x 128
+        ens = _sq_ensemble(np.random.default_rng(SEED).standard_exponential((20000, 128)))
+        tracemalloc.start()
+        try:
+            msd(ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_ensemble_check_memory_is_one_block(self):
+        # np.isfinite of all 20 000 x 128 squared radii made 2.4 MiB of bools
+        sq = np.random.default_rng(SEED).standard_exponential((20000, 128))
+        pos = np.zeros((1000, 128, 4))
+        tracemalloc.start()
+        try:
+            WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, 128), sq, pos, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 19
+
     def test_msd_deterministic(self, full_grid):
         a = simulate_bm(500, full_grid, 1.0, 1, 11)
         b = simulate_bm(500, full_grid, 1.0, 1, 11)
@@ -383,14 +447,21 @@ class TestBlockStream:
             increment_diagnostics(ens, lag=4)
 
     def test_non_finite_refused(self):
-        ens = simulate_bm(4, STREAM_GRID, 1.0, 2, 3, keep=2)
-        sq, pos = ens.sq_radii.copy(), ens.positions.copy()
-        sq[3, 7] = math.nan
-        with pytest.raises(DomainError):
-            WalkerEnsemble("bm", STREAM_GRID, sq, ens.positions, seed=3)
-        pos[1, 7, 0] = math.inf
-        with pytest.raises(DomainError):
-            WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, pos, seed=3)
+        # the check runs by row blocks: a value on either side of a block
+        # edge, or in the last partial block, is found
+        rows, pos_rows = _block_paths(STREAM_GRID.size, 1), _block_paths(STREAM_GRID.size, 2)
+        ens = simulate_bm(rows + 4, STREAM_GRID, 1.0, 2, 3, keep=pos_rows + 2)
+        WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, ens.positions, seed=3)
+        for row in (3, rows - 1, rows, rows + 3):
+            sq = ens.sq_radii.copy()
+            sq[row, 7] = math.nan
+            with pytest.raises(DomainError):
+                WalkerEnsemble("bm", STREAM_GRID, sq, ens.positions, seed=3)
+        for row in (1, pos_rows - 1, pos_rows, pos_rows + 1):
+            pos = ens.positions.copy()
+            pos[row, 7, 0] = math.inf
+            with pytest.raises(DomainError):
+                WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, pos, seed=3)
 
     def test_msd_needs_two_paths(self):
         ens = simulate_bm(1, STREAM_GRID, 1.0, 2, 3)
