@@ -77,10 +77,6 @@ from .walker import (
     increment_diagnostics,
     msd,
     simulate,
-    simulate_bm,
-    simulate_fsbm_q,
-    simulate_fsbm_v,
-    simulate_sbm,
     uniform_grid,
 )
 

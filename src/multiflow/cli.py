@@ -32,7 +32,7 @@ from .dispersion import (
     time_weight,
 )
 from .errors import ConfigError, MultiflowError
-from .measure import hausdorff_dimension
+from .measure import GeometryScales, hausdorff_dimension
 from .spectral import LegacyAnsatzWarning
 
 EXIT_OK = 0
@@ -268,7 +268,8 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
 
         # Walker scaling: Brownian exponent.
         grid_w = walker.geometric_grid(1e-3, 10.0, 256)
-        ens = walker.simulate_bm(2000, grid_w, cfg.kappa, 1, cfg.seed)
+        spec_w = DiffusionSpec(model="weighted", dim=1, scales=GeometryScales(kappa=cfg.kappa))
+        ens = walker.simulate("bm", 2000, grid_w, spec_w, cfg.seed)
         sig, mean_sq, _ = walker.msd(ens)
         fit = walker.fit_scaling_exponent(sig, mean_sq, (0.1, 10.0))
         checks.append(_Check("bm-msd-exponent", fit.exponent, 1.0, 0.05))

@@ -20,15 +20,16 @@ scaled, summed along the steps and mapped by the process in place, and
 finally reduced to squared radii by explicit adds in np.sum's order.  An
 ensemble therefore holds the squared radius of every path and step,
 O(paths * steps) memory plus one block, and full positions only for the
-first ``keep`` paths (all of them by default).  Its non-finite check and the
-standard error of ``msd`` also work one block of rows at a time.
+first ``keep`` paths (all of them by default).  Its non-finite check, the
+standard error of ``msd`` and the increment statistics also work one block
+of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -44,10 +45,6 @@ __all__ = [
     "PROCESSES",
     "geometric_grid",
     "uniform_grid",
-    "simulate_bm",
-    "simulate_sbm",
-    "simulate_fsbm_v",
-    "simulate_fsbm_q",
     "simulate",
     "msd",
     "fit_scaling_exponent",
@@ -76,10 +73,6 @@ class WalkerEnsemble:
     grid: np.ndarray
     sq_radii: np.ndarray  # (n_paths, n_steps)
     positions: np.ndarray  # (n_kept, n_steps, dim), n_kept <= n_paths
-    seed: int
-    kappa: float = 1.0
-    params: dict = field(default_factory=dict)
-    spec: DiffusionSpec | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -112,10 +105,6 @@ class WalkerEnsemble:
     @property
     def n_steps(self) -> int:
         return self.grid.size
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[2]
 
 
 @dataclass(frozen=True)
@@ -185,6 +174,23 @@ def _block_paths(n_steps: int, dim: int) -> int:
 def _all_finite(values: np.ndarray, rows: int) -> bool:
     """Whether every value is finite, checked ``rows`` leading-axis rows at a time."""
     return all(np.isfinite(values[lo: lo + rows]).all() for lo in range(0, values.shape[0], rows))
+
+
+def _row_sum(fill: Callable[[int, np.ndarray], None], n_rows: int, width: int, rows: int) -> np.ndarray:
+    """Column sums of the (n_rows, width) array that ``fill(lo, out)`` writes
+    ``rows`` rows at a time, from row ``lo`` into ``out``.
+
+    Only one block of rows is held.  Row 0 of the block buffer carries the
+    running sum, so each block's reduction continues np.add.reduce's
+    sequential row order: the sums have the bits of the whole array's
+    ``sum(axis=0)``, and so of the sums inside np.mean, np.var and np.std.
+    """
+    buf = np.zeros((min(rows, n_rows) + 1, width))
+    for lo in range(0, n_rows, rows):
+        k = min(rows, n_rows - lo)
+        fill(lo, buf[1: k + 1])
+        buf[0] = np.add.reduce(buf[: k + 1], axis=0)
+    return buf[0]
 
 
 def _simulate_paths(
@@ -264,123 +270,6 @@ def _sum_squares(block: np.ndarray, out: np.ndarray) -> None:
         out += block[..., k]
 
 
-def simulate_bm(
-    n_paths: int,
-    grid: Sequence[float] | np.ndarray,
-    kappa: float,
-    dim: int,
-    seed: int,
-    keep: int | None = None,
-) -> WalkerEnsemble:
-    """Brownian motion: independent Gaussian increments, <X^2> = 2 D kappa sigma."""
-    grid = np.asarray(grid, dtype=float)
-    sq, pos = _simulate_paths(grid, kappa, 1.0, dim, seed, n_paths, keep)
-    return WalkerEnsemble(process="bm", grid=grid, sq_radii=sq, positions=pos, seed=seed, kappa=kappa)
-
-
-def simulate_sbm(
-    n_paths: int,
-    grid: Sequence[float] | np.ndarray,
-    kappa: float,
-    nu: float,
-    dim: int,
-    seed: int,
-    keep: int | None = None,
-) -> WalkerEnsemble:
-    """Scaled Brownian motion X(sigma) = BM(sigma^nu); time ordering needs nu > 0."""
-    if nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu}")
-    grid = np.asarray(grid, dtype=float)
-    sq, pos = _simulate_paths(grid, kappa, nu, dim, seed, n_paths, keep)
-    return WalkerEnsemble(
-        process="sbm", grid=grid, sq_radii=sq, positions=pos, seed=seed, kappa=kappa,
-        params={"nu": nu},
-    )
-
-
-def simulate_fsbm_v(
-    n_paths: int,
-    grid: Sequence[float] | np.ndarray,
-    spec: DiffusionSpec,
-    seed: int,
-    keep: int | None = None,
-) -> WalkerEnsemble:
-    """Multiscale-spacetime Brownian motion: BM (or SBM for nu != 1) divided
-    pointwise by sqrt(v(sigma)).
-
-    The diffusion-time weight comes from the spec: fractional power law
-    sigma^(beta-1)/Gamma(beta) or binomial multiscale profile.  The grid must
-    stay clear of the weight's singular point at zero (it does, by
-    construction: grids start after 0).
-    """
-    grid = np.asarray(grid, dtype=float)
-    sc = spec.scales
-    weight = time_weight(spec)
-    v = np.array([weight(s) for s in grid])
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
-    root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)
-
-    def divide(block: np.ndarray) -> None:
-        block /= root_v
-
-    sq, pos = _simulate_paths(grid, sc.kappa, sc.nu, spec.dim, seed, n_paths, keep, divide)
-    process = "fsbm-v" if abs(sc.nu - 1.0) <= 1e-12 else "fssbm"
-    return WalkerEnsemble(
-        process=process,
-        grid=grid,
-        sq_radii=sq,
-        positions=pos,
-        seed=seed,
-        kappa=sc.kappa,
-        params={"beta": sc.beta, "nu": sc.nu, "multiscale": spec.multiscale is not None},
-        spec=spec,
-    )
-
-
-def simulate_fsbm_q(
-    n_paths: int,
-    grid: Sequence[float] | np.ndarray,
-    alpha: float,
-    beta: float,
-    dim: int,
-    seed: int,
-    kappa: float = 1.0,
-    keep: int | None = None,
-) -> WalkerEnsemble:
-    """q-model walker: SBM with nu = beta pushed through the inverse profile.
-
-    Each coordinate is mapped by x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha),
-    extending the first-orthant identification to all orthants through the
-    sign-preserving inverse (an implementation choice; the map is odd).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    grid = np.asarray(grid, dtype=float)
-    transform = None
-    if alpha != 1.0:
-        gamma_a1 = math.gamma(alpha + 1.0)
-
-        def transform(block: np.ndarray) -> None:
-            mag = gamma_a1 * np.abs(block)
-            mag **= 1.0 / alpha
-            np.sign(block, out=block)
-            block *= mag
-
-    sq, pos = _simulate_paths(grid, kappa, beta, dim, seed, n_paths, keep, transform)
-    return WalkerEnsemble(
-        process="fsbm-q",
-        grid=grid,
-        sq_radii=sq,
-        positions=pos,
-        seed=seed,
-        kappa=kappa,
-        params={"alpha": alpha, "beta": beta},
-    )
-
-
 def simulate(
     process: str,
     n_paths: int,
@@ -389,25 +278,58 @@ def simulate(
     seed: int,
     keep: int | None = None,
 ) -> WalkerEnsemble:
-    """Dispatch by process tag, pulling parameters from the spec.
+    """Ensemble of ``n_paths`` paths of ``process``, its parameters from the spec.
 
-    ``keep`` is how many leading paths keep their full positions (all when
-    None); every path keeps its squared radius.  ``fsbm-q`` maps every axis
-    with one charge, so anisotropic charges raise :class:`DomainError`.
+    The one builder of every process in the module doc.  Each is Brownian
+    motion in the clock sigma^nu (nu = 1 for ``bm``, beta for ``fsbm-q``, the
+    spec's nu otherwise; nu <= 0 raises :class:`DomainError`), mapped in
+    place.  ``fsbm-v`` and ``fssbm`` divide by sqrt(v(sigma)), v the spec's
+    diffusion-time weight, and are tagged ``fsbm-v`` at nu = 1 and ``fssbm``
+    otherwise, whichever is asked for.  ``fsbm-q`` maps every axis with one
+    charge (the odd extension of the first-orthant identification, an
+    implementation choice), so anisotropic charges raise
+    :class:`DomainError`.  ``keep`` is how many leading paths keep their
+    full positions (all when None); every path keeps its squared radius.
     """
+    grid = np.asarray(grid, dtype=float)
     sc = spec.scales
+    nu, transform = sc.nu, None
     if process == "bm":
-        return simulate_bm(n_paths, grid, sc.kappa, spec.dim, seed, keep)
-    if process == "sbm":
-        return simulate_sbm(n_paths, grid, sc.kappa, sc.nu, spec.dim, seed, keep)
-    if process in ("fsbm-v", "fssbm"):
-        return simulate_fsbm_v(n_paths, grid, spec, seed, keep)
-    if process == "fsbm-q":
-        alphas = spec.charges.alphas if spec.charges is not None else (1.0,)
+        nu = 1.0
+    elif process == "fsbm-q":
+        alphas = spec.spatial_charges.alphas
         if len(set(alphas)) > 1:
             raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
-        return simulate_fsbm_q(n_paths, grid, alphas[0], sc.beta, spec.dim, seed, sc.kappa, keep)
-    raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+        # the charges themselves lie in (0, 1]: FractionalCharges refuses others
+        alpha, nu = alphas[0], sc.beta
+        if not 0.0 < nu <= 1.0:
+            raise DomainError(f"beta must lie in (0, 1], got {nu}")
+        if alpha != 1.0:
+            gamma_a1 = math.gamma(alpha + 1.0)
+
+            def transform(block: np.ndarray) -> None:
+                mag = gamma_a1 * np.abs(block)
+                mag **= 1.0 / alpha
+                np.sign(block, out=block)
+                block *= mag
+
+    elif process not in ("sbm", "fsbm-v", "fssbm"):
+        raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    elif nu <= 0.0:
+        raise DomainError(f"nu must be positive, got {nu}")
+    elif process != "sbm":
+        weight = time_weight(spec)
+        v = np.array([weight(s) for s in grid])
+        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+            raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
+        root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)
+
+        def transform(block: np.ndarray) -> None:
+            block /= root_v
+
+        process = "fsbm-v" if abs(nu - 1.0) <= 1e-12 else "fssbm"
+    sq, pos = _simulate_paths(grid, sc.kappa, nu, spec.dim, seed, n_paths, keep, transform)
+    return WalkerEnsemble(process, grid, sq, pos)
 
 
 def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,25 +338,21 @@ def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (sigmas, msd, stderr); the ensemble mean is a fixed-order
     reduction, so it inherits the simulator's determinism.  The standard
     error needs at least 2 paths.  It is ``sq.std(axis=0, ddof=1) / sqrt(n)``
-    bit for bit, but the squared deviations are made one block of
-    ``_BLOCK_BYTES`` at a time, never for the whole ensemble: row 0 of the
-    block buffer carries the running column sum, so each block's reduction
-    continues np.std's sequential row order.
+    bit for bit, but the squared deviations are made one block of rows at a
+    time (``_row_sum``), never for the whole ensemble.
     """
     n = ensemble.n_paths
     if n < 2:
         raise DomainError(f"msd needs at least 2 paths, got {n}")
     sq = ensemble.sq_radii
     mean = sq.mean(axis=0)
-    rows = _block_paths(ensemble.n_steps, 1)
-    buf = np.zeros((min(rows, n) + 1, ensemble.n_steps))
-    for lo in range(0, n, rows):
-        blk = sq[lo: lo + rows]
-        dev = buf[1: blk.shape[0] + 1]
-        np.subtract(blk, mean, out=dev)
-        np.square(dev, out=dev)
-        buf[0] = np.add.reduce(buf[: blk.shape[0] + 1], axis=0)
-    stderr = np.sqrt(buf[0] / (n - 1)) / math.sqrt(n)
+
+    def squared_deviations(lo: int, out: np.ndarray) -> None:
+        np.subtract(sq[lo: lo + out.shape[0]], mean, out=out)
+        np.square(out, out=out)
+
+    acc = _row_sum(squared_deviations, n, ensemble.n_steps, _block_paths(ensemble.n_steps, 1))
+    stderr = np.sqrt(acc / (n - 1)) / math.sqrt(n)
     return ensemble.grid.copy(), mean, stderr
 
 
@@ -541,11 +459,25 @@ def increment_diagnostics(ensemble: WalkerEnsemble, lag: int) -> IncrementReport
     if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
         raise GridError("increment diagnostics need a uniform grid")
 
-    pos = ensemble.positions
-    inc = pos[:, lag:, :] - pos[:, :-lag, :]  # (paths, n_pairs, dim)
-    inc_sq = np.sum(inc ** 2, axis=2)
-    variances = inc_sq.mean(axis=0)
-    var_of_var = inc_sq.var(axis=0, ddof=1) / ensemble.n_paths
+    pos, n = ensemble.positions, ensemble.n_paths
+    rows = _block_paths(n_pairs, pos.shape[2])
+    inc = np.empty((min(rows, n), n_pairs, pos.shape[2]))
+
+    def squared_increments(lo: int, out: np.ndarray) -> None:
+        blk = inc[: out.shape[0]]
+        np.subtract(pos[lo: lo + out.shape[0], lag:], pos[lo: lo + out.shape[0], :-lag], out=blk)
+        _sum_squares(blk, out)
+
+    # mean and ddof=1 variance over paths of the squared increments, one
+    # block of rows at a time
+    variances = _row_sum(squared_increments, n, n_pairs, rows) / n
+
+    def squared_deviations(lo: int, out: np.ndarray) -> None:
+        squared_increments(lo, out)
+        np.subtract(out, variances, out=out)
+        np.square(out, out=out)
+
+    var_of_var = _row_sum(squared_deviations, n, n_pairs, rows) / (n - 1) / n
 
     starts = ensemble.grid[:-lag]
     xm = starts.mean()
@@ -557,13 +489,13 @@ def increment_diagnostics(ensemble: WalkerEnsemble, lag: int) -> IncrementReport
     slope_err = math.sqrt(float(np.sum(((starts - xm) / sxx) ** 2 * var_of_var))) / scale
     stat_t = slope / slope_err if slope_err > 0.0 else math.inf if slope else 0.0
 
-    first = inc[:, 0, :].sum(axis=1)
-    last = inc[:, -1, :].sum(axis=1)
+    first = (pos[:, lag] - pos[:, 0]).sum(axis=1)
+    last = (pos[:, -1] - pos[:, -1 - lag]).sum(axis=1)
     fm, lm = first.mean(), last.mean()
     num = float(np.mean((first - fm) * (last - lm)))
     den = float(first.std(ddof=0) * last.std(ddof=0))
     corr = num / den if den > 0.0 else 0.0
-    corr_t = corr * math.sqrt(ensemble.n_paths)
+    corr_t = corr * math.sqrt(n)
     return IncrementReport(
         stationarity_slope=slope,
         stationarity_tstat=stat_t,

@@ -49,10 +49,7 @@ from multiflow.walker import (
     geometric_grid,
     increment_diagnostics,
     msd,
-    simulate_bm,
-    simulate_fsbm_q,
-    simulate_fsbm_v,
-    simulate_sbm,
+    simulate,
     uniform_grid,
 )
 
@@ -214,23 +211,23 @@ def test_criterion_7_monte_carlo_exponents():
         grid = geometric_grid(1e-3, 10.0, n_steps)
         window = (float(grid[-1]) / 100.0, float(grid[-1]))
 
-        ens = simulate_bm(n_paths, grid, 1.0, 1, SEED)
+        ens = simulate("bm", n_paths, grid, fractional_spec(beta=1.0, dim=1), SEED)
         fit = fit_scaling_exponent(*msd(ens)[:2], window)
         assert abs(fit.exponent - 1.0) <= 0.03
 
-        ens = simulate_sbm(n_paths, grid, 1.0, 0.5, 1, SEED)
+        ens = simulate("sbm", n_paths, grid, fractional_spec(beta=1.0, nu=0.5, dim=1), SEED)
         fit = fit_scaling_exponent(*msd(ens)[:2], window)
         assert abs(fit.exponent - 0.5) <= 0.03
 
-        ens = simulate_fsbm_v(n_paths, grid, fractional_spec(beta=0.5, nu=1.0, dim=1), SEED)
+        ens = simulate("fsbm-v", n_paths, grid, fractional_spec(beta=0.5, nu=1.0, dim=1), SEED)
         fit = fit_scaling_exponent(*msd(ens)[:2], window)
         assert abs(fit.exponent - 1.5) <= 0.05
 
-        ens = simulate_fsbm_v(n_paths, grid, fractional_spec(beta=0.5, nu=0.75, dim=1), SEED)
+        ens = simulate("fsbm-v", n_paths, grid, fractional_spec(beta=0.5, nu=0.75, dim=1), SEED)
         fit = fit_scaling_exponent(*msd(ens)[:2], window)
         assert abs(fit.exponent - 1.25) <= 0.05
 
-        ens = simulate_fsbm_q(n_paths, grid, 0.5, 0.5, 1, SEED)
+        ens = simulate("fsbm-q", n_paths, grid, fractional_spec(beta=0.5, dim=1, alpha=0.5), SEED)
         fit = fit_scaling_exponent_batched(ens, window)
         assert abs(fit.exponent - 1.0) <= 0.1
 
@@ -239,15 +236,16 @@ def test_criterion_8_increment_diagnostics():
     with _Budget(8, "increment stationarity/correlation classification", 30.0):
         grid = uniform_grid(0.01, 10.0, 512)
 
-        report = increment_diagnostics(simulate_bm(10_000, grid, 1.0, 1, SEED), lag=8)
+        bm, sbm = fractional_spec(beta=1.0, dim=1), fractional_spec(beta=1.0, nu=0.5, dim=1)
+        report = increment_diagnostics(simulate("bm", 10_000, grid, bm, SEED), lag=8)
         assert report.stationary and report.uncorrelated
 
         spec = fractional_spec(beta=0.5, nu=1.0, dim=1)
-        report = increment_diagnostics(simulate_fsbm_v(10_000, grid, spec, SEED), lag=8)
+        report = increment_diagnostics(simulate("fsbm-v", 10_000, grid, spec, SEED), lag=8)
         assert abs(report.stationarity_tstat) >= 5.0
         assert report.uncorrelated
 
-        report = increment_diagnostics(simulate_sbm(10_000, grid, 1.0, 0.5, 1, SEED), lag=8)
+        report = increment_diagnostics(simulate("sbm", 10_000, grid, sbm, SEED), lag=8)
         assert abs(report.stationarity_tstat) >= 5.0
 
 

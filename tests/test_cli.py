@@ -391,6 +391,20 @@ class TestSimulateCommand:
         assert main([*argv, "--paths", "16", "--out", str(enough)]) == EXIT_OK
         assert enough.exists()
 
+    @pytest.mark.parametrize("process", ["sbm", "fsbm-v", "fssbm"])
+    def test_nonpositive_nu_names_nu(self, process, tmp_path, capsys):
+        # every nu-clocked process refuses nu <= 0 by name, not as a grid fault
+        out = tmp_path / "nu.csv"
+        code = main(
+            [
+                "simulate", "--model", process, "--nu", "-0.5", "--dim", "2", "--paths", "16",
+                "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "nu must be positive, got -0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_stderr_covers_seed_spread(self, tmp_path):
         # MSD points share their paths, so the error of the fitted exponent
         # must come from path batches; the OLS residual error is ~10x too small

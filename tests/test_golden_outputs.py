@@ -178,6 +178,20 @@ GOLDEN = {
         "de386531241b0698a4143c28d8b15ab333758db4e8c89475949981367c3d7b26",
         "1685fbe457d60b1313933d2c064454bae1779ec5736637ce53b41d83aee5718f",
     ),
+    # asked for as fssbm and tagged so at nu != 1
+    "simulate-fssbm": (
+        ("simulate", "--model", "fssbm", "--dim", "2", "--beta", "0.5", "--nu", "0.75", *_WALK,
+         "--seed", "17", "--traj-paths", "4"),
+        "7a69507bd9d6463bb7c5d0237a1a67d6cd084e5bf86ed2934648127ff8cad6ba",
+        "bf53b1764c04820f08f7fe5adfa09ae8ceca614a0e75abe621523ac050ffce04",
+    ),
+    # alpha = 1: the q walker without its inverse-profile map
+    "simulate-fsbm-q-identity": (
+        ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "1.0", "--beta", "0.5",
+         *_WALK, "--seed", "19", "--traj-paths", "4"),
+        "3a1586bc8db27a10484dd19a30b4d40a40f0099e6e846cce0578ea1b488f2346",
+        "bacf9889eb7bcb3b40c8221b5d31e97905b5aeee67d0f2934d6b4ec16f3afe87",
+    ),
     "simulate-fsbm-q": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
          *_WALK, "--seed", "11", "--traj-paths", "0"),
@@ -234,6 +248,17 @@ def test_pins_hold_across_jobs_in_one_process(tmp_path):
         out = tmp_path / f"job{i}.csv"
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         assert _digest(out) == main_digest, name
+
+
+# SHA-256 of the full ``validate`` standard output
+VALIDATE_DIGEST = "172e21a1700463ed014340532dc9d63d8cc8b19571a1e1b2c0a97607f590962b"
+
+
+def test_validate_output_pinned(capsys):
+    assert main(["validate"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "check bm-msd-exponent: measured=9.880546e-01 expected=1.000000e+00" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGEST
 
 
 def _flag(argv, name):

@@ -8,6 +8,7 @@ suite, rather than in a benchmark run.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,3 +89,23 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
     # the tracer reads the written file's path from write_csv's first argument
     assert tracer.stats["csvio.write_csv"].calls == len(written)
     assert tracer.bytes_written == sum(f.stat().st_size for f in written)
+
+
+def test_per_layer_metrics_of_a_traced_simulate_job(tracing, tmp_path):
+    # the allocation pass and the metrics index the tracer's counters by
+    # function name: deleting a name they read breaks only traced runs
+    argv = [*JOBS["simulate"], "--out", str(tmp_path / "out.csv")]
+    tracer = tracing.Tracer(multiflow)
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    alloc = tracing.AllocPeaks(multiflow)
+    alloc.run(lambda: cli.main(argv))
+    job = SimpleNamespace(command="simulate", params={"paths": 50, "steps": 32, "dim": 2})
+    metrics = tracing.per_layer_metrics(tracer, alloc.peak, [job], [1.0], [1.0])
+    assert set(metrics) == {key for key in tracing.PER_LAYER if not key.startswith("import.")}
+    assert tracer.stats["walker.simulate"].calls == tracer.stats["walker.msd"].calls == 1
+    assert tracer.draws == 50 * 32 * 2
+    assert metrics["walker.simulate.peak_alloc_mb"] > 0.0

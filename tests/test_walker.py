@@ -14,6 +14,7 @@ from multiflow.errors import DomainError, GridError
 from multiflow.measure import FractionalCharges
 from multiflow.walker import (
     PROCESSES,
+    IncrementReport,
     WalkerEnsemble,
     _block_paths,
     _sum_squares,
@@ -23,16 +24,17 @@ from multiflow.walker import (
     increment_diagnostics,
     msd,
     simulate,
-    simulate_bm,
-    simulate_fsbm_q,
-    simulate_fsbm_v,
-    simulate_sbm,
     uniform_grid,
 )
 
 SEED = 20130409
 FULL_PATHS = 10_000
 FULL_STEPS = 1024
+# unit-charge specs: bm and sbm read only kappa, nu and the dimension
+BM_1D = fractional_spec(beta=1.0, dim=1)
+BM_2D = fractional_spec(beta=1.0, dim=2)
+SBM_HALF = fractional_spec(beta=1.0, nu=0.5, dim=1)
+Q_HALF = fractional_spec(beta=0.5, dim=1, alpha=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def full_grid():
 
 @pytest.fixture(scope="module")
 def bm_full(full_grid):
-    return simulate_bm(FULL_PATHS, full_grid, 1.0, 1, SEED)
+    return simulate("bm", FULL_PATHS, full_grid, BM_1D, SEED)
 
 
 def last_two_decades(grid):
@@ -56,7 +58,7 @@ class TestDeterminism:
         results = []
         for block_bytes in (walker_mod._BLOCK_BYTES, 1):
             monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
-            ens = simulate_bm(200, grid, 1.0, 2, 99)
+            ens = simulate("bm", 200, grid, BM_2D, 99)
             results.append((ens.positions.copy(), ens.sq_radii.copy()))
         assert _block_paths(64, 2) == 1
         assert np.array_equal(results[0][0], results[1][0])
@@ -64,9 +66,9 @@ class TestDeterminism:
 
     def test_same_seed_same_paths(self):
         grid = geometric_grid(1e-2, 1.0, 32)
-        a = simulate_bm(50, grid, 1.0, 1, 7)
-        b = simulate_bm(50, grid, 1.0, 1, 7)
-        c = simulate_bm(50, grid, 1.0, 1, 8)
+        a = simulate("bm", 50, grid, BM_1D, 7)
+        b = simulate("bm", 50, grid, BM_1D, 7)
+        c = simulate("bm", 50, grid, BM_1D, 8)
         assert np.array_equal(a.positions, b.positions)
         assert not np.array_equal(a.positions, c.positions)
 
@@ -105,7 +107,7 @@ class TestBrownian:
 
     def test_additivity_over_directions(self):
         grid = geometric_grid(1e-2, 1.0, 64)
-        ens = simulate_bm(400, grid, 1.0, 3, 5)
+        ens = simulate("bm", 400, grid, fractional_spec(beta=1.0, dim=3), 5)
         _, total, _ = msd(ens)
         per_direction = np.zeros_like(total)
         for mu in range(3):
@@ -115,38 +117,41 @@ class TestBrownian:
 
 class TestScaledBrownian:
     def test_nu_one_is_brownian(self, full_grid):
-        a = simulate_bm(100, full_grid, 1.0, 1, 3)
-        b = simulate_sbm(100, full_grid, 1.0, 1.0, 1, 3)
+        a = simulate("bm", 100, full_grid, BM_1D, 3)
+        b = simulate("sbm", 100, full_grid, fractional_spec(beta=1.0, nu=1.0, dim=1), 3)
         assert np.array_equal(a.positions, b.positions)
 
     def test_subdiffusive_exponent(self, full_grid):
-        ens = simulate_sbm(FULL_PATHS, full_grid, 1.0, 0.5, 1, SEED)
+        ens = simulate("sbm", FULL_PATHS, full_grid, SBM_HALF, SEED)
         sig, mean_sq, _ = msd(ens)
         fit = fit_scaling_exponent(sig, mean_sq, last_two_decades(full_grid))
         assert abs(fit.exponent - 0.5) < 0.03
 
     def test_nonstationary_increments(self):
         grid = uniform_grid(0.01, 10.0, 512)
-        ens = simulate_sbm(4000, grid, 1.0, 0.5, 1, SEED)
+        ens = simulate("sbm", 4000, grid, SBM_HALF, SEED)
         report = increment_diagnostics(ens, lag=8)
         assert abs(report.stationarity_tstat) > 5.0
         assert not report.stationary
 
     def test_nu_domain(self, full_grid):
-        with pytest.raises(DomainError):
-            simulate_sbm(10, full_grid, 1.0, -0.5, 1, 0)
+        # one check for every nu-clocked process, naming nu rather than the grid
+        for process in ("sbm", "fsbm-v", "fssbm"):
+            for nu in (0.0, -0.5):
+                with pytest.raises(DomainError, match="nu must be positive"):
+                    simulate(process, 10, full_grid, fractional_spec(beta=0.5, nu=nu, dim=1), 0)
 
 
 class TestFsbmV:
     def test_unit_charge_is_brownian(self, full_grid):
         spec = fractional_spec(beta=1.0, nu=1.0, dim=1)
-        a = simulate_fsbm_v(100, full_grid, spec, 3)
-        b = simulate_bm(100, full_grid, 1.0, 1, 3)
+        a = simulate("fsbm-v", 100, full_grid, spec, 3)
+        b = simulate("bm", 100, full_grid, BM_1D, 3)
         assert np.allclose(a.positions, b.positions, rtol=1e-12)
 
     def test_fractional_exponent(self, full_grid):
         spec = fractional_spec(beta=0.5, nu=1.0, dim=1)
-        ens = simulate_fsbm_v(FULL_PATHS, full_grid, spec, SEED)
+        ens = simulate("fsbm-v", FULL_PATHS, full_grid, spec, SEED)
         assert ens.process == "fsbm-v"
         sig, mean_sq, _ = msd(ens)
         fit = fit_scaling_exponent(sig, mean_sq, last_two_decades(full_grid))
@@ -154,7 +159,7 @@ class TestFsbmV:
 
     def test_scaled_noise_exponent(self, full_grid):
         spec = fractional_spec(beta=0.5, nu=0.75, dim=1)
-        ens = simulate_fsbm_v(FULL_PATHS, full_grid, spec, SEED)
+        ens = simulate("fsbm-v", FULL_PATHS, full_grid, spec, SEED)
         assert ens.process == "fssbm"
         sig, mean_sq, _ = msd(ens)
         fit = fit_scaling_exponent(sig, mean_sq, last_two_decades(full_grid))
@@ -163,7 +168,7 @@ class TestFsbmV:
     def test_uncorrelated_but_nonstationary(self):
         grid = uniform_grid(0.01, 10.0, 512)
         spec = fractional_spec(beta=0.5, nu=1.0, dim=1)
-        ens = simulate_fsbm_v(FULL_PATHS, grid, spec, SEED)
+        ens = simulate("fsbm-v", FULL_PATHS, grid, spec, SEED)
         report = increment_diagnostics(ens, lag=8)
         assert abs(report.stationarity_tstat) > 5.0
         assert report.uncorrelated
@@ -178,7 +183,7 @@ class TestFsbmV:
         # whose sd is the mean times sqrt(2 / D)
         n = 4000
         grid = geometric_grid(1e-4, 1e2, 64)
-        ens = simulate_fsbm_v(n, grid, spec, SEED, keep=0)
+        ens = simulate("fsbm-v", n, grid, spec, SEED, keep=0)
         assert ens.process == "fsbm-v"
         sig, mean_sq, stderr = msd(ens)
         weight = time_weight(spec)
@@ -189,7 +194,7 @@ class TestFsbmV:
     def test_multiscale_crossover_slopes(self):
         spec = binomial_spec(0.5, dim=1)
         grid = geometric_grid(1e-5, 1e4, FULL_STEPS)
-        ens = simulate_fsbm_v(FULL_PATHS, grid, spec, SEED)
+        ens = simulate("fsbm-v", FULL_PATHS, grid, spec, SEED)
         sig, mean_sq, _ = msd(ens)
         uv = fit_scaling_exponent(sig, mean_sq, (1e-5, 1e-3))
         ir = fit_scaling_exponent(sig, mean_sq, (1e2, 1e4))
@@ -199,26 +204,27 @@ class TestFsbmV:
 
 class TestFsbmQ:
     def test_trivial_charges_is_brownian(self, full_grid):
-        a = simulate_fsbm_q(100, full_grid, 1.0, 1.0, 1, 3)
-        b = simulate_bm(100, full_grid, 1.0, 1, 3)
+        a = simulate("fsbm-q", 100, full_grid, fractional_spec(beta=1.0, dim=1, alpha=1.0), 3)
+        b = simulate("bm", 100, full_grid, BM_1D, 3)
         assert np.allclose(a.positions, b.positions, rtol=1e-12)
 
     def test_heavy_tailed_exponent_median_of_batches(self, full_grid):
-        ens = simulate_fsbm_q(FULL_PATHS, full_grid, 0.5, 0.5, 1, SEED)
+        ens = simulate("fsbm-q", FULL_PATHS, full_grid, Q_HALF, SEED)
         fit = fit_scaling_exponent_batched(ens, last_two_decades(full_grid))
         assert abs(fit.exponent - 1.0) < 0.1  # beta/alpha
 
     def test_sign_symmetric_mean(self, full_grid):
-        ens = simulate_fsbm_q(FULL_PATHS, full_grid, 0.5, 0.5, 1, SEED)
+        ens = simulate("fsbm-q", FULL_PATHS, full_grid, Q_HALF, SEED)
         final = ens.positions[:, -1, 0]
         stderr = final.std(ddof=1) / math.sqrt(ens.n_paths)
         assert abs(final.mean()) < 3.0 * stderr
 
     def test_parameter_domain(self, full_grid):
+        # the spec's charges refuse alpha outside (0, 1]; simulate refuses beta
         with pytest.raises(DomainError):
-            simulate_fsbm_q(10, full_grid, 1.5, 0.5, 1, 0)
-        with pytest.raises(DomainError):
-            simulate_fsbm_q(10, full_grid, 0.5, 1.5, 1, 0)
+            simulate("fsbm-q", 10, full_grid, fractional_spec(beta=0.5, dim=1, alpha=1.5), 0)
+        with pytest.raises(DomainError, match="beta"):
+            simulate("fsbm-q", 10, full_grid, fractional_spec(beta=1.5, dim=1, alpha=0.5), 0)
 
 
 # msd's row blocks: every steps x paths shape of at most 20 000 x 128 values
@@ -229,7 +235,7 @@ MSD_PATHS = (2, 3, 16, 17, 100, 1000, 5000, 20000)
 def _sq_ensemble(sq):
     """An ensemble of the given squared radii and no kept positions."""
     steps = sq.shape[1]
-    return WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, steps), sq, np.empty((0, steps, 1)), seed=0)
+    return WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, steps), sq, np.empty((0, steps, 1)))
 
 
 class TestMsdAndFits:
@@ -262,15 +268,15 @@ class TestMsdAndFits:
         pos = np.zeros((1000, 128, 4))
         tracemalloc.start()
         try:
-            WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, 128), sq, pos, seed=0)
+            WalkerEnsemble("bm", geometric_grid(1e-3, 1.0, 128), sq, pos)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 19
 
     def test_msd_deterministic(self, full_grid):
-        a = simulate_bm(500, full_grid, 1.0, 1, 11)
-        b = simulate_bm(500, full_grid, 1.0, 1, 11)
+        a = simulate("bm", 500, full_grid, BM_1D, 11)
+        b = simulate("bm", 500, full_grid, BM_1D, 11)
         assert np.array_equal(msd(a)[1], msd(b)[1])
 
     def test_exact_power_law_fit(self):
@@ -293,12 +299,12 @@ class TestMsdAndFits:
 
         window = last_two_decades(full_grid)
         cases = []
-        ens = simulate_bm(FULL_PATHS, full_grid, 1.0, 1, SEED)
+        ens = simulate("bm", FULL_PATHS, full_grid, BM_1D, SEED)
         cases.append((ens, walk_dimension("weighted", 1, 1.0, fixed_point_ds("weighted", 1, beta=1.0))))
         spec = fractional_spec(beta=0.5, nu=1.0, dim=1)
         cases.append(
             (
-                simulate_fsbm_v(FULL_PATHS, full_grid, spec, SEED),
+                simulate("fsbm-v", FULL_PATHS, full_grid, spec, SEED),
                 walk_dimension("weighted", 1, 0.5, fixed_point_ds("weighted", 1, beta=0.5)),
             )
         )
@@ -310,7 +316,7 @@ class TestMsdAndFits:
     def test_q_walk_dimension_closure(self, full_grid):
         from multiflow.spectral import walk_dimension
 
-        ens = simulate_fsbm_q(FULL_PATHS, full_grid, 0.5, 0.5, 1, SEED)
+        ens = simulate("fsbm-q", FULL_PATHS, full_grid, Q_HALF, SEED)
         fit = fit_scaling_exponent_batched(ens, last_two_decades(full_grid))
         # d_W = 2 d_H / d_S = 2 alpha / beta = 2
         assert abs(2.0 / fit.exponent - walk_dimension("q", 1, 0.5, 0.5)) < 0.1
@@ -319,21 +325,69 @@ class TestMsdAndFits:
 class TestIncrementDiagnostics:
     def test_brownian_stationary_uncorrelated(self):
         grid = uniform_grid(0.01, 10.0, 512)
-        ens = simulate_bm(FULL_PATHS, grid, 1.0, 1, SEED)
+        ens = simulate("bm", FULL_PATHS, grid, BM_1D, SEED)
         report = increment_diagnostics(ens, lag=8)
         assert report.stationary and report.uncorrelated
 
     def test_lag_validation(self, full_grid):
-        ens = simulate_bm(20, uniform_grid(0.1, 1.0, 32), 1.0, 1, 0)
+        ens = simulate("bm", 20, uniform_grid(0.1, 1.0, 32), BM_1D, 0)
         with pytest.raises(DomainError):
             increment_diagnostics(ens, lag=0)
         with pytest.raises(DomainError):
             increment_diagnostics(ens, lag=32)
 
     def test_needs_uniform_grid(self):
-        ens = simulate_bm(20, geometric_grid(0.1, 1.0, 32), 1.0, 1, 0)
+        ens = simulate("bm", 20, geometric_grid(0.1, 1.0, 32), BM_1D, 0)
         with pytest.raises(GridError):
             increment_diagnostics(ens, lag=4)
+
+    @pytest.mark.parametrize("block_bytes", [walker_mod._BLOCK_BYTES, 4096, 1], ids=["default", "4k", "one-row"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_equals_whole_array_formula(self, dim, block_bytes, monkeypatch):
+        # the row blocks keep every bit of the (paths, pairs, D) formula
+        monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng([SEED, dim])
+        for n_paths, steps, lag in ((8, 5, 1), (100, 64, 4), (700, 130, 8), (1500, 17, 2)):
+            if block_bytes == 1 and n_paths > 100:
+                continue
+            pos = np.cumsum(rng.standard_normal((n_paths, steps, dim)), axis=1)
+            ens = WalkerEnsemble("sbm", uniform_grid(0.1, 1.0, steps), np.sum(pos ** 2, axis=2), pos)
+            assert increment_diagnostics(ens, lag) == _whole_array_increments(ens, lag)
+
+    def test_memory_is_one_block(self):
+        # the whole-array formula peaked at 76.9 MiB here, on 31.25 MiB of positions
+        ens = simulate("bm", 4000, uniform_grid(0.01, 10.0, 512), BM_2D, SEED)
+        tracemalloc.start()
+        try:
+            increment_diagnostics(ens, lag=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
+def _whole_array_increments(ensemble, lag):
+    """increment_diagnostics as it was written before its row blocks: full
+    (paths, pairs, D) increments, their squares and numpy's mean and var."""
+    pos = ensemble.positions
+    inc = pos[:, lag:, :] - pos[:, :-lag, :]
+    inc_sq = np.sum(inc ** 2, axis=2)
+    variances = inc_sq.mean(axis=0)
+    var_of_var = inc_sq.var(axis=0, ddof=1) / ensemble.n_paths
+    starts = ensemble.grid[:-lag]
+    xm = starts.mean()
+    sxx = float(np.sum((starts - xm) ** 2))
+    scale = variances.mean()
+    slope = float(np.sum((starts - xm) * (variances - variances.mean())) / sxx) / scale
+    slope_err = math.sqrt(float(np.sum(((starts - xm) / sxx) ** 2 * var_of_var))) / scale
+    stat_t = slope / slope_err if slope_err > 0.0 else math.inf if slope else 0.0
+    first = inc[:, 0, :].sum(axis=1)
+    last = inc[:, -1, :].sum(axis=1)
+    fm, lm = first.mean(), last.mean()
+    num = float(np.mean((first - fm) * (last - lm)))
+    den = float(first.std(ddof=0) * last.std(ddof=0))
+    corr = num / den if den > 0.0 else 0.0
+    return IncrementReport(slope, stat_t, corr, corr * math.sqrt(ensemble.n_paths), lag)
 
 
 class TestDispatcher:
@@ -353,11 +407,17 @@ class TestDispatcher:
         with pytest.raises(DomainError, match="isotropic"):
             simulate("fsbm-q", 20, full_grid, spec, 1)
 
+    @pytest.mark.parametrize("asked", ["fsbm-v", "fssbm"])
+    def test_tag_follows_nu_whichever_is_asked(self, asked, full_grid):
+        for nu, tag in ((1.0, "fsbm-v"), (0.75, "fssbm")):
+            ens = simulate(asked, 20, full_grid, fractional_spec(beta=0.5, nu=nu, dim=1), 1)
+            assert ens.process == tag
+
     def test_grid_validation(self):
         with pytest.raises(GridError):
-            simulate_bm(10, np.array([0.0, 1.0, 2.0]), 1.0, 1, 0)
+            simulate("bm", 10, np.array([0.0, 1.0, 2.0]), BM_1D, 0)
         with pytest.raises(GridError):
-            simulate_bm(10, np.array([1.0, 0.5]), 1.0, 1, 0)
+            simulate("bm", 10, np.array([1.0, 0.5]), BM_1D, 0)
 
 
 # The stream tests run on a grid whose blocks hold 170 paths at D = 3.
@@ -409,14 +469,14 @@ class TestBlockStream:
         assert np.array_equal(simulate(process, n_paths, STREAM_GRID, spec, 31).positions, pos)
 
     def test_keep_beyond_paths_keeps_all(self):
-        ens = simulate_bm(5, STREAM_GRID, 1.0, 2, 3, keep=50)
+        ens = simulate("bm", 5, STREAM_GRID, BM_2D, 3, keep=50)
         assert ens.n_kept == 5
 
     def test_negative_counts_refused(self):
         with pytest.raises(DomainError):
-            simulate_bm(5, STREAM_GRID, 1.0, 2, 3, keep=-1)
+            simulate("bm", 5, STREAM_GRID, BM_2D, 3, keep=-1)
         with pytest.raises(DomainError):
-            simulate_bm(-1, STREAM_GRID, 1.0, 2, 3)
+            simulate("bm", -1, STREAM_GRID, BM_2D, 3)
 
     def test_memory_is_squared_radii_plus_one_block(self):
         # 12 000 paths x 128 steps: 12.3 MB of squared radii; the full
@@ -442,7 +502,7 @@ class TestBlockStream:
         assert np.array_equal(got, expected)
 
     def test_increment_diagnostics_need_all_positions(self):
-        ens = simulate_bm(20, uniform_grid(0.1, 1.0, 32), 1.0, 1, 0, keep=19)
+        ens = simulate("bm", 20, uniform_grid(0.1, 1.0, 32), BM_1D, 0, keep=19)
         with pytest.raises(DomainError):
             increment_diagnostics(ens, lag=4)
 
@@ -450,20 +510,20 @@ class TestBlockStream:
         # the check runs by row blocks: a value on either side of a block
         # edge, or in the last partial block, is found
         rows, pos_rows = _block_paths(STREAM_GRID.size, 1), _block_paths(STREAM_GRID.size, 2)
-        ens = simulate_bm(rows + 4, STREAM_GRID, 1.0, 2, 3, keep=pos_rows + 2)
-        WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, ens.positions, seed=3)
+        ens = simulate("bm", rows + 4, STREAM_GRID, BM_2D, 3, keep=pos_rows + 2)
+        WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, ens.positions)
         for row in (3, rows - 1, rows, rows + 3):
             sq = ens.sq_radii.copy()
             sq[row, 7] = math.nan
             with pytest.raises(DomainError):
-                WalkerEnsemble("bm", STREAM_GRID, sq, ens.positions, seed=3)
+                WalkerEnsemble("bm", STREAM_GRID, sq, ens.positions)
         for row in (1, pos_rows - 1, pos_rows, pos_rows + 1):
             pos = ens.positions.copy()
             pos[row, 7, 0] = math.inf
             with pytest.raises(DomainError):
-                WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, pos, seed=3)
+                WalkerEnsemble("bm", STREAM_GRID, ens.sq_radii, pos)
 
     def test_msd_needs_two_paths(self):
-        ens = simulate_bm(1, STREAM_GRID, 1.0, 2, 3)
+        ens = simulate("bm", 1, STREAM_GRID, BM_2D, 3)
         with pytest.raises(DomainError):
             msd(ens)
