@@ -49,7 +49,6 @@ from .measure import (
     geometric_profile,
     geometric_profile_inverse,
     hausdorff_dimension,
-    multiscale_profile,
     multiscale_weight,
 )
 from .spectral import (

@@ -47,7 +47,7 @@ def _sigma_grid(cfg: RunConfig, points: int) -> np.ndarray:
 
 
 def _d_hausdorff(spec: DiffusionSpec) -> float:
-    return hausdorff_dimension(spec.spatial_charges)
+    return hausdorff_dimension(spec.charges)
 
 
 def run_flow(cfg: RunConfig) -> None:

@@ -18,13 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from .dispersion import DiffusionSpec, MODELS
 from .errors import ConfigError
-from .measure import (
-    DIFFUSION_TIME,
-    POSITION,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-)
+from .measure import FractionalCharges, GeometryScales
 from .walker import FIT_BATCHES, PROCESSES
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_spec"]
@@ -111,10 +105,17 @@ class RunConfig:
             raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
         if self.subsample < 1 or self.traj_paths < 0:
             raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
-        if self.alphas and len(self.alphas) != self.dim:
-            raise ConfigError(
-                f"alphas has {len(self.alphas)} entries for dim = {self.dim}"
-            )
+        if self.multiscale_space:
+            # the binomial position measure is read by these densities and traces only
+            readers = {"pdf": ("weighted", "legacy", "ordinary"), "kernel": ("ordinary",)}
+            if self.model not in readers.get(self.command, ()):
+                where = f"{self.command} --model {self.model}" if self.command in readers else self.command
+                raise ConfigError(
+                    "multiscale-space is read only by pdf (weighted, legacy, ordinary) "
+                    f"and kernel (ordinary), not by {where}"
+                )
+            if len(set(self.alphas)) > 1:
+                raise ConfigError(f"multiscale-space needs one charge, got alphas = {self.alphas}")
         return self
 
 
@@ -269,25 +270,15 @@ def build_spec(cfg: RunConfig) -> DiffusionSpec:
     from .errors import DomainError
 
     try:
-        alphas = cfg.alphas if cfg.alphas else (cfg.alpha,) * cfg.dim
-        charges = FractionalCharges(alphas)
-        scales = GeometryScales(
-            lstar=cfg.lstar, lbar=cfg.lbar, kappa=cfg.kappa, nu=cfg.nu, beta=cfg.beta
-        )
-        multiscale = None
-        if cfg.beta_star is not None:
-            multiscale = MeasureProfile.binomial(cfg.beta_star, cfg.lstar, kind=DIFFUSION_TIME)
-        spatial = None
-        if cfg.multiscale_space:
-            spatial = MeasureProfile.binomial(cfg.alpha, cfg.lstar, kind=POSITION)
-        model = cfg.model if cfg.command != "simulate" else _process_model(cfg.process)
         return DiffusionSpec(
-            model=model,
+            model=cfg.model if cfg.command != "simulate" else _process_model(cfg.process),
             dim=cfg.dim,
-            scales=scales,
-            charges=charges,
-            multiscale=multiscale,
-            spatial_profile=spatial,
+            scales=GeometryScales(
+                lstar=cfg.lstar, lbar=cfg.lbar, kappa=cfg.kappa, nu=cfg.nu, beta=cfg.beta
+            ),
+            charges=FractionalCharges(cfg.alphas or (cfg.alpha,) * cfg.dim),
+            beta_star=cfg.beta_star,
+            multiscale_space=cfg.multiscale_space,
             fuzzy=cfg.fuzzy,
         )
     except DomainError as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
 from .grid import check_grid, powers
 from .measure import (
     DIFFUSION_TIME,
+    POSITION,
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
@@ -69,19 +71,24 @@ _QUAD_REL_TOL = 1e-9
 class DiffusionSpec:
     """Model selection plus every scale the dispersion and kernels need.
 
-    ``charges`` are the spatial fractional charges (used by the kernel
-    module); ``multiscale`` is an optional diffusion-time profile switching
-    the dispersion to its multiscale form; ``spatial_profile`` is an optional
-    binomial position-space profile for the ordinary-Laplacian multiscale
-    normalization.
+    ``charges`` are the spatial fractional charges, one per direction; a
+    spec built without them gets unit charges (ordinary space), so
+    ``charges`` is never None.  ``beta_star``, when set, is the charge of the
+    binomial diffusion-time measure 1 + (sigma/lstar)^(beta_star - 1) and
+    switches the dispersion to its multiscale form.  ``multiscale_space``
+    replaces the fractional position measure by the binomial one
+    1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) per direction, alpha the
+    one charge of the (isotropic) ``charges``.  Both measures take lstar from
+    ``scales``; :attr:`multiscale` and :attr:`spatial_profile` are their
+    term tables, built once per spec.
     """
 
     model: str
     dim: int
     scales: GeometryScales
     charges: FractionalCharges | None = None
-    multiscale: MeasureProfile | None = None
-    spatial_profile: MeasureProfile | None = None
+    beta_star: float | None = None
+    multiscale_space: bool = False
     fuzzy: bool = False
 
     def __post_init__(self) -> None:
@@ -89,31 +96,36 @@ class DiffusionSpec:
             raise DomainError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.multiscale is not None and self.multiscale.kind != DIFFUSION_TIME:
-            raise DomainError("multiscale profile must be of diffusion-time kind")
-        if self.model == "q" and self.multiscale is not None:
-            beta_star, _ = self.multiscale.binomial_params()
-            if not 0.0 < beta_star < 1.0:
-                raise DomainError(
-                    f"q model requires a binomial charge in (0, 1), got {beta_star}"
-                )
+        object.__setattr__(self, "charges", self.charges or FractionalCharges.isotropic(1.0, self.dim))
+        if self.charges.dim != self.dim:
+            raise DomainError(f"{self.charges.dim} fractional charges for dim = {self.dim}")
+        if self.multiscale_space and len(set(self.charges.alphas)) > 1:
+            raise DomainError(f"a multiscale space needs isotropic charges, got {self.charges.alphas}")
+        # both profiles are built here, once: a binomial charge outside (0, 2), or 1, raises
+        time_profile, _ = self.multiscale, self.spatial_profile
+        if self.model == "q" and time_profile is not None and not 0.0 < self.beta_star < 1.0:
+            raise DomainError(f"q model requires a binomial charge in (0, 1), got {self.beta_star}")
         if self.fuzzy:
-            if self.model != "weighted" or self.multiscale is None:
+            if self.model != "weighted" or time_profile is None:
                 raise DomainError("fuzzy mode is only valid for the weighted multiscale model")
-            beta_star, _ = self.multiscale.binomial_params()
-            if not 0.0 < beta_star < 1.0:
+            if not 0.0 < self.beta_star < 1.0:
                 raise DomainError(
-                    f"fuzzy mode requires a binomial charge in (0, 1), got {beta_star}"
+                    f"fuzzy mode requires a binomial charge in (0, 1), got {self.beta_star}"
                 )
 
-    @property
-    def spatial_charges(self) -> FractionalCharges:
-        """The fractional charges; unit charges (ordinary space) when none are attached."""
-        return self.charges or FractionalCharges.isotropic(1.0, self.dim)
+    @cached_property
+    def multiscale(self) -> MeasureProfile | None:
+        """The binomial diffusion-time profile of ``beta_star``; None without one."""
+        if self.beta_star is None:
+            return None
+        return MeasureProfile.binomial(self.beta_star, self.scales.lstar, kind=DIFFUSION_TIME)
 
-    @property
-    def alpha_average(self) -> float:
-        return self.spatial_charges.average
+    @cached_property
+    def spatial_profile(self) -> MeasureProfile | None:
+        """The binomial position profile of a multiscale space; None for a fractional one."""
+        if not self.multiscale_space:
+            return None
+        return MeasureProfile.binomial(self.charges.alphas[0], self.scales.lstar, kind=POSITION)
 
 
 @dataclass(frozen=True)
@@ -250,14 +262,13 @@ def dispersion_multiscale_weighted(
     initial spread of width lstar).  ``sigma`` is a float or an array, as
     for :func:`binomial_time_integral`, and every element is checked.
     """
-    if spec.multiscale is None:
+    if spec.beta_star is None:
         raise DomainError("multiscale dispersion requires a diffusion-time profile")
     sc = spec.scales
     if abs(sc.nu - 1.0) > 1e-12:
         raise DomainError(f"multiscale weighted dispersion is defined at nu = 1, got nu = {sc.nu}")
-    beta_star, lstar = spec.multiscale.binomial_params()
-    base = lstar ** 2 if spec.fuzzy else 0.0
-    value = base + sc.kappa * binomial_time_integral(beta_star, lstar, sigma)
+    base = sc.lstar ** 2 if spec.fuzzy else 0.0
+    value = base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
     negative = np.flatnonzero(np.asarray(value) < 0.0)
     if negative.size:
         i = negative[0]
@@ -392,7 +403,7 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
     :class:`DomainError` before anything is evaluated.
     """
     if spec.model in ("weighted", "ordinary"):
-        if spec.multiscale is not None:
+        if spec.beta_star is not None:
             return dispersion_multiscale_weighted(spec, sigma)
         return dispersion_fractional(spec, sigma)
     if spec.model == "q":
@@ -433,7 +444,7 @@ def sample_dispersion(
             def weight(s: float) -> float:
                 return 1.0
 
-        elif spec.multiscale is not None:
+        elif spec.beta_star is not None:
             weight, min_charge = time_weight(spec), spec.multiscale.min_charge
             base = sc.lstar ** 2 if spec.fuzzy else 0.0
         else:

@@ -129,21 +129,15 @@ def gaussian_pdf(x, x0, ell2: float, dim: int):
 def position_weight(spec: DiffusionSpec, x) -> float:
     """Position-space measure weight of a spec at point x.
 
-    A binomial spatial profile wins over per-direction fractional charges;
-    with neither attached the weight is 1 (ordinary space).
+    The binomial profile of a multiscale space, else the product of the
+    per-direction fractional weights (1 at unit charges: ordinary space).
     """
     xp = _as_point(x, spec.dim)
-    if spec.spatial_profile is not None:
-        w = 1.0
-        for xi in xp:
-            w *= multiscale_weight(float(xi), spec.spatial_profile)
-        return w
-    if spec.charges is not None:
-        w = 1.0
-        for xi, a in zip(xp, spec.charges.alphas):
-            w *= fractional_weight(float(xi), a)
-        return w
-    return 1.0
+    profile = spec.spatial_profile
+    w = 1.0
+    for xi, a in zip(xp.tolist(), spec.charges.alphas):
+        w *= fractional_weight(xi, a) if profile is None else multiscale_weight(xi, profile)
+    return w
 
 
 def pdf(spec: DiffusionSpec, x, x0, sigma: float):
@@ -174,7 +168,7 @@ def pdf(spec: DiffusionSpec, x, x0, sigma: float):
     if spec.model == "ordinary":
         density = _normalization_at(x0p, ell2, spec) * _exp_factors(rows, x0p, ell2)
     elif spec.model == "q":
-        alphas = spec.spatial_charges.alphas
+        alphas = spec.charges.alphas
         q0 = [geometric_profile(xi, a) for xi, a in zip(x0p.tolist(), alphas)]
         root = math.sqrt(4.0 * math.pi * ell2)
         density = []
@@ -225,15 +219,13 @@ def _normalization_at(x0, ell2: float, spec: DiffusionSpec) -> float:
         raise DomainError(f"dispersion must be positive, got {ell2}")
     ell = math.sqrt(ell2)
     x0p = _as_point(x0, spec.dim)
-    if spec.spatial_profile is not None:
-        alpha, lstar = spec.spatial_profile.binomial_params()
+    if spec.multiscale_space:
+        alpha = spec.charges.alphas[0]
         phi_product = 1.0
         for xi in x0p:
             phi_product *= kummer_phi((1.0 - alpha) / 2.0, 0.5, -(xi ** 2) / (4.0 * ell2))
-        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, lstar, ell2)
+        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, spec.scales.lstar, ell2)
         return 1.0 / (gauss_norm + bracket_coeff * phi_product)
-    if spec.charges is None:
-        return (4.0 * math.pi * ell2) ** (-spec.dim / 2.0)
     inverse = 1.0
     for xi, a in zip(x0p, spec.charges.alphas):
         inverse *= _kummer_prefactor(a, 2.0 * ell) * kummer_phi(
@@ -299,15 +291,12 @@ def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order
     per-direction charges contribute the fractional term only.  Directions
     with the same terms share one table.
     """
-    if spec.spatial_profile is not None:
-        alpha, lstar = spec.spatial_profile.binomial_params()
-        gfrac = lstar ** (1.0 - alpha)
-        per_direction = [("const", 1.0, 1.0), ("frac", gfrac, alpha)]
-        dims = [per_direction] * spec.dim
-    elif spec.charges is not None:
-        dims = [[("frac", 1.0, a)] for a in spec.charges.alphas]
+    if spec.multiscale_space:
+        alpha = spec.charges.alphas[0]
+        gfrac = spec.scales.lstar ** (1.0 - alpha)
+        dims = [[("const", 1.0, 1.0), ("frac", gfrac, alpha)]] * spec.dim
     else:
-        dims = [[("const", 1.0, 1.0)]] * spec.dim
+        dims = [[("frac", 1.0, a)] for a in spec.charges.alphas]
     rules = {}
 
     def rule(alpha_sub: float | None):
@@ -356,13 +345,14 @@ def _bracket_box_sum(
     return total
 
 
-def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) -> list[float]:
+def _case_totals(spec: DiffusionSpec, block: list) -> list[float]:
     """Box sums of a block of ``(ell2, {charge: axis table})`` cases.
 
     Kummer's function is evaluated in one array call per distinct charge
     over the nodes of the whole block; the array path works element by
     element, so the blocking moves no bit.
     """
+    alphas = spec.charges.alphas
     args = {a: [] for a in alphas}
     for ell2, axes in block:
         for a, entries in axes.items():
@@ -376,7 +366,7 @@ def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) ->
     totals = []
     for ell2, axes in block:
         axis_phis = {a: [next(phis[a]) for _ in entries] for a, entries in axes.items()}
-        if spec.spatial_profile is None:
+        if not spec.multiscale_space:
             axis_sums = {}
             for a, ((g, _, w),) in axes.items():
                 inverse = _kummer_prefactor(a, 2.0 * math.sqrt(ell2)) * axis_phis[a][0]
@@ -386,8 +376,7 @@ def _case_totals(spec: DiffusionSpec, alphas: tuple[float, ...], block: list) ->
         (alpha,) = axes
         (_, _, const_w), (frac_g, _, frac_w) = axes[alpha]
         const_phi, frac_phi = axis_phis[alpha]
-        lstar = spec.spatial_profile.binomial_params()[1]
-        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, lstar, ell2)
+        gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, spec.scales.lstar, ell2)
         total = 0.0
         for k in range(spec.dim + 1):  # k fractional axes, dim - k constant ones
             total += math.comb(spec.dim, k) * frac_g ** k * _bracket_box_sum(
@@ -418,39 +407,33 @@ def _trace_quadrature(
     k of fractional axes matters, so D + 1 box sums with weights C(D, k)
     make the total.
     """
-    if spec.spatial_profile is not None:
-        alphas = (spec.spatial_profile.binomial_params()[0],) * spec.dim
-    else:
-        alphas = spec.charges.alphas if spec.charges is not None else (1.0,) * spec.dim
     totals, block, held = [], [], 0
     for ell2, halfwidth, order in cases:
         # the normalization varies on the diffusion-length scale around the
         # origin; a few-ell central panel plus decade panels resolve it
         tables = _axis_tables(spec, halfwidth, 4.0 * math.sqrt(ell2), order)
-        axes = dict(zip(alphas, tables))
+        axes = dict(zip(spec.charges.alphas, tables))
         size = sum(x_nodes.size for entries in axes.values() for _, x_nodes, _ in entries)
         if block and held + size > _PHI_CHUNK:
-            totals += _case_totals(spec, alphas, block)
+            totals += _case_totals(spec, block)
             block, held = [], 0
         block.append((ell2, axes))
         held += size
-    return totals + _case_totals(spec, alphas, block)
+    return totals + _case_totals(spec, block)
 
 
 def _hausdorff_box_volume(spec: DiffusionSpec, halfwidth: float) -> float:
     """Closed-form measure volume of the cubic box [-L, L]^D."""
-    vol = 1.0
-    if spec.spatial_profile is not None:
-        alpha, lstar = spec.spatial_profile.binomial_params()
+    if spec.multiscale_space:
+        alpha, lstar = spec.charges.alphas[0], spec.scales.lstar
         per = 2.0 * halfwidth + lstar ** (1.0 - alpha) * 2.0 * halfwidth ** alpha / gamma_fn(
             alpha + 1.0
         )
         return per ** spec.dim
-    if spec.charges is not None:
-        for a in spec.charges.alphas:
-            vol *= 2.0 * halfwidth ** a / gamma_fn(a + 1.0)
-        return vol
-    return (2.0 * halfwidth) ** spec.dim
+    vol = 1.0
+    for a in spec.charges.alphas:
+        vol *= 2.0 * halfwidth ** a / gamma_fn(a + 1.0)
+    return vol
 
 
 def _box_for(spec: DiffusionSpec, ell2: float) -> float:
@@ -504,7 +487,7 @@ def _traces(
         raise DomainError("trace quadrature supports D <= 3")
     ell2s = dispersion(spec, sigmas)
     if spec.model == "legacy":
-        return powers(ell2s, -spec.dim * spec.alpha_average / 2.0)
+        return powers(ell2s, -spec.dim * spec.charges.average / 2.0)
     if spec.model != "ordinary":
         return powers(4.0 * math.pi * ell2s, -spec.dim / 2.0)
     cases, halfwidths = [], []
@@ -546,7 +529,7 @@ def fixed_dim_trace_slopes(
     normalization is flat across the box, so the minimum-box precondition is
     deliberately not applied there; the refinement test still is.
     """
-    if spec.model != "ordinary" or spec.charges is None or spec.spatial_profile is not None:
+    if spec.model != "ordinary" or spec.multiscale_space:
         raise DomainError("trace slopes target the fixed-dimensionality ordinary model")
 
     def slope_at(sigma: float, check_box: bool) -> float:

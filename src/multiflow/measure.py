@@ -24,7 +24,6 @@ __all__ = [
     "multiscale_weight",
     "geometric_profile",
     "geometric_profile_inverse",
-    "multiscale_profile",
     "hausdorff_dimension",
     "ball_volume",
     "unit_ball_volume",
@@ -86,25 +85,6 @@ class MeasureProfile:
     @property
     def min_charge(self) -> float:
         return self.terms[0][1]
-
-    def binomial_params(self) -> tuple[float, float]:
-        """Recover (charge_star, lstar) from a binomial profile.
-
-        Raises :class:`DomainError` if the profile is not binomial, i.e. not
-        exactly two terms with one unit charge/coefficient and the other of
-        the form (lstar^(1-c), c).
-        """
-        if len(self.terms) != 2:
-            raise DomainError("profile is not binomial: needs exactly two terms")
-        unit = [t for t in self.terms if abs(t[1] - 1.0) < 1e-12]
-        frac = [t for t in self.terms if abs(t[1] - 1.0) >= 1e-12]
-        if len(unit) != 1 or abs(unit[0][0] - 1.0) > 1e-12:
-            raise DomainError("profile is not binomial: unit-charge term must have coefficient 1")
-        g, c = frac[0]
-        if g <= 0.0:
-            raise DomainError("profile is not binomial: fractional coefficient must be positive")
-        lstar = g ** (1.0 / (1.0 - c))
-        return c, lstar
 
 
 @dataclass(frozen=True)
@@ -209,18 +189,6 @@ def geometric_profile_inverse(q: float, alpha: float) -> float:
     if q == 0.0:
         return 0.0
     return math.copysign((gamma_fn(alpha + 1.0) * abs(q)) ** (1.0 / alpha), q)
-
-
-def multiscale_profile(x: float, profile: MeasureProfile) -> float:
-    """Multiscale geometric coordinate sum_n g_n sgn(x) |x|^(c_n).
-
-    Gamma factors are taken as absorbed into the coefficients; the map is odd
-    in x and continuous at the origin.
-    """
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    return math.copysign(sum(g * ax ** c for g, c in profile.terms), x)
 
 
 def hausdorff_dimension(charges: FractionalCharges) -> float:

@@ -131,7 +131,7 @@ def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndar
     """
     if spec.model not in ("weighted", "ordinary"):
         raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
-    if spec.multiscale is None:
+    if spec.beta_star is None:
         raise DomainError("weighted flow requires a binomial diffusion-time profile")
     if abs(spec.scales.nu - 1.0) > 1e-12:
         raise DomainError(f"weighted flow is defined at nu = 1, got {spec.scales.nu}")
@@ -148,9 +148,9 @@ def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
     1 < beta* < 2: D -> D(2-beta*); 0 < beta* < 1: D(2-beta*) -> D;
     fuzzy scenario: 0 -> D.
     """
-    if spec.multiscale is None:
+    beta_star = spec.beta_star
+    if beta_star is None:
         raise DomainError("asymptotes require a binomial diffusion-time profile")
-    beta_star, _ = spec.multiscale.binomial_params()
     dim = float(spec.dim)
     if spec.fuzzy:
         return 0.0, dim
@@ -285,19 +285,17 @@ def flow_curve(
     sig = np.asarray(sigmas, dtype=float)
     n = sig.size
     sc = spec.scales
-    binomial = spec.model in ("weighted", "ordinary") and spec.multiscale is not None
-    lstar = spec.multiscale.binomial_params()[1] if binomial else sc.lstar
-    points = np.concatenate([_positive(sig), _probe_sigmas(lstar)])
+    points = np.concatenate([_positive(sig), _probe_sigmas(sc.lstar)])
     if spec.model == "q":
         profile = q_time_profile(spec)
         den, ds = _q_flow_points(profile, spec.dim, points)
         ell2 = sc.kappa * den
         uv, ir = q_flow_asymptotes(profile, spec.dim)
-    elif binomial:
+    elif spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
         ell2, ds = _weighted_flow_points(spec, points)
         uv, ir = weighted_flow_asymptotes(spec)
     else:  # legacy or fixed dimensionality: no scale, a constant flow
-        uv = ir = fixed_point_ds(spec.model, spec.dim, sc.beta, sc.nu, spec.spatial_charges)
+        uv = ir = fixed_point_ds(spec.model, spec.dim, sc.beta, sc.nu, spec.charges)
         ell2 = dispersion(spec, points)
         ds = np.full(points.size, uv)
     uv_ok, ir_ok = _convergence_flags(ds[n:].tolist())
@@ -330,8 +328,7 @@ def dimension_triple(
 ) -> DimensionTriple:
     """Assemble (d_H, d_S, d_W) for one model, with d_S overridable by a
     scale-dependent value (e.g. a flow sample)."""
-    if charges is None:
-        charges = FractionalCharges.isotropic(1.0, dim)
+    charges = charges or FractionalCharges.isotropic(1.0, dim)
     d_h = float(sum(charges.alphas))
     if d_s is None:
         if model == "legacy":

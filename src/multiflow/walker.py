@@ -297,7 +297,7 @@ def simulate(
     if process == "bm":
         nu = 1.0
     elif process == "fsbm-q":
-        alphas = spec.spatial_charges.alphas
+        alphas = spec.charges.alphas
         if len(set(alphas)) > 1:
             raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
         # the charges themselves lie in (0, 1]: FractionalCharges refuses others

@@ -5,12 +5,7 @@ import pytest
 from scipy import integrate
 
 from multiflow.dispersion import DiffusionSpec
-from multiflow.measure import (
-    DIFFUSION_TIME,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-)
+from multiflow.measure import FractionalCharges, GeometryScales
 
 
 @pytest.fixture
@@ -33,7 +28,7 @@ def binomial_spec(
         dim=dim,
         scales=GeometryScales(lstar=lstar, kappa=kappa, beta=beta_star),
         charges=FractionalCharges.isotropic(alpha, dim),
-        multiscale=MeasureProfile.binomial(beta_star, lstar, kind=DIFFUSION_TIME),
+        beta_star=beta_star,
         fuzzy=fuzzy,
     )
 

@@ -30,7 +30,6 @@ from multiflow.kernel import (
 )
 from multiflow.measure import (
     DIFFUSION_TIME,
-    POSITION,
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
@@ -193,8 +192,9 @@ def test_criterion_6_heat_kernel_duality():
                 spec = DiffusionSpec(
                     model="ordinary", dim=dim,
                     scales=GeometryScales(lstar=1.0, beta=beta_star),
-                    spatial_profile=MeasureProfile.binomial(0.5, 1.0, kind=POSITION),
-                    multiscale=MeasureProfile.binomial(beta_star, 1.0, kind=DIFFUSION_TIME),
+                    charges=FractionalCharges.isotropic(0.5, dim),
+                    beta_star=beta_star,
+                    multiscale_space=True,
                 )
                 wspec = binomial_spec(beta_star, dim=dim)
                 grid = np.geomspace(10 ** -4.8, 10 ** -4.0, 5)

@@ -248,6 +248,79 @@ class TestConfig:
         assert spec.fuzzy and spec.multiscale is not None
 
 
+class TestMultiscaleSpace:
+    """--multiscale-space is taken only where a density or trace reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", "--model", "weighted", "--beta-star", "0.5"),
+            ("flow", "--model", "ordinary", "--beta-star", "0.5"),
+            ("flow", "--model", "q", "--beta-star", "0.5"),
+            ("flow", "--model", "legacy"),
+            ("simulate", "--model", "fsbm-v", "--paths", "16", "--steps", "8"),
+            ("pdf", "--model", "q"),
+            ("kernel", "--model", "q"),
+            ("kernel", "--model", "weighted"),
+            ("kernel", "--model", "legacy"),
+            ("validate", "--quick"),
+        ],
+    )
+    def test_refused_where_nothing_reads_it(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([*argv, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "multiscale-space is read only by" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pdf", "--model", "weighted", "--x-points", "21"),
+            ("pdf", "--model", "legacy", "--x-points", "21"),
+            ("pdf", "--model", "ordinary", "--x-points", "21"),
+            ("kernel", "--model", "ordinary", "--sigma-points", "5",
+             "--sigma-min", "0.1", "--sigma-max", "10"),
+        ],
+    )
+    def test_accepted_where_read(self, argv, tmp_path):
+        plain, multiscale = tmp_path / "plain.csv", tmp_path / "multiscale.csv"
+        base = [*argv, "--dim", "1", "--alpha", "0.5"]
+        assert main([*base, "--out", str(plain)]) == EXIT_OK
+        assert main([*base, "--multiscale-space", "--out", str(multiscale)]) == EXIT_OK
+        assert multiscale.read_bytes() != plain.read_bytes()
+
+    def _config(self, tmp_path, model_lines):
+        path = tmp_path / "run.conf"
+        path.write_text("[model]\nmodel = ordinary\ndim = 2\n" + model_lines)
+        return str(path)
+
+    def test_refused_with_anisotropic_alphas(self, tmp_path, capsys):
+        # the binomial space measure has one charge: anisotropic alphas have none
+        config = self._config(tmp_path, "alpha = 0.3\nalphas = 0.5,0.7\n")
+        out = tmp_path / "x.csv"
+        code = main(["pdf", "--config", config, "--multiscale-space", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "needs one charge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_isotropic_alphas_give_the_charge(self, tmp_path):
+        # the charge is read from alphas as well as from alpha
+        config = self._config(tmp_path, "alphas = 0.5,0.5\n")
+        by_alphas, by_alpha = tmp_path / "alphas.csv", tmp_path / "alpha.csv"
+        assert main(["pdf", "--config", config, "--multiscale-space", "--out", str(by_alphas)]) == EXIT_OK
+        argv = ["pdf", "--model", "ordinary", "--dim", "2", "--alpha", "0.5", "--multiscale-space"]
+        assert main([*argv, "--out", str(by_alpha)]) == EXIT_OK
+        assert by_alphas.read_bytes() == by_alpha.read_bytes()
+
+    def test_charges_not_matching_dim_are_a_config_error(self, tmp_path, capsys):
+        config = self._config(tmp_path, "alphas = 0.5,0.7,0.9\n")
+        out = tmp_path / "x.csv"
+        assert main(["kernel", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert "3 fractional charges for dim = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFlowCommand:
     def test_q_binomial_flow_endpoints(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import binomial_spec, fractional_spec, quad_dispersion_oracle
 from multiflow.dispersion import (
+    MODELS,
     DiffusionSpec,
     DispersionCurve,
     binomial_time_integral,
@@ -19,7 +20,7 @@ from multiflow.dispersion import (
 )
 from multiflow.errors import DomainError, ExponentDomainError, GridError
 from multiflow.grid import check_grid
-from multiflow.measure import DIFFUSION_TIME, GeometryScales, MeasureProfile
+from multiflow.measure import DIFFUSION_TIME, FractionalCharges, GeometryScales, MeasureProfile
 
 BETA_STARS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 
@@ -109,6 +110,17 @@ class TestMultiscaleWeighted:
         assert math.isclose(dispersion_multiscale_weighted(spec, 0.0), 4.0, rel_tol=1e-12)
         assert math.isclose(dispersion_multiscale_weighted(spec, 1e-10), 4.0, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("lstar", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("beta_star", [0.25, 0.5, 0.75, 1.25, 1.5])
+    def test_one_lstar_per_spec(self, beta_star, lstar):
+        # the spec holds (beta*, lstar) as given: an lstar inverted from the
+        # profile coefficient lstar^(1 - beta*) is off by ulps for most
+        # lstar != 1, enough to move the dispersion at some of these sigmas
+        spec = binomial_spec(beta_star, lstar=lstar, kappa=1.3)
+        grid = np.geomspace(1e-3, 1e3, 61)
+        expected = 1.3 * binomial_time_integral(beta_star, lstar, grid)
+        assert dispersion(spec, grid).tolist() == expected.tolist()
+
     @pytest.mark.parametrize("offset", [1e-4, -1e-4, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12])
     def test_near_unit_charge_matches_quadrature(self, offset):
         # beta* next to 1 is inside the domain: the panel rule is held to the
@@ -120,12 +132,8 @@ class TestMultiscaleWeighted:
             assert math.isclose(got, oracle, rel_tol=1e-7), (beta_star, sigma, got, oracle)
 
     def test_requires_nu_one(self):
-        spec = binomial_spec(0.5)
         spec = DiffusionSpec(
-            model="weighted",
-            dim=4,
-            scales=GeometryScales(nu=0.9, beta=0.5),
-            multiscale=spec.multiscale,
+            model="weighted", dim=4, scales=GeometryScales(nu=0.9, beta=0.5), beta_star=0.5
         )
         with pytest.raises(DomainError):
             dispersion_multiscale_weighted(spec, 1.0)
@@ -199,14 +207,38 @@ class TestSpecAndCurve:
         with pytest.raises(DomainError):
             DiffusionSpec(model="bogus", dim=4, scales=GeometryScales())
         with pytest.raises(DomainError):
-            DiffusionSpec(
-                model="q",
-                dim=4,
-                scales=GeometryScales(),
-                multiscale=MeasureProfile.binomial(1.5, 1.0, kind=DIFFUSION_TIME),
-            )
+            DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=1.5)
         with pytest.raises(DomainError):
             DiffusionSpec(model="weighted", dim=4, scales=GeometryScales(), fuzzy=True)
+
+    @pytest.mark.parametrize("alphas", [(0.5,), (0.5, 0.7, 0.9)])
+    def test_charges_must_match_dim(self, alphas):
+        # one charge per direction: the density and the trace read them all
+        with pytest.raises(DomainError, match="charges for dim = 2"):
+            DiffusionSpec(
+                model="ordinary", dim=2, scales=GeometryScales(), charges=FractionalCharges(alphas)
+            )
+
+    def test_no_charges_are_unit_charges(self):
+        unit = FractionalCharges.isotropic(1.0, 2)
+        for model in MODELS:
+            bare = DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=0.5))
+            assert bare.charges == unit
+            assert bare == DiffusionSpec(
+                model=model, dim=2, scales=GeometryScales(beta=0.5), charges=unit
+            )
+
+    def test_multiscale_space_needs_one_charge(self):
+        with pytest.raises(DomainError, match="isotropic"):
+            DiffusionSpec(
+                model="ordinary", dim=2, scales=GeometryScales(),
+                charges=FractionalCharges((0.5, 0.7)), multiscale_space=True,
+            )
+        spec = DiffusionSpec(
+            model="ordinary", dim=2, scales=GeometryScales(lstar=2.0),
+            charges=FractionalCharges((0.5, 0.5)), multiscale_space=True,
+        )
+        assert spec.spatial_profile.terms == ((2.0 ** 0.5, 0.5), (1.0, 1.0))
 
     def test_curve_invariants(self):
         sig = np.array([1.0, 2.0, 3.0])
@@ -230,10 +262,7 @@ class TestSpecAndCurve:
         assert np.allclose(closed.ell2, quad.ell2, rtol=1e-7)
 
     def test_sampling_q_quadrature(self):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
-        spec = DiffusionSpec(
-            model="q", dim=4, scales=GeometryScales(beta=0.5), multiscale=profile
-        )
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
         grid = np.geomspace(0.01, 100.0, 10)
         closed = sample_dispersion(spec, grid, "closed-form")
         quad = sample_dispersion(spec, grid, "quadrature")
@@ -244,13 +273,12 @@ class TestSpecAndCurve:
         # the oracle integrates the model's own law from its own initial
         # width: lbar^2 at fixed dimensionality, kappa alone for the legacy
         # ansatz whatever beta is
-        binomial = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
         spec = {
             "fixed-lbar": DiffusionSpec(
                 model="weighted", dim=2, scales=GeometryScales(lbar=0.5, kappa=1.3, beta=0.5)
             ),
             "legacy": DiffusionSpec(model="legacy", dim=2, scales=GeometryScales(kappa=1.3, beta=0.5)),
-            "q": DiffusionSpec(model="q", dim=2, scales=GeometryScales(kappa=1.3), multiscale=binomial),
+            "q": DiffusionSpec(model="q", dim=2, scales=GeometryScales(kappa=1.3), beta_star=0.5),
             "multiscale": binomial_spec(1.5, dim=2, lstar=0.8, kappa=1.3),
             "fuzzy": binomial_spec(0.5, dim=2, lstar=0.8, kappa=1.3, fuzzy=True),
         }[case]

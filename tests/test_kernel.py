@@ -24,13 +24,7 @@ from multiflow.kernel import (
     return_probability,
 )
 from multiflow.kernel import _axis_tables, _trace_quadrature, default_box_halfwidth
-from multiflow.measure import (
-    DIFFUSION_TIME,
-    POSITION,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-)
+from multiflow.measure import FractionalCharges, GeometryScales
 from multiflow.spectral import spectral_q_flow, spectral_weighted_flow
 from multiflow.specfun import kummer_phi
 
@@ -50,7 +44,7 @@ def q_spec(alpha, beta, dim=1, lstar=1.0, multiscale=False):
         dim=dim,
         scales=GeometryScales(beta=beta, lstar=lstar),
         charges=FractionalCharges.isotropic(alpha, dim),
-        multiscale=MeasureProfile.binomial(beta, lstar, kind=DIFFUSION_TIME) if multiscale else None,
+        beta_star=beta if multiscale else None,
     )
 
 
@@ -184,7 +178,8 @@ class TestOrdinaryNormalization:
             model="ordinary",
             dim=1,
             scales=GeometryScales(lstar=lstar, beta=1.0),
-            spatial_profile=MeasureProfile.binomial(alpha, lstar, kind=POSITION),
+            charges=FractionalCharges.isotropic(alpha, 1),
+            multiscale_space=True,
         )
         sigma = 0.6
         ell2 = dispersion(spec, sigma)
@@ -458,8 +453,9 @@ class TestOrdinaryWeightedDuality:
             model="ordinary",
             dim=dim,
             scales=GeometryScales(lstar=1.0, beta=beta_star),
-            spatial_profile=MeasureProfile.binomial(0.5, 1.0, kind=POSITION),
-            multiscale=MeasureProfile.binomial(beta_star, 1.0, kind=DIFFUSION_TIME),
+            charges=FractionalCharges.isotropic(0.5, dim),
+            beta_star=beta_star,
+            multiscale_space=True,
         )
         grid = np.geomspace(10 ** 5.0, 10 ** 5.8, 5)
         ell_max = math.sqrt(dispersion(spec, float(grid[-1])))
@@ -477,8 +473,9 @@ class TestOrdinaryWeightedDuality:
             model="ordinary",
             dim=1,
             scales=GeometryScales(lstar=1.0, beta=beta_star),
-            spatial_profile=MeasureProfile.binomial(alpha, 1.0, kind=POSITION),
-            multiscale=MeasureProfile.binomial(beta_star, 1.0, kind=DIFFUSION_TIME),
+            charges=FractionalCharges.isotropic(alpha, 1),
+            beta_star=beta_star,
+            multiscale_space=True,
         )
         wspec = binomial_spec(beta_star, dim=1)
         grid = np.geomspace(1e-5, 1e-3, 9)
@@ -494,7 +491,8 @@ def multiscale_space_spec(alpha, dim, lstar=1.0):
         model="ordinary",
         dim=dim,
         scales=GeometryScales(lstar=lstar, beta=1.0),
-        spatial_profile=MeasureProfile.binomial(alpha, lstar, kind=POSITION),
+        charges=FractionalCharges.isotropic(alpha, dim),
+        multiscale_space=True,
     )
 
 
@@ -503,14 +501,12 @@ def tensor_trace_oracle(spec, sigma, halfwidth, order):
     ell2 = dispersion(spec, sigma)
     ell = math.sqrt(ell2)
     tables = _axis_tables(spec, halfwidth, 4.0 * ell, order)
-    if spec.spatial_profile is not None:
-        alpha, lstar = spec.spatial_profile.binomial_params()
-        alphas = [alpha] * spec.dim
+    alphas = list(spec.charges.alphas)
+    if spec.multiscale_space:
+        alpha, lstar = alphas[0], spec.scales.lstar
         coeff = lstar ** spec.dim * (
             math.gamma(alpha / 2.0) / math.gamma(alpha) * (2.0 * ell / lstar) ** alpha
         ) ** spec.dim
-    else:
-        alphas = list(spec.charges.alphas)
     total = 0.0
     for combo in itertools.product(*tables):
         prefactor = math.prod(g for g, _, _ in combo)
@@ -518,7 +514,7 @@ def tensor_trace_oracle(spec, sigma, halfwidth, order):
             np.array([kummer_phi((1.0 - a) / 2.0, 0.5, -(x * x) / (4.0 * ell2)) for x in xs])
             for (_, xs, _), a in zip(combo, alphas)
         ]
-        if spec.spatial_profile is not None:
+        if spec.multiscale_space:
             grid = coeff * np.ones(())
             for p in phis:
                 grid = np.multiply.outer(grid, p)

@@ -14,7 +14,6 @@ from multiflow.measure import (
     geometric_profile,
     geometric_profile_inverse,
     hausdorff_dimension,
-    multiscale_profile,
     multiscale_weight,
     unit_ball_volume,
 )
@@ -22,11 +21,11 @@ from multiflow.measure import (
 
 class TestProfiles:
     def test_binomial_construction_and_recovery(self):
+        # the terms hold the charge and lstar^(1 - charge) as given, sorted by charge
         for beta_star in (0.3, 0.5, 1.5, 1.75):
             profile = MeasureProfile.binomial(beta_star, 2.0, kind=DIFFUSION_TIME)
-            got_charge, got_lstar = profile.binomial_params()
-            assert math.isclose(got_charge, beta_star, rel_tol=1e-14)
-            assert math.isclose(got_lstar, 2.0, rel_tol=1e-12)
+            terms = {c: g for g, c in profile.terms}
+            assert terms == {beta_star: 2.0 ** (1.0 - beta_star), 1.0: 1.0}
             assert profile.charges == tuple(sorted(profile.charges))
 
     def test_validation(self):
@@ -125,29 +124,6 @@ class TestGeometricProfiles:
                 q = geometric_profile(float(x), alpha)
                 back = geometric_profile_inverse(q, alpha)
                 assert abs(back - float(x)) <= 1e-12 * max(1.0, abs(float(x)))
-
-    def test_multiscale_profile_single_term(self, rng):
-        profile = MeasureProfile(terms=((1.0, 1.0),), kind=POSITION)
-        for x in rng.uniform(-10, 10, 20):
-            assert multiscale_profile(float(x), profile) == pytest.approx(float(x))
-
-    def test_multiscale_profile_binomial_equal_order(self):
-        # coefficients chosen so both terms coincide at |x| = lstar
-        alpha_star, lstar = 0.5, 2.0
-        profile = MeasureProfile(
-            terms=(
-                (lstar ** (1.0 - alpha_star) / math.gamma(alpha_star + 1.0), alpha_star),
-                (1.0 / math.gamma(2.0), 1.0),
-            ),
-            kind=POSITION,
-        )
-        expected = lstar / math.gamma(1.5) + lstar
-        assert math.isclose(multiscale_profile(lstar, profile), expected, rel_tol=1e-14)
-
-    def test_multiscale_profile_odd(self, rng):
-        profile = MeasureProfile(terms=((0.7, 0.4), (1.0, 1.0)), kind=POSITION)
-        for x in rng.uniform(0.01, 10, 100):
-            assert multiscale_profile(-float(x), profile) == -multiscale_profile(float(x), profile)
 
 
 class TestHausdorff:

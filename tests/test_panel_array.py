@@ -35,14 +35,7 @@ from multiflow.kernel import (
     pdf,
     return_probability,
 )
-from multiflow.measure import (
-    DIFFUSION_TIME,
-    POSITION,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-    multiscale_weight,
-)
+from multiflow.measure import FractionalCharges, GeometryScales, multiscale_weight
 from multiflow.spectral import flow_curve, spectral_q_flow, spectral_weighted_flow
 
 SEED = 20130409
@@ -205,7 +198,7 @@ OTHER_MODELS = {
     ),
     "q-binomial": DiffusionSpec(
         model="q", dim=4, scales=_SCALES,
-        multiscale=MeasureProfile.binomial(0.5, 0.8, kind=DIFFUSION_TIME),
+        beta_star=0.5,
     ),
     "q-single-term": DiffusionSpec(model="q", dim=4, scales=GeometryScales(kappa=1.3, beta=0.7)),
     "legacy": DiffusionSpec(
@@ -310,7 +303,7 @@ KERNEL_MODELS = {
     ),
     "ordinary-multiscale-space": DiffusionSpec(
         model="ordinary", dim=2, scales=GeometryScales(lstar=0.8, beta=1.0),
-        spatial_profile=MeasureProfile.binomial(0.5, 0.8, kind=POSITION),
+        charges=FractionalCharges.isotropic(0.5, 2), multiscale_space=True,
     ),
 }
 
@@ -331,7 +324,7 @@ def test_every_trace_on_a_grid_equals_its_scalar_formula(name):
             for s in grid.tolist()
         ]
         if spec.model == "legacy":
-            expected = [e ** (-spec.dim * spec.alpha_average / 2.0) for e in ell2]
+            expected = [e ** (-spec.dim * spec.charges.average / 2.0) for e in ell2]
         else:
             expected = [(4.0 * math.pi * e) ** (-spec.dim / 2.0) for e in ell2]
         assert [return_probability(spec, s) for s in grid.tolist()] == expected

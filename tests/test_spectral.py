@@ -51,10 +51,8 @@ class TestNumericExtraction:
             assert abs(spectral_from_dispersion(curve, 4, float(s)) - expected) < 1e-9
 
     def test_q_binomial_crossover_value(self):
-        profile = q_binomial_profile(0.5)
-        spec = DiffusionSpec(
-            model="q", dim=4, scales=GeometryScales(beta=0.5), multiscale=profile
-        )
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        profile = spec.multiscale
         grid = np.geomspace(1e-3, 1e3, 121)  # grid contains sigma = 1 = lstar
         curve = sample_dispersion(spec, grid)
         got = spectral_from_dispersion(curve, 4, 1.0)
@@ -167,10 +165,8 @@ class TestQFlow:
         assert all(b >= a for a, b in zip(ds, ds[1:]))
 
     def test_numeric_matches_closed_flow_on_quadrature_curve(self):
-        profile = q_binomial_profile(0.5)
-        spec = DiffusionSpec(
-            model="q", dim=4, scales=GeometryScales(beta=0.5), multiscale=profile
-        )
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        profile = spec.multiscale
         grid = np.geomspace(1e-2, 1e2, 200)
         curve = sample_dispersion(spec, grid, method="quadrature")
         for s in grid[2:-2:11]:
@@ -178,9 +174,7 @@ class TestQFlow:
             assert abs(numeric - spectral_q_flow(profile, 4, float(s))) < 1e-3
 
     def test_flow_curve(self):
-        spec = DiffusionSpec(
-            model="q", dim=4, scales=GeometryScales(beta=0.5), multiscale=q_binomial_profile(0.5)
-        )
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
         flow, _ = flow_curve(spec, np.geomspace(1e-6, 1e6, 30))
         assert flow.uv_asymptote == 2.0 and flow.ir_asymptote == 4.0
 

@@ -7,6 +7,7 @@ suite, rather than in a benchmark run.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 
 import multiflow
 import multiflow.cli as cli
+from multiflow import DiffusionSpec, FractionalCharges, GeometryScales
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -39,7 +41,16 @@ JOBS = {
     "kernel-weighted": (
         "kernel", "--model", "weighted", "--beta-star", "0.5", "--sigma-points", "20",
     ),
+    # the multiscale-space jobs read the measure the spec derives from its charge
+    "kernel-multiscale-space": (
+        "kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--multiscale-space",
+        "--sigma-min", "1e-2", "--sigma-max", "1e2", "--sigma-points", "9",
+    ),
     "pdf": ("pdf", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--x-points", "41"),
+    "pdf-weighted-multiscale-space": (
+        "pdf", "--model", "weighted", "--dim", "2", "--alpha", "0.5", "--multiscale-space",
+        "--x-points", "41",
+    ),
     # writes the msd file and a trajectory file
     "simulate": (
         "simulate", "--model", "bm", "--dim", "2", "--paths", "50", "--steps", "32",
@@ -81,6 +92,9 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
     if name == "pdf":
         # the off-origin normalization is one traced scalar Kummer call per slice
         assert tracer.stats["specfun.kummer_phi"].calls == 1
+    if name == "pdf-weighted-multiscale-space":
+        # one binomial weight per coordinate of the 40 points off the origin
+        assert tracer.stats["measure.multiscale_weight"].calls == 40 * 2
     written = sorted(traced.iterdir())
     assert [f.name for f in written] == sorted(f.name for f in plain.iterdir())
     assert len(written) == (2 if command == "simulate" else 1)
@@ -89,6 +103,17 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
     # the tracer reads the written file's path from write_csv's first argument
     assert tracer.stats["csvio.write_csv"].calls == len(written)
     assert tracer.bytes_written == sum(f.stat().st_size for f in written)
+
+
+def test_trace_class_reads_the_spatial_profile(tracing):
+    # the tracer sorts traces by the spec's spatial_profile, which the spec
+    # derives from multiscale_space
+    spec = DiffusionSpec(
+        model="ordinary", dim=2, scales=GeometryScales(),
+        charges=FractionalCharges.isotropic(0.5, 2), multiscale_space=True,
+    )
+    assert tracing._trace_class((spec,), {}) == "multiscale_space"
+    assert tracing._trace_class((replace(spec, multiscale_space=False),), {}) == "d2"
 
 
 def test_per_layer_metrics_of_a_traced_simulate_job(tracing, tmp_path):
