@@ -12,9 +12,6 @@ from .dispersion import (
     DiffusionSpec,
     DispersionCurve,
     dispersion,
-    dispersion_fractional,
-    dispersion_multiscale_weighted,
-    dispersion_q,
     dispersion_quadrature,
     qm_time,
     sample_dispersion,
@@ -59,10 +56,7 @@ from .spectral import (
     dimension_triple,
     fixed_point_ds,
     flow_curve,
-    legacy_ds,
     spectral_from_dispersion,
-    spectral_q_flow,
-    spectral_weighted_flow,
     walk_dimension,
 )
 from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, kummer_phi

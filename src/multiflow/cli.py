@@ -32,7 +32,7 @@ from .dispersion import (
     time_weight,
 )
 from .errors import ConfigError, MultiflowError
-from .measure import GeometryScales, hausdorff_dimension
+from .measure import GeometryScales
 from .spectral import LegacyAnsatzWarning
 
 EXIT_OK = 0
@@ -44,10 +44,6 @@ EXIT_NUMERIC = 3
 def _sigma_grid(cfg: RunConfig, points: int) -> np.ndarray:
     make = walker.geometric_grid if cfg.log else walker.uniform_grid
     return make(cfg.sigma_min, cfg.sigma_max, points)
-
-
-def _d_hausdorff(spec: DiffusionSpec) -> float:
-    return hausdorff_dimension(spec.charges)
 
 
 def run_flow(cfg: RunConfig) -> None:
@@ -64,7 +60,7 @@ def run_flow(cfg: RunConfig) -> None:
         uv_asymptote=flow.uv_asymptote, ir_asymptote=flow.ir_asymptote,
         uv_converged=flow.uv_converged, ir_converged=flow.ir_converged,
     )
-    d_w = spectral.walk_dimension(spec.model, spec.dim, _d_hausdorff(spec), flow.ds)
+    d_w = spectral.walk_dimension(spec, flow.ds)
     write_csv(
         cfg.out, "flow", ("sigma", "ell2", "ds", "d_w", "model"),
         (grid, ell2, flow.ds, d_w, spec.model), meta,
@@ -230,7 +226,9 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         beta = rng.uniform(0.1, 1.4)
         nu = rng.uniform(0.5, 1.5)
         expected = cfg.dim * (1.0 + nu - beta)
-        got = spectral.fixed_point_ds("weighted", cfg.dim, beta=beta, nu=nu)
+        got = spectral.fixed_point_ds(
+            DiffusionSpec(model="weighted", dim=cfg.dim, scales=GeometryScales(nu=nu, beta=beta))
+        )
         worst = max(worst, abs(got - expected))
     checks.append(_Check("fixed-point-identity", worst, 0.0, 0.0))
 

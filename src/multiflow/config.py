@@ -116,6 +116,9 @@ class RunConfig:
                 )
             if len(set(self.alphas)) > 1:
                 raise ConfigError(f"multiscale-space needs one charge, got alphas = {self.alphas}")
+        if self.beta_star is not None and self.nu != 1.0 and self.command != "simulate":
+            # the binomial dispersion is defined at nu = 1; fssbm reads both
+            raise ConfigError(f"beta-star is read only at nu = 1 outside simulate, got nu = {self.nu}")
         return self
 
 

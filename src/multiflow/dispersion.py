@@ -51,9 +51,6 @@ __all__ = [
     "DiffusionSpec",
     "DispersionCurve",
     "MODELS",
-    "dispersion_fractional",
-    "dispersion_multiscale_weighted",
-    "dispersion_q",
     "dispersion_quadrature",
     "qm_time",
     "dispersion",
@@ -80,7 +77,9 @@ class DiffusionSpec:
     1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) per direction, alpha the
     one charge of the (isotropic) ``charges``.  Both measures take lstar from
     ``scales``; :attr:`multiscale` and :attr:`spatial_profile` are their
-    term tables, built once per spec.
+    term tables, built once per spec.  A parameter the model never reads is
+    refused: ``beta_star`` for legacy, nu != 1 for q (clocked by beta, which
+    must lie in (0, 2) without ``beta_star``).
     """
 
     model: str
@@ -101,10 +100,17 @@ class DiffusionSpec:
             raise DomainError(f"{self.charges.dim} fractional charges for dim = {self.dim}")
         if self.multiscale_space and len(set(self.charges.alphas)) > 1:
             raise DomainError(f"a multiscale space needs isotropic charges, got {self.charges.alphas}")
+        # a parameter the model never reads is refused, not silently dropped
+        if self.model == "legacy" and self.beta_star is not None:
+            raise DomainError(f"the legacy model reads no beta_star, got {self.beta_star}")
+        if self.model == "q" and self.scales.nu != 1.0:
+            raise DomainError(f"the q model reads no nu (beta is its clock), got nu = {self.scales.nu}")
         # both profiles are built here, once: a binomial charge outside (0, 2), or 1, raises
         time_profile, _ = self.multiscale, self.spatial_profile
         if self.model == "q" and time_profile is not None and not 0.0 < self.beta_star < 1.0:
             raise DomainError(f"q model requires a binomial charge in (0, 1), got {self.beta_star}")
+        if self.model == "q" and time_profile is None and not 0.0 < self.scales.beta < 2.0:
+            raise DomainError(f"q-model charge must lie in (0, 2), got {self.scales.beta}")
         if self.fuzzy:
             if self.model != "weighted" or time_profile is None:
                 raise DomainError("fuzzy mode is only valid for the weighted multiscale model")
@@ -165,26 +171,6 @@ def _nonnegative(sigma: float | np.ndarray) -> np.ndarray:
 def _shaped(sig: np.ndarray, values: np.ndarray) -> float | np.ndarray:
     """A float for a 0-d sigma, else ``values`` in the shape of sigma."""
     return values.item() if sig.ndim == 0 else values.reshape(sig.shape)
-
-
-def dispersion_fractional(
-    spec: DiffusionSpec, sigma: float | np.ndarray
-) -> float | np.ndarray:
-    """Fixed-dimensionality dispersion lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
-
-    Requires 1 + nu - beta > 0; otherwise no normalizable pointlike initial
-    condition exists and :class:`ExponentDomainError` is raised.  ``sigma``
-    is a float or an array, as for :func:`dispersion`.
-    """
-    sig = _nonnegative(sigma)
-    sc = spec.scales
-    exponent = 1.0 + sc.nu - sc.beta
-    if exponent <= 0.0:
-        raise ExponentDomainError(
-            f"1 + nu - beta = {exponent} must be positive for a pointlike initial condition"
-        )
-    coeff = sc.kappa * gamma_fn(sc.beta) / exponent
-    return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 
 
 _PANEL_DECADES = 18
@@ -249,46 +235,6 @@ def binomial_time_integral(
         head = upper * 10.0 ** (-count) if power > 0.0 else 0.0
         out[index] = head + decade_panels(integrand, upper, count)
     return _shaped(sig, out)
-
-
-def dispersion_multiscale_weighted(
-    spec: DiffusionSpec, sigma: float | np.ndarray
-) -> float | np.ndarray:
-    """Dispersion of the weighted/ordinary models with a binomial time measure.
-
-    ell^2(sigma) = ell2(0) + kappa * int_0^sigma ds / v_*(s), where the
-    integral is :func:`binomial_time_integral` and ell2(0) is zero for the
-    pointlike initial condition or lstar^2 in the fuzzy scenario (Gaussian
-    initial spread of width lstar).  ``sigma`` is a float or an array, as
-    for :func:`binomial_time_integral`, and every element is checked.
-    """
-    if spec.beta_star is None:
-        raise DomainError("multiscale dispersion requires a diffusion-time profile")
-    sc = spec.scales
-    if abs(sc.nu - 1.0) > 1e-12:
-        raise DomainError(f"multiscale weighted dispersion is defined at nu = 1, got nu = {sc.nu}")
-    base = sc.lstar ** 2 if spec.fuzzy else 0.0
-    value = base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
-    negative = np.flatnonzero(np.asarray(value) < 0.0)
-    if negative.size:
-        i = negative[0]
-        raise DomainError(
-            f"dispersion came out negative ({np.ravel(value)[i]}) at sigma = {np.ravel(sigma)[i]}"
-        )
-    return value
-
-
-def dispersion_q(
-    profile: MeasureProfile, kappa: float, sigma: float | np.ndarray
-) -> float | np.ndarray:
-    """q-model dispersion kappa * sum_n g_n sigma^(beta_n); ``sigma`` a float or an array."""
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    sig = _nonnegative(sigma)
-    total = 0
-    for g, c in profile.terms:
-        total = total + g * powers(sig, c)
-    return _shaped(sig, kappa * total)
 
 
 def dispersion_quadrature(
@@ -385,32 +331,55 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
     if spec.multiscale is not None:
         return spec.multiscale
     beta = spec.scales.beta
-    if not 0.0 < beta < 2.0:
-        raise DomainError(f"q-model charge must lie in (0, 2), got {beta}")
     return MeasureProfile(
         terms=((1.0 / gamma_fn(beta + 1.0), beta),), kind=DIFFUSION_TIME
     )
 
 
 def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
-    """Model-appropriate dispersion at a diffusion time or a whole array of them.
+    """The model's dispersion ell^2 at a diffusion time or a whole array of them.
 
-    weighted/ordinary: binomial multiscale form when a profile is
-    attached, fixed-dimensionality power law otherwise (the two models share
-    the same Gaussian width).  q: polynomial form.  legacy: kappa * sigma.
-    A float gives a float, an array an array of its shape, each element
-    bit for bit the value its float gives; a negative element raises
-    :class:`DomainError` before anything is evaluated.
+    weighted/ordinary (the two share one Gaussian width) with a binomial
+    time measure: ell2(0) + kappa * int_0^sigma ds / v_*(s), the integral
+    :func:`binomial_time_integral` and ell2(0) zero for the pointlike
+    initial condition or lstar^2 in the fuzzy scenario (Gaussian initial
+    spread of width lstar); defined at nu = 1 only.  At fixed
+    dimensionality: lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta),
+    which needs 1 + nu - beta > 0 (else no normalizable pointlike initial
+    condition exists and :class:`ExponentDomainError` is raised).
+    q: kappa * sum_n g_n sigma^(beta_n) over :func:`q_time_profile`.
+    legacy: kappa * sigma.  A float gives a float, an array an array of its
+    shape, each element bit for bit the value its float gives; a negative
+    element raises :class:`DomainError` before anything is evaluated.
     """
-    if spec.model in ("weighted", "ordinary"):
-        if spec.beta_star is not None:
-            return dispersion_multiscale_weighted(spec, sigma)
-        return dispersion_fractional(spec, sigma)
-    if spec.model == "q":
-        return dispersion_q(q_time_profile(spec), spec.scales.kappa, sigma)
-    # legacy ansatz: ordinary Brownian width
+    sc = spec.scales
+    if spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
+        if abs(sc.nu - 1.0) > 1e-12:
+            raise DomainError(f"multiscale weighted dispersion is defined at nu = 1, got nu = {sc.nu}")
+        base = sc.lstar ** 2 if spec.fuzzy else 0.0
+        value = base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
+        negative = np.flatnonzero(np.asarray(value) < 0.0)
+        if negative.size:
+            i = negative[0]
+            raise DomainError(
+                f"dispersion came out negative ({np.ravel(value)[i]}) at sigma = {np.ravel(sigma)[i]}"
+            )
+        return value
     sig = _nonnegative(sigma)
-    return _shaped(sig, spec.scales.kappa * sig)
+    if spec.model == "legacy":  # ordinary Brownian width
+        return _shaped(sig, sc.kappa * sig)
+    if spec.model == "q":
+        total = 0
+        for g, c in q_time_profile(spec).terms:
+            total = total + g * powers(sig, c)
+        return _shaped(sig, sc.kappa * total)
+    exponent = 1.0 + sc.nu - sc.beta
+    if exponent <= 0.0:
+        raise ExponentDomainError(
+            f"1 + nu - beta = {exponent} must be positive for a pointlike initial condition"
+        )
+    coeff = sc.kappa * gamma_fn(sc.beta) / exponent
+    return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 
 
 def sample_dispersion(

@@ -19,28 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import (
-    DiffusionSpec,
-    DispersionCurve,
-    dispersion,
-    dispersion_multiscale_weighted,
-    q_time_profile,
-)
+from .dispersion import DiffusionSpec, DispersionCurve, dispersion, q_time_profile
 from .errors import DomainError, GridError
 from .grid import check_grid, log_slope, powers
-from .measure import FractionalCharges, MeasureProfile
+from .measure import hausdorff_dimension
 
 __all__ = [
     "SpectralFlow",
     "DimensionTriple",
     "LegacyAnsatzWarning",
     "spectral_from_dispersion",
-    "spectral_weighted_flow",
-    "weighted_flow_asymptotes",
-    "spectral_q_flow",
-    "q_flow_asymptotes",
     "fixed_point_ds",
-    "legacy_ds",
     "walk_dimension",
     "density_of_states_exponent",
     "flow_curve",
@@ -116,123 +105,38 @@ def _positive(sigma: float | Sequence[float] | np.ndarray) -> np.ndarray:
     return sig
 
 
-def spectral_weighted_flow(spec: DiffusionSpec, sigma: float) -> float:
-    """Closed-form weighted-model flow d_S(sigma) = D kappa sigma / (v(sigma) ell^2(sigma))."""
-    return float(_weighted_flow_points(spec, _positive(sigma))[1][0])
+def fixed_point_ds(spec: DiffusionSpec) -> float:
+    """Constant (no-scale) spectral dimension of a spec without ``beta_star``.
 
-
-def _weighted_flow_points(spec: DiffusionSpec, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ell^2 and d_S of the weighted-model flow on a 1-d sigma array.
-
-    ell^2 comes from one array call of the dispersion.  The weight
-    v(sigma) = sum_n g_n sigma^(c_n - 1) takes its powers from
-    :func:`grid.powers`; the sums, products and quotient are the scalar
-    ones, in the same order, so d_S keeps the bits of its scalar formula.
-    """
-    if spec.model not in ("weighted", "ordinary"):
-        raise DomainError(f"weighted flow needs the weighted/ordinary model, got {spec.model!r}")
-    if spec.beta_star is None:
-        raise DomainError("weighted flow requires a binomial diffusion-time profile")
-    if abs(spec.scales.nu - 1.0) > 1e-12:
-        raise DomainError(f"weighted flow is defined at nu = 1, got {spec.scales.nu}")
-    ell2 = dispersion_multiscale_weighted(spec, sig)
-    weight = 0
-    for g, c in spec.multiscale.terms:
-        weight = weight + g * powers(sig, c - 1.0)
-    return ell2, spec.dim * spec.scales.kappa * sig / (weight * ell2)
-
-
-def weighted_flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
-    """Analytic (UV, IR) limits of the weighted-model flow.
-
-    1 < beta* < 2: D -> D(2-beta*); 0 < beta* < 1: D(2-beta*) -> D;
-    fuzzy scenario: 0 -> D.
-    """
-    beta_star = spec.beta_star
-    if beta_star is None:
-        raise DomainError("asymptotes require a binomial diffusion-time profile")
-    dim = float(spec.dim)
-    if spec.fuzzy:
-        return 0.0, dim
-    if beta_star > 1.0:
-        return dim, dim * (2.0 - beta_star)
-    return dim * (2.0 - beta_star), dim
-
-
-def spectral_q_flow(profile: MeasureProfile, dim: int, sigma: float) -> float:
-    """q-model flow: charge average D sum g c sigma^c / sum g sigma^c."""
-    return float(_q_flow_points(profile, dim, _positive(sigma))[1][0])
-
-
-def _q_flow_points(
-    profile: MeasureProfile, dim: int, sig: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum g sigma^c and d_S of the q-model flow on a 1-d sigma array.
-
-    One power per term gives both sums; kappa times the first is
-    :func:`dispersion.dispersion_q` bit for bit.
-    """
-    num = den = 0
-    for g, c in profile.terms:
-        p = powers(sig, c)
-        num = num + g * c * p
-        den = den + g * p
-    return den, dim * num / den
-
-
-def q_flow_asymptotes(profile: MeasureProfile, dim: int) -> tuple[float, float]:
-    """Analytic (UV, IR) limits of the q-model flow: D * (min, max) charge."""
-    return dim * profile.charges[0], dim * profile.charges[-1]
-
-
-def fixed_point_ds(
-    model: str,
-    dim: int,
-    beta: float | None = None,
-    nu: float = 1.0,
-    alphas: Sequence[float] | FractionalCharges | None = None,
-) -> float:
-    """Constant (no-scale) spectral dimension of each model.
-
-    weighted/ordinary: D(1 + nu - beta); q: D beta; legacy: D alpha with alpha
-    the average fractional charge.  Named parameter choices are expressed by
-    the caller: beta = 1, nu = 1 recovers D; beta = alpha gives D(2 - alpha);
-    beta = 1, nu = alpha gives D alpha.
-    """
-    if model in ("weighted", "ordinary"):
-        if beta is None:
-            raise DomainError("weighted/ordinary fixed point needs beta")
-        return dim * (1.0 + nu - beta)
-    if model == "q":
-        if beta is None:
-            raise DomainError("q fixed point needs beta")
-        return dim * beta
-    if model == "legacy":
-        if alphas is None:
-            raise DomainError("legacy fixed point needs fractional charges")
-        charges = alphas if isinstance(alphas, FractionalCharges) else FractionalCharges(tuple(alphas))
-        return legacy_ds(charges)
-    raise DomainError(f"unknown model {model!r}")
-
-
-def legacy_ds(charges: FractionalCharges) -> float:
-    """Legacy-ansatz spectral dimension D alpha = sum_mu alpha_mu.
-
-    Emits :class:`LegacyAnsatzWarning`: this mode reproduces the earlier
+    weighted/ordinary: D(1 + nu - beta); q: D beta; legacy: D alpha =
+    sum_mu alpha_mu, the sum of the spatial charges.  Named parameter choices
+    are expressed by the caller: beta = 1, nu = 1 recovers D; beta = alpha
+    gives D(2 - alpha); beta = 1, nu = alpha gives D alpha.  The legacy value
+    emits :class:`LegacyAnsatzWarning`: it reproduces the earlier
     regularized-trace prescription whose volume normalization is ambiguous.
+    A spec with ``beta_star`` has a flow (:func:`flow_curve`), not a fixed
+    point, and raises :class:`DomainError`.
     """
-    warnings.warn(
-        "legacy diffusion ansatz: d_S = D*alpha relies on a regularized, "
-        "normalization-dependent return probability",
-        LegacyAnsatzWarning,
-        stacklevel=2,
-    )
-    return float(sum(charges.alphas))
+    if spec.beta_star is not None:
+        raise DomainError(f"beta_star = {spec.beta_star} gives a flow, not a fixed point")
+    sc = spec.scales
+    if spec.model == "q":
+        return spec.dim * sc.beta
+    if spec.model == "legacy":
+        warnings.warn(
+            "legacy diffusion ansatz: d_S = D*alpha relies on a regularized, "
+            "normalization-dependent return probability",
+            LegacyAnsatzWarning,
+            stacklevel=2,
+        )
+        return hausdorff_dimension(spec.charges)
+    return spec.dim * (1.0 + sc.nu - sc.beta)
 
 
-def walk_dimension(model: str, dim: int, d_h: float, d_s: float | np.ndarray) -> float | np.ndarray:
-    """Walk dimension: 2 d_H/d_S for q/legacy (fractal relation), 2 D/d_S for
-    weighted/ordinary (integer-volume state counting).
+def walk_dimension(spec: DiffusionSpec, d_s: float | np.ndarray) -> float | np.ndarray:
+    """Walk dimension: 2 d_H/d_S for q/legacy (fractal relation, d_H the sum
+    of the spec's charges), 2 D/d_S for weighted/ordinary (integer-volume
+    state counting).
 
     ``d_s`` is a float or an array of them; a float gives a float, an array
     an array, and any d_S <= 0 raises :class:`DomainError`.
@@ -241,12 +145,8 @@ def walk_dimension(model: str, dim: int, d_h: float, d_s: float | np.ndarray) ->
     low = d[d <= 0.0]
     if low.size:
         raise DomainError(f"walk dimension undefined for d_S = {float(low[0])} <= 0")
-    if model in ("q", "legacy"):
-        d_w = 2.0 * d_h / d
-    elif model in ("weighted", "ordinary"):
-        d_w = 2.0 * dim / d
-    else:
-        raise DomainError(f"unknown model {model!r}")
+    fractal = spec.model in ("q", "legacy")
+    d_w = 2.0 * (hausdorff_dimension(spec.charges) if fractal else spec.dim) / d
     return float(d_w) if d.ndim == 0 else d_w
 
 
@@ -276,27 +176,45 @@ def flow_curve(
 ) -> tuple[SpectralFlow, np.ndarray]:
     """The model's flow on a sigma grid, with its asymptotes, and the ell^2 it came from.
 
-    weighted/ordinary with a binomial time profile: D kappa sigma / (v ell^2).
-    q: D sum g c sigma^c / sum g sigma^c.  legacy and fixed dimensionality:
-    the constant :func:`fixed_point_ds`.  The six plateau probes ride in the
-    same array pass as the grid; every element has the bits of its own
-    one-sigma call.  A nonpositive sigma raises :class:`DomainError`.
+    weighted/ordinary with a binomial time measure:
+    d_S = D kappa sigma / (v(sigma) ell^2(sigma)), v(sigma) = sum_n g_n
+    sigma^(c_n - 1); its (UV, IR) limits are D -> D(2-beta*) for
+    1 < beta* < 2, D(2-beta*) -> D for 0 < beta* < 1 and 0 -> D in the
+    fuzzy scenario.  q: the charge average D sum g c sigma^c / sum g sigma^c,
+    from D min charge to D max charge.  legacy and fixed dimensionality: the
+    constant :func:`fixed_point_ds`.  ell^2 is one :func:`dispersion` call on
+    the grid and the six plateau probes; the powers of the flow come from
+    :func:`grid.powers` and the sums, products and quotients are the scalar
+    ones, so every element has the bits of its own one-sigma call.  A
+    nonpositive sigma raises :class:`DomainError`.
     """
     sig = np.asarray(sigmas, dtype=float)
     n = sig.size
-    sc = spec.scales
-    points = np.concatenate([_positive(sig), _probe_sigmas(sc.lstar)])
+    points = np.concatenate([_positive(sig), _probe_sigmas(spec.scales.lstar)])
+    ell2 = dispersion(spec, points)
+    dim = float(spec.dim)
     if spec.model == "q":
         profile = q_time_profile(spec)
-        den, ds = _q_flow_points(profile, spec.dim, points)
-        ell2 = sc.kappa * den
-        uv, ir = q_flow_asymptotes(profile, spec.dim)
-    elif spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
-        ell2, ds = _weighted_flow_points(spec, points)
-        uv, ir = weighted_flow_asymptotes(spec)
+        num = den = 0
+        for g, c in profile.terms:
+            p = powers(points, c)
+            num = num + g * c * p
+            den = den + g * p
+        ds = spec.dim * num / den
+        uv, ir = dim * profile.charges[0], dim * profile.charges[-1]
+    elif spec.beta_star is not None:  # weighted or ordinary
+        weight = 0
+        for g, c in spec.multiscale.terms:
+            weight = weight + g * powers(points, c - 1.0)
+        ds = spec.dim * spec.scales.kappa * points / (weight * ell2)
+        if spec.fuzzy:
+            uv, ir = 0.0, dim
+        elif spec.beta_star > 1.0:
+            uv, ir = dim, dim * (2.0 - spec.beta_star)
+        else:
+            uv, ir = dim * (2.0 - spec.beta_star), dim
     else:  # legacy or fixed dimensionality: no scale, a constant flow
-        uv = ir = fixed_point_ds(spec.model, spec.dim, sc.beta, sc.nu, spec.charges)
-        ell2 = dispersion(spec, points)
+        uv = ir = fixed_point_ds(spec)
         ds = np.full(points.size, uv)
     uv_ok, ir_ok = _convergence_flags(ds[n:].tolist())
     flow = SpectralFlow(
@@ -318,23 +236,13 @@ def flow_from_curve(curve: DispersionCurve, dim: int, model: str = "numeric") ->
     )
 
 
-def dimension_triple(
-    model: str,
-    dim: int,
-    charges: FractionalCharges | None = None,
-    beta: float | None = None,
-    nu: float = 1.0,
-    d_s: float | None = None,
-) -> DimensionTriple:
-    """Assemble (d_H, d_S, d_W) for one model, with d_S overridable by a
-    scale-dependent value (e.g. a flow sample)."""
-    charges = charges or FractionalCharges.isotropic(1.0, dim)
-    d_h = float(sum(charges.alphas))
+def dimension_triple(spec: DiffusionSpec, d_s: float | None = None) -> DimensionTriple:
+    """Assemble (d_H, d_S, d_W) for one spec, with d_S overridable by a
+    scale-dependent value (e.g. a flow sample); without one, d_S is the
+    :func:`fixed_point_ds` of the spec, with no legacy warning."""
     if d_s is None:
-        if model == "legacy":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LegacyAnsatzWarning)
-                d_s = legacy_ds(charges)
-        else:
-            d_s = fixed_point_ds(model, dim, beta=beta, nu=nu, alphas=charges)
-    return DimensionTriple(d_h=d_h, d_s=d_s, d_w=walk_dimension(model, dim, d_h, d_s), model=model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LegacyAnsatzWarning)
+            d_s = fixed_point_ds(spec)
+    d_h = hausdorff_dimension(spec.charges)
+    return DimensionTriple(d_h=d_h, d_s=d_s, d_w=walk_dimension(spec, d_s), model=spec.model)

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from multiflow.dispersion import DiffusionSpec
 from multiflow.measure import FractionalCharges, GeometryScales
+from multiflow.spectral import flow_curve
 
 
 @pytest.fixture
@@ -48,6 +49,17 @@ def fractional_spec(
         scales=GeometryScales(kappa=kappa, nu=nu, beta=beta),
         charges=FractionalCharges.isotropic(alpha, dim),
     )
+
+
+def flow_at(spec: DiffusionSpec, sigma: float) -> float:
+    """d_S of the spec's closed-form flow at one sigma: a one-point flow_curve call."""
+    return float(flow_curve(spec, [sigma])[0].ds[0])
+
+
+def flow_asymptotes(spec: DiffusionSpec) -> tuple[float, float]:
+    """The (UV, IR) asymptotes flow_curve reports for the spec."""
+    flow, _ = flow_curve(spec, [spec.scales.lstar])
+    return flow.uv_asymptote, flow.ir_asymptote
 
 
 def quad_dispersion_oracle(beta_star: float, lstar: float, kappa: float, sigma: float) -> float:

@@ -11,7 +11,14 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from conftest import binomial_spec, fractional_spec, quad_dispersion_oracle, weighted_norm_quad_1d
+from conftest import (
+    binomial_spec,
+    flow_asymptotes,
+    flow_at,
+    fractional_spec,
+    quad_dispersion_oracle,
+    weighted_norm_quad_1d,
+)
 from multiflow import kernel as kernel_mod
 from multiflow import specfun as specfun_mod
 from multiflow import walker as walker_mod
@@ -20,7 +27,6 @@ from multiflow.dispersion import (
     DiffusionSpec,
     binomial_time_integral,
     dispersion,
-    dispersion_multiscale_weighted,
 )
 from multiflow.kernel import (
     ds_from_kernel,
@@ -28,20 +34,8 @@ from multiflow.kernel import (
     ordinary_normalization,
     pdf,
 )
-from multiflow.measure import (
-    DIFFUSION_TIME,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-)
-from multiflow.spectral import (
-    LegacyAnsatzWarning,
-    fixed_point_ds,
-    legacy_ds,
-    spectral_q_flow,
-    spectral_weighted_flow,
-    weighted_flow_asymptotes,
-)
+from multiflow.measure import FractionalCharges, GeometryScales
+from multiflow.spectral import LegacyAnsatzWarning, fixed_point_ds
 from multiflow.walker import (
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
@@ -85,12 +79,16 @@ def test_criterion_1_fixed_point_spectral_dimensions():
             beta = float(rng.uniform(0.05, 1.6))
             nu = float(rng.uniform(0.3, 1.7))
             alphas = tuple(rng.uniform(0.05, 1.0, dim))
-            assert fixed_point_ds("weighted", dim, beta=beta, nu=nu) == dim * (1.0 + nu - beta)
-            assert fixed_point_ds("ordinary", dim, beta=beta, nu=nu) == dim * (1.0 + nu - beta)
-            assert fixed_point_ds("q", dim, beta=beta) == dim * beta
+            for model in ("weighted", "ordinary"):
+                spec = fractional_spec(beta=beta, nu=nu, dim=dim, model=model)
+                assert fixed_point_ds(spec) == dim * (1.0 + nu - beta)
+            assert fixed_point_ds(fractional_spec(beta=beta, dim=dim, model="q")) == dim * beta
+            legacy = DiffusionSpec(
+                model="legacy", dim=dim, scales=GeometryScales(), charges=FractionalCharges(alphas)
+            )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LegacyAnsatzWarning)
-                assert legacy_ds(FractionalCharges(alphas)) == sum(alphas)
+                assert fixed_point_ds(legacy) == sum(alphas)
 
 
 def test_criterion_2_weighted_multiscale_flow():
@@ -98,30 +96,30 @@ def test_criterion_2_weighted_multiscale_flow():
         # analytic plateaus carried by the flow, per the asymptote table
         for beta_star, (uv, ir) in ((1.5, (4.0, 2.0)), (0.5, (6.0, 4.0))):
             spec = binomial_spec(beta_star, dim=4)
-            got_uv, got_ir = weighted_flow_asymptotes(spec)
+            got_uv, got_ir = flow_asymptotes(spec)
             assert abs(got_uv - uv) <= 0.01
             assert abs(got_ir - ir) <= 0.01
             # sampled flow has reached the UV plateau at sigma/lstar = 1e-6
-            assert abs(spectral_weighted_flow(spec, 1e-6) - uv) <= 0.01
+            assert abs(flow_at(spec, 1e-6) - uv) <= 0.01
             # the IR transient decays like log(sigma)/sqrt(sigma); at the 1e6
             # probe it still carries ~1e-2 for beta* = 1.5 (approach check)
-            assert abs(spectral_weighted_flow(spec, 1e6) - ir) <= 0.015
+            assert abs(flow_at(spec, 1e6) - ir) <= 0.015
         fuzzy = binomial_spec(0.5, dim=4, fuzzy=True)
-        assert spectral_weighted_flow(fuzzy, 1e-6) < 0.05
+        assert flow_at(fuzzy, 1e-6) < 0.05
         h = 0.05
         slope = (
-            math.log(spectral_weighted_flow(fuzzy, 1e-6 * math.exp(h)))
-            - math.log(spectral_weighted_flow(fuzzy, 1e-6 * math.exp(-h)))
+            math.log(flow_at(fuzzy, 1e-6 * math.exp(h)))
+            - math.log(flow_at(fuzzy, 1e-6 * math.exp(-h)))
         ) / (2.0 * h)
         assert abs(slope - (2.0 - 0.5)) <= 0.02
 
 
 def test_criterion_3_q_model_flow():
     with _Budget(3, "q-model binomial flow", 1.0):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
-        assert abs(spectral_q_flow(profile, 4, 1e-6) - 2.0) <= 0.005
-        assert abs(spectral_q_flow(profile, 4, 1e6) - 4.0) <= 0.005
-        assert abs(spectral_q_flow(profile, 4, 1.0) - 3.0) <= 1e-9
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(lstar=1.0), beta_star=0.5)
+        assert abs(flow_at(spec, 1e-6) - 2.0) <= 0.005
+        assert abs(flow_at(spec, 1e6) - 4.0) <= 0.005
+        assert abs(flow_at(spec, 1.0) - 3.0) <= 1e-9
 
 
 def test_criterion_4_dispersion_oracle_equivalence():
@@ -130,7 +128,7 @@ def test_criterion_4_dispersion_oracle_equivalence():
         for beta_star in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75):
             spec = binomial_spec(beta_star, lstar=lstar, kappa=kappa)
             for s in np.geomspace(1e-3 * lstar, 1e3 * lstar, 50):
-                closed = dispersion_multiscale_weighted(spec, float(s))
+                closed = dispersion(spec, float(s))
                 oracle = quad_dispersion_oracle(beta_star, lstar, kappa, float(s))
                 assert abs(closed - oracle) <= 1e-7 * oracle
         # removable pole at beta* = 1.5: the perturbed closed forms still match
@@ -201,7 +199,7 @@ def test_criterion_6_heat_kernel_duality():
                 curve = heat_kernel_curve(spec, grid, box_halfwidth=10.0)
                 mid = float(grid[2])
                 got = ds_from_kernel(curve, mid)
-                expected = spectral_weighted_flow(wspec, mid)
+                expected = flow_at(wspec, mid)
                 assert abs(got - expected) <= 1e-2
 
 

@@ -321,6 +321,59 @@ class TestMultiscaleSpace:
         assert not out.exists()
 
 
+_WALK_GRID = ("--paths", "16", "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10")
+
+
+class TestUnreadParameters:
+    """A parameter the model never reads is a config error, not a silent no-op
+    or a numeric error."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("flow", "--model", "weighted", "--beta-star", "0.5", "--nu", "0.7"),
+             "beta-star is read only at nu = 1"),
+            (("flow", "--model", "ordinary", "--beta-star", "0.3", "--nu", "0.7"),
+             "beta-star is read only at nu = 1"),
+            (("pdf", "--model", "weighted", "--beta-star", "0.5", "--nu", "0.7"),
+             "beta-star is read only at nu = 1"),
+            (("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5",
+              "--nu", "0.7"), "beta-star is read only at nu = 1"),
+            (("flow", "--model", "legacy", "--alpha", "0.5", "--beta-star", "0.5"),
+             "legacy model reads no beta_star"),
+            (("kernel", "--model", "legacy", "--alpha", "0.5", "--beta-star", "0.5"),
+             "legacy model reads no beta_star"),
+            (("pdf", "--model", "legacy", "--alpha", "0.5", "--beta-star", "0.5"),
+             "legacy model reads no beta_star"),
+            (("flow", "--model", "q", "--beta", "0.5", "--nu", "0.7"), "q model reads no nu"),
+            (("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "0.5", "--nu", "0.7",
+              *_WALK_GRID), "q model reads no nu"),
+            (("flow", "--model", "q", "--beta", "3"), "q-model charge must lie in (0, 2), got 3.0"),
+        ],
+        ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
+             "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta"],
+    )
+    def test_refused(self, argv, message, tmp_path, capsys):
+        code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_reads_nu_with_beta_star(self, tmp_path):
+        # fssbm divides by the binomial weight in the clock sigma^nu
+        out = tmp_path / "fssbm.csv"
+        argv = ["simulate", "--model", "fssbm", "--beta-star", "1.5", "--nu", "0.75", "--dim", "2",
+                *_WALK_GRID, "--traj-paths", "0", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert read_csv(out)[0]["process"] == "fssbm"
+
+    def test_config_file_takes_the_same_rule(self):
+        with pytest.raises(ConfigError, match="beta-star is read only at nu = 1"):
+            parse_config("[model]\nmodel = weighted\nbeta-star = 0.5\nnu = 0.7\n")
+        cfg = parse_config("[run]\ncommand = simulate\n[model]\nbeta-star = 0.5\nnu = 0.7\n")
+        assert (cfg.beta_star, cfg.nu) == (0.5, 0.7)
+
+
 class TestFlowCommand:
     def test_q_binomial_flow_endpoints(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -10,9 +10,6 @@ from multiflow.dispersion import (
     DispersionCurve,
     binomial_time_integral,
     dispersion,
-    dispersion_fractional,
-    dispersion_multiscale_weighted,
-    dispersion_q,
     dispersion_quadrature,
     qm_time,
     sample_dispersion,
@@ -20,7 +17,7 @@ from multiflow.dispersion import (
 )
 from multiflow.errors import DomainError, ExponentDomainError, GridError
 from multiflow.grid import check_grid
-from multiflow.measure import DIFFUSION_TIME, FractionalCharges, GeometryScales, MeasureProfile
+from multiflow.measure import FractionalCharges, GeometryScales
 
 BETA_STARS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 
@@ -29,13 +26,13 @@ class TestFractional:
     def test_brownian_reduction(self, rng):
         spec = fractional_spec(beta=1.0, nu=1.0, kappa=1.0)
         for s in rng.uniform(0.01, 100.0, 20):
-            assert math.isclose(dispersion_fractional(spec, float(s)), float(s), rel_tol=1e-14)
+            assert math.isclose(dispersion(spec, float(s)), float(s), rel_tol=1e-14)
 
     def test_frozen_subfractional_value(self):
         # quadrature oracle of kappa Gamma(beta) int_0^1 s^(nu-beta) ds = 2 sqrt(pi)/3
         spec = fractional_spec(beta=0.5, nu=1.0, kappa=1.0)
         assert math.isclose(
-            dispersion_fractional(spec, 1.0), 1.1816359006036773515, rel_tol=1e-14
+            dispersion(spec, 1.0), 1.1816359006036773515, rel_tol=1e-14
         )
 
     def test_subfractional_matches_quadrature(self):
@@ -43,30 +40,30 @@ class TestFractional:
         got = dispersion_quadrature(
             time_weight(spec), 1.0, 1.0, 1.0, 0.0, min_charge=0.5
         )
-        assert math.isclose(got, dispersion_fractional(spec, 1.0), rel_tol=1e-8)
+        assert math.isclose(got, dispersion(spec, 1.0), rel_tol=1e-8)
 
     def test_exponent_domain_error(self):
         spec = fractional_spec(beta=2.0, nu=1.0)
         with pytest.raises(ExponentDomainError):
-            dispersion_fractional(spec, 1.0)
+            dispersion(spec, 1.0)
 
 
 class TestMultiscaleWeighted:
     def test_regular_charge_ultraviolet_is_brownian(self):
         spec = binomial_spec(1.5, kappa=0.7)
         s = 1e-7
-        assert math.isclose(dispersion_multiscale_weighted(spec, s), 0.7 * s, rel_tol=1e-3)
+        assert math.isclose(dispersion(spec, s), 0.7 * s, rel_tol=1e-3)
 
     def test_regular_charge_infrared_asymptote(self):
         # kappa*sigma/(2-beta*) * (sigma/lstar)^(1-beta*) = 2 kappa sigma sqrt(lstar/sigma)
         spec = binomial_spec(1.5, kappa=0.7)
         s = 1e8
         expected = 2.0 * 0.7 * s * math.sqrt(1.0 / s)
-        assert math.isclose(dispersion_multiscale_weighted(spec, s), expected, rel_tol=1e-3)
+        assert math.isclose(dispersion(spec, s), expected, rel_tol=1e-3)
 
     def test_singular_charge_crossover_vs_quadrature(self):
         spec = binomial_spec(0.5, kappa=1.0)
-        got = dispersion_multiscale_weighted(spec, 1.0)
+        got = dispersion(spec, 1.0)
         assert math.isclose(got, quad_dispersion_oracle(0.5, 1.0, 1.0, 1.0), rel_tol=1e-10)
 
     @pytest.mark.parametrize("beta_star", BETA_STARS)
@@ -75,7 +72,7 @@ class TestMultiscaleWeighted:
         lstar, kappa = 1.3, 0.8
         spec = binomial_spec(beta_star, lstar=lstar, kappa=kappa)
         for s in np.geomspace(1e-3 * lstar, 1e3 * lstar, 50):
-            closed = dispersion_multiscale_weighted(spec, float(s))
+            closed = dispersion(spec, float(s))
             oracle = quad_dispersion_oracle(beta_star, lstar, kappa, float(s))
             assert abs(closed - oracle) <= 1e-7 * oracle
 
@@ -96,19 +93,19 @@ class TestMultiscaleWeighted:
         for beta_star in BETA_STARS:
             spec = binomial_spec(beta_star)
             grid = np.geomspace(1e-4, 1e4, 120)
-            vals = [dispersion_multiscale_weighted(spec, float(s)) for s in grid]
+            vals = [dispersion(spec, float(s)) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_initial_condition_pointlike(self):
         for beta_star in (0.5, 1.5):
             spec = binomial_spec(beta_star)
-            assert dispersion_multiscale_weighted(spec, 0.0) == 0.0
-            assert dispersion_multiscale_weighted(spec, 1e-12) < 1e-9
+            assert dispersion(spec, 0.0) == 0.0
+            assert dispersion(spec, 1e-12) < 1e-9
 
     def test_initial_condition_fuzzy(self):
         spec = binomial_spec(0.5, fuzzy=True, lstar=2.0)
-        assert math.isclose(dispersion_multiscale_weighted(spec, 0.0), 4.0, rel_tol=1e-12)
-        assert math.isclose(dispersion_multiscale_weighted(spec, 1e-10), 4.0, rel_tol=1e-6)
+        assert math.isclose(dispersion(spec, 0.0), 4.0, rel_tol=1e-12)
+        assert math.isclose(dispersion(spec, 1e-10), 4.0, rel_tol=1e-6)
 
     @pytest.mark.parametrize("lstar", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("beta_star", [0.25, 0.5, 0.75, 1.25, 1.5])
@@ -136,26 +133,27 @@ class TestMultiscaleWeighted:
             model="weighted", dim=4, scales=GeometryScales(nu=0.9, beta=0.5), beta_star=0.5
         )
         with pytest.raises(DomainError):
-            dispersion_multiscale_weighted(spec, 1.0)
+            dispersion(spec, 1.0)
 
 
 class TestQDispersion:
     def test_single_unit_term(self, rng):
-        profile = MeasureProfile(terms=((1.0, 1.0),), kind=DIFFUSION_TIME)
+        # beta = 1: the one term sigma / Gamma(2)
+        spec = fractional_spec(beta=1.0, kappa=0.9, model="q")
         for s in rng.uniform(0.01, 10.0, 10):
-            assert math.isclose(dispersion_q(profile, 0.9, float(s)), 0.9 * float(s))
+            assert math.isclose(dispersion(spec, float(s)), 0.9 * float(s))
 
     def test_binomial_crossover_value(self):
-        profile = MeasureProfile.binomial(0.5, 2.0, kind=DIFFUSION_TIME)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(lstar=2.0, kappa=1.5), beta_star=0.5)
         # both terms equal at sigma = lstar: kappa*lstar*(1 + 1) with the
         # binomial coefficients expressed in absolute units
-        got = dispersion_q(profile, 1.5, 2.0)
+        got = dispersion(spec, 2.0)
         assert math.isclose(got, 1.5 * 2.0 * 2.0, rel_tol=1e-14)
 
     def test_binomial_ultraviolet_power(self):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=0.5)
         s = 1e-6
-        got = dispersion_q(profile, 1.0, s)
+        got = dispersion(spec, s)
         assert math.isclose(got, s ** 0.5, rel_tol=2e-3)  # second term dominates
 
 
@@ -170,7 +168,7 @@ class TestQuadrature:
         weight = time_weight(spec)
         for s in np.geomspace(1e-3, 1e3, 25):
             got = dispersion_quadrature(weight, 1.0, 1.0, float(s), 0.0, min_charge=1.0)
-            closed = dispersion_multiscale_weighted(spec, float(s))
+            closed = dispersion(spec, float(s))
             assert abs(got - closed) <= 1e-7 * closed
 
     def test_non_integrable_singularity(self):
@@ -210,6 +208,20 @@ class TestSpecAndCurve:
             DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=1.5)
         with pytest.raises(DomainError):
             DiffusionSpec(model="weighted", dim=4, scales=GeometryScales(), fuzzy=True)
+
+    @pytest.mark.parametrize(
+        "model,scales,beta_star,match",
+        [
+            ("legacy", GeometryScales(), 0.5, "legacy model reads no beta_star"),
+            ("q", GeometryScales(nu=0.7, beta=0.5), None, "q model reads no nu"),
+            ("q", GeometryScales(nu=0.7), 0.5, "q model reads no nu"),
+            ("q", GeometryScales(beta=3.0), None, r"must lie in \(0, 2\), got 3.0"),
+            ("q", GeometryScales(beta=0.0), None, r"must lie in \(0, 2\), got 0.0"),
+        ],
+    )
+    def test_parameters_the_model_never_reads_are_refused(self, model, scales, beta_star, match):
+        with pytest.raises(DomainError, match=match):
+            DiffusionSpec(model=model, dim=2, scales=scales, beta_star=beta_star)
 
     @pytest.mark.parametrize("alphas", [(0.5,), (0.5, 0.7, 0.9)])
     def test_charges_must_match_dim(self, alphas):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import binomial_spec, fractional_spec, weighted_norm_quad_1d
+from conftest import binomial_spec, flow_at, fractional_spec, weighted_norm_quad_1d
 from multiflow.dispersion import DiffusionSpec, dispersion
 from multiflow import kernel as kernel_mod
 from multiflow.errors import BoxError, ConvergenceError, DomainError, GridError
@@ -25,7 +25,6 @@ from multiflow.kernel import (
 )
 from multiflow.kernel import _axis_tables, _trace_quadrature, default_box_halfwidth
 from multiflow.measure import FractionalCharges, GeometryScales
-from multiflow.spectral import spectral_q_flow, spectral_weighted_flow
 from multiflow.specfun import kummer_phi
 
 
@@ -326,10 +325,9 @@ class TestDsFromKernel:
         spec = q_spec(0.5, 0.5, dim=4, multiscale=True)
         grid = np.geomspace(1e-3, 1e3, 121)
         curve = heat_kernel_curve(spec, grid)
-        profile = spec.multiscale
         for s in grid[5:-5:13]:
             got = ds_from_kernel(curve, float(s))
-            assert abs(got - spectral_q_flow(profile, 4, float(s))) < 1e-3
+            assert abs(got - flow_at(spec, float(s))) < 1e-3
 
     def test_weighted_multiscale_matches_closed_flow(self):
         spec = binomial_spec(0.5, dim=4)
@@ -337,7 +335,7 @@ class TestDsFromKernel:
         curve = heat_kernel_curve(spec, grid)
         for s in grid[5:-5:13]:
             got = ds_from_kernel(curve, float(s))
-            assert abs(got - spectral_weighted_flow(spec, float(s))) < 1e-3
+            assert abs(got - flow_at(spec, float(s))) < 1e-3
 
     def test_curve_may_be_flat_but_not_increase(self):
         sig = np.geomspace(0.1, 10.0, 4)
@@ -461,7 +459,7 @@ class TestOrdinaryWeightedDuality:
         ell_max = math.sqrt(dispersion(spec, float(grid[-1])))
         curve = heat_kernel_curve(spec, grid, box_halfwidth=14.0 * ell_max)
         got = ds_from_kernel(curve, float(grid[2]))
-        expected = spectral_weighted_flow(binomial_spec(beta_star, dim=dim), float(grid[2]))
+        expected = flow_at(binomial_spec(beta_star, dim=dim), float(grid[2]))
         assert abs(expected - dim * (2.0 - beta_star)) < 0.02  # near the IR plateau
         assert abs(got - expected) < 1e-2
 
@@ -482,7 +480,7 @@ class TestOrdinaryWeightedDuality:
         curve = heat_kernel_curve(spec, grid, box_halfwidth=10.0)
         mid = float(grid[4])
         got = ds_from_kernel(curve, mid)
-        expected = spectral_weighted_flow(wspec, mid)
+        expected = flow_at(wspec, mid)
         assert abs(got - expected) < 1e-2
 
 

@@ -13,17 +13,17 @@ grid, and a density slice of every model is held to its one-point calls.
 import importlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import binomial_spec
+from conftest import binomial_spec, flow_at
 from multiflow import kernel, specfun
 from multiflow.dispersion import (
     DiffusionSpec,
     binomial_time_integral,
     dispersion,
-    dispersion_multiscale_weighted,
     q_time_profile,
     sample_dispersion,
 )
@@ -36,7 +36,7 @@ from multiflow.kernel import (
     return_probability,
 )
 from multiflow.measure import FractionalCharges, GeometryScales, multiscale_weight
-from multiflow.spectral import flow_curve, spectral_q_flow, spectral_weighted_flow
+from multiflow.spectral import flow_curve
 
 SEED = 20130409
 BLOCK = specfun._PANEL_BLOCK
@@ -105,7 +105,7 @@ def test_float_in_float_out():
         assert type(binomial_time_integral(0.5, 1.0, sigma)) is float
     assert type(specfun.decade_panels(np.exp, 1.0, 18)) is float
     spec = binomial_spec(1.5, dim=2)
-    assert type(dispersion_multiscale_weighted(spec, 2.0)) is float
+    assert type(dispersion(spec, 2.0)) is float
 
 
 @pytest.mark.parametrize(
@@ -151,15 +151,15 @@ def test_grid_routes_equal_scalar_route(fuzzy):
     beta_star = 0.5 if fuzzy else 1.25
     spec = binomial_spec(beta_star, dim=3, lstar=0.8, kappa=1.3, fuzzy=fuzzy)
     grid = np.geomspace(1e-4, 1e4, 2 * BLOCK + 9)
-    scalar = [dispersion_multiscale_weighted(spec, s) for s in grid.tolist()]
-    assert dispersion_multiscale_weighted(spec, grid).tolist() == scalar
+    scalar = [dispersion(spec, s) for s in grid.tolist()]
+    assert dispersion(spec, grid).tolist() == scalar
     assert sample_dispersion(spec, grid, "closed-form").ell2.tolist() == scalar
     flow, ell2 = flow_curve(spec, grid)
     assert ell2.tolist() == scalar
     weight = [multiscale_weight(s, spec.multiscale) for s in grid.tolist()]
     ds = [3 * 1.3 * s / (v * e) for s, v, e in zip(grid.tolist(), weight, scalar)]
     assert flow.ds.tolist() == ds
-    assert [spectral_weighted_flow(spec, s) for s in grid.tolist()] == ds
+    assert [flow_at(spec, s) for s in grid.tolist()] == ds
 
 
 def test_grid_route_refuses_nonpositive_sigma():
@@ -167,7 +167,7 @@ def test_grid_route_refuses_nonpositive_sigma():
     with pytest.raises(DomainError):
         flow_curve(spec, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
-        dispersion_multiscale_weighted(spec, np.array([1.0, -2.0]))
+        dispersion(spec, np.array([1.0, -2.0]))
 
 
 @pytest.mark.parametrize("beta_star,flags", [
@@ -179,8 +179,8 @@ def test_plateau_flags_equal_scalar_probes(beta_star, flags):
     # those of six one-sigma calls
     spec = binomial_spec(beta_star, dim=4, lstar=0.8)
     flow, _ = flow_curve(spec, np.geomspace(1e-3, 1e3, 40))
-    uv = [spectral_weighted_flow(spec, 0.8 * 1e-6 * 10.0 ** k) for k in (2, 1, 0)]
-    ir = [spectral_weighted_flow(spec, 0.8 * 1e6 * 10.0 ** (-k)) for k in (2, 1, 0)]
+    uv = [flow_at(spec, 0.8 * 1e-6 * 10.0 ** k) for k in (2, 1, 0)]
+    ir = [flow_at(spec, 0.8 * 1e6 * 10.0 ** (-k)) for k in (2, 1, 0)]
 
     def flat(values):
         return all(abs(b - a) < 1e-3 for a, b in zip(values, values[1:]))
@@ -196,8 +196,9 @@ OTHER_MODELS = {
         model="ordinary", dim=2, scales=GeometryScales(kappa=1.3, beta=0.5),
         charges=FractionalCharges.isotropic(0.5, 2),
     ),
+    # the q model reads no nu: its clock is beta
     "q-binomial": DiffusionSpec(
-        model="q", dim=4, scales=_SCALES,
+        model="q", dim=4, scales=replace(_SCALES, nu=1.0),
         beta_star=0.5,
     ),
     "q-single-term": DiffusionSpec(model="q", dim=4, scales=GeometryScales(kappa=1.3, beta=0.7)),
@@ -246,8 +247,7 @@ def test_every_model_on_a_grid_equals_its_scalar_formula(name):
     assert ell2.tolist() == expected[1:]
     if spec.model == "q":
         ds = [scalar_q_flow(spec, s) for s in grid.tolist()]
-        profile = q_time_profile(spec)
-        assert [spectral_q_flow(profile, spec.dim, s) for s in grid.tolist()] == ds
+        assert [flow_at(spec, s) for s in grid.tolist()] == ds
     else:
         ds = [flow.uv_asymptote] * grid.size
     assert flow.ds.tolist() == ds

@@ -300,12 +300,12 @@ class TestMsdAndFits:
         window = last_two_decades(full_grid)
         cases = []
         ens = simulate("bm", FULL_PATHS, full_grid, BM_1D, SEED)
-        cases.append((ens, walk_dimension("weighted", 1, 1.0, fixed_point_ds("weighted", 1, beta=1.0))))
+        cases.append((ens, walk_dimension(BM_1D, fixed_point_ds(BM_1D))))
         spec = fractional_spec(beta=0.5, nu=1.0, dim=1)
         cases.append(
             (
                 simulate("fsbm-v", FULL_PATHS, full_grid, spec, SEED),
-                walk_dimension("weighted", 1, 0.5, fixed_point_ds("weighted", 1, beta=0.5)),
+                walk_dimension(spec, fixed_point_ds(spec)),
             )
         )
         for ens, expected_dw in cases:
@@ -314,12 +314,13 @@ class TestMsdAndFits:
             assert abs(2.0 / fit.exponent - expected_dw) < 0.1
 
     def test_q_walk_dimension_closure(self, full_grid):
-        from multiflow.spectral import walk_dimension
+        from multiflow.spectral import fixed_point_ds, walk_dimension
 
         ens = simulate("fsbm-q", FULL_PATHS, full_grid, Q_HALF, SEED)
         fit = fit_scaling_exponent_batched(ens, last_two_decades(full_grid))
         # d_W = 2 d_H / d_S = 2 alpha / beta = 2
-        assert abs(2.0 / fit.exponent - walk_dimension("q", 1, 0.5, 0.5)) < 0.1
+        q_model = fractional_spec(beta=0.5, dim=1, alpha=0.5, model="q")
+        assert abs(2.0 / fit.exponent - walk_dimension(q_model, fixed_point_ds(q_model))) < 0.1
 
 
 class TestIncrementDiagnostics:
