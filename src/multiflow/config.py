@@ -119,6 +119,19 @@ class RunConfig:
         if self.beta_star is not None and self.nu != 1.0 and self.command != "simulate":
             # the binomial dispersion is defined at nu = 1; fssbm reads both
             raise ConfigError(f"beta-star is read only at nu = 1 outside simulate, got nu = {self.nu}")
+        if self.command == "simulate" and self.process == "fsbm-q" and not 0.0 < self.beta <= 1.0:
+            raise ConfigError(f"fsbm-q needs beta in (0, 1], got {self.beta}")
+        if (
+            self.command in ("flow", "pdf", "kernel")
+            and self.model in ("weighted", "ordinary")
+            and self.beta_star is None
+            and 1.0 + self.nu - self.beta <= 0.0
+        ):
+            # the fixed-dimensionality dispersion sigma^(1 + nu - beta) must grow
+            raise ConfigError(
+                f"1 + nu - beta = {1.0 + self.nu - self.beta} must be positive for a pointlike "
+                "initial condition"
+            )
         return self
 
 

@@ -319,7 +319,8 @@ def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order
 # Largest number of grid cells the binomial box sum holds at once.
 _SLICE_CELLS = 1 << 16
 # Largest number of Kummer arguments of one trace block: the array series
-# holds a few (arguments x 32) float arrays, about 2 MB at 1024 arguments.
+# holds four float and three bool (32 x arguments) work arrays, about 1.1 MB
+# at 1024 arguments.
 _PHI_CHUNK = 1 << 10
 
 

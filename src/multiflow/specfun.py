@@ -11,9 +11,12 @@ Three functions are exposed:
 
 Kummer's function has one engine, the private ``_kummer_phi_array``: it
 takes every branch of ``Phi`` and sums each branch's series for all its
-arguments together, term block by term block.  The heat-kernel trace calls
-it on whole arrays of quadrature nodes; ``kummer_phi`` is a one-element call
-of it.  The scalar loops it replaced are kept in the tests as its oracle.
+arguments together, term block by term block.  The blocks are term-major:
+one row per term index and one column per argument, written into work
+arrays of ``_SERIES_BLOCK`` rows that each series makes once per call, so a
+block allocates nothing of its size.  The heat-kernel trace calls it on
+whole arrays of quadrature nodes; ``kummer_phi`` is a one-element call of
+it.  The scalar loops it replaced are kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -93,22 +96,43 @@ def gamma_fn(x: float) -> float:
 
 
 def _term_block(
-    coeff: np.ndarray, x: np.ndarray, n: np.ndarray, term: np.ndarray, total: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    coeff: np.ndarray, x: np.ndarray, n: np.ndarray, term: np.ndarray, total: np.ndarray,
+    terms: np.ndarray, sums: np.ndarray,
+) -> None:
     """Terms n of a sum with term ratio coeff_n x / (n + 1), and its partial sums.
 
-    One row per element of ``x``, one column per term index in ``n``;
-    ``term`` and ``total`` are each row's last term and sum before the
-    block.  Running products and sums along a row perform the multiplications
-    and additions of a term-by-term loop, in its order.
+    Writes one row per term index in ``n`` and one column per element of
+    ``x`` into ``terms`` and ``sums``, views of the caller's work arrays;
+    ``term`` and ``total`` are each element's last term and sum before the
+    block.  The running products and sums go row by row: each element gets
+    the multiplications and additions of a term-by-term loop, in its order,
+    and each row is one array operation over all the elements.
     """
-    terms = coeff * x[:, None] / (n + 1)
-    terms[:, 0] *= term
-    np.multiply.accumulate(terms, axis=1, out=terms)
-    sums = terms.copy()
-    sums[:, 0] += total
-    np.add.accumulate(sums, axis=1, out=sums)
-    return terms, sums
+    np.multiply(coeff[:, None], x, out=terms)
+    terms /= (n + 1.0)[:, None]
+    terms[0] *= term
+    np.add(terms[0], total, out=sums[0])
+    t, s = list(terms), list(sums)
+    for i in range(1, n.size):
+        np.multiply(t[i], t[i - 1], out=t[i])
+        np.add(s[i - 1], t[i], out=s[i])
+
+
+def _work_arrays(size: int, bools: int) -> tuple[np.ndarray, ...]:
+    """Four float and ``bools`` bool (:data:`_SERIES_BLOCK`, size) work arrays
+    of a term-major series: one row per term of a block, one column per
+    element, each block in their leading columns.
+
+    They are cut from two allocations, one per dtype, each rounded up to a
+    power of two of elements per row, so that calls of about the same size
+    ask for the same two blocks: glibc's malloc then hands the freed blocks
+    to the next call instead of returning them to the system, to be faulted
+    in again page by page.  The arrays keep rows of ``size`` elements: a
+    power-of-two row stride made the series about 20% slower.
+    """
+    block = _SERIES_BLOCK << (size - 1).bit_length()
+    floats, flags = np.empty((4, block)), np.empty((bools, block), dtype=bool)
+    return tuple(w[: _SERIES_BLOCK * size].reshape(_SERIES_BLOCK, size) for w in (*floats, *flags))
 
 
 def _refuse_overflow(a: float, b: float, z: np.ndarray, sums: np.ndarray) -> None:
@@ -139,6 +163,16 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
 
     A sum that leaves the double range (terms growing like z^(a-b) e^z for
     large positive z) is refused as soon as its partial sum does.
+
+    The blocks are term-major: four float and three bool work arrays
+    (:func:`_work_arrays`), made once per call, hold one row per term and
+    one column per element, and every block writes into their leading
+    columns, one per unfinished element.  The peak carried from
+    block to block is the largest magnitude so far.  An element that stops
+    in a block is checked against it, and a refusal is re-checked with the
+    peak up to the stopping term, which a term-by-term loop checks.  What a
+    block hands the next (last term, sum, magnitude, small flag and peak) is
+    copied out of the work arrays, which the next block overwrites.
     """
     crossing = -b if b < 0.0 else 0.0
     if crossing >= ctl.max_terms:
@@ -153,43 +187,50 @@ def _series_1f1_array(a: float, b: float, z: np.ndarray, ctl: SeriesControl) -> 
     peak = np.ones_like(z)
     prev_abs = np.ones_like(z)
     was_small = np.zeros(z.shape, dtype=bool)
+    work = _work_arrays(z.size, bools=3)
     for start in range(0, ctl.max_terms, _SERIES_BLOCK):
         n = np.arange(start, min(start + _SERIES_BLOCK, ctl.max_terms))
-        terms, sums = _term_block((a + n) / (b + n), z, n, term, total)
-        mags = np.abs(terms)
-        peaks = np.maximum.accumulate(mags, axis=1)
-        np.maximum(peaks, peak[:, None], out=peaks)
+        terms, sums, mags, bar, settled, small, done = (w[: n.size, : z.size] for w in work)
+        _term_block((a + n) / (b + n), z, n, term, total, terms, sums)
+        np.abs(terms, out=mags)
         # a stop is trusted past the crossing, once magnitudes decrease
-        settled = np.empty(mags.shape, dtype=bool)
-        settled[:, 0] = mags[:, 0] <= prev_abs
-        np.less_equal(mags[:, 1:], mags[:, :-1], out=settled[:, 1:])
-        settled &= n > crossing
-        small = settled & (mags <= np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(sums)))
+        np.less_equal(mags[0], prev_abs, out=settled[0])
+        np.less_equal(mags[1:], mags[:-1], out=settled[1:])
+        settled[n <= crossing] = False
+        np.abs(sums, out=bar)
+        bar *= ctl.rel_tol
+        np.maximum(bar, ctl.abs_tol, out=bar)
+        np.less_equal(mags, bar, out=small)
+        small &= settled
         # two small terms in a row end the sum
-        done = small.copy()
-        done[:, 0] &= was_small
-        done[:, 1:] &= small[:, :-1]
-        hit = done.any(axis=1)
+        np.logical_and(small[0], was_small, out=done[0])
+        np.logical_and(small[1:], small[:-1], out=done[1:])
+        hit = done.any(axis=0)
+        block_peak = np.maximum(peak, mags.max(axis=0))
         if hit.any():
-            rows = np.flatnonzero(hit)
-            cols = np.argmax(done[rows], axis=1)
-            _refuse_overflow(a, b, z[rows], sums[rows, cols])
-            bad = 5e-16 * peaks[rows, cols] > _CANCELLATION_BAR(ctl) * np.abs(sums[rows, cols])
-            if bad.any():
-                raise ConvergenceError(
-                    f"Phi({a};{b};{float(z[rows[bad][0]])}) series cancellation: fewer than "
-                    "six significant digits are achievable in double precision"
-                )
-            out[live[rows]] = sums[rows, cols]
+            ended = np.flatnonzero(hit)
+            stop = done[:, ended].argmax(axis=0)
+            at = sums[stop, ended]
+            _refuse_overflow(a, b, z[ended], at)
+            bar_at = _CANCELLATION_BAR(ctl) * np.abs(at)
+            suspect = np.flatnonzero(5e-16 * block_peak[ended] > bar_at)
+            if suspect.size:
+                # terms past an element's stop can only raise its peak: a refusal
+                # is re-checked with the peak up to the stopping term
+                cols, upto = ended[suspect], np.arange(n.size)[:, None] <= stop[suspect]
+                first = np.maximum.reduce(mags[:, cols], axis=0, where=upto, initial=0.0)
+                bad = 5e-16 * np.maximum(peak[cols], first) > bar_at[suspect]
+                if bad.any():
+                    raise ConvergenceError(
+                        f"Phi({a};{b};{float(z[cols[bad][0]])}) series cancellation: fewer than "
+                        "six significant digits are achievable in double precision"
+                    )
+            out[live[ended]] = at
             if hit.all():
                 return out
-            keep = ~hit
-            live, z = live[keep], z[keep]
-        else:
-            keep = slice(None)
-        term, total, peak, prev_abs, was_small = (
-            v[keep, -1] for v in (terms, sums, peaks, mags, small)
-        )
+        keep = ~hit  # a boolean index copies the carried state out of the work arrays
+        live, z, peak = live[keep], z[keep], block_peak[keep]
+        term, total, prev_abs, was_small = (v[-1, keep] for v in (terms, sums, mags, small))
         _refuse_overflow(a, b, z, total)  # a partial sum off the range stays off it
     raise ConvergenceError(
         f"Phi({a};{b};{float(z[0])}) series did not converge within {ctl.max_terms} terms"
@@ -205,7 +246,10 @@ def _asymptotic_1f1_negative_array(
     smallest term, :data:`_SERIES_BLOCK` terms at a time for every unfinished
     element; at |z| >= 30 and moderate parameters the truncation floor is far
     below every tolerance used in this package, and every element must
-    certify about 8 digits.
+    certify about 8 digits.  The blocks are term-major, as in
+    :func:`_series_1f1_array`: four float and two bool work arrays
+    (:func:`_work_arrays`), made once per call, hold one row per term and
+    one column per unfinished element.
     """
     if _is_nonpositive_integer(b - a):
         raise DomainError(
@@ -218,28 +262,33 @@ def _asymptotic_1f1_negative_array(
     term = np.ones_like(z)
     total = np.ones_like(z)
     prev = np.full_like(z, math.inf)
+    work = _work_arrays(z.size, bools=2)
     for start in range(0, ctl.max_terms, _SERIES_BLOCK):
         k = np.arange(start, min(start + _SERIES_BLOCK, ctl.max_terms))
-        terms, sums = _term_block((a + k) * (a - b + 1.0 + k), inv, k, term, total)
-        mags = np.abs(terms)
-        prevs = np.empty_like(mags)
-        prevs[:, 0] = prev
-        prevs[:, 1:] = mags[:, :-1]
+        terms, sums, mags, bar, diverged, stop = (w[: k.size, : inv.size] for w in work)
+        _term_block((a + k) * (a - b + 1.0 + k), inv, k, term, total, terms, sums)
+        np.abs(terms, out=mags)
         # divergent tail reached: stop at the smallest term, without adding this one
-        diverged = mags >= prevs
-        stop = diverged | (mags <= np.maximum(ctl.abs_tol, ctl.rel_tol * np.abs(sums)))
-        hit = stop.any(axis=1)
-        rows = np.flatnonzero(hit)
-        cols = np.argmax(stop[rows], axis=1)
-        div = diverged[rows, cols]
-        before = np.where(cols > 0, sums[rows, cols - 1], total[rows])
-        sums_at[live[rows]] = np.where(div, before, sums[rows, cols])
-        floors[live[rows]] = np.where(div, prevs[rows, cols], mags[rows, cols])
+        np.greater_equal(mags[0], prev, out=diverged[0])
+        np.greater_equal(mags[1:], mags[:-1], out=diverged[1:])
+        np.abs(sums, out=bar)
+        bar *= ctl.rel_tol
+        np.maximum(bar, ctl.abs_tol, out=bar)
+        np.less_equal(mags, bar, out=stop)
+        stop |= diverged
+        hit = stop.any(axis=0)
+        ended = np.flatnonzero(hit)
+        row = stop[:, ended].argmax(axis=0)
+        div = diverged[row, ended]
+        before = np.where(row > 0, sums[row - 1, ended], total[ended])
+        below = np.where(row > 0, mags[row - 1, ended], prev[ended])
+        sums_at[live[ended]] = np.where(div, before, sums[row, ended])
+        floors[live[ended]] = np.where(div, below, mags[row, ended])
         keep = ~hit
         if not keep.any():
             break
         live, inv = live[keep], inv[keep]
-        term, total, prev = terms[keep, -1], sums[keep, -1], mags[keep, -1]
+        term, total, prev = (v[-1, keep] for v in (terms, sums, mags))
     else:
         sums_at[live] = total
         floors[live] = prev

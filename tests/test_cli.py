@@ -325,8 +325,9 @@ _WALK_GRID = ("--paths", "16", "--steps", "64", "--sigma-min", "1e-3", "--sigma-
 
 
 class TestUnreadParameters:
-    """A parameter the model never reads is a config error, not a silent no-op
-    or a numeric error."""
+    """A parameter the model never reads, or a value that every evaluation of
+    the model refuses, is a config error, not a silent no-op or a numeric
+    error; the edge of each range still runs."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -349,15 +350,42 @@ class TestUnreadParameters:
             (("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "0.5", "--nu", "0.7",
               *_WALK_GRID), "q model reads no nu"),
             (("flow", "--model", "q", "--beta", "3"), "q-model charge must lie in (0, 2), got 3.0"),
+            (("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "1.5", *_WALK_GRID),
+             "fsbm-q needs beta in (0, 1], got 1.5"),
+            (("flow", "--model", "weighted", "--beta", "2.5"), "1 + nu - beta = -0.5 must be positive"),
+            (("flow", "--model", "ordinary", "--beta", "2.5"), "1 + nu - beta = -0.5 must be positive"),
+            (("pdf", "--model", "weighted", "--beta", "2.5"), "1 + nu - beta = -0.5 must be positive"),
+            (("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta", "2.5"),
+             "1 + nu - beta = -0.5 must be positive"),
+            (("flow", "--model", "weighted", "--beta", "1.5", "--nu", "0.5"),
+             "1 + nu - beta = 0.0 must be positive"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
-             "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta"],
+             "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
+             "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "1.0", *_WALK_GRID,
+             "--traj-paths", "0"),
+            ("flow", "--model", "weighted", "--beta", "1.9"),
+            ("pdf", "--model", "weighted", "--beta", "1.9"),
+            ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta", "1.9",
+             "--sigma-min", "0.1", "--sigma-max", "10"),
+        ],
+        ids=["fsbm-q-beta-1", "fixed-dim-flow", "fixed-dim-pdf", "fixed-dim-kernel"],
+    )
+    def test_range_edges_run(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--sigma-points", "20", "--out", str(out)]) == EXIT_OK
+        assert read_csv(out)
 
     def test_simulate_reads_nu_with_beta_star(self, tmp_path):
         # fssbm divides by the binomial weight in the clock sigma^nu

@@ -288,6 +288,8 @@ def test_mixed_branch_array_equals_one_element_calls(a, b):
         # below the z = 700 cut the direct series still leaves the double range
         (0.3, -40.5, 650.0, SeriesControl(), ConvergenceError),
         (5.0, 0.5, 690.0, SeriesControl(), ConvergenceError),
+        # b - a <= 0 again, stopping past the first 32-term block: the peak is carried
+        (1.5, 0.5, -25.0, SeriesControl(), ConvergenceError),
     ],
 )
 def test_refusals_match_scalar(a, b, z, ctl, error):
