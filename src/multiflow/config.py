@@ -105,6 +105,11 @@ class RunConfig:
             raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
         if self.subsample < 1 or self.traj_paths < 0:
             raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.command == "kernel" and self.model == "ordinary" and self.dim > 3:
+            # every trace of the ordinary model is a box quadrature in D <= 3
+            raise ConfigError(f"kernel --model ordinary needs dim <= 3, got {self.dim}")
         if self.multiscale_space:
             # the binomial position measure is read by these densities and traces only
             readers = {"pdf": ("weighted", "legacy", "ordinary"), "kernel": ("ordinary",)}

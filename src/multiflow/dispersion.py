@@ -187,7 +187,10 @@ def binomial_time_integral(
     :func:`specfun.decade_panels` on the 18 decades below sigma, with one
     more decade for every decade of sigma/lstar beyond 1e7, so that the
     panels always reach below 1e-11 lstar; an array is summed in one call
-    per decade count, in cache-sized blocks.  The integrand is positive,
+    per decade count, in cache-sized blocks, with one power per decade
+    edge and one per Gauss node, not one per node of every panel.  The
+    float sum is within a few units of 2^-53 of the same rule in exact
+    arithmetic.  The integrand is positive,
     bounded by 1 and smooth on every decade (its only singularity in reach
     is the branch point at s = 0), so nothing cancels: the hypergeometric
     closed form sigma * F(1, b; b+1; z), b = 1/(beta*-1), has removable
@@ -221,19 +224,12 @@ def binomial_time_integral(
         [math.ceil(math.log10(r)) - 7 for r in ratio[beyond].tolist()], dtype=int
     )
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # 1 / (1 + (s/lstar)^power), in place on one temporary
-        t = s / lstar
-        t **= power
-        t += 1.0
-        return np.divide(1.0, t, out=t)
-
     out = np.zeros(flat.size)
     for count in np.unique(decades).tolist():
         index = nonzero[decades == count]
         upper = flat[index]
         head = upper * 10.0 ** (-count) if power > 0.0 else 0.0
-        out[index] = head + decade_panels(integrand, upper, count)
+        out[index] = head + decade_panels(power, lstar, upper, count)
     return _shaped(sig, out)
 
 

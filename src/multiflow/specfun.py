@@ -5,9 +5,11 @@ Three functions are exposed:
 * :func:`gamma_fn` -- the gamma function with explicit pole detection,
 * :func:`kummer_phi` -- Kummer's confluent hypergeometric function
   ``Phi(a; b; z)``, stable for strongly negative arguments,
-* :func:`decade_panels` -- a fixed Gauss-Legendre rule per decade of an
-  integral over ``[upper * 10^-decades, upper]``, for one upper or a whole
-  array of them; the binomial dispersion integral is summed by it.
+* :func:`decade_panels` -- the binomial dispersion integral
+  ``int ds / (1 + (s/lstar)^power)`` over ``[upper * 10^-decades, upper]``,
+  by a fixed Gauss-Legendre rule per decade, for one upper or a whole array
+  of them.  The nodes of a decade are its lower edge times fixed factors, so
+  a block of uppers takes one power per decade edge, not one per node.
 
 Kummer's function has one engine, the private ``_kummer_phi_array``: it
 takes every branch of ``Phi`` and sums each branch's series for all its
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,7 @@ _SERIES_BLOCK = 32
 # Gauss-Legendre order of every decade panel (decade_panels).
 _PANEL_ORDER = 48
 # Uppers whose panels decade_panels sums in one array: 32 x 18 decades x 48
-# nodes is about 27k nodes, 220 KB per float64 array, small enough for cache.
+# nodes is about 27k nodes, a 220 KB float64 work array, small enough for cache.
 _PANEL_BLOCK = 32
 
 
@@ -365,32 +366,41 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def decade_panels(
-    f: Callable[[np.ndarray], np.ndarray], upper: float | np.ndarray, decades: int
+    power: float, lstar: float, upper: float | np.ndarray, decades: int
 ) -> float | np.ndarray:
-    """int of f over [upper * 10^-decades, upper], one Gauss-Legendre rule per decade.
+    """int of 1/(1 + (s/lstar)^power) over [upper * 10^-decades, upper].
 
-    ``f`` takes and returns arrays.  ``upper`` is a float or a 1-d array of
-    uppers; a float gives a float, an array an array of the same length.
-    The uppers are summed :data:`_PANEL_BLOCK` at a time: ``f`` is called
-    once per block, on the nodes of every decade of every upper in it,
-    stacked as (block, decades, order), so the working set stays in cache
-    whatever the number of uppers.  Each upper's panel sums are added by
-    ``math.fsum``, in the same operations and order for every block size,
-    so an upper gets the same bits alone as in any array.  The rule suits
-    integrands that are smooth on each decade, with their singularities at
-    or left of 0: a branch point at 0 limits a 48-node rule to about 1e-27
-    of the panel's scale.
+    One Gauss-Legendre rule per decade [L, 10L], L = upper / 10^k: its
+    nodes are s = L c_j, c_j = 5.5 + 4.5 n_j, so (s/lstar)^power =
+    (L/lstar)^power c_j^power.  c_j^power is taken once per call and
+    (L/lstar)^power once per decade edge, and the integrand of every node
+    is the product of the two.
+
+    ``upper`` is a float or a 1-d array of uppers; a float gives a float,
+    an array an array of the same length.  The uppers are summed
+    :data:`_PANEL_BLOCK` at a time, the integrand of a block written into
+    one (block, decades, order) work array made once per call, so the
+    working set stays in cache whatever the number of uppers.  Each upper's
+    panel sums are added by ``math.fsum``, in the same operations and order
+    for every block size, so an upper gets the same bits alone as in any
+    array.  The integrand is positive, bounded by 1 and smooth on each
+    decade, with its only singularity, a branch point, at s = 0; there a
+    48-node rule reaches about 1e-27 of the panel's scale.
     """
     nodes, weights = _panel_rule()
-    scale = 10.0 ** -np.arange(decades, 0, -1, dtype=float)
+    node_powers = (5.5 + 4.5 * nodes) ** power
+    # 10^k is exact up to k = 22: each lower edge upper / 10^k rounds once
+    tens = 10.0 ** np.arange(decades, 0, -1, dtype=float)
     uppers = np.asarray(upper, dtype=float)
     flat = uppers.reshape(-1)
+    work = np.empty((min(flat.size, _PANEL_BLOCK), decades, _PANEL_ORDER))
     sums = []
     for start in range(0, flat.size, _PANEL_BLOCK):
-        lo = flat[start: start + _PANEL_BLOCK, None] * scale
-        half = 4.5 * lo
-        x = half[..., None] * nodes
-        x += (lo + half)[..., None]
-        sums.extend(map(math.fsum, (half * (f(x) @ weights)).tolist()))
+        lo = flat[start: start + _PANEL_BLOCK, None] / tens
+        f = work[: lo.shape[0]]
+        np.multiply(((lo / lstar) ** power)[..., None], node_powers, out=f)
+        f += 1.0
+        np.divide(1.0, f, out=f)
+        sums.extend(map(math.fsum, (4.5 * lo * (f @ weights)).tolist()))
     return sums[0] if uppers.ndim == 0 else np.array(sums)
 

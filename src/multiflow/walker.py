@@ -288,9 +288,17 @@ def simulate(
     otherwise, whichever is asked for.  ``fsbm-q`` maps every axis with one
     charge (the odd extension of the first-orthant identification, an
     implementation choice), so anisotropic charges raise
-    :class:`DomainError`.  ``keep`` is how many leading paths keep their
+    :class:`DomainError`.  Its q(x) is N(0, 2 kappa sigma^beta) by
+    construction (clock sigma^beta, variance 2 kappa dtau), while the q
+    model's density is Gaussian in q with 2 ell^2 = 2 kappa
+    sigma^beta / Gamma(1 + beta) (:func:`dispersion.q_time_profile`): the
+    walker samples that density at a time rescaled by Gamma(1 + beta),
+    0.886 at beta = 0.5.  ``keep`` is how many leading paths keep their
     full positions (all when None); every path keeps its squared radius.
+    A negative ``seed`` raises :class:`DomainError`.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     grid = np.asarray(grid, dtype=float)
     sc = spec.scales
     nu, transform = sc.nu, None

@@ -359,10 +359,13 @@ class TestUnreadParameters:
              "1 + nu - beta = -0.5 must be positive"),
             (("flow", "--model", "weighted", "--beta", "1.5", "--nu", "0.5"),
              "1 + nu - beta = 0.0 must be positive"),
+            (("kernel", "--model", "ordinary", "--dim", "4", "--alpha", "0.5"),
+             "kernel --model ordinary needs dim <= 3, got 4"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
-             "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu"],
+             "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu",
+             "ordinary-kernel-dim-4"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -379,13 +382,31 @@ class TestUnreadParameters:
             ("pdf", "--model", "weighted", "--beta", "1.9"),
             ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta", "1.9",
              "--sigma-min", "0.1", "--sigma-max", "10"),
+            # every ordinary trace is a box quadrature in D <= 3; its flow is not
+            ("kernel", "--model", "ordinary", "--dim", "3", "--alpha", "0.5",
+             "--sigma-min", "0.1", "--sigma-max", "10"),
+            ("flow", "--model", "ordinary", "--dim", "4"),
         ],
-        ids=["fsbm-q-beta-1", "fixed-dim-flow", "fixed-dim-pdf", "fixed-dim-kernel"],
+        ids=["fsbm-q-beta-1", "fixed-dim-flow", "fixed-dim-pdf", "fixed-dim-kernel",
+             "ordinary-kernel-dim-3", "ordinary-flow-dim-4"],
     )
     def test_range_edges_run(self, argv, tmp_path):
         out = tmp_path / "x.csv"
         assert main([*argv, "--sigma-points", "20", "--out", str(out)]) == EXIT_OK
         assert read_csv(out)
+
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "--model", "bm", "--paths", "32"), ("validate",)],
+        ids=["simulate", "validate"],
+    )
+    def test_negative_seed_refused(self, argv, tmp_path, capsys):
+        # numpy's seed sequence refused it with a traceback and exit 1;
+        # seed 0 runs
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == EXIT_OK
 
     def test_simulate_reads_nu_with_beta_star(self, tmp_path):
         # fssbm divides by the binomial weight in the clock sigma^nu

@@ -28,32 +28,32 @@ _WALK_BLOCKS = ("--steps", "256", "--sigma-min", "1e-3", "--sigma-max", "10")
 GOLDEN = {
     "flow-weighted-0.5": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", *_FLOW),
-        "ce40eb3b45766930372b68c0351f548394990ea2aed5f4e16bdc598a6eed7bd1",
+        "3110facfb1f63f9f4217decf7cc7d4d3d37a2958157d4be017bdfd031f34e460",
         None,
     ),
     "flow-weighted-1.5": (
         ("flow", "--model", "weighted", "--beta-star", "1.5", *_FLOW),
-        "6233f1813b97dff4bacf1a888b680732a72a4572dad39b36d9ac1402658de48a",
+        "74e72d55deb71251833acac91a46926a768883e6ebbc4719bd4f5b10d97c39ec",
         None,
     ),
     "flow-weighted-pole": (
         ("flow", "--model", "weighted", "--beta-star", repr(1.0 + 1.0 / 3.0), *_FLOW),
-        "2e29c3f97a819ff3646614b58f073ca4db419f50621cc72366f57578758fcddf",
+        "e4dc82fa0a457061b7fd1cc401955ae1b5ba732c0269950af16fbe9d4025efe8",
         None,
     ),
     "flow-weighted-regular-below": (
         ("flow", "--model", "weighted", "--beta-star", "0.3", *_FLOW),
-        "abbc2ab08d149a46f689101e99301fbdb40edf6e3f271ab8349534a6d041bd11",
+        "1577a637390d46ee2318039f13bf1741564aa049632e5a2602d037e8009c945c",
         None,
     ),
     "flow-weighted-regular-above": (
         ("flow", "--model", "weighted", "--beta-star", "1.7", *_FLOW),
-        "0df6a4b9c0e158cb3d480dc64309e7ca81a8b1fc61d898c96255ebb87b86d7e1",
+        "8f126171810a0bb8da53c2eda647b914b7ce0c047213ed6fa0c547385bf0894e",
         None,
     ),
     "flow-fuzzy": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", "--fuzzy", *_FLOW),
-        "4134e13fda9935e1a30303cfffb1a376e141b2b642ebe3c0efc518a3267138cc",
+        "e99b721ea7c8acd2286183bae1a67e8efc229dcf3fb8d9203413d8786353a548",
         None,
     ),
     "flow-q": (
@@ -68,14 +68,14 @@ GOLDEN = {
     ),
     "flow-ordinary-multiscale": (
         ("flow", "--model", "ordinary", "--beta-star", "0.3", *_FLOW),
-        "9a5021c8e6981d911f75d559052d4cc5059c8f7dc95c75bb4e33924edbca0a5c",
+        "ba524384009284d48651a77d8ac04b51b5528badaa9889a5c98462cca65a715a",
         None,
     ),
     # 1000 sigmas fill 32 blocks of the panel rule; the plateau probes ride along
     "flow-weighted-1.5-dense": (
         ("flow", "--model", "weighted", "--beta-star", "1.5", "--dim", "4",
          "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "1000"),
-        "f6db47b124b7976524cb6cf3f463da909cc45fc637c603a7374f1c5c6e5259c0",
+        "e5504a6477c3c5d1e2cf448996c620413987070c4385e3091a1ea7e77770b88c",
         None,
     ),
     "flow-ordinary-fixed": (
@@ -96,7 +96,7 @@ GOLDEN = {
     ),
     "flow-weighted-uniform-grid": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", "--sigma-log", "false"),
-        "e788eaf17011c9b72e5137ae67bd1242b05cb2f01b3a21be77094df6bc253bd7",
+        "816e4e925bebd126193835b7c5c4f1561f1f416b5ac740c0ba6bcb05e8687f18",
         None,
     ),
     "kernel-d1": (
@@ -117,7 +117,7 @@ GOLDEN = {
     # a binomial diffusion-time measure sets ell^2 and the box of the trace
     "kernel-d1-binomial-time": (
         ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
-        "8e38f0d98191ae518af34b01f38831f41331ceed607b3b40d6aca2cf4d730cc4",
+        "e69cec835d9a669f03a0bf9af887c0a3fcc0b4ac8ba4baf3456bebf47552fbef",
         None,
     ),
     # the README's kernel example
@@ -129,7 +129,7 @@ GOLDEN = {
     # 200 sigmas of the binomial panel rule in one dispersion call
     "kernel-weighted-binomial-time": (
         ("kernel", "--model", "weighted", "--beta-star", "0.5", "--sigma-points", "200"),
-        "1fed8b70dd559de06969b8b4024eb59be9e66261c7c0d157d8c9dea1077f59fe",
+        "bf773825b8fc200c0ec92ae0e23d6efbb23bd1e0b6ecf57be5806b897558484c",
         None,
     ),
     "kernel-legacy-d4": (
@@ -251,7 +251,7 @@ def test_pins_hold_across_jobs_in_one_process(tmp_path):
 
 
 # SHA-256 of the full ``validate`` standard output
-VALIDATE_DIGEST = "172e21a1700463ed014340532dc9d63d8cc8b19571a1e1b2c0a97607f590962b"
+VALIDATE_DIGEST = "2389444501643ceed681d444de26f5cc5fc6bedd17f2dd6cbe2befedbbae7bcd"
 
 
 def test_validate_output_pinned(capsys):

@@ -9,12 +9,17 @@ quadrature next to every pole with k <= 40, on both sides of it and at
 offsets from 1e-3 down to 1e-10, and over its whole domain: beta* in (0, 2)
 with sigma/lstar in [1e-280, 1e280].  The closed form, evaluated by
 mpmath.hyp2f1, is a second oracle on the poles beta* = 1 + 1/k themselves.
-The sample points are drawn from seeded generators.
+The float sum of the rule is also held to the same rule at 40 digits, which
+separates its rounding from its truncation.  The sample points are drawn
+from seeded generators.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from multiflow import specfun
 from multiflow.dispersion import binomial_time_integral
 from multiflow.errors import DomainError
 
@@ -116,6 +121,61 @@ def test_binomial_integral_whole_domain():
     for lstar, sigma in ((1.0, 1e-281), (1.0, 1e281), (nan, 1.0), (1.0, nan), (1.0, inf), (inf, 1.0)):
         with pytest.raises(DomainError):
             binomial_time_integral(1.5, lstar, sigma)
+
+
+def panel_rule_oracle(beta_star: float, lstar: float, sigma: float):
+    """The decade-panel rule of binomial_time_integral summed at 40 digits.
+
+    The same float64 Gauss-Legendre nodes and weights, decade count, power
+    beta* - 1 and head as the library, every operation exact to 40 digits:
+    the float result may differ from it by rounding only, not by the
+    rule's truncation.
+    """
+    nodes, weights = specfun._panel_rule()
+    power = beta_star - 1.0
+    ratio = sigma / lstar
+    decades = 18 + (math.ceil(math.log10(ratio)) - 7 if ratio > 1e7 else 0)
+    with mp.workdps(40):
+        p, ls, sig = mp.mpf(power), mp.mpf(lstar), mp.mpf(sigma)
+        half_nodes = [(1 + mp.mpf(n)) * mp.mpf(4.5) for n in nodes.tolist()]
+        total = mp.mpf(0)
+        for k in range(1, decades + 1):
+            lo = sig / mp.mpf(10) ** k
+            # decade [lo, 10 lo]: node s = lo + 4.5 lo (1 + n)
+            body = mp.fsum(
+                mp.mpf(w) / (1 + ((lo + lo * h) / ls) ** p)
+                for w, h in zip(weights.tolist(), half_nodes)
+            )
+            total += mp.mpf(4.5) * lo * body
+        if power > 0.0:
+            total += sig / mp.mpf(10) ** decades
+        return total
+
+
+def test_binomial_integral_rounds_its_rule():
+    # the float sum of the panel rule against the same rule at 40 digits:
+    # within 16 units of 2^-53, for beta* uniform in (0, 2), at the poles
+    # 1 +- 1/k and next to 1; lstar 1 and random; sigma/lstar log-uniform
+    # in [1e-30, 1e30] and at the ends 1e-280 and 1e280
+    rng = np.random.default_rng([SEED, 400])
+    poles = [1.0 + sign / k for k in (2, 3, 8, 40) for sign in (1.0, -1.0)]
+    beta_stars = [*rng.uniform(0.0, 2.0, 6).tolist(), *poles, 1.0 + 1e-12, 1.0 - 1e-12]
+    points = [
+        (beta_star, lstar, lstar * 10.0 ** rng.uniform(-30.0, 30.0))
+        for beta_star in beta_stars
+        for lstar in (1.0, float(10.0 ** rng.uniform(-3.0, 3.0)))
+    ]
+    # at sigma = 1e-280 the integral is about sigma^(2 - beta*): beta* well
+    # below 1 would take it below the double range
+    edges = [(beta_star, 1.0, ratio) for beta_star in (1.0 - 1.0 / 40.0, 1.5) for ratio in (1e-280, 1e280)]
+    worst = 0.0
+    for beta_star, lstar, sigma in [*points, *edges]:
+        got = binomial_time_integral(beta_star, lstar, sigma)
+        exact = panel_rule_oracle(beta_star, lstar, sigma)
+        units = float(abs(got - exact) / exact) / 2.0 ** -53
+        worst = max(worst, units)
+        assert units <= 16.0, (beta_star, lstar, sigma, got, units)
+    assert worst > 0.0, worst
 
 
 def test_binomial_integral_matches_closed_form():

@@ -414,6 +414,12 @@ class TestDispatcher:
             ens = simulate(asked, 20, full_grid, fractional_spec(beta=0.5, nu=nu, dim=1), 1)
             assert ens.process == tag
 
+    def test_negative_seed_named(self, full_grid):
+        for process in PROCESSES:
+            with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+                simulate(process, 20, full_grid, BM_1D, -1)
+        assert simulate("bm", 20, full_grid, BM_1D, 0).n_paths == 20
+
     def test_grid_validation(self):
         with pytest.raises(GridError):
             simulate("bm", 10, np.array([0.0, 1.0, 2.0]), BM_1D, 0)
