@@ -13,7 +13,6 @@ from .dispersion import (
     DispersionCurve,
     dispersion,
     dispersion_quadrature,
-    qm_time,
     sample_dispersion,
 )
 from .errors import (
@@ -41,10 +40,8 @@ from .measure import (
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
-    ball_volume,
     fractional_weight,
     geometric_profile,
-    geometric_profile_inverse,
     hausdorff_dimension,
     multiscale_weight,
 )
@@ -52,7 +49,6 @@ from .spectral import (
     DimensionTriple,
     LegacyAnsatzWarning,
     SpectralFlow,
-    density_of_states_exponent,
     dimension_triple,
     fixed_point_ds,
     flow_curve,

@@ -41,15 +41,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _sigma_grid(cfg: RunConfig, points: int) -> np.ndarray:
-    make = walker.geometric_grid if cfg.log else walker.uniform_grid
-    return make(cfg.sigma_min, cfg.sigma_max, points)
-
-
 def run_flow(cfg: RunConfig) -> None:
     """Write (sigma, ell2, ds, d_w, model) rows with asymptote metadata."""
     spec = build_spec(cfg)
-    grid = _sigma_grid(cfg, cfg.points)
+    grid = cfg.sigma_grid(cfg.points)
     meta = {"model": spec.model, "dim": spec.dim, "fuzzy": spec.fuzzy}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LegacyAnsatzWarning)
@@ -72,10 +67,10 @@ def run_flow(cfg: RunConfig) -> None:
 def run_simulate(cfg: RunConfig) -> None:
     """Run a walker ensemble; emit trajectory and MSD summary files."""
     spec = build_spec(cfg)
-    grid = _sigma_grid(cfg, cfg.steps)
+    grid = cfg.sigma_grid(cfg.steps)
     ensemble = walker.simulate(cfg.process, cfg.paths, grid, spec, cfg.seed, keep=cfg.traj_paths)
     sigmas, mean_sq, stderr = walker.msd(ensemble)
-    window = (cfg.sigma_max / 100.0, cfg.sigma_max)  # last two decades
+    window = walker.fit_window(grid)  # the last two decades
     heavy_tailed = cfg.process == "fsbm-q"
     if heavy_tailed:
         fit = walker.fit_scaling_exponent_batched(ensemble, window)
@@ -148,7 +143,7 @@ def run_pdf(cfg: RunConfig) -> None:
 def run_kernel(cfg: RunConfig) -> None:
     """Sample the return probability Z(sigma) and write (sigma, Z, convention)."""
     spec = build_spec(cfg)
-    grid = _sigma_grid(cfg, cfg.points)
+    grid = cfg.sigma_grid(cfg.points)
     curve = kernel_mod.heat_kernel_curve(spec, grid, box_halfwidth=cfg.box)
     write_csv(
         cfg.out, "kernel", ("sigma", "Z", "convention"), (curve.sigmas, curve.Z, curve.convention),

@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .dispersion import DiffusionSpec, MODELS
-from .errors import ConfigError
+import numpy as np
+
+from . import walker
+from .dispersion import MODELS, DiffusionSpec, check_dispersion
+from .errors import ConfigError, DomainError
+from .kernel import check_trace
 from .measure import FractionalCharges, GeometryScales
-from .walker import FIT_BATCHES, PROCESSES
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_spec"]
 
@@ -67,6 +70,12 @@ class RunConfig:
     box: float | None = None  # None: automatic box half-width
 
     def validate(self) -> "RunConfig":
+        """This config, once its command can run it: each field on its own and
+        the readers of ``multiscale-space`` are checked here, the rest by the
+        evaluator's own check on the :func:`build_spec` spec (the dispersion's,
+        the trace's, or the walker's and its fit window's; the seed rule for
+        ``validate``).  A :class:`DomainError` becomes a :class:`ConfigError`.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             for x in value if isinstance(value, tuple) else (value,):
@@ -75,13 +84,9 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.command == "simulate":
-            if self.process not in PROCESSES:
+            if self.paths < walker.FIT_BATCHES:
                 raise ConfigError(
-                    f"unknown process {self.process!r}; expected one of {PROCESSES}"
-                )
-            if self.paths < FIT_BATCHES:
-                raise ConfigError(
-                    f"simulate needs paths >= {FIT_BATCHES} for the batch-means fit, got {self.paths}"
+                    f"simulate needs paths >= {walker.FIT_BATCHES} for the batch-means fit, got {self.paths}"
                 )
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
@@ -105,11 +110,6 @@ class RunConfig:
             raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
         if self.subsample < 1 or self.traj_paths < 0:
             raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.command == "kernel" and self.model == "ordinary" and self.dim > 3:
-            # every trace of the ordinary model is a box quadrature in D <= 3
-            raise ConfigError(f"kernel --model ordinary needs dim <= 3, got {self.dim}")
         if self.multiscale_space:
             # the binomial position measure is read by these densities and traces only
             readers = {"pdf": ("weighted", "legacy", "ordinary"), "kernel": ("ordinary",)}
@@ -119,25 +119,24 @@ class RunConfig:
                     "multiscale-space is read only by pdf (weighted, legacy, ordinary) "
                     f"and kernel (ordinary), not by {where}"
                 )
-            if len(set(self.alphas)) > 1:
-                raise ConfigError(f"multiscale-space needs one charge, got alphas = {self.alphas}")
-        if self.beta_star is not None and self.nu != 1.0 and self.command != "simulate":
-            # the binomial dispersion is defined at nu = 1; fssbm reads both
-            raise ConfigError(f"beta-star is read only at nu = 1 outside simulate, got nu = {self.nu}")
-        if self.command == "simulate" and self.process == "fsbm-q" and not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"fsbm-q needs beta in (0, 1], got {self.beta}")
-        if (
-            self.command in ("flow", "pdf", "kernel")
-            and self.model in ("weighted", "ordinary")
-            and self.beta_star is None
-            and 1.0 + self.nu - self.beta <= 0.0
-        ):
-            # the fixed-dimensionality dispersion sigma^(1 + nu - beta) must grow
-            raise ConfigError(
-                f"1 + nu - beta = {1.0 + self.nu - self.beta} must be positive for a pointlike "
-                "initial condition"
-            )
+        try:
+            if self.command == "validate":
+                walker.check_seed(self.seed)
+            elif self.command == "simulate":
+                walker.check_simulation(self.process, build_spec(self), self.seed)
+                walker.fit_window(self.sigma_grid(self.steps))
+            elif self.command == "kernel":
+                check_trace(build_spec(self))
+            else:
+                check_dispersion(build_spec(self))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
+
+    def sigma_grid(self, points: int) -> np.ndarray:
+        """``points`` sigmas from sigma-min to sigma-max, log-spaced unless ``log`` is off."""
+        make = walker.geometric_grid if self.log else walker.uniform_grid
+        return make(self.sigma_min, self.sigma_max, points)
 
 
 # section -> config key -> (attribute, type tag)
@@ -288,8 +287,6 @@ def build_spec(cfg: RunConfig) -> DiffusionSpec:
     :class:`ConfigError`: they are configuration mistakes, not numeric
     failures.
     """
-    from .errors import DomainError
-
     try:
         return DiffusionSpec(
             model=cfg.model if cfg.command != "simulate" else _process_model(cfg.process),

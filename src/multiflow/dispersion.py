@@ -23,6 +23,7 @@ every closed form.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +53,7 @@ __all__ = [
     "DispersionCurve",
     "MODELS",
     "dispersion_quadrature",
-    "qm_time",
+    "check_dispersion",
     "dispersion",
     "sample_dispersion",
     "time_weight",
@@ -77,9 +78,12 @@ class DiffusionSpec:
     1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) per direction, alpha the
     one charge of the (isotropic) ``charges``.  Both measures take lstar from
     ``scales``; :attr:`multiscale` and :attr:`spatial_profile` are their
-    term tables, built once per spec.  A parameter the model never reads is
-    refused: ``beta_star`` for legacy, nu != 1 for q (clocked by beta, which
-    must lie in (0, 2) without ``beta_star``).
+    term tables, built once per spec.  A spec refuses what no evaluator of
+    its model can take: ``beta_star`` for legacy, nu != 1 for q (clocked by
+    beta, which must lie in (0, 2) without ``beta_star``), and anisotropic
+    charges with ``multiscale_space``.  A refusal of one evaluator only is
+    that evaluator's check: :func:`check_dispersion`, ``kernel.check_trace``
+    and ``walker.check_simulation``.
     """
 
     model: str
@@ -197,8 +201,12 @@ def binomial_time_integral(
     poles at beta* = 1 +- 1/k and a resurgent continuation for beta* next
     to 1, but this rule sees neither.  It is within 1e-14 of mpmath for
     every beta* in (0, 2), 1 +- 1e-12 included, and sigma/lstar in
-    [1e-280, 1e280]; outside that range, or for a negative sigma,
-    :class:`DomainError` is raised if any element is.  sigma = 0 gives 0.
+    [1e-280, 1e280] where the integral is a normal double, at least
+    ``sys.float_info.min`` (2.2e-308).  :class:`DomainError` is raised if
+    any element is negative or has sigma/lstar outside that range, and if a
+    nonzero sigma gives an integral below the normal range: near
+    sigma/lstar = 1e-280 the integral is about sigma^(2 - beta*), which is
+    below 2.2e-308 for beta* under about 0.9.  sigma = 0 gives 0.
     """
     sig = _nonnegative(sigma)
     flat = sig.reshape(-1)
@@ -230,6 +238,14 @@ def binomial_time_integral(
         upper = flat[index]
         head = upper * 10.0 ** (-count) if power > 0.0 else 0.0
         out[index] = head + decade_panels(power, lstar, upper, count)
+    # the panel sums lose bits below the normal range, and reach 0 under it
+    subnormal = nonzero[out[nonzero] < sys.float_info.min]
+    if subnormal.size:
+        i = subnormal[0]
+        raise DomainError(
+            f"the binomial time integral at sigma = {float(flat[i])}, beta_star = {beta_star} is "
+            f"{float(out[i])}, below the normal double range ({sys.float_info.min})"
+        )
     return _shaped(sig, out)
 
 
@@ -295,18 +311,6 @@ def dispersion_quadrature(
     return lbar2 + kappa * value
 
 
-def qm_time(weight_v0: Callable[[float], float], t: float) -> float:
-    """Quantum-mechanical time T(t) = int_0^t dt'' / v0(t'').
-
-    For a power-law weight v0 ~ t^(beta-1) this scales as t^(2-beta); it is
-    the same integral as :func:`dispersion_quadrature` at kappa = nu = 1 and
-    zero offset.
-    """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    return dispersion_quadrature(weight_v0, 1.0, 1.0, t, 0.0)
-
-
 def time_weight(spec: DiffusionSpec) -> Callable[[float], float]:
     """Diffusion-time weight v(sigma) of a spec: binomial profile if present,
     otherwise the fractional power law sigma^(beta-1)/Gamma(beta)."""
@@ -332,6 +336,25 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
     )
 
 
+def check_dispersion(spec: DiffusionSpec) -> None:
+    """The refusals of :func:`dispersion` that the spec alone decides, made
+    first by every evaluator of the dispersion.  weighted/ordinary only: a
+    binomial time measure is read at |nu - 1| <= 1e-12 only, and at fixed
+    dimensionality 1 + nu - beta must be positive, or no normalizable
+    pointlike initial condition exists (:class:`ExponentDomainError`)."""
+    if spec.model not in ("weighted", "ordinary"):
+        return
+    sc = spec.scales
+    if spec.beta_star is not None:
+        if abs(sc.nu - 1.0) > 1e-12:
+            raise DomainError(f"beta_star is read only at nu = 1, got nu = {sc.nu}")
+    elif 1.0 + sc.nu - sc.beta <= 0.0:
+        raise ExponentDomainError(
+            f"1 + nu - beta = {1.0 + sc.nu - sc.beta} must be positive for a pointlike "
+            "initial condition"
+        )
+
+
 def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
     """The model's dispersion ell^2 at a diffusion time or a whole array of them.
 
@@ -339,19 +362,17 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
     time measure: ell2(0) + kappa * int_0^sigma ds / v_*(s), the integral
     :func:`binomial_time_integral` and ell2(0) zero for the pointlike
     initial condition or lstar^2 in the fuzzy scenario (Gaussian initial
-    spread of width lstar); defined at nu = 1 only.  At fixed
-    dimensionality: lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta),
-    which needs 1 + nu - beta > 0 (else no normalizable pointlike initial
-    condition exists and :class:`ExponentDomainError` is raised).
+    spread of width lstar).  At fixed dimensionality:
+    lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
     q: kappa * sum_n g_n sigma^(beta_n) over :func:`q_time_profile`.
-    legacy: kappa * sigma.  A float gives a float, an array an array of its
-    shape, each element bit for bit the value its float gives; a negative
-    element raises :class:`DomainError` before anything is evaluated.
+    legacy: kappa * sigma.  The spec's refusals (:func:`check_dispersion`)
+    come first.  A float gives a float, an array an array of its shape,
+    each element bit for bit the value its float gives; a negative element
+    raises :class:`DomainError` before anything is evaluated.
     """
+    check_dispersion(spec)
     sc = spec.scales
     if spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
-        if abs(sc.nu - 1.0) > 1e-12:
-            raise DomainError(f"multiscale weighted dispersion is defined at nu = 1, got nu = {sc.nu}")
         base = sc.lstar ** 2 if spec.fuzzy else 0.0
         value = base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
         negative = np.flatnonzero(np.asarray(value) < 0.0)
@@ -370,10 +391,6 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
             total = total + g * powers(sig, c)
         return _shaped(sig, sc.kappa * total)
     exponent = 1.0 + sc.nu - sc.beta
-    if exponent <= 0.0:
-        raise ExponentDomainError(
-            f"1 + nu - beta = {exponent} must be positive for a pointlike initial condition"
-        )
     coeff = sc.kappa * gamma_fn(sc.beta) / exponent
     return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, dispersion
+from .dispersion import DiffusionSpec, check_dispersion, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, GridError
 from .grid import check_grid, five_point_slope, log_slope, powers
 from .measure import fractional_weight, geometric_profile, multiscale_weight
@@ -47,6 +47,7 @@ __all__ = [
     "pdf",
     "position_weight",
     "return_probability",
+    "check_trace",
     "heat_kernel_curve",
     "ds_from_kernel",
     "fixed_dim_trace_slopes",
@@ -454,6 +455,15 @@ def return_probability(
     return float(_traces(spec, np.array([sigma], dtype=float), box_halfwidth)[0])
 
 
+def check_trace(spec: DiffusionSpec) -> None:
+    """Every refusal of a trace that the spec alone decides: those of
+    :func:`dispersion.check_dispersion`, and D <= 3 for the ordinary model,
+    whose trace is a box quadrature."""
+    check_dispersion(spec)
+    if spec.model == "ordinary" and spec.dim > 3:
+        raise DomainError(f"the ordinary-model trace needs dim <= 3, got {spec.dim}")
+
+
 def _traces(
     spec: DiffusionSpec,
     sigmas: np.ndarray,
@@ -463,8 +473,9 @@ def _traces(
 ) -> np.ndarray:
     """Z at each sigma of a 1-d array under the model's volume convention.
 
-    Every sigma is checked positive before any work; ell^2 of the whole
-    array then comes from one :func:`dispersion` call.
+    Every sigma is checked positive, and the spec by :func:`check_trace`,
+    before any work; ell^2 of the whole array then comes from one
+    :func:`dispersion` call.
 
     - weighted (and the fixed-dimensionality closed forms): the
       measure-traced Gaussian per unit integer volume, (4 pi ell^2)^(-D/2);
@@ -484,8 +495,7 @@ def _traces(
     nonpositive = sigmas[sigmas <= 0.0]
     if nonpositive.size:
         raise DomainError(f"sigma must be positive, got {nonpositive[0]}")
-    if spec.model == "ordinary" and spec.dim > 3:
-        raise DomainError("trace quadrature supports D <= 3")
+    check_trace(spec)
     ell2s = dispersion(spec, sigmas)
     if spec.model == "legacy":
         return powers(ell2s, -spec.dim * spec.charges.average / 2.0)

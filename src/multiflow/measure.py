@@ -23,10 +23,7 @@ __all__ = [
     "fractional_weight",
     "multiscale_weight",
     "geometric_profile",
-    "geometric_profile_inverse",
     "hausdorff_dimension",
-    "ball_volume",
-    "unit_ball_volume",
 ]
 
 POSITION = "position"
@@ -182,42 +179,6 @@ def geometric_profile(x: float, alpha: float) -> float:
     return math.copysign(abs(x) ** alpha / gamma_fn(alpha + 1.0), x)
 
 
-def geometric_profile_inverse(q: float, alpha: float) -> float:
-    """Inverse map x = sgn(q) [Gamma(alpha + 1) |q|]^(1/alpha)."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if q == 0.0:
-        return 0.0
-    return math.copysign((gamma_fn(alpha + 1.0) * abs(q)) ** (1.0 / alpha), q)
-
-
 def hausdorff_dimension(charges: FractionalCharges) -> float:
     """Hausdorff dimension sum_mu alpha_mu of a factorizable fractional measure."""
     return sum(charges.alphas)
-
-
-def unit_ball_volume(dim: int) -> float:
-    """Ordinary volume of the unit ball in `dim` dimensions."""
-    if dim < 1:
-        raise DomainError(f"dimension must be >= 1, got {dim}")
-    return math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0 + 1.0)
-
-
-def ball_volume(radius: float, dim: int, alpha_star: float, lstar: float) -> float:
-    """Two-term binomial ball volume centered at the origin.
-
-    lstar^D [ Omega_{D,1} (R/lstar)^D + Omega_{D,alpha*} (R/lstar)^(D alpha*) ]
-    with Omega_{D,alpha*} = Omega_{D,1} / Gamma(alpha*+1)^D.  The log-log slope
-    flows from D*alpha_star at R << lstar to D at R >> lstar.  At alpha_star = 1
-    the two charges coincide and the formula double counts (value 2 Omega R^D).
-    """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    if lstar <= 0.0:
-        raise DomainError(f"lstar must be positive, got {lstar}")
-    if not 0.0 < alpha_star <= 1.0:
-        raise DomainError(f"alpha_star must lie in (0, 1], got {alpha_star}")
-    omega1 = unit_ball_volume(dim)
-    omega_a = omega1 / gamma_fn(alpha_star + 1.0) ** dim
-    ratio = radius / lstar
-    return lstar ** dim * (omega1 * ratio ** dim + omega_a * ratio ** (dim * alpha_star))

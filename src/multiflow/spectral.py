@@ -1,4 +1,4 @@
-"""Spectral, walk, and density-of-states dimensions.
+"""Spectral and walk dimensions.
 
 The spectral dimension probes how a diffusing particle sees the geometry:
 
@@ -31,9 +31,7 @@ __all__ = [
     "spectral_from_dispersion",
     "fixed_point_ds",
     "walk_dimension",
-    "density_of_states_exponent",
     "flow_curve",
-    "flow_from_curve",
     "dimension_triple",
 ]
 
@@ -150,11 +148,6 @@ def walk_dimension(spec: DiffusionSpec, d_s: float | np.ndarray) -> float | np.n
     return float(d_w) if d.ndim == 0 else d_w
 
 
-def density_of_states_exponent(d_s: float) -> float:
-    """Exponent of the energy density of states, rho(E) ~ E^(d_S/2 - 1)."""
-    return d_s / 2.0 - 1.0
-
-
 def _plateau_converged(values: Sequence[float]) -> bool:
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     return all(d < _PLATEAU_TOL for d in diffs)
@@ -223,17 +216,6 @@ def flow_curve(
         uv_converged=uv_ok, ir_converged=ir_ok,
     )
     return flow, ell2[:n]
-
-
-def flow_from_curve(curve: DispersionCurve, dim: int, model: str = "numeric") -> SpectralFlow:
-    """Numeric flow from any log-uniform dispersion curve (edges trimmed)."""
-    interior = curve.sigmas[2:-2]
-    ds = np.array([spectral_from_dispersion(curve, dim, s) for s in interior])
-    return SpectralFlow(
-        sigmas=interior, ds=ds,
-        uv_asymptote=float(ds[0]), ir_asymptote=float(ds[-1]),
-        model=model,
-    )
 
 
 def dimension_triple(spec: DiffusionSpec, d_s: float | None = None) -> DimensionTriple:

@@ -45,8 +45,11 @@ __all__ = [
     "PROCESSES",
     "geometric_grid",
     "uniform_grid",
+    "check_seed",
+    "check_simulation",
     "simulate",
     "msd",
+    "fit_window",
     "fit_scaling_exponent",
     "fit_scaling_exponent_batched",
     "increment_diagnostics",
@@ -270,6 +273,36 @@ def _sum_squares(block: np.ndarray, out: np.ndarray) -> None:
         out += block[..., k]
 
 
+def check_seed(seed: int) -> None:
+    """The walkers' seed rule: numpy's seed sequence takes no negative seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
+def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
+    """The clock exponent nu of ``process``: 1 for ``bm``, beta for ``fsbm-q``,
+    the spec's nu otherwise.  :class:`DomainError` for what the process, spec
+    and seed alone refuse: a negative seed, an unknown process, nu <= 0, and
+    for ``fsbm-q`` anisotropic charges or beta outside (0, 1]."""
+    check_seed(seed)
+    if process == "bm":
+        return 1.0
+    if process == "fsbm-q":
+        alphas = spec.charges.alphas
+        if len(set(alphas)) > 1:
+            raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
+        nu = spec.scales.beta
+        if not 0.0 < nu <= 1.0:
+            raise DomainError(f"fsbm-q needs beta in (0, 1], got {nu}")
+        return nu
+    if process not in PROCESSES:
+        raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    nu = spec.scales.nu
+    if nu <= 0.0:
+        raise DomainError(f"nu must be positive, got {nu}")
+    return nu
+
+
 def simulate(
     process: str,
     n_paths: int,
@@ -281,37 +314,28 @@ def simulate(
     """Ensemble of ``n_paths`` paths of ``process``, its parameters from the spec.
 
     The one builder of every process in the module doc.  Each is Brownian
-    motion in the clock sigma^nu (nu = 1 for ``bm``, beta for ``fsbm-q``, the
-    spec's nu otherwise; nu <= 0 raises :class:`DomainError`), mapped in
-    place.  ``fsbm-v`` and ``fssbm`` divide by sqrt(v(sigma)), v the spec's
-    diffusion-time weight, and are tagged ``fsbm-v`` at nu = 1 and ``fssbm``
-    otherwise, whichever is asked for.  ``fsbm-q`` maps every axis with one
-    charge (the odd extension of the first-orthant identification, an
-    implementation choice), so anisotropic charges raise
-    :class:`DomainError`.  Its q(x) is N(0, 2 kappa sigma^beta) by
-    construction (clock sigma^beta, variance 2 kappa dtau), while the q
-    model's density is Gaussian in q with 2 ell^2 = 2 kappa
-    sigma^beta / Gamma(1 + beta) (:func:`dispersion.q_time_profile`): the
-    walker samples that density at a time rescaled by Gamma(1 + beta),
-    0.886 at beta = 0.5.  ``keep`` is how many leading paths keep their
-    full positions (all when None); every path keeps its squared radius.
-    A negative ``seed`` raises :class:`DomainError`.
+    motion in the clock sigma^nu, mapped in place; nu and every refusal
+    that the process, spec and seed alone decide come from
+    :func:`check_simulation`, before any path is drawn.  ``fsbm-v`` and
+    ``fssbm`` divide by sqrt(v(sigma)), v the spec's diffusion-time weight,
+    and are tagged ``fsbm-v`` at nu = 1 and ``fssbm`` otherwise, whichever
+    is asked for.  ``fsbm-q`` maps every axis with one charge (the odd
+    extension of the first-orthant identification, an implementation
+    choice), so it needs isotropic charges.  Its q(x) is
+    N(0, 2 kappa sigma^beta) by construction (clock sigma^beta, variance
+    2 kappa dtau), while the q model's density is Gaussian in q with
+    2 ell^2 = 2 kappa sigma^beta / Gamma(1 + beta)
+    (:func:`dispersion.q_time_profile`): the walker samples that density at
+    a time rescaled by Gamma(1 + beta), 0.886 at beta = 0.5.  ``keep`` is
+    how many leading paths keep their full positions (all when None); every
+    path keeps its squared radius.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    nu = check_simulation(process, spec, seed)
     grid = np.asarray(grid, dtype=float)
-    sc = spec.scales
-    nu, transform = sc.nu, None
-    if process == "bm":
-        nu = 1.0
-    elif process == "fsbm-q":
-        alphas = spec.charges.alphas
-        if len(set(alphas)) > 1:
-            raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
+    transform = None
+    if process == "fsbm-q":
         # the charges themselves lie in (0, 1]: FractionalCharges refuses others
-        alpha, nu = alphas[0], sc.beta
-        if not 0.0 < nu <= 1.0:
-            raise DomainError(f"beta must lie in (0, 1], got {nu}")
+        alpha = spec.charges.alphas[0]
         if alpha != 1.0:
             gamma_a1 = math.gamma(alpha + 1.0)
 
@@ -321,11 +345,7 @@ def simulate(
                 np.sign(block, out=block)
                 block *= mag
 
-    elif process not in ("sbm", "fsbm-v", "fssbm"):
-        raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
-    elif nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu}")
-    elif process != "sbm":
+    elif process in ("fsbm-v", "fssbm"):
         weight = time_weight(spec)
         v = np.array([weight(s) for s in grid])
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
@@ -336,7 +356,7 @@ def simulate(
             block /= root_v
 
         process = "fsbm-v" if abs(nu - 1.0) <= 1e-12 else "fssbm"
-    sq, pos = _simulate_paths(grid, sc.kappa, nu, spec.dim, seed, n_paths, keep, transform)
+    sq, pos = _simulate_paths(grid, spec.scales.kappa, nu, spec.dim, seed, n_paths, keep, transform)
     return WalkerEnsemble(process, grid, sq, pos)
 
 
@@ -364,6 +384,21 @@ def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ensemble.grid.copy(), mean, stderr
 
 
+def fit_window(
+    sigmas: Sequence[float] | np.ndarray, window: tuple[float, float] | None = None
+) -> tuple[float, float]:
+    """``window``, by default the last two decades (sigmas[-1]/100, sigmas[-1]),
+    once it holds at least 10 of the grid's sigmas; else :class:`DomainError`."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    lo, hi = (float(sigmas[-1]) / 100.0, float(sigmas[-1])) if window is None else window
+    if not lo < hi:
+        raise DomainError(f"degenerate fit window ({lo}, {hi})")
+    inside = int(np.count_nonzero((sigmas >= lo) & (sigmas <= hi)))
+    if inside < 10:
+        raise DomainError(f"fit window ({lo}, {hi}) holds {inside} points; need >= 10")
+    return lo, hi
+
+
 def fit_scaling_exponent(
     sigmas: np.ndarray,
     values: np.ndarray,
@@ -372,7 +407,8 @@ def fit_scaling_exponent(
 ) -> MsdFit:
     """Least-squares slope of ln(values) against ln(sigmas) inside the window.
 
-    Needs at least 10 strictly positive points.  The standard error is the
+    The window must hold 10 grid points (:func:`fit_window`), and every
+    value in it must be positive.  The standard error is the
     usual OLS slope error from the fit residuals, unless ``sq_radii``, the
     (paths, steps) squared radii whose path mean is ``values``, is given.
     Then it is the batch-means error: the sd of the slopes fitted to
@@ -383,12 +419,8 @@ def fit_scaling_exponent(
     """
     sigmas = np.asarray(sigmas, dtype=float)
     values = np.asarray(values, dtype=float)
-    lo, hi = window
-    if not lo < hi:
-        raise DomainError(f"degenerate fit window {window}")
+    lo, hi = fit_window(sigmas, window)
     mask = (sigmas >= lo) & (sigmas <= hi)
-    if int(mask.sum()) < 10:
-        raise DomainError(f"fit window {window} holds {int(mask.sum())} points; need >= 10")
     if np.any(values[mask] <= 0.0):
         raise DomainError("fit window contains non-positive values")
     x = np.log(sigmas[mask])

@@ -301,7 +301,7 @@ class TestMultiscaleSpace:
         out = tmp_path / "x.csv"
         code = main(["pdf", "--config", config, "--multiscale-space", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "needs one charge" in capsys.readouterr().err
+        assert "needs isotropic charges, got (0.5, 0.7)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_isotropic_alphas_give_the_charge(self, tmp_path):
@@ -333,13 +333,13 @@ class TestUnreadParameters:
         "argv,message",
         [
             (("flow", "--model", "weighted", "--beta-star", "0.5", "--nu", "0.7"),
-             "beta-star is read only at nu = 1"),
+             "beta_star is read only at nu = 1, got nu = 0.7"),
             (("flow", "--model", "ordinary", "--beta-star", "0.3", "--nu", "0.7"),
-             "beta-star is read only at nu = 1"),
+             "beta_star is read only at nu = 1, got nu = 0.7"),
             (("pdf", "--model", "weighted", "--beta-star", "0.5", "--nu", "0.7"),
-             "beta-star is read only at nu = 1"),
+             "beta_star is read only at nu = 1, got nu = 0.7"),
             (("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5",
-              "--nu", "0.7"), "beta-star is read only at nu = 1"),
+              "--nu", "0.7"), "beta_star is read only at nu = 1, got nu = 0.7"),
             (("flow", "--model", "legacy", "--alpha", "0.5", "--beta-star", "0.5"),
              "legacy model reads no beta_star"),
             (("kernel", "--model", "legacy", "--alpha", "0.5", "--beta-star", "0.5"),
@@ -360,7 +360,7 @@ class TestUnreadParameters:
             (("flow", "--model", "weighted", "--beta", "1.5", "--nu", "0.5"),
              "1 + nu - beta = 0.0 must be positive"),
             (("kernel", "--model", "ordinary", "--dim", "4", "--alpha", "0.5"),
-             "kernel --model ordinary needs dim <= 3, got 4"),
+             "the ordinary-model trace needs dim <= 3, got 4"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
@@ -417,7 +417,7 @@ class TestUnreadParameters:
         assert read_csv(out)[0]["process"] == "fssbm"
 
     def test_config_file_takes_the_same_rule(self):
-        with pytest.raises(ConfigError, match="beta-star is read only at nu = 1"):
+        with pytest.raises(ConfigError, match="beta_star is read only at nu = 1, got nu = 0.7"):
             parse_config("[model]\nmodel = weighted\nbeta-star = 0.5\nnu = 0.7\n")
         cfg = parse_config("[run]\ncommand = simulate\n[model]\nbeta-star = 0.5\nnu = 0.7\n")
         assert (cfg.beta_star, cfg.nu) == (0.5, 0.7)
@@ -566,9 +566,33 @@ class TestSimulateCommand:
         assert main([*argv, "--paths", "16", "--out", str(enough)]) == EXIT_OK
         assert enough.exists()
 
+    def test_short_fit_window_refused(self, tmp_path, capsys):
+        # the fit takes the last two decades: 8 steps put 4 grid points
+        # there, refused before any path is drawn; 64 steps run through
+        argv = ["simulate", "--model", "bm", "--dim", "2", "--paths", "16",
+                "--sigma-min", "1e-3", "--sigma-max", "10"]
+        few, enough = tmp_path / "few.csv", tmp_path / "enough.csv"
+        assert main([*argv, "--steps", "8", "--out", str(few)]) == EXIT_CONFIG
+        assert "fit window (0.1, 10.0) holds 4 points; need >= 10" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--steps", "64", "--out", str(enough)]) == EXIT_OK
+        assert read_csv(enough)[0]["steps"] == "64"
+
+    def test_anisotropic_fsbm_q_refused(self, tmp_path, capsys):
+        # fsbm-q maps every axis with one charge
+        config = tmp_path / "run.conf"
+        config.write_text("[model]\ndim = 2\nalphas = 0.5,0.8\nbeta = 0.5\n")
+        out = tmp_path / "q.csv"
+        code = main(["simulate", "--config", str(config), "--model", "fsbm-q", *_WALK_GRID,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "fsbm-q needs isotropic charges, got (0.5, 0.8)" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "q.traj.csv").exists()
+
     @pytest.mark.parametrize("process", ["sbm", "fsbm-v", "fssbm"])
     def test_nonpositive_nu_names_nu(self, process, tmp_path, capsys):
-        # every nu-clocked process refuses nu <= 0 by name, not as a grid fault
+        # every nu-clocked process refuses nu <= 0 by name, not as a grid
+        # fault, and before any path is drawn
         out = tmp_path / "nu.csv"
         code = main(
             [
@@ -576,7 +600,7 @@ class TestSimulateCommand:
                 "--steps", "64", "--sigma-min", "1e-3", "--sigma-max", "10", "--out", str(out),
             ]
         )
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_CONFIG
         assert "nu must be positive, got -0.5" in capsys.readouterr().err
         assert not out.exists()
 

@@ -11,7 +11,6 @@ from multiflow.dispersion import (
     binomial_time_integral,
     dispersion,
     dispersion_quadrature,
-    qm_time,
     sample_dispersion,
     time_weight,
 )
@@ -175,29 +174,6 @@ class TestQuadrature:
         # weight ~ s^(c-1) with c = 2 and nu = 0: integrand s^(-2) diverges
         with pytest.raises(DomainError):
             dispersion_quadrature(lambda s: s, 1.0, 0.0, 1.0, min_charge=2.0)
-
-
-class TestQmTime:
-    def test_flat_weight_is_identity(self):
-        assert math.isclose(qm_time(lambda t: 1.0, 2.5), 2.5, rel_tol=1e-10)
-
-    def test_power_law_slope(self):
-        beta = 0.5
-        norm = math.gamma(beta)
-
-        def v0(t):
-            return t ** (beta - 1.0) / norm
-
-        ts = np.geomspace(0.1, 100.0, 40)
-        vals = np.array([qm_time(v0, float(t)) for t in ts])
-        slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
-        assert abs(slope - (2.0 - beta)) < 1e-3
-
-    def test_equals_dispersion_quadrature(self):
-        def v0(t):
-            return t ** (-0.5) / math.gamma(0.5)
-
-        assert qm_time(v0, 1.7) == dispersion_quadrature(v0, 1.0, 1.0, 1.7, 0.0)
 
 
 class TestSpecAndCurve:

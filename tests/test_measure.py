@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from multiflow.dispersion import DiffusionSpec
 from multiflow.errors import DomainError, SingularPointError
 from multiflow.measure import (
     DIFFUSION_TIME,
@@ -9,14 +11,12 @@ from multiflow.measure import (
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
-    ball_volume,
     fractional_weight,
     geometric_profile,
-    geometric_profile_inverse,
     hausdorff_dimension,
     multiscale_weight,
-    unit_ball_volume,
 )
+from multiflow.walker import geometric_grid, simulate
 
 
 class TestProfiles:
@@ -117,13 +117,23 @@ class TestGeometricProfiles:
         for x in rng.uniform(0.01, 10, 50):
             assert geometric_profile(-float(x), 0.5) == -geometric_profile(float(x), 0.5)
 
-    def test_inverse_round_trip(self, rng):
-        xs = rng.uniform(-50.0, 50.0, 1000)
-        for alpha in (0.3, 0.5, 0.8, 1.0):
-            for x in xs:
-                q = geometric_profile(float(x), alpha)
-                back = geometric_profile_inverse(q, alpha)
-                assert abs(back - float(x)) <= 1e-12 * max(1.0, abs(float(x)))
+    def test_inverse_round_trip(self):
+        # the fsbm-q walker maps its Brownian paths Q through the inverse
+        # x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha); q(x) gives Q back, which
+        # the unit-charge walker draws from the same stream
+        grid = geometric_grid(1e-2, 10.0, 32)
+
+        def positions(alpha):
+            spec = DiffusionSpec(
+                model="q", dim=1, scales=GeometryScales(beta=0.5),
+                charges=FractionalCharges.isotropic(alpha, 1),
+            )
+            return simulate("fsbm-q", 64, grid, spec, 5).positions.ravel()
+
+        brownian = positions(1.0)
+        for alpha in (0.3, 0.5, 0.8):
+            back = np.array([geometric_profile(x, alpha) for x in positions(alpha).tolist()])
+            assert np.all(np.abs(back - brownian) <= 1e-12 * np.maximum(1.0, np.abs(brownian)))
 
 
 class TestHausdorff:
@@ -140,43 +150,3 @@ class TestHausdorff:
         )
         assert math.isclose(total, split, rel_tol=1e-14)
         assert total <= 6.0
-
-
-class TestBallVolume:
-    def test_degenerate_double_count_at_unit_charge(self):
-        # both charges coincide: the two-term form double counts, documented
-        for dim in (1, 2, 3):
-            got = ball_volume(2.5, dim, 1.0, 1.0)
-            assert math.isclose(got, 2.0 * unit_ball_volume(dim) * 2.5 ** dim, rel_tol=1e-14)
-
-    def test_infrared_ratio_tends_to_one(self):
-        dim, alpha_star, lstar = 3, 0.5, 1.0
-        ratio = ball_volume(1e8, dim, alpha_star, lstar) / (unit_ball_volume(dim) * 1e8 ** dim)
-        assert abs(ratio - 1.0) < 1e-3
-
-    def test_ultraviolet_anomalous_scaling(self):
-        dim, alpha_star = 2, 0.5
-        r = 1e-8
-        got = ball_volume(r, dim, alpha_star, 1.0)
-        # leading term proportional to R^(D alpha*) = R
-        assert math.isclose(
-            got, unit_ball_volume(dim) / math.gamma(1.5) ** dim * r, rel_tol=1e-6
-        )
-
-    @pytest.mark.parametrize("ratio,expected_slope", [(1e-6, 2 * 0.5), (1e6, 2.0)])
-    def test_loglog_slope_flow(self, ratio, expected_slope):
-        dim, alpha_star, lstar = 2, 0.5, 1.0
-        h = 1e-3
-        r = lstar * ratio
-        lo = ball_volume(r * math.exp(-h), dim, alpha_star, lstar)
-        hi = ball_volume(r * math.exp(h), dim, alpha_star, lstar)
-        slope = (math.log(hi) - math.log(lo)) / (2.0 * h)
-        assert abs(slope - expected_slope) < 1e-2
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ball_volume(-1.0, 2, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            ball_volume(1.0, 2, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            ball_volume(1.0, 2, 1.5, 1.0)

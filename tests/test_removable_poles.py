@@ -7,7 +7,8 @@ while their sum stays finite.  The integral itself is summed by a
 decade-panel rule that sees no pole.  These sweeps hold it to mpmath
 quadrature next to every pole with k <= 40, on both sides of it and at
 offsets from 1e-3 down to 1e-10, and over its whole domain: beta* in (0, 2)
-with sigma/lstar in [1e-280, 1e280].  The closed form, evaluated by
+with sigma/lstar in [1e-280, 1e280] wherever the integral is a normal
+double, and refused below the normal range.  The closed form, evaluated by
 mpmath.hyp2f1, is a second oracle on the poles beta* = 1 + 1/k themselves.
 The float sum of the rule is also held to the same rule at 40 digits, which
 separates its rounding from its truncation.  The sample points are drawn
@@ -15,13 +16,16 @@ from seeded generators.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from multiflow import specfun
-from multiflow.dispersion import binomial_time_integral
+from multiflow.dispersion import DiffusionSpec, binomial_time_integral
 from multiflow.errors import DomainError
+from multiflow.measure import GeometryScales
+from multiflow.spectral import flow_curve
 
 mp = pytest.importorskip("mpmath")
 
@@ -121,6 +125,27 @@ def test_binomial_integral_whole_domain():
     for lstar, sigma in ((1.0, 1e-281), (1.0, 1e281), (nan, 1.0), (1.0, nan), (1.0, inf), (inf, 1.0)):
         with pytest.raises(DomainError):
             binomial_time_integral(1.5, lstar, sigma)
+
+
+@pytest.mark.parametrize("beta_star", [0.02, 0.5, 0.85])
+def test_binomial_integral_refuses_values_below_the_normal_range(beta_star):
+    # near sigma/lstar = 1e-280 the integral is about sigma^(2 - beta*)/(2 - beta*),
+    # below 2.2e-308 for these beta*: it came out 0, or 3.4% off at 0.85
+    named = f"sigma = 1e-280, beta_star = {beta_star}"
+    with pytest.raises(DomainError, match=named):
+        binomial_time_integral(beta_star, 1.0, 1e-280)
+    with pytest.raises(DomainError, match=named):
+        binomial_time_integral(beta_star, 1.0, np.array([1.0, 1e-280, 0.0]))
+    # d_S = D kappa sigma / (v ell^2) was inf at 0.5, and off its plateau at 0.85
+    spec = DiffusionSpec(model="weighted", dim=4, scales=GeometryScales(), beta_star=beta_star)
+    with pytest.raises(DomainError, match=named):
+        flow_curve(spec, [1e-280, 1.0])
+    # where the integral is just inside the normal range, about 3e-308,
+    # it keeps its 1e-14
+    sigma = (3e-308 * (2.0 - beta_star)) ** (1.0 / (2.0 - beta_star))
+    got = binomial_time_integral(beta_star, 1.0, sigma)
+    expected = decade_quad_oracle(beta_star, 1.0, sigma)
+    assert got >= sys.float_info.min and abs(got - expected) <= 1e-14 * expected, (got, expected)
 
 
 def panel_rule_oracle(beta_star: float, lstar: float, sigma: float):

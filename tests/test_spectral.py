@@ -9,7 +9,6 @@ from multiflow.errors import DomainError, GridError
 from multiflow.measure import FractionalCharges, GeometryScales
 from multiflow.spectral import (
     LegacyAnsatzWarning,
-    density_of_states_exponent,
     dimension_triple,
     fixed_point_ds,
     flow_curve,
@@ -55,15 +54,6 @@ class TestNumericExtraction:
             spectral_from_dispersion(curve, 4, float(curve.sigmas[1]))
         with pytest.raises(GridError):
             spectral_from_dispersion(curve, 4, 0.123456)
-
-    def test_flow_from_curve_trims_edges(self):
-        from multiflow.spectral import flow_from_curve
-
-        spec = fractional_spec(beta=0.5, nu=1.0, dim=2)
-        curve = sample_dispersion(spec, np.geomspace(0.01, 100.0, 30))
-        flow = flow_from_curve(curve, 2)
-        assert flow.sigmas.size == 26
-        assert np.allclose(flow.ds, 2 * 1.5, atol=1e-9)
 
 
 class TestWeightedFlow:
@@ -303,9 +293,3 @@ class TestWalkDimension:
         assert math.isclose(triple.d_w, 2.0 * triple.d_h / triple.d_s)
         triple = dimension_triple(fractional_spec(beta=0.5, dim=4, alpha=0.5))
         assert math.isclose(triple.d_w, 2.0 * 4 / triple.d_s)
-
-
-class TestDensityOfStates:
-    @pytest.mark.parametrize("d_s,expected", [(2.0, 0.0), (3.0, 0.5), (4.0, 1.0)])
-    def test_values(self, d_s, expected):
-        assert density_of_states_exponent(d_s) == expected
