@@ -55,7 +55,7 @@ from .spectral import (
     spectral_from_dispersion,
     walk_dimension,
 )
-from .specfun import DEFAULT_CONTROL, SeriesControl, gamma_fn, kummer_phi
+from .specfun import gamma_fn, kummer_phi
 from .walker import (
     IncrementReport,
     MsdFit,

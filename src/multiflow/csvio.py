@@ -18,6 +18,8 @@ import numpy as np
 CSV_VERSION = "multiflow-csv v1"
 # Lines formatted and written together: few writes, and a bounded buffer.
 _LINES_PER_WRITE = 4096
+# Size of every SVG chart, in pixels.
+_CHART_WIDTH, _CHART_HEIGHT = 720, 440
 
 __all__ = ["CSV_VERSION", "write_csv", "format_cell", "write_line_chart"]
 
@@ -102,11 +104,9 @@ def write_line_chart(
     series: Sequence[tuple[str, Sequence[float]]],
     logx: bool = False,
     logy: bool = False,
-    width: int = 720,
-    height: int = 440,
 ) -> None:
     """Tiny dependency-free SVG polyline chart (data emission companion)."""
-    margin = 50
+    width, height, margin = _CHART_WIDTH, _CHART_HEIGHT, 50
     xs = list(xs)
     all_y = [y for _, ys in series for y in ys]
     x_lo, x_hi = min(xs), max(xs)

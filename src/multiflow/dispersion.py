@@ -145,7 +145,6 @@ class DispersionCurve:
     sigmas: np.ndarray
     ell2: np.ndarray
     method: str
-    spec: DiffusionSpec | None = None
 
     def __post_init__(self) -> None:
         sig = np.asarray(self.sigmas, dtype=float)
@@ -374,14 +373,7 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
     sc = spec.scales
     if spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
         base = sc.lstar ** 2 if spec.fuzzy else 0.0
-        value = base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
-        negative = np.flatnonzero(np.asarray(value) < 0.0)
-        if negative.size:
-            i = negative[0]
-            raise DomainError(
-                f"dispersion came out negative ({np.ravel(value)[i]}) at sigma = {np.ravel(sigma)[i]}"
-            )
-        return value
+        return base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
     sig = _nonnegative(sigma)
     if spec.model == "legacy":  # ordinary Brownian width
         return _shaped(sig, sc.kappa * sig)
@@ -436,4 +428,4 @@ def sample_dispersion(
         )
     else:
         raise DomainError(f"unknown sampling method {method!r}")
-    return DispersionCurve(sigmas=sig, ell2=e2, method=method, spec=spec)
+    return DispersionCurve(sigmas=sig, ell2=e2, method=method)

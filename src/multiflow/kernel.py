@@ -3,10 +3,12 @@
 Every model shares a Gaussian core; they differ in how the measure weight
 enters.  The weighted model divides the Gaussian by the position weight, the
 ordinary model keeps the bare Gaussian but acquires a position-dependent
-normalization built from Kummer's function, and the q model is an ordinary
-Gaussian in geometric coordinates.  Return probabilities are traces of these
-densities per unit volume, with the volume convention an explicit tag since
-it decides the spectral dimension one reads off.  Each has one model
+normalization built from Kummer's function Phi((1 - alpha)/2; 1/2;
+-x^2/(4 ell^2)), whose arguments always lie in its domain b > 0, a < b,
+z <= 0, and the q model is an ordinary Gaussian in geometric coordinates.
+Return probabilities are traces of these densities per unit volume, with
+the volume convention an explicit tag since it decides the spectral
+dimension one reads off.  Each has one model
 dispatch: :func:`pdf` evaluates a whole slice of points from one ell^2, and
 every trace grid takes its ell^2 from one ``dispersion`` call.
 

@@ -367,20 +367,29 @@ def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     reduction, so it inherits the simulator's determinism.  The standard
     error needs at least 2 paths.  It is ``sq.std(axis=0, ddof=1) / sqrt(n)``
     bit for bit, but the squared deviations are made one block of rows at a
-    time (``_row_sum``), never for the whole ensemble.
+    time (``_row_sum``), never for the whole ensemble.  An MSD or standard
+    error off the double range (squared radii past about 1e154 square to
+    inf) is a :class:`DomainError` naming the first such sigma.
     """
     n = ensemble.n_paths
     if n < 2:
         raise DomainError(f"msd needs at least 2 paths, got {n}")
     sq = ensemble.sq_radii
-    mean = sq.mean(axis=0)
 
     def squared_deviations(lo: int, out: np.ndarray) -> None:
         np.subtract(sq[lo: lo + out.shape[0]], mean, out=out)
         np.square(out, out=out)
 
-    acc = _row_sum(squared_deviations, n, ensemble.n_steps, _block_paths(ensemble.n_steps, 1))
-    stderr = np.sqrt(acc / (n - 1)) / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        mean = sq.mean(axis=0)
+        acc = _row_sum(squared_deviations, n, ensemble.n_steps, _block_paths(ensemble.n_steps, 1))
+        stderr = np.sqrt(acc / (n - 1)) / math.sqrt(n)
+    off = ~(np.isfinite(mean) & np.isfinite(stderr))
+    if off.any():
+        raise DomainError(
+            f"{ensemble.process} msd or its standard error is not finite at "
+            f"sigma = {float(ensemble.grid[off][0])!r}"
+        )
     return ensemble.grid.copy(), mean, stderr
 
 
@@ -435,19 +444,19 @@ def fit_scaling_exponent(
         variance = float(np.sum(resid ** 2)) / (n - 2) if n > 2 else 0.0
         stderr = math.sqrt(variance / sxx)
     else:
-        batches = _batch_exponents(sigmas, sq_radii, window, FIT_BATCHES)
+        batches = _batch_exponents(sigmas, sq_radii, window)
         stderr = float(np.std(batches, ddof=1)) / math.sqrt(FIT_BATCHES)
     return MsdFit(exponent=slope, prefactor=math.exp(intercept), stderr=stderr, window=(lo, hi))
 
 
 def _batch_exponents(
-    sigmas: np.ndarray, sq_radii: np.ndarray, window: tuple[float, float], n_batches: int
+    sigmas: np.ndarray, sq_radii: np.ndarray, window: tuple[float, float]
 ) -> np.ndarray:
-    """Exponents fitted to the MSD of each of ``n_batches`` contiguous path batches."""
+    """Exponents fitted to the MSD of each of ``FIT_BATCHES`` contiguous path batches."""
     n_paths = sq_radii.shape[0]
-    if n_paths < n_batches:
-        raise DomainError(f"need at least {n_batches} paths, got {n_paths}")
-    bounds = np.linspace(0, n_paths, n_batches + 1, dtype=int)
+    if n_paths < FIT_BATCHES:
+        raise DomainError(f"need at least {FIT_BATCHES} paths, got {n_paths}")
+    bounds = np.linspace(0, n_paths, FIT_BATCHES + 1, dtype=int)
     return np.array([
         fit_scaling_exponent(sigmas, sq_radii[lo:hi].mean(axis=0), window).exponent
         for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -457,19 +466,18 @@ def _batch_exponents(
 def fit_scaling_exponent_batched(
     ensemble: WalkerEnsemble,
     window: tuple[float, float],
-    n_batches: int = FIT_BATCHES,
 ) -> MsdFit:
     """Median-of-batches exponent fit for heavy-tailed walkers.
 
-    Paths are split into ``n_batches`` contiguous batches, the exponent is
+    Paths are split into ``FIT_BATCHES`` contiguous batches, the exponent is
     fitted per batch, and the median is reported with a MAD-based standard
     error.  This keeps the scaling estimate robust when squared displacements
     have large kurtosis (the q-model walker raises Gaussians to 1/alpha).
     """
-    exponents = _batch_exponents(ensemble.grid, ensemble.sq_radii, window, n_batches)
+    exponents = _batch_exponents(ensemble.grid, ensemble.sq_radii, window)
     med = float(np.median(exponents))
     mad = float(np.median(np.abs(exponents - med)))
-    stderr = 1.4826 * mad / math.sqrt(n_batches)
+    stderr = 1.4826 * mad / math.sqrt(FIT_BATCHES)
     return MsdFit(exponent=med, prefactor=math.nan, stderr=stderr, window=window)
 
 

@@ -589,6 +589,23 @@ class TestSimulateCommand:
         assert "fsbm-q needs isotropic charges, got (0.5, 0.8)" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "q.traj.csv").exists()
 
+    def test_msd_off_the_double_range_refused(self, tmp_path, capsys):
+        # |q|^(1/alpha) at alpha = 0.02 squares past 1.8e308: the msd refuses
+        # its infinite standard errors, and neither file is written
+        out = tmp_path / "q.csv"
+        code = main(
+            [
+                "simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.02",
+                "--beta", "0.29505973263008745", "--kappa", "82.88601364381874",
+                "--lstar", "23.4429106447917", "--paths", "24", "--steps", "32", "--seed", "12",
+                "--sigma-min", "0.010069428225889155", "--sigma-max", "884.337890653077",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "fsbm-q msd or its standard error is not finite at sigma = 1.72" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("process", ["sbm", "fsbm-v", "fssbm"])
     def test_nonpositive_nu_names_nu(self, process, tmp_path, capsys):
         # every nu-clocked process refuses nu <= 0 by name, not as a grid

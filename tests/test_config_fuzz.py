@@ -21,8 +21,12 @@ SECONDS = 20.0
 
 # Numeric refusals that depend on more than the configuration: the
 # ordinary trace's order-24/40 refinement test at small charges, and the
-# fsbm-q MSD underflowing through |q|^(1/alpha).
-NUMERIC_REFUSALS = ("trace quadrature not converged", "fit window contains non-positive values")
+# fsbm-q MSD underflowing, or overflowing, through |q|^(1/alpha).
+NUMERIC_REFUSALS = (
+    "trace quadrature not converged",
+    "fit window contains non-positive values",
+    "msd or its standard error is not finite",
+)
 
 
 def _value(rng: random.Random, lo: float, hi: float, edges: tuple[float, ...]) -> str:
