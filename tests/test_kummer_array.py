@@ -106,6 +106,22 @@ def passes(a, b, z):
     return True
 
 
+def assert_refused(a, b, zs):
+    """Every z is a DomainError of the oracle, of ``kummer_phi`` and of a
+    one-element array, and so is the whole array, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in zs:
+            with pytest.raises(DomainError):
+                phi_oracle(a, b, float(z))
+            with pytest.raises(DomainError, match="evaluated only at"):
+                kummer_phi(a, b, float(z))
+            with pytest.raises(DomainError, match="evaluated only at"):
+                _kummer_phi_array(a, b, np.array([z], dtype=float))
+        with pytest.raises(DomainError, match="evaluated only at"):
+            _kummer_phi_array(a, b, np.asarray(zs, dtype=float))
+
+
 def set_limits(monkeypatch, limits):
     """Truncation constants of both series, read by the engine and the oracle alike."""
     for name, value in limits.items():
@@ -175,10 +191,14 @@ def test_series_sums_bit_for_bit(monkeypatch):
             np.testing.assert_array_equal(_series_1f1_array(a, b, zs), want)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 0.5), (-1.5, 0.5)])
+@pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.5, 0.5), (-1.5, 0.5)])
 def test_shortcuts_and_scalar_fallback(a, b):
     # a = 0 is the closed form 1; the rest mixes every other branch
     zs = np.array([0.0, -1e-3, -2.5, -29.0, -30.0, -75.0])
+    if a == b:
+        # Phi(a; a; z) = e^z is outside the domain, at every z
+        assert_refused(a, b, zs)
+        return
     np.testing.assert_allclose(_kummer_phi_array(a, b, zs), scalar_phi(a, b, zs), rtol=1e-14)
 
 
@@ -211,8 +231,32 @@ BRANCH_POINTS = {
 }
 
 
-@pytest.mark.parametrize("branch", sorted(BRANCH_POINTS))
+# (a, b, z) outside the domain, on the branches of a general Phi: each has a
+# finite value in mpmath, and both the oracle and the engine refuse it
+REFUSED_BRANCH_POINTS = {
+    # z > 0
+    "z-positive": [(0.3, 0.7, z) for z in (1e-3, 0.5, 3.0, 20.0, 100.0, 400.0, 699.0)]
+    + [(-0.4, 0.5, z) for z in (2.0, 50.0, 300.0)],
+    # b < 0, with z of either sign
+    "b-negative": [(0.3, -40.5, z) for z in (0.5, 5.0, 20.0, -0.5, -5.0)]
+    + [(-0.4, -40.5, 10.0), (-20.3, -40.5, 20.0), (1.2, -40.5, 3.0), (3.7, -50.5, 10.0)]
+    + [(0.3, -2.5, z) for z in (1.0, 10.0, -10.0)],
+    # a > b at -30 < z < 0
+    "b-minus-a-nonpositive": [(0.8, 0.6, z) for z in (-0.5, -3.0, -10.0)]
+    + [(1.5, 0.5, z) for z in (-3.0, -8.0)] + [(2.25, 1.5, z) for z in (-1.0, -5.0, -12.0)],
+    # Phi(a; a; z) = e^z
+    "a-equals-b": [(0.7, 0.7, z) for z in (-29.0, -5.0, 5.0, 700.0, 709.0)],
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_POINTS) + sorted(REFUSED_BRANCH_POINTS))
 def test_branches_against_oracle_and_mpmath(branch):
+    if branch in REFUSED_BRANCH_POINTS:
+        for a, b, z in REFUSED_BRANCH_POINTS[branch]:
+            with mp.workdps(40):
+                assert mp.isfinite(mp.hyp1f1(a, b, z)), (a, b, z)
+            assert_refused(a, b, [z])
+        return
     points, tol = BRANCH_POINTS[branch]
     for a, b, z in points:
         got = kummer_phi(a, b, z)
@@ -222,10 +266,17 @@ def test_branches_against_oracle_and_mpmath(branch):
             assert abs(got - want) <= tol * abs(want), (a, b, z)
 
 
-@pytest.mark.parametrize("a,b", [(0.3, 0.7), (0.25, 0.5), (-0.4, 0.5)])
+@pytest.mark.parametrize(
+    "a,b",
+    [(0.3, 0.7), (0.3, -40.5), (0.8, 0.6), (0.7, 0.7), (0.25, 0.5), (-0.4, 0.5)],
+)
 def test_mixed_branch_array_equals_one_element_calls(a, b):
     # every branch in one array; each element gets the bits it gets alone
     zs = np.array([0.0, -0.5, -4.0, -29.0, -30.0, -75.0, -1e4, -1e-9])
+    if not (b > 0.0 and a < b):
+        # b < 0, a > b or a = b: no branch takes any z, alone or in the array
+        assert_refused(a, b, zs)
+        return
     got = _kummer_phi_array(a, b, zs)
     for z, value in zip(zs, got):
         assert value == _kummer_phi_array(a, b, np.array([z]))[0] == kummer_phi(a, b, z)
@@ -264,6 +315,9 @@ def test_mixed_branch_array_equals_one_element_calls(a, b):
         (0.3, 0.5, math.nan, {}, DomainError),
         (math.nan, 0.5, -5.0, {}, DomainError),
         (0.3, math.nan, -5.0, {}, DomainError),
+        # refused before any term: sums that would leave the double range
+        (0.3, -40.5, 650.0, {}, DomainError),
+        (1.5, 0.5, -25.0, {}, DomainError),
     ],
 )
 def test_refusals_match_scalar(a, b, z, ctl, error, monkeypatch):
@@ -279,3 +333,13 @@ def test_refusals_match_scalar(a, b, z, ctl, error, monkeypatch):
         zs = np.array(passing[:2] + [z] + passing[2:])
         with pytest.raises(error):
             _kummer_phi_array(a, b, zs)
+
+
+@pytest.mark.parametrize("a,b,z", [(0.3, -40.5, 650.0), (5.0, 0.5, 690.0)])
+def test_direct_series_overflow_is_refused(a, b, z):
+    # a general Phi's direct series passes 1.8e308 here (to -inf and to +inf);
+    # b < 0, a > b and z > 0 are outside the domain, refused before any term
+    # and with no numpy overflow warning, 100 below as at z
+    assert_refused(a, b, [1.0, 600.0, z, 2.0, z - 100.0])
+    with mp.workdps(40):
+        assert mp.isfinite(mp.hyp1f1(a, b, z - 100.0))
