@@ -26,6 +26,7 @@ from .errors import (
     PoleError,
     SingularPointError,
 )
+from .grid import geometric_grid, uniform_grid
 from .kernel import (
     HeatKernelCurve,
     ds_from_kernel,
@@ -62,11 +63,9 @@ from .walker import (
     WalkerEnsemble,
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
-    geometric_grid,
     increment_diagnostics,
     msd,
     simulate,
-    uniform_grid,
 )
 
 __version__ = "0.1.0"

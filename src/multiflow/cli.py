@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernel as kernel_mod
 from . import spectral, walker
-from .config import COMMANDS, RunConfig, build_spec, merge_overrides, parse_config
+from .config import COMMANDS, RunConfig, build_spec, merge_overrides, read_config
 from .csvio import write_csv, write_line_chart
 from .dispersion import (
     DiffusionSpec,
@@ -32,6 +32,7 @@ from .dispersion import (
     time_weight,
 )
 from .errors import ConfigError, MultiflowError
+from .grid import geometric_grid
 from .measure import GeometryScales
 from .spectral import LegacyAnsatzWarning
 
@@ -260,7 +261,7 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         checks.append(_Check("kummer-normalization-quadrature", worst, 0.0, 1e-6))
 
         # Walker scaling: Brownian exponent.
-        grid_w = walker.geometric_grid(1e-3, 10.0, 256)
+        grid_w = geometric_grid(1e-3, 10.0, 256)
         spec_w = DiffusionSpec(model="weighted", dim=1, scales=GeometryScales(kappa=cfg.kappa))
         ens = walker.simulate("bm", 2000, grid_w, spec_w, cfg.seed)
         sig, mean_sq, _ = walker.msd(ens)
@@ -338,11 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # the file's values are validated once, under the subcommand, with the flags
+        cfg = RunConfig()
         if args.config:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            cfg = RunConfig()
+                cfg = read_config(fh.read())
         overrides = {
             key: value
             for key, value in vars(args).items()

@@ -4,9 +4,12 @@ Grammar (documented in the README):
 
 * lines are ``key = value`` pairs grouped under ``[section]`` headers;
 * ``#`` starts a comment (full line), blank lines are ignored;
-* every key belongs to a fixed schema; unknown sections or keys are rejected;
-* values are integers, floats, booleans (``true``/``false``), strings, or
-  comma-separated float lists (for anisotropic charges).
+* every key is a :class:`RunConfig` field, its name with ``-`` for ``_``,
+  under the section :data:`_SCHEMA` gives it; unknown sections or keys are
+  rejected;
+* each value is read and written by its field's annotation: integers,
+  floats, booleans (``true``/``false``), strings, comma-separated float
+  lists (for anisotropic charges) and ``none`` for an unset optional float.
 
 Parsing then serializing then parsing is the identity on :class:`RunConfig`.
 """
@@ -21,6 +24,7 @@ import numpy as np
 from . import walker
 from .dispersion import MODELS, DiffusionSpec, check_dispersion
 from .errors import ConfigError, DomainError
+from .grid import check_grid_args, geometric_grid, uniform_grid
 from .kernel import check_trace
 from .measure import FractionalCharges, GeometryScales
 
@@ -72,9 +76,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """This config, once its command can run it: each field on its own and
         the readers of ``multiscale-space`` are checked here, the rest by the
-        evaluator's own check on the :func:`build_spec` spec (the dispersion's,
-        the trace's, or the walker's and its fit window's; the seed rule for
-        ``validate``).  A :class:`DomainError` becomes a :class:`ConfigError`.
+        library's own rules: the sigma grid rule of ``points`` and ``steps``,
+        then the evaluator's check on the :func:`build_spec` spec (the
+        dispersion's, the trace's, or the walker's and its fit window's; the
+        seed rule for ``validate``).  A :class:`DomainError` becomes a
+        :class:`ConfigError`.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -92,12 +98,6 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.points < 2:
-            raise ConfigError(f"points must be >= 2, got {self.points}")
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            raise ConfigError(
-                f"need 0 < sigma-min < sigma-max, got {self.sigma_min}, {self.sigma_max}"
-            )
         if self.x_points < 2 or self.x_max <= 0.0:
             raise ConfigError(
                 f"pdf needs x-points >= 2 and x-max > 0, got {self.x_points}, {self.x_max}"
@@ -106,8 +106,8 @@ class RunConfig:
             raise ConfigError(f"pdf needs sigma > 0, got {self.sigma}")
         if self.box is not None and self.box <= 0.0:
             raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
-        if self.paths < 1 or self.steps < 2:
-            raise ConfigError("ensemble needs paths >= 1 and steps >= 2")
+        if self.paths < 1:
+            raise ConfigError(f"ensemble needs paths >= 1, got {self.paths}")
         if self.subsample < 1 or self.traj_paths < 0:
             raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
         if self.multiscale_space:
@@ -120,6 +120,9 @@ class RunConfig:
                     f"and kernel (ordinary), not by {where}"
                 )
         try:
+            # one sigma grid rule: flow and kernel grids take points, the walker's steps
+            check_grid_args(self.sigma_min, self.sigma_max, self.points, "points")
+            check_grid_args(self.sigma_min, self.sigma_max, self.steps, "steps")
             if self.command == "validate":
                 walker.check_seed(self.seed)
             elif self.command == "simulate":
@@ -135,83 +138,55 @@ class RunConfig:
 
     def sigma_grid(self, points: int) -> np.ndarray:
         """``points`` sigmas from sigma-min to sigma-max, log-spaced unless ``log`` is off."""
-        make = walker.geometric_grid if self.log else walker.uniform_grid
+        make = geometric_grid if self.log else uniform_grid
         return make(self.sigma_min, self.sigma_max, points)
 
 
-# section -> config key -> (attribute, type tag)
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "run": {
-        "command": ("command", "str"),
-        "out": ("out", "str"),
-        "svg": ("svg", "str"),
-    },
-    "model": {
-        "model": ("model", "str"),
-        "dim": ("dim", "int"),
-        "alpha": ("alpha", "float"),
-        "alphas": ("alphas", "floats"),
-        "beta": ("beta", "float"),
-        "beta-star": ("beta_star", "ofloat"),
-        "nu": ("nu", "float"),
-        "lstar": ("lstar", "float"),
-        "kappa": ("kappa", "float"),
-        "lbar": ("lbar", "float"),
-        "fuzzy": ("fuzzy", "bool"),
-        "multiscale-space": ("multiscale_space", "bool"),
-    },
-    "grid": {
-        "sigma-min": ("sigma_min", "float"),
-        "sigma-max": ("sigma_max", "float"),
-        "points": ("points", "int"),
-        "log": ("log", "bool"),
-    },
-    "ensemble": {
-        "process": ("process", "str"),
-        "paths": ("paths", "int"),
-        "steps": ("steps", "int"),
-        "seed": ("seed", "int"),
-        "subsample": ("subsample", "int"),
-        "traj-paths": ("traj_paths", "int"),
-    },
-    "pdf": {
-        "sigma": ("sigma", "float"),
-        "x-max": ("x_max", "float"),
-        "x-points": ("x_points", "int"),
-        "x0": ("x0", "float"),
-    },
-    "kernel": {
-        "box": ("box", "ofloat"),
-    },
+# section -> the RunConfig fields it holds
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "run": ("command", "out", "svg"),
+    "model": (
+        "model", "dim", "alpha", "alphas", "beta", "beta_star", "nu", "lstar", "kappa", "lbar",
+        "fuzzy", "multiscale_space",
+    ),
+    "grid": ("sigma_min", "sigma_max", "points", "log"),
+    "ensemble": ("process", "paths", "steps", "seed", "subsample", "traj_paths"),
+    "pdf": ("sigma", "x_max", "x_points", "x0"),
+    "kernel": ("box",),
+}
+# section -> config key -> field: each key is its field's name with '-' for '_'
+_KEYS = {section: {name.replace("_", "-"): name for name in names} for section, names in _SCHEMA.items()}
+# field -> its annotation, a string under postponed evaluation
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# field annotation -> (parse, format) of its config value
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, lambda v: repr(float(v))),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "float | None": (
+        lambda raw: None if raw in ("", "none") else float(raw),
+        lambda v: "none" if v is None else repr(float(v)),
+    ),
+    "tuple[float, ...]": (
+        lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
+        lambda v: ",".join(repr(float(x)) for x in v),
+    ),
 }
 
 
-def _parse_value(raw: str, kind: str, where: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "ofloat":
-            return None if raw in ("", "none") else float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
-            if not raw:
-                return ()
-            return tuple(float(part) for part in raw.split(","))
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from exc
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key-value format into a validated :class:`RunConfig`."""
+def read_config(text: str) -> RunConfig:
+    """The :class:`RunConfig` the flat key-value format sets, not yet validated."""
     values: dict[str, object] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -228,41 +203,34 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
+        key, raw = key.strip(), raw.strip()
+        attr = _KEYS[section].get(key)
+        if attr is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        attr, kind = schema[key]
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[attr] = _parse_value(raw, kind, f"line {lineno}, key {key!r}")
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:  # pragma: no cover - schema guards this
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+        try:
+            values[attr] = _CODECS[_KINDS[attr]][0](raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lineno}, key {key!r}: cannot parse {raw!r} as {_KINDS[attr]}"
+            ) from exc
+    return RunConfig(**values)
 
 
-def _format_value(value, kind: str) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "ofloat":
-        return "none" if value is None else repr(float(value))
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
+def parse_config(text: str) -> RunConfig:
+    """Parse the flat key-value format into a :class:`RunConfig` validated
+    against the file's own command."""
+    return read_config(text).validate()
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     lines = ["# multiflow config v1"]
-    for section, schema in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        for key, (attr, kind) in schema.items():
-            value = getattr(cfg, attr)
-            lines.append(f"{key} = {_format_value(value, kind)}")
+        for key, name in keys.items():
+            lines.append(f"{key} = {_CODECS[_KINDS[name]][1](getattr(cfg, name))}")
         lines.append("")
     return "\n".join(lines)
 

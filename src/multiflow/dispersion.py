@@ -31,13 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ExponentDomainError,
-    GridError,
-)
-from .grid import check_grid, powers
+from .errors import ConvergenceError, DomainError, ExponentDomainError
+from .grid import check_grid, check_sigma, powers
 from .measure import (
     DIFFUSION_TIME,
     POSITION,
@@ -153,22 +148,11 @@ class DispersionCurve:
         object.__setattr__(self, "ell2", e2)
         if self.method not in ("closed-form", "quadrature"):
             raise DomainError(f"unknown curve method {self.method!r}")
-        check_grid(sig)
-        if sig.size < 2 or e2.shape != sig.shape:
-            raise GridError("curve needs matching sigma and ell2 arrays (>= 2 points)")
+        check_grid(sig, e2)
         if np.any(e2 < 0.0):
             raise DomainError("dispersion must be nonnegative")
         if np.any(np.diff(e2) < 0.0):
             raise DomainError("dispersion must be nondecreasing in sigma")
-
-
-def _nonnegative(sigma: float | np.ndarray) -> np.ndarray:
-    """sigma as a float array; :class:`DomainError` if any element is negative."""
-    sig = np.asarray(sigma, dtype=float)
-    negative = sig[sig < 0.0]
-    if negative.size:
-        raise DomainError(f"sigma must be nonnegative, got {float(negative[0])}")
-    return sig
 
 
 def _shaped(sig: np.ndarray, values: np.ndarray) -> float | np.ndarray:
@@ -207,7 +191,7 @@ def binomial_time_integral(
     sigma/lstar = 1e-280 the integral is about sigma^(2 - beta*), which is
     below 2.2e-308 for beta* under about 0.9.  sigma = 0 gives 0.
     """
-    sig = _nonnegative(sigma)
+    sig = check_sigma(sigma, zero=True)
     flat = sig.reshape(-1)
     if lstar <= 0.0:
         raise DomainError(f"lstar must be positive, got {lstar}")
@@ -264,8 +248,7 @@ def dispersion_quadrature(
     :class:`ConvergenceError` when the 1e-9 relative tolerance is not met and
     :class:`DomainError` when the integrand is not integrable at the origin.
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    check_sigma(sigma, zero=True)
     if sigma == 0.0:
         return lbar2
     probe = weight(sigma * 0.5)
@@ -374,7 +357,7 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
     if spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
         base = sc.lstar ** 2 if spec.fuzzy else 0.0
         return base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
-    sig = _nonnegative(sigma)
+    sig = check_sigma(sigma, zero=True)
     if spec.model == "legacy":  # ordinary Brownian width
         return _shaped(sig, sc.kappa * sig)
     if spec.model == "q":

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dispersion import DiffusionSpec, check_dispersion, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, GridError
-from .grid import check_grid, five_point_slope, log_slope, powers
+from .grid import check_grid, check_sigma, five_point_slope, log_slope, powers
 from .measure import fractional_weight, geometric_profile, multiscale_weight
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
@@ -84,9 +84,7 @@ class HeatKernelCurve:
         object.__setattr__(self, "Z", zz)
         if self.convention not in (PER_INTEGER_VOLUME, PER_HAUSDORFF_VOLUME):
             raise DomainError(f"unknown volume convention {self.convention!r}")
-        check_grid(sig)
-        if zz.shape != sig.shape or sig.size < 2:
-            raise GridError("curve needs matching sigma and Z arrays (>= 2 points)")
+        check_grid(sig, zz)
         if np.any(zz <= 0.0):
             raise DomainError("return probability must be positive")
         # equal neighbours are allowed: a trace can be flat to double
@@ -161,8 +159,7 @@ def pdf(spec: DiffusionSpec, x, x0, sigma: float):
       prod_mu exp(-|q(x_mu) - q(x0_mu)|^2 / (4 ell^2)) / sqrt(4 pi ell^2);
       normalization against the measure v = dq/dx is automatic.
     """
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    check_sigma(sigma)
     rows, one = _as_rows(x, spec.dim)
     x0p = _as_point(x0, spec.dim)
     ell2 = dispersion(spec, sigma)
@@ -494,9 +491,7 @@ def _traces(
     The closed-form powers are taken on Python floats (:func:`powers`), so
     each sigma keeps the bits of its scalar expression.
     """
-    nonpositive = sigmas[sigmas <= 0.0]
-    if nonpositive.size:
-        raise DomainError(f"sigma must be positive, got {nonpositive[0]}")
+    check_sigma(sigmas)
     check_trace(spec)
     ell2s = dispersion(spec, sigmas)
     if spec.model == "legacy":

@@ -76,10 +76,6 @@ class MeasureProfile:
         return tuple(c for _, c in self.terms)
 
     @property
-    def coefficients(self) -> tuple[float, ...]:
-        return tuple(g for g, _ in self.terms)
-
-    @property
     def min_charge(self) -> float:
         return self.terms[0][1]
 

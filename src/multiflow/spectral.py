@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .dispersion import DiffusionSpec, DispersionCurve, dispersion, q_time_profile
-from .errors import DomainError, GridError
-from .grid import check_grid, log_slope, powers
+from .errors import DomainError
+from .grid import check_grid, check_sigma, log_slope, powers
 from .measure import hausdorff_dimension
 
 __all__ = [
@@ -69,9 +69,7 @@ class SpectralFlow:
         ds = np.asarray(self.ds, dtype=float)
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "ds", ds)
-        check_grid(sig)
-        if ds.shape != sig.shape:
-            raise GridError("flow needs matching sigma and ds arrays")
+        check_grid(sig, ds, min_points=0)
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,6 @@ def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> 
     geometric (uniform in ln sigma).
     """
     return dim * log_slope(curve.sigmas, curve.ell2, sigma)
-
-
-def _positive(sigma: float | Sequence[float] | np.ndarray) -> np.ndarray:
-    """sigma as a 1-d float array; :class:`DomainError` if any element is not positive."""
-    sig = np.asarray(sigma, dtype=float).reshape(-1)
-    nonpositive = sig[sig <= 0.0]
-    if nonpositive.size:
-        raise DomainError(f"sigma must be positive, got {float(nonpositive[0])}")
-    return sig
 
 
 def fixed_point_ds(spec: DiffusionSpec) -> float:
@@ -159,11 +148,6 @@ def _probe_sigmas(lstar: float) -> list[float]:
     return uv + [lstar * _IR_PROBE * 10.0 ** (-k) for k in (2, 1, 0)]
 
 
-def _convergence_flags(probed: Sequence[float]) -> tuple[bool, bool]:
-    """(UV, IR) plateau flags from the flow at :func:`_probe_sigmas`."""
-    return _plateau_converged(probed[:3]), _plateau_converged(probed[3:])
-
-
 def flow_curve(
     spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray
 ) -> tuple[SpectralFlow, np.ndarray]:
@@ -183,7 +167,7 @@ def flow_curve(
     """
     sig = np.asarray(sigmas, dtype=float)
     n = sig.size
-    points = np.concatenate([_positive(sig), _probe_sigmas(spec.scales.lstar)])
+    points = np.concatenate([check_sigma(sig).reshape(-1), _probe_sigmas(spec.scales.lstar)])
     ell2 = dispersion(spec, points)
     dim = float(spec.dim)
     if spec.model == "q":
@@ -209,11 +193,11 @@ def flow_curve(
     else:  # legacy or fixed dimensionality: no scale, a constant flow
         uv = ir = fixed_point_ds(spec)
         ds = np.full(points.size, uv)
-    uv_ok, ir_ok = _convergence_flags(ds[n:].tolist())
+    probed = ds[n:].tolist()
     flow = SpectralFlow(
         sigmas=sig, ds=ds[:n], uv_asymptote=uv, ir_asymptote=ir,
         model="weighted-fuzzy" if spec.fuzzy else spec.model,
-        uv_converged=uv_ok, ir_converged=ir_ok,
+        uv_converged=_plateau_converged(probed[:3]), ir_converged=_plateau_converged(probed[3:]),
     )
     return flow, ell2[:n]
 

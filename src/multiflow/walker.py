@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .dispersion import DiffusionSpec, time_weight
 from .errors import DomainError, GridError, SingularPointError
-from .grid import check_grid
+from .grid import check_grid, geometric_grid, uniform_grid
 
 __all__ = [
     "WalkerEnsemble",
@@ -87,8 +86,6 @@ class WalkerEnsemble:
         if self.process not in PROCESSES:
             raise DomainError(f"unknown process {self.process!r}")
         check_grid(grid)
-        if grid.size < 2:
-            raise GridError("grid needs at least 2 steps")
         if sq.ndim != 2 or sq.shape[1] != grid.size:
             raise GridError(f"squared radii shape {sq.shape} does not match grid of {grid.size} steps")
         if pos.ndim != 3 or pos.shape[1] != grid.size or pos.shape[0] > sq.shape[0]:
@@ -149,26 +146,6 @@ class IncrementReport:
         return abs(self.correlation_tstat) < 3.0
 
 
-def _check_grid_args(sigma_min: float, sigma_max: float, n_steps: int) -> None:
-    if not 0.0 < sigma_min < sigma_max:
-        raise GridError(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
-    if n_steps < 2:
-        raise GridError(f"need at least 2 steps, got {n_steps}")
-
-
-def geometric_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray:
-    """Log-spaced grid, the default: exact variance differences need no small
-    steps and the decades of a scaling law get equal weight."""
-    _check_grid_args(sigma_min, sigma_max, n_steps)
-    return np.geomspace(sigma_min, sigma_max, n_steps)
-
-
-def uniform_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray:
-    """Uniformly spaced grid starting after zero (for increment diagnostics)."""
-    _check_grid_args(sigma_min, sigma_max, n_steps)
-    return np.linspace(sigma_min, sigma_max, n_steps)
-
-
 def _block_paths(n_steps: int, dim: int) -> int:
     """Paths per block: as many as fit ``_BLOCK_BYTES`` of float64 positions."""
     return max(1, _BLOCK_BYTES // (8 * n_steps * dim))
@@ -214,6 +191,9 @@ def _simulate_paths(
     before it is reduced.  Returns the squared radii (n_paths, n_steps) and
     the positions of the first ``keep`` paths (all when ``keep`` is None).
     """
+    # imported where the walkers draw, so that no other command loads it
+    from numpy.random import Generator, Philox, SeedSequence
+
     taus = grid.astype(float) ** nu
     dtau = np.diff(np.concatenate(([0.0], taus)))
     if np.any(dtau <= 0.0):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,17 @@ import pytest
 import multiflow
 from multiflow import walker
 from multiflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from multiflow.config import RunConfig, build_spec, merge_overrides, parse_config, serialize_config
+from multiflow.config import (
+    RunConfig,
+    build_spec,
+    merge_overrides,
+    parse_config,
+    read_config,
+    serialize_config,
+)
 from multiflow.csvio import CSV_VERSION
-from multiflow.errors import ConfigError
+from multiflow.errors import ConfigError, GridError
+from multiflow.grid import geometric_grid, uniform_grid
 
 
 def read_csv(path):
@@ -182,10 +191,24 @@ class TestConfig:
         text = serialize_config(cfg)
         assert parse_config(text) == cfg
         assert parse_config(serialize_config(parse_config(text))) == cfg
+        # every field has its key: a config that moves each one from its default comes back whole
+        full = RunConfig(
+            command="kernel", out="a.csv", svg="a.svg", model="ordinary", dim=2, alpha=0.5,
+            alphas=(0.5, 0.25), beta=0.75, beta_star=0.5, nu=0.9, lstar=2.0, kappa=3.0, lbar=0.1,
+            fuzzy=True, multiscale_space=True, sigma_min=0.01, sigma_max=100.0, points=7, log=False,
+            process="sbm", paths=9, steps=11, seed=5, subsample=2, traj_paths=3, sigma=0.5,
+            x_max=4.0, x_points=21, x0=0.3, box=6.0,
+        )
+        assert all(getattr(full, f.name) != f.default for f in fields(RunConfig))
+        assert read_config(serialize_config(full)) == full
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[model]\nwibble = 3\n")
+        # a key is the field name with '-' for '_', in the field's own section
+        for text in ("[model]\nbeta_star = 0.5\n", "[grid]\nbeta-star = 0.5\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(text)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -215,6 +238,20 @@ class TestConfig:
         for sigma in (0.0, -1.0):
             with pytest.raises(ConfigError, match="sigma > 0"):
                 RunConfig(command="pdf", sigma=sigma).validate()
+        # one grid rule: the config's points and steps refuse what the grid
+        # builders refuse, with the builders' words
+        for lo, hi, n in ((2.0, 1.0, 50), (1.0, 1.0, 50), (0.0, 1.0, 50), (-1.0, 1.0, 50),
+                          (1e-3, 10.0, 1), (1e-3, 10.0, 0)):
+            for make in (geometric_grid, uniform_grid):
+                with pytest.raises(GridError) as grid:
+                    make(lo, hi, n)
+            with pytest.raises(ConfigError) as points:
+                RunConfig(sigma_min=lo, sigma_max=hi, points=n).validate()
+            with pytest.raises(ConfigError) as steps:
+                RunConfig(sigma_min=lo, sigma_max=hi, steps=n).validate()
+            assert str(points.value) == str(grid.value).replace("steps", "points")
+            assert str(steps.value) == str(grid.value)
+        RunConfig(sigma_min=1e-3, sigma_max=10.0, points=2, steps=2).validate()
 
     @pytest.mark.parametrize(
         "argv",
@@ -816,6 +853,16 @@ class TestDeterministicOutput:
         meta, _, _ = read_csv(out)
         assert meta["dim"] == "2"
 
+    def test_subcommand_sets_the_command(self, tmp_path, capsys):
+        # the file is checked under the subcommand: flow never reads paths
+        cfg_path = tmp_path / "run.conf"
+        cfg_path.write_text("[run]\ncommand = simulate\n[ensemble]\npaths = 8\n")
+        out = tmp_path / "f.csv"
+        assert main(["flow", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert read_csv(out)[0]["model"] == "q"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "simulate needs paths >= 16" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.conf"
         cfg_path.write_text("[model]\nnot_a_key = 1\n")
@@ -828,12 +875,22 @@ class TestDeterministicOutput:
         assert code == EXIT_CONFIG
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs most of the import time; only the quadrature oracles use it
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import multiflow.cli`` in a fresh interpreter loads ``module``."""
     src = os.path.dirname(os.path.dirname(multiflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, multiflow.cli; print('scipy' in sys.modules)"
+    code = f"import sys, multiflow.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of the import time; only the quadrature oracles use it
+    assert not loaded_by_cli_import("scipy")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only the walkers draw; every other command runs without numpy.random
+    assert not loaded_by_cli_import("numpy.random")

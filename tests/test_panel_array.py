@@ -24,8 +24,10 @@ from multiflow.dispersion import (
     DiffusionSpec,
     binomial_time_integral,
     dispersion,
+    dispersion_quadrature,
     q_time_profile,
     sample_dispersion,
+    time_weight,
 )
 from multiflow.errors import DomainError
 from multiflow.kernel import (
@@ -270,6 +272,12 @@ def test_negative_sigma_refused_before_any_work(name, monkeypatch):
     with pytest.raises(DomainError) as array:
         dispersion(spec, np.array([1.0, 0.0, -2.0, 3.0]))
     assert str(array.value) == str(scalar.value) == "sigma must be nonnegative, got -2.0"
+    # the quadrature oracle takes the same rule, in the same words
+    with pytest.raises(DomainError) as closed:
+        dispersion(spec, -1.0)
+    with pytest.raises(DomainError) as quadrature:
+        dispersion_quadrature(time_weight(spec), spec.scales.kappa, spec.scales.nu, -1.0)
+    assert str(quadrature.value) == str(closed.value) == "sigma must be nonnegative, got -1.0"
 
 
 @pytest.mark.filterwarnings("ignore::multiflow.spectral.LegacyAnsatzWarning")
