@@ -170,16 +170,18 @@ def binomial_time_integral(
 
     ``sigma`` is a float or an array; a float gives a float, an array an
     array of its shape, each element bit for bit the value its float gives.
-    Summed by the decade-panel Gauss-Legendre rule of
-    :func:`specfun.decade_panels` on the 18 decades below sigma, with one
+    Summed by the decade-panel rule of :func:`specfun.decade_panels`,
+    16-node Gauss-Legendre in ln s, on the 18 decades below sigma, with one
     more decade for every decade of sigma/lstar beyond 1e7, so that the
     panels always reach below 1e-11 lstar; an array is summed in one call
     per decade count, in cache-sized blocks, with one power per decade
     edge and one per Gauss node, not one per node of every panel.  The
-    float sum is within a few units of 2^-53 of the same rule in exact
-    arithmetic.  The integrand is positive,
-    bounded by 1 and smooth on every decade (its only singularity in reach
-    is the branch point at s = 0), so nothing cancels: the hypergeometric
+    rule summed exactly is within 2^-51 of the integral at |beta* - 1| up
+    to 0.999 (tests/test_removable_poles.py), and the float sum within a
+    few units of 2^-53 of the rule.  The integrand is positive, bounded by
+    1 and, in ln s, analytic in a strip of half-width
+    pi/|beta* - 1| >= pi about every decade (the branch point at s = 0 is
+    at ln s = -inf), so nothing cancels: the hypergeometric
     closed form sigma * F(1, b; b+1; z), b = 1/(beta*-1), has removable
     poles at beta* = 1 +- 1/k and a resurgent continuation for beta* next
     to 1, but this rule sees neither.  It is within 1e-14 of mpmath for

@@ -49,9 +49,9 @@ def uniform_grid(sigma_min: float, sigma_max: float, n_steps: int) -> np.ndarray
 def check_sigma(sigma: float | Sequence[float] | np.ndarray, zero: bool = False) -> np.ndarray:
     """sigma as a float array of its shape; :class:`DomainError` naming the
     first element that is not positive, or, where ``zero`` admits 0, the
-    first that is negative."""
+    first that is not nonnegative: nan is refused either way."""
     sig = np.asarray(sigma, dtype=float)
-    bad = sig[sig < 0.0] if zero else sig[sig <= 0.0]
+    bad = sig[~(sig >= 0.0)] if zero else sig[~(sig > 0.0)]
     if bad.size:
         raise DomainError(f"sigma must be {'nonnegative' if zero else 'positive'}, got {float(bad[0])}")
     return sig

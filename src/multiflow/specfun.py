@@ -8,9 +8,10 @@ Three functions are exposed:
   z <= 0, stable for strongly negative arguments,
 * :func:`decade_panels` -- the binomial dispersion integral
   ``int ds / (1 + (s/lstar)^power)`` over ``[upper * 10^-decades, upper]``,
-  by a fixed Gauss-Legendre rule per decade, for one upper or a whole array
-  of them.  The nodes of a decade are its lower edge times fixed factors, so
-  a block of uppers takes one power per decade edge, not one per node.
+  by a fixed 16-node Gauss-Legendre rule in ln s per decade, for one upper
+  or a whole array of them.  The nodes of a decade are its lower edge times
+  fixed factors, so a block of uppers takes one power per decade edge, not
+  one per node.
 
 Kummer's function has one engine, the private ``_kummer_phi_array``: it
 refuses every argument outside that domain and sums each branch's series
@@ -42,11 +43,13 @@ _REL_TOL = 1e-14
 _MAX_TERMS = 10_000
 # Terms generated per step by the array series of Phi (_term_block).
 _SERIES_BLOCK = 32
-# Gauss-Legendre order of every decade panel (decade_panels).
-_PANEL_ORDER = 48
-# Uppers whose panels decade_panels sums in one array: 32 x 18 decades x 48
+# Gauss-Legendre order in ln s of every decade panel (decade_panels): 16
+# nodes are within 1.6e-17 of the integral at |power| up to 0.999, 10 would
+# be 1.4e-15 off (tests/test_removable_poles.py).
+_PANEL_ORDER = 16
+# Uppers whose panels decade_panels sums in one array: 96 x 18 decades x 16
 # nodes is about 27k nodes, a 220 KB float64 work array, small enough for cache.
-_PANEL_BLOCK = 32
+_PANEL_BLOCK = 96
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -263,9 +266,36 @@ def kummer_phi(a: float, b: float, z: float) -> float:
     return float(_kummer_phi_array(a, b, np.array([z], dtype=float))[0])
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_(n-1)(x) and P_n(x) by the three-term recurrence, in the dtype of ``x``."""
+    below, at = np.ones_like(x), x
+    for k in range(2, n + 1):
+        below, at = at, ((2 * k - 1) * x * at - (k - 1) * below) / k
+    return below, at
+
+
 @cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    """The node factors c_j and weights of one decade [1, 10] in ln s.
+
+    Gauss-Legendre in tau = ln s: the nodes x_j of [-1, 1] map to
+    c_j = 10^((1 + x_j)/2), and ds = s dtau gives the weights
+    (ln 10 / 2) w_j c_j.  The decade [L, 10L] has its nodes at L c_j and
+    its weights L times these.  numpy's weights are up to 63 units of 2^-53
+    off at 16 nodes, enough to put the rule 5e-16 from the integral; so
+    one Newton step refines its nodes in ``np.longdouble``, the weights are
+    2 (1 - x^2) / (n P_(n-1)(x))^2 there, and each c_j and weight is
+    rounded to a float once.  Where ``np.longdouble`` has 64 bits of
+    mantissa (x86-64) that puts them within about half a unit.
+    """
+    n = _PANEL_ORDER
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    below, at = _legendre(n, x)
+    x = x - at * (1 - x * x) / (n * (below - x * at))
+    below, _ = _legendre(n, x)
+    factors = np.longdouble(10) ** ((1 + x) / 2)
+    weights = np.log(np.longdouble(10)) * (1 - x * x) / (n * below) ** 2 * factors
+    return factors.astype(float), weights.astype(float)
 
 
 def decade_panels(
@@ -273,11 +303,11 @@ def decade_panels(
 ) -> float | np.ndarray:
     """int of 1/(1 + (s/lstar)^power) over [upper * 10^-decades, upper].
 
-    One Gauss-Legendre rule per decade [L, 10L], L = upper / 10^k: its
-    nodes are s = L c_j, c_j = 5.5 + 4.5 n_j, so (s/lstar)^power =
-    (L/lstar)^power c_j^power.  c_j^power is taken once per call and
-    (L/lstar)^power once per decade edge, and the integrand of every node
-    is the product of the two.
+    One Gauss-Legendre rule in ln s per decade [L, 10L], L = upper / 10^k
+    (:func:`_panel_rule`): its nodes are s = L c_j, c_j = 10^((1 + x_j)/2),
+    so (s/lstar)^power = (L/lstar)^power c_j^power.  c_j^power is taken
+    once per call and (L/lstar)^power once per decade edge, and the
+    integrand of every node is the product of the two.
 
     ``upper`` is a float or a 1-d array of uppers; a float gives a float,
     an array an array of the same length.  The uppers are summed
@@ -286,12 +316,15 @@ def decade_panels(
     working set stays in cache whatever the number of uppers.  Each upper's
     panel sums are added by ``math.fsum``, in the same operations and order
     for every block size, so an upper gets the same bits alone as in any
-    array.  The integrand is positive, bounded by 1 and smooth on each
-    decade, with its only singularity, a branch point, at s = 0; there a
-    48-node rule reaches about 1e-27 of the panel's scale.
+    array.  In tau = ln s the integrand times ds/dtau is
+    e^tau / (1 + (L/lstar)^power e^(power tau)), analytic in a strip of
+    half-width pi/|power| >= pi about each decade for |power| < 1: the
+    branch point at s = 0 is at tau = -inf.  So the rule converges like
+    5.6^(-2n) at n nodes; at 16, with its rounded tables and summed
+    exactly, it is within 1.6e-17 of the integral at |power| up to 0.999.
     """
-    nodes, weights = _panel_rule()
-    node_powers = (5.5 + 4.5 * nodes) ** power
+    factors, weights = _panel_rule()
+    node_powers = factors ** power
     # 10^k is exact up to k = 22: each lower edge upper / 10^k rounds once
     tens = 10.0 ** np.arange(decades, 0, -1, dtype=float)
     uppers = np.asarray(upper, dtype=float)
@@ -304,6 +337,5 @@ def decade_panels(
         np.multiply(((lo / lstar) ** power)[..., None], node_powers, out=f)
         f += 1.0
         np.divide(1.0, f, out=f)
-        sums.extend(map(math.fsum, (4.5 * lo * (f @ weights)).tolist()))
+        sums.extend(map(math.fsum, (lo * (f @ weights)).tolist()))
     return sums[0] if uppers.ndim == 0 else np.array(sums)
-

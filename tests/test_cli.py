@@ -894,3 +894,9 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_numpy_random_unloaded():
     # only the walkers draw; every other command runs without numpy.random
     assert not loaded_by_cli_import("numpy.random")
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the panel rule's Gauss-Legendre tables are built on first use, not at
+    # import: a command that never sums the binomial integral never loads them
+    assert not loaded_by_cli_import("numpy.polynomial")

@@ -28,32 +28,32 @@ _WALK_BLOCKS = ("--steps", "256", "--sigma-min", "1e-3", "--sigma-max", "10")
 GOLDEN = {
     "flow-weighted-0.5": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", *_FLOW),
-        "3110facfb1f63f9f4217decf7cc7d4d3d37a2958157d4be017bdfd031f34e460",
+        "576b086a4d300befa507e6e633d6648043697b6efeee4e3f916f3e40bbe06483",
         None,
     ),
     "flow-weighted-1.5": (
         ("flow", "--model", "weighted", "--beta-star", "1.5", *_FLOW),
-        "74e72d55deb71251833acac91a46926a768883e6ebbc4719bd4f5b10d97c39ec",
+        "accafa3f53d5198ad4a24e0e4479a96f570921681a499b446ea9e4a3a5891ce0",
         None,
     ),
     "flow-weighted-pole": (
         ("flow", "--model", "weighted", "--beta-star", repr(1.0 + 1.0 / 3.0), *_FLOW),
-        "e4dc82fa0a457061b7fd1cc401955ae1b5ba732c0269950af16fbe9d4025efe8",
+        "075ee22dd6e419e8446151a0cf473cfae5ea709ba66e40fefe0e0c902ca9a8e7",
         None,
     ),
     "flow-weighted-regular-below": (
         ("flow", "--model", "weighted", "--beta-star", "0.3", *_FLOW),
-        "1577a637390d46ee2318039f13bf1741564aa049632e5a2602d037e8009c945c",
+        "3300b9b5fb5d6d8787f25a98ffa5ee9705aaf7cc4634955c92fa0aded58981cb",
         None,
     ),
     "flow-weighted-regular-above": (
         ("flow", "--model", "weighted", "--beta-star", "1.7", *_FLOW),
-        "8f126171810a0bb8da53c2eda647b914b7ce0c047213ed6fa0c547385bf0894e",
+        "8ef13cdc7dd5d0bc17d770ef8edbc4feefa0f405e1e88e316ebecb9c11c6c960",
         None,
     ),
     "flow-fuzzy": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", "--fuzzy", *_FLOW),
-        "e99b721ea7c8acd2286183bae1a67e8efc229dcf3fb8d9203413d8786353a548",
+        "f489140adad1e0568daf620e7e34702e7e2661d980a1dbd805ac7cb3bba4507c",
         None,
     ),
     "flow-q": (
@@ -68,14 +68,14 @@ GOLDEN = {
     ),
     "flow-ordinary-multiscale": (
         ("flow", "--model", "ordinary", "--beta-star", "0.3", *_FLOW),
-        "ba524384009284d48651a77d8ac04b51b5528badaa9889a5c98462cca65a715a",
+        "58c66d15f40a23a1f00a75fd531e01ee44b6ff66fb826c70f9df8be09d0d2f50",
         None,
     ),
     # 1000 sigmas fill 32 blocks of the panel rule; the plateau probes ride along
     "flow-weighted-1.5-dense": (
         ("flow", "--model", "weighted", "--beta-star", "1.5", "--dim", "4",
          "--sigma-min", "1e-6", "--sigma-max", "1e6", "--sigma-points", "1000"),
-        "e5504a6477c3c5d1e2cf448996c620413987070c4385e3091a1ea7e77770b88c",
+        "275c456e2ac01be9940bdf7c3683b5c0091da7792177a6cb50bc780c372ad671",
         None,
     ),
     "flow-ordinary-fixed": (
@@ -96,7 +96,7 @@ GOLDEN = {
     ),
     "flow-weighted-uniform-grid": (
         ("flow", "--model", "weighted", "--beta-star", "0.5", "--sigma-log", "false"),
-        "816e4e925bebd126193835b7c5c4f1561f1f416b5ac740c0ba6bcb05e8687f18",
+        "c356e26c25823e27e0b1b7c577fc521e8085b45e867f683f992f81fdd9767ea0",
         None,
     ),
     "kernel-d1": (
@@ -117,7 +117,7 @@ GOLDEN = {
     # a binomial diffusion-time measure sets ell^2 and the box of the trace
     "kernel-d1-binomial-time": (
         ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
-        "e69cec835d9a669f03a0bf9af887c0a3fcc0b4ac8ba4baf3456bebf47552fbef",
+        "2f001838664e717c21f5c3e9b5b1030a1ca846c1022e75844b6db8b98a3b0248",
         None,
     ),
     # the README's kernel example
@@ -129,7 +129,7 @@ GOLDEN = {
     # 200 sigmas of the binomial panel rule in one dispersion call
     "kernel-weighted-binomial-time": (
         ("kernel", "--model", "weighted", "--beta-star", "0.5", "--sigma-points", "200"),
-        "bf773825b8fc200c0ec92ae0e23d6efbb23bd1e0b6ecf57be5806b897558484c",
+        "42eb335ed8cc429b07fa5f3d7dd3bf9b34f347cdf50e46f47669dd14115a19d2",
         None,
     ),
     "kernel-legacy-d4": (
@@ -164,7 +164,7 @@ GOLDEN = {
     "pdf-weighted-odd": (
         ("pdf", "--model", "weighted", "--dim", "2", "--beta-star", "0.5", "--sigma", "1.0",
          "--x-points", "41"),
-        "2ded663d6ec2a0aaf6f88e71d4a06d649d210bf91a3acd9e3f1c5163ec151109",
+        "40e31b28c897c3cd99a87ad476cc6380a8b7897a27b7225866134af359387d1a",
         None,
     ),
     "simulate-bm": (
@@ -251,7 +251,7 @@ def test_pins_hold_across_jobs_in_one_process(tmp_path):
 
 
 # SHA-256 of the full ``validate`` standard output
-VALIDATE_DIGEST = "2389444501643ceed681d444de26f5cc5fc6bedd17f2dd6cbe2befedbbae7bcd"
+VALIDATE_DIGEST = "3ff18dfdd0ecf39907003a606e5ab76f776649becdaa3fefc3211ae2028c6e10"
 
 
 def test_validate_output_pinned(capsys):

@@ -11,8 +11,9 @@ with sigma/lstar in [1e-280, 1e280] wherever the integral is a normal
 double, and refused below the normal range.  The closed form, evaluated by
 mpmath.hyp2f1, is a second oracle on the poles beta* = 1 + 1/k themselves.
 The float sum of the rule is also held to the same rule at 40 digits, which
-separates its rounding from its truncation.  The sample points are drawn
-from seeded generators.
+separates its rounding from its truncation, and that 40-digit sum to the
+integral at 40 digits, which bounds its truncation.  The sample points are
+drawn from seeded generators.
 """
 
 import math
@@ -45,22 +46,28 @@ def quad_oracle(beta_star: float, sigma: float) -> float:
         return float(mp.quad(lambda s: 1 / (1 + s ** power), nodes))
 
 
-def decade_quad_oracle(beta_star: float, lstar: float, sigma: float) -> float:
-    """int_0^sigma ds / (1 + (s/lstar)^(beta*-1)) at any sigma/lstar.
+def decade_quad(beta_star: float, lstar: float, sigma: float, dps: int):
+    """int_0^sigma ds / (1 + (s/lstar)^(beta*-1)) at any sigma/lstar, at
+    ``dps`` digits and unrounded.
 
     With s = sigma t and r = sigma/lstar this is sigma f(1) int_0^1 f(t)/f(1)
     dt, f(t) = 1/(1 + (r t)^(beta*-1)); the rescaled integrand is of order
-    one, and mpmath.quad sums it decade by decade down to 1e-30 below
+    one, and mpmath.quad sums it decade by decade down to 1e-``dps`` below
     min(1, 1/r), across the turnover at t = 1/r.
     """
-    with mp.workdps(30):
+    with mp.workdps(dps):
         power = mp.mpf(beta_star) - 1
         r = mp.mpf(sigma) / mp.mpf(lstar)
         f1 = 1 / (1 + r ** power)
-        low = min(0, int(mp.floor(-mp.log10(r)))) - 30
+        low = min(0, int(mp.floor(-mp.log10(r)))) - dps
         nodes = sorted({0, 1, *(mp.mpf(10) ** k for k in range(low, 0)), *([1 / r] if r > 1 else [])})
         body = mp.quad(lambda t: 1 / ((1 + (r * t) ** power) * f1), nodes)
-        return float(mp.mpf(sigma) * f1 * body)
+        return mp.mpf(sigma) * f1 * body
+
+
+def decade_quad_oracle(beta_star: float, lstar: float, sigma: float) -> float:
+    """:func:`decade_quad` at 30 digits, rounded to a float."""
+    return float(decade_quad(beta_star, lstar, sigma, 30))
 
 
 def hyp2f1_oracle(b, z):
@@ -156,22 +163,21 @@ def panel_rule_oracle(beta_star: float, lstar: float, sigma: float):
     the float result may differ from it by rounding only, not by the
     rule's truncation.
     """
-    nodes, weights = specfun._panel_rule()
+    factors, weights = specfun._panel_rule()
     power = beta_star - 1.0
     ratio = sigma / lstar
     decades = 18 + (math.ceil(math.log10(ratio)) - 7 if ratio > 1e7 else 0)
     with mp.workdps(40):
         p, ls, sig = mp.mpf(power), mp.mpf(lstar), mp.mpf(sigma)
-        half_nodes = [(1 + mp.mpf(n)) * mp.mpf(4.5) for n in nodes.tolist()]
         total = mp.mpf(0)
         for k in range(1, decades + 1):
             lo = sig / mp.mpf(10) ** k
-            # decade [lo, 10 lo]: node s = lo + 4.5 lo (1 + n)
+            # decade [lo, 10 lo]: node s = lo c, weight lo w
             body = mp.fsum(
-                mp.mpf(w) / (1 + ((lo + lo * h) / ls) ** p)
-                for w, h in zip(weights.tolist(), half_nodes)
+                mp.mpf(w) / (1 + (lo * mp.mpf(c) / ls) ** p)
+                for w, c in zip(weights.tolist(), factors.tolist())
             )
-            total += mp.mpf(4.5) * lo * body
+            total += lo * body
         if power > 0.0:
             total += sig / mp.mpf(10) ** decades
         return total
@@ -201,6 +207,37 @@ def test_binomial_integral_rounds_its_rule():
         worst = max(worst, units)
         assert units <= 16.0, (beta_star, lstar, sigma, got, units)
     assert worst > 0.0, worst
+
+
+def test_panel_tables_round_once():
+    # each node factor c = 10^((1 + x)/2) and weight (ln 10 / 2) w c of the
+    # rule within one unit of 2^-52 of its value from the Gauss-Legendre
+    # nodes x and weights w at 40 digits; numpy's own weights are up to 63
+    # units off at 16 nodes
+    factors, weights = specfun._panel_rule()
+    n = factors.size
+    legendre = lambda x: mp.legendre(n, x)
+    with mp.workdps(40):
+        for c, weight in zip(factors.tolist(), weights.tolist()):
+            x = mp.findroot(legendre, 2 * mp.log10(c) - 1)
+            exact_c = mp.mpf(10) ** ((1 + x) / 2)
+            exact_w = mp.log(10) / ((1 - x ** 2) * mp.diff(legendre, x) ** 2) * exact_c
+            assert abs(c - exact_c) <= 2.0 ** -52 * exact_c, (c, exact_c)
+            assert abs(weight - exact_w) <= 2.0 ** -52 * exact_w, (weight, exact_w)
+
+
+@pytest.mark.parametrize("power", [-0.999, -0.9, -0.5, 1e-3, 0.5, 0.9, 0.999])
+def test_panel_rule_truncation(power):
+    # the float64 tables of the rule, summed at 40 digits, against the
+    # integral at 40 digits: the rule's truncation alone, within 2^-51 of
+    # the integral at |beta* - 1| up to 0.999, where the strip of
+    # analyticity in ln s is narrowest, and across the turnover s = lstar
+    for ratio in (1e-6, 0.3, 1.0, 3.0, 1e6):
+        rule = panel_rule_oracle(1.0 + power, 1.0, ratio)
+        exact = decade_quad(1.0 + power, 1.0, ratio, 40)
+        with mp.workdps(40):
+            error = abs(rule - exact) / exact
+        assert error <= 2.0 ** -51, (power, ratio, float(error))
 
 
 def test_binomial_integral_matches_closed_form():
