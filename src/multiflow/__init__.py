@@ -30,7 +30,6 @@ from .grid import geometric_grid, uniform_grid
 from .kernel import (
     HeatKernelCurve,
     ds_from_kernel,
-    fixed_dim_trace_slopes,
     gaussian_pdf,
     heat_kernel_curve,
     ordinary_normalization,
@@ -47,10 +46,8 @@ from .measure import (
     multiscale_weight,
 )
 from .spectral import (
-    DimensionTriple,
     LegacyAnsatzWarning,
     SpectralFlow,
-    dimension_triple,
     fixed_point_ds,
     flow_curve,
     spectral_from_dispersion,

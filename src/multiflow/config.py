@@ -24,7 +24,7 @@ import numpy as np
 from . import walker
 from .dispersion import MODELS, DiffusionSpec, check_dispersion
 from .errors import ConfigError, DomainError
-from .grid import check_grid_args, geometric_grid, uniform_grid
+from .grid import check_grid_args, check_sigma, geometric_grid, uniform_grid
 from .kernel import check_trace
 from .measure import FractionalCharges, GeometryScales
 
@@ -102,8 +102,6 @@ class RunConfig:
             raise ConfigError(
                 f"pdf needs x-points >= 2 and x-max > 0, got {self.x_points}, {self.x_max}"
             )
-        if self.sigma <= 0.0:
-            raise ConfigError(f"pdf needs sigma > 0, got {self.sigma}")
         if self.box is not None and self.box <= 0.0:
             raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
         if self.paths < 1:
@@ -120,6 +118,7 @@ class RunConfig:
                     f"and kernel (ordinary), not by {where}"
                 )
         try:
+            check_sigma(self.sigma)
             # one sigma grid rule: flow and kernel grids take points, the walker's steps
             check_grid_args(self.sigma_min, self.sigma_max, self.points, "points")
             check_grid_args(self.sigma_min, self.sigma_max, self.steps, "steps")

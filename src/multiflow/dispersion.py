@@ -75,10 +75,11 @@ class DiffusionSpec:
     ``scales``; :attr:`multiscale` and :attr:`spatial_profile` are their
     term tables, built once per spec.  A spec refuses what no evaluator of
     its model can take: ``beta_star`` for legacy, nu != 1 for q (clocked by
-    beta, which must lie in (0, 2) without ``beta_star``), and anisotropic
-    charges with ``multiscale_space``.  A refusal of one evaluator only is
-    that evaluator's check: :func:`check_dispersion`, ``kernel.check_trace``
-    and ``walker.check_simulation``.
+    beta, which must lie in (0, 2) without ``beta_star``), lbar > 0 but at
+    fixed dimensionality in the weighted and ordinary models, and
+    anisotropic charges with ``multiscale_space``.  A refusal of one
+    evaluator only is that evaluator's check: :func:`check_dispersion`,
+    ``kernel.check_trace`` and ``walker.check_simulation``.
     """
 
     model: str
@@ -104,6 +105,11 @@ class DiffusionSpec:
             raise DomainError(f"the legacy model reads no beta_star, got {self.beta_star}")
         if self.model == "q" and self.scales.nu != 1.0:
             raise DomainError(f"the q model reads no nu (beta is its clock), got nu = {self.scales.nu}")
+        if self.scales.lbar > 0.0 and (self.model in ("q", "legacy") or self.beta_star is not None):
+            raise DomainError(
+                "lbar is read only at fixed dimensionality by the weighted and ordinary models, "
+                f"got lbar = {self.scales.lbar}"
+            )
         # both profiles are built here, once: a binomial charge outside (0, 2), or 1, raises
         time_profile, _ = self.multiscale, self.spatial_profile
         if self.model == "q" and time_profile is not None and not 0.0 < self.beta_star < 1.0:

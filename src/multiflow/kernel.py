@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .dispersion import DiffusionSpec, check_dispersion, dispersion
-from .errors import BoxError, ConvergenceError, DomainError, GridError
-from .grid import check_grid, check_sigma, five_point_slope, log_slope, powers
+from .errors import BoxError, ConvergenceError, DomainError
+from .grid import check_grid, check_sigma, log_slope, powers
 from .measure import fractional_weight, geometric_profile, multiscale_weight
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
@@ -52,8 +52,6 @@ __all__ = [
     "check_trace",
     "heat_kernel_curve",
     "ds_from_kernel",
-    "fixed_dim_trace_slopes",
-    "default_box_halfwidth",
 ]
 
 PER_INTEGER_VOLUME = "per-unit-integer-volume"
@@ -392,7 +390,7 @@ def _case_totals(spec: DiffusionSpec, block: list) -> list[float]:
 def _trace_quadrature(
     spec: DiffusionSpec, cases: Sequence[tuple[float, float, int]]
 ) -> list[float]:
-    """Box integrals of v(x) C(x, sigma) for the ordinary model, D <= 3.
+    """Box integrals of v(x) C(x, sigma) for the ordinary model.
 
     One total per ``(ell2, box half-width, Gauss order)`` case.  Every axis
     is integrated over [0, L] with doubled weights (the integrand is even in
@@ -442,10 +440,6 @@ def _box_for(spec: DiffusionSpec, ell2: float) -> float:
     return max(_BOX_ELL_FACTOR * math.sqrt(ell2), _BOX_LSTAR_FACTOR * spec.scales.lstar)
 
 
-def default_box_halfwidth(spec: DiffusionSpec, sigma: float) -> float:
-    return _box_for(spec, dispersion(spec, sigma))
-
-
 def return_probability(
     spec: DiffusionSpec, sigma: float, box_halfwidth: float | None = None
 ) -> float:
@@ -456,20 +450,15 @@ def return_probability(
 
 def check_trace(spec: DiffusionSpec) -> None:
     """Every refusal of a trace that the spec alone decides: those of
-    :func:`dispersion.check_dispersion`, and D <= 3 for the ordinary model,
-    whose trace is a box quadrature."""
+    :func:`dispersion.check_dispersion`, and D <= 3 for the ordinary model on
+    a multiscale space, whose binomial box sum is O(N^D); with fixed charges
+    the trace is a product of one-dimensional sums at any D."""
     check_dispersion(spec)
-    if spec.model == "ordinary" and spec.dim > 3:
+    if spec.model == "ordinary" and spec.multiscale_space and spec.dim > 3:
         raise DomainError(f"the ordinary-model trace needs dim <= 3, got {spec.dim}")
 
 
-def _traces(
-    spec: DiffusionSpec,
-    sigmas: np.ndarray,
-    box_halfwidth: float | None,
-    *,
-    check_box: bool = True,
-) -> np.ndarray:
+def _traces(spec: DiffusionSpec, sigmas: np.ndarray, box_halfwidth: float | None) -> np.ndarray:
     """Z at each sigma of a 1-d array under the model's volume convention.
 
     Every sigma is checked positive, and the spec by :func:`check_trace`,
@@ -481,12 +470,10 @@ def _traces(
       q: the same closed form per Hausdorff volume;
     - legacy: the regularized power law ell^(-D alpha) with unit prefactor;
     - ordinary: box quadrature of v(x) C(x, sigma) per Hausdorff volume of
-      the box (D <= 3).  The order-:data:`_GL_ORDER` and
+      the box.  The order-:data:`_GL_ORDER` and
       order-:data:`_GL_REFINE` traces of every sigma come from one
       :func:`_trace_quadrature` call; the refinement test is then made
-      sigma by sigma, in grid order.  ``check_box=False`` drops only the
-      minimum-box precondition, for the infrared traces of
-      :func:`fixed_dim_trace_slopes`.
+      sigma by sigma, in grid order.
 
     The closed-form powers are taken on Python floats (:func:`powers`), so
     each sigma keeps the bits of its scalar expression.
@@ -502,7 +489,7 @@ def _traces(
     for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
         halfwidth = _box_for(spec, ell2) if box_halfwidth is None else box_halfwidth
-        if check_box and halfwidth < _BOX_ELL_FACTOR * ell:
+        if halfwidth < _BOX_ELL_FACTOR * ell:
             raise BoxError(
                 f"box half-width {halfwidth} is below {_BOX_ELL_FACTOR} "
                 f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
@@ -519,44 +506,6 @@ def _traces(
             )
         traces.append(fine / _hausdorff_box_volume(spec, halfwidth))
     return np.array(traces)
-
-
-def fixed_dim_trace_slopes(
-    spec: DiffusionSpec,
-    box_halfwidth: float,
-    uv_sigma: float,
-    ir_sigma: float,
-) -> dict:
-    """Both trace slopes of the fixed-dimensionality ordinary model.
-
-    With no scale in the measure, the trace is not a single power law: the
-    small-sigma slope gives d_S = D(1+nu-beta) while the large-sigma slope is
-    a factor alpha smaller.  The infrared entry is reported for completeness
-    but tagged non-physical: it reflects the volume normalization of a
-    scale-free measure, not local geometry.  In the infrared regime the
-    normalization is flat across the box, so the minimum-box precondition is
-    deliberately not applied there; the refinement test still is.
-    """
-    if spec.model != "ordinary" or spec.multiscale_space:
-        raise DomainError("trace slopes target the fixed-dimensionality ordinary model")
-
-    def slope_at(sigma: float, check_box: bool) -> float:
-        h = 0.05
-        sigmas = np.array([sigma * math.exp(k * h) for k in (-2, -1, 0, 1, 2)])
-        zs = _traces(spec, sigmas, box_halfwidth, check_box=check_box)
-        return -2.0 * five_point_slope([math.log(z) for z in zs.tolist()], h)
-
-    ell_ir = math.sqrt(dispersion(spec, ir_sigma))
-    if ell_ir < 30.0 * box_halfwidth:
-        raise BoxError(
-            "infrared slope needs ell(sigma) >= 30 box half-widths so the "
-            "normalization is flat across the box"
-        )
-    return {
-        "uv_ds": slope_at(uv_sigma, True),
-        "ir_ds": slope_at(ir_sigma, False),
-        "ir_physical": False,
-    }
 
 
 def heat_kernel_curve(
@@ -578,15 +527,7 @@ def heat_kernel_curve(
     )
 
 
-def ds_from_kernel(
-    curve: HeatKernelCurve, sigma: float | None = None, limit: bool = False
-) -> float:
-    """Spectral dimension -2 dln Z/dln sigma from a sampled trace.
-
-    Five-point central stencil on a log-uniform grid; ``limit=True`` returns
-    the estimate at the smallest usable grid point (the small-sigma limit
-    favoured when Z is not a global power law).
-    """
-    if curve.sigmas.size < 5:
-        raise GridError("kernel slope needs at least five grid points")
-    return -2.0 * log_slope(curve.sigmas, curve.Z, curve.sigmas[2] if limit else sigma)
+def ds_from_kernel(curve: HeatKernelCurve, sigma: float) -> float:
+    """Spectral dimension -2 dln Z/dln sigma at the grid point ``sigma`` of a
+    log-uniform trace: the five-point stencil of :func:`grid.log_slope`."""
+    return -2.0 * log_slope(curve.sigmas, curve.Z, sigma)

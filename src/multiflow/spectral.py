@@ -26,13 +26,11 @@ from .measure import hausdorff_dimension
 
 __all__ = [
     "SpectralFlow",
-    "DimensionTriple",
     "LegacyAnsatzWarning",
     "spectral_from_dispersion",
     "fixed_point_ds",
     "walk_dimension",
     "flow_curve",
-    "dimension_triple",
 ]
 
 # Scale ratios at which asymptote convergence is probed, and the plateau
@@ -70,16 +68,6 @@ class SpectralFlow:
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "ds", ds)
         check_grid(sig, ds, min_points=0)
-
-
-@dataclass(frozen=True)
-class DimensionTriple:
-    """Hausdorff, spectral, and walk dimension of one model."""
-
-    d_h: float
-    d_s: float
-    d_w: float
-    model: str
 
 
 def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> float:
@@ -200,15 +188,3 @@ def flow_curve(
         uv_converged=_plateau_converged(probed[:3]), ir_converged=_plateau_converged(probed[3:]),
     )
     return flow, ell2[:n]
-
-
-def dimension_triple(spec: DiffusionSpec, d_s: float | None = None) -> DimensionTriple:
-    """Assemble (d_H, d_S, d_W) for one spec, with d_S overridable by a
-    scale-dependent value (e.g. a flow sample); without one, d_S is the
-    :func:`fixed_point_ds` of the spec, with no legacy warning."""
-    if d_s is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LegacyAnsatzWarning)
-            d_s = fixed_point_ds(spec)
-    d_h = hausdorff_dimension(spec.charges)
-    return DimensionTriple(d_h=d_h, d_s=d_s, d_w=walk_dimension(spec, d_s), model=spec.model)

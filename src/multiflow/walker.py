@@ -35,15 +35,13 @@ import numpy as np
 
 from .dispersion import DiffusionSpec, time_weight
 from .errors import DomainError, GridError, SingularPointError
-from .grid import check_grid, geometric_grid, uniform_grid
+from .grid import check_grid
 
 __all__ = [
     "WalkerEnsemble",
     "MsdFit",
     "IncrementReport",
     "PROCESSES",
-    "geometric_grid",
-    "uniform_grid",
     "check_seed",
     "check_simulation",
     "simulate",
@@ -262,9 +260,12 @@ def check_seed(seed: int) -> None:
 def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
     """The clock exponent nu of ``process``: 1 for ``bm``, beta for ``fsbm-q``,
     the spec's nu otherwise.  :class:`DomainError` for what the process, spec
-    and seed alone refuse: a negative seed, an unknown process, nu <= 0, and
-    for ``fsbm-q`` anisotropic charges or beta outside (0, 1]."""
+    and seed alone refuse: a negative seed, lbar > 0 (no walker starts from a
+    spread), an unknown process, nu <= 0, and for ``fsbm-q`` anisotropic
+    charges or beta outside (0, 1]."""
     check_seed(seed)
+    if spec.scales.lbar > 0.0:
+        raise DomainError(f"walkers read no lbar, got lbar = {spec.scales.lbar}")
     if process == "bm":
         return 1.0
     if process == "fsbm-q":

@@ -28,6 +28,7 @@ from multiflow.dispersion import (
     binomial_time_integral,
     dispersion,
 )
+from multiflow.grid import geometric_grid, uniform_grid
 from multiflow.kernel import (
     ds_from_kernel,
     heat_kernel_curve,
@@ -39,11 +40,9 @@ from multiflow.spectral import LegacyAnsatzWarning, fixed_point_ds
 from multiflow.walker import (
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
-    geometric_grid,
     increment_diagnostics,
     msd,
     simulate,
-    uniform_grid,
 )
 
 SEED = 20130409

@@ -236,7 +236,7 @@ class TestConfig:
             with pytest.raises(ConfigError, match="box"):
                 RunConfig(command="kernel", box=box).validate()
         for sigma in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="sigma > 0"):
+            with pytest.raises(ConfigError, match="sigma must be positive"):
                 RunConfig(command="pdf", sigma=sigma).validate()
         # one grid rule: the config's points and steps refuse what the grid
         # builders refuse, with the builders' words
@@ -396,13 +396,13 @@ class TestUnreadParameters:
              "1 + nu - beta = -0.5 must be positive"),
             (("flow", "--model", "weighted", "--beta", "1.5", "--nu", "0.5"),
              "1 + nu - beta = 0.0 must be positive"),
-            (("kernel", "--model", "ordinary", "--dim", "4", "--alpha", "0.5"),
+            (("kernel", "--model", "ordinary", "--dim", "4", "--alpha", "0.5", "--multiscale-space"),
              "the ordinary-model trace needs dim <= 3, got 4"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
              "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu",
-             "ordinary-kernel-dim-4"],
+             "multiscale-kernel-dim-4"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -419,13 +419,14 @@ class TestUnreadParameters:
             ("pdf", "--model", "weighted", "--beta", "1.9"),
             ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta", "1.9",
              "--sigma-min", "0.1", "--sigma-max", "10"),
-            # every ordinary trace is a box quadrature in D <= 3; its flow is not
+            # only the multiscale-space trace is a box sum held to D <= 3
             ("kernel", "--model", "ordinary", "--dim", "3", "--alpha", "0.5",
              "--sigma-min", "0.1", "--sigma-max", "10"),
             ("flow", "--model", "ordinary", "--dim", "4"),
+            ("kernel", "--model", "ordinary", "--alpha", "0.5"),
         ],
         ids=["fsbm-q-beta-1", "fixed-dim-flow", "fixed-dim-pdf", "fixed-dim-kernel",
-             "ordinary-kernel-dim-3", "ordinary-flow-dim-4"],
+             "ordinary-kernel-dim-3", "ordinary-flow-dim-4", "ordinary-kernel-dim-4"],
     )
     def test_range_edges_run(self, argv, tmp_path):
         out = tmp_path / "x.csv"
@@ -458,6 +459,22 @@ class TestUnreadParameters:
             parse_config("[model]\nmodel = weighted\nbeta-star = 0.5\nnu = 0.7\n")
         cfg = parse_config("[run]\ncommand = simulate\n[model]\nbeta-star = 0.5\nnu = 0.7\n")
         assert (cfg.beta_star, cfg.nu) == (0.5, 0.7)
+
+    @pytest.mark.parametrize(
+        "command,model",
+        [("flow", "model = weighted\nbeta-star = 0.5"), ("flow", "model = q\nbeta = 0.5"),
+         ("simulate", "model = bm")],
+        ids=["binomial-flow", "q-flow", "walker"],
+    )
+    def test_unread_lbar_refused(self, command, model, tmp_path, capsys):
+        # only the fixed-dimensionality weighted and ordinary dispersions read
+        # lbar; the others exited 0 with it dropped
+        cfg_path = tmp_path / "lbar.conf"
+        cfg_path.write_text(f"[model]\n{model}\nlbar = 0.5\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "lbar" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFlowCommand:
@@ -753,7 +770,7 @@ class TestKernelAndPdfCommands:
         # each model used to exit 3 with its own message from the numerics
         out = tmp_path / "p.csv"
         assert main(["pdf", "--model", *model, "--sigma", sigma, "--out", str(out)]) == EXIT_CONFIG
-        assert "pdf needs sigma > 0" in capsys.readouterr().err
+        assert f"sigma must be positive, got {float(sigma)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numeric_error_exit_code(self, tmp_path):

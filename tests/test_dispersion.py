@@ -193,6 +193,11 @@ class TestSpecAndCurve:
             ("q", GeometryScales(nu=0.7), 0.5, "q model reads no nu"),
             ("q", GeometryScales(beta=3.0), None, r"must lie in \(0, 2\), got 3.0"),
             ("q", GeometryScales(beta=0.0), None, r"must lie in \(0, 2\), got 0.0"),
+            ("q", GeometryScales(lbar=0.5, beta=0.5), None, "lbar is read only at fixed dim"),
+            ("q", GeometryScales(lbar=0.5), 0.5, "lbar is read only at fixed dim"),
+            ("legacy", GeometryScales(lbar=0.5), None, "lbar is read only at fixed dim"),
+            ("weighted", GeometryScales(lbar=0.5), 0.5, "lbar is read only at fixed dim"),
+            ("ordinary", GeometryScales(lbar=0.5), 0.5, "lbar is read only at fixed dim"),
         ],
     )
     def test_parameters_the_model_never_reads_are_refused(self, model, scales, beta_star, match):

@@ -16,14 +16,13 @@ from multiflow.kernel import (
     PER_INTEGER_VOLUME,
     HeatKernelCurve,
     ds_from_kernel,
-    fixed_dim_trace_slopes,
     gaussian_pdf,
     heat_kernel_curve,
     ordinary_normalization,
     pdf,
     return_probability,
 )
-from multiflow.kernel import _axis_tables, _trace_quadrature, default_box_halfwidth
+from multiflow.kernel import _axis_tables, _box_for, _trace_quadrature
 from multiflow.measure import FractionalCharges, GeometryScales
 from multiflow.specfun import kummer_phi
 
@@ -298,7 +297,7 @@ class TestReturnProbability:
         spec = ordinary_spec(0.5, dim=1, beta=0.5)
         grid = np.geomspace(1e-7, 1e-5, 7)
         curve = heat_kernel_curve(spec, grid, box_halfwidth=30.0)
-        d_s = ds_from_kernel(curve, limit=True)
+        d_s = ds_from_kernel(curve, float(grid[2]))
         assert abs(d_s - 1.5) < 1e-2
 
     def test_box_too_small(self):
@@ -354,7 +353,7 @@ class TestDsFromKernel:
         with pytest.raises(GridError):
             ds_from_kernel(curve, float(sig[0]))
         with pytest.raises(DomainError):
-            ds_from_kernel(curve)
+            ds_from_kernel(curve, None)
 
 
 class TestOrdinaryPdf:
@@ -405,42 +404,6 @@ class TestWeightedNormalization2D:
         direct = v * pdf(spec, list(x), list(x0), sigma)
         factorized = weighted_density_1d(x[0], x0[0]) * weighted_density_1d(x[1], x0[1])
         assert math.isclose(direct, factorized, rel_tol=1e-12)
-
-
-class TestFixedDimTraceSlopes:
-    def test_both_slopes_reported_ir_tagged(self):
-        spec = ordinary_spec(0.5, dim=1, beta=0.5)
-        res = fixed_dim_trace_slopes(spec, 10.0, uv_sigma=1e-5, ir_sigma=3e3)
-        assert abs(res["uv_ds"] - 1.5) < 1e-2  # D(1+nu-beta)
-        assert abs(res["ir_ds"] - 0.75) < 1e-2  # alpha times smaller
-        assert res["ir_physical"] is False
-
-    def test_ir_regime_guard(self):
-        spec = ordinary_spec(0.5, dim=1, beta=0.5)
-        with pytest.raises(BoxError):
-            fixed_dim_trace_slopes(spec, 10.0, uv_sigma=1e-5, ir_sigma=1.0)
-
-    def test_ir_traces_take_the_refinement_test(self, monkeypatch):
-        # the infrared traces skip only the box precondition: an order-24
-        # total off by 1e-6 must still be refused
-        spec = ordinary_spec(0.5, dim=1, beta=0.5)
-        ir_ell2 = dispersion(spec, 3e3 * math.exp(-0.1))
-        quadrature = kernel_mod._trace_quadrature
-
-        def perturbed(spec, cases):
-            totals = quadrature(spec, cases)
-            return [
-                t * (1.0 + 1e-6) if order == kernel_mod._GL_ORDER and ell2 >= ir_ell2 else t
-                for t, (ell2, _, order) in zip(totals, cases)
-            ]
-
-        monkeypatch.setattr(kernel_mod, "_trace_quadrature", perturbed)
-        with pytest.raises(ConvergenceError, match="not converged"):
-            fixed_dim_trace_slopes(spec, 10.0, uv_sigma=1e-5, ir_sigma=3e3)
-
-    def test_model_guard(self):
-        with pytest.raises(DomainError):
-            fixed_dim_trace_slopes(fractional_spec(beta=0.5), 10.0, 1e-5, 3e3)
 
 
 class TestOrdinaryWeightedDuality:
@@ -551,7 +514,7 @@ class TestTraceQuadrature:
     )
     @pytest.mark.parametrize("sigma", [0.03, 2.0])
     def test_matches_tensor_product_sum(self, spec, sigma):
-        halfwidth = default_box_halfwidth(spec, sigma)
+        halfwidth = _box_for(spec, dispersion(spec, sigma))
         got = _trace_quadrature(spec, [(dispersion(spec, sigma), halfwidth, 8)])[0]
         assert math.isclose(got, tensor_trace_oracle(spec, sigma, halfwidth, 8), rel_tol=1e-13)
 
@@ -560,6 +523,19 @@ class TestTraceQuadrature:
             z1 = return_probability(ordinary_spec(0.5, dim=1), sigma)
             z3 = return_probability(ordinary_spec(0.5, dim=3), sigma)
             assert math.isclose(z3, z1 ** 3, rel_tol=1e-13)
+
+    def test_fixed_charge_d4_is_a_product_of_d1_traces(self):
+        # with fixed charges the trace factorizes, so D = 4 needs no box sum
+        for sigma in (0.05, 1.0, 20.0):
+            z1 = return_probability(ordinary_spec(0.5, dim=1), sigma)
+            z4 = return_probability(ordinary_spec(0.5, dim=4), sigma)
+            assert math.isclose(z4, z1 ** 4, rel_tol=1e-13)
+            alphas = (0.3, 0.5, 0.5, 0.9)
+            anisotropic = DiffusionSpec(
+                model="ordinary", dim=4, scales=GeometryScales(), charges=FractionalCharges(alphas)
+            )
+            per_charge = math.prod(return_probability(ordinary_spec(a, dim=1), sigma) for a in alphas)
+            assert math.isclose(return_probability(anisotropic, sigma), per_charge, rel_tol=1e-13)
 
     def test_d3_trace_memory(self):
         spec = ordinary_spec(0.5, dim=3)

@@ -16,7 +16,8 @@ from multiflow.measure import (
     hausdorff_dimension,
     multiscale_weight,
 )
-from multiflow.walker import geometric_grid, simulate
+from multiflow.grid import geometric_grid
+from multiflow.walker import simulate
 
 
 class TestProfiles:

@@ -6,10 +6,9 @@ import pytest
 from conftest import binomial_spec, flow_asymptotes, flow_at, fractional_spec
 from multiflow.dispersion import DiffusionSpec, sample_dispersion
 from multiflow.errors import DomainError, GridError
-from multiflow.measure import FractionalCharges, GeometryScales
+from multiflow.measure import FractionalCharges, GeometryScales, hausdorff_dimension
 from multiflow.spectral import (
     LegacyAnsatzWarning,
-    dimension_triple,
     fixed_point_ds,
     flow_curve,
     spectral_from_dispersion,
@@ -289,7 +288,10 @@ class TestWalkDimension:
             assert math.isclose(walk_dimension(spec, d_s), 2.0 * alpha / beta)
 
     def test_triple_invariants(self):
-        triple = dimension_triple(fractional_spec(beta=0.5, dim=4, alpha=0.5, model="q"))
-        assert math.isclose(triple.d_w, 2.0 * triple.d_h / triple.d_s)
-        triple = dimension_triple(fractional_spec(beta=0.5, dim=4, alpha=0.5))
-        assert math.isclose(triple.d_w, 2.0 * 4 / triple.d_s)
+        # (d_H, d_S, d_W): d_W = 2 d_H/d_S for q, 2 D/d_S for weighted
+        spec = fractional_spec(beta=0.5, dim=4, alpha=0.5, model="q")
+        d_h, d_s = hausdorff_dimension(spec.charges), fixed_point_ds(spec)
+        assert math.isclose(walk_dimension(spec, d_s), 2.0 * d_h / d_s)
+        spec = fractional_spec(beta=0.5, dim=4, alpha=0.5)
+        d_s = fixed_point_ds(spec)
+        assert math.isclose(walk_dimension(spec, d_s), 2.0 * 4 / d_s)

@@ -11,6 +11,7 @@ from conftest import binomial_spec, fractional_spec
 from multiflow import walker as walker_mod
 from multiflow.dispersion import time_weight
 from multiflow.errors import DomainError, GridError
+from multiflow.grid import geometric_grid, uniform_grid
 from multiflow.measure import FractionalCharges
 from multiflow.walker import (
     PROCESSES,
@@ -20,11 +21,9 @@ from multiflow.walker import (
     _sum_squares,
     fit_scaling_exponent,
     fit_scaling_exponent_batched,
-    geometric_grid,
     increment_diagnostics,
     msd,
     simulate,
-    uniform_grid,
 )
 
 SEED = 20130409
@@ -407,6 +406,14 @@ class TestDispatcher:
         )
         with pytest.raises(DomainError, match="isotropic"):
             simulate("fsbm-q", 20, full_grid, spec, 1)
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_lbar_refused(self, process, full_grid):
+        # no walker starts from a spread: lbar was dropped silently
+        spec = fractional_spec(beta=0.5, dim=1, alpha=0.5)
+        spec = replace(spec, scales=replace(spec.scales, lbar=0.5))
+        with pytest.raises(DomainError, match="walkers read no lbar, got lbar = 0.5"):
+            simulate(process, 20, full_grid, spec, 1)
 
     @pytest.mark.parametrize("asked", ["fsbm-v", "fssbm"])
     def test_tag_follows_nu_whichever_is_asked(self, asked, full_grid):
