@@ -169,10 +169,6 @@ def _asymptotic_1f1_negative_array(a: float, b: float, z: np.ndarray) -> np.ndar
     (:func:`_work_arrays`), made once per call, hold one row per term and
     one column per unfinished element.
     """
-    if _is_nonpositive_integer(b - a):
-        raise DomainError(
-            f"asymptotic branch of Phi undefined for b - a = {b - a} (leading term vanishes)"
-        )
     inv = 1.0 / (-z)
     sums_at = np.empty_like(z)
     floors = np.empty_like(z)
@@ -229,8 +225,12 @@ def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     Phi(a;b;z) = e^z Phi(b-a;b;-z) (DLMF 13.2.39), whose series terms are
     all positive; for z <= -30 the large-|z| expansion
     ~ Gamma(b)/Gamma(b-a) (-z)^(-a), refused where its truncation floor is
-    too coarse.  A value off the double range, which only extreme
-    parameters reach, is refused too.  The elements of each branch are
+    too coarse.  That expansion is a :class:`DomainError` naming the edge
+    within 1e-12 of b = 0 or of b - a = 0, where gamma_fn takes b or b - a
+    for the pole at 0; at the b - a edge the e^z term of DLMF 13.7.2 that
+    the expansion drops is no longer small either.  A value off the double
+    range, which only extreme parameters reach, is refused too.  The
+    elements of each branch are
     summed together, and each element gets the bits it gets alone.
     """
     z = np.asarray(z, dtype=float)
@@ -242,6 +242,12 @@ def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     if a == 0.0:
         return out
     deep = z <= -_PHI_ASYMPTOTIC_CUT
+    for edge, value in (("b", b), ("b - a", b - a)):
+        if _is_nonpositive_integer(value) and deep.any():
+            raise DomainError(
+                f"Phi({a};{b};{float(z[deep][0])}) at z <= -{_PHI_ASYMPTOTIC_CUT:g} is not "
+                f"evaluated at the edge {edge} -> 0 ({edge} = {value})"
+            )
     mid = (z < 0.0) & ~deep
     if mid.any():
         out[mid] = np.exp(z[mid]) * _series_1f1_array(b - a, b, -z[mid])

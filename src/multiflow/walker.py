@@ -9,13 +9,17 @@ Five processes are simulated, all reducible to Gaussian increments:
 * ``fsbm-q``  -- scaled Brownian motion (nu = beta) mapped through the
   sign-preserving inverse geometric profile x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha).
 
-Reproducibility contract: every path draws from its own counter-based Philox
-stream keyed by the master seed, starting at counter [0, 0, path, 0], consumed
-in (step, direction) order, so ensembles are bit-identical for a fixed (seed,
-grid, spec) whatever the path count.  Paths are simulated in blocks of
-``_BLOCK_BYTES`` = 1 MB of positions (256 paths at D = 4 and 128 steps),
-small enough to stay in cache: one Philox generator is reset to each path's
-counter in turn and draws straight into the block buffer, which is then
+Reproducibility contract: paths are drawn in groups of ``_GROUP_PATHS`` = 64.
+Group g (paths 64g to 64g + 63) draws from one counter-based Philox stream
+keyed by the master seed, starting at counter [0, 0, g, 0], consumed in
+(path, step, direction) order.  A stream is read in order, so ensembles are
+bit-identical for a fixed (seed, grid, spec) whatever the path count: the
+first n paths of a larger ensemble are the n-path ensemble.  Paths are
+simulated in blocks of ``_BLOCK_BYTES`` = 1 MB of positions (256 paths at
+D = 4 and 128 steps), small enough to stay in cache: one Philox generator is
+reset to a group's counter where the group starts and draws each group's
+share of a block straight into the block buffer in one call, a group that
+spans two blocks drawing on from where it stopped.  The block is then
 scaled, summed along the steps and mapped by the process in place, and
 finally reduced to squared radii by explicit adds in np.sum's order.  An
 ensemble therefore holds the squared radius of every path and step,
@@ -58,6 +62,8 @@ PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
 # needs a path, so ``simulate`` needs at least this many.
 FIT_BATCHES = 16
 _BLOCK_BYTES = 1 << 20
+# Paths per Philox stream (the reproducibility contract in the module doc).
+_GROUP_PATHS = 64
 
 
 @dataclass(frozen=True)
@@ -172,56 +178,60 @@ def _row_sum(fill: Callable[[int, np.ndarray], None], n_rows: int, width: int, r
 
 
 def _simulate_paths(
-    grid: np.ndarray,
+    clock: np.ndarray,
     kappa: float,
-    nu: float,
     dim: int,
     seed: int,
     n_paths: int,
     keep: int | None,
     transform=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Brownian paths in the (possibly rescaled) time sigma^nu, by block.
+    """Brownian paths in the clock tau, one value per grid time, by block.
 
-    Increment n has variance 2*kappa*(sigma_{n}^nu - sigma_{n-1}^nu) per
-    direction, with sigma_{-1} = 0, which is the exact simulation of the time
-    change (no Euler bias).  ``transform`` maps a block of positions in place
+    Increment n has variance 2*kappa*(tau_n - tau_{n-1}) per direction, with
+    tau_{-1} = 0, which is the exact simulation of the time change (no Euler
+    bias).  Path p is path p % 64 of group p // 64, whose Philox stream
+    starts at counter [0, 0, p // 64, 0] and is read in (path, step,
+    direction) order.  ``transform`` maps a block of positions in place
     before it is reduced.  Returns the squared radii (n_paths, n_steps) and
     the positions of the first ``keep`` paths (all when ``keep`` is None).
     """
     # imported where the walkers draw, so that no other command loads it
     from numpy.random import Generator, Philox, SeedSequence
 
-    taus = grid.astype(float) ** nu
-    dtau = np.diff(np.concatenate(([0.0], taus)))
+    dtau = np.diff(np.concatenate(([0.0], clock)))
     if np.any(dtau <= 0.0):
         raise GridError("time-change increments must be positive")
     if n_paths < 0 or (keep is not None and keep < 0):
         raise DomainError(f"path and kept-path counts must be nonnegative, got {n_paths}, {keep}")
     keep = n_paths if keep is None else min(keep, n_paths)
+    n_steps = clock.size
     # (n_steps, dim), not broadcast from (n_steps, 1): a contiguous operand
     # keeps the in-place product one long inner loop.
     scale = np.repeat(np.sqrt(2.0 * kappa * dtau)[:, None], dim, axis=1)
     key = SeedSequence(seed).generate_state(2, np.uint64)
     bitgen = Philox(key=key)
     gen = Generator(bitgen)
-    # Path p's stream starts at counter [0, 0, p, 0] with an empty buffer,
+    # Group g's stream starts at counter [0, 0, g, 0] with an empty buffer,
     # exactly as a freshly constructed Philox(counter=..., key=key) does.
     counter = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    per_block = _block_paths(grid.size, dim)
-    block = np.empty((min(per_block, n_paths), grid.size, dim))
-    sq = np.empty((n_paths, grid.size))
-    pos = np.empty((keep, grid.size, dim))
+    per_block = _block_paths(n_steps, dim)
+    block = np.empty((min(per_block, n_paths), n_steps, dim))
+    sq = np.empty((n_paths, n_steps))
+    pos = np.empty((keep, n_steps, dim))
     for lo in range(0, n_paths, per_block):
         hi = min(lo + per_block, n_paths)
         buf = block[: hi - lo]
-        for i in range(hi - lo):
-            counter[2] = lo + i
-            bitgen.state = state
-            gen.standard_normal(out=buf[i])
+        # the block's group segments; one begun in the last block draws on
+        edges = [lo, *range(lo - lo % _GROUP_PATHS + _GROUP_PATHS, hi, _GROUP_PATHS), hi]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if a % _GROUP_PATHS == 0:
+                counter[2] = a // _GROUP_PATHS
+                bitgen.state = state
+            gen.standard_normal(out=buf[a - lo: b - lo])
         buf *= scale
         np.cumsum(buf, axis=1, out=buf)
         if transform is not None:
@@ -337,7 +347,7 @@ def simulate(
             block /= root_v
 
         process = "fsbm-v" if abs(nu - 1.0) <= 1e-12 else "fssbm"
-    sq, pos = _simulate_paths(grid, spec.scales.kappa, nu, spec.dim, seed, n_paths, keep, transform)
+    sq, pos = _simulate_paths(grid ** nu, spec.scales.kappa, spec.dim, seed, n_paths, keep, transform)
     return WalkerEnsemble(process, grid, sq, pos)
 
 

@@ -657,7 +657,7 @@ class TestSimulateCommand:
             ]
         )
         assert code == EXIT_NUMERIC
-        assert "fsbm-q msd or its standard error is not finite at sigma = 1.72" in capsys.readouterr().err
+        assert "fsbm-q msd or its standard error is not finite at sigma = 2.48" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("process", ["sbm", "fsbm-v", "fssbm"])

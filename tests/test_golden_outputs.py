@@ -169,58 +169,58 @@ GOLDEN = {
     ),
     "simulate-bm": (
         ("simulate", "--model", "bm", "--dim", "2", *_WALK, "--seed", "7", "--traj-paths", "5"),
-        "bf316d3250dea62be38866be44421aca3a72ff5ec481c429a699d5d947aaa3f5",
-        "97ddd0ca254292f47d59332de410de5da74d6819c59b61cc624e8cc75dcb2557",
+        "88c8d696905aa9b7af9d55ab8a79935f9f0c7ae3c45a4366305505cf155d4dab",
+        "5bf4b183cac53c31277ab0b57d1ac1170b92f83077a3da5918c034796f801a65",
     ),
     "simulate-fsbm-v-subsample": (
         ("simulate", "--model", "fsbm-v", "--dim", "2", "--beta", "0.5", *_WALK, "--seed", "13",
          "--subsample", "8", "--traj-paths", "3"),
-        "de386531241b0698a4143c28d8b15ab333758db4e8c89475949981367c3d7b26",
-        "1685fbe457d60b1313933d2c064454bae1779ec5736637ce53b41d83aee5718f",
+        "ca14563fb2fe3887272cf892e96d3cc6e23851ccf68d4570a5e6e979ad87248c",
+        "220ea247317064b17bb40162935d5becbb24fbc881702b3c6bc375857574ad9c",
     ),
     # asked for as fssbm and tagged so at nu != 1
     "simulate-fssbm": (
         ("simulate", "--model", "fssbm", "--dim", "2", "--beta", "0.5", "--nu", "0.75", *_WALK,
          "--seed", "17", "--traj-paths", "4"),
-        "7a69507bd9d6463bb7c5d0237a1a67d6cd084e5bf86ed2934648127ff8cad6ba",
-        "bf53b1764c04820f08f7fe5adfa09ae8ceca614a0e75abe621523ac050ffce04",
+        "86e1b214e7786c114b3f1f849712268e9effa5fcd706cf79767edf3f61db8f12",
+        "8d5fd237017f3cfe2d5f9779be0e76e15e5bac252acedce3fe1243be710ecd8b",
     ),
     # alpha = 1: the q walker without its inverse-profile map
     "simulate-fsbm-q-identity": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "1.0", "--beta", "0.5",
          *_WALK, "--seed", "19", "--traj-paths", "4"),
-        "3a1586bc8db27a10484dd19a30b4d40a40f0099e6e846cce0578ea1b488f2346",
-        "bacf9889eb7bcb3b40c8221b5d31e97905b5aeee67d0f2934d6b4ec16f3afe87",
+        "0124e7dc0897a8db8b0f0cefcb0a3942d48aced31a9305a2d299600c5d41439a",
+        "888068bf902891a5a0d0f148bc5c58da1a3258cea9b87012244589c7de00e71b",
     ),
     "simulate-fsbm-q": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
          *_WALK, "--seed", "11", "--traj-paths", "0"),
-        "f7c1a522fabba7766853e1b166a3e5838e558b4d26a007b249cccf8108d50414",
+        "956d085b71192484a8b58d448863c29750f6874cca5c393871d85a93996ae4e3",
         None,
     ),
     "simulate-bm-d3-blocks": (
         ("simulate", "--model", "bm", "--dim", "3", "--paths", "600", *_WALK_BLOCKS,
          "--seed", "21", "--traj-paths", "300"),
-        "0ba3c685cdee4fc2af04a51c1eb31d62b93137ba7ccfbd865a7e7c57484d5cf5",
-        "c25fc19e8348f826a6b4b649cc88754a87b0f18fb4405646175ffd9296b0cf0e",
+        "764f23b6ae0df433cd1866fbf747c640a5ec390faa06971ef3ec052f86e73546",
+        "11839ccac6eef2363c5622293a3b3aea2b7f7ae9b8a4acdd8b4347a4f6730012",
     ),
     "simulate-fsbm-v-binomial-blocks": (
         ("simulate", "--model", "fsbm-v", "--dim", "2", "--beta-star", "1.5", "--paths", "513",
          *_WALK_BLOCKS, "--seed", "23", "--traj-paths", "3"),
-        "f60d3ca5823cadd2fe1e45572b260843d1c059c3ea8f92c4a8bc0e4df7506e1e",
-        "0a812954ad97bbc256b92928183abee70fed6e5e8c04148b98dbd470c5a07b3f",
+        "f594ab197dc1ca4fcbb540ba54baca13be1258a4286043fbb91bedb80132e4d6",
+        "40fff8dfc6cb044b67a60f730e78d38fb17fb5d6b14b2245ab7673a893a8b705",
     ),
     "simulate-fsbm-q-blocks": (
         ("simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.5", "--beta", "0.5",
          "--paths", "700", *_WALK_BLOCKS, "--seed", "29", "--traj-paths", "0"),
-        "381006a55a11973b85ad9577fc6d51a0d37f7a1919990aa1adc66f3bf5c1df0d",
+        "37d7a773199b8995198591a7c25dbf52a599a3931d6076ccab53227a2eef2244",
         None,
     ),
     # at D = 1 the msd row blocks are the path blocks: 512 + 512 + 276 rows
     "simulate-sbm-d1-blocks": (
         ("simulate", "--model", "sbm", "--nu", "0.5", "--dim", "1", "--paths", "1300",
          *_WALK_BLOCKS, "--seed", "31", "--traj-paths", "0"),
-        "79c8c48f7fc60322a3f2919916fc38272e1a400a37dfb4e5560ef8c5a13469c1",
+        "37695de3f9095ace80d9add853645f7462b066d81211937554186dde45cf4f9b",
         None,
     ),
 }
@@ -251,13 +251,13 @@ def test_pins_hold_across_jobs_in_one_process(tmp_path):
 
 
 # SHA-256 of the full ``validate`` standard output
-VALIDATE_DIGEST = "3ff18dfdd0ecf39907003a606e5ab76f776649becdaa3fefc3211ae2028c6e10"
+VALIDATE_DIGEST = "498b09e1eabea59ca45a22915365701b191bce584f5601f2f3a2d7b5deab8504"
 
 
 def test_validate_output_pinned(capsys):
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "check bm-msd-exponent: measured=9.880546e-01 expected=1.000000e+00" in out
+    assert "check bm-msd-exponent: measured=1.011737e+00 expected=1.000000e+00" in out
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_DIGEST
 
 

@@ -59,8 +59,6 @@ def series_oracle(a, b, x):
 def asymptotic_oracle(a, b, z):
     """Phi(a;b;z) ~ Gamma(b)/Gamma(b-a) (-z)^(-a) sum_k (a)_k (a-b+1)_k / (k! (-z)^k),
     summed term by term to its smallest term."""
-    if _is_nonpositive_integer(b - a):
-        raise DomainError(f"asymptotic branch of Phi undefined for b - a = {b - a}")
     inv = 1.0 / (-z)
     total = 1.0
     term = 1.0
@@ -86,6 +84,8 @@ def phi_oracle(a, b, z):
     if z == 0.0 or a == 0.0:
         return 1.0
     if z <= -_PHI_ASYMPTOTIC_CUT:
+        if _is_nonpositive_integer(b) or _is_nonpositive_integer(b - a):
+            raise DomainError(f"Phi({a};{b};{z}) asymptotic branch at the edge b -> 0 or b - a -> 0")
         value = asymptotic_oracle(a, b, z)
     else:
         value = math.exp(z) * series_oracle(b - a, b, -z)
@@ -264,6 +264,26 @@ def test_branches_against_oracle_and_mpmath(branch):
         with mp.workdps(40):
             want = mp.hyp1f1(a, b, z)
             assert abs(got - want) <= tol * abs(want), (a, b, z)
+
+
+@pytest.mark.parametrize(
+    "a,b,edge",
+    [(-1.0, 1e-13, "b"), (0.5 - 1e-13, 0.5, "b - a")],
+    ids=["b-to-0", "b-minus-a-to-0"],
+)
+def test_large_z_edge_refused_by_name(a, b, edge):
+    # inside the domain, within gamma_fn's 1e-12 pole tolerance of b = 0 or
+    # b - a = 0: the large-|z| branch is refused with the edge named, though
+    # mpmath has a value; the reflection branch still evaluates the same a, b
+    with mp.workdps(40):
+        assert mp.isfinite(mp.hyp1f1(a, b, -40.0))
+        assert abs(kummer_phi(a, b, -5.0) - mp.hyp1f1(a, b, -5.0)) <= 1e-13 * abs(mp.hyp1f1(a, b, -5.0))
+    with pytest.raises(DomainError):
+        phi_oracle(a, b, -40.0)
+    for call in (lambda: kummer_phi(a, b, -40.0),
+                 lambda: _kummer_phi_array(a, b, np.array([-5.0, -40.0, -1e4]))):
+        with pytest.raises(DomainError, match=f"edge {edge} -> 0"):
+            call()
 
 
 @pytest.mark.parametrize(

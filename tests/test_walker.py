@@ -12,6 +12,7 @@ from multiflow import walker as walker_mod
 from multiflow.dispersion import time_weight
 from multiflow.errors import DomainError, GridError
 from multiflow.grid import geometric_grid, uniform_grid
+from multiflow.kernel import gaussian_pdf
 from multiflow.measure import FractionalCharges
 from multiflow.walker import (
     PROCESSES,
@@ -29,6 +30,9 @@ from multiflow.walker import (
 SEED = 20130409
 FULL_PATHS = 10_000
 FULL_STEPS = 1024
+# The reproducibility contract's paths per Philox stream, written out, not
+# read from the module.
+GROUP = 64
 # unit-charge specs: bm and sbm read only kappa, nu and the dimension
 BM_1D = fractional_spec(beta=1.0, dim=1)
 BM_2D = fractional_spec(beta=1.0, dim=2)
@@ -72,6 +76,22 @@ class TestDeterminism:
         assert not np.array_equal(a.positions, c.positions)
 
 
+class TestStreamIndependence:
+    def test_neighbouring_paths_uncorrelated(self):
+        # the first-step increment of path p against that of path p + 1,
+        # over n seeds: pairs inside a group, the pair 63 | 64 across the
+        # edge between the first two groups' streams, and the first paths
+        # of two streams
+        n = 2000
+        grid = np.array([1.0, 2.0])
+        first = np.array([simulate("bm", 2 * GROUP + 2, grid, BM_1D, seed).positions[:, 0, 0]
+                          for seed in range(n)])
+        pairs = [(p, p + 1) for p in (0, GROUP // 2, GROUP - 2, GROUP - 1, GROUP, 2 * GROUP)]
+        for p, q in pairs + [(0, GROUP)]:
+            r = float(np.corrcoef(first[:, p], first[:, q])[0, 1])
+            assert abs(r) < 4.0 / math.sqrt(n), (p, q, r)
+
+
 class TestBrownian:
     def test_msd_slope(self, bm_full, full_grid):
         sig, mean_sq, _ = msd(bm_full)
@@ -112,6 +132,46 @@ class TestBrownian:
         for mu in range(3):
             per_direction += (ens.positions[:, :, mu] ** 2).mean(axis=0)
         assert np.allclose(total, per_direction, rtol=1e-12)
+
+
+# One-point law: seeds, path count and sigma fixed before any result was seen.
+LAW_PATHS = 4000
+LAW_GRID = geometric_grid(1e-2, 10.0, 32)
+LAW_STEP = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _gaussian_axis_cdf(x, ell2):
+    """CDF of one axis of the law ``kernel.gaussian_pdf(., 0, ell2, D)``,
+    N(0, 2 ell2): the library's 1-D density integrated from 0 to each x by
+    64-node Gauss-Legendre."""
+    x = np.asarray(x, dtype=float)
+    nodes = (x[:, None] * (1.0 + _GL_NODES) / 2.0).reshape(-1, 1)
+    density = gaussian_pdf(nodes, [0.0], ell2, 1).reshape(x.size, -1)
+    return 0.5 + x / 2.0 * (density @ _GL_WEIGHTS)
+
+
+class TestOnePointLaw:
+    # bm and sbm at one sigma are N(0, 2 kappa tau) on each axis, tau = sigma^nu
+    # their clock; the other process's clock is rejected at the same sigma
+    @pytest.mark.parametrize(
+        "process, nu, other_nu, seed", [("bm", 1.0, 0.5, 2701), ("sbm", 0.5, 1.0, 2702)]
+    )
+    def test_positions_follow_gaussian_pdf(self, process, nu, other_nu, seed):
+        spec = fractional_spec(beta=1.0, nu=nu, dim=2, kappa=0.7)
+        ens = simulate(process, LAW_PATHS, LAW_GRID, spec, seed)
+        sigma = float(LAW_GRID[LAW_STEP])
+        for axis in range(spec.dim):
+            sample = ens.positions[:, LAW_STEP, axis]
+            own = stats.kstest(sample, lambda x: _gaussian_axis_cdf(x, 0.7 * sigma ** nu))
+            other = stats.kstest(sample, lambda x: _gaussian_axis_cdf(x, 0.7 * sigma ** other_nu))
+            assert own.pvalue > 1e-3, (axis, own)
+            assert other.pvalue < 1e-3, (axis, other)
+
+    def test_axis_cdf_is_the_normal_law(self):
+        x = np.linspace(-8.0, 8.0, 161)
+        assert np.allclose(_gaussian_axis_cdf(x * math.sqrt(1.4), 0.7), stats.norm.cdf(x),
+                           rtol=0.0, atol=1e-13)
 
 
 class TestScaledBrownian:
@@ -434,7 +494,8 @@ class TestDispatcher:
             simulate("bm", 10, np.array([1.0, 0.5]), BM_1D, 0)
 
 
-# The stream tests run on a grid whose blocks hold 170 paths at D = 3.
+# The stream tests run on a grid whose blocks hold 170 paths at D = 3, so
+# that a block edge falls inside a group of 64 paths.
 STREAM_GRID = geometric_grid(1e-3, 10.0, 256)
 STREAM_DIM = 3
 STREAM_BLOCK = _block_paths(STREAM_GRID.size, STREAM_DIM)
@@ -446,17 +507,18 @@ def _stream_spec(process):
 
 
 def _reference_paths(process, spec, n_paths, seed):
-    """The ensemble as drawn before path blocks: one freshly built generator
-    per path, counter [0, 0, p, 0], positions for every path."""
+    """The ensemble as drawn without path blocks: one freshly built generator
+    per group of 64 paths, counter [0, 0, g, 0], positions for every path."""
     sc = spec.scales
     nu = {"bm": 1.0, "fsbm-q": sc.beta}.get(process, sc.nu)
     dtau = np.diff(np.concatenate(([0.0], STREAM_GRID ** nu)))
     scale = np.sqrt(2.0 * sc.kappa * dtau)[:, None]
     key = SeedSequence(seed).generate_state(2, np.uint64)
     pos = np.empty((n_paths, STREAM_GRID.size, STREAM_DIM))
-    for p in range(n_paths):
-        gen = Generator(Philox(counter=np.array([0, 0, p, 0], dtype=np.uint64), key=key))
-        np.cumsum(gen.standard_normal((STREAM_GRID.size, STREAM_DIM)) * scale, axis=0, out=pos[p])
+    for g, lo in enumerate(range(0, n_paths, GROUP)):
+        gen = Generator(Philox(counter=np.array([0, 0, g, 0], dtype=np.uint64), key=key))
+        draws = gen.standard_normal((min(GROUP, n_paths - lo), STREAM_GRID.size, STREAM_DIM))
+        np.cumsum(draws * scale, axis=1, out=pos[lo: lo + draws.shape[0]])
     if process in ("fsbm-v", "fssbm"):
         weight = time_weight(spec)
         pos /= np.sqrt(np.array([weight(s) for s in STREAM_GRID]))[None, :, None]
@@ -469,9 +531,12 @@ def _reference_paths(process, spec, n_paths, seed):
 class TestBlockStream:
     @pytest.mark.parametrize("process", PROCESSES)
     @pytest.mark.parametrize(
-        "n_paths", [2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 5]
+        "n_paths",
+        [2, GROUP - 1, GROUP, GROUP + 1, 2 * GROUP + 1, STREAM_BLOCK - 1, STREAM_BLOCK,
+         STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 5],
     )
     def test_equals_per_path_generators(self, process, n_paths):
+        # blocking moves no bit: the blocked draws equal one generator per group
         spec = _stream_spec(process)
         pos, sq = _reference_paths(process, spec, n_paths, 31)
         for keep in sorted({0, 1, min(STREAM_BLOCK + 3, n_paths), n_paths}):
@@ -481,6 +546,22 @@ class TestBlockStream:
             assert np.array_equal(ens.sq_radii, sq)
             assert np.array_equal(ens.positions, pos[:keep])
         assert np.array_equal(simulate(process, n_paths, STREAM_GRID, spec, 31).positions, pos)
+
+    @pytest.mark.parametrize(
+        "steps, dim", [(256, 3), (4096, 4)], ids=["170-per-block", "8-per-block"]
+    )
+    def test_prefix_of_a_larger_ensemble(self, steps, dim):
+        # a stream is read in order, so n paths are the first n of 300; at
+        # 8 paths per block every group's stream crosses seven block edges
+        grid = geometric_grid(1e-3, 10.0, steps)
+        spec = fractional_spec(beta=1.0, dim=dim)
+        if steps == 4096:
+            assert _block_paths(steps, dim) == 8
+        big = simulate("bm", 300, grid, spec, 41)
+        for n in (1, GROUP - 1, GROUP, GROUP + 1, 200):
+            ens = simulate("bm", n, grid, spec, 41)
+            assert np.array_equal(ens.positions, big.positions[:n])
+            assert np.array_equal(ens.sq_radii, big.sq_radii[:n])
 
     def test_keep_beyond_paths_keeps_all(self):
         ens = simulate("bm", 5, STREAM_GRID, BM_2D, 3, keep=50)
