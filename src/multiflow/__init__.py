@@ -8,13 +8,7 @@ exponents verify the closed forms.  A CLI (``multiflow``) drives parameter
 sweeps and CSV emission.
 """
 
-from .dispersion import (
-    DiffusionSpec,
-    DispersionCurve,
-    dispersion,
-    dispersion_quadrature,
-    sample_dispersion,
-)
+from .dispersion import DiffusionSpec, dispersion, dispersion_quadrature
 from .errors import (
     BoxError,
     ConfigError,
@@ -50,7 +44,6 @@ from .spectral import (
     SpectralFlow,
     fixed_point_ds,
     flow_curve,
-    spectral_from_dispersion,
     walk_dimension,
 )
 from .specfun import gamma_fn, kummer_phi

@@ -23,16 +23,9 @@ from . import kernel as kernel_mod
 from . import spectral, walker
 from .config import COMMANDS, RunConfig, build_spec, merge_overrides, read_config
 from .csvio import write_csv, write_line_chart
-from .dispersion import (
-    DiffusionSpec,
-    binomial_time_integral,
-    dispersion,
-    dispersion_quadrature,
-    sample_dispersion,
-    time_weight,
-)
+from .dispersion import DiffusionSpec, binomial_time_integral, dispersion, dispersion_quadrature
 from .errors import ConfigError, MultiflowError
-from .grid import geometric_grid
+from .grid import geometric_grid, log_slope
 from .measure import GeometryScales
 from .spectral import LegacyAnsatzWarning
 
@@ -175,15 +168,9 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         adaptive quadrature of its defining integral."""
         cfg_ms = merge_overrides(cfg, {"command": "flow", "model": "weighted", "beta_star": beta_star})
         spec = build_spec(cfg_ms)
-        weight = time_weight(spec)
-        closed = kappa_fudge * dispersion(spec, np.asarray(sigmas, dtype=float))
-        quad = np.array([
-            dispersion_quadrature(
-                weight, spec.scales.kappa, 1.0, s, 0.0,
-                min_charge=spec.multiscale.min_charge,
-            )
-            for s in sigmas
-        ])
+        sigmas = np.asarray(sigmas, dtype=float)
+        closed = kappa_fudge * dispersion(spec, sigmas)
+        quad = dispersion_quadrature(spec, sigmas)
         return float(np.max(np.abs(closed - quad) / quad))
 
     # Closed-form dispersion against adaptive quadrature of its defining integral.
@@ -208,9 +195,9 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
     cfg_flow = merge_overrides(cfg, {"command": "flow", "model": "weighted", "beta_star": 0.5})
     spec = build_spec(cfg_flow)
     grid = np.geomspace(1e-2 * cfg.lstar, 1e2 * cfg.lstar, 40 if quick else 200)
-    curve = sample_dispersion(spec, grid, method="closed-form")
+    ell2 = dispersion(spec, grid)
     probes = grid[2:-2:5]
-    numeric = [spectral.spectral_from_dispersion(curve, spec.dim, s) for s in probes]
+    numeric = [spec.dim * log_slope(grid, ell2, s) for s in probes]
     closed = spectral.flow_curve(spec, probes)[0].ds
     worst = float(np.max(np.abs(np.array(numeric) - closed)))
     checks.append(_Check("numeric-vs-closed-flow", worst, 0.0, 1e-3))

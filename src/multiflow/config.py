@@ -9,7 +9,8 @@ Grammar (documented in the README):
   rejected;
 * each value is read and written by its field's annotation: integers,
   floats, booleans (``true``/``false``), strings, comma-separated float
-  lists (for anisotropic charges) and ``none`` for an unset optional float.
+  lists (for anisotropic charges) and ``none`` for an unset optional float;
+* a file sets the charges by ``alpha`` or by ``alphas``, not both.
 
 Parsing then serializing then parsing is the identity on :class:`RunConfig`.
 """
@@ -208,6 +209,8 @@ def read_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         if attr in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if {"alpha", "alphas"} <= {attr, *values}:
+            raise ConfigError(f"line {lineno}: set either 'alpha' or 'alphas', not both")
         try:
             values[attr] = _CODECS[_KINDS[attr]][0](raw)
         except ValueError as exc:
@@ -224,18 +227,24 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
+    """Canonical text form; parse(serialize(cfg)) == cfg.  Of ``alpha`` and
+    ``alphas`` it writes the one that :func:`build_spec` reads: ``alphas``
+    when set, so an ``alpha`` beside them comes back at its default."""
     lines = ["# multiflow config v1"]
     for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
         for key, name in keys.items():
+            if name == ("alpha" if cfg.alphas else "alphas"):
+                continue  # of the two charge keys, only the one build_spec reads
             lines.append(f"{key} = {_CODECS[_KINDS[name]][1](getattr(cfg, name))}")
         lines.append("")
     return "\n".join(lines)
 
 
 def merge_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
-    """Apply non-None attribute overrides (CLI flags beat config values)."""
+    """Apply non-None attribute overrides (CLI flags beat config values): an
+    ``alpha`` override also clears the config's ``alphas``, which would
+    otherwise be read in its place."""
     known = {f.name for f in fields(RunConfig)}
     clean = {}
     for key, value in overrides.items():
@@ -244,6 +253,8 @@ def merge_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
         if key not in known:
             raise ConfigError(f"unknown config attribute {key!r}")
         clean[key] = value
+    if "alpha" in clean:
+        clean.setdefault("alphas", ())
     return replace(cfg, **clean).validate()
 
 

@@ -15,9 +15,9 @@ whole sigma grid in one call, summed in cache-sized blocks of
 ``specfun._PANEL_BLOCK`` values.  Every closed form takes a float or an
 array of sigma, each element with the bits of its scalar call: powers of
 sigma stay on Python floats (:func:`grid.powers`), since numpy's vectorised
-power rounds differently from ``pow``.  An adaptive quadrature evaluates
-each model's defining integral directly and doubles as the oracle for
-every closed form.
+power rounds differently from ``pow``.  :func:`dispersion_quadrature`,
+the adaptive quadrature of each model's defining integral, is the one
+oracle of every closed form.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ExponentDomainError
-from .grid import check_grid, check_sigma, powers
+from .grid import check_sigma, powers
 from .measure import (
     DIFFUSION_TIME,
     POSITION,
@@ -45,12 +45,10 @@ from .specfun import decade_panels, gamma_fn
 
 __all__ = [
     "DiffusionSpec",
-    "DispersionCurve",
     "MODELS",
     "dispersion_quadrature",
     "check_dispersion",
     "dispersion",
-    "sample_dispersion",
     "time_weight",
     "q_time_profile",
 ]
@@ -76,10 +74,12 @@ class DiffusionSpec:
     term tables, built once per spec.  A spec refuses what no evaluator of
     its model can take: ``beta_star`` for legacy, nu != 1 for q (clocked by
     beta, which must lie in (0, 2) without ``beta_star``), lbar > 0 but at
-    fixed dimensionality in the weighted and ordinary models, and
-    anisotropic charges with ``multiscale_space``.  A refusal of one
-    evaluator only is that evaluator's check: :func:`check_dispersion`,
-    ``kernel.check_trace`` and ``walker.check_simulation``.
+    fixed dimensionality in the weighted and ordinary models, beta <= 0 at
+    fixed dimensionality in those two (s^(beta-1)/Gamma(beta) is a positive
+    measure only for beta > 0), and anisotropic charges with
+    ``multiscale_space``.  A refusal of one evaluator only is that
+    evaluator's check: :func:`check_dispersion`, ``kernel.check_trace`` and
+    ``walker.check_simulation``.
     """
 
     model: str
@@ -110,6 +110,11 @@ class DiffusionSpec:
                 "lbar is read only at fixed dimensionality by the weighted and ordinary models, "
                 f"got lbar = {self.scales.lbar}"
             )
+        fixed_dimensionality = self.model in ("weighted", "ordinary") and self.beta_star is None
+        if fixed_dimensionality and not self.scales.beta > 0.0:
+            raise DomainError(
+                f"beta must be positive at fixed dimensionality, got beta = {self.scales.beta}"
+            )
         # both profiles are built here, once: a binomial charge outside (0, 2), or 1, raises
         time_profile, _ = self.multiscale, self.spatial_profile
         if self.model == "q" and time_profile is not None and not 0.0 < self.beta_star < 1.0:
@@ -137,28 +142,6 @@ class DiffusionSpec:
         if not self.multiscale_space:
             return None
         return MeasureProfile.binomial(self.charges.alphas[0], self.scales.lstar, kind=POSITION)
-
-
-@dataclass(frozen=True)
-class DispersionCurve:
-    """Sampled (sigma, ell^2) pairs with the method that produced them."""
-
-    sigmas: np.ndarray
-    ell2: np.ndarray
-    method: str
-
-    def __post_init__(self) -> None:
-        sig = np.asarray(self.sigmas, dtype=float)
-        e2 = np.asarray(self.ell2, dtype=float)
-        object.__setattr__(self, "sigmas", sig)
-        object.__setattr__(self, "ell2", e2)
-        if self.method not in ("closed-form", "quadrature"):
-            raise DomainError(f"unknown curve method {self.method!r}")
-        check_grid(sig, e2)
-        if np.any(e2 < 0.0):
-            raise DomainError("dispersion must be nonnegative")
-        if np.any(np.diff(e2) < 0.0):
-            raise DomainError("dispersion must be nondecreasing in sigma")
 
 
 def _shaped(sig: np.ndarray, values: np.ndarray) -> float | np.ndarray:
@@ -240,41 +223,21 @@ def binomial_time_integral(
     return _shaped(sig, out)
 
 
-def dispersion_quadrature(
-    weight: Callable[[float], float],
-    kappa: float,
-    nu: float,
-    sigma: float,
-    lbar2: float = 0.0,
-    min_charge: float | None = None,
-) -> float:
-    """Adaptive quadrature of lbar^2 + kappa int_0^sigma s^(nu-1)/weight(s) ds.
+def _quadrature(weight: Callable[[float], float], nu: float, sigma: float, charge: float) -> float:
+    """int_0^sigma s^(nu-1)/weight(s) ds by adaptive quadrature, at sigma > 0.
 
-    ``min_charge`` (the smallest power-law charge of the weight near zero)
-    triggers the substitution u = s^min_charge that removes the integrable
+    ``charge`` is the smallest power-law charge of the weight near zero;
+    unless it is 1, the substitution u = s^charge removes the integrable
     endpoint singularity before the adaptive rule sees it.  Raises
-    :class:`ConvergenceError` when the 1e-9 relative tolerance is not met and
-    :class:`DomainError` when the integrand is not integrable at the origin.
+    :class:`ConvergenceError` when the 1e-9 relative tolerance is not met.
     """
-    check_sigma(sigma, zero=True)
-    if sigma == 0.0:
-        return lbar2
-    probe = weight(sigma * 0.5)
-    if probe <= 0.0:
-        raise DomainError("weight must be positive on (0, sigma)")
-
-    if min_charge is not None and min_charge > 0.0 and abs(min_charge - 1.0) > 1e-12:
-        c = min_charge
-        if nu + 1.0 - c <= 0.0:
-            raise DomainError(
-                f"integrand not integrable at 0 for nu = {nu}, min charge = {c}"
-            )
+    if abs(charge - 1.0) > 1e-12:
 
         def integrand(u: float) -> float:
-            s = u ** (1.0 / c)
-            return (1.0 / c) * u ** (nu / c - 1.0) / weight(s)
+            s = u ** (1.0 / charge)
+            return (1.0 / charge) * u ** (nu / charge - 1.0) / weight(s)
 
-        upper = sigma ** c
+        upper = sigma ** charge
     else:
 
         def integrand(s: float) -> float:
@@ -298,7 +261,7 @@ def dispersion_quadrature(
         raise ConvergenceError(
             f"quadrature tolerance not met: abserr = {abserr:.3e} on value {value:.6e}"
         )
-    return lbar2 + kappa * value
+    return value
 
 
 def time_weight(spec: DiffusionSpec) -> Callable[[float], float]:
@@ -378,45 +341,41 @@ def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nda
     return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 
 
-def sample_dispersion(
-    spec: DiffusionSpec,
-    sigmas: Sequence[float] | np.ndarray,
-    method: str = "closed-form",
-) -> DispersionCurve:
-    """Evaluate the dispersion on a grid, by closed form or by quadrature.
+def dispersion_quadrature(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
+    """The oracle of :func:`dispersion`: each model's defining integral by
+    adaptive quadrature, independent of every closed form.
 
-    The quadrature integrates each model's own defining integral: the
-    q model its derivative kappa sum_n g_n c_n s^(c_n - 1), the legacy
-    ansatz the Brownian kappa, the others kappa s^(nu-1)/v(s) from their
-    initial width (lstar^2 fuzzy, lbar^2 at fixed dimensionality).
+    weighted/ordinary: ell2(0) + kappa int_0^sigma s^(nu-1)/v(s) ds, v the
+    :func:`time_weight` and ell2(0) lstar^2 fuzzy, lbar^2 at fixed
+    dimensionality, else 0; q: the integral of its derivative
+    kappa sum_n g_n c_n s^(c_n - 1) over :func:`q_time_profile`; legacy:
+    the Brownian kappa sigma.  It takes what :func:`dispersion` takes and
+    refuses what it refuses (:func:`check_dispersion`, then any negative
+    sigma), and a float gives a float, an array an array of its shape.
     """
-    sig = np.asarray(sigmas, dtype=float)
-    if method == "closed-form":
-        e2 = dispersion(spec, sig)
-    elif method == "quadrature":
-        sc = spec.scales
-        nu, base, min_charge = sc.nu, 0.0, None
-        if spec.model == "q":
-            profile = q_time_profile(spec)
-            nu, min_charge = 1.0, profile.min_charge
+    check_dispersion(spec)
+    sig = check_sigma(sigma, zero=True)
+    sc = spec.scales
+    if spec.model == "q":
+        profile = q_time_profile(spec)
+        nu, base, charge = 1.0, 0.0, profile.min_charge
 
-            def weight(s: float) -> float:
-                return 1.0 / sum(g * c * s ** (c - 1.0) for g, c in profile.terms)
+        def weight(s: float) -> float:
+            return 1.0 / sum(g * c * s ** (c - 1.0) for g, c in profile.terms)
 
-        elif spec.model == "legacy":
-            nu = 1.0
+    elif spec.model == "legacy":
+        nu, base, charge = 1.0, 0.0, 1.0
 
-            def weight(s: float) -> float:
-                return 1.0
+        def weight(s: float) -> float:
+            return 1.0
 
-        elif spec.beta_star is not None:
-            weight, min_charge = time_weight(spec), spec.multiscale.min_charge
-            base = sc.lstar ** 2 if spec.fuzzy else 0.0
-        else:
-            weight, min_charge, base = time_weight(spec), sc.beta, sc.lbar ** 2
-        e2 = np.array(
-            [dispersion_quadrature(weight, sc.kappa, nu, s, base, min_charge) for s in sig.tolist()]
-        )
+    elif spec.beta_star is not None:
+        nu, charge, weight = sc.nu, spec.multiscale.min_charge, time_weight(spec)
+        base = sc.lstar ** 2 if spec.fuzzy else 0.0
     else:
-        raise DomainError(f"unknown sampling method {method!r}")
-    return DispersionCurve(sigmas=sig, ell2=e2, method=method)
+        nu, base, charge, weight = sc.nu, sc.lbar ** 2, sc.beta, time_weight(spec)
+    values = [
+        base + sc.kappa * _quadrature(weight, nu, s, charge) if s > 0.0 else base
+        for s in sig.reshape(-1).tolist()
+    ]
+    return _shaped(sig, np.array(values))

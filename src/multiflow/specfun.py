@@ -37,6 +37,9 @@ __all__ = ["gamma_fn", "kummer_phi", "decade_panels"]
 
 # |z| above which the confluent series is abandoned for the large-|z| expansion.
 _PHI_ASYMPTOTIC_CUT = 30.0
+# ln of the largest relative size of the e^z term that the large-|z|
+# expansion may drop: its own truncation-floor bound, 1e-8.
+_LOG_DROPPED_MAX = math.log(1e-8)
 # Truncation of both series of Phi: a term below _REL_TOL of its sum stops
 # it, and no series sums more than _MAX_TERMS terms.
 _REL_TOL = 1e-14
@@ -228,9 +231,12 @@ def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     too coarse.  That expansion is a :class:`DomainError` naming the edge
     within 1e-12 of b = 0 or of b - a = 0, where gamma_fn takes b or b - a
     for the pole at 0; at the b - a edge the e^z term of DLMF 13.7.2 that
-    the expansion drops is no longer small either.  A value off the double
-    range, which only extreme parameters reach, is refused too.  The
-    elements of each branch are
+    the expansion drops is no longer small either.  Near that edge the
+    dropped term, Gamma(b-a)/Gamma(a) e^z (-z)^(2a-b) of the leading one,
+    is estimated once per call, at the largest z <= -30, and a
+    :class:`ConvergenceError` is raised where it exceeds the 1e-8 of the
+    truncation floor.  A value off the double range, which only extreme
+    parameters reach, is refused too.  The elements of each branch are
     summed together, and each element gets the bits it gets alone.
     """
     z = np.asarray(z, dtype=float)
@@ -247,6 +253,17 @@ def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
             raise DomainError(
                 f"Phi({a};{b};{float(z[deep][0])}) at z <= -{_PHI_ASYMPTOTIC_CUT:g} is not "
                 f"evaluated at the edge {edge} -> 0 ({edge} = {value})"
+            )
+    if deep.any() and not _is_nonpositive_integer(a):
+        # the e^z term of DLMF 13.7.2 that the expansion drops, relative to
+        # its leading term: Gamma(b-a)/Gamma(a) e^z (-z)^(2a-b), largest at
+        # the largest deep z; it is 0 at a nonpositive integer a
+        top = float(z[deep].max())
+        log_dropped = math.lgamma(b - a) - math.lgamma(a) + top + (2.0 * a - b) * math.log(-top)
+        if log_dropped > _LOG_DROPPED_MAX:
+            raise ConvergenceError(
+                f"Phi({a};{b};{top}) drops an e^z term of relative size "
+                f"{math.exp(min(log_dropped, 700.0)):.2e} at z <= -{_PHI_ASYMPTOTIC_CUT:g}"
             )
     mid = (z < 0.0) & ~deep
     if mid.any():

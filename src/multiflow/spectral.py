@@ -7,8 +7,8 @@ The spectral dimension probes how a diffusing particle sees the geometry:
 constant for pure power-law dispersions and flowing between an ultraviolet
 and an infrared plateau for binomial multiscale measures.  :func:`flow_curve`
 samples the closed-form flow of every model, with the dispersion it came
-from, in one array pass over the grid and the plateau probes; a
-stencil-based numeric extractor works on any sampled dispersion curve.
+from, in one array pass over the grid and the plateau probes.  On any
+sampled dispersion curve the numeric d_S is D times :func:`grid.log_slope`.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, DispersionCurve, dispersion, q_time_profile
+from .dispersion import DiffusionSpec, dispersion, q_time_profile
 from .errors import DomainError
-from .grid import check_grid, check_sigma, log_slope, powers
+from .grid import check_grid, check_sigma, powers
 from .measure import hausdorff_dimension
 
 __all__ = [
     "SpectralFlow",
     "LegacyAnsatzWarning",
-    "spectral_from_dispersion",
     "fixed_point_ds",
     "walk_dimension",
     "flow_curve",
@@ -68,16 +67,6 @@ class SpectralFlow:
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "ds", ds)
         check_grid(sig, ds, min_points=0)
-
-
-def spectral_from_dispersion(curve: DispersionCurve, dim: int, sigma: float) -> float:
-    """Numeric d_S = D dln ell^2/dln sigma on a log-uniform dispersion curve.
-
-    Uses a five-point central stencil in ln sigma, so the evaluation point
-    must sit at least two grid points away from either edge; the grid must be
-    geometric (uniform in ln sigma).
-    """
-    return dim * log_slope(curve.sigmas, curve.ell2, sigma)
 
 
 def fixed_point_ds(spec: DiffusionSpec) -> float:

@@ -271,12 +271,17 @@ def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
     """The clock exponent nu of ``process``: 1 for ``bm``, beta for ``fsbm-q``,
     the spec's nu otherwise.  :class:`DomainError` for what the process, spec
     and seed alone refuse: a negative seed, lbar > 0 (no walker starts from a
-    spread), an unknown process, nu <= 0, and for ``fsbm-q`` anisotropic
-    charges or beta outside (0, 1]."""
+    spread), ``beta_star`` for ``bm``, ``sbm`` and ``fsbm-q`` and nu != 1
+    for ``bm`` (parameters those processes never read), an unknown process,
+    nu <= 0, and for ``fsbm-q`` anisotropic charges or beta outside (0, 1]."""
     check_seed(seed)
     if spec.scales.lbar > 0.0:
         raise DomainError(f"walkers read no lbar, got lbar = {spec.scales.lbar}")
+    if spec.beta_star is not None and process in ("bm", "sbm", "fsbm-q"):
+        raise DomainError(f"{process} reads no beta_star, got beta_star = {spec.beta_star}")
     if process == "bm":
+        if abs(spec.scales.nu - 1.0) > 1e-12:
+            raise DomainError(f"bm reads no nu (its clock is sigma), got nu = {spec.scales.nu}")
         return 1.0
     if process == "fsbm-q":
         alphas = spec.charges.alphas

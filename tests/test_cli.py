@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,18 +46,10 @@ class TestCurveSerialization:
         import numpy as np
 
         from multiflow.csvio import write_csv
-        from multiflow.dispersion import DispersionCurve
         from multiflow.kernel import PER_INTEGER_VOLUME, HeatKernelCurve
         from multiflow.spectral import SpectralFlow
 
         sig = np.geomspace(0.1, 10.0, 5)
-        curve = DispersionCurve(sigmas=sig, ell2=sig.copy(), method="closed-form")
-        path = tmp_path / "disp.csv"
-        write_csv(path, "dispersion", ("sigma", "ell2", "method"),
-                  (curve.sigmas, curve.ell2, curve.method))
-        _, columns, rows = read_csv(path)
-        assert columns == ["sigma", "ell2", "method"] and rows[0][2] == "closed-form"
-
         flow = SpectralFlow(sigmas=sig, ds=np.full(5, 2.0), uv_asymptote=2.0,
                             ir_asymptote=4.0, model="q")
         path = tmp_path / "flow.csv"
@@ -191,16 +183,19 @@ class TestConfig:
         text = serialize_config(cfg)
         assert parse_config(text) == cfg
         assert parse_config(serialize_config(parse_config(text))) == cfg
-        # every field has its key: a config that moves each one from its default comes back whole
+        # every field has its key: a config that moves each one from its default comes back
+        # whole; alpha and alphas are one setting, written by whichever is read
         full = RunConfig(
-            command="kernel", out="a.csv", svg="a.svg", model="ordinary", dim=2, alpha=0.5,
+            command="kernel", out="a.csv", svg="a.svg", model="ordinary", dim=2,
             alphas=(0.5, 0.25), beta=0.75, beta_star=0.5, nu=0.9, lstar=2.0, kappa=3.0, lbar=0.1,
             fuzzy=True, multiscale_space=True, sigma_min=0.01, sigma_max=100.0, points=7, log=False,
             process="sbm", paths=9, steps=11, seed=5, subsample=2, traj_paths=3, sigma=0.5,
             x_max=4.0, x_points=21, x0=0.3, box=6.0,
         )
-        assert all(getattr(full, f.name) != f.default for f in fields(RunConfig))
+        assert all(getattr(full, f.name) != f.default for f in fields(RunConfig) if f.name != "alpha")
         assert read_config(serialize_config(full)) == full
+        by_alpha = replace(full, alpha=0.5, alphas=())
+        assert read_config(serialize_config(by_alpha)) == by_alpha
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -334,7 +329,7 @@ class TestMultiscaleSpace:
 
     def test_refused_with_anisotropic_alphas(self, tmp_path, capsys):
         # the binomial space measure has one charge: anisotropic alphas have none
-        config = self._config(tmp_path, "alpha = 0.3\nalphas = 0.5,0.7\n")
+        config = self._config(tmp_path, "alphas = 0.5,0.7\n")
         out = tmp_path / "x.csv"
         code = main(["pdf", "--config", config, "--multiscale-space", "--out", str(out)])
         assert code == EXIT_CONFIG
@@ -349,6 +344,22 @@ class TestMultiscaleSpace:
         argv = ["pdf", "--model", "ordinary", "--dim", "2", "--alpha", "0.5", "--multiscale-space"]
         assert main([*argv, "--out", str(by_alpha)]) == EXIT_OK
         assert by_alphas.read_bytes() == by_alpha.read_bytes()
+
+    def test_alpha_flag_beats_the_files_alphas(self, tmp_path):
+        # the file's alphas were read in place of the flag's alpha
+        config = self._config(tmp_path, "alphas = 0.5,0.5\n")
+        by_flag, plain = tmp_path / "flag.csv", tmp_path / "plain.csv"
+        assert main(["pdf", "--config", config, "--alpha", "0.3", "--out", str(by_flag)]) == EXIT_OK
+        argv = ["pdf", "--model", "ordinary", "--dim", "2", "--alpha", "0.3"]
+        assert main([*argv, "--out", str(plain)]) == EXIT_OK
+        assert by_flag.read_bytes() == plain.read_bytes()
+
+    def test_file_setting_alpha_and_alphas_refused(self, tmp_path, capsys):
+        config = self._config(tmp_path, "alpha = 0.3\nalphas = 0.5,0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["pdf", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert "line 5: set either 'alpha' or 'alphas', not both" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_charges_not_matching_dim_are_a_config_error(self, tmp_path, capsys):
         config = self._config(tmp_path, "alphas = 0.5,0.7,0.9\n")
@@ -398,11 +409,30 @@ class TestUnreadParameters:
              "1 + nu - beta = 0.0 must be positive"),
             (("kernel", "--model", "ordinary", "--dim", "4", "--alpha", "0.5", "--multiscale-space"),
              "the ordinary-model trace needs dim <= 3, got 4"),
+            # s^(beta-1)/Gamma(beta) is a measure only for beta > 0: the flow
+            # wrote ell2 < 0, the trace ended in a traceback or exit 3
+            (("flow", "--model", "weighted", "--beta", "-0.5"),
+             "beta must be positive at fixed dimensionality, got beta = -0.5"),
+            (("kernel", "--model", "weighted", "--beta", "-0.5", "--dim", "3"),
+             "beta must be positive at fixed dimensionality, got beta = -0.5"),
+            (("kernel", "--model", "weighted", "--beta", "-0.5", "--dim", "2"),
+             "beta must be positive at fixed dimensionality, got beta = -0.5"),
+            # walkers that never read beta_star or nu wrote the bytes of a run without them
+            (("simulate", "--model", "bm", "--beta-star", "0.5", *_WALK_GRID),
+             "bm reads no beta_star, got beta_star = 0.5"),
+            (("simulate", "--model", "sbm", "--beta-star", "0.5", "--nu", "0.5", *_WALK_GRID),
+             "sbm reads no beta_star, got beta_star = 0.5"),
+            (("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "0.5", "--beta-star", "0.5",
+              *_WALK_GRID), "fsbm-q reads no beta_star, got beta_star = 0.5"),
+            (("simulate", "--model", "bm", "--nu", "0.5", *_WALK_GRID),
+             "bm reads no nu (its clock is sigma), got nu = 0.5"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
              "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu",
-             "multiscale-kernel-dim-4"],
+             "multiscale-kernel-dim-4", "negative-beta-flow", "negative-beta-kernel-dim-3",
+             "negative-beta-kernel-dim-2", "bm-beta-star", "sbm-beta-star", "fsbm-q-beta-star",
+             "bm-nu"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -457,7 +487,9 @@ class TestUnreadParameters:
     def test_config_file_takes_the_same_rule(self):
         with pytest.raises(ConfigError, match="beta_star is read only at nu = 1, got nu = 0.7"):
             parse_config("[model]\nmodel = weighted\nbeta-star = 0.5\nnu = 0.7\n")
-        cfg = parse_config("[run]\ncommand = simulate\n[model]\nbeta-star = 0.5\nnu = 0.7\n")
+        cfg = parse_config(
+            "[run]\ncommand = simulate\n[model]\nbeta-star = 0.5\nnu = 0.7\n[ensemble]\nprocess = fssbm\n"
+        )
         assert (cfg.beta_star, cfg.nu) == (0.5, 0.7)
 
     @pytest.mark.parametrize(

@@ -7,12 +7,9 @@ from conftest import binomial_spec, fractional_spec, quad_dispersion_oracle
 from multiflow.dispersion import (
     MODELS,
     DiffusionSpec,
-    DispersionCurve,
     binomial_time_integral,
     dispersion,
     dispersion_quadrature,
-    sample_dispersion,
-    time_weight,
 )
 from multiflow.errors import DomainError, ExponentDomainError, GridError
 from multiflow.grid import check_grid
@@ -36,9 +33,7 @@ class TestFractional:
 
     def test_subfractional_matches_quadrature(self):
         spec = fractional_spec(beta=0.5, nu=1.0, kappa=1.0)
-        got = dispersion_quadrature(
-            time_weight(spec), 1.0, 1.0, 1.0, 0.0, min_charge=0.5
-        )
+        got = dispersion_quadrature(spec, 1.0)
         assert math.isclose(got, dispersion(spec, 1.0), rel_tol=1e-8)
 
     def test_exponent_domain_error(self):
@@ -158,22 +153,41 @@ class TestQDispersion:
 
 class TestQuadrature:
     def test_flat_weight(self):
-        assert math.isclose(
-            dispersion_quadrature(lambda s: 1.0, 0.7, 1.0, 3.0), 2.1, rel_tol=1e-10
-        )
+        # the legacy ansatz integrates the flat weight: kappa sigma
+        spec = DiffusionSpec(model="legacy", dim=4, scales=GeometryScales(kappa=0.7))
+        assert math.isclose(dispersion_quadrature(spec, 3.0), 2.1, rel_tol=1e-10)
 
     def test_binomial_regular_matches_closed(self):
         spec = binomial_spec(1.5, kappa=1.0)
-        weight = time_weight(spec)
-        for s in np.geomspace(1e-3, 1e3, 25):
-            got = dispersion_quadrature(weight, 1.0, 1.0, float(s), 0.0, min_charge=1.0)
-            closed = dispersion(spec, float(s))
-            assert abs(got - closed) <= 1e-7 * closed
+        grid = np.geomspace(1e-3, 1e3, 25)
+        got = dispersion_quadrature(spec, grid)
+        closed = dispersion(spec, grid)
+        assert np.all(np.abs(got - closed) <= 1e-7 * closed)
 
     def test_non_integrable_singularity(self):
-        # weight ~ s^(c-1) with c = 2 and nu = 0: integrand s^(-2) diverges
-        with pytest.raises(DomainError):
-            dispersion_quadrature(lambda s: s, 1.0, 0.0, 1.0, min_charge=2.0)
+        # weight ~ s^(beta-1) with beta = 2 and nu = 0: the integrand s^(-2)
+        # diverges at 0, and check_dispersion refuses the spec before any work
+        spec = fractional_spec(beta=2.0, nu=0.0)
+        with pytest.raises(ExponentDomainError, match="1 \\+ nu - beta = -1.0 must be positive"):
+            dispersion_quadrature(spec, 1.0)
+
+    @pytest.mark.parametrize("sigma", [2.0, np.array([0.5, 2.0])])
+    def test_refuses_what_the_closed_form_refuses(self, sigma):
+        # a binomial time measure is read at nu = 1 only, by the oracle too
+        spec = DiffusionSpec(
+            model="weighted", dim=4, scales=GeometryScales(nu=0.5), beta_star=0.5
+        )
+        for evaluate in (dispersion, dispersion_quadrature):
+            with pytest.raises(DomainError, match="beta_star is read only at nu = 1, got nu = 0.5"):
+                evaluate(spec, sigma)
+
+    def test_float_or_array_like_the_closed_form(self):
+        spec = binomial_spec(0.5, lstar=0.8, kappa=1.3)
+        grid = np.array([[0.0, 0.1], [1.0, 10.0]])
+        got = dispersion_quadrature(spec, grid)
+        assert got.shape == (2, 2) and got[0, 0] == 0.0
+        assert got.ravel().tolist() == [dispersion_quadrature(spec, s) for s in grid.ravel().tolist()]
+        assert type(dispersion_quadrature(spec, 1.0)) is float
 
 
 class TestSpecAndCurve:
@@ -204,6 +218,16 @@ class TestSpecAndCurve:
         with pytest.raises(DomainError, match=match):
             DiffusionSpec(model=model, dim=2, scales=scales, beta_star=beta_star)
 
+    @pytest.mark.parametrize("model", ["weighted", "ordinary"])
+    @pytest.mark.parametrize("beta", [0.0, -0.5, -2.0])
+    def test_nonpositive_beta_refused_at_fixed_dimensionality(self, model, beta):
+        # s^(beta-1)/Gamma(beta) is a positive measure only for beta > 0
+        message = f"beta must be positive at fixed dimensionality, got beta = {beta}"
+        with pytest.raises(DomainError, match=message):
+            DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=beta))
+        # a binomial time measure does not read beta
+        DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=beta), beta_star=0.5)
+
     @pytest.mark.parametrize("alphas", [(0.5,), (0.5, 0.7, 0.9)])
     def test_charges_must_match_dim(self, alphas):
         # one charge per direction: the density and the trace read them all
@@ -233,15 +257,6 @@ class TestSpecAndCurve:
         )
         assert spec.spatial_profile.terms == ((2.0 ** 0.5, 0.5), (1.0, 1.0))
 
-    def test_curve_invariants(self):
-        sig = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            DispersionCurve(sigmas=sig, ell2=np.array([1.0, 0.5, 2.0]), method="closed-form")
-        with pytest.raises(GridError):
-            DispersionCurve(sigmas=sig[::-1], ell2=sig, method="closed-form")
-        with pytest.raises(DomainError):
-            DispersionCurve(sigmas=sig, ell2=sig, method="bogus")
-
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_grid_rejects_non_finite_sigma(self, bad):
         with pytest.raises(GridError):
@@ -250,16 +265,12 @@ class TestSpecAndCurve:
     def test_sampling_methods_agree(self):
         spec = binomial_spec(0.5)
         grid = np.geomspace(0.01, 100.0, 20)
-        closed = sample_dispersion(spec, grid, "closed-form")
-        quad = sample_dispersion(spec, grid, "quadrature")
-        assert np.allclose(closed.ell2, quad.ell2, rtol=1e-7)
+        assert np.allclose(dispersion(spec, grid), dispersion_quadrature(spec, grid), rtol=1e-7)
 
     def test_sampling_q_quadrature(self):
         spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
         grid = np.geomspace(0.01, 100.0, 10)
-        closed = sample_dispersion(spec, grid, "closed-form")
-        quad = sample_dispersion(spec, grid, "quadrature")
-        assert np.allclose(closed.ell2, quad.ell2, rtol=1e-7)
+        assert np.allclose(dispersion(spec, grid), dispersion_quadrature(spec, grid), rtol=1e-7)
 
     @pytest.mark.parametrize("case", ["fixed-lbar", "legacy", "q", "multiscale", "fuzzy"])
     def test_quadrature_integrates_each_models_own_law(self, case):
@@ -276,8 +287,8 @@ class TestSpecAndCurve:
             "fuzzy": binomial_spec(0.5, dim=2, lstar=0.8, kappa=1.3, fuzzy=True),
         }[case]
         grid = np.geomspace(1e-3, 1e3, 13)
-        closed = sample_dispersion(spec, grid, "closed-form").ell2
-        quad = sample_dispersion(spec, grid, "quadrature").ell2
+        closed = dispersion(spec, grid)
+        quad = dispersion_quadrature(spec, grid)
         assert np.max(np.abs(closed - quad) / closed) < 1e-8
 
     def test_dispersion_dispatcher_legacy(self):

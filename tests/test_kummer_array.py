@@ -286,6 +286,33 @@ def test_large_z_edge_refused_by_name(a, b, edge):
             call()
 
 
+@pytest.mark.parametrize("gap", [1e-11, 1e-9], ids=["1e-11", "1e-9"])
+def test_dropped_exponential_term_refused(gap):
+    # just above the b - a edge the large-|z| expansion drops the e^z term
+    # of DLMF 13.7.2, Gamma(b-a)/Gamma(a) e^z (-z)^(2a-b) of its leading term:
+    # 1.5e-6 at b - a = 1e-11 and z = -40, and the value was off by as much
+    a, b = 0.5 - gap, 0.5
+    for call in (lambda: kummer_phi(a, b, -40.0),
+                 lambda: _kummer_phi_array(a, b, np.array([-5.0, -40.0, -1e4]))):
+        with pytest.raises(ConvergenceError, match=r"drops an e\^z term of relative size"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "a,b", [(0.5 - 1e-6, 0.5), (-1.0, 0.5), (-3.0, 2.5)],
+    ids=["b-minus-a-1e-6", "a-minus-1", "a-minus-3"],
+)
+def test_dropped_exponential_term_small_is_computed(a, b):
+    # the dropped term is 1.5e-11 of the leading one at b - a = 1e-6, and 0
+    # at a nonpositive integer a, where the estimate takes no gamma at its pole
+    zs = np.array([-5.0, -40.0, -1e4])
+    got = _kummer_phi_array(a, b, zs)
+    with mp.workdps(40):
+        for value, z in zip(got.tolist(), zs.tolist()):
+            want = mp.hyp1f1(a, b, z)
+            assert abs(value - want) <= 1e-10 * abs(want), (a, b, z)
+
+
 @pytest.mark.parametrize(
     "a,b",
     [(0.3, 0.7), (0.3, -40.5), (0.8, 0.6), (0.7, 0.7), (0.25, 0.5), (-0.4, 0.5)],

@@ -26,8 +26,6 @@ from multiflow.dispersion import (
     dispersion,
     dispersion_quadrature,
     q_time_profile,
-    sample_dispersion,
-    time_weight,
 )
 from multiflow.errors import DomainError
 from multiflow.kernel import (
@@ -150,14 +148,13 @@ def test_thousand_points_stay_in_blocks():
 
 @pytest.mark.parametrize("fuzzy", [False, True])
 def test_grid_routes_equal_scalar_route(fuzzy):
-    # the dispersion, the sampled curve and the flow on a grid carry the
-    # bits of their scalar calls and of the flow formula on Python floats
+    # the dispersion and the flow on a grid carry the bits of their scalar
+    # calls and of the flow formula on Python floats
     beta_star = 0.5 if fuzzy else 1.25
     spec = binomial_spec(beta_star, dim=3, lstar=0.8, kappa=1.3, fuzzy=fuzzy)
     grid = np.geomspace(1e-4, 1e4, 2 * BLOCK + 9)
     scalar = [dispersion(spec, s) for s in grid.tolist()]
     assert dispersion(spec, grid).tolist() == scalar
-    assert sample_dispersion(spec, grid, "closed-form").ell2.tolist() == scalar
     flow, ell2 = flow_curve(spec, grid)
     assert ell2.tolist() == scalar
     weight = [multiscale_weight(s, spec.multiscale) for s in grid.tolist()]
@@ -250,7 +247,6 @@ def test_every_model_on_a_grid_equals_its_scalar_formula(name):
     assert [dispersion(spec, s) for s in with_zero.tolist()] == expected
     assert all(type(dispersion(spec, s)) is float for s in (0.0, 2.0, np.float64(3.0)))
     assert dispersion(spec, with_zero.reshape(7, -1)).shape == (7, 143)
-    assert sample_dispersion(spec, grid, "closed-form").ell2.tolist() == expected[1:]
     flow, ell2 = flow_curve(spec, grid)
     assert ell2.tolist() == expected[1:]
     if spec.model == "q":
@@ -285,7 +281,7 @@ def test_negative_sigma_refused_before_any_work(name, monkeypatch):
     with pytest.raises(DomainError) as closed:
         dispersion(spec, -1.0)
     with pytest.raises(DomainError) as quadrature:
-        dispersion_quadrature(time_weight(spec), spec.scales.kappa, spec.scales.nu, -1.0)
+        dispersion_quadrature(spec, -1.0)
     assert str(quadrature.value) == str(closed.value) == "sigma must be nonnegative, got -1.0"
 
 

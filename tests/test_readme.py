@@ -25,3 +25,41 @@ def test_library_example_runs(capsys):
 def test_config_example_parses():
     cfg = parse_config(fenced_block("ini"))
     assert (cfg.command, cfg.model, cfg.beta_star, cfg.traj_paths) == ("flow", "weighted", 0.5, 10)
+
+
+def _modules():
+    """The package and each of its modules."""
+    import importlib
+    import pkgutil
+
+    import multiflow
+
+    names = [info.name for info in pkgutil.iter_modules(multiflow.__path__)]
+    return [multiflow, *(importlib.import_module(f"multiflow.{name}") for name in names)]
+
+
+def _resolves(name: str, modules) -> bool:
+    for obj in modules:
+        try:
+            for part in name.split("."):
+                obj = getattr(obj, part)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_backticked_calls_name_what_the_package_defines():
+    # a backticked call `name(` of four or more ASCII characters, dotted or
+    # not, resolves in the package or one of its modules: a renamed or
+    # deleted function fails here, not in a reader's session
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    calls = {
+        match.group(1)
+        for span in re.findall(r"`([^`]+)`", prose)
+        for match in re.finditer(r"(?<![\w.])([A-Za-z_][A-Za-z0-9_.]*)\(", span)
+        if len(match.group(1)) >= 4
+    }
+    modules = _modules()
+    assert len(calls) >= 10, calls
+    assert sorted(name for name in calls if not _resolves(name, modules)) == []

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import binomial_spec, flow_asymptotes, flow_at, fractional_spec
-from multiflow.dispersion import DiffusionSpec, sample_dispersion
+from multiflow.dispersion import DiffusionSpec, dispersion, dispersion_quadrature
 from multiflow.errors import DomainError, GridError
+from multiflow.grid import log_slope
 from multiflow.measure import FractionalCharges, GeometryScales, hausdorff_dimension
 from multiflow.spectral import (
     LegacyAnsatzWarning,
     fixed_point_ds,
     flow_curve,
-    spectral_from_dispersion,
     walk_dimension,
 )
 
@@ -23,36 +23,37 @@ def q_binomial_spec(beta_star=0.5, lstar=1.0):
 
 
 class TestNumericExtraction:
+    """The numeric d_S of a sampled dispersion: D times its log-log slope."""
+
     def test_brownian_curve_gives_dim(self):
         spec = fractional_spec(beta=1.0, nu=1.0, dim=3)
         grid = np.geomspace(0.01, 100.0, 60)
-        curve = sample_dispersion(spec, grid)
+        ell2 = dispersion(spec, grid)
         for s in grid[5:-5:7]:
-            assert abs(spectral_from_dispersion(curve, 3, float(s)) - 3.0) < 1e-10
+            assert abs(3 * log_slope(grid, ell2, float(s)) - 3.0) < 1e-10
 
     def test_power_law_gives_exponent_times_dim(self):
         spec = fractional_spec(beta=0.5, nu=0.75, dim=4)
         grid = np.geomspace(0.01, 100.0, 60)
-        curve = sample_dispersion(spec, grid)
+        ell2 = dispersion(spec, grid)
         expected = 4 * (1.0 + 0.75 - 0.5)
         for s in grid[5:-5:7]:
-            assert abs(spectral_from_dispersion(curve, 4, float(s)) - expected) < 1e-9
+            assert abs(4 * log_slope(grid, ell2, float(s)) - expected) < 1e-9
 
     def test_q_binomial_crossover_value(self):
         spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
-        profile = spec.multiscale
         grid = np.geomspace(1e-3, 1e3, 121)  # grid contains sigma = 1 = lstar
-        curve = sample_dispersion(spec, grid)
-        got = spectral_from_dispersion(curve, 4, 1.0)
+        got = 4 * log_slope(grid, dispersion(spec, grid), 1.0)
         assert abs(got - 4 * (1.0 + 0.5) / 2.0) < 1e-5
 
     def test_edge_of_grid_error(self):
         spec = fractional_spec(beta=1.0)
-        curve = sample_dispersion(spec, np.geomspace(0.1, 10.0, 12))
+        grid = np.geomspace(0.1, 10.0, 12)
+        ell2 = dispersion(spec, grid)
         with pytest.raises(GridError):
-            spectral_from_dispersion(curve, 4, float(curve.sigmas[1]))
+            log_slope(grid, ell2, float(grid[1]))
         with pytest.raises(GridError):
-            spectral_from_dispersion(curve, 4, 0.123456)
+            log_slope(grid, ell2, 0.123456)
 
 
 class TestWeightedFlow:
@@ -95,9 +96,9 @@ class TestWeightedFlow:
         for beta_star in (0.5, 1.5):
             spec = binomial_spec(beta_star, dim=4)
             grid = np.geomspace(1e-2, 1e2, 200)
-            curve = sample_dispersion(spec, grid, method="quadrature")
+            ell2 = dispersion_quadrature(spec, grid)
             for s in grid[2:-2:11]:
-                numeric = spectral_from_dispersion(curve, 4, float(s))
+                numeric = 4 * log_slope(grid, ell2, float(s))
                 closed = flow_at(spec, float(s))
                 assert abs(numeric - closed) < 1e-3
 
@@ -146,9 +147,9 @@ class TestQFlow:
     def test_numeric_matches_closed_flow_on_quadrature_curve(self):
         spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
         grid = np.geomspace(1e-2, 1e2, 200)
-        curve = sample_dispersion(spec, grid, method="quadrature")
+        ell2 = dispersion_quadrature(spec, grid)
         for s in grid[2:-2:11]:
-            numeric = spectral_from_dispersion(curve, 4, float(s))
+            numeric = 4 * log_slope(grid, ell2, float(s))
             assert abs(numeric - flow_at(spec, float(s))) < 1e-3
 
     def test_flow_curve(self):
