@@ -34,10 +34,8 @@ from .measure import (
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
-    fractional_weight,
     geometric_profile,
     hausdorff_dimension,
-    multiscale_weight,
 )
 from .spectral import (
     LegacyAnsatzWarning,

@@ -162,12 +162,17 @@ class _Check:
 def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_Check]:
     checks: list[_Check] = []
     kappa_fudge = 1.0 + kappa_error / 100.0
+    # validate reads no sigma grid and no box: the runs it checks keep the defaults
+    unread = {f: getattr(RunConfig, f) for f in ("sigma_min", "sigma_max", "points", "box")}
+
+    def spec_as(command: str, **model) -> DiffusionSpec:
+        """The spec of ``cfg`` with ``model`` over it, its config checked as ``command``'s."""
+        return build_spec(merge_overrides(cfg, {**unread, "command": command, **model}))
 
     def oracle_gap(beta_star: float, sigmas) -> float:
         """Worst relative gap between the closed-form dispersion and the
         adaptive quadrature of its defining integral."""
-        cfg_ms = merge_overrides(cfg, {"command": "flow", "model": "weighted", "beta_star": beta_star})
-        spec = build_spec(cfg_ms)
+        spec = spec_as("flow", model="weighted", beta_star=beta_star)
         sigmas = np.asarray(sigmas, dtype=float)
         closed = kappa_fudge * dispersion(spec, sigmas)
         quad = dispersion_quadrature(spec, sigmas)
@@ -192,8 +197,7 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         checks.append(_Check(f"removable-pole-oracle-{eps:+.0e}", gap, 0.0, 1e-7))
 
     # Numeric spectral dimension against the closed flow.
-    cfg_flow = merge_overrides(cfg, {"command": "flow", "model": "weighted", "beta_star": 0.5})
-    spec = build_spec(cfg_flow)
+    spec = spec_as("flow", model="weighted", beta_star=0.5)
     grid = np.geomspace(1e-2 * cfg.lstar, 1e2 * cfg.lstar, 40 if quick else 200)
     ell2 = dispersion(spec, grid)
     probes = grid[2:-2:5]
@@ -219,10 +223,7 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         # Kummer normalization against direct quadrature (1-d, alpha = 0.5).
         from scipy import integrate as _integrate
 
-        cfg_k = merge_overrides(
-            cfg, {"command": "kernel", "model": "ordinary", "dim": 1, "alpha": 0.5, "beta": 1.0}
-        )
-        spec_k = build_spec(cfg_k)
+        spec_k = spec_as("kernel", model="ordinary", dim=1, alpha=0.5, beta=1.0)
         worst = 0.0
         sigmas_k = (0.2, 2.0)
         ell2s = dispersion(spec_k, np.array(sigmas_k)).tolist()

@@ -29,7 +29,9 @@ from .grid import check_grid_args, check_sigma, geometric_grid, uniform_grid
 from .kernel import check_trace
 from .measure import FractionalCharges, GeometryScales
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "build_spec"]
+__all__ = [
+    "RunConfig", "read_config", "parse_config", "serialize_config", "merge_overrides", "build_spec",
+]
 
 COMMANDS = ("flow", "simulate", "pdf", "kernel", "validate")
 
@@ -75,13 +77,17 @@ class RunConfig:
     box: float | None = None  # None: automatic box half-width
 
     def validate(self) -> "RunConfig":
-        """This config, once its command can run it: each field on its own and
-        the readers of ``multiscale-space`` are checked here, the rest by the
-        library's own rules: the sigma grid rule of ``points`` and ``steps``,
-        then the evaluator's check on the :func:`build_spec` spec (the
-        dispersion's, the trace's, or the walker's and its fit window's; the
-        seed rule for ``validate``).  A :class:`DomainError` becomes a
-        :class:`ConfigError`.
+        """This config, once its command can run it.  Every field must be
+        finite, and the readers of ``multiscale-space`` are checked for every
+        command; a field is otherwise checked only for the command that reads
+        it: pdf's ``sigma``, ``x-points`` and ``x-max``, kernel's ``box``, and
+        simulate's ``paths``, ``subsample`` and ``traj-paths``.  The rest are
+        the library's own rules: the sigma grid rule on the one count the
+        command reads (``points`` for flow and kernel, ``steps`` for
+        simulate; pdf and validate read no sigma grid), then the evaluator's
+        check on the :func:`build_spec` spec (the dispersion's, the trace's,
+        or the walker's and its fit window's; the seed rule for
+        ``validate``).  A :class:`DomainError` becomes a :class:`ConfigError`.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -95,20 +101,18 @@ class RunConfig:
                 raise ConfigError(
                     f"simulate needs paths >= {walker.FIT_BATCHES} for the batch-means fit, got {self.paths}"
                 )
+            if self.subsample < 1 or self.traj_paths < 0:
+                raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.x_points < 2 or self.x_max <= 0.0:
+        if self.command == "pdf" and (self.x_points < 2 or self.x_max <= 0.0):
             raise ConfigError(
                 f"pdf needs x-points >= 2 and x-max > 0, got {self.x_points}, {self.x_max}"
             )
-        if self.box is not None and self.box <= 0.0:
+        if self.command == "kernel" and self.box is not None and self.box <= 0.0:
             raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
-        if self.paths < 1:
-            raise ConfigError(f"ensemble needs paths >= 1, got {self.paths}")
-        if self.subsample < 1 or self.traj_paths < 0:
-            raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
         if self.multiscale_space:
             # the binomial position measure is read by these densities and traces only
             readers = {"pdf": ("weighted", "legacy", "ordinary"), "kernel": ("ordinary",)}
@@ -118,11 +122,13 @@ class RunConfig:
                     "multiscale-space is read only by pdf (weighted, legacy, ordinary) "
                     f"and kernel (ordinary), not by {where}"
                 )
+        # the one sigma grid count the command reads
+        count = {"flow": "points", "kernel": "points", "simulate": "steps"}.get(self.command)
         try:
-            check_sigma(self.sigma)
-            # one sigma grid rule: flow and kernel grids take points, the walker's steps
-            check_grid_args(self.sigma_min, self.sigma_max, self.points, "points")
-            check_grid_args(self.sigma_min, self.sigma_max, self.steps, "steps")
+            if count is not None:
+                check_grid_args(self.sigma_min, self.sigma_max, getattr(self, count), count)
+            if self.command == "pdf":
+                check_sigma(self.sigma)
             if self.command == "validate":
                 walker.check_seed(self.seed)
             elif self.command == "simulate":

@@ -33,19 +33,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ExponentDomainError
 from .grid import check_sigma, powers
-from .measure import (
-    DIFFUSION_TIME,
-    POSITION,
-    FractionalCharges,
-    GeometryScales,
-    MeasureProfile,
-    multiscale_weight,
-)
+from .measure import FractionalCharges, GeometryScales, MeasureProfile
 from .specfun import decade_panels, gamma_fn
 
 __all__ = [
     "DiffusionSpec",
     "MODELS",
+    "binomial_time_integral",
     "dispersion_quadrature",
     "check_dispersion",
     "dispersion",
@@ -134,14 +128,14 @@ class DiffusionSpec:
         """The binomial diffusion-time profile of ``beta_star``; None without one."""
         if self.beta_star is None:
             return None
-        return MeasureProfile.binomial(self.beta_star, self.scales.lstar, kind=DIFFUSION_TIME)
+        return MeasureProfile.binomial(self.beta_star, self.scales.lstar)
 
     @cached_property
     def spatial_profile(self) -> MeasureProfile | None:
         """The binomial position profile of a multiscale space; None for a fractional one."""
         if not self.multiscale_space:
             return None
-        return MeasureProfile.binomial(self.charges.alphas[0], self.scales.lstar, kind=POSITION)
+        return MeasureProfile.binomial(self.charges.alphas[0], self.scales.lstar)
 
 
 def _shaped(sig: np.ndarray, values: np.ndarray) -> float | np.ndarray:
@@ -264,15 +258,19 @@ def _quadrature(weight: Callable[[float], float], nu: float, sigma: float, charg
     return value
 
 
-def time_weight(spec: DiffusionSpec) -> Callable[[float], float]:
-    """Diffusion-time weight v(sigma) of a spec: binomial profile if present,
-    otherwise the fractional power law sigma^(beta-1)/Gamma(beta)."""
-    if spec.multiscale is not None:
-        profile = spec.multiscale
-        return lambda s: multiscale_weight(s, profile)
-    beta = spec.scales.beta
-    norm = gamma_fn(beta)
-    return lambda s: s ** (beta - 1.0) / norm
+def time_weight(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
+    """Diffusion-time weight v(sigma) of a spec: the binomial sum_n g_n
+    sigma^(c_n - 1) of :attr:`DiffusionSpec.multiscale`, summed in term order,
+    else the fractional sigma^(beta-1)/Gamma(beta).  A float gives a float, an
+    array an array of its shape, each element bit for bit the value its float
+    gives; a sigma that is not positive, or nan, raises :class:`DomainError`."""
+    sig = check_sigma(sigma)
+    if spec.multiscale is None:
+        return _shaped(sig, powers(sig, spec.scales.beta - 1.0) / gamma_fn(spec.scales.beta))
+    v = 0
+    for g, c in spec.multiscale.terms:
+        v = v + g * powers(sig, c - 1.0)
+    return _shaped(sig, v)
 
 
 def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
@@ -284,9 +282,7 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
     if spec.multiscale is not None:
         return spec.multiscale
     beta = spec.scales.beta
-    return MeasureProfile(
-        terms=((1.0 / gamma_fn(beta + 1.0), beta),), kind=DIFFUSION_TIME
-    )
+    return MeasureProfile(terms=((1.0 / gamma_fn(beta + 1.0), beta),))
 
 
 def check_dispersion(spec: DiffusionSpec) -> None:
@@ -346,8 +342,9 @@ def dispersion_quadrature(spec: DiffusionSpec, sigma: float | np.ndarray) -> flo
     adaptive quadrature, independent of every closed form.
 
     weighted/ordinary: ell2(0) + kappa int_0^sigma s^(nu-1)/v(s) ds, v the
-    :func:`time_weight` and ell2(0) lstar^2 fuzzy, lbar^2 at fixed
-    dimensionality, else 0; q: the integral of its derivative
+    weight of :func:`time_weight` written out on a float, so that the oracle
+    shares no code with the evaluator, and ell2(0) lstar^2 fuzzy, lbar^2 at
+    fixed dimensionality, else 0; q: the integral of its derivative
     kappa sum_n g_n c_n s^(c_n - 1) over :func:`q_time_profile`; legacy:
     the Brownian kappa sigma.  It takes what :func:`dispersion` takes and
     refuses what it refuses (:func:`check_dispersion`, then any negative
@@ -370,10 +367,19 @@ def dispersion_quadrature(spec: DiffusionSpec, sigma: float | np.ndarray) -> flo
             return 1.0
 
     elif spec.beta_star is not None:
-        nu, charge, weight = sc.nu, spec.multiscale.min_charge, time_weight(spec)
-        base = sc.lstar ** 2 if spec.fuzzy else 0.0
+        profile = spec.multiscale
+        nu, base, charge = sc.nu, sc.lstar ** 2 if spec.fuzzy else 0.0, profile.min_charge
+
+        def weight(s: float) -> float:
+            return sum(g * s ** (c - 1.0) for g, c in profile.terms)
+
     else:
-        nu, base, charge, weight = sc.nu, sc.lbar ** 2, sc.beta, time_weight(spec)
+        beta, norm = sc.beta, gamma_fn(sc.beta)
+        nu, base, charge = sc.nu, sc.lbar ** 2, beta
+
+        def weight(s: float) -> float:
+            return s ** (beta - 1.0) / norm
+
     values = [
         base + sc.kappa * _quadrature(weight, nu, s, charge) if s > 0.0 else base
         for s in sig.reshape(-1).tolist()

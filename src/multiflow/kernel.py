@@ -35,9 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .dispersion import DiffusionSpec, check_dispersion, dispersion
-from .errors import BoxError, ConvergenceError, DomainError
+from .errors import BoxError, ConvergenceError, DomainError, SingularPointError
 from .grid import check_grid, check_sigma, log_slope, powers
-from .measure import fractional_weight, geometric_profile, multiscale_weight
+from .measure import geometric_profile
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
 
 __all__ = [
@@ -126,16 +126,20 @@ def gaussian_pdf(x, x0, ell2: float, dim: int):
 
 
 def position_weight(spec: DiffusionSpec, x) -> float:
-    """Position-space measure weight of a spec at point x.
-
-    The binomial profile of a multiscale space, else the product of the
-    per-direction fractional weights (1 at unit charges: ordinary space).
-    """
-    xp = _as_point(x, spec.dim)
-    profile = spec.spatial_profile
+    """Position-space measure weight v(x) of a spec at point x: the product
+    over directions of |x|^(alpha-1)/Gamma(alpha), 1 at alpha = 1, or in a
+    multiscale space lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) + 1.  A
+    direction with alpha < 1 raises :class:`SingularPointError` at x = 0."""
     w = 1.0
-    for xi, a in zip(xp.tolist(), spec.charges.alphas):
-        w *= fractional_weight(xi, a) if profile is None else multiscale_weight(xi, profile)
+    for xi, a in zip(_as_point(x, spec.dim).tolist(), spec.charges.alphas):
+        if a == 1.0:
+            continue  # flat, on the hyperplane x = 0 too
+        if xi == 0.0:
+            raise SingularPointError(f"weight singular at x = 0 for alpha = {a}")
+        if spec.multiscale_space:
+            w *= spec.scales.lstar ** (1.0 - a) * abs(xi) ** (a - 1.0) / gamma_fn(a) + 1.0
+        else:
+            w *= abs(xi) ** (a - 1.0) / gamma_fn(a)
     return w
 
 

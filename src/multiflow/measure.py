@@ -1,11 +1,12 @@
-"""Measure weights, geometric coordinate profiles, and dimension bookkeeping.
+"""Measure profiles, geometric coordinate profiles, and dimension bookkeeping.
 
 A multiscale geometry is encoded by a positive weight multiplying the Lebesgue
-measure.  Position weights carry a gamma normalization per power-law term,
-``|x|^(c-1)/Gamma(c)``; diffusion-time weights are bare power sums
-``sum_n g_n x^(c_n - 1)``.  The binomial (two-charge) profile interpolating
-between an anomalous ultraviolet regime and an ordinary infrared one is the
-workhorse: ``1 + (x/lstar)^(c-1)`` in diffusion time.
+measure, a sum of power-law terms (a :class:`MeasureProfile`).  The binomial
+(two-charge) profile interpolating between an anomalous ultraviolet regime and
+an ordinary infrared one is the workhorse: ``1 + (x/lstar)^(c-1)`` in
+diffusion time.  Each weight has one evaluator, on the spec that holds it:
+``dispersion.time_weight`` in diffusion time and ``kernel.position_weight``
+in position, whose terms carry a gamma normalization ``|x|^(c-1)/Gamma(c)``.
 """
 
 from __future__ import annotations
@@ -13,22 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .specfun import gamma_fn
 
 __all__ = [
     "MeasureProfile",
     "FractionalCharges",
     "GeometryScales",
-    "fractional_weight",
-    "multiscale_weight",
     "geometric_profile",
     "hausdorff_dimension",
 ]
-
-POSITION = "position"
-DIFFUSION_TIME = "diffusion-time"
-_KINDS = (POSITION, DIFFUSION_TIME)
 
 
 @dataclass(frozen=True)
@@ -36,17 +31,12 @@ class MeasureProfile:
     """Ordered list of (coefficient, charge) terms defining a power-law weight.
 
     Charges must be strictly increasing and lie in (0, 2); coefficients are
-    nonnegative with at least one term present.  ``kind`` selects the gamma
-    normalization convention (position) or the bare convention (diffusion
-    time).
+    nonnegative with at least one term present.
     """
 
     terms: tuple[tuple[float, float], ...]
-    kind: str = POSITION
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown profile kind {self.kind!r}")
         terms = tuple((float(g), float(c)) for g, c in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
@@ -60,7 +50,7 @@ class MeasureProfile:
             raise DomainError("profile charges must be strictly increasing")
 
     @classmethod
-    def binomial(cls, charge_star: float, lstar: float, kind: str = POSITION) -> "MeasureProfile":
+    def binomial(cls, charge_star: float, lstar: float) -> "MeasureProfile":
         """Two-term profile with charges {charge_star, 1} and coefficients
         {lstar^(1-charge_star), 1}, sorted by charge."""
         if not 0.0 < charge_star < 2.0 or charge_star == 1.0:
@@ -69,7 +59,7 @@ class MeasureProfile:
             raise DomainError(f"lstar must be positive, got {lstar}")
         pair = [(lstar ** (1.0 - charge_star), charge_star), (1.0, 1.0)]
         pair.sort(key=lambda t: t[1])
-        return cls(terms=tuple(pair), kind=kind)
+        return cls(terms=tuple(pair))
 
     @property
     def charges(self) -> tuple[float, ...]:
@@ -131,39 +121,6 @@ class GeometryScales:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.lbar < 0.0:
             raise DomainError(f"lbar must be nonnegative, got {self.lbar}")
-
-
-def fractional_weight(x: float, alpha: float) -> float:
-    """One-direction fractional weight |x|^(alpha-1)/Gamma(alpha).
-
-    Singular at x = 0 for alpha < 1; the caller decides how to regularize
-    (the singularity is integrable for alpha > 0).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return 1.0
-    if x == 0.0:
-        raise SingularPointError(f"weight singular at x = 0 for alpha = {alpha}")
-    return abs(x) ** (alpha - 1.0) / gamma_fn(alpha)
-
-
-def multiscale_weight(x: float, profile: MeasureProfile) -> float:
-    """Multiscale weight at x for the given profile.
-
-    Position kind: sum_n g_n |x|^(c_n - 1)/Gamma(c_n).  Diffusion-time kind:
-    sum_n g_n x^(c_n - 1) on x > 0.
-    """
-    if profile.kind == DIFFUSION_TIME:
-        if x < 0.0:
-            raise DomainError(f"diffusion-time weight needs x >= 0, got {x}")
-        if x == 0.0 and profile.min_charge < 1.0:
-            raise SingularPointError("weight singular at x = 0 (charge < 1 present)")
-        return sum(g * x ** (c - 1.0) for g, c in profile.terms)
-    if x == 0.0 and profile.min_charge < 1.0:
-        raise SingularPointError("weight singular at x = 0 (charge < 1 present)")
-    ax = abs(x)
-    return sum(g * ax ** (c - 1.0) / gamma_fn(c) for g, c in profile.terms)
 
 
 def geometric_profile(x: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, dispersion, q_time_profile
+from .dispersion import DiffusionSpec, dispersion, q_time_profile, time_weight
 from .errors import DomainError
 from .grid import check_grid, check_sigma, powers
 from .measure import hausdorff_dimension
@@ -131,15 +131,16 @@ def flow_curve(
     """The model's flow on a sigma grid, with its asymptotes, and the ell^2 it came from.
 
     weighted/ordinary with a binomial time measure:
-    d_S = D kappa sigma / (v(sigma) ell^2(sigma)), v(sigma) = sum_n g_n
-    sigma^(c_n - 1); its (UV, IR) limits are D -> D(2-beta*) for
-    1 < beta* < 2, D(2-beta*) -> D for 0 < beta* < 1 and 0 -> D in the
+    d_S = D kappa sigma / (v(sigma) ell^2(sigma)), v the
+    :func:`dispersion.time_weight`; its (UV, IR) limits are D -> D(2-beta*)
+    for 1 < beta* < 2, D(2-beta*) -> D for 0 < beta* < 1 and 0 -> D in the
     fuzzy scenario.  q: the charge average D sum g c sigma^c / sum g sigma^c,
     from D min charge to D max charge.  legacy and fixed dimensionality: the
     constant :func:`fixed_point_ds`.  ell^2 is one :func:`dispersion` call on
-    the grid and the six plateau probes; the powers of the flow come from
-    :func:`grid.powers` and the sums, products and quotients are the scalar
-    ones, so every element has the bits of its own one-sigma call.  A
+    the grid and the six plateau probes, and v one ``time_weight`` call on
+    the same points; the powers of the flow come from :func:`grid.powers`
+    and the sums, products and quotients are the scalar ones, so every
+    element has the bits of its own one-sigma call.  A
     nonpositive sigma raises :class:`DomainError`.
     """
     sig = np.asarray(sigmas, dtype=float)
@@ -157,10 +158,7 @@ def flow_curve(
         ds = spec.dim * num / den
         uv, ir = dim * profile.charges[0], dim * profile.charges[-1]
     elif spec.beta_star is not None:  # weighted or ordinary
-        weight = 0
-        for g, c in spec.multiscale.terms:
-            weight = weight + g * powers(points, c - 1.0)
-        ds = spec.dim * spec.scales.kappa * points / (weight * ell2)
+        ds = spec.dim * spec.scales.kappa * points / (time_weight(spec, points) * ell2)
         if spec.fuzzy:
             uv, ir = 0.0, dim
         elif spec.beta_star > 1.0:

@@ -271,14 +271,17 @@ def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
     """The clock exponent nu of ``process``: 1 for ``bm``, beta for ``fsbm-q``,
     the spec's nu otherwise.  :class:`DomainError` for what the process, spec
     and seed alone refuse: a negative seed, lbar > 0 (no walker starts from a
-    spread), ``beta_star`` for ``bm``, ``sbm`` and ``fsbm-q`` and nu != 1
-    for ``bm`` (parameters those processes never read), an unknown process,
-    nu <= 0, and for ``fsbm-q`` anisotropic charges or beta outside (0, 1]."""
+    spread), ``beta_star`` for ``bm``, ``sbm`` and ``fsbm-q``, nu != 1 for
+    ``bm`` and ``fuzzy`` (parameters those processes never read), an
+    unknown process, nu <= 0, and for ``fsbm-q`` anisotropic charges or beta
+    outside (0, 1]."""
     check_seed(seed)
     if spec.scales.lbar > 0.0:
         raise DomainError(f"walkers read no lbar, got lbar = {spec.scales.lbar}")
     if spec.beta_star is not None and process in ("bm", "sbm", "fsbm-q"):
         raise DomainError(f"{process} reads no beta_star, got beta_star = {spec.beta_star}")
+    if spec.fuzzy:
+        raise DomainError("walkers read no fuzzy (no walker starts from a spread)")
     if process == "bm":
         if abs(spec.scales.nu - 1.0) > 1e-12:
             raise DomainError(f"bm reads no nu (its clock is sigma), got nu = {spec.scales.nu}")
@@ -310,24 +313,27 @@ def simulate(
     """Ensemble of ``n_paths`` paths of ``process``, its parameters from the spec.
 
     The one builder of every process in the module doc.  Each is Brownian
-    motion in the clock sigma^nu, mapped in place; nu and every refusal
-    that the process, spec and seed alone decide come from
-    :func:`check_simulation`, before any path is drawn.  ``fsbm-v`` and
-    ``fssbm`` divide by sqrt(v(sigma)), v the spec's diffusion-time weight,
-    and are tagged ``fsbm-v`` at nu = 1 and ``fssbm`` otherwise, whichever
-    is asked for.  ``fsbm-q`` maps every axis with one charge (the odd
-    extension of the first-orthant identification, an implementation
-    choice), so it needs isotropic charges.  Its q(x) is
-    N(0, 2 kappa sigma^beta) by construction (clock sigma^beta, variance
-    2 kappa dtau), while the q model's density is Gaussian in q with
+    motion in the clock sigma^nu, mapped in place.  The grid is checked
+    first (:func:`grid.check_grid`); nu and every refusal that the process,
+    spec and seed alone decide come next from :func:`check_simulation`,
+    before any path is drawn.  ``fsbm-v`` and ``fssbm`` divide by
+    sqrt(v(sigma)), v the spec's diffusion-time weight (one
+    :func:`dispersion.time_weight` call on the grid), and are tagged
+    ``fsbm-v`` at nu = 1 and ``fssbm`` otherwise, whichever is asked for.
+    ``fsbm-q`` maps every axis with one charge (the odd extension of the
+    first-orthant identification, an implementation choice), so it needs
+    isotropic charges.  Its q(x) is N(0, 2 kappa sigma^beta) by
+    construction (clock sigma^beta, variance 2 kappa dtau), while the q
+    model's density is Gaussian in q with
     2 ell^2 = 2 kappa sigma^beta / Gamma(1 + beta)
     (:func:`dispersion.q_time_profile`): the walker samples that density at
     a time rescaled by Gamma(1 + beta), 0.886 at beta = 0.5.  ``keep`` is
     how many leading paths keep their full positions (all when None); every
     path keeps its squared radius.
     """
-    nu = check_simulation(process, spec, seed)
     grid = np.asarray(grid, dtype=float)
+    check_grid(grid)
+    nu = check_simulation(process, spec, seed)
     transform = None
     if process == "fsbm-q":
         # the charges themselves lie in (0, 1]: FractionalCharges refuses others
@@ -342,8 +348,7 @@ def simulate(
                 block *= mag
 
     elif process in ("fsbm-v", "fssbm"):
-        weight = time_weight(spec)
-        v = np.array([weight(s) for s in grid])
+        v = time_weight(spec, grid)
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
         root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)

@@ -243,7 +243,7 @@ class TestConfig:
             with pytest.raises(ConfigError) as points:
                 RunConfig(sigma_min=lo, sigma_max=hi, points=n).validate()
             with pytest.raises(ConfigError) as steps:
-                RunConfig(sigma_min=lo, sigma_max=hi, steps=n).validate()
+                RunConfig(command="simulate", sigma_min=lo, sigma_max=hi, steps=n).validate()
             assert str(points.value) == str(grid.value).replace("steps", "points")
             assert str(steps.value) == str(grid.value)
         RunConfig(sigma_min=1e-3, sigma_max=10.0, points=2, steps=2).validate()
@@ -426,13 +426,18 @@ class TestUnreadParameters:
               *_WALK_GRID), "fsbm-q reads no beta_star, got beta_star = 0.5"),
             (("simulate", "--model", "bm", "--nu", "0.5", *_WALK_GRID),
              "bm reads no nu (its clock is sigma), got nu = 0.5"),
+            # no walker starts from a spread: --fuzzy wrote the bytes of a run without it
+            (("simulate", "--model", "fsbm-v", "--beta-star", "0.5", "--fuzzy", *_WALK_GRID),
+             "walkers read no fuzzy"),
+            (("simulate", "--model", "fssbm", "--nu", "0.5", "--beta-star", "0.5", "--fuzzy",
+              *_WALK_GRID), "walkers read no fuzzy"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
              "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu",
              "multiscale-kernel-dim-4", "negative-beta-flow", "negative-beta-kernel-dim-3",
              "negative-beta-kernel-dim-2", "bm-beta-star", "sbm-beta-star", "fsbm-q-beta-star",
-             "bm-nu"],
+             "bm-nu", "fsbm-v-fuzzy", "fssbm-fuzzy"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -462,6 +467,20 @@ class TestUnreadParameters:
         out = tmp_path / "x.csv"
         assert main([*argv, "--sigma-points", "20", "--out", str(out)]) == EXIT_OK
         assert read_csv(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", "--steps", "1"),
+            ("pdf", "--sigma-points", "1"),
+            ("simulate", "--sigma-points", "1", "--paths", "20", "--steps", "64"),
+            ("validate", "--quick", "--sigma-min", "5", "--sigma-max", "1"),
+        ],
+        ids=["flow-steps", "pdf-sigma-points", "simulate-sigma-points", "validate-sigma-range"],
+    )
+    def test_fields_the_command_never_reads_run(self, argv, tmp_path):
+        # each was refused with exit 2 by the rule of a field its command never reads
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv", [("simulate", "--model", "bm", "--paths", "32"), ("validate",)],

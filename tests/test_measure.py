@@ -3,28 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from multiflow.dispersion import DiffusionSpec
+from conftest import binomial_spec, fractional_spec
+from multiflow.dispersion import DiffusionSpec, time_weight
 from multiflow.errors import DomainError, SingularPointError
+from multiflow.kernel import position_weight
 from multiflow.measure import (
-    DIFFUSION_TIME,
-    POSITION,
     FractionalCharges,
     GeometryScales,
     MeasureProfile,
-    fractional_weight,
     geometric_profile,
     hausdorff_dimension,
-    multiscale_weight,
 )
 from multiflow.grid import geometric_grid
+from multiflow.specfun import gamma_fn
 from multiflow.walker import simulate
+
+
+def space_spec(alphas, lstar=1.0, multiscale_space=False):
+    """A weighted spec whose position measure has the given charges."""
+    return DiffusionSpec(
+        model="weighted", dim=len(alphas), scales=GeometryScales(lstar=lstar),
+        charges=FractionalCharges(alphas), multiscale_space=multiscale_space,
+    )
 
 
 class TestProfiles:
     def test_binomial_construction_and_recovery(self):
         # the terms hold the charge and lstar^(1 - charge) as given, sorted by charge
         for beta_star in (0.3, 0.5, 1.5, 1.75):
-            profile = MeasureProfile.binomial(beta_star, 2.0, kind=DIFFUSION_TIME)
+            profile = MeasureProfile.binomial(beta_star, 2.0)
             terms = {c: g for g, c in profile.terms}
             assert terms == {beta_star: 2.0 ** (1.0 - beta_star), 1.0: 1.0}
             assert profile.charges == tuple(sorted(profile.charges))
@@ -38,8 +45,6 @@ class TestProfiles:
             MeasureProfile(terms=((-1.0, 0.5),))
         with pytest.raises(DomainError):
             MeasureProfile(terms=((1.0, 2.5),))
-        with pytest.raises(DomainError):
-            MeasureProfile(terms=((1.0, 0.5),), kind="bogus")
 
     def test_charges_validation(self):
         with pytest.raises(DomainError):
@@ -59,51 +64,97 @@ class TestProfiles:
 
 class TestFractionalWeight:
     def test_alpha_one_is_flat(self):
-        assert fractional_weight(7.3, 1.0) == 1.0
+        assert position_weight(space_spec((1.0,)), [7.3]) == 1.0
+        # a unit-charge direction is flat on its hyperplane too
+        assert position_weight(space_spec((1.0, 1.0)), [0.0, 0.0]) == 1.0
 
     def test_half_charge_value(self):
-        assert math.isclose(fractional_weight(1.0, 0.5), 0.56418958354775628695, rel_tol=1e-14)
+        assert math.isclose(
+            position_weight(space_spec((0.5,)), [1.0]), 0.56418958354775628695, rel_tol=1e-14
+        )
 
     def test_singular_origin(self):
         with pytest.raises(SingularPointError):
-            fractional_weight(0.0, 0.5)
+            position_weight(space_spec((0.5,)), [0.0])
+        with pytest.raises(SingularPointError):
+            position_weight(space_spec((1.0, 0.5)), [2.0, 0.0])
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            fractional_weight(1.0, 1.5)
+            space_spec((1.5,))
 
 
 class TestMultiscaleWeight:
     def test_binomial_at_crossover(self):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
-        assert math.isclose(multiscale_weight(1.0, profile), 2.0, rel_tol=1e-14)
+        assert math.isclose(time_weight(binomial_spec(0.5), 1.0), 2.0, rel_tol=1e-14)
 
     def test_binomial_infrared(self):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
-        assert math.isclose(multiscale_weight(1e6, profile), 1.001, rel_tol=1e-12)
+        assert math.isclose(time_weight(binomial_spec(0.5), 1e6), 1.001, rel_tol=1e-12)
 
     def test_binomial_ultraviolet_regular_charge(self):
         # for 1 < beta* < 2 the constant term dominates at small scales
-        profile = MeasureProfile.binomial(1.5, 1.0, kind=DIFFUSION_TIME)
-        assert math.isclose(multiscale_weight(1e-12, profile), 1.0, rel_tol=1e-5)
+        assert math.isclose(time_weight(binomial_spec(1.5), 1e-12), 1.0, rel_tol=1e-5)
 
     def test_single_unit_term_is_one(self, rng):
-        profile = MeasureProfile(terms=((1.0, 1.0),), kind=DIFFUSION_TIME)
-        for x in rng.uniform(1e-6, 1e6, 100):
-            assert multiscale_weight(float(x), profile) == 1.0
+        # at fixed dimensionality beta = 1 the weight is the one term s^0/Gamma(1)
+        spec = fractional_spec(1.0)
+        xs = rng.uniform(1e-6, 1e6, 100)
+        for x in xs:
+            assert time_weight(spec, float(x)) == 1.0
+        assert time_weight(spec, xs).tolist() == [1.0] * 100
 
-    def test_position_kind_carries_gamma(self):
-        profile = MeasureProfile(terms=((1.0, 0.5),), kind=POSITION)
-        assert math.isclose(
-            multiscale_weight(2.0, profile),
-            2.0 ** (-0.5) / math.gamma(0.5),
-            rel_tol=1e-14,
-        )
+    def test_position_weight_carries_gamma(self):
+        value = 2.0 ** (-0.5) / math.gamma(0.5)
+        assert math.isclose(position_weight(space_spec((0.5,)), [2.0]), value, rel_tol=1e-14)
+        multiscale = space_spec((0.5,), multiscale_space=True)
+        assert math.isclose(position_weight(multiscale, [2.0]), 1.0 + value, rel_tol=1e-14)
 
     def test_singularity_error(self):
-        profile = MeasureProfile.binomial(0.5, 1.0, kind=DIFFUSION_TIME)
         with pytest.raises(SingularPointError):
-            multiscale_weight(0.0, profile)
+            position_weight(space_spec((0.5, 0.5), multiscale_space=True), [1.0, 0.0])
+        with pytest.raises(DomainError, match="^sigma must be positive, got 0.0$"):
+            time_weight(binomial_spec(0.5), 0.0)
+
+    def test_position_weight_is_the_spatial_profile_sum(self, rng):
+        # the written-out binomial weight has the bits of the spec's term
+        # table, each term g |x|^(c-1)/Gamma(c), summed in charge order
+        for alpha in (0.2, 0.5, 0.9):
+            for lstar in (0.3, 1.0, 2.5):
+                spec = space_spec((alpha, alpha), lstar=lstar, multiscale_space=True)
+                for x in rng.uniform(-5.0, 5.0, (20, 2)).tolist():
+                    want = 1.0
+                    for xi in x:
+                        want *= sum(g * abs(xi) ** (c - 1.0) / gamma_fn(c)
+                                    for g, c in spec.spatial_profile.terms)
+                    assert position_weight(spec, x) == want
+
+
+class TestTimeWeight:
+    SPECS = {
+        "binomial-uv": binomial_spec(0.5, lstar=0.7),
+        "binomial-ir": binomial_spec(1.5, lstar=2.0),
+        "fuzzy": binomial_spec(0.3, fuzzy=True),
+        "fixed": fractional_spec(0.6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_grid_equals_scalar_calls(self, name):
+        spec = self.SPECS[name]
+        grid = np.geomspace(1e-6, 1e6, 301)
+        values = time_weight(spec, grid)
+        assert values.shape == grid.shape
+        assert values.tolist() == [time_weight(spec, s) for s in grid.tolist()]
+        assert all(isinstance(time_weight(spec, s), float) for s in grid[:3].tolist())
+        assert time_weight(spec, grid.reshape(7, 43)).tolist() == values.reshape(7, 43).tolist()
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_refuses_nonpositive_and_nan_sigma(self, name):
+        spec = self.SPECS[name]
+        for bad, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (float("nan"), "nan")):
+            with pytest.raises(DomainError, match=f"^sigma must be positive, got {shown}$"):
+                time_weight(spec, bad)
+            with pytest.raises(DomainError, match=f"^sigma must be positive, got {shown}$"):
+                time_weight(spec, np.array([1.0, bad, 2.0]))
 
 
 class TestGeometricProfiles:

@@ -35,7 +35,7 @@ from multiflow.kernel import (
     pdf,
     return_probability,
 )
-from multiflow.measure import FractionalCharges, GeometryScales, multiscale_weight
+from multiflow.measure import FractionalCharges, GeometryScales
 from multiflow.spectral import flow_curve
 
 SEED = 20130409
@@ -157,7 +157,7 @@ def test_grid_routes_equal_scalar_route(fuzzy):
     assert dispersion(spec, grid).tolist() == scalar
     flow, ell2 = flow_curve(spec, grid)
     assert ell2.tolist() == scalar
-    weight = [multiscale_weight(s, spec.multiscale) for s in grid.tolist()]
+    weight = [sum(g * s ** (c - 1.0) for g, c in spec.multiscale.terms) for s in grid.tolist()]
     ds = [3 * 1.3 * s / (v * e) for s, v, e in zip(grid.tolist(), weight, scalar)]
     assert flow.ds.tolist() == ds
     assert [flow_at(spec, s) for s in grid.tolist()] == ds

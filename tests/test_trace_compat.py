@@ -93,8 +93,8 @@ def test_traced_job_runs_and_writes_the_untraced_bytes(name, tracing, tmp_path):
         # the off-origin normalization is one traced scalar Kummer call per slice
         assert tracer.stats["specfun.kummer_phi"].calls == 1
     if name == "pdf-weighted-multiscale-space":
-        # one binomial weight per coordinate of the 40 points off the origin
-        assert tracer.stats["measure.multiscale_weight"].calls == 40 * 2
+        # one position weight per point of the 40 off the origin
+        assert tracer.stats["kernel.position_weight"].calls == 40
     written = sorted(traced.iterdir())
     assert [f.name for f in written] == sorted(f.name for f in plain.iterdir())
     assert len(written) == (2 if command == "simulate" else 1)

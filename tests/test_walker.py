@@ -245,8 +245,9 @@ class TestFsbmV:
         ens = simulate("fsbm-v", n, grid, spec, SEED, keep=0)
         assert ens.process == "fsbm-v"
         sig, mean_sq, stderr = msd(ens)
-        weight = time_weight(spec)
-        exact = np.array([2.0 * spec.dim * spec.scales.kappa * s / weight(s) for s in sig.tolist()])
+        exact = np.array(
+            [2.0 * spec.dim * spec.scales.kappa * s / time_weight(spec, s) for s in sig.tolist()]
+        )
         assert np.all(np.abs(mean_sq - exact) < 5.0 * stderr)
         assert np.all(np.abs(stderr / (exact * math.sqrt(2.0 / (spec.dim * n))) - 1.0) < 0.15)
 
@@ -493,6 +494,19 @@ class TestDispatcher:
         with pytest.raises(GridError):
             simulate("bm", 10, np.array([1.0, 0.5]), BM_1D, 0)
 
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize(
+        "grid", [[-0.5, 1.0, 2.0], [1.0, 0.5, 2.0], [1.0, math.nan, 2.0]],
+        ids=["negative", "decreasing", "nan"],
+    )
+    def test_grid_checked_before_any_work(self, process, grid):
+        # sbm and fsbm-v powered the negative sigma before the grid was
+        # checked, and raised numpy's RuntimeWarning in place of GridError
+        nu = 0.5 if process in ("sbm", "fssbm") else 1.0
+        spec = fractional_spec(beta=0.5, nu=nu, dim=1, alpha=0.5)
+        with pytest.raises(GridError, match="sigma grid must be 1-d, finite, positive"):
+            simulate(process, 20, np.array(grid), spec, 1)
+
 
 # The stream tests run on a grid whose blocks hold 170 paths at D = 3, so
 # that a block edge falls inside a group of 64 paths.
@@ -520,8 +534,7 @@ def _reference_paths(process, spec, n_paths, seed):
         draws = gen.standard_normal((min(GROUP, n_paths - lo), STREAM_GRID.size, STREAM_DIM))
         np.cumsum(draws * scale, axis=1, out=pos[lo: lo + draws.shape[0]])
     if process in ("fsbm-v", "fssbm"):
-        weight = time_weight(spec)
-        pos /= np.sqrt(np.array([weight(s) for s in STREAM_GRID]))[None, :, None]
+        pos /= np.sqrt(np.array([time_weight(spec, s) for s in STREAM_GRID]))[None, :, None]
     elif process == "fsbm-q":
         alpha = spec.charges.alphas[0]
         pos = np.sign(pos) * (math.gamma(alpha + 1.0) * np.abs(pos)) ** (1.0 / alpha)
