@@ -106,7 +106,7 @@ def run_simulate(cfg: RunConfig) -> None:
                 (f"path {p}", ensemble.positions[p, ::cfg.subsample, 0].tolist())
                 for p in range(min(3, ensemble.n_kept))
             ]
-            write_line_chart(cfg.svg, grid[::cfg.subsample].tolist(), series)
+            write_line_chart(cfg.svg, grid[::cfg.subsample].tolist(), series, logx=cfg.log)
 
 
 def run_pdf(cfg: RunConfig) -> None:

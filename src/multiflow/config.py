@@ -81,13 +81,15 @@ class RunConfig:
         finite, and the readers of ``multiscale-space`` are checked for every
         command; a field is otherwise checked only for the command that reads
         it: pdf's ``sigma``, ``x-points`` and ``x-max``, kernel's ``box``, and
-        simulate's ``paths``, ``subsample`` and ``traj-paths``.  The rest are
-        the library's own rules: the sigma grid rule on the one count the
-        command reads (``points`` for flow and kernel, ``steps`` for
-        simulate; pdf and validate read no sigma grid), then the evaluator's
-        check on the :func:`build_spec` spec (the dispersion's, the trace's,
-        or the walker's and its fit window's; the seed rule for
-        ``validate``).  A :class:`DomainError` becomes a :class:`ConfigError`.
+        simulate's ``paths``, ``subsample`` and ``traj-paths``.  ``svg`` is
+        refused where no chart is drawn: by validate, and by simulate with
+        ``traj-paths`` 0.  The rest are the library's own rules: the sigma
+        grid rule on the one count the command reads (``points`` for flow
+        and kernel, ``steps`` for simulate; pdf and validate read no sigma
+        grid), then the evaluator's check on the :func:`build_spec` spec
+        (the dispersion's, the trace's, or the walker's and its fit window's;
+        the seed rule for ``validate``).  A :class:`DomainError` becomes a
+        :class:`ConfigError`.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -103,8 +105,12 @@ class RunConfig:
                 )
             if self.subsample < 1 or self.traj_paths < 0:
                 raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
+            if self.svg and self.traj_paths == 0:
+                raise ConfigError("svg needs traj-paths >= 1: the simulate chart draws kept paths")
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.svg and self.command == "validate":
+            raise ConfigError("svg is not read by validate, which draws no chart")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.command == "pdf" and (self.x_points < 2 or self.x_max <= 0.0):

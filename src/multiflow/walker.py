@@ -10,16 +10,17 @@ Five processes are simulated, all reducible to Gaussian increments:
   sign-preserving inverse geometric profile x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha).
 
 Reproducibility contract: paths are drawn in groups of ``_GROUP_PATHS`` = 64.
-Group g (paths 64g to 64g + 63) draws from one counter-based Philox stream
-keyed by the master seed, starting at counter [0, 0, g, 0], consumed in
-(path, step, direction) order.  A stream is read in order, so ensembles are
-bit-identical for a fixed (seed, grid, spec) whatever the path count: the
-first n paths of a larger ensemble are the n-path ensemble.  Paths are
-simulated in blocks of ``_BLOCK_BYTES`` = 1 MB of positions (256 paths at
-D = 4 and 128 steps), small enough to stay in cache: one Philox generator is
-reset to a group's counter where the group starts and draws each group's
-share of a block straight into the block buffer in one call, a group that
-spans two blocks drawing on from where it stopped.  The block is then
+Group g (paths 64g to 64g + 63) draws from its own SFC64 stream, seeded by
+``SeedSequence(seed, spawn_key=(g,))`` (the g-th child that
+``SeedSequence(seed).spawn`` makes, numpy's way to independent streams) and
+consumed in (path, step, direction) order.  A stream is read in order, so
+ensembles are bit-identical for a fixed (seed, grid, spec) whatever the path
+count: the first n paths of a larger ensemble are the n-path ensemble.
+Paths are simulated in blocks of ``_BLOCK_BYTES`` = 1 MB of positions (256
+paths at D = 4 and 128 steps), small enough to stay in cache: a group's
+generator is built once, where the group starts, and draws the group's share
+of a block straight into the block buffer in one call, a group that spans
+two blocks drawing on from where it stopped.  The block is then
 scaled, summed along the steps and mapped by the process in place, and
 finally reduced to squared radii by explicit adds in np.sum's order.  An
 ensemble therefore holds the squared radius of every path and step,
@@ -62,7 +63,7 @@ PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
 # needs a path, so ``simulate`` needs at least this many.
 FIT_BATCHES = 16
 _BLOCK_BYTES = 1 << 20
-# Paths per Philox stream (the reproducibility contract in the module doc).
+# Paths per SFC64 stream (the reproducibility contract in the module doc).
 _GROUP_PATHS = 64
 
 
@@ -190,14 +191,15 @@ def _simulate_paths(
 
     Increment n has variance 2*kappa*(tau_n - tau_{n-1}) per direction, with
     tau_{-1} = 0, which is the exact simulation of the time change (no Euler
-    bias).  Path p is path p % 64 of group p // 64, whose Philox stream
-    starts at counter [0, 0, p // 64, 0] and is read in (path, step,
-    direction) order.  ``transform`` maps a block of positions in place
-    before it is reduced.  Returns the squared radii (n_paths, n_steps) and
-    the positions of the first ``keep`` paths (all when ``keep`` is None).
+    bias).  Path p is path p % 64 of group g = p // 64, whose SFC64 stream
+    is seeded by ``SeedSequence(seed, spawn_key=(g,))`` and read in (path,
+    step, direction) order; one generator is built per group.  ``transform``
+    maps a block of positions in place before it is reduced.  Returns the
+    squared radii (n_paths, n_steps) and the positions of the first ``keep``
+    paths (all when ``keep`` is None).
     """
     # imported where the walkers draw, so that no other command loads it
-    from numpy.random import Generator, Philox, SeedSequence
+    from numpy.random import SFC64, Generator, SeedSequence
 
     dtau = np.diff(np.concatenate(([0.0], clock)))
     if np.any(dtau <= 0.0):
@@ -209,15 +211,6 @@ def _simulate_paths(
     # (n_steps, dim), not broadcast from (n_steps, 1): a contiguous operand
     # keeps the in-place product one long inner loop.
     scale = np.repeat(np.sqrt(2.0 * kappa * dtau)[:, None], dim, axis=1)
-    key = SeedSequence(seed).generate_state(2, np.uint64)
-    bitgen = Philox(key=key)
-    gen = Generator(bitgen)
-    # Group g's stream starts at counter [0, 0, g, 0] with an empty buffer,
-    # exactly as a freshly constructed Philox(counter=..., key=key) does.
-    counter = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
     per_block = _block_paths(n_steps, dim)
     block = np.empty((min(per_block, n_paths), n_steps, dim))
     sq = np.empty((n_paths, n_steps))
@@ -229,8 +222,7 @@ def _simulate_paths(
         edges = [lo, *range(lo - lo % _GROUP_PATHS + _GROUP_PATHS, hi, _GROUP_PATHS), hi]
         for a, b in zip(edges[:-1], edges[1:]):
             if a % _GROUP_PATHS == 0:
-                counter[2] = a // _GROUP_PATHS
-                bitgen.state = state
+                gen = Generator(SFC64(SeedSequence(seed, spawn_key=(a // _GROUP_PATHS,))))
             gen.standard_normal(out=buf[a - lo: b - lo])
         buf *= scale
         np.cumsum(buf, axis=1, out=buf)

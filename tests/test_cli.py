@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -446,6 +447,22 @@ class TestUnreadParameters:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("simulate", "--model", "bm", "--paths", "16", "--steps", "64", "--traj-paths", "0"),
+             "svg needs traj-paths >= 1"),
+            (("validate", "--quick"), "svg is not read by validate"),
+        ],
+        ids=["simulate-traj-paths-0", "validate"],
+    )
+    def test_svg_refused_where_no_chart_is_drawn(self, argv, message, tmp_path, capsys):
+        # each exited 0 and wrote no chart
+        code = main([*argv, "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "x.svg")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("simulate", "--model", "fsbm-q", "--alpha", "0.5", "--beta", "1.0", *_WALK_GRID,
@@ -645,6 +662,28 @@ class TestSimulateCommand:
         )
         _, _, rows = read_csv(tmp_path / "s.traj.csv")
         assert len(rows) == 3 * (64 // 8)
+
+    @pytest.mark.parametrize("log", ["true", "false"], ids=["geometric", "uniform"])
+    def test_chart_axis_follows_sigma_log(self, log, tmp_path):
+        # a geometric grid is drawn on a log axis and a uniform one on a
+        # linear axis: either way the chart's x coordinates are evenly spaced
+        svg = tmp_path / "s.svg"
+        code = main(
+            [
+                "simulate", "--model", "bm", "--paths", "20", "--steps", "64",
+                "--sigma-min", "1e-3", "--sigma-max", "10", "--sigma-log", log, "--seed", "1",
+                "--subsample", "4", "--traj-paths", "3", "--out", str(tmp_path / "s.csv"),
+                "--svg", str(svg),
+            ]
+        )
+        assert code == EXIT_OK
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg.read_text())
+        assert len(polylines) == 3
+        for points in polylines:
+            xs = np.array([float(p.split(",")[0]) for p in points.split()])
+            assert xs.size == 64 // 4
+            # the coordinates are written to 0.01
+            assert np.ptp(np.diff(xs)) <= 0.02 + 1e-9
 
     def test_single_path_refused(self, tmp_path, capsys):
         # one path has no standard error: refused before any file is written

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 from scipy import stats
 
 from conftest import binomial_spec, fractional_spec
@@ -30,7 +30,7 @@ from multiflow.walker import (
 SEED = 20130409
 FULL_PATHS = 10_000
 FULL_STEPS = 1024
-# The reproducibility contract's paths per Philox stream, written out, not
+# The reproducibility contract's paths per SFC64 stream, written out, not
 # read from the module.
 GROUP = 64
 # unit-charge specs: bm and sbm read only kappa, nu and the dimension
@@ -138,6 +138,10 @@ class TestBrownian:
 LAW_PATHS = 4000
 LAW_GRID = geometric_grid(1e-2, 10.0, 32)
 LAW_STEP = 16
+# the q law's variances differ by Gamma(1.5) = 0.886, a KS distance of about
+# 0.015: 40 000 paths put the p = 1e-3 level at 0.0097
+Q_LAW_PATHS = 40_000
+Q_LAW_SEED = 3011
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
@@ -167,6 +171,24 @@ class TestOnePointLaw:
             other = stats.kstest(sample, lambda x: _gaussian_axis_cdf(x, 0.7 * sigma ** other_nu))
             assert own.pvalue > 1e-3, (axis, own)
             assert other.pvalue < 1e-3, (axis, other)
+
+    def test_fsbm_q_geometric_coordinates_follow_the_construction_law(self):
+        # q(x) = sgn(x)|x|^alpha / Gamma(alpha + 1) undoes the walker's map, so
+        # each axis of q is N(0, 2 kappa sigma^beta) by construction; the q
+        # model's N(0, 2 kappa sigma^beta / Gamma(1 + beta)) is rejected
+        alpha, beta, kappa = 0.75, 0.5, 0.7
+        spec = fractional_spec(beta=beta, dim=2, kappa=kappa, alpha=alpha)
+        ens = simulate("fsbm-q", Q_LAW_PATHS, LAW_GRID, spec, Q_LAW_SEED)
+        sigma = float(LAW_GRID[LAW_STEP])
+        x = ens.positions[:, LAW_STEP]
+        q = np.sign(x) * np.abs(x) ** alpha / math.gamma(alpha + 1.0)
+        for axis in range(spec.dim):
+            own = stats.kstest(q[:, axis], lambda v: _gaussian_axis_cdf(v, kappa * sigma ** beta))
+            q_model = stats.kstest(
+                q[:, axis], lambda v: _gaussian_axis_cdf(v, kappa * sigma ** beta / math.gamma(1.0 + beta))
+            )
+            assert own.pvalue > 1e-3, (axis, own)
+            assert q_model.pvalue < 1e-3, (axis, q_model)
 
     def test_axis_cdf_is_the_normal_law(self):
         x = np.linspace(-8.0, 8.0, 161)
@@ -521,16 +543,16 @@ def _stream_spec(process):
 
 
 def _reference_paths(process, spec, n_paths, seed):
-    """The ensemble as drawn without path blocks: one freshly built generator
-    per group of 64 paths, counter [0, 0, g, 0], positions for every path."""
+    """The ensemble as drawn without path blocks: one freshly built SFC64
+    generator per group g of 64 paths, seeded by SeedSequence(seed,
+    spawn_key=(g,)), positions for every path."""
     sc = spec.scales
     nu = {"bm": 1.0, "fsbm-q": sc.beta}.get(process, sc.nu)
     dtau = np.diff(np.concatenate(([0.0], STREAM_GRID ** nu)))
     scale = np.sqrt(2.0 * sc.kappa * dtau)[:, None]
-    key = SeedSequence(seed).generate_state(2, np.uint64)
     pos = np.empty((n_paths, STREAM_GRID.size, STREAM_DIM))
     for g, lo in enumerate(range(0, n_paths, GROUP)):
-        gen = Generator(Philox(counter=np.array([0, 0, g, 0], dtype=np.uint64), key=key))
+        gen = Generator(SFC64(SeedSequence(seed, spawn_key=(g,))))
         draws = gen.standard_normal((min(GROUP, n_paths - lo), STREAM_GRID.size, STREAM_DIM))
         np.cumsum(draws * scale, axis=1, out=pos[lo: lo + draws.shape[0]])
     if process in ("fsbm-v", "fssbm"):
@@ -575,6 +597,24 @@ class TestBlockStream:
             ens = simulate("bm", n, grid, spec, 41)
             assert np.array_equal(ens.positions, big.positions[:n])
             assert np.array_equal(ens.sq_radii, big.sq_radii[:n])
+
+    @pytest.mark.parametrize("block_bytes", [1, 40_000, walker_mod._BLOCK_BYTES],
+                             ids=["1-per-block", "9-per-block", "256-per-block"])
+    @pytest.mark.parametrize("n_paths", [1, GROUP, GROUP + 1, 3 * STREAM_BLOCK + 5])
+    def test_one_generator_per_group(self, n_paths, block_bytes, monkeypatch):
+        # ceil(n / 64) bit generators, each built once where its group
+        # starts, never once per block segment of a group
+        built = []
+
+        class CountingSFC64(SFC64):
+            def __init__(self, seed):
+                built.append(seed.spawn_key)
+                super().__init__(seed)
+
+        monkeypatch.setattr(np.random, "SFC64", CountingSFC64)
+        monkeypatch.setattr(walker_mod, "_BLOCK_BYTES", block_bytes)
+        simulate("bm", n_paths, STREAM_GRID, BM_2D, 3, keep=0)
+        assert built == [(g,) for g in range(math.ceil(n_paths / GROUP))]
 
     def test_keep_beyond_paths_keeps_all(self):
         ens = simulate("bm", 5, STREAM_GRID, BM_2D, 3, keep=50)
