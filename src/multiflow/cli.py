@@ -23,7 +23,7 @@ from . import kernel as kernel_mod
 from . import spectral, walker
 from .config import COMMANDS, RunConfig, build_spec, merge_overrides, read_config
 from .csvio import write_csv, write_line_chart
-from .dispersion import DiffusionSpec, binomial_time_integral, dispersion, dispersion_quadrature
+from .dispersion import _MODELS, DiffusionSpec, binomial_time_integral, dispersion, dispersion_quadrature
 from .errors import ConfigError, MultiflowError
 from .grid import geometric_grid, log_slope
 from .measure import GeometryScales
@@ -43,8 +43,8 @@ def run_flow(cfg: RunConfig) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LegacyAnsatzWarning)
         flow, ell2 = spectral.flow_curve(spec, grid)
-    if spec.model == "legacy":
-        meta["caveat"] = "legacy ansatz: regularized, normalization-dependent trace"
+    if _MODELS[spec.model].caveat:
+        meta["caveat"] = _MODELS[spec.model].caveat
     meta.update(
         uv_asymptote=flow.uv_asymptote, ir_asymptote=flow.ir_asymptote,
         uv_converged=flow.uv_converged, ir_converged=flow.ir_converged,
@@ -65,7 +65,7 @@ def run_simulate(cfg: RunConfig) -> None:
     ensemble = walker.simulate(cfg.process, cfg.paths, grid, spec, cfg.seed, keep=cfg.traj_paths)
     sigmas, mean_sq, stderr = walker.msd(ensemble)
     window = walker.fit_window(grid)  # the last two decades
-    heavy_tailed = cfg.process == "fsbm-q"
+    heavy_tailed = walker._PROCESSES[cfg.process].heavy_tailed
     if heavy_tailed:
         fit = walker.fit_scaling_exponent_batched(ensemble, window)
     else:
@@ -120,7 +120,7 @@ def run_pdf(cfg: RunConfig) -> None:
     transverse = spec.scales.lstar
     x0 = np.full(spec.dim, transverse)
     x0[0] = cfg.x0
-    if spec.model in ("weighted", "legacy"):
+    if _MODELS[spec.model].drops_origin:
         xs = xs[xs != 0.0]  # measure-singular point of the weighted density
     points = np.full((xs.size, spec.dim), transverse)
     points[:, 0] = xs
@@ -344,16 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         overrides["command"] = args.command
         cfg = merge_overrides(cfg, overrides)
 
-        if args.command == "flow":
-            run_flow(cfg)
-        elif args.command == "simulate":
-            run_simulate(cfg)
-        elif args.command == "pdf":
-            run_pdf(cfg)
-        elif args.command == "kernel":
-            run_kernel(cfg)
-        else:
+        if args.command == "validate":
             return run_validate(cfg, quick=args.quick, kappa_error=args.inject_kappa_error)
+        {"flow": run_flow, "simulate": run_simulate, "pdf": run_pdf, "kernel": run_kernel}[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

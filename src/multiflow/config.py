@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import walker
-from .dispersion import MODELS, DiffusionSpec, check_dispersion
+from .dispersion import _MODELS, MODELS, DiffusionSpec, check_dispersion
 from .errors import ConfigError, DomainError
 from .grid import check_grid_args, check_sigma, geometric_grid, uniform_grid
 from .kernel import check_trace
@@ -78,18 +78,14 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """This config, once its command can run it.  Every field must be
-        finite, and the readers of ``multiscale-space`` are checked for every
-        command; a field is otherwise checked only for the command that reads
-        it: pdf's ``sigma``, ``x-points`` and ``x-max``, kernel's ``box``, and
-        simulate's ``paths``, ``subsample`` and ``traj-paths``.  ``svg`` is
-        refused where no chart is drawn: by validate, and by simulate with
-        ``traj-paths`` 0.  The rest are the library's own rules: the sigma
-        grid rule on the one count the command reads (``points`` for flow
-        and kernel, ``steps`` for simulate; pdf and validate read no sigma
-        grid), then the evaluator's check on the :func:`build_spec` spec
-        (the dispersion's, the trace's, or the walker's and its fit window's;
-        the seed rule for ``validate``).  A :class:`DomainError` becomes a
-        :class:`ConfigError`.
+        finite; ``multiscale-space`` is checked against the commands of the
+        model's record that read it; any other field is checked only for the
+        command that reads it, ``svg`` refused where no chart is drawn.  The
+        rest are the library's own rules: the sigma grid rule on the one
+        count the command reads, then the evaluator's check on the
+        :func:`build_spec` spec (the dispersion's, the trace's, or the
+        walker's and its fit window's; the seed rule for ``validate``).  A
+        :class:`DomainError` becomes a :class:`ConfigError`.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -107,6 +103,8 @@ class RunConfig:
                 raise ConfigError("subsample must be >= 1 and traj-paths >= 0")
             if self.svg and self.traj_paths == 0:
                 raise ConfigError("svg needs traj-paths >= 1: the simulate chart draws kept paths")
+            if self.process not in walker.PROCESSES:
+                raise ConfigError(f"unknown process {self.process!r}; expected one of {walker.PROCESSES}")
         elif self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.svg and self.command == "validate":
@@ -120,14 +118,12 @@ class RunConfig:
         if self.command == "kernel" and self.box is not None and self.box <= 0.0:
             raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
         if self.multiscale_space:
-            # the binomial position measure is read by these densities and traces only
-            readers = {"pdf": ("weighted", "legacy", "ordinary"), "kernel": ("ordinary",)}
+            readers = {c: [n for n, m in _MODELS.items() if c in m.multiscale_space]
+                       for model in _MODELS.values() for c in model.multiscale_space}
             if self.model not in readers.get(self.command, ()):
                 where = f"{self.command} --model {self.model}" if self.command in readers else self.command
-                raise ConfigError(
-                    "multiscale-space is read only by pdf (weighted, legacy, ordinary) "
-                    f"and kernel (ordinary), not by {where}"
-                )
+                listed = " and ".join(f"{c} ({', '.join(names)})" for c, names in readers.items())
+                raise ConfigError(f"multiscale-space is read only by {listed}, not by {where}")
         # the one sigma grid count the command reads
         count = {"flow": "points", "kernel": "points", "simulate": "steps"}.get(self.command)
         try:
@@ -279,7 +275,7 @@ def build_spec(cfg: RunConfig) -> DiffusionSpec:
     """
     try:
         return DiffusionSpec(
-            model=cfg.model if cfg.command != "simulate" else _process_model(cfg.process),
+            model=cfg.model if cfg.command != "simulate" else walker._PROCESSES[cfg.process].model,
             dim=cfg.dim,
             scales=GeometryScales(
                 lstar=cfg.lstar, lbar=cfg.lbar, kappa=cfg.kappa, nu=cfg.nu, beta=cfg.beta
@@ -291,7 +287,3 @@ def build_spec(cfg: RunConfig) -> DiffusionSpec:
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _process_model(process: str) -> str:
-    return "q" if process == "fsbm-q" else "weighted"

@@ -47,33 +47,87 @@ __all__ = [
     "q_time_profile",
 ]
 
-MODELS = ("weighted", "ordinary", "q", "legacy")
-
 _QUAD_REL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One model's facts that are data; its laws are code, each looked up by model."""
+
+    reads: tuple[tuple[str, ...], tuple[str, ...]]  # of _MODEL_FIELDS, without and with beta_star
+    fractal: bool  # d_W counts d_H, not D
+    hausdorff_volume: bool  # traces are per Hausdorff volume, not per integer volume
+    drops_origin: bool  # the density divides by a position weight singular at x = 0
+    multiscale_space: tuple[str, ...]  # the commands that read a multiscale space
+    caveat: str = ""
+    beta_max: float = math.inf  # beta lies in (0, beta_max) at fixed dimensionality
+    beta_star_max: float = 2.0  # and beta_star in (0, beta_star_max)
+
+
+_FIXED_READS = ("lbar", "nu", "beta")
+_MODELS = {
+    "weighted": _Model((_FIXED_READS, ("fuzzy", "beta_star")), False, False, True, ("pdf",)),
+    "ordinary": _Model((_FIXED_READS, ("beta_star",)), False, True, False, ("pdf", "kernel")),
+    "q": _Model((("beta",), ("beta_star",)), True, True, False, (), beta_max=2.0, beta_star_max=1.0),
+    "legacy": _Model(
+        ((), ()), True, False, True, ("pdf",),
+        caveat="legacy ansatz: regularized, normalization-dependent trace",
+    ),
+}
+MODELS = tuple(_MODELS)
+
+# Every field a read set can name, with its default, in the order refusals
+# are made; a model's read set names the first five.
+_DEFAULTS = {
+    "lbar": 0.0, "fuzzy": False, "beta_star": None, "nu": 1.0, "beta": 1.0,
+    "multiscale_space": False, "lstar": 1.0, "alpha": 1.0,
+}
+_MODEL_FIELDS = tuple(_DEFAULTS)[:5]
+_MODEL_WORDS = {"lbar": "lbar is read only at fixed dimensionality by the weighted and ordinary models"}
+
+
+def _refuse_unread(spec, reads, owner: str, words=_MODEL_WORDS, fields=_MODEL_FIELDS, also=()) -> None:
+    """:class:`DomainError` naming the first of ``fields`` that the spec moves
+    off its default (a float by more than 1e-12) and that neither ``reads``,
+    the fields read without and with ``beta_star``, nor ``also`` holds."""
+    binomial = spec.beta_star is not None
+    sc, alphas = spec.scales, spec.charges.alphas
+    values = {
+        "lbar": sc.lbar, "fuzzy": spec.fuzzy, "beta_star": spec.beta_star, "nu": sc.nu,
+        "beta": sc.beta, "multiscale_space": spec.multiscale_space, "lstar": sc.lstar,
+        "alpha": alphas[0] if len(set(alphas)) == 1 else alphas,
+    }
+    for field in fields:
+        value, default = values[field], _DEFAULTS[field]
+        if field in reads[binomial] or field in also or value == default or (
+            isinstance(value, float) and isinstance(default, float) and abs(value - default) <= 1e-12
+        ):
+            continue
+        if field in words:
+            text = words[field]
+        elif field in reads[not binomial] and binomial:
+            text = f"beta_star is read only at {field} = {default:g}"
+        elif field in reads[not binomial]:
+            text = f"{field} is read only with beta_star"
+        else:
+            text = f"{owner} reads no {field}"
+        raise DomainError(f"{text}, got {field} = {value}")
 
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Model selection plus every scale the dispersion and kernels need.
 
-    ``charges`` are the spatial fractional charges, one per direction; a
-    spec built without them gets unit charges (ordinary space), so
-    ``charges`` is never None.  ``beta_star``, when set, is the charge of the
-    binomial diffusion-time measure 1 + (sigma/lstar)^(beta_star - 1) and
-    switches the dispersion to its multiscale form.  ``multiscale_space``
-    replaces the fractional position measure by the binomial one
-    1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) per direction, alpha the
-    one charge of the (isotropic) ``charges``.  Both measures take lstar from
-    ``scales``; :attr:`multiscale` and :attr:`spatial_profile` are their
-    term tables, built once per spec.  A spec refuses what no evaluator of
-    its model can take: ``beta_star`` for legacy, nu != 1 for q (clocked by
-    beta, which must lie in (0, 2) without ``beta_star``), lbar > 0 but at
-    fixed dimensionality in the weighted and ordinary models, beta <= 0 at
-    fixed dimensionality in those two (s^(beta-1)/Gamma(beta) is a positive
-    measure only for beta > 0), and anisotropic charges with
-    ``multiscale_space``.  A refusal of one evaluator only is that
-    evaluator's check: :func:`check_dispersion`, ``kernel.check_trace`` and
-    ``walker.check_simulation``.
+    ``charges`` are the spatial fractional charges, one per direction, unit
+    charges (ordinary space) when not given.  ``beta_star``, when set, is
+    the charge of the binomial diffusion-time measure
+    1 + (sigma/lstar)^(beta_star - 1).  ``multiscale_space`` replaces the
+    fractional position measure by the binomial one 1 + lstar^(1-alpha)
+    |x|^(alpha-1)/Gamma(alpha) per direction, alpha the one charge of the
+    (isotropic) ``charges``; :attr:`multiscale` and :attr:`spatial_profile`
+    are their term tables, built once per spec.  A spec refuses a field
+    among lbar, fuzzy, beta_star, nu and beta off its default that nothing
+    built on it reads: its model's evaluators or the walkers built on it.
     """
 
     model: str
@@ -94,34 +148,28 @@ class DiffusionSpec:
             raise DomainError(f"{self.charges.dim} fractional charges for dim = {self.dim}")
         if self.multiscale_space and len(set(self.charges.alphas)) > 1:
             raise DomainError(f"a multiscale space needs isotropic charges, got {self.charges.alphas}")
-        # a parameter the model never reads is refused, not silently dropped
-        if self.model == "legacy" and self.beta_star is not None:
-            raise DomainError(f"the legacy model reads no beta_star, got {self.beta_star}")
-        if self.model == "q" and self.scales.nu != 1.0:
-            raise DomainError(f"the q model reads no nu (beta is its clock), got nu = {self.scales.nu}")
-        if self.scales.lbar > 0.0 and (self.model in ("q", "legacy") or self.beta_star is not None):
+        from .walker import _PROCESSES
+
+        model, binomial = _MODELS[self.model], self.beta_star is not None
+        walkers = [f for p in _PROCESSES.values() if p.model == self.model for f in p.reads[binomial]]
+        _refuse_unread(self, model.reads, f"the {self.model} model", also=walkers)
+        beta = self.scales.beta
+        if not binomial and not 0.0 < beta < model.beta_max:
             raise DomainError(
-                "lbar is read only at fixed dimensionality by the weighted and ordinary models, "
-                f"got lbar = {self.scales.lbar}"
-            )
-        fixed_dimensionality = self.model in ("weighted", "ordinary") and self.beta_star is None
-        if fixed_dimensionality and not self.scales.beta > 0.0:
-            raise DomainError(
-                f"beta must be positive at fixed dimensionality, got beta = {self.scales.beta}"
+                f"{self.model}-model charge must lie in (0, {model.beta_max:g}), got {beta}"
+                if model.beta_max < math.inf
+                # s^(beta-1)/Gamma(beta) is a positive measure only for beta > 0
+                else f"beta must be positive at fixed dimensionality, got beta = {beta}"
             )
         # both profiles are built here, once: a binomial charge outside (0, 2), or 1, raises
-        time_profile, _ = self.multiscale, self.spatial_profile
-        if self.model == "q" and time_profile is not None and not 0.0 < self.beta_star < 1.0:
-            raise DomainError(f"q model requires a binomial charge in (0, 1), got {self.beta_star}")
-        if self.model == "q" and time_profile is None and not 0.0 < self.scales.beta < 2.0:
-            raise DomainError(f"q-model charge must lie in (0, 2), got {self.scales.beta}")
-        if self.fuzzy:
-            if self.model != "weighted" or time_profile is None:
-                raise DomainError("fuzzy mode is only valid for the weighted multiscale model")
-            if not 0.0 < self.beta_star < 1.0:
-                raise DomainError(
-                    f"fuzzy mode requires a binomial charge in (0, 1), got {self.beta_star}"
-                )
+        _ = self.multiscale, self.spatial_profile
+        if binomial and not self.beta_star < model.beta_star_max:
+            raise DomainError(
+                f"the {self.model} model requires a binomial charge in "
+                f"(0, {model.beta_star_max:g}), got {self.beta_star}"
+            )
+        if self.fuzzy and not self.beta_star < 1.0:
+            raise DomainError(f"fuzzy mode requires a binomial charge in (0, 1), got {self.beta_star}")
 
     @cached_property
     def multiscale(self) -> MeasureProfile | None:
@@ -267,10 +315,7 @@ def time_weight(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.nd
     sig = check_sigma(sigma)
     if spec.multiscale is None:
         return _shaped(sig, powers(sig, spec.scales.beta - 1.0) / gamma_fn(spec.scales.beta))
-    v = 0
-    for g, c in spec.multiscale.terms:
-        v = v + g * powers(sig, c - 1.0)
-    return _shaped(sig, v)
+    return _shaped(sig, sum(g * powers(sig, c - 1.0) for g, c in spec.multiscale.terms))
 
 
 def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
@@ -287,101 +332,96 @@ def q_time_profile(spec: DiffusionSpec) -> MeasureProfile:
 
 def check_dispersion(spec: DiffusionSpec) -> None:
     """The refusals of :func:`dispersion` that the spec alone decides, made
-    first by every evaluator of the dispersion.  weighted/ordinary only: a
-    binomial time measure is read at |nu - 1| <= 1e-12 only, and at fixed
-    dimensionality 1 + nu - beta must be positive, or no normalizable
-    pointlike initial condition exists (:class:`ExponentDomainError`)."""
-    if spec.model not in ("weighted", "ordinary"):
-        return
+    first by its every evaluator: a field outside the model's read set (one
+    that only a walker reads, nu or beta beside beta_star), and at fixed
+    dimensionality 1 + nu - beta <= 0, for which no pointlike initial
+    condition is normalizable (:class:`ExponentDomainError`)."""
+    _refuse_unread(spec, _MODELS[spec.model].reads, f"the {spec.model} model")
     sc = spec.scales
-    if spec.beta_star is not None:
-        if abs(sc.nu - 1.0) > 1e-12:
-            raise DomainError(f"beta_star is read only at nu = 1, got nu = {sc.nu}")
-    elif 1.0 + sc.nu - sc.beta <= 0.0:
+    if spec.beta_star is None and 1.0 + sc.nu - sc.beta <= 0.0:
         raise ExponentDomainError(
             f"1 + nu - beta = {1.0 + sc.nu - sc.beta} must be positive for a pointlike "
             "initial condition"
         )
 
 
-def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
-    """The model's dispersion ell^2 at a diffusion time or a whole array of them.
-
-    weighted/ordinary (the two share one Gaussian width) with a binomial
-    time measure: ell2(0) + kappa * int_0^sigma ds / v_*(s), the integral
-    :func:`binomial_time_integral` and ell2(0) zero for the pointlike
-    initial condition or lstar^2 in the fuzzy scenario (Gaussian initial
-    spread of width lstar).  At fixed dimensionality:
-    lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta).
-    q: kappa * sum_n g_n sigma^(beta_n) over :func:`q_time_profile`.
-    legacy: kappa * sigma.  The spec's refusals (:func:`check_dispersion`)
-    come first.  A float gives a float, an array an array of its shape,
-    each element bit for bit the value its float gives; a negative element
-    raises :class:`DomainError` before anything is evaluated.
-    """
-    check_dispersion(spec)
+def _time_measure_dispersion(spec: DiffusionSpec, sigma) -> float | np.ndarray:
+    """weighted/ordinary, one Gaussian width: with a binomial time measure
+    ell2(0) + kappa :func:`binomial_time_integral`, ell2(0) lstar^2 fuzzy (a
+    Gaussian initial spread) else 0; at fixed dimensionality
+    lbar^2 + kappa Gamma(beta) sigma^(1+nu-beta)/(1+nu-beta)."""
     sc = spec.scales
-    if spec.model in ("weighted", "ordinary") and spec.beta_star is not None:
+    if spec.beta_star is not None:
         base = sc.lstar ** 2 if spec.fuzzy else 0.0
         return base + sc.kappa * binomial_time_integral(spec.beta_star, sc.lstar, sigma)
     sig = check_sigma(sigma, zero=True)
-    if spec.model == "legacy":  # ordinary Brownian width
-        return _shaped(sig, sc.kappa * sig)
-    if spec.model == "q":
-        total = 0
-        for g, c in q_time_profile(spec).terms:
-            total = total + g * powers(sig, c)
-        return _shaped(sig, sc.kappa * total)
     exponent = 1.0 + sc.nu - sc.beta
     coeff = sc.kappa * gamma_fn(sc.beta) / exponent
     return _shaped(sig, sc.lbar ** 2 + coeff * powers(sig, exponent))
 
 
-def dispersion_quadrature(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
-    """The oracle of :func:`dispersion`: each model's defining integral by
-    adaptive quadrature, independent of every closed form.
+def _q_dispersion(spec: DiffusionSpec, sigma) -> float | np.ndarray:
+    """kappa sum_n g_n sigma^(beta_n) over :func:`q_time_profile`."""
+    sig = check_sigma(sigma, zero=True)
+    return _shaped(sig, spec.scales.kappa * sum(g * powers(sig, c) for g, c in q_time_profile(spec).terms))
 
-    weighted/ordinary: ell2(0) + kappa int_0^sigma s^(nu-1)/v(s) ds, v the
-    weight of :func:`time_weight` written out on a float, so that the oracle
-    shares no code with the evaluator, and ell2(0) lstar^2 fuzzy, lbar^2 at
-    fixed dimensionality, else 0; q: the integral of its derivative
-    kappa sum_n g_n c_n s^(c_n - 1) over :func:`q_time_profile`; legacy:
-    the Brownian kappa sigma.  It takes what :func:`dispersion` takes and
-    refuses what it refuses (:func:`check_dispersion`, then any negative
-    sigma), and a float gives a float, an array an array of its shape.
-    """
+
+def _legacy_dispersion(spec: DiffusionSpec, sigma) -> float | np.ndarray:
+    sig = check_sigma(sigma, zero=True)
+    return _shaped(sig, spec.scales.kappa * sig)  # ordinary Brownian width
+
+
+_DISPERSIONS = {
+    "weighted": _time_measure_dispersion, "ordinary": _time_measure_dispersion,
+    "q": _q_dispersion, "legacy": _legacy_dispersion,
+}
+
+
+def dispersion(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
+    """The model's dispersion ell^2 at a diffusion time or a whole array of
+    them, by its law in :data:`_DISPERSIONS` after :func:`check_dispersion`.
+    A float gives a float, an array an array of its shape, each element bit
+    for bit the value its float gives; a negative element raises
+    :class:`DomainError` before anything is evaluated."""
+    check_dispersion(spec)
+    return _DISPERSIONS[spec.model](spec, sigma)
+
+
+# Each model's oracle weight v(s) on a float and its least charge: time_weight
+# written out, the inverse derivative of the q time profile, or 1
+def _time_measure_weight(spec: DiffusionSpec) -> tuple[Callable[[float], float], float]:
+    if spec.beta_star is not None:
+        profile = spec.multiscale
+        return (lambda s: sum(g * s ** (c - 1.0) for g, c in profile.terms)), profile.min_charge
+    beta, norm = spec.scales.beta, gamma_fn(spec.scales.beta)
+    return (lambda s: s ** (beta - 1.0) / norm), beta
+
+
+def _q_weight(spec: DiffusionSpec) -> tuple[Callable[[float], float], float]:
+    profile = q_time_profile(spec)
+    return (lambda s: 1.0 / sum(g * c * s ** (c - 1.0) for g, c in profile.terms)), profile.min_charge
+
+
+_ORACLE_WEIGHTS = {
+    "weighted": _time_measure_weight, "ordinary": _time_measure_weight,
+    "q": _q_weight, "legacy": lambda spec: ((lambda s: 1.0), 1.0),
+}
+
+
+def dispersion_quadrature(spec: DiffusionSpec, sigma: float | np.ndarray) -> float | np.ndarray:
+    """The oracle of :func:`dispersion`: each model's defining integral
+    ell2(0) + kappa int_0^sigma s^(nu-1)/v(s) ds by adaptive quadrature,
+    ell2(0) = lbar^2 (+ lstar^2 fuzzy) and v the model's weight in
+    :data:`_ORACLE_WEIGHTS`, sharing no code with the closed forms.  It takes
+    and refuses what :func:`dispersion` does, and a float gives a float, an
+    array an array of its shape."""
     check_dispersion(spec)
     sig = check_sigma(sigma, zero=True)
     sc = spec.scales
-    if spec.model == "q":
-        profile = q_time_profile(spec)
-        nu, base, charge = 1.0, 0.0, profile.min_charge
-
-        def weight(s: float) -> float:
-            return 1.0 / sum(g * c * s ** (c - 1.0) for g, c in profile.terms)
-
-    elif spec.model == "legacy":
-        nu, base, charge = 1.0, 0.0, 1.0
-
-        def weight(s: float) -> float:
-            return 1.0
-
-    elif spec.beta_star is not None:
-        profile = spec.multiscale
-        nu, base, charge = sc.nu, sc.lstar ** 2 if spec.fuzzy else 0.0, profile.min_charge
-
-        def weight(s: float) -> float:
-            return sum(g * s ** (c - 1.0) for g, c in profile.terms)
-
-    else:
-        beta, norm = sc.beta, gamma_fn(sc.beta)
-        nu, base, charge = sc.nu, sc.lbar ** 2, beta
-
-        def weight(s: float) -> float:
-            return s ** (beta - 1.0) / norm
-
+    weight, charge = _ORACLE_WEIGHTS[spec.model](spec)
+    base = sc.lbar ** 2 + (sc.lstar ** 2 if spec.fuzzy else 0.0)
     values = [
-        base + sc.kappa * _quadrature(weight, nu, s, charge) if s > 0.0 else base
+        base + sc.kappa * _quadrature(weight, sc.nu, s, charge) if s > 0.0 else base
         for s in sig.reshape(-1).tolist()
     ]
     return _shaped(sig, np.array(values))

@@ -8,9 +8,9 @@ normalization built from Kummer's function Phi((1 - alpha)/2; 1/2;
 z <= 0, and the q model is an ordinary Gaussian in geometric coordinates.
 Return probabilities are traces of these densities per unit volume, with
 the volume convention an explicit tag since it decides the spectral
-dimension one reads off.  Each has one model
-dispatch: :func:`pdf` evaluates a whole slice of points from one ell^2, and
-every trace grid takes its ell^2 from one ``dispersion`` call.
+dimension one reads off.  Each is one lookup of the model's law:
+:func:`pdf` evaluates a whole slice of points from one ell^2, and every
+trace grid takes its ell^2 from one ``dispersion`` call.
 
 The ordinary-model trace is a box quadrature of v(x) C(x, sigma).  Its
 integrand is even in every coordinate, so each axis is integrated over
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, check_dispersion, dispersion
+from .dispersion import _MODELS, DiffusionSpec, check_dispersion, dispersion
 from .errors import BoxError, ConvergenceError, DomainError, SingularPointError
 from .grid import check_grid, check_sigma, log_slope, powers
 from .measure import geometric_profile
@@ -143,47 +143,44 @@ def position_weight(spec: DiffusionSpec, x) -> float:
     return w
 
 
+def _weighted_density(spec: DiffusionSpec, rows: np.ndarray, x0p: np.ndarray, ell2: float) -> np.ndarray:
+    """The Gaussian over the position weight, normalized against the measure
+    and self-similar with s = (1 + nu - beta)/2; the legacy ansatz's too."""
+    weights = np.array([position_weight(spec, row) for row in rows])
+    return gaussian_pdf(rows, x0p, ell2, spec.dim) / weights
+
+
+def _q_density(spec: DiffusionSpec, rows: np.ndarray, x0p: np.ndarray, ell2: float) -> np.ndarray:
+    """A Gaussian in geometric coordinates, normalized against v = dq/dx."""
+    alphas = spec.charges.alphas
+    q0 = [geometric_profile(xi, a) for xi, a in zip(x0p.tolist(), alphas)]
+    root = math.sqrt(4.0 * math.pi * ell2)
+    return np.array([
+        math.prod(math.exp(-((geometric_profile(xi, a) - q0i) ** 2) / (4.0 * ell2)) / root
+                  for xi, q0i, a in zip(row, q0, alphas))
+        for row in rows.tolist()
+    ])
+
+
+_DENSITIES = {
+    "weighted": _weighted_density, "legacy": _weighted_density, "q": _q_density,
+    # C(x0, sigma) exp(-|x-x0|^2/(4 ell^2)), one normalization per call
+    "ordinary": lambda spec, rows, x0, ell2: _normalization_at(x0, ell2, spec) * _exp_factors(rows, x0, ell2),
+}
+
+
 def pdf(spec: DiffusionSpec, x, x0, sigma: float):
-    """Model density at one point, shape (D,), or at each row of an (N, D) array.
-
-    One point gives a float, N points an array of N densities, each with
-    the bits of its one-point call.  ell^2(sigma) comes from one
-    :func:`dispersion` call and the model is dispatched once:
-
-    - weighted, and the legacy ansatz, whose normalized solution has the
-      weighted form at beta = nu = 1: the Gaussian divided by the position
-      weight.  Normalized against the measure, int d^Dx v(x) P = 1, and
-      self-similar under (x, x0, sigma) -> (lam^s x, lam^s x0, lam sigma)
-      with s = (1 + nu - beta)/2;
-    - ordinary: C(x0, sigma) exp(-|x-x0|^2/(4 ell^2)), one normalization
-      per call, since C depends on x0 only;
-    - q: the product of Gaussians in geometric coordinates,
-      prod_mu exp(-|q(x_mu) - q(x0_mu)|^2 / (4 ell^2)) / sqrt(4 pi ell^2);
-      normalization against the measure v = dq/dx is automatic.
-    """
+    """Model density at one point, shape (D,), or at each row of an (N, D)
+    array: one point gives a float, N points N densities, each with the bits
+    of its one-point call.  ell^2(sigma) comes from one :func:`dispersion`
+    call, and the density from the model's law in :data:`_DENSITIES`."""
     check_sigma(sigma)
     rows, one = _as_rows(x, spec.dim)
     x0p = _as_point(x0, spec.dim)
     ell2 = dispersion(spec, sigma)
     if ell2 <= 0.0:
         raise DomainError(f"dispersion must be positive, got {ell2}")
-    if spec.model == "ordinary":
-        density = _normalization_at(x0p, ell2, spec) * _exp_factors(rows, x0p, ell2)
-    elif spec.model == "q":
-        alphas = spec.charges.alphas
-        q0 = [geometric_profile(xi, a) for xi, a in zip(x0p.tolist(), alphas)]
-        root = math.sqrt(4.0 * math.pi * ell2)
-        density = []
-        for row in rows.tolist():
-            product = 1.0
-            for xi, q0i, a in zip(row, q0, alphas):
-                dq = geometric_profile(xi, a) - q0i
-                product *= math.exp(-(dq ** 2) / (4.0 * ell2)) / root
-            density.append(product)
-        density = np.array(density)
-    else:
-        weights = np.array([position_weight(spec, row) for row in rows])
-        density = gaussian_pdf(rows, x0p, ell2, spec.dim) / weights
+    density = _DENSITIES[spec.model](spec, rows, x0p, ell2)
     return float(density[0]) if one else density
 
 
@@ -458,37 +455,13 @@ def check_trace(spec: DiffusionSpec) -> None:
     a multiscale space, whose binomial box sum is O(N^D); with fixed charges
     the trace is a product of one-dimensional sums at any D."""
     check_dispersion(spec)
-    if spec.model == "ordinary" and spec.multiscale_space and spec.dim > 3:
-        raise DomainError(f"the ordinary-model trace needs dim <= 3, got {spec.dim}")
+    if spec.multiscale_space and "kernel" in _MODELS[spec.model].multiscale_space and spec.dim > 3:
+        raise DomainError(f"the {spec.model}-model trace needs dim <= 3, got {spec.dim}")
 
 
-def _traces(spec: DiffusionSpec, sigmas: np.ndarray, box_halfwidth: float | None) -> np.ndarray:
-    """Z at each sigma of a 1-d array under the model's volume convention.
-
-    Every sigma is checked positive, and the spec by :func:`check_trace`,
-    before any work; ell^2 of the whole array then comes from one
-    :func:`dispersion` call.
-
-    - weighted (and the fixed-dimensionality closed forms): the
-      measure-traced Gaussian per unit integer volume, (4 pi ell^2)^(-D/2);
-      q: the same closed form per Hausdorff volume;
-    - legacy: the regularized power law ell^(-D alpha) with unit prefactor;
-    - ordinary: box quadrature of v(x) C(x, sigma) per Hausdorff volume of
-      the box.  The order-:data:`_GL_ORDER` and
-      order-:data:`_GL_REFINE` traces of every sigma come from one
-      :func:`_trace_quadrature` call; the refinement test is then made
-      sigma by sigma, in grid order.
-
-    The closed-form powers are taken on Python floats (:func:`powers`), so
-    each sigma keeps the bits of its scalar expression.
-    """
-    check_sigma(sigmas)
-    check_trace(spec)
-    ell2s = dispersion(spec, sigmas)
-    if spec.model == "legacy":
-        return powers(ell2s, -spec.dim * spec.charges.average / 2.0)
-    if spec.model != "ordinary":
-        return powers(4.0 * math.pi * ell2s, -spec.dim / 2.0)
+def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
+    """ordinary: the box quadrature of the module doc per Hausdorff volume of
+    the box, both orders of every sigma from one :func:`_trace_quadrature` call."""
     cases, halfwidths = [], []
     for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
@@ -512,6 +485,28 @@ def _traces(spec: DiffusionSpec, sigmas: np.ndarray, box_halfwidth: float | None
     return np.array(traces)
 
 
+def _gaussian_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
+    """The measure-traced Gaussian (4 pi ell^2)^(-D/2), each power on a float."""
+    return powers(4.0 * math.pi * ell2s, -spec.dim / 2.0)
+
+
+_TRACES = {
+    "weighted": _gaussian_trace, "q": _gaussian_trace, "ordinary": _box_trace,
+    # the regularized power law ell^(-D alpha) with unit prefactor
+    "legacy": lambda spec, sigmas, ell2s, box: powers(ell2s, -spec.dim * spec.charges.average / 2.0),
+}
+
+
+def _traces(spec: DiffusionSpec, sigmas: np.ndarray, box_halfwidth: float | None) -> np.ndarray:
+    """Z at each sigma of a 1-d array under the model's volume convention,
+    by its law in :data:`_TRACES`.  Every sigma is checked positive, and the
+    spec by :func:`check_trace`, before any work; ell^2 of the whole array
+    then comes from one :func:`dispersion` call."""
+    check_sigma(sigmas)
+    check_trace(spec)
+    return _TRACES[spec.model](spec, sigmas, dispersion(spec, sigmas), box_halfwidth)
+
+
 def heat_kernel_curve(
     spec: DiffusionSpec,
     sigmas: Sequence[float] | np.ndarray,
@@ -525,7 +520,7 @@ def heat_kernel_curve(
     :func:`return_probability` bit for bit.
     """
     sig = np.asarray(sigmas, dtype=float)
-    convention = PER_HAUSDORFF_VOLUME if spec.model in ("q", "ordinary") else PER_INTEGER_VOLUME
+    convention = PER_HAUSDORFF_VOLUME if _MODELS[spec.model].hausdorff_volume else PER_INTEGER_VOLUME
     return HeatKernelCurve(
         sigmas=sig, Z=_traces(spec, sig, box_halfwidth), convention=convention, model=spec.model
     )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, dispersion, q_time_profile, time_weight
+from .dispersion import _MODELS, DiffusionSpec, dispersion, q_time_profile, time_weight
 from .errors import DomainError
 from .grid import check_grid, check_sigma, powers
 from .measure import hausdorff_dimension
@@ -69,6 +69,13 @@ class SpectralFlow:
         check_grid(sig, ds, min_points=0)
 
 
+_FIXED_POINTS = {
+    **dict.fromkeys(("weighted", "ordinary"), lambda spec: spec.dim * (1.0 + spec.scales.nu - spec.scales.beta)),
+    "q": lambda spec: spec.dim * spec.scales.beta,
+    "legacy": lambda spec: hausdorff_dimension(spec.charges),
+}
+
+
 def fixed_point_ds(spec: DiffusionSpec) -> float:
     """Constant (no-scale) spectral dimension of a spec without ``beta_star``.
 
@@ -83,18 +90,10 @@ def fixed_point_ds(spec: DiffusionSpec) -> float:
     """
     if spec.beta_star is not None:
         raise DomainError(f"beta_star = {spec.beta_star} gives a flow, not a fixed point")
-    sc = spec.scales
-    if spec.model == "q":
-        return spec.dim * sc.beta
-    if spec.model == "legacy":
-        warnings.warn(
-            "legacy diffusion ansatz: d_S = D*alpha relies on a regularized, "
-            "normalization-dependent return probability",
-            LegacyAnsatzWarning,
-            stacklevel=2,
-        )
-        return hausdorff_dimension(spec.charges)
-    return spec.dim * (1.0 + sc.nu - sc.beta)
+    caveat = _MODELS[spec.model].caveat
+    if caveat:
+        warnings.warn(caveat, LegacyAnsatzWarning, stacklevel=2)
+    return _FIXED_POINTS[spec.model](spec)
 
 
 def walk_dimension(spec: DiffusionSpec, d_s: float | np.ndarray) -> float | np.ndarray:
@@ -109,8 +108,7 @@ def walk_dimension(spec: DiffusionSpec, d_s: float | np.ndarray) -> float | np.n
     low = d[d <= 0.0]
     if low.size:
         raise DomainError(f"walk dimension undefined for d_S = {float(low[0])} <= 0")
-    fractal = spec.model in ("q", "legacy")
-    d_w = 2.0 * (hausdorff_dimension(spec.charges) if fractal else spec.dim) / d
+    d_w = 2.0 * (hausdorff_dimension(spec.charges) if _MODELS[spec.model].fractal else spec.dim) / d
     return float(d_w) if d.ndim == 0 else d_w
 
 
@@ -125,49 +123,51 @@ def _probe_sigmas(lstar: float) -> list[float]:
     return uv + [lstar * _IR_PROBE * 10.0 ** (-k) for k in (2, 1, 0)]
 
 
+def _fixed_flow(spec: DiffusionSpec, points: np.ndarray, ell2: np.ndarray):
+    """No scale: the constant :func:`fixed_point_ds` at every point."""
+    d = fixed_point_ds(spec)
+    return np.full(points.size, d), d, d
+
+
+def _binomial_flow(spec: DiffusionSpec, points: np.ndarray, ell2: np.ndarray):
+    """weighted/ordinary: D kappa sigma / (v(sigma) ell^2(sigma)) with a
+    binomial time measure, from D to D(2-beta*) for beta* > 1, D(2-beta*) to
+    D for beta* < 1 and 0 to D fuzzy; else the fixed point."""
+    if spec.beta_star is None:
+        return _fixed_flow(spec, points, ell2)
+    dim, beta_star = float(spec.dim), spec.beta_star
+    ds = spec.dim * spec.scales.kappa * points / (time_weight(spec, points) * ell2)
+    if spec.fuzzy:
+        return ds, 0.0, dim
+    return (ds, dim, dim * (2.0 - beta_star)) if beta_star > 1.0 else (ds, dim * (2.0 - beta_star), dim)
+
+
+def _q_flow(spec: DiffusionSpec, points: np.ndarray, ell2: np.ndarray):
+    """q: the charge average D sum g c sigma^c / sum g sigma^c, from D times
+    the least charge to D times the greatest."""
+    profile = q_time_profile(spec)
+    terms = [(g, c, powers(points, c)) for g, c in profile.terms]
+    ds = spec.dim * sum(g * c * p for g, c, p in terms) / sum(g * p for g, _, p in terms)
+    return ds, spec.dim * profile.charges[0], spec.dim * profile.charges[-1]
+
+
+_FLOWS = {"weighted": _binomial_flow, "ordinary": _binomial_flow, "q": _q_flow, "legacy": _fixed_flow}
+
+
 def flow_curve(
     spec: DiffusionSpec, sigmas: Sequence[float] | np.ndarray
 ) -> tuple[SpectralFlow, np.ndarray]:
-    """The model's flow on a sigma grid, with its asymptotes, and the ell^2 it came from.
-
-    weighted/ordinary with a binomial time measure:
-    d_S = D kappa sigma / (v(sigma) ell^2(sigma)), v the
-    :func:`dispersion.time_weight`; its (UV, IR) limits are D -> D(2-beta*)
-    for 1 < beta* < 2, D(2-beta*) -> D for 0 < beta* < 1 and 0 -> D in the
-    fuzzy scenario.  q: the charge average D sum g c sigma^c / sum g sigma^c,
-    from D min charge to D max charge.  legacy and fixed dimensionality: the
-    constant :func:`fixed_point_ds`.  ell^2 is one :func:`dispersion` call on
-    the grid and the six plateau probes, and v one ``time_weight`` call on
-    the same points; the powers of the flow come from :func:`grid.powers`
-    and the sums, products and quotients are the scalar ones, so every
-    element has the bits of its own one-sigma call.  A
-    nonpositive sigma raises :class:`DomainError`.
-    """
+    """The model's flow on a sigma grid, by its law in :data:`_FLOWS`, with
+    its asymptotes, and the ell^2 it came from.  ell^2 is one
+    :func:`dispersion` call on the grid and the six plateau probes; the
+    powers of the flow come from :func:`grid.powers` and the sums, products
+    and quotients are the scalar ones, so every element has the bits of its
+    own one-sigma call.  A nonpositive sigma raises :class:`DomainError`."""
     sig = np.asarray(sigmas, dtype=float)
     n = sig.size
     points = np.concatenate([check_sigma(sig).reshape(-1), _probe_sigmas(spec.scales.lstar)])
     ell2 = dispersion(spec, points)
-    dim = float(spec.dim)
-    if spec.model == "q":
-        profile = q_time_profile(spec)
-        num = den = 0
-        for g, c in profile.terms:
-            p = powers(points, c)
-            num = num + g * c * p
-            den = den + g * p
-        ds = spec.dim * num / den
-        uv, ir = dim * profile.charges[0], dim * profile.charges[-1]
-    elif spec.beta_star is not None:  # weighted or ordinary
-        ds = spec.dim * spec.scales.kappa * points / (time_weight(spec, points) * ell2)
-        if spec.fuzzy:
-            uv, ir = 0.0, dim
-        elif spec.beta_star > 1.0:
-            uv, ir = dim, dim * (2.0 - spec.beta_star)
-        else:
-            uv, ir = dim * (2.0 - spec.beta_star), dim
-    else:  # legacy or fixed dimensionality: no scale, a constant flow
-        uv = ir = fixed_point_ds(spec)
-        ds = np.full(points.size, uv)
+    ds, uv, ir = _FLOWS[spec.model](spec, points, ell2)
     probed = ds[n:].tolist()
     flow = SpectralFlow(
         sigmas=sig, ds=ds[:n], uv_asymptote=uv, ir_asymptote=ir,

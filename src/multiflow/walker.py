@@ -1,31 +1,26 @@
 """Monte Carlo walkers: Brownian, scaled, and multiscale-spacetime processes.
 
-Five processes are simulated, all reducible to Gaussian increments:
+Four processes are simulated under five names, all Brownian motion in a
+clock sigma^nu mapped in place:
 
 * ``bm``      -- Brownian motion, variance 2 kappa dsigma per step/direction;
 * ``sbm``     -- scaled Brownian motion, the exact time change sigma -> sigma^nu;
-* ``fsbm-v``  -- Brownian motion divided pointwise by sqrt(v(sigma));
-* ``fssbm``   -- scaled Brownian motion divided by sqrt(v(sigma));
+* ``fsbm-v``  -- scaled Brownian motion divided pointwise by sqrt(v(sigma)),
+  named ``fssbm`` too; an ensemble is tagged ``fsbm-v`` at nu = 1 and
+  ``fssbm`` otherwise;
 * ``fsbm-q``  -- scaled Brownian motion (nu = beta) mapped through the
   sign-preserving inverse geometric profile x = sgn(Q)[Gamma(alpha+1)|Q|]^(1/alpha).
 
 Reproducibility contract: paths are drawn in groups of ``_GROUP_PATHS`` = 64.
 Group g (paths 64g to 64g + 63) draws from its own SFC64 stream, seeded by
-``SeedSequence(seed, spawn_key=(g,))`` (the g-th child that
-``SeedSequence(seed).spawn`` makes, numpy's way to independent streams) and
-consumed in (path, step, direction) order.  A stream is read in order, so
-ensembles are bit-identical for a fixed (seed, grid, spec) whatever the path
-count: the first n paths of a larger ensemble are the n-path ensemble.
-Paths are simulated in blocks of ``_BLOCK_BYTES`` = 1 MB of positions (256
-paths at D = 4 and 128 steps), small enough to stay in cache: a group's
-generator is built once, where the group starts, and draws the group's share
-of a block straight into the block buffer in one call, a group that spans
-two blocks drawing on from where it stopped.  The block is then
-scaled, summed along the steps and mapped by the process in place, and
-finally reduced to squared radii by explicit adds in np.sum's order.  An
-ensemble therefore holds the squared radius of every path and step,
-O(paths * steps) memory plus one block, and full positions only for the
-first ``keep`` paths (all of them by default).  Its non-finite check, the
+``SeedSequence(seed, spawn_key=(g,))`` and consumed in (path, step,
+direction) order, so ensembles are bit-identical for a fixed (seed, grid,
+spec) whatever the path count: the first n paths of a larger ensemble are
+the n-path ensemble.  Paths are simulated in blocks of ``_BLOCK_BYTES`` =
+1 MB of positions, drawn, scaled, summed and mapped in place, and reduced to
+squared radii (:func:`_simulate_paths`).  An ensemble holds the squared
+radius of every path and step, O(paths * steps) memory plus one block, and
+full positions only for the first ``keep`` paths.  Its non-finite check, the
 standard error of ``msd`` and the increment statistics also work one block
 of rows at a time.
 """
@@ -38,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dispersion import DiffusionSpec, time_weight
+from .dispersion import _DEFAULTS, DiffusionSpec, _refuse_unread, time_weight
 from .errors import DomainError, GridError, SingularPointError
 from .grid import check_grid
 
@@ -57,14 +52,68 @@ __all__ = [
     "increment_diagnostics",
 ]
 
-PROCESSES = ("bm", "sbm", "fsbm-v", "fssbm", "fsbm-q")
-
 # Path batches of the batch-means and median-of-batches fits; every batch
 # needs a path, so ``simulate`` needs at least this many.
 FIT_BATCHES = 16
 _BLOCK_BYTES = 1 << 20
 # Paths per SFC64 stream (the reproducibility contract in the module doc).
 _GROUP_PATHS = 64
+
+
+# The in-place maps of a block of positions, built from the spec and the grid
+def _divide_by_root_weight(spec: DiffusionSpec, grid: np.ndarray):
+    """fsbm-v: divide by sqrt(v(sigma)), one :func:`dispersion.time_weight` call."""
+    v = time_weight(spec, grid)
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
+    root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)
+
+    def transform(block: np.ndarray) -> None:
+        block /= root_v
+
+    return transform
+
+
+def _inverse_geometric_profile(spec: DiffusionSpec, grid: np.ndarray):
+    """fsbm-q: every axis with the one charge, in (0, 1]; none at alpha = 1."""
+    alpha = spec.charges.alphas[0]
+    if alpha == 1.0:
+        return None
+    gamma_a1 = math.gamma(alpha + 1.0)
+
+    def transform(block: np.ndarray) -> None:
+        mag = gamma_a1 * np.abs(block)
+        mag **= 1.0 / alpha
+        np.sign(block, out=block)
+        block *= mag
+
+    return transform
+
+
+@dataclass(frozen=True)
+class _Process:
+    """The facts of one process; dim and kappa it always reads."""
+
+    reads: tuple[tuple[str, ...], tuple[str, ...]]  # of dispersion._DEFAULTS, without and with beta_star
+    clock: str | None  # the scale nu or beta of its clock sigma^clock; None: sigma
+    transform: Callable | None  # (spec, grid) -> its in-place map, or None
+    heavy_tailed: bool
+    model: str  # the model of the spec it is built on
+    clock_max: float = math.inf
+
+
+_FSBM_V = _Process(
+    (("nu", "beta"), ("beta_star", "nu", "lstar")), "nu", _divide_by_root_weight, False, "weighted"
+)
+_PROCESSES = {
+    "bm": _Process(((), ()), None, None, False, "weighted"),
+    "sbm": _Process((("nu",),) * 2, "nu", None, False, "weighted"),
+    "fsbm-v": _FSBM_V,
+    # fsbm-v in the clock sigma^nu, nu != 1: the one process under a second name
+    "fssbm": _FSBM_V,
+    "fsbm-q": _Process((("beta", "alpha"),) * 2, "beta", _inverse_geometric_profile, True, "q", clock_max=1.0),
+}
+PROCESSES = tuple(_PROCESSES)
 
 
 @dataclass(frozen=True)
@@ -260,37 +309,26 @@ def check_seed(seed: int) -> None:
 
 
 def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
-    """The clock exponent nu of ``process``: 1 for ``bm``, beta for ``fsbm-q``,
-    the spec's nu otherwise.  :class:`DomainError` for what the process, spec
-    and seed alone refuse: a negative seed, lbar > 0 (no walker starts from a
-    spread), ``beta_star`` for ``bm``, ``sbm`` and ``fsbm-q``, nu != 1 for
-    ``bm`` and ``fuzzy`` (parameters those processes never read), an
-    unknown process, nu <= 0, and for ``fsbm-q`` anisotropic charges or beta
-    outside (0, 1]."""
+    """The clock exponent of ``process``: 1, or the spec's nu or beta.
+    :class:`DomainError` for a negative seed, an unknown process, a field off
+    its default outside the process's read set, anisotropic charges where
+    the charge is read, and a clock exponent outside (0, ``clock_max``]."""
     check_seed(seed)
-    if spec.scales.lbar > 0.0:
-        raise DomainError(f"walkers read no lbar, got lbar = {spec.scales.lbar}")
-    if spec.beta_star is not None and process in ("bm", "sbm", "fsbm-q"):
-        raise DomainError(f"{process} reads no beta_star, got beta_star = {spec.beta_star}")
-    if spec.fuzzy:
-        raise DomainError("walkers read no fuzzy (no walker starts from a spread)")
-    if process == "bm":
-        if abs(spec.scales.nu - 1.0) > 1e-12:
-            raise DomainError(f"bm reads no nu (its clock is sigma), got nu = {spec.scales.nu}")
-        return 1.0
-    if process == "fsbm-q":
-        alphas = spec.charges.alphas
-        if len(set(alphas)) > 1:
-            raise DomainError(f"fsbm-q needs isotropic charges, got {alphas}")
-        nu = spec.scales.beta
-        if not 0.0 < nu <= 1.0:
-            raise DomainError(f"fsbm-q needs beta in (0, 1], got {nu}")
-        return nu
-    if process not in PROCESSES:
+    record = _PROCESSES.get(process)
+    if record is None:
         raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
-    nu = spec.scales.nu
-    if nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu}")
+    read = {f for p in _PROCESSES.values() for fields in p.reads for f in fields}
+    words = {f: f"walkers read no {f}" for f in _DEFAULTS if f not in read}
+    clock = "sigma" if record.clock is None else f"sigma^{record.clock}"
+    words["nu"] = f"{process} reads no nu (its clock is {clock})"
+    _refuse_unread(spec, record.reads, process, words, tuple(_DEFAULTS))
+    if "alpha" in record.reads[0] and len(set(spec.charges.alphas)) > 1:
+        raise DomainError(f"{process} needs isotropic charges, got {spec.charges.alphas}")
+    nu = 1.0 if record.clock is None else getattr(spec.scales, record.clock)
+    if not nu > 0.0:
+        raise DomainError(f"{record.clock} must be positive, got {nu}")
+    if nu > record.clock_max:
+        raise DomainError(f"{process} needs {record.clock} in (0, {record.clock_max:g}], got {nu}")
     return nu
 
 
@@ -304,19 +342,12 @@ def simulate(
 ) -> WalkerEnsemble:
     """Ensemble of ``n_paths`` paths of ``process``, its parameters from the spec.
 
-    The one builder of every process in the module doc.  Each is Brownian
-    motion in the clock sigma^nu, mapped in place.  The grid is checked
-    first (:func:`grid.check_grid`); nu and every refusal that the process,
-    spec and seed alone decide come next from :func:`check_simulation`,
-    before any path is drawn.  ``fsbm-v`` and ``fssbm`` divide by
-    sqrt(v(sigma)), v the spec's diffusion-time weight (one
-    :func:`dispersion.time_weight` call on the grid), and are tagged
-    ``fsbm-v`` at nu = 1 and ``fssbm`` otherwise, whichever is asked for.
+    The grid is checked first (:func:`grid.check_grid`), then the process,
+    spec and seed (:func:`check_simulation`), before any path is drawn.
     ``fsbm-q`` maps every axis with one charge (the odd extension of the
-    first-orthant identification, an implementation choice), so it needs
-    isotropic charges.  Its q(x) is N(0, 2 kappa sigma^beta) by
-    construction (clock sigma^beta, variance 2 kappa dtau), while the q
-    model's density is Gaussian in q with
+    first-orthant identification, an implementation choice).  Its q(x) is
+    N(0, 2 kappa sigma^beta) by construction (clock sigma^beta, variance
+    2 kappa dtau), while the q model's density is Gaussian in q with
     2 ell^2 = 2 kappa sigma^beta / Gamma(1 + beta)
     (:func:`dispersion.q_time_profile`): the walker samples that density at
     a time rescaled by Gamma(1 + beta), 0.886 at beta = 0.5.  ``keep`` is
@@ -326,31 +357,13 @@ def simulate(
     grid = np.asarray(grid, dtype=float)
     check_grid(grid)
     nu = check_simulation(process, spec, seed)
-    transform = None
-    if process == "fsbm-q":
-        # the charges themselves lie in (0, 1]: FractionalCharges refuses others
-        alpha = spec.charges.alphas[0]
-        if alpha != 1.0:
-            gamma_a1 = math.gamma(alpha + 1.0)
-
-            def transform(block: np.ndarray) -> None:
-                mag = gamma_a1 * np.abs(block)
-                mag **= 1.0 / alpha
-                np.sign(block, out=block)
-                block *= mag
-
-    elif process in ("fsbm-v", "fssbm"):
-        v = time_weight(spec, grid)
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-            raise SingularPointError("diffusion-time weight must be finite and positive on the grid")
-        root_v = np.repeat(np.sqrt(v)[:, None], spec.dim, axis=1)
-
-        def transform(block: np.ndarray) -> None:
-            block /= root_v
-
-        process = "fsbm-v" if abs(nu - 1.0) <= 1e-12 else "fssbm"
+    record = _PROCESSES[process]
+    transform = None if record.transform is None else record.transform(spec, grid)
+    # a record under two names is tagged by the first at nu = 1, else by the second
+    names = [name for name, row in _PROCESSES.items() if row is record]
+    tag = names[0] if abs(nu - 1.0) <= 1e-12 else names[-1]
     sq, pos = _simulate_paths(grid ** nu, spec.scales.kappa, spec.dim, seed, n_paths, keep, transform)
-    return WalkerEnsemble(process, grid, sq, pos)
+    return WalkerEnsemble(tag, grid, sq, pos)
 
 
 def msd(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

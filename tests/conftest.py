@@ -27,7 +27,7 @@ def binomial_spec(
     return DiffusionSpec(
         model=model,
         dim=dim,
-        scales=GeometryScales(lstar=lstar, kappa=kappa, beta=beta_star),
+        scales=GeometryScales(lstar=lstar, kappa=kappa),
         charges=FractionalCharges.isotropic(alpha, dim),
         beta_star=beta_star,
         fuzzy=fuzzy,

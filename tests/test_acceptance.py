@@ -188,7 +188,7 @@ def test_criterion_6_heat_kernel_duality():
             for beta_star in (1.5, 0.5):
                 spec = DiffusionSpec(
                     model="ordinary", dim=dim,
-                    scales=GeometryScales(lstar=1.0, beta=beta_star),
+                    scales=GeometryScales(lstar=1.0),
                     charges=FractionalCharges.isotropic(0.5, dim),
                     beta_star=beta_star,
                     multiscale_space=True,

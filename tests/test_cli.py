@@ -20,6 +20,7 @@ from multiflow.config import (
     serialize_config,
 )
 from multiflow.csvio import CSV_VERSION
+from multiflow.dispersion import _DEFAULTS, _MODEL_FIELDS, _MODELS, MODELS
 from multiflow.errors import ConfigError, GridError
 from multiflow.grid import geometric_grid, uniform_grid
 
@@ -432,13 +433,37 @@ class TestUnreadParameters:
              "walkers read no fuzzy"),
             (("simulate", "--model", "fssbm", "--nu", "0.5", "--beta-star", "0.5", "--fuzzy",
               *_WALK_GRID), "walkers read no fuzzy"),
+            # each wrote the bytes of the run without its last flag
+            (("simulate", "--model", "bm", "--beta", "0.5", *_WALK_GRID),
+             "bm reads no beta, got beta = 0.5"),
+            (("simulate", "--model", "bm", "--lstar", "3", *_WALK_GRID),
+             "bm reads no lstar, got lstar = 3.0"),
+            (("simulate", "--model", "bm", "--alpha", "0.5", *_WALK_GRID),
+             "bm reads no alpha, got alpha = 0.5"),
+            (("simulate", "--model", "sbm", "--nu", "0.5", "--beta", "0.5", *_WALK_GRID),
+             "sbm reads no beta, got beta = 0.5"),
+            (("simulate", "--model", "fsbm-v", "--beta", "0.5", "--alpha", "0.3", *_WALK_GRID),
+             "fsbm-v reads no alpha, got alpha = 0.3"),
+            (("simulate", "--model", "fsbm-v", "--beta-star", "1.5", "--beta", "0.7", *_WALK_GRID),
+             "beta_star is read only at beta = 1, got beta = 0.7"),
+            (("simulate", "--model", "fsbm-q", "--beta", "0.5", "--lstar", "3", *_WALK_GRID),
+             "fsbm-q reads no lstar, got lstar = 3.0"),
+            (("flow", "--model", "legacy", "--nu", "0.5"), "the legacy model reads no nu, got nu = 0.5"),
+            (("flow", "--model", "legacy", "--beta", "0.5"),
+             "the legacy model reads no beta, got beta = 0.5"),
+            (("flow", "--model", "weighted", "--beta-star", "0.5", "--beta", "0.7"),
+             "beta_star is read only at beta = 1, got beta = 0.7"),
+            (("flow", "--model", "q", "--beta-star", "0.5", "--beta", "0.7"),
+             "beta_star is read only at beta = 1, got beta = 0.7"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
              "fixed-dim-flow-ordinary", "fixed-dim-pdf", "fixed-dim-kernel", "fixed-dim-nu",
              "multiscale-kernel-dim-4", "negative-beta-flow", "negative-beta-kernel-dim-3",
              "negative-beta-kernel-dim-2", "bm-beta-star", "sbm-beta-star", "fsbm-q-beta-star",
-             "bm-nu", "fsbm-v-fuzzy", "fssbm-fuzzy"],
+             "bm-nu", "fsbm-v-fuzzy", "fssbm-fuzzy", "bm-beta", "bm-lstar", "bm-alpha", "sbm-beta",
+             "fsbm-v-alpha", "fsbm-v-beta-star-beta", "fsbm-q-lstar", "legacy-nu", "legacy-beta",
+             "weighted-beta-star-beta", "q-beta-star-beta"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -543,6 +568,82 @@ class TestUnreadParameters:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert "lbar" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Each field of a read set, moved to an admissible value off its default:
+# a config line, or a flag where the config has no key
+_MOVES = {
+    "lbar": "lbar = 0.5", "fuzzy": "fuzzy = true", "beta_star": "beta-star = 0.5", "nu": "nu = 0.75",
+    "beta": "beta = 0.5", "multiscale_space": "multiscale-space = true", "lstar": "lstar = 3.0",
+    "alpha": "alpha = 0.5",
+}
+_MODEL_RUNS = (
+    ("flow", "--sigma-min", "0.01", "--sigma-max", "100", "--sigma-points", "7"),
+    ("pdf", "--x-points", "11"),
+    ("kernel", "--sigma-min", "0.1", "--sigma-max", "10", "--sigma-points", "5"),
+)
+# (name, binomial, field): the field moved on a run with beta_star when
+# binomial, where the record reads beta_star
+_MODEL_CASES = [
+    (model, binomial, field)
+    for model, record in _MODELS.items()
+    for binomial in (False, True)
+    if not binomial or "beta_star" in record.reads[1]
+    for field in _MODEL_FIELDS
+    if field != "beta_star" or not binomial
+]
+_PROCESS_CASES = [
+    (process, binomial, field)
+    for process, record in walker._PROCESSES.items()
+    for binomial in (False, True)
+    if not binomial or "beta_star" in record.reads[1]
+    for field in _DEFAULTS
+    if field != "beta_star" or not binomial
+]
+
+
+def _run_moved(tmp_path, name, argv, lines):
+    """Exit code, stderr and output bytes of ``argv`` on a config of ``lines``."""
+    config = tmp_path / f"{name}.conf"
+    config.write_text("[model]\n" + "".join(f"{line}\n" for line in lines))
+    out = tmp_path / f"{name}.csv"
+    code = main([*argv, "--config", str(config), "--out", str(out)])
+    return code, out.read_bytes() if code == EXIT_OK else b""
+
+
+class TestReadSets:
+    """Every field a record reads changes the bytes of some command, and every
+    other field, moved off its default, is refused by name: a record that
+    lists a field nothing reads fails here."""
+
+    def _check(self, record, binomial, field, runs, tmp_path, capsys):
+        # moving beta_star itself makes the run binomial
+        reads = record.reads[binomial or field == "beta_star"]
+        changed = []
+        for i, (argv, base) in enumerate(runs):
+            code, plain = _run_moved(tmp_path, f"plain{i}", argv, base)
+            assert code == EXIT_OK, (argv, base, capsys.readouterr().err)
+            code, moved = _run_moved(tmp_path, f"moved{i}", argv, [*base, _MOVES[field]])
+            err = capsys.readouterr().err
+            if field in reads:
+                changed.append(code == EXIT_OK and moved != plain)
+            else:
+                assert code == EXIT_CONFIG, (argv, base, field)
+                assert f"got {field} = " in err or field.replace("_", "-") in err, err
+        assert field not in reads or any(changed), (field, runs)
+
+    @pytest.mark.parametrize("model,binomial,field", _MODEL_CASES)
+    def test_model_read_set_is_exact(self, model, binomial, field, tmp_path, capsys):
+        base = [f"model = {model}", "dim = 1", *(["beta-star = 0.5"] if binomial else [])]
+        runs = [(argv, base) for argv in _MODEL_RUNS]
+        self._check(_MODELS[model], binomial, field, runs, tmp_path, capsys)
+
+    @pytest.mark.parametrize("process,binomial,field", _PROCESS_CASES)
+    def test_process_read_set_is_exact(self, process, binomial, field, tmp_path, capsys):
+        argv = ("simulate", "--model", process, *_WALK_GRID[:2], "--steps", "32",
+                *_WALK_GRID[4:], "--traj-paths", "0")
+        base = ["dim = 1", *(["beta-star = 0.5"] if binomial else [])]
+        self._check(walker._PROCESSES[process], binomial, field, [(argv, base)], tmp_path, capsys)
 
 
 class TestFlowCommand:
@@ -741,7 +842,7 @@ class TestSimulateCommand:
             [
                 "simulate", "--model", "fsbm-q", "--dim", "2", "--alpha", "0.02",
                 "--beta", "0.29505973263008745", "--kappa", "82.88601364381874",
-                "--lstar", "23.4429106447917", "--paths", "24", "--steps", "32", "--seed", "12",
+                "--paths", "24", "--steps", "32", "--seed", "12",
                 "--sigma-min", "0.010069428225889155", "--sigma-max", "884.337890653077",
                 "--out", str(out),
             ]

@@ -124,7 +124,7 @@ class TestMultiscaleWeighted:
 
     def test_requires_nu_one(self):
         spec = DiffusionSpec(
-            model="weighted", dim=4, scales=GeometryScales(nu=0.9, beta=0.5), beta_star=0.5
+            model="weighted", dim=4, scales=GeometryScales(nu=0.9), beta_star=0.5
         )
         with pytest.raises(DomainError):
             dispersion(spec, 1.0)
@@ -212,6 +212,7 @@ class TestSpecAndCurve:
             ("legacy", GeometryScales(lbar=0.5), None, "lbar is read only at fixed dim"),
             ("weighted", GeometryScales(lbar=0.5), 0.5, "lbar is read only at fixed dim"),
             ("ordinary", GeometryScales(lbar=0.5), 0.5, "lbar is read only at fixed dim"),
+            ("legacy", GeometryScales(beta=0.5), None, "legacy model reads no beta, got beta = 0.5"),
         ],
     )
     def test_parameters_the_model_never_reads_are_refused(self, model, scales, beta_star, match):
@@ -226,7 +227,8 @@ class TestSpecAndCurve:
         with pytest.raises(DomainError, match=message):
             DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=beta))
         # a binomial time measure does not read beta
-        DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=beta), beta_star=0.5)
+        with pytest.raises(DomainError, match=f"beta_star is read only at beta = 1, got beta = {beta}"):
+            DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=beta), beta_star=0.5)
 
     @pytest.mark.parametrize("alphas", [(0.5,), (0.5, 0.7, 0.9)])
     def test_charges_must_match_dim(self, alphas):
@@ -239,10 +241,10 @@ class TestSpecAndCurve:
     def test_no_charges_are_unit_charges(self):
         unit = FractionalCharges.isotropic(1.0, 2)
         for model in MODELS:
-            bare = DiffusionSpec(model=model, dim=2, scales=GeometryScales(beta=0.5))
+            bare = DiffusionSpec(model=model, dim=2, scales=GeometryScales())
             assert bare.charges == unit
             assert bare == DiffusionSpec(
-                model=model, dim=2, scales=GeometryScales(beta=0.5), charges=unit
+                model=model, dim=2, scales=GeometryScales(), charges=unit
             )
 
     def test_multiscale_space_needs_one_charge(self):
@@ -268,7 +270,7 @@ class TestSpecAndCurve:
         assert np.allclose(dispersion(spec, grid), dispersion_quadrature(spec, grid), rtol=1e-7)
 
     def test_sampling_q_quadrature(self):
-        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=0.5)
         grid = np.geomspace(0.01, 100.0, 10)
         assert np.allclose(dispersion(spec, grid), dispersion_quadrature(spec, grid), rtol=1e-7)
 
@@ -276,12 +278,12 @@ class TestSpecAndCurve:
     def test_quadrature_integrates_each_models_own_law(self, case):
         # the oracle integrates the model's own law from its own initial
         # width: lbar^2 at fixed dimensionality, kappa alone for the legacy
-        # ansatz whatever beta is
+        # ansatz
         spec = {
             "fixed-lbar": DiffusionSpec(
                 model="weighted", dim=2, scales=GeometryScales(lbar=0.5, kappa=1.3, beta=0.5)
             ),
-            "legacy": DiffusionSpec(model="legacy", dim=2, scales=GeometryScales(kappa=1.3, beta=0.5)),
+            "legacy": DiffusionSpec(model="legacy", dim=2, scales=GeometryScales(kappa=1.3)),
             "q": DiffusionSpec(model="q", dim=2, scales=GeometryScales(kappa=1.3), beta_star=0.5),
             "multiscale": binomial_spec(1.5, dim=2, lstar=0.8, kappa=1.3),
             "fuzzy": binomial_spec(0.5, dim=2, lstar=0.8, kappa=1.3, fuzzy=True),

@@ -40,7 +40,7 @@ def q_spec(alpha, beta, dim=1, lstar=1.0, multiscale=False):
     return DiffusionSpec(
         model="q",
         dim=dim,
-        scales=GeometryScales(beta=beta, lstar=lstar),
+        scales=GeometryScales(beta=1.0 if multiscale else beta, lstar=lstar),
         charges=FractionalCharges.isotropic(alpha, dim),
         beta_star=beta if multiscale else None,
     )
@@ -413,7 +413,7 @@ class TestOrdinaryWeightedDuality:
         spec = DiffusionSpec(
             model="ordinary",
             dim=dim,
-            scales=GeometryScales(lstar=1.0, beta=beta_star),
+            scales=GeometryScales(lstar=1.0),
             charges=FractionalCharges.isotropic(0.5, dim),
             beta_star=beta_star,
             multiscale_space=True,
@@ -433,7 +433,7 @@ class TestOrdinaryWeightedDuality:
         spec = DiffusionSpec(
             model="ordinary",
             dim=1,
-            scales=GeometryScales(lstar=1.0, beta=beta_star),
+            scales=GeometryScales(lstar=1.0),
             charges=FractionalCharges.isotropic(alpha, 1),
             beta_star=beta_star,
             multiscale_space=True,

@@ -200,14 +200,15 @@ OTHER_MODELS = {
         charges=FractionalCharges.isotropic(0.5, 2),
     ),
     # the q model reads no nu (its clock is beta), and only fixed
-    # dimensionality reads lbar
+    # dimensionality reads lbar and beta
     "q-binomial": DiffusionSpec(
-        model="q", dim=4, scales=replace(_SCALES, nu=1.0, lbar=0.0),
+        model="q", dim=4, scales=replace(_SCALES, nu=1.0, lbar=0.0, beta=1.0),
         beta_star=0.5,
     ),
     "q-single-term": DiffusionSpec(model="q", dim=4, scales=GeometryScales(kappa=1.3, beta=0.7)),
+    # the legacy ansatz reads none of lbar, nu and beta
     "legacy": DiffusionSpec(
-        model="legacy", dim=3, scales=replace(_SCALES, lbar=0.0),
+        model="legacy", dim=3, scales=replace(_SCALES, lbar=0.0, nu=1.0, beta=1.0),
         charges=FractionalCharges((0.5, 0.7, 0.9)),
     ),
 }

@@ -63,3 +63,21 @@ def test_backticked_calls_name_what_the_package_defines():
     modules = _modules()
     assert len(calls) >= 10, calls
     assert sorted(name for name in calls if not _resolves(name, modules)) == []
+
+
+def test_read_set_table_is_the_records():
+    # one row per model and per process name; each cell lists the record's
+    # fields without and with beta_star, and the commands that read a
+    # multiscale space
+    from multiflow.dispersion import _MODELS
+    from multiflow.walker import _PROCESSES
+
+    rows = {}
+    for line in README.read_text().splitlines():
+        match = re.match(r"^\| (model|process) `([^`]+)` \|(.*)\|$", line)
+        if match:
+            cells = [set(re.findall(r"`([^`]+)`", cell)) for cell in match.group(3).split("|")]
+            rows[(match.group(1), match.group(2))] = cells
+    expected = {("model", name): [*map(set, m.reads), set(m.multiscale_space)] for name, m in _MODELS.items()}
+    expected.update({("process", name): [*map(set, p.reads), set()] for name, p in _PROCESSES.items()})
+    assert rows == expected

@@ -41,7 +41,7 @@ class TestNumericExtraction:
             assert abs(4 * log_slope(grid, ell2, float(s)) - expected) < 1e-9
 
     def test_q_binomial_crossover_value(self):
-        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=0.5)
         grid = np.geomspace(1e-3, 1e3, 121)  # grid contains sigma = 1 = lstar
         got = 4 * log_slope(grid, dispersion(spec, grid), 1.0)
         assert abs(got - 4 * (1.0 + 0.5) / 2.0) < 1e-5
@@ -145,7 +145,7 @@ class TestQFlow:
         assert all(b >= a for a, b in zip(ds, ds[1:]))
 
     def test_numeric_matches_closed_flow_on_quadrature_curve(self):
-        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=0.5)
         grid = np.geomspace(1e-2, 1e2, 200)
         ell2 = dispersion_quadrature(spec, grid)
         for s in grid[2:-2:11]:
@@ -153,7 +153,7 @@ class TestQFlow:
             assert abs(numeric - flow_at(spec, float(s))) < 1e-3
 
     def test_flow_curve(self):
-        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(beta=0.5), beta_star=0.5)
+        spec = DiffusionSpec(model="q", dim=4, scales=GeometryScales(), beta_star=0.5)
         flow, _ = flow_curve(spec, np.geomspace(1e-6, 1e6, 30))
         assert flow.uv_asymptote == 2.0 and flow.ir_asymptote == 4.0
 

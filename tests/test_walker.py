@@ -40,6 +40,15 @@ SBM_HALF = fractional_spec(beta=1.0, nu=0.5, dim=1)
 Q_HALF = fractional_spec(beta=0.5, dim=1, alpha=0.5)
 
 
+def _process_spec(process, dim):
+    """A spec that sets only what ``process`` reads: the clock nu of sbm and
+    fssbm, the time charge of fsbm-v and fssbm, the charge of fsbm-q."""
+    nu = 0.75 if process in ("sbm", "fssbm") else 1.0
+    beta = 1.0 if process in ("bm", "sbm") else 0.5
+    alpha = 0.5 if process == "fsbm-q" else 1.0
+    return fractional_spec(beta=beta, nu=nu, dim=dim, alpha=alpha)
+
+
 @pytest.fixture(scope="module")
 def full_grid():
     return geometric_grid(1e-3, 10.0, FULL_STEPS)
@@ -220,7 +229,7 @@ class TestScaledBrownian:
         for process in ("sbm", "fsbm-v", "fssbm"):
             for nu in (0.0, -0.5):
                 with pytest.raises(DomainError, match="nu must be positive"):
-                    simulate(process, 10, full_grid, fractional_spec(beta=0.5, nu=nu, dim=1), 0)
+                    simulate(process, 10, full_grid, fractional_spec(beta=1.0, nu=nu, dim=1), 0)
 
 
 class TestFsbmV:
@@ -475,12 +484,11 @@ def _whole_array_increments(ensemble, lag):
 
 class TestDispatcher:
     def test_all_processes(self, full_grid):
-        spec = fractional_spec(beta=0.5, nu=1.0, dim=1, alpha=0.5)
         for process in ("bm", "sbm", "fsbm-v", "fsbm-q"):
-            ens = simulate(process, 20, full_grid, spec, 1)
+            ens = simulate(process, 20, full_grid, _process_spec(process, 1), 1)
             assert ens.n_paths == 20
         with pytest.raises(DomainError):
-            simulate("bogus", 20, full_grid, spec, 1)
+            simulate("bogus", 20, full_grid, BM_1D, 1)
 
     def test_fsbm_q_refuses_anisotropic_charges(self, full_grid):
         # the q-model walker maps every axis with one charge
@@ -497,6 +505,12 @@ class TestDispatcher:
         spec = replace(spec, scales=replace(spec.scales, lbar=0.5))
         with pytest.raises(DomainError, match="walkers read no lbar, got lbar = 0.5"):
             simulate(process, 20, full_grid, spec, 1)
+
+    def test_multiscale_space_refused(self, full_grid):
+        # bm returned the bytes of a run without the multiscale space
+        spec = replace(fractional_spec(beta=1.0, dim=1, alpha=0.5), multiscale_space=True)
+        with pytest.raises(DomainError, match="walkers read no multiscale_space, got multiscale_space = True"):
+            simulate("bm", 20, full_grid, spec, 1)
 
     @pytest.mark.parametrize("asked", ["fsbm-v", "fssbm"])
     def test_tag_follows_nu_whichever_is_asked(self, asked, full_grid):
@@ -538,8 +552,7 @@ STREAM_BLOCK = _block_paths(STREAM_GRID.size, STREAM_DIM)
 
 
 def _stream_spec(process):
-    nu = 0.75 if process in ("sbm", "fssbm") else 1.0
-    return fractional_spec(beta=0.5, nu=nu, dim=STREAM_DIM, alpha=0.5)
+    return _process_spec(process, STREAM_DIM)
 
 
 def _reference_paths(process, spec, n_paths, seed):
