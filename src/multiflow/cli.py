@@ -26,7 +26,7 @@ from .csvio import write_csv, write_line_chart
 from .dispersion import _MODELS, DiffusionSpec, binomial_time_integral, dispersion, dispersion_quadrature
 from .errors import ConfigError, MultiflowError
 from .grid import geometric_grid, log_slope
-from .measure import GeometryScales
+from .measure import FractionalCharges, GeometryScales
 from .spectral import LegacyAnsatzWarning
 
 EXIT_OK = 0
@@ -162,17 +162,13 @@ class _Check:
 def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_Check]:
     checks: list[_Check] = []
     kappa_fudge = 1.0 + kappa_error / 100.0
-    # validate reads no sigma grid and no box: the runs it checks keep the defaults
-    unread = {f: getattr(RunConfig, f) for f in ("sigma_min", "sigma_max", "points", "box")}
-
-    def spec_as(command: str, **model) -> DiffusionSpec:
-        """The spec of ``cfg`` with ``model`` over it, its config checked as ``command``'s."""
-        return build_spec(merge_overrides(cfg, {**unread, "command": command, **model}))
+    # validate reads dim, lstar and kappa of the run; each check sets its own model
+    scales = GeometryScales(lstar=cfg.lstar, kappa=cfg.kappa)
 
     def oracle_gap(beta_star: float, sigmas) -> float:
         """Worst relative gap between the closed-form dispersion and the
         adaptive quadrature of its defining integral."""
-        spec = spec_as("flow", model="weighted", beta_star=beta_star)
+        spec = DiffusionSpec(model="weighted", dim=cfg.dim, scales=scales, beta_star=beta_star)
         sigmas = np.asarray(sigmas, dtype=float)
         closed = kappa_fudge * dispersion(spec, sigmas)
         quad = dispersion_quadrature(spec, sigmas)
@@ -197,7 +193,7 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         checks.append(_Check(f"removable-pole-oracle-{eps:+.0e}", gap, 0.0, 1e-7))
 
     # Numeric spectral dimension against the closed flow.
-    spec = spec_as("flow", model="weighted", beta_star=0.5)
+    spec = DiffusionSpec(model="weighted", dim=cfg.dim, scales=scales, beta_star=0.5)
     grid = np.geomspace(1e-2 * cfg.lstar, 1e2 * cfg.lstar, 40 if quick else 200)
     ell2 = dispersion(spec, grid)
     probes = grid[2:-2:5]
@@ -223,7 +219,7 @@ def _validate_checks(cfg: RunConfig, quick: bool, kappa_error: float) -> list[_C
         # Kummer normalization against direct quadrature (1-d, alpha = 0.5).
         from scipy import integrate as _integrate
 
-        spec_k = spec_as("kernel", model="ordinary", dim=1, alpha=0.5, beta=1.0)
+        spec_k = DiffusionSpec(model="ordinary", dim=1, scales=scales, charges=FractionalCharges((0.5,)))
         worst = 0.0
         sigmas_k = (0.2, 2.0)
         ell2s = dispersion(spec_k, np.array(sigmas_k)).tolist()

@@ -84,7 +84,8 @@ class RunConfig:
         rest are the library's own rules: the sigma grid rule on the one
         count the command reads, then the evaluator's check on the
         :func:`build_spec` spec (the dispersion's, the trace's, or the
-        walker's and its fit window's; the seed rule for ``validate``).  A
+        walker's and its fit window's; for ``validate`` the seed rule and the
+        lstar and kappa rules of :class:`GeometryScales`).  A
         :class:`DomainError` becomes a :class:`ConfigError`.
         """
         for f in fields(self):
@@ -133,6 +134,7 @@ class RunConfig:
                 check_sigma(self.sigma)
             if self.command == "validate":
                 walker.check_seed(self.seed)
+                GeometryScales(lstar=self.lstar, kappa=self.kappa)  # the scales its checks read
             elif self.command == "simulate":
                 walker.check_simulation(self.process, build_spec(self), self.seed)
                 walker.fit_window(self.sigma_grid(self.steps))

@@ -10,7 +10,10 @@ Return probabilities are traces of these densities per unit volume, with
 the volume convention an explicit tag since it decides the spectral
 dimension one reads off.  Each is one lookup of the model's law:
 :func:`pdf` evaluates a whole slice of points from one ell^2, and every
-trace grid takes its ell^2 from one ``dispersion`` call.
+trace grid takes its ell^2 from one ``dispersion`` call.  The position
+weight, the trace's per-axis tables and the box volume read one per-axis
+term table, :func:`_axis_terms`: the spec's spatial profile in a
+multiscale space, else one fractional term per direction.
 
 The ordinary-model trace is a box quadrature of v(x) C(x, sigma).  Its
 integrand is even in every coordinate, so each axis is integrated over
@@ -125,21 +128,26 @@ def gaussian_pdf(x, x0, ell2: float, dim: int):
     return float(density[0]) if one else density
 
 
+def _axis_terms(spec: DiffusionSpec) -> list[tuple[tuple[float, float], ...]]:
+    """Per direction, the (g, c) terms of its weight sum g |x|^(c-1)/Gamma(c),
+    in charge order: the spec's spatial profile in a multiscale space, else
+    the one term (1, alpha_mu)."""
+    if spec.spatial_profile is not None:
+        return [spec.spatial_profile.terms] * spec.dim
+    return [((1.0, a),) for a in spec.charges.alphas]
+
+
 def position_weight(spec: DiffusionSpec, x) -> float:
     """Position-space measure weight v(x) of a spec at point x: the product
-    over directions of |x|^(alpha-1)/Gamma(alpha), 1 at alpha = 1, or in a
-    multiscale space lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) + 1.  A
-    direction with alpha < 1 raises :class:`SingularPointError` at x = 0."""
+    over directions of their :func:`_axis_terms` sums, |x|^(alpha-1)/Gamma(alpha)
+    or, in a multiscale space, lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha) + 1.
+    A direction with a charge below 1 raises :class:`SingularPointError` at
+    x = 0."""
     w = 1.0
-    for xi, a in zip(_as_point(x, spec.dim).tolist(), spec.charges.alphas):
-        if a == 1.0:
-            continue  # flat, on the hyperplane x = 0 too
-        if xi == 0.0:
-            raise SingularPointError(f"weight singular at x = 0 for alpha = {a}")
-        if spec.multiscale_space:
-            w *= spec.scales.lstar ** (1.0 - a) * abs(xi) ** (a - 1.0) / gamma_fn(a) + 1.0
-        else:
-            w *= abs(xi) ** (a - 1.0) / gamma_fn(a)
+    for xi, terms in zip(_as_point(x, spec.dim).tolist(), _axis_terms(spec)):
+        if xi == 0.0 and terms[0][1] < 1.0:
+            raise SingularPointError(f"weight singular at x = 0 for alpha = {terms[0][1]}")
+        w *= sum(g * abs(xi) ** (c - 1.0) / gamma_fn(c) for g, c in terms)
     return w
 
 
@@ -206,8 +214,11 @@ def ordinary_normalization(x0, sigma: float, spec: DiffusionSpec) -> float:
     fixed-dimensionality fractional measure the integral factorizes into the
     exact per-direction Kummer form; for a binomial spatial profile the
     two extreme terms of the expanded product are kept (exact in one
-    dimension).  As sigma -> 0 it approaches [(4 pi ell^2)^(D/2) v(x0)]^(-1),
-    restoring the measure-weighted delta initial condition.
+    dimension).  At D >= 2 the density then has mass int v C exp(...) d^Dx
+    other than 1: at alpha = 0.5, lstar = 1 and an off-origin x0 it is
+    1.97-3.74 for sigma in [1e-3, 1] (1.28 at D = 2 and 1.50 at D = 3 at
+    sigma = 1e3).  As sigma -> 0 it approaches [(4 pi ell^2)^(D/2)
+    v(x0)]^(-1), restoring the measure-weighted delta initial condition.
     """
     return _normalization_at(x0, dispersion(spec, sigma), spec)
 
@@ -259,60 +270,34 @@ def _panel_edges(center: float, upper: float) -> list[tuple[float, float]]:
 
 
 def _axis_rule(
-    order: int, halfwidth: float, transition: float, alpha_sub: float | None
+    order: int, halfwidth: float, transition: float, charge: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule for one axis term, returned as (x nodes, weights).
+    """Composite Gauss rule for one axis term of charge c, returned as (x
+    nodes, weights).
 
     The nodes are positive and the weights doubled: the rule integrates an
-    even function over [-L, L].  ``alpha_sub`` (when set) integrates in
-    u = |x|^alpha, removing the |x|^(alpha-1) endpoint singularity; the
-    transition scale is mapped along.
+    even function over [-L, L].  It integrates in u = |x|^c, removing the
+    |x|^(c-1) endpoint singularity, with the transition scale mapped along;
+    at c = 1, u is x to the bit.
     """
-    if alpha_sub is None:
-        upper, center = halfwidth, min(transition, halfwidth)
-    else:
-        upper, center = halfwidth ** alpha_sub, min(transition ** alpha_sub, halfwidth ** alpha_sub)
-    lo, hi = np.array(_panel_edges(center, upper)).T
+    upper = halfwidth ** charge
+    lo, hi = np.array(_panel_edges(min(transition ** charge, upper), upper)).T
     gl_nodes, gl_weights = _gl_rule(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * gl_nodes).ravel()
-    weights = (2.0 * half[:, None] * gl_weights).ravel()
-    if alpha_sub is not None:
-        nodes = nodes ** (1.0 / alpha_sub)
-    return nodes, weights
+    nodes = (mid[:, None] + half[:, None] * gl_nodes).ravel() ** (1.0 / charge)
+    return nodes, (2.0 * half[:, None] * gl_weights).ravel()
 
 
 def _axis_tables(spec: DiffusionSpec, halfwidth: float, transition: float, order: int):
-    """Per-direction (prefactor, x nodes, weights) tables for each measure term.
-
-    The binomial spatial profile contributes a constant and a fractional term
-    per direction (their product expands into 2^D combinations); fixed
-    per-direction charges contribute the fractional term only.  Directions
-    with the same terms share one table.
-    """
-    if spec.multiscale_space:
-        alpha = spec.charges.alphas[0]
-        gfrac = spec.scales.lstar ** (1.0 - alpha)
-        dims = [[("const", 1.0, 1.0), ("frac", gfrac, alpha)]] * spec.dim
-    else:
-        dims = [[("frac", 1.0, a)] for a in spec.charges.alphas]
-    rules = {}
-
-    def rule(alpha_sub: float | None):
-        if alpha_sub not in rules:
-            rules[alpha_sub] = _axis_rule(order, halfwidth, transition, alpha_sub)
-        return rules[alpha_sub]
-
-    tables = []
-    for terms in dims:
-        entries = []
-        for kind, g, alpha in terms:
-            if kind == "const" or alpha == 1.0:
-                entries.append((g if kind == "frac" else 1.0, *rule(None)))
-            else:
-                entries.append((g / gamma_fn(alpha + 1.0), *rule(alpha)))
-        tables.append(entries)
-    return tables
+    """Per-direction (prefactor, x nodes, weights) tables, one entry per
+    :func:`_axis_terms` term: g |x|^(c-1)/Gamma(c) is integrated in u = |x|^c
+    with prefactor g/Gamma(c + 1).  The binomial profile's two terms per
+    direction expand into 2^D combinations.  Terms of one charge share one
+    rule."""
+    terms = _axis_terms(spec)
+    charges = {c for axis in terms for _, c in axis}
+    rules = {c: _axis_rule(order, halfwidth, transition, c) for c in charges}
+    return [[(g / gamma_fn(c + 1.0), *rules[c]) for g, c in axis] for axis in terms]
 
 
 # Largest number of grid cells the binomial box sum holds at once.
@@ -373,9 +358,9 @@ def _case_totals(spec: DiffusionSpec, block: list) -> list[float]:
                 axis_sums[a] = g * float(np.sum(w / inverse))
             totals.append(math.prod(axis_sums[a] for a in alphas))
             continue
-        (alpha,) = axes
-        (_, _, const_w), (frac_g, _, frac_w) = axes[alpha]
-        const_phi, frac_phi = axis_phis[alpha]
+        (alpha,) = axes  # charge order: the fractional term, then the constant one
+        (frac_g, _, frac_w), (_, _, const_w) = axes[alpha]
+        frac_phi, const_phi = axis_phis[alpha]
         gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, spec.scales.lstar, ell2)
         total = 0.0
         for k in range(spec.dim + 1):  # k fractional axes, dim - k constant ones
@@ -423,16 +408,11 @@ def _trace_quadrature(
 
 
 def _hausdorff_box_volume(spec: DiffusionSpec, halfwidth: float) -> float:
-    """Closed-form measure volume of the cubic box [-L, L]^D."""
-    if spec.multiscale_space:
-        alpha, lstar = spec.charges.alphas[0], spec.scales.lstar
-        per = 2.0 * halfwidth + lstar ** (1.0 - alpha) * 2.0 * halfwidth ** alpha / gamma_fn(
-            alpha + 1.0
-        )
-        return per ** spec.dim
+    """Closed-form measure volume of the cubic box [-L, L]^D: the product
+    over directions of the :func:`_axis_terms` sums g 2 L^c/Gamma(c + 1)."""
     vol = 1.0
-    for a in spec.charges.alphas:
-        vol *= 2.0 * halfwidth ** a / gamma_fn(a + 1.0)
+    for terms in _axis_terms(spec):
+        vol *= sum(g * 2.0 * halfwidth ** c / gamma_fn(c + 1.0) for g, c in terms)
     return vol
 
 

@@ -7,6 +7,9 @@ an ordinary infrared one is the workhorse: ``1 + (x/lstar)^(c-1)`` in
 diffusion time.  Each weight has one evaluator, on the spec that holds it:
 ``dispersion.time_weight`` in diffusion time and ``kernel.position_weight``
 in position, whose terms carry a gamma normalization ``|x|^(c-1)/Gamma(c)``.
+The kernel reads the position weight, its trace tables and its box volume
+from one per-axis term table, the spec's spatial profile in a multiscale
+space.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from multiflow.config import (
     serialize_config,
 )
 from multiflow.csvio import CSV_VERSION
-from multiflow.dispersion import _DEFAULTS, _MODEL_FIELDS, _MODELS, MODELS
+from multiflow.dispersion import _DEFAULTS, _MODEL_FIELDS, MODELS
 from multiflow.errors import ConfigError, GridError
 from multiflow.grid import geometric_grid, uniform_grid
 
@@ -582,21 +582,38 @@ _MODEL_RUNS = (
     ("pdf", "--x-points", "11"),
     ("kernel", "--sigma-min", "0.1", "--sigma-max", "10", "--sigma-points", "5"),
 )
+# What each model and process reads, without and with beta_star, written out
+# here and not taken from dispersion._MODELS or walker._PROCESSES: a record
+# that leaves out a field its evaluators read refuses that field, and fails
+# the byte check below, as one that lists a field nothing reads does.
+_MODEL_READS = {
+    "weighted": (("lbar", "nu", "beta"), ("fuzzy", "beta_star")),
+    "ordinary": (("lbar", "nu", "beta"), ("beta_star",)),
+    "q": (("beta",), ("beta_star",)),
+    "legacy": ((), ()),
+}
+_PROCESS_READS = {
+    "bm": ((), ()),
+    "sbm": (("nu",), ("nu",)),
+    "fsbm-v": (("nu", "beta"), ("beta_star", "nu", "lstar")),
+    "fssbm": (("nu", "beta"), ("beta_star", "nu", "lstar")),
+    "fsbm-q": (("beta", "alpha"), ("beta", "alpha")),
+}
 # (name, binomial, field): the field moved on a run with beta_star when
-# binomial, where the record reads beta_star
+# binomial, where the name reads beta_star
 _MODEL_CASES = [
     (model, binomial, field)
-    for model, record in _MODELS.items()
+    for model, reads in _MODEL_READS.items()
     for binomial in (False, True)
-    if not binomial or "beta_star" in record.reads[1]
+    if not binomial or "beta_star" in reads[1]
     for field in _MODEL_FIELDS
     if field != "beta_star" or not binomial
 ]
 _PROCESS_CASES = [
     (process, binomial, field)
-    for process, record in walker._PROCESSES.items()
+    for process, reads in _PROCESS_READS.items()
     for binomial in (False, True)
-    if not binomial or "beta_star" in record.reads[1]
+    if not binomial or "beta_star" in reads[1]
     for field in _DEFAULTS
     if field != "beta_star" or not binomial
 ]
@@ -612,13 +629,17 @@ def _run_moved(tmp_path, name, argv, lines):
 
 
 class TestReadSets:
-    """Every field a record reads changes the bytes of some command, and every
-    other field, moved off its default, is refused by name: a record that
-    lists a field nothing reads fails here."""
+    """Every field a model or process reads changes the bytes of some
+    command, and every other field, moved off its default, is refused by
+    name: a record that lists a field nothing reads, or leaves out one its
+    evaluators read, fails here."""
 
-    def _check(self, record, binomial, field, runs, tmp_path, capsys):
+    def test_every_model_and_process_is_listed(self):
+        assert (tuple(_MODEL_READS), tuple(_PROCESS_READS)) == (MODELS, walker.PROCESSES)
+
+    def _check(self, reads, binomial, field, runs, tmp_path, capsys):
         # moving beta_star itself makes the run binomial
-        reads = record.reads[binomial or field == "beta_star"]
+        reads = reads[binomial or field == "beta_star"]
         changed = []
         for i, (argv, base) in enumerate(runs):
             code, plain = _run_moved(tmp_path, f"plain{i}", argv, base)
@@ -636,14 +657,14 @@ class TestReadSets:
     def test_model_read_set_is_exact(self, model, binomial, field, tmp_path, capsys):
         base = [f"model = {model}", "dim = 1", *(["beta-star = 0.5"] if binomial else [])]
         runs = [(argv, base) for argv in _MODEL_RUNS]
-        self._check(_MODELS[model], binomial, field, runs, tmp_path, capsys)
+        self._check(_MODEL_READS[model], binomial, field, runs, tmp_path, capsys)
 
     @pytest.mark.parametrize("process,binomial,field", _PROCESS_CASES)
     def test_process_read_set_is_exact(self, process, binomial, field, tmp_path, capsys):
         argv = ("simulate", "--model", process, *_WALK_GRID[:2], "--steps", "32",
                 *_WALK_GRID[4:], "--traj-paths", "0")
         base = ["dim = 1", *(["beta-star = 0.5"] if binomial else [])]
-        self._check(walker._PROCESSES[process], binomial, field, [(argv, base)], tmp_path, capsys)
+        self._check(_PROCESS_READS[process], binomial, field, [(argv, base)], tmp_path, capsys)
 
 
 class TestFlowCommand:
@@ -998,6 +1019,25 @@ class TestValidateCommand:
         for eps in ("-1e-06", "+1e-06"):
             (line,) = [ln for ln in lines if f"removable-pole-oracle-{eps}:" in ln]
             assert "tol=1.0e-07 PASS" in line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--beta", "0.5"), ("--nu", "0.7"), ("--fuzzy",), ("--alpha", "0.5"),
+         ("--beta-star", "0.5"), ("--model", "legacy")],
+        ids=["beta", "nu", "fuzzy", "alpha", "beta-star", "model"],
+    )
+    def test_fields_it_does_not_read_leave_the_output(self, flags, capsys):
+        # each check builds its spec from dim, lstar and kappa alone; with the
+        # run's whole config merged in, --beta, --nu and --fuzzy exited 2
+        assert main(["validate", "--quick"]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(["validate", "--quick", *flags]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("flags", [("--lstar", "-1"), ("--kappa", "0")], ids=["lstar", "kappa"])
+    def test_scales_it_reads_are_checked(self, flags, capsys):
+        assert main(["validate", "--quick", *flags]) == EXIT_CONFIG
+        assert "must be positive" in capsys.readouterr().err
 
     def test_negative_control_fails_named_check(self, capsys):
         code = main(["validate", "--quick", "--inject-kappa-error", "1.0"])

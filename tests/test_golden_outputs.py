@@ -114,6 +114,18 @@ GOLDEN = {
         "84ba2862d32769a6ab0c5e49f68c425591c11826d546333b22ac913ad647b34e",
         None,
     ),
+    # the binomial box sum over the expanded 2^D term combinations
+    "kernel-multiscale-d2": (
+        (*_KERNEL, "--dim", "2", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "5"),
+        "f879470914f9c6057b9a9f601ed28b11a75a8102aa48736ef90b74fef23c5a21",
+        None,
+    ),
+    # alpha = 1: every axis integrated in x, with no |x|^alpha substitution
+    "kernel-alpha-one-d2": (
+        (*_KERNEL, "--dim", "2", "--alpha", "1.0", "--sigma-points", "5"),
+        "4ecc30b3d0dc54fce75909f5daeed258c8cf73c746d4cbfc5c948a08256332e7",
+        None,
+    ),
     # a binomial diffusion-time measure sets ell^2 and the box of the trace
     "kernel-d1-binomial-time": (
         ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
@@ -165,6 +177,13 @@ GOLDEN = {
         ("pdf", "--model", "weighted", "--dim", "2", "--beta-star", "0.5", "--sigma", "1.0",
          "--x-points", "41"),
         "40e31b28c897c3cd99a87ad476cc6380a8b7897a27b7225866134af359387d1a",
+        None,
+    ),
+    # the Gaussian over the binomial position weight, x = 0 dropped
+    "pdf-weighted-multiscale-d2": (
+        ("pdf", "--model", "weighted", "--dim", "2", "--multiscale-space", "--alpha", "0.5",
+         "--x-points", "41"),
+        "6f1f7d5583b13e918dafbf2a610fb288a537d6b9fed08a65b54c67ca8c7a01df",
         None,
     ),
     "simulate-bm": (

@@ -20,9 +20,10 @@ from multiflow.kernel import (
     heat_kernel_curve,
     ordinary_normalization,
     pdf,
+    position_weight,
     return_probability,
 )
-from multiflow.kernel import _axis_tables, _box_for, _trace_quadrature
+from multiflow.kernel import _axis_tables, _box_for, _hausdorff_box_volume, _trace_quadrature
 from multiflow.measure import FractionalCharges, GeometryScales
 from multiflow.specfun import kummer_phi
 
@@ -491,6 +492,55 @@ def tensor_trace_oracle(spec, sigma, halfwidth, order):
             w_grid = np.multiply.outer(w_grid, w)
         total += prefactor * float(np.sum(w_grid * c_grid))
     return total
+
+
+def axis_spec(spec, alpha):
+    """The one-dimensional spec of one direction of ``spec``."""
+    return DiffusionSpec(
+        model="ordinary", dim=1, scales=spec.scales, charges=FractionalCharges((alpha,)),
+        multiscale_space=spec.multiscale_space,
+    )
+
+
+def axis_volume_mpquad(spec1, halfwidth):
+    """int_{-L}^{L} position_weight(spec1, x) dx by mpmath.quad in u = |x|^alpha,
+    where the |x|^(alpha-1) term of the weight is flat."""
+    a = spec1.charges.alphas[0]
+
+    def integrand(u):
+        return position_weight(spec1, [float(u ** (1 / a))]) * u ** (1 / a - 1) / a
+
+    return 2.0 * float(mp.quad(integrand, [0, min(1.0, halfwidth) ** a, halfwidth ** a]))
+
+
+class TestHausdorffBoxVolume:
+    SPECS = {
+        "fixed-d1": DiffusionSpec(
+            model="ordinary", dim=1, scales=GeometryScales(), charges=FractionalCharges((0.2,))
+        ),
+        "fixed-d2-alpha-one": DiffusionSpec(
+            model="ordinary", dim=2, scales=GeometryScales(), charges=FractionalCharges((1.0, 0.45))
+        ),
+        "fixed-d3-alpha-one": DiffusionSpec(
+            model="ordinary", dim=3, scales=GeometryScales(),
+            charges=FractionalCharges((0.3, 1.0, 0.6)),
+        ),
+        "multiscale-d1": multiscale_space_spec(0.5, dim=1),
+        "multiscale-d2": multiscale_space_spec(0.3, dim=2, lstar=2.0),
+        "multiscale-d3": multiscale_space_spec(0.7, dim=3, lstar=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_is_the_product_of_axis_integrals_of_the_weight(self, name, rng):
+        spec = self.SPECS[name]
+        axes = [axis_spec(spec, a) for a in spec.charges.alphas]
+        for x in rng.uniform(-3.0, 3.0, (5, spec.dim)).tolist():
+            assert position_weight(spec, x) == math.prod(
+                position_weight(s1, [xi]) for s1, xi in zip(axes, x)
+            )
+        for halfwidth in (0.3, 10.0, 1234.5):
+            want = math.prod(axis_volume_mpquad(s1, halfwidth) for s1 in axes)
+            assert abs(_hausdorff_box_volume(spec, halfwidth) / want - 1.0) < 1e-12
 
 
 class TestTraceQuadrature:
