@@ -85,7 +85,9 @@ class RunConfig:
         count the command reads, then the evaluator's check on the
         :func:`build_spec` spec (the dispersion's, the trace's, or the
         walker's and its fit window's; for ``validate`` the seed rule and the
-        lstar and kappa rules of :class:`GeometryScales`).  A
+        lstar and kappa rules of :class:`GeometryScales`).  ``validate``
+        reads dim, lstar, kappa and seed, so any other model-section field
+        off its default (a float by more than 1e-12) is refused by name.  A
         :class:`DomainError` becomes a :class:`ConfigError`.
         """
         for f in fields(self):
@@ -125,6 +127,15 @@ class RunConfig:
                 where = f"{self.command} --model {self.model}" if self.command in readers else self.command
                 listed = " and ".join(f"{c} ({', '.join(names)})" for c, names in readers.items())
                 raise ConfigError(f"multiscale-space is read only by {listed}, not by {where}")
+        if self.command == "validate":
+            # of the model section validate reads dim, lstar and kappa; its
+            # checks set their own model, charges and clock
+            for name in _SCHEMA["model"]:
+                value, default = getattr(self, name), _FIELD_DEFAULTS[name]
+                if name not in ("dim", "lstar", "kappa") and value != default and not (
+                    isinstance(value, float) and isinstance(default, float) and abs(value - default) <= 1e-12
+                ):
+                    raise ConfigError(f"validate reads no {name}, got {name} = {value}")
         # the one sigma grid count the command reads
         count = {"flow": "points", "kernel": "points", "simulate": "steps"}.get(self.command)
         try:
@@ -168,6 +179,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 _KEYS = {section: {name.replace("_", "-"): name for name in names} for section, names in _SCHEMA.items()}
 # field -> its annotation, a string under postponed evaluation
 _KINDS = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_bool(raw: str) -> bool:

@@ -18,11 +18,13 @@ direction) order, so ensembles are bit-identical for a fixed (seed, grid,
 spec) whatever the path count: the first n paths of a larger ensemble are
 the n-path ensemble.  Paths are simulated in blocks of ``_BLOCK_BYTES`` =
 1 MB of positions, drawn, scaled, summed and mapped in place, and reduced to
-squared radii (:func:`_simulate_paths`).  An ensemble holds the squared
-radius of every path and step, O(paths * steps) memory plus one block, and
-full positions only for the first ``keep`` paths.  Its non-finite check, the
-standard error of ``msd`` and the increment statistics also work one block
-of rows at a time.
+squared radii (:func:`_simulate_paths`).  At even D the sum over steps runs
+on a complex128 view that pairs adjacent directions; a complex add is two
+independent float64 adds, so every bit is that of the real sum.  An
+ensemble holds the squared radius of every path and step, O(paths * steps)
+memory plus one block, and full positions only for the first ``keep``
+paths.  Its non-finite check, the standard error of ``msd`` and the
+increment statistics also work one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -75,15 +77,21 @@ def _divide_by_root_weight(spec: DiffusionSpec, grid: np.ndarray):
 
 
 def _inverse_geometric_profile(spec: DiffusionSpec, grid: np.ndarray):
-    """fsbm-q: every axis with the one charge, in (0, 1]; none at alpha = 1."""
+    """fsbm-q: every axis with the one charge, in (0, 1]; none at alpha = 1.
+    Gamma(alpha+1)|x| is made in one scratch block, allocated here, once per
+    :func:`simulate` call."""
     alpha = spec.charges.alphas[0]
     if alpha == 1.0:
         return None
     gamma_a1 = math.gamma(alpha + 1.0)
+    scratch = np.empty((_block_paths(grid.size, spec.dim), grid.size, spec.dim))
 
     def transform(block: np.ndarray) -> None:
-        mag = gamma_a1 * np.abs(block)
+        mag = scratch[: block.shape[0]]
+        np.abs(block, out=mag)
+        mag *= gamma_a1
         mag **= 1.0 / alpha
+        # np.sign, not np.copysign: the sign of 0.0 is +0.0, never -0.0
         np.sign(block, out=block)
         block *= mag
 
@@ -242,7 +250,11 @@ def _simulate_paths(
     tau_{-1} = 0, which is the exact simulation of the time change (no Euler
     bias).  Path p is path p % 64 of group g = p // 64, whose SFC64 stream
     is seeded by ``SeedSequence(seed, spawn_key=(g,))`` and read in (path,
-    step, direction) order; one generator is built per group.  ``transform``
+    step, direction) order; one generator is built per group.  At even D
+    the in-place cumulative sum runs on the block's complex128 view, (paths,
+    steps, D/2) along the steps: a complex add is two independent float64
+    adds, so each direction keeps its sequential sum x_0 + x_1 + ... + x_n
+    bit for bit, and each step advances two running sums.  ``transform``
     maps a block of positions in place before it is reduced.  Returns the
     squared radii (n_paths, n_steps) and the positions of the first ``keep``
     paths (all when ``keep`` is None).
@@ -274,7 +286,8 @@ def _simulate_paths(
                 gen = Generator(SFC64(SeedSequence(seed, spawn_key=(a // _GROUP_PATHS,))))
             gen.standard_normal(out=buf[a - lo: b - lo])
         buf *= scale
-        np.cumsum(buf, axis=1, out=buf)
+        sums = buf.view(np.complex128) if dim % 2 == 0 else buf
+        np.cumsum(sums, axis=1, out=sums)
         if transform is not None:
             transform(buf)
         if lo < keep:
@@ -288,7 +301,8 @@ def _sum_squares(block: np.ndarray, out: np.ndarray) -> None:
 
     ``block`` is squared in place.  Below eight axes the squares are then
     added into ``out`` in axis order, which is np.sum's order and several
-    times faster than its short-axis reduction.
+    times faster than its short-axis reduction; from two axes the first add
+    writes ``out`` itself, the same sum as a copy of axis 0 plus axis 1.
     """
     np.square(block, out=block)
     dim = block.shape[-1]
@@ -297,8 +311,11 @@ def _sum_squares(block: np.ndarray, out: np.ndarray) -> None:
         # partial sums; an explicit order would have to copy that
         np.sum(block, axis=-1, out=out)
         return
-    np.copyto(out, block[..., 0])
-    for k in range(1, dim):
+    if dim == 1:
+        np.copyto(out, block[..., 0])
+        return
+    np.add(block[..., 0], block[..., 1], out=out)
+    for k in range(2, dim):
         out += block[..., k]
 
 

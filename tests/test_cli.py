@@ -1026,13 +1026,18 @@ class TestValidateCommand:
          ("--beta-star", "0.5"), ("--model", "legacy")],
         ids=["beta", "nu", "fuzzy", "alpha", "beta-star", "model"],
     )
-    def test_fields_it_does_not_read_leave_the_output(self, flags, capsys):
-        # each check builds its spec from dim, lstar and kappa alone; with the
-        # run's whole config merged in, --beta, --nu and --fuzzy exited 2
-        assert main(["validate", "--quick"]) == EXIT_OK
-        plain = capsys.readouterr().out
-        assert main(["validate", "--quick", *flags]) == EXIT_OK
-        assert capsys.readouterr().out == plain
+    def test_fields_it_does_not_read_are_refused(self, flags, capsys):
+        # each check builds its spec from dim, lstar and kappa alone; each of
+        # these runs printed the stdout of the run without the flag
+        assert main(["validate", "--quick", *flags]) == EXIT_CONFIG
+        field = flags[0][2:].replace("-", "_")
+        assert f"validate reads no {field}, got {field} = " in capsys.readouterr().err
+
+    def test_fields_it_reads_run(self, capsys):
+        # dim, lstar, kappa and seed, and a model field at its default
+        argv = ["validate", "--quick", "--dim", "2", "--lstar", "2", "--kappa", "3", "--seed", "5"]
+        assert main([*argv, "--model", "q", "--nu", "1.0"]) == EXIT_OK
+        assert "all checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [("--lstar", "-1"), ("--kappa", "0")], ids=["lstar", "kappa"])
     def test_scales_it_reads_are_checked(self, flags, capsys):

@@ -23,6 +23,9 @@ _WALK = ("--paths", "200", "--steps", "64", "--sigma-min", "1e-3", "--sigma-max"
 # and 170 at D = 3, so these pins cross block edges (see
 # test_block_pins_cross_block_edges).
 _WALK_BLOCKS = ("--steps", "256", "--sigma-min", "1e-3", "--sigma-max", "10")
+# 128 steps: the blocks hold 256 paths at D = 4, the benchmark's dimension,
+# where the walker sums two axes per complex add.
+_WALK_D4 = ("--steps", "128", "--sigma-min", "1e-3", "--sigma-max", "10")
 
 # name -> (argv without --out, digest of the main file, digest of the trajectory file)
 GOLDEN = {
@@ -235,6 +238,20 @@ GOLDEN = {
         "92c170f302b0726034d8692c2d8c5168ebba041c88ab02cc8e68849f4448b46d",
         None,
     ),
+    "simulate-bm-d4-blocks": (
+        ("simulate", "--model", "bm", "--dim", "4", "--paths", "600", *_WALK_D4,
+         "--seed", "37", "--traj-paths", "300"),
+        "2362d640ed71d9e820e4733e6f30c6ec5d90ed9db9bd54f124fb511f46e38a4a",
+        "7d6b9d63af4ffa9b8ed83a987f89d074b206c59ed037f47efcd39c9db8ed716b",
+    ),
+    # the inverse-profile map at D = 4, over a full block of 256 paths and a
+    # partial one of 44
+    "simulate-fsbm-q-d4": (
+        ("simulate", "--model", "fsbm-q", "--dim", "4", "--alpha", "0.5", "--beta", "0.5",
+         "--paths", "300", *_WALK_D4, "--seed", "43", "--traj-paths", "3"),
+        "8cf1d6bceff0df2e7f2ccac7963c284c39b9c03c3664a9adf209b22f11d158ab",
+        "3217cf56333d53919f2f2f3331723dc2e799acbdb02b964fa67af1bcb91ab8a6",
+    ),
     # at D = 1 the msd row blocks are the path blocks: 512 + 512 + 276 rows
     "simulate-sbm-d1-blocks": (
         ("simulate", "--model", "sbm", "--nu", "0.5", "--dim", "1", "--paths", "1300",
@@ -291,7 +308,7 @@ def test_block_pins_cross_block_edges(name):
     block = _block_paths(_flag(argv, "--steps"), _flag(argv, "--dim"))
     paths = _flag(argv, "--paths")
     assert paths > 2 * block and paths % block != 0
-    if name == "simulate-bm-d3-blocks":  # its trajectory file spans two blocks
+    if name in ("simulate-bm-d3-blocks", "simulate-bm-d4-blocks"):  # its trajectory file spans two blocks
         assert block < _flag(argv, "--traj-paths") < 2 * block
     if name == "simulate-sbm-d1-blocks":  # and so does its msd reduction
         rows = _block_paths(_flag(argv, "--steps"), 1)

@@ -558,15 +558,16 @@ def _stream_spec(process):
 def _reference_paths(process, spec, n_paths, seed):
     """The ensemble as drawn without path blocks: one freshly built SFC64
     generator per group g of 64 paths, seeded by SeedSequence(seed,
-    spawn_key=(g,)), positions for every path."""
+    spawn_key=(g,)), positions for every path, summed by the real np.cumsum
+    and squared into radii by np.sum."""
     sc = spec.scales
     nu = {"bm": 1.0, "fsbm-q": sc.beta}.get(process, sc.nu)
     dtau = np.diff(np.concatenate(([0.0], STREAM_GRID ** nu)))
     scale = np.sqrt(2.0 * sc.kappa * dtau)[:, None]
-    pos = np.empty((n_paths, STREAM_GRID.size, STREAM_DIM))
+    pos = np.empty((n_paths, STREAM_GRID.size, spec.dim))
     for g, lo in enumerate(range(0, n_paths, GROUP)):
         gen = Generator(SFC64(SeedSequence(seed, spawn_key=(g,))))
-        draws = gen.standard_normal((min(GROUP, n_paths - lo), STREAM_GRID.size, STREAM_DIM))
+        draws = gen.standard_normal((min(GROUP, n_paths - lo), STREAM_GRID.size, spec.dim))
         np.cumsum(draws * scale, axis=1, out=pos[lo: lo + draws.shape[0]])
     if process in ("fsbm-v", "fssbm"):
         pos /= np.sqrt(np.array([time_weight(spec, s) for s in STREAM_GRID]))[None, :, None]
@@ -594,6 +595,19 @@ class TestBlockStream:
             assert np.array_equal(ens.sq_radii, sq)
             assert np.array_equal(ens.positions, pos[:keep])
         assert np.array_equal(simulate(process, n_paths, STREAM_GRID, spec, 31).positions, pos)
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_equals_per_path_generators_at_each_dim(self, process, dim):
+        # even D sums two axes per complex add, odd D one axis per real add:
+        # both keep the bits of the real np.cumsum over three blocks, the
+        # last partly filled
+        spec = _process_spec(process, dim)
+        n_paths = 2 * _block_paths(STREAM_GRID.size, dim) + GROUP + 1
+        pos, sq = _reference_paths(process, spec, n_paths, 37)
+        ens = simulate(process, n_paths, STREAM_GRID, spec, 37)
+        assert np.array_equal(ens.sq_radii, sq)
+        assert np.array_equal(ens.positions, pos)
 
     @pytest.mark.parametrize(
         "steps, dim", [(256, 3), (4096, 4)], ids=["170-per-block", "8-per-block"]
