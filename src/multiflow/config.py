@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import walker
-from .dispersion import _MODELS, MODELS, DiffusionSpec, check_dispersion
+from .dispersion import _DEFAULTS, _MODELS, _ROW_FIELDS, DiffusionSpec, _refuse_unread, check_dispersion
 from .errors import ConfigError, DomainError
 from .grid import check_grid_args, check_sigma, geometric_grid, uniform_grid
 from .kernel import check_trace
@@ -78,16 +78,19 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """This config, once its command can run it.  Every field must be
-        finite; ``multiscale-space`` is checked against the commands of the
-        model's record that read it; any other field is checked only for the
-        command that reads it, ``svg`` refused where no chart is drawn.  The
-        rest are the library's own rules: the sigma grid rule on the one
-        count the command reads, then the evaluator's check on the
-        :func:`build_spec` spec (the dispersion's, the trace's, or the
+        finite; a field outside the model section is checked only for the
+        command that reads it, ``svg`` refused where no chart is drawn.  Then
+        one read rule, :func:`dispersion._refuse_unread` on the config's
+        values before any spec is built, refuses by name each field the
+        command does not read, moved off its default (a float by more than
+        1e-12): ``flow``, ``pdf`` and ``kernel`` read the model's dispersion
+        read set and its row for the command (:class:`dispersion._Model`),
+        ``simulate`` the process record, and ``validate`` dim, lstar, kappa
+        and seed.  The rest are the library's own rules: the sigma grid rule
+        on the one count the command reads, then the evaluator's check on
+        the :func:`build_spec` spec (the dispersion's, the trace's, or the
         walker's and its fit window's; for ``validate`` the seed rule and the
-        lstar and kappa rules of :class:`GeometryScales`).  ``validate``
-        reads dim, lstar, kappa and seed, so any other model-section field
-        off its default (a float by more than 1e-12) is refused by name.  A
+        lstar and kappa rules of :class:`GeometryScales`).  A
         :class:`DomainError` becomes a :class:`ConfigError`.
         """
         for f in fields(self):
@@ -108,10 +111,8 @@ class RunConfig:
                 raise ConfigError("svg needs traj-paths >= 1: the simulate chart draws kept paths")
             if self.process not in walker.PROCESSES:
                 raise ConfigError(f"unknown process {self.process!r}; expected one of {walker.PROCESSES}")
-        elif self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.svg and self.command == "validate":
-            raise ConfigError("svg is not read by validate, which draws no chart")
+        elif self.model not in _MODELS:
+            raise ConfigError(f"unknown model {self.model!r}; expected one of {tuple(_MODELS)}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.command == "pdf" and (self.x_points < 2 or self.x_max <= 0.0):
@@ -120,25 +121,28 @@ class RunConfig:
             )
         if self.command == "kernel" and self.box is not None and self.box <= 0.0:
             raise ConfigError(f"kernel box half-width must be > 0, got {self.box}")
-        if self.multiscale_space:
-            readers = {c: [n for n, m in _MODELS.items() if c in m.multiscale_space]
-                       for model in _MODELS.values() for c in model.multiscale_space}
-            if self.model not in readers.get(self.command, ()):
-                where = f"{self.command} --model {self.model}" if self.command in readers else self.command
-                listed = " and ".join(f"{c} ({', '.join(names)})" for c, names in readers.items())
-                raise ConfigError(f"multiscale-space is read only by {listed}, not by {where}")
+        # the one read rule, on the config's values: validate's row, the
+        # process record, or the model's dispersion reads and command row;
+        # the fields it weighs are the model section's, and svg and model
+        # for validate, box for kernel
+        alphas = self.alphas or (self.alpha,)
+        values = vars(self) | {"alpha": alphas[0] if len(set(alphas)) == 1 else alphas}
+        extra = {"validate": ("svg", "model"), "kernel": ("box",)}.get(self.command, ())
         if self.command == "validate":
-            # of the model section validate reads dim, lstar and kappa; its
-            # checks set their own model, charges and clock
-            for name in _SCHEMA["model"]:
-                value, default = getattr(self, name), _FIELD_DEFAULTS[name]
-                if name not in ("dim", "lstar", "kappa") and value != default and not (
-                    isinstance(value, float) and isinstance(default, float) and abs(value - default) <= 1e-12
-                ):
-                    raise ConfigError(f"validate reads no {name}, got {name} = {value}")
+            # each of its checks sets its own model, charges and clock, and it draws no chart
+            reads, owner = (("dim", "lstar", "kappa", "seed"),) * 2, "validate"
+            words = {"svg": "svg is not read by validate, which draws no chart"}
+        elif self.command == "simulate":
+            reads, owner = walker._PROCESSES[self.process].reads, self.process
+            words = walker._read_words(self.process)
+        else:
+            model, owner = _MODELS[self.model], f"the {self.model} model"
+            reads = tuple(part + model.commands.get(self.command, ()) for part in model.reads)
+            words = {f: f"{self.command} --model {self.model} reads no {f}" for f in _ROW_FIELDS}
         # the one sigma grid count the command reads
         count = {"flow": "points", "kernel": "points", "simulate": "steps"}.get(self.command)
         try:
+            _refuse_unread(values, reads, owner, words, fields=(*_DEFAULTS, *extra), defaults=_FIELD_DEFAULTS)
             if count is not None:
                 check_grid_args(self.sigma_min, self.sigma_max, getattr(self, count), count)
             if self.command == "pdf":
@@ -267,14 +271,10 @@ def merge_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
     """Apply non-None attribute overrides (CLI flags beat config values): an
     ``alpha`` override also clears the config's ``alphas``, which would
     otherwise be read in its place."""
-    known = {f.name for f in fields(RunConfig)}
-    clean = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config attribute {key!r}")
-        clean[key] = value
+    clean = {key: value for key, value in overrides.items() if value is not None}
+    unknown = [key for key in clean if key not in _FIELD_DEFAULTS]
+    if unknown:
+        raise ConfigError(f"unknown config attribute {unknown[0]!r}")
     if "alpha" in clean:
         clean.setdefault("alphas", ())
     return replace(cfg, **clean).validate()

@@ -52,32 +52,45 @@ _QUAD_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class _Model:
-    """One model's facts that are data; its laws are code, each looked up by model."""
+    """One model's facts that are data; its laws are code, each looked up by
+    model.  ``reads`` is what its dispersion reads without and with
+    beta_star; ``commands`` is one row per command that runs the model, what
+    ``flow``, ``pdf`` or ``kernel`` reads besides (a command it leaves out
+    reads nothing more).  Through :func:`_refuse_unread` the CLI refuses
+    every other field of a run, before any spec is built."""
 
-    reads: tuple[tuple[str, ...], tuple[str, ...]]  # of _MODEL_FIELDS, without and with beta_star
+    reads: tuple[tuple[str, ...], tuple[str, ...]]  # of _MODEL_FIELDS and lstar, without and with beta_star
     fractal: bool  # d_W counts d_H, not D
     hausdorff_volume: bool  # traces are per Hausdorff volume, not per integer volume
     drops_origin: bool  # the density divides by a position weight singular at x = 0
-    multiscale_space: tuple[str, ...]  # the commands that read a multiscale space
+    commands: dict[str, tuple[str, ...]]  # flow, pdf or kernel -> what it reads besides, of _ROW_FIELDS
     caveat: str = ""
     beta_max: float = math.inf  # beta lies in (0, beta_max) at fixed dimensionality
     beta_star_max: float = 2.0  # and beta_star in (0, beta_star_max)
 
 
-_FIXED_READS = ("lbar", "nu", "beta")
+_FIXED = ("lbar", "nu", "beta")  # read at fixed dimensionality
+# Every field a command row can name.  A density reads the first three, its
+# position measure and lstar, its transverse coordinate; the ordinary trace
+# reads all four, lstar for its default box max(12 ell, 10 lstar).
+_ROW_FIELDS = ("multiscale_space", "lstar", "alpha", "box")
+_SPACE = _ROW_FIELDS[:3]
 _MODELS = {
-    "weighted": _Model((_FIXED_READS, ("fuzzy", "beta_star")), False, False, True, ("pdf",)),
-    "ordinary": _Model((_FIXED_READS, ("beta_star",)), False, True, False, ("pdf", "kernel")),
-    "q": _Model((("beta",), ("beta_star",)), True, True, False, (), beta_max=2.0, beta_star_max=1.0),
+    "weighted": _Model((_FIXED, ("fuzzy", "beta_star", "lstar")), False, False, True, {"pdf": _SPACE}),
+    "ordinary": _Model((_FIXED, ("beta_star", "lstar")), False, True, False, {"pdf": _SPACE, "kernel": _ROW_FIELDS}),
+    "q": _Model(
+        (("beta",), ("beta_star", "lstar")), True, True, False, {"flow": ("alpha",), "pdf": ("lstar", "alpha")},
+        beta_max=2.0, beta_star_max=1.0,
+    ),
     "legacy": _Model(
-        ((), ()), True, False, True, ("pdf",),
+        ((), ()), True, False, True, {"flow": ("alpha",), "pdf": _SPACE, "kernel": ("alpha",)},
         caveat="legacy ansatz: regularized, normalization-dependent trace",
     ),
 }
 MODELS = tuple(_MODELS)
 
 # Every field a read set can name, with its default, in the order refusals
-# are made; a model's read set names the first five.
+# are made; the dispersion reads of the first five.
 _DEFAULTS = {
     "lbar": 0.0, "fuzzy": False, "beta_star": None, "nu": 1.0, "beta": 1.0,
     "multiscale_space": False, "lstar": 1.0, "alpha": 1.0,
@@ -86,19 +99,21 @@ _MODEL_FIELDS = tuple(_DEFAULTS)[:5]
 _MODEL_WORDS = {"lbar": "lbar is read only at fixed dimensionality by the weighted and ordinary models"}
 
 
-def _refuse_unread(spec, reads, owner: str, words=_MODEL_WORDS, fields=_MODEL_FIELDS, also=()) -> None:
-    """:class:`DomainError` naming the first of ``fields`` that the spec moves
-    off its default (a float by more than 1e-12) and that neither ``reads``,
-    the fields read without and with ``beta_star``, nor ``also`` holds."""
-    binomial = spec.beta_star is not None
-    sc, alphas = spec.scales, spec.charges.alphas
-    values = {
-        "lbar": sc.lbar, "fuzzy": spec.fuzzy, "beta_star": spec.beta_star, "nu": sc.nu,
-        "beta": sc.beta, "multiscale_space": spec.multiscale_space, "lstar": sc.lstar,
-        "alpha": alphas[0] if len(set(alphas)) == 1 else alphas,
-    }
+def _spec_values(spec) -> dict:
+    """The fields of a spec and of its scales, its charges as one alpha when isotropic."""
+    alphas = spec.charges.alphas
+    return {**vars(spec.scales), **vars(spec), "alpha": alphas[0] if len(set(alphas)) == 1 else alphas}
+
+
+def _refuse_unread(values, reads, owner: str, words=(), also=(), fields=_MODEL_FIELDS, defaults=_DEFAULTS) -> None:
+    """The one read rule: :class:`DomainError` naming the first of ``fields``
+    whose value is off its default in ``defaults`` (a float by more than
+    1e-12) and that neither ``reads``, the fields read without and with
+    beta_star, nor ``also`` holds.  ``words`` words a refusal in place of
+    :data:`_MODEL_WORDS` or of the rule's own text."""
+    binomial, words = values["beta_star"] is not None, _MODEL_WORDS | dict(words)
     for field in fields:
-        value, default = values[field], _DEFAULTS[field]
+        value, default = values[field], defaults[field]
         if field in reads[binomial] or field in also or value == default or (
             isinstance(value, float) and isinstance(default, float) and abs(value - default) <= 1e-12
         ):
@@ -152,7 +167,7 @@ class DiffusionSpec:
 
         model, binomial = _MODELS[self.model], self.beta_star is not None
         walkers = [f for p in _PROCESSES.values() if p.model == self.model for f in p.reads[binomial]]
-        _refuse_unread(self, model.reads, f"the {self.model} model", also=walkers)
+        _refuse_unread(_spec_values(self), model.reads, f"the {self.model} model", also=walkers)
         beta = self.scales.beta
         if not binomial and not 0.0 < beta < model.beta_max:
             raise DomainError(
@@ -336,7 +351,7 @@ def check_dispersion(spec: DiffusionSpec) -> None:
     that only a walker reads, nu or beta beside beta_star), and at fixed
     dimensionality 1 + nu - beta <= 0, for which no pointlike initial
     condition is normalizable (:class:`ExponentDomainError`)."""
-    _refuse_unread(spec, _MODELS[spec.model].reads, f"the {spec.model} model")
+    _refuse_unread(_spec_values(spec), _MODELS[spec.model].reads, f"the {spec.model} model")
     sc = spec.scales
     if spec.beta_star is None and 1.0 + sc.nu - sc.beta <= 0.0:
         raise ExponentDomainError(

@@ -431,11 +431,13 @@ def return_probability(
 
 def check_trace(spec: DiffusionSpec) -> None:
     """Every refusal of a trace that the spec alone decides: those of
-    :func:`dispersion.check_dispersion`, and D <= 3 for the ordinary model on
-    a multiscale space, whose binomial box sum is O(N^D); with fixed charges
-    the trace is a product of one-dimensional sums at any D."""
+    :func:`dispersion.check_dispersion`, and D <= 3 on a multiscale space
+    where the model's ``kernel`` row reads one (the ordinary model), whose
+    binomial box sum is O(N^D); with fixed charges the trace is a product of
+    one-dimensional sums at any D."""
     check_dispersion(spec)
-    if spec.multiscale_space and "kernel" in _MODELS[spec.model].multiscale_space and spec.dim > 3:
+    row = _MODELS[spec.model].commands.get("kernel", ())
+    if spec.multiscale_space and "multiscale_space" in row and spec.dim > 3:
         raise DomainError(f"the {spec.model}-model trace needs dim <= 3, got {spec.dim}")
 
 

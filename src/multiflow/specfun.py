@@ -2,10 +2,11 @@
 
 Three functions are exposed:
 
-* :func:`gamma_fn` -- the gamma function with explicit pole detection,
+* :func:`gamma_fn` -- the gamma function with explicit pole detection, at
+  finite x,
 * :func:`kummer_phi` -- Kummer's confluent hypergeometric function
-  ``Phi(a; b; z)`` on the domain its callers evaluate, b > 0, a < b and
-  z <= 0, stable for strongly negative arguments,
+  ``Phi(a; b; z)`` on the domain its callers evaluate, finite a and b,
+  b > 0, a < b and z <= 0, stable for strongly negative arguments,
 * :func:`decade_panels` -- the binomial dispersion integral
   ``int ds / (1 + (s/lstar)^power)`` over ``[upper * 10^-decades, upper]``,
   by a fixed 16-node Gauss-Legendre rule in ln s per decade, for one upper
@@ -60,15 +61,16 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function with an explicit :class:`PoleError` at 0, -1, -2, ..."""
+    """Gamma function with an explicit :class:`PoleError` at 0, -1, -2, ...;
+    a non-finite x, nan included, is a :class:`DomainError` before any work."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma is evaluated only at a finite x, got x = {x}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
     try:
         return math.gamma(x)
     except OverflowError as exc:
         raise ConvergenceError(f"gamma overflows at x = {x}") from exc
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(f"gamma evaluation failed at x = {x}") from exc
 
 
 def _term_block(
@@ -222,9 +224,10 @@ def _asymptotic_1f1_negative_array(a: float, b: float, z: np.ndarray) -> np.ndar
 def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Kummer's Phi(a;b;z) = sum (a)_n/(b)_n z^n/n! for every element of ``z``.
 
-    The domain is b > 0, a < b and z <= 0: any other argument, nan
-    included, is a :class:`DomainError` before any work.  Branches, element
-    by element: Phi = 1 at z = 0 or a = 0; for -30 < z < 0 the reflection
+    The domain is finite a and b, b > 0, a < b and z <= 0: any other
+    argument, nan included, is a :class:`DomainError` before any work,
+    naming the call's arguments.  Branches, element by element: Phi = 1 at
+    z = 0 or a = 0; for -30 < z < 0 the reflection
     Phi(a;b;z) = e^z Phi(b-a;b;-z) (DLMF 13.2.39), whose series terms are
     all positive; for z <= -30 the large-|z| expansion
     ~ Gamma(b)/Gamma(b-a) (-z)^(-a), refused where its truncation floor is
@@ -241,9 +244,9 @@ def _kummer_phi_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     outside = ~(z <= 0.0)
-    if not (b > 0.0 and a < b) or outside.any():
-        at = float(z[outside][0]) if outside.any() else "z"
-        raise DomainError(f"Phi({a};{b};{at}) is evaluated only at b > 0, a < b, z <= 0")
+    if not (-math.inf < a < b < math.inf and b > 0.0) or outside.any():
+        at = float(z[outside][0]) if outside.any() else float(z.flat[0]) if z.size == 1 else "z"
+        raise DomainError(f"Phi({a};{b};{at}) is evaluated only at finite a and b, b > 0, a < b, z <= 0")
     out = np.ones_like(z)
     if a == 0.0:
         return out
@@ -284,7 +287,7 @@ def kummer_phi(a: float, b: float, z: float) -> float:
     :func:`_kummer_phi_array`, which refuses those outside and takes the
     branch.
     """
-    if (z == 0.0 or a == 0.0) and b > 0.0 and a < b and z <= 0.0:
+    if (z == 0.0 or a == 0.0) and -math.inf < a < b < math.inf and b > 0.0 and z <= 0.0:
         return 1.0
     return float(_kummer_phi_array(a, b, np.array([z], dtype=float))[0])
 

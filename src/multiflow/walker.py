@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dispersion import _DEFAULTS, DiffusionSpec, _refuse_unread, time_weight
+from .dispersion import _DEFAULTS, _MODELS, DiffusionSpec, _refuse_unread, _spec_values, time_weight
 from .errors import DomainError, GridError, SingularPointError
 from .grid import check_grid
 
@@ -122,6 +122,16 @@ _PROCESSES = {
     "fsbm-q": _Process((("beta", "alpha"),) * 2, "beta", _inverse_geometric_profile, True, "q", clock_max=1.0),
 }
 PROCESSES = tuple(_PROCESSES)
+
+
+def _read_words(process: str) -> dict[str, str]:
+    """The refusal text of a field no process reads, and of nu, which names
+    the process's clock, or its model where that model reads no nu either."""
+    record, read = _PROCESSES[process], {f for p in _PROCESSES.values() for fields in p.reads for f in fields}
+    clock = "sigma" if record.clock is None else f"sigma^{record.clock}"
+    own = "nu" in _MODELS[record.model].reads[0]
+    nu = f"{process} reads no nu (its clock is {clock})" if own else f"the {record.model} model reads no nu"
+    return {f: f"walkers read no {f}" for f in _DEFAULTS if f not in read} | {"nu": nu}
 
 
 @dataclass(frozen=True)
@@ -334,11 +344,7 @@ def check_simulation(process: str, spec: DiffusionSpec, seed: int) -> float:
     record = _PROCESSES.get(process)
     if record is None:
         raise DomainError(f"unknown process {process!r}; expected one of {PROCESSES}")
-    read = {f for p in _PROCESSES.values() for fields in p.reads for f in fields}
-    words = {f: f"walkers read no {f}" for f in _DEFAULTS if f not in read}
-    clock = "sigma" if record.clock is None else f"sigma^{record.clock}"
-    words["nu"] = f"{process} reads no nu (its clock is {clock})"
-    _refuse_unread(spec, record.reads, process, words, tuple(_DEFAULTS))
+    _refuse_unread(_spec_values(spec), record.reads, process, _read_words(process), fields=_DEFAULTS)
     if "alpha" in record.reads[0] and len(set(spec.charges.alphas)) > 1:
         raise DomainError(f"{process} needs isotropic charges, got {spec.charges.alphas}")
     nu = 1.0 if record.clock is None else getattr(spec.scales, record.clock)

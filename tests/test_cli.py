@@ -304,7 +304,9 @@ class TestMultiscaleSpace:
         out = tmp_path / "x.csv"
         code = main([*argv, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "multiscale-space is read only by" in capsys.readouterr().err
+        # the one read rule's text: "flow --model weighted reads no multiscale_space",
+        # "walkers read no …", "validate reads no …"
+        assert "no multiscale_space, got multiscale_space = True" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -455,6 +457,44 @@ class TestUnreadParameters:
              "beta_star is read only at beta = 1, got beta = 0.7"),
             (("flow", "--model", "q", "--beta-star", "0.5", "--beta", "0.7"),
              "beta_star is read only at beta = 1, got beta = 0.7"),
+            # each wrote the bytes of the run without its last flag: the
+            # command reads that field for no run of the model
+            (("flow", "--model", "weighted", "--dim", "2", "--alpha", "0.5"),
+             "flow --model weighted reads no alpha, got alpha = 0.5"),
+            (("flow", "--model", "weighted", "--dim", "2", "--beta-star", "0.5", "--alpha", "0.5"),
+             "flow --model weighted reads no alpha, got alpha = 0.5"),
+            (("flow", "--model", "ordinary", "--dim", "2", "--alpha", "0.5"),
+             "flow --model ordinary reads no alpha, got alpha = 0.5"),
+            (("flow", "--model", "ordinary", "--dim", "2", "--beta-star", "0.5", "--alpha", "0.5"),
+             "flow --model ordinary reads no alpha, got alpha = 0.5"),
+            (("flow", "--model", "weighted", "--dim", "2", "--lstar", "3"),
+             "flow --model weighted reads no lstar, got lstar = 3.0"),
+            (("flow", "--model", "ordinary", "--dim", "2", "--lstar", "3"),
+             "flow --model ordinary reads no lstar, got lstar = 3.0"),
+            (("flow", "--model", "q", "--dim", "2", "--beta", "0.5", "--lstar", "3"),
+             "flow --model q reads no lstar, got lstar = 3.0"),
+            (("flow", "--model", "legacy", "--dim", "2", "--lstar", "3"),
+             "flow --model legacy reads no lstar, got lstar = 3.0"),
+            (("kernel", "--model", "weighted", "--dim", "2", "--alpha", "0.5"),
+             "kernel --model weighted reads no alpha, got alpha = 0.5"),
+            (("kernel", "--model", "weighted", "--dim", "2", "--beta-star", "0.5", "--alpha", "0.5"),
+             "kernel --model weighted reads no alpha, got alpha = 0.5"),
+            (("kernel", "--model", "q", "--dim", "2", "--alpha", "0.5"),
+             "kernel --model q reads no alpha, got alpha = 0.5"),
+            (("kernel", "--model", "q", "--dim", "2", "--beta-star", "0.5", "--alpha", "0.5"),
+             "kernel --model q reads no alpha, got alpha = 0.5"),
+            (("kernel", "--model", "weighted", "--dim", "2", "--lstar", "3"),
+             "kernel --model weighted reads no lstar, got lstar = 3.0"),
+            (("kernel", "--model", "q", "--dim", "2", "--lstar", "3"),
+             "kernel --model q reads no lstar, got lstar = 3.0"),
+            (("kernel", "--model", "legacy", "--dim", "2", "--lstar", "3"),
+             "kernel --model legacy reads no lstar, got lstar = 3.0"),
+            (("kernel", "--model", "weighted", "--dim", "2", "--box", "400"),
+             "kernel --model weighted reads no box, got box = 400.0"),
+            (("kernel", "--model", "q", "--dim", "2", "--box", "400"),
+             "kernel --model q reads no box, got box = 400.0"),
+            (("kernel", "--model", "legacy", "--dim", "2", "--box", "400"),
+             "kernel --model legacy reads no box, got box = 400.0"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
@@ -463,7 +503,12 @@ class TestUnreadParameters:
              "negative-beta-kernel-dim-2", "bm-beta-star", "sbm-beta-star", "fsbm-q-beta-star",
              "bm-nu", "fsbm-v-fuzzy", "fssbm-fuzzy", "bm-beta", "bm-lstar", "bm-alpha", "sbm-beta",
              "fsbm-v-alpha", "fsbm-v-beta-star-beta", "fsbm-q-lstar", "legacy-nu", "legacy-beta",
-             "weighted-beta-star-beta", "q-beta-star-beta"],
+             "weighted-beta-star-beta", "q-beta-star-beta", "flow-weighted-alpha",
+             "flow-weighted-beta-star-alpha", "flow-ordinary-alpha", "flow-ordinary-beta-star-alpha",
+             "flow-weighted-lstar", "flow-ordinary-lstar", "flow-q-lstar", "flow-legacy-lstar",
+             "kernel-weighted-alpha", "kernel-weighted-beta-star-alpha", "kernel-q-alpha",
+             "kernel-q-beta-star-alpha", "kernel-weighted-lstar", "kernel-q-lstar", "kernel-legacy-lstar",
+             "kernel-weighted-box", "kernel-q-box", "kernel-legacy-box"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -575,22 +620,30 @@ class TestUnreadParameters:
 _MOVES = {
     "lbar": "lbar = 0.5", "fuzzy": "fuzzy = true", "beta_star": "beta-star = 0.5", "nu": "nu = 0.75",
     "beta": "beta = 0.5", "multiscale_space": "multiscale-space = true", "lstar": "lstar = 3.0",
-    "alpha": "alpha = 0.5",
+    "alpha": "alpha = 0.5", "box": "[kernel]\nbox = 400.0",
 }
 _MODEL_RUNS = (
     ("flow", "--sigma-min", "0.01", "--sigma-max", "100", "--sigma-points", "7"),
     ("pdf", "--x-points", "11"),
     ("kernel", "--sigma-min", "0.1", "--sigma-max", "10", "--sigma-points", "5"),
 )
-# What each model and process reads, without and with beta_star, written out
-# here and not taken from dispersion._MODELS or walker._PROCESSES: a record
-# that leaves out a field its evaluators read refuses that field, and fails
-# the byte check below, as one that lists a field nothing reads does.
+# What each model and process reads, without and with beta_star, and what
+# flow, pdf and kernel read of a model besides, written out here and not
+# taken from dispersion._MODELS or walker._PROCESSES: a record that leaves
+# out a field its evaluators read refuses that field, and fails the byte
+# check below, as one that lists a field nothing reads does.
 _MODEL_READS = {
-    "weighted": (("lbar", "nu", "beta"), ("fuzzy", "beta_star")),
-    "ordinary": (("lbar", "nu", "beta"), ("beta_star",)),
-    "q": (("beta",), ("beta_star",)),
+    "weighted": (("lbar", "nu", "beta"), ("fuzzy", "beta_star", "lstar")),
+    "ordinary": (("lbar", "nu", "beta"), ("beta_star", "lstar")),
+    "q": (("beta",), ("beta_star", "lstar")),
     "legacy": ((), ()),
+}
+_SPACE = ("multiscale_space", "lstar", "alpha")
+_COMMAND_READS = {
+    "weighted": {"flow": (), "pdf": _SPACE, "kernel": ()},
+    "ordinary": {"flow": (), "pdf": _SPACE, "kernel": (*_SPACE, "box")},
+    "q": {"flow": ("alpha",), "pdf": ("lstar", "alpha"), "kernel": ()},
+    "legacy": {"flow": ("alpha",), "pdf": _SPACE, "kernel": ("alpha",)},
 }
 _PROCESS_READS = {
     "bm": ((), ()),
@@ -608,6 +661,17 @@ _MODEL_CASES = [
     if not binomial or "beta_star" in reads[1]
     for field in _MODEL_FIELDS
     if field != "beta_star" or not binomial
+]
+# (model, binomial, command, field) over the fields a command row can name;
+# box is a field of the kernel section
+_COMMAND_CASES = [
+    (model, binomial, argv[0], field)
+    for model, reads in _MODEL_READS.items()
+    for binomial in (False, True)
+    if not binomial or "beta_star" in reads[1]
+    for argv in _MODEL_RUNS
+    for field in ("multiscale_space", "lstar", "alpha", "box")
+    if field != "box" or argv[0] == "kernel"
 ]
 _PROCESS_CASES = [
     (process, binomial, field)
@@ -636,6 +700,7 @@ class TestReadSets:
 
     def test_every_model_and_process_is_listed(self):
         assert (tuple(_MODEL_READS), tuple(_PROCESS_READS)) == (MODELS, walker.PROCESSES)
+        assert tuple(_COMMAND_READS) == MODELS
 
     def _check(self, reads, binomial, field, runs, tmp_path, capsys):
         # moving beta_star itself makes the run binomial
@@ -658,6 +723,16 @@ class TestReadSets:
         base = [f"model = {model}", "dim = 1", *(["beta-star = 0.5"] if binomial else [])]
         runs = [(argv, base) for argv in _MODEL_RUNS]
         self._check(_MODEL_READS[model], binomial, field, runs, tmp_path, capsys)
+
+    @pytest.mark.parametrize("model,binomial,command,field", _COMMAND_CASES)
+    def test_command_read_set_is_exact(self, model, binomial, command, field, tmp_path, capsys):
+        # a command reads the model's dispersion fields and its own row
+        reads = tuple(part + _COMMAND_READS[model][command] for part in _MODEL_READS[model])
+        base = [f"model = {model}", "dim = 1", *(["beta-star = 0.5"] if binomial else [])]
+        if field == "multiscale_space" and "alpha" in reads[binomial]:
+            base.append("alpha = 0.5")  # a binomial space of charge 1 is no measure
+        runs = [(argv, base) for argv in _MODEL_RUNS if argv[0] == command]
+        self._check(reads, binomial, field, runs, tmp_path, capsys)
 
     @pytest.mark.parametrize("process,binomial,field", _PROCESS_CASES)
     def test_process_read_set_is_exact(self, process, binomial, field, tmp_path, capsys):

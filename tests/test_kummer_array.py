@@ -79,8 +79,8 @@ def asymptotic_oracle(a, b, z):
 
 def phi_oracle(a, b, z):
     """The branch choice of Phi at one argument, with ``math.exp``."""
-    if not (b > 0.0 and a < b and z <= 0.0):
-        raise DomainError(f"Phi({a};{b};{z}) outside b > 0, a < b, z <= 0")
+    if not (math.isfinite(a) and math.isfinite(b) and b > 0.0 and a < b and z <= 0.0):
+        raise DomainError(f"Phi({a};{b};{z}) outside finite a and b, b > 0, a < b, z <= 0")
     if z == 0.0 or a == 0.0:
         return 1.0
     if z <= -_PHI_ASYMPTOTIC_CUT:
@@ -365,6 +365,13 @@ def test_mixed_branch_array_equals_one_element_calls(a, b):
         # refused before any term: sums that would leave the double range
         (0.3, -40.5, 650.0, {}, DomainError),
         (1.5, 0.5, -25.0, {}, DomainError),
+        # a non-finite a or b, on every branch and at z = 0
+        (-math.inf, 0.5, -40.0, {}, DomainError),
+        (-math.inf, 0.5, -1.0, {}, DomainError),
+        (-math.inf, 0.5, 0.0, {}, DomainError),
+        (0.3, math.inf, -40.0, {}, DomainError),
+        (0.3, math.inf, -1.0, {}, DomainError),
+        (0.3, math.inf, 0.0, {}, DomainError),
     ],
 )
 def test_refusals_match_scalar(a, b, z, ctl, error, monkeypatch):

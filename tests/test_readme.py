@@ -67,8 +67,8 @@ def test_backticked_calls_name_what_the_package_defines():
 
 def test_read_set_table_is_the_records():
     # one row per model and per process name; each cell lists the record's
-    # fields without and with beta_star, and the commands that read a
-    # multiscale space
+    # fields without and with beta_star, then what flow, pdf and kernel read
+    # of a model besides (a process runs under simulate only)
     from multiflow.dispersion import _MODELS
     from multiflow.walker import _PROCESSES
 
@@ -78,6 +78,11 @@ def test_read_set_table_is_the_records():
         if match:
             cells = [set(re.findall(r"`([^`]+)`", cell)) for cell in match.group(3).split("|")]
             rows[(match.group(1), match.group(2))] = cells
-    expected = {("model", name): [*map(set, m.reads), set(m.multiscale_space)] for name, m in _MODELS.items()}
-    expected.update({("process", name): [*map(set, p.reads), set()] for name, p in _PROCESSES.items()})
+    commands = ("flow", "pdf", "kernel")
+    expected = {
+        ("model", name): [*map(set, m.reads), *(set(m.commands.get(c, ())) for c in commands)]
+        for name, m in _MODELS.items()
+    }
+    expected.update({("process", name): [*map(set, p.reads), set(), set(), set()] for name, p in _PROCESSES.items()})
+    assert {c for m in _MODELS.values() for c in m.commands} <= set(commands)
     assert rows == expected

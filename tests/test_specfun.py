@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -65,6 +66,13 @@ class TestGamma:
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -37.0])
     def test_poles(self, x):
         with pytest.raises(PoleError):
+            gamma_fn(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, x):
+        # nan and inf came back as nan and inf, and -inf raised an untyped
+        # OverflowError from the pole test's round
+        with pytest.raises(DomainError, match=f"finite x, got x = {x}"):
             gamma_fn(x)
 
     def test_accuracy_against_high_precision(self, rng):
@@ -136,6 +144,15 @@ class TestKummerPhi:
             z = -float(rng.uniform(1e3, 1e6))
             ratio = kummer_phi(a, b, z) * gamma_fn(b - a) / gamma_fn(b) * (-z) ** a
             assert abs(ratio - 1.0) < 1e-2
+
+    @pytest.mark.parametrize(
+        "a,b,z", [(-math.inf, 0.5, -40.0), (-math.inf, 0.5, -1.0), (0.3, math.inf, -1.0), (0.3, math.inf, 0.0)]
+    )
+    def test_non_finite_parameter_refused_by_the_call(self, a, b, z):
+        # each raised an OverflowError from round, or a ConvergenceError
+        # naming the reflected series Phi(inf;inf;1.0), or returned 1.0
+        with pytest.raises(DomainError, match=re.escape(f"Phi({a};{b};{z}) is evaluated only at finite a and b")):
+            kummer_phi(a, b, z)
 
     @pytest.mark.parametrize("b", [0.0, -1.0, -6.0])
     def test_pole_on_b(self, b):
