@@ -85,8 +85,9 @@ class RunConfig:
         command does not read, moved off its default (a float by more than
         1e-12): ``flow``, ``pdf`` and ``kernel`` read the model's dispersion
         read set and its row for the command (:class:`dispersion._Model`),
-        ``simulate`` the process record, and ``validate`` dim, lstar, kappa
-        and seed.  The rest are the library's own rules: the sigma grid rule
+        less lstar for a fixed-charge ``kernel`` given a box, since lstar
+        only sets its default box; ``simulate`` the process record, and
+        ``validate`` dim, lstar, kappa and seed.  The rest are the library's own rules: the sigma grid rule
         on the one count the command reads, then the evaluator's check on
         the :func:`build_spec` spec (the dispersion's, the trace's, or the
         walker's and its fit window's; for ``validate`` the seed rule and the
@@ -137,8 +138,13 @@ class RunConfig:
             words = walker._read_words(self.process)
         else:
             model, owner = _MODELS[self.model], f"the {self.model} model"
-            reads = tuple(part + model.commands.get(self.command, ()) for part in model.reads)
+            row = model.commands.get(self.command, ())
             words = {f: f"{self.command} --model {self.model} reads no {f}" for f in _ROW_FIELDS}
+            if "lstar" in row and self.command == "kernel" and self.box is not None and not self.multiscale_space:
+                # lstar sets a fixed-charge trace's default box, max(12 ell, 10 lstar), and no more
+                row = tuple(f for f in row if f != "lstar")
+                words["lstar"] = f"kernel --model {self.model} with a box and fixed charges reads no lstar"
+            reads = tuple(part + row for part in model.reads)
         # the one sigma grid count the command reads
         count = {"flow": "points", "kernel": "points", "simulate": "steps"}.get(self.command)
         try:

@@ -15,17 +15,25 @@ weight, the trace's per-axis tables and the box volume read one per-axis
 term table, :func:`_axis_terms`: the spec's spatial profile in a
 multiscale space, else one fractional term per direction.
 
-The ordinary-model trace is a box quadrature of v(x) C(x, sigma).  Its
-integrand is even in every coordinate, so each axis is integrated over
-[0, L] with doubled weights, on Gauss-Legendre panels that start at the
-origin: a panel across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which
-is not smooth there, and converge only algebraically.  The order-24 sum is
-checked against the order-40 sum, which is returned.  A sigma grid shares
-its Kummer evaluations: the cases of consecutive sigmas go to one call of
-the array engine ``specfun._kummer_phi_array`` per charge, a block of at
-most :data:`_PHI_CHUNK` arguments at a time.  The scalar ``kummer_phi`` is
-left to the pointwise normalization, :func:`ordinary_normalization`, which
-shares its Gamma-ratio prefactors with the trace.
+The ordinary-model trace with fixed charges is a product of one factor per
+direction.  In u = x/(2 ell) the factor of charge alpha is 2 G_alpha(U),
+G_alpha(U) = 1/Gamma(alpha/2) int_0^U u^(alpha-1)/Phi((1-alpha)/2; 1/2; -u^2) du,
+so sigma enters only through U = L/(2 ell) >= 6 for a box of half-width L.
+A trace call builds one table of G_alpha(sqrt(30)) per distinct charge,
+:func:`_g_table`, with one call of the array engine
+``specfun._kummer_phi_array`` on Gauss-Legendre panels in ln u, whose
+order-24 sum is checked against the order-40 sum; each sigma then adds the
+closed-form tail from sqrt(30) to U and makes no Kummer call.  With a
+multiscale space the binomial bracket does not factorize, and the trace is
+a box quadrature of v(x) C(x, sigma): each axis is integrated over [0, L]
+with doubled weights, on panels that start at the origin, since a panel
+across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which is not smooth
+there.  Its order-24 sum is checked against the order-40 sum, which is
+returned, per sigma; the cases of consecutive sigmas go to one Kummer call,
+a block of at most :data:`_PHI_CHUNK` arguments at a time.  The scalar
+``kummer_phi`` is left to the pointwise normalization,
+:func:`ordinary_normalization`, which shares its Gamma-ratio prefactors with
+the binomial bracket.
 """
 
 from __future__ import annotations
@@ -63,10 +71,29 @@ PER_HAUSDORFF_VOLUME = "per-hausdorff-volume"
 # Minimum box half-width in units of the diffusion length for trace quadrature.
 _BOX_ELL_FACTOR = 12.0
 _BOX_LSTAR_FACTOR = 10.0
-# Gauss-Legendre order per panel for the trace quadrature and its refinement check.
+# Gauss-Legendre order per panel of the binomial box rule and of the G_alpha
+# table, and of the refinement check of each: the order-24 sum must be within
+# _GL_RTOL of the order-40 sum, which is returned.
 _GL_ORDER = 24
 _GL_REFINE = 40
 _GL_RTOL = 1e-7
+# The G_alpha table of the fixed-charge trace: the power series of 1/Phi on
+# [0, 0.1], one decade panel in ln u, then four panels of equal width in ln u
+# out to u^2 = _G_CUT.  Every Kummer argument -u^2 then lies in (-30, 0).  At
+# small charges 1/Phi climbs as e^(u^2) until u^2 is about ln(1/alpha), and
+# needs the narrower panels: one panel on [1, sqrt(30)] left the order-40 sum
+# 4e-10 off at alpha = 0.002.
+_G_CUT = 30.0
+_G_EDGES = (0.1, 1.0, *(_G_CUT ** (k / 8.0) for k in range(1, 4)), math.sqrt(_G_CUT))
+# Terms of the power series of 1/Phi at u <= 0.1, below 1e-20 of its sum, and
+# of the large-u series past sqrt(30), which diverges there past about 30
+# terms: 30 leave G_alpha within 3e-15 of mpmath at alpha >= 0.02, 20 left 8e-14.
+_G_SERIES_TERMS = 12
+_G_TAIL_TERMS = 30
+# The smallest fixed charge whose G_alpha holds 1e-12 of mpmath: the e^(-u^2)
+# term of the tail grows as 1/alpha, and the table's Kummer values lose
+# about 1e-16/alpha to the rounding of (1 - alpha)/2.
+_G_ALPHA_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -331,36 +358,23 @@ def _bracket_box_sum(
 
 
 def _case_totals(spec: DiffusionSpec, block: list) -> list[float]:
-    """Box sums of a block of ``(ell2, {charge: axis table})`` cases.
+    """Binomial box sums of a block of ``(ell2, axis table)`` cases, the
+    table of one axis, which every axis of the isotropic space shares.
 
-    Kummer's function is evaluated in one array call per distinct charge
-    over the nodes of the whole block; the array path works element by
-    element, so the blocking moves no bit.
+    Kummer's function is evaluated in one array call over the nodes of the
+    whole block; the array path works element by element, so the blocking
+    moves no bit.
     """
-    alphas = spec.charges.alphas
-    args = {a: [] for a in alphas}
-    for ell2, axes in block:
-        for a, entries in axes.items():
-            args[a].extend(-(x_nodes * x_nodes) / (4.0 * ell2) for _, x_nodes, _ in entries)
-    phis = {}
-    for a, zs in args.items():
-        if zs:
-            values = _kummer_phi_array((1.0 - a) / 2.0, 0.5, np.concatenate(zs))
-            phis[a] = iter(np.split(values, np.cumsum([z.size for z in zs[:-1]])))
+    alpha = spec.charges.alphas[0]
+    zs = [-(x_nodes * x_nodes) / (4.0 * ell2) for ell2, entries in block for _, x_nodes, _ in entries]
+    values = _kummer_phi_array((1.0 - alpha) / 2.0, 0.5, np.concatenate(zs))
+    phis = iter(np.split(values, np.cumsum([z.size for z in zs[:-1]])))
 
     totals = []
-    for ell2, axes in block:
-        axis_phis = {a: [next(phis[a]) for _ in entries] for a, entries in axes.items()}
-        if not spec.multiscale_space:
-            axis_sums = {}
-            for a, ((g, _, w),) in axes.items():
-                inverse = _kummer_prefactor(a, 2.0 * math.sqrt(ell2)) * axis_phis[a][0]
-                axis_sums[a] = g * float(np.sum(w / inverse))
-            totals.append(math.prod(axis_sums[a] for a in alphas))
-            continue
-        (alpha,) = axes  # charge order: the fractional term, then the constant one
-        (frac_g, _, frac_w), (_, _, const_w) = axes[alpha]
-        frac_phi, const_phi = axis_phis[alpha]
+    for ell2, entries in block:
+        # charge order: the fractional term, then the constant one
+        (frac_g, _, frac_w), (_, _, const_w) = entries
+        frac_phi, const_phi = next(phis), next(phis)
         gauss_norm, bracket_coeff = _bracket_terms(spec.dim, alpha, spec.scales.lstar, ell2)
         total = 0.0
         for k in range(spec.dim + 1):  # k fractional axes, dim - k constant ones
@@ -376,33 +390,31 @@ def _case_totals(spec: DiffusionSpec, block: list) -> list[float]:
 def _trace_quadrature(
     spec: DiffusionSpec, cases: Sequence[tuple[float, float, int]]
 ) -> list[float]:
-    """Box integrals of v(x) C(x, sigma) for the ordinary model.
+    """Box integrals of v(x) C(x, sigma) for the ordinary model in a
+    multiscale space.
 
     One total per ``(ell2, box half-width, Gauss order)`` case.  Every axis
     is integrated over [0, L] with doubled weights (the integrand is even in
     each coordinate).  Consecutive cases are gathered into blocks of at most
     :data:`_PHI_CHUNK` Kummer arguments (a case with more makes a block of
-    its own), and each block takes one Kummer call per charge, so the
-    memory held stays flat however many cases there are.
+    its own), and each block takes one Kummer call, so the memory held
+    stays flat however many cases there are.
 
-    With fixed per-direction charges, or no measure, C^-1 is a product of
-    per-direction factors and the box sum is the product of one-dimensional
-    sums.  The binomial bracket does not factorize, but it is symmetric under
-    a permutation of the axes: of its 2^D term combinations only the number
-    k of fractional axes matters, so D + 1 box sums with weights C(D, k)
-    make the total.
+    The binomial bracket does not factorize, but it is symmetric under a
+    permutation of the axes: of its 2^D term combinations only the number k
+    of fractional axes matters, so D + 1 box sums with weights C(D, k) make
+    the total.
     """
     totals, block, held = [], [], 0
     for ell2, halfwidth, order in cases:
         # the normalization varies on the diffusion-length scale around the
         # origin; a few-ell central panel plus decade panels resolve it
-        tables = _axis_tables(spec, halfwidth, 4.0 * math.sqrt(ell2), order)
-        axes = dict(zip(spec.charges.alphas, tables))
-        size = sum(x_nodes.size for entries in axes.values() for _, x_nodes, _ in entries)
+        entries = _axis_tables(spec, halfwidth, 4.0 * math.sqrt(ell2), order)[0]
+        size = sum(x_nodes.size for _, x_nodes, _ in entries)
         if block and held + size > _PHI_CHUNK:
             totals += _case_totals(spec, block)
             block, held = [], 0
-        block.append((ell2, axes))
+        block.append((ell2, entries))
         held += size
     return totals + _case_totals(spec, block)
 
@@ -431,20 +443,101 @@ def return_probability(
 
 def check_trace(spec: DiffusionSpec) -> None:
     """Every refusal of a trace that the spec alone decides: those of
-    :func:`dispersion.check_dispersion`, and D <= 3 on a multiscale space
-    where the model's ``kernel`` row reads one (the ordinary model), whose
-    binomial box sum is O(N^D); with fixed charges the trace is a product of
-    one-dimensional sums at any D."""
+    :func:`dispersion.check_dispersion`, and, where the model's ``kernel``
+    row reads a multiscale space (the ordinary model), D <= 3 on one, whose
+    binomial box sum is O(N^D), and with fixed charges every charge at or
+    above :data:`_G_ALPHA_MIN`, the floor of the G_alpha table's 1e-12; with
+    fixed charges the trace is a product of one-dimensional factors at any D."""
     check_dispersion(spec)
-    row = _MODELS[spec.model].commands.get("kernel", ())
-    if spec.multiscale_space and "multiscale_space" in row and spec.dim > 3:
+    if "multiscale_space" not in _MODELS[spec.model].commands.get("kernel", ()):
+        return
+    if spec.multiscale_space and spec.dim > 3:
         raise DomainError(f"the {spec.model}-model trace needs dim <= 3, got {spec.dim}")
+    smallest = min(spec.charges.alphas)
+    if not spec.multiscale_space and smallest < _G_ALPHA_MIN:
+        raise DomainError(
+            f"the {spec.model}-model trace with fixed charges needs alpha >= {_G_ALPHA_MIN:g}, "
+            f"got alpha = {smallest}"
+        )
+
+
+def _reciprocal_series(coeffs: list[float]) -> list[float]:
+    """The coefficients of 1/f, as many as given, of a power series f with f_0 = 1."""
+    inverse = [1.0]
+    for k in range(1, len(coeffs)):
+        inverse.append(-sum(coeffs[j] * inverse[k - j] for j in range(1, k + 1)))
+    return inverse
+
+
+def _g_table(alpha: float):
+    """G_alpha(U) = 1/Gamma(alpha/2) int_0^U u^(alpha-1)/Phi((1-alpha)/2; 1/2; -u^2) du
+    as a function of U >= sqrt(30) that makes no Kummer call.
+
+    In u = x/(2 ell) one axis of the fixed-charge trace integrates to
+    2 G_alpha(L/(2 ell)).  G_alpha(sqrt(30)) is summed on :data:`_G_EDGES`:
+    the power series of 1/Phi in u^2 on [0, 0.1], each term integrated
+    against u^(alpha-1), then u^alpha/Phi on Gauss-Legendre panels in ln u,
+    at both orders in one Kummer call; orders that differ by more than
+    :data:`_GL_RTOL` raise :class:`ConvergenceError`.  Past sqrt(30), DLMF
+    13.7.2 gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2), with S
+    the series sum (a)_s (1 - alpha/2)_s/s! t^s, a = (1 - alpha)/2, plus an
+    e^(-u^2) term.  The first makes the integrand 1/(sqrt(pi) S), integrated
+    term by term in 1/S.  The second, of relative size Gamma(alpha/2)/Gamma(a)
+    cos(pi alpha/2) e^(-u^2) u^(1 - 2 alpha) (2.9e-10 at alpha = 0.002 and
+    u^2 = 30), adds its integral from sqrt(30) on, to first order in u^-2,
+    whose next order is about 1e-3 of it; the part of that integral beyond
+    U >= 6 is dropped, 4e-14 of G_alpha at alpha = 0.001.
+    """
+    a = (1.0 - alpha) / 2.0
+    phi = [1.0]  # of Phi(a; 1/2; -w) in w = u^2
+    for k in range(1, _G_SERIES_TERMS):
+        phi.append(-phi[-1] * (a + k - 1.0) / ((k - 0.5) * k))
+    first = _G_EDGES[0]
+    head = sum(e * first ** (alpha + 2 * k) / (alpha + 2 * k) for k, e in enumerate(_reciprocal_series(phi)))
+    edges = np.log(_G_EDGES)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = [], []
+    for order in (_GL_ORDER, _GL_REFINE):
+        gl_nodes, gl_weights = _gl_rule(order)
+        nodes.append(np.exp(mid[:, None] + half[:, None] * gl_nodes).ravel())
+        weights.append((half[:, None] * gl_weights).ravel())
+    u = np.concatenate(nodes)
+    values = np.split(u ** alpha / _kummer_phi_array(a, 0.5, -(u * u)), [nodes[0].size])
+    coarse, fine = (head + float(w @ v) for w, v in zip(weights, values))
+    if abs(fine - coarse) > _GL_RTOL * abs(fine):
+        raise ConvergenceError(f"trace table not converged: {coarse!r} vs {fine!r} at alpha = {alpha}")
+
+    s = [1.0]
+    for k in range(1, _G_TAIL_TERMS):
+        s.append(s[-1] * (a + k - 1.0) * (k - alpha / 2.0) / k)
+    # the antiderivative of 1/S(u^-2) is u + p(u^-2)/u
+    p = [d / (1.0 - 2.0 * k) for k, d in enumerate(_reciprocal_series(s)) if k][::-1]
+
+    def antiderivative(upper: float) -> float:
+        y, total = 1.0 / (upper * upper), 0.0
+        for coeff in p:
+            total = total * y + coeff
+        return (upper + total / upper) / math.sqrt(math.pi)
+
+    # the e^(-u^2) term's integral, -Gamma(alpha/2)/Gamma(a) cos(pi alpha/2)
+    # e^(-30) 30^(-alpha)/(2 sqrt(pi)) (1 - (alpha + r1 + 2 s1)/30): with
+    # 1/Gamma(a) = Gamma(1 - a) cos(pi alpha/2)/pi and the duplication formula
+    # it has no pole at alpha = 1, where it vanishes
+    r1 = alpha * (1.0 + alpha) / 4.0
+    exp_term = -(
+        2.0 ** -alpha * gamma_fn(alpha) * math.cos(math.pi * alpha / 2.0) ** 2 / math.pi
+        * math.exp(-_G_CUT) * _G_CUT ** -alpha * (1.0 - (alpha + r1 + 2.0 * s[1]) / _G_CUT)
+    )
+    const = fine / gamma_fn(alpha / 2.0) + exp_term - antiderivative(_G_EDGES[-1])
+    return lambda upper: const + antiderivative(upper)
 
 
 def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
-    """ordinary: the box quadrature of the module doc per Hausdorff volume of
-    the box, both orders of every sigma from one :func:`_trace_quadrature` call."""
-    cases, halfwidths = [], []
+    """ordinary: the trace of the module doc per Hausdorff volume of the box.
+    With fixed charges each sigma is read off one :func:`_g_table` per
+    distinct charge at U = L/(2 ell) >= 6; in a multiscale space both orders
+    of every sigma come from one :func:`_trace_quadrature` call."""
+    boxes = []
     for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
         halfwidth = _box_for(spec, ell2) if box_halfwidth is None else box_halfwidth
@@ -454,11 +547,19 @@ def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) ->
                 f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
                 "contaminate the trace"
             )
-        halfwidths.append(halfwidth)
-        cases += [(ell2, halfwidth, _GL_ORDER), (ell2, halfwidth, _GL_REFINE)]
+        boxes.append((ell2, ell, halfwidth))
+    if not spec.multiscale_space:
+        alphas = spec.charges.alphas
+        tables = {a: _g_table(a) for a in set(alphas)}
+        traces = []
+        for _, ell, halfwidth in boxes:
+            axis = {a: 2.0 * g_alpha(halfwidth / (2.0 * ell)) for a, g_alpha in tables.items()}
+            traces.append(math.prod(axis[a] for a in alphas) / _hausdorff_box_volume(spec, halfwidth))
+        return np.array(traces)
+    cases = [(ell2, halfwidth, order) for ell2, _, halfwidth in boxes for order in (_GL_ORDER, _GL_REFINE)]
     totals = _trace_quadrature(spec, cases)
     traces = []
-    for sigma, halfwidth, coarse, fine in zip(sigmas.tolist(), halfwidths, totals[::2], totals[1::2]):
+    for sigma, (_, _, halfwidth), coarse, fine in zip(sigmas.tolist(), boxes, totals[::2], totals[1::2]):
         if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
             raise ConvergenceError(
                 f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
@@ -497,8 +598,8 @@ def heat_kernel_curve(
     """Sample Z(sigma) on a grid with the model's volume convention tag.
 
     The whole grid takes one dispersion call, and the ordinary-model traces
-    one quadrature call, which evaluates Kummer's function in a few array
-    calls per charge; each value equals the one-sigma
+    one G_alpha table per distinct charge (fixed charges) or one blocked
+    quadrature call (a multiscale space); each value equals the one-sigma
     :func:`return_probability` bit for bit.
     """
     sig = np.asarray(sigmas, dtype=float)

@@ -495,6 +495,14 @@ class TestUnreadParameters:
              "kernel --model q reads no box, got box = 400.0"),
             (("kernel", "--model", "legacy", "--dim", "2", "--box", "400"),
              "kernel --model legacy reads no box, got box = 400.0"),
+            # lstar sets only the default box of a fixed-charge trace: given a
+            # box, the run wrote the bytes of the run without lstar
+            (("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--box", "1e5",
+              "--lstar", "3"),
+             "kernel --model ordinary with a box and fixed charges reads no lstar, got lstar = 3.0"),
+            # the fixed-charge trace holds 1e-12 from this charge on
+            (("kernel", "--model", "ordinary", "--dim", "2", "--alpha", "0.0005"),
+             "the ordinary-model trace with fixed charges needs alpha >= 0.001, got alpha = 0.0005"),
         ],
         ids=["weighted-nu", "ordinary-nu", "pdf-nu", "kernel-nu", "legacy-flow", "legacy-kernel",
              "legacy-pdf", "q-nu", "fsbm-q-nu", "q-beta", "fsbm-q-beta", "fixed-dim-flow-weighted",
@@ -508,7 +516,8 @@ class TestUnreadParameters:
              "flow-weighted-lstar", "flow-ordinary-lstar", "flow-q-lstar", "flow-legacy-lstar",
              "kernel-weighted-alpha", "kernel-weighted-beta-star-alpha", "kernel-q-alpha",
              "kernel-q-beta-star-alpha", "kernel-weighted-lstar", "kernel-q-lstar", "kernel-legacy-lstar",
-             "kernel-weighted-box", "kernel-q-box", "kernel-legacy-box"],
+             "kernel-weighted-box", "kernel-q-box", "kernel-legacy-box", "kernel-ordinary-box-lstar",
+             "kernel-ordinary-alpha-floor"],
     )
     def test_refused(self, argv, message, tmp_path, capsys):
         code = main([*argv, "--sigma-points", "20", "--out", str(tmp_path / "x.csv")])
@@ -733,6 +742,21 @@ class TestReadSets:
             base.append("alpha = 0.5")  # a binomial space of charge 1 is no measure
         runs = [(argv, base) for argv in _MODEL_RUNS if argv[0] == command]
         self._check(reads, binomial, field, runs, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "binomial,space", [(False, False), (True, False), (False, True)],
+        ids=["fixed", "binomial-time", "multiscale-space"],
+    )
+    def test_kernel_box_reads_lstar_only_through_the_run(self, binomial, space, tmp_path, capsys):
+        # given a box, the ordinary trace reads lstar only through beta_star
+        # or a multiscale space: with fixed charges it sets only the default box
+        reads = tuple(part + ("multiscale_space", "alpha", "box") for part in _MODEL_READS["ordinary"])
+        base = ["model = ordinary", "dim = 1", "alpha = 0.5", *(["beta-star = 0.5"] if binomial else [])]
+        if space:
+            reads = tuple(part + ("lstar",) for part in reads)
+            base.append("multiscale-space = true")
+        argv = ("kernel", "--sigma-min", "0.1", "--sigma-max", "10", "--sigma-points", "5", "--box", "400")
+        self._check(reads, binomial, "lstar", [(argv, base)], tmp_path, capsys)
 
     @pytest.mark.parametrize("process,binomial,field", _PROCESS_CASES)
     def test_process_read_set_is_exact(self, process, binomial, field, tmp_path, capsys):

@@ -104,12 +104,12 @@ GOLDEN = {
     ),
     "kernel-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--sigma-points", "9"),
-        "0732921c62cf231afb0d82be4312f760d4c53de57b9cec578a52f2acbfc82634",
+        "c4972514c015c79780f104b3e648e2c10dab69f20a9cfa8897c52739392530f6",
         None,
     ),
     "kernel-d2": (
         (*_KERNEL, "--dim", "2", "--alpha", "0.45", "--sigma-points", "5"),
-        "388aac24e1478fe3ae82d2de423415400a7335180ee51db003c0e09159f0cd32",
+        "a4e2a6334c07d39dcadfa3a999b7a5f17b398f3ebe481a22ecdd092b7f4cbc93",
         None,
     ),
     "kernel-multiscale-d1": (
@@ -123,16 +123,16 @@ GOLDEN = {
         "f879470914f9c6057b9a9f601ed28b11a75a8102aa48736ef90b74fef23c5a21",
         None,
     ),
-    # alpha = 1: every axis integrated in x, with no |x|^alpha substitution
+    # alpha = 1: Phi = 1, so each axis factor is G_1(U) = U/sqrt(pi) to rounding
     "kernel-alpha-one-d2": (
         (*_KERNEL, "--dim", "2", "--alpha", "1.0", "--sigma-points", "5"),
-        "4ecc30b3d0dc54fce75909f5daeed258c8cf73c746d4cbfc5c948a08256332e7",
+        "a6588dace62c969a198492e74bc85fc331e52f3013008d8c52df94992fe59f53",
         None,
     ),
     # a binomial diffusion-time measure sets ell^2 and the box of the trace
     "kernel-d1-binomial-time": (
         ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
-        "2f001838664e717c21f5c3e9b5b1030a1ca846c1022e75844b6db8b98a3b0248",
+        "78bd24c5d4784b60c55233e2e53ea951a72d0987e3190a6eab9294c6357462da",
         None,
     ),
     # the README's kernel example

@@ -8,8 +8,10 @@ import pytest
 from scipy import integrate
 
 from conftest import binomial_spec, flow_at, fractional_spec, weighted_norm_quad_1d
+from multiflow.cli import EXIT_NUMERIC, EXIT_OK, main
 from multiflow.dispersion import DiffusionSpec, dispersion
 from multiflow import kernel as kernel_mod
+from multiflow import specfun as specfun_mod
 from multiflow.errors import BoxError, ConvergenceError, DomainError, GridError
 from multiflow.kernel import (
     PER_HAUSDORFF_VOLUME,
@@ -459,34 +461,22 @@ def multiscale_space_spec(alpha, dim, lstar=1.0):
 
 
 def tensor_trace_oracle(spec, sigma, halfwidth, order):
-    """Box sum of v(x) C(x, sigma) on full tensor-product grids, scalar Kummer calls."""
+    """Binomial box sum of v(x) C(x, sigma) on full tensor-product grids, scalar Kummer calls."""
     ell2 = dispersion(spec, sigma)
     ell = math.sqrt(ell2)
     tables = _axis_tables(spec, halfwidth, 4.0 * ell, order)
-    alphas = list(spec.charges.alphas)
-    if spec.multiscale_space:
-        alpha, lstar = alphas[0], spec.scales.lstar
-        coeff = lstar ** spec.dim * (
-            math.gamma(alpha / 2.0) / math.gamma(alpha) * (2.0 * ell / lstar) ** alpha
-        ) ** spec.dim
+    alpha, lstar = spec.charges.alphas[0], spec.scales.lstar
+    coeff = lstar ** spec.dim * (
+        math.gamma(alpha / 2.0) / math.gamma(alpha) * (2.0 * ell / lstar) ** alpha
+    ) ** spec.dim
     total = 0.0
     for combo in itertools.product(*tables):
         prefactor = math.prod(g for g, _, _ in combo)
-        phis = [
-            np.array([kummer_phi((1.0 - a) / 2.0, 0.5, -(x * x) / (4.0 * ell2)) for x in xs])
-            for (_, xs, _), a in zip(combo, alphas)
-        ]
-        if spec.multiscale_space:
-            grid = coeff * np.ones(())
-            for p in phis:
-                grid = np.multiply.outer(grid, p)
-            c_grid = 1.0 / ((4.0 * math.pi * ell2) ** (spec.dim / 2.0) + grid)
-        else:
-            inverse = np.ones(())
-            for p, a in zip(phis, alphas):
-                axis = math.gamma(a / 2.0) / math.gamma(a) * (2.0 * ell) ** a * p
-                inverse = np.multiply.outer(inverse, axis)
-            c_grid = 1.0 / inverse
+        grid = coeff * np.ones(())
+        for _, xs, _ in combo:
+            phi = np.array([kummer_phi((1.0 - alpha) / 2.0, 0.5, -(x * x) / (4.0 * ell2)) for x in xs])
+            grid = np.multiply.outer(grid, phi)
+        c_grid = 1.0 / ((4.0 * math.pi * ell2) ** (spec.dim / 2.0) + grid)
         w_grid = np.ones(())
         for _, _, w in combo:
             w_grid = np.multiply.outer(w_grid, w)
@@ -547,20 +537,11 @@ class TestTraceQuadrature:
     @pytest.mark.parametrize(
         "spec",
         [
-            ordinary_spec(0.45, dim=1),
-            DiffusionSpec(
-                model="ordinary", dim=2, scales=GeometryScales(),
-                charges=FractionalCharges((0.4, 0.7)),
-            ),
-            DiffusionSpec(
-                model="ordinary", dim=3, scales=GeometryScales(),
-                charges=FractionalCharges((0.35, 0.55, 1.0)),
-            ),
             multiscale_space_spec(0.5, dim=1),
             multiscale_space_spec(0.5, dim=2),
             multiscale_space_spec(0.4, dim=3, lstar=2.0),
         ],
-        ids=["frac-d1", "frac-d2", "frac-d3", "binomial-d1", "binomial-d2", "binomial-d3"],
+        ids=["binomial-d1", "binomial-d2", "binomial-d3"],
     )
     @pytest.mark.parametrize("sigma", [0.03, 2.0])
     def test_matches_tensor_product_sum(self, spec, sigma):
@@ -599,7 +580,8 @@ class TestTraceQuadrature:
 
 
 class TestCurveBatch:
-    """heat_kernel_curve takes every sigma's trace from one blocked quadrature."""
+    """heat_kernel_curve takes every sigma's trace from one G_alpha table per
+    charge (fixed charges) or one blocked quadrature (a multiscale space)."""
 
     SPECS = {
         "frac-d1": ordinary_spec(0.8, dim=1),
@@ -627,9 +609,11 @@ class TestCurveBatch:
         assert curve.Z.tolist() == scalar
 
     def test_refusal_names_first_failing_sigma(self, monkeypatch):
-        spec = self.SPECS["frac-d1"]
+        # the binomial box rule checks each sigma; its coarse/fine gaps are
+        # 1.1e-13 at the first sigma and 5.9e-13 at the second
+        spec = self.SPECS["binomial-d2"]
         grid = np.geomspace(10 ** -1.5, 1e2, 8)
-        monkeypatch.setattr(kernel_mod, "_GL_RTOL", 4e-12)
+        monkeypatch.setattr(kernel_mod, "_GL_RTOL", 3e-13)
         messages = []
         for s in grid:
             try:
@@ -641,6 +625,33 @@ class TestCurveBatch:
         with pytest.raises(ConvergenceError) as refused:
             heat_kernel_curve(spec, grid)
         assert str(refused.value) == messages[0]
+
+    def test_table_refuses_a_coarse_fine_gap(self, monkeypatch):
+        # the fixed-charge G_alpha table checks its order-24 sum against its
+        # order-40 sum once per charge; an order-3 rule misses by far more
+        monkeypatch.setattr(kernel_mod, "_GL_ORDER", 3)
+        with pytest.raises(ConvergenceError, match=r"trace table not converged: .* at alpha = 0\.3$"):
+            heat_kernel_curve(self.SPECS["frac-d2"], np.geomspace(1e-2, 1e2, 9))
+
+    def test_kummer_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        # one G_alpha table per distinct charge and call: the Kummer calls do
+        # not depend on the grid, and a second call makes them again
+        calls = []
+        engine = specfun_mod._kummer_phi_array
+
+        def counted(a, b, z):
+            calls.append(a)
+            return engine(a, b, z)
+
+        monkeypatch.setattr(kernel_mod, "_kummer_phi_array", counted)
+        monkeypatch.setattr(specfun_mod, "_kummer_phi_array", counted)
+        spec = self.SPECS["frac-d3"]  # charges 0.25, 0.6, 0.6
+        counts = []
+        for points in (5, 500, 500):
+            calls.clear()
+            heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, points))
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] == counts[2] <= 2 * 2
 
     def test_long_curve_memory(self):
         # cases are reduced block by block, so the memory held does not grow
@@ -754,11 +765,12 @@ def trace_binomial_tensor(dim, alpha, sigma, lstar=1.0):
 class TestTraceAccuracySweep:
     """Ordinary-model traces against independent oracles at 1e-10, seeded sweep.
 
-    Charges in [0.2, 0.95], sigma in [1e-2, 1e2].  Fixed charges (one per
-    axis, drawn separately) factorize, so the D-dimensional oracle is the
-    product of one-dimensional mpmath quadratures; a binomial spatial
-    profile takes mpmath.quad at D = 1 and the tensor-product rule above at
-    D = 2 and 3.
+    Fixed charges in [1e-3, 0.95], from the smallest the trace admits, and
+    binomial-profile charges in [0.2, 0.95]; sigma in [1e-2, 1e2].  Fixed
+    charges (one per axis, drawn separately) factorize, so the
+    D-dimensional oracle is the product of one-dimensional mpmath
+    quadratures; a binomial spatial profile takes mpmath.quad at D = 1 and
+    the tensor-product rule above at D = 2 and 3.
     """
 
     CASES = {(1, False): 6, (2, False): 4, (3, False): 3, (1, True): 5, (2, True): 4, (3, True): 2}
@@ -779,7 +791,7 @@ class TestTraceAccuracySweep:
                     else trace_binomial_tensor(dim, alpha, sigma)
                 )
             else:
-                alphas = rng.uniform(0.2, 0.95, dim).tolist()
+                alphas = rng.uniform(kernel_mod._G_ALPHA_MIN, 0.95, dim).tolist()
                 spec = DiffusionSpec(
                     model="ordinary", dim=dim, scales=GeometryScales(),
                     charges=FractionalCharges(tuple(alphas)),
@@ -787,3 +799,83 @@ class TestTraceAccuracySweep:
                 want = math.prod(trace_d1_mpquad(a, sigma, False) for a in alphas)
             got = return_probability(spec, sigma)
             assert abs(got / want - 1.0) < 1e-10, (spec, sigma, got, want)
+
+
+def g_alpha_mpquad(alpha, uppers):
+    """G_alpha(U) = 1/Gamma(alpha/2) int_0^U u^(alpha-1)/Phi((1-alpha)/2; 1/2; -u^2) du
+    at each U >= 1 of an increasing list, by mpmath.quad and mpmath.hyp1f1 at
+    30 digits: on [0, 1] as 1/alpha plus the integral of u^(alpha-1)(1/Phi - 1),
+    which is O(u^(alpha+1)) at 0, then panels ending at 2, 3, sqrt(30) and
+    every decade."""
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+
+        def inv_phi(u):
+            return 1 / mp.hyp1f1((1 - a) / 2, mp.mpf(1) / 2, -u * u)
+
+        total = 1 / a + mp.quad(lambda u: u ** (a - 1) * (inv_phi(u) - 1), [0, 0.5, 1])
+        breaks = [2, 3, mp.sqrt(30), *(mp.mpf(10) ** k for k in range(1, 9))]
+        values, lower = [], mp.mpf(1)
+        for upper in map(mp.mpf, uppers):
+            total += mp.quad(
+                lambda u: u ** (a - 1) * inv_phi(u), [lower, *(b for b in breaks if lower < b < upper), upper]
+            )
+            values.append(total / mp.gamma(a / 2))
+            lower = upper
+        return values
+
+
+class TestChargeTable:
+    """G_alpha, one axis of the fixed-charge trace, from its table and
+    closed-form tail at every U = L/(2 ell) >= 6 the box rule admits."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.002, 0.02, 0.2, 0.5, 0.95, 1.0])
+    def test_matches_mpmath(self, alpha):
+        uppers = [6.0, 7.5, 40.0, 1e4, 1e8]
+        g_alpha = kernel_mod._g_table(alpha)
+        for upper, want in zip(uppers, g_alpha_mpquad(alpha, uppers)):
+            assert abs(g_alpha(upper) / want - 1) < 1e-12, (alpha, upper)
+
+    def test_charge_below_the_floor_is_refused(self):
+        spec = DiffusionSpec(
+            model="ordinary", dim=2, scales=GeometryScales(), charges=FractionalCharges((0.5, 9e-4))
+        )
+        with pytest.raises(DomainError, match=r"with fixed charges needs alpha >= 0\.001, got alpha = 0\.0009$"):
+            heat_kernel_curve(spec, [1.0])
+        # at the floor the trace runs
+        return_probability(ordinary_spec(kernel_mod._G_ALPHA_MIN, dim=2), 1.0)
+
+
+def _kernel_rows(tmp_path, name, argv):
+    """Exit code and (sigma, Z) rows of one ``kernel`` run."""
+    out = tmp_path / f"{name}.csv"
+    code = main(["kernel", "--model", "ordinary", *argv, "--out", str(out)])
+    if code != EXIT_OK:
+        return code, []
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    return code, [(float(sigma), float(z)) for sigma, z, _ in (line.split(",") for line in lines[1:])]
+
+
+class TestSmallCharges:
+    """At alpha = 0.02 every ordinary trace on the default grid, 1e-6 to 1e6,
+    exited 3 at sigma = 1e-6 or 5.3e-6 with "trace quadrature not
+    converged".  With fixed charges the G_alpha table takes them; the
+    binomial box rule of a multiscale space still refuses them."""
+
+    def test_fixed_charges_run_at_every_dimension(self, tmp_path):
+        curves = {}
+        for dim in (1, 2, 3):
+            code, curves[dim] = _kernel_rows(tmp_path, f"d{dim}", ["--dim", str(dim), "--alpha", "0.02"])
+            assert code == EXIT_OK
+        for i in (0, 1, 100, 199):
+            sigma = curves[1][i][0]
+            z1 = trace_d1_mpquad(0.02, sigma, False)
+            for dim in (1, 2, 3):
+                assert curves[dim][i][0] == sigma
+                assert abs(curves[dim][i][1] / z1 ** dim - 1.0) < 1e-10, (dim, sigma)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_multiscale_space_is_still_refused(self, dim, tmp_path, capsys):
+        argv = ["--dim", str(dim), "--alpha", "0.02", "--multiscale-space"]
+        assert _kernel_rows(tmp_path, "ms", argv)[0] == EXIT_NUMERIC
+        assert "trace quadrature not converged" in capsys.readouterr().err

@@ -70,11 +70,12 @@ def test_no_model_or_process_compared_to_a_string():
 def test_kernel_reads_multiscale_space_only_in_the_bracket():
     # the weight, the trace tables and the box volume read the measure from
     # one per-axis term table, kernel._axis_terms; only the two-term bracket
-    # of the normalization and the trace's dimension rule branch on the flag
+    # of the normalization, the trace's route (the G_alpha table or the
+    # binomial box rule) and its refusal rules branch on the flag
     tree = ast.parse((Path(multiflow.__file__).parent / "kernel.py").read_text())
     readers = set()
     for top in tree.body:
         for node in ast.walk(top):
             if isinstance(node, ast.Attribute) and node.attr == "multiscale_space":
                 readers.add(getattr(top, "name", f"line {node.lineno}"))
-    assert readers <= {"_normalization_at", "_case_totals", "check_trace"}
+    assert readers <= {"_normalization_at", "_box_trace", "check_trace"}
