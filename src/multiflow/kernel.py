@@ -23,14 +23,24 @@ A trace call builds one table of G_alpha(sqrt(30)) per distinct charge,
 :func:`_g_table`, with one call of the array engine
 ``specfun._kummer_phi_array`` on Gauss-Legendre panels in ln u, whose
 order-24 sum is checked against the order-40 sum; each sigma then adds the
-closed-form tail from sqrt(30) to U and makes no Kummer call.  With a
-multiscale space the binomial bracket does not factorize, and the trace is
-a box quadrature of v(x) C(x, sigma): each axis is integrated over [0, L]
+closed-form tail from sqrt(30) to U and makes no Kummer call.  In a
+one-dimensional multiscale space the binomial bracket is exact, and the
+trace is 2 I(lam, U)/vol_H with
+I(lam, U) = int_0^U (1 + lam u^(alpha-1)/Gamma(alpha)) /
+(sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du,
+lam = (lstar/(2 ell))^(1-alpha): :func:`_binomial_axis` takes Phi on the
+same panels from one Kummer call per trace call and from DLMF 13.7.2 past
+sqrt(30), and checks the order-24 sum against the order-40 sum per sigma.
+At D >= 2 the two-term bracket does not factorize, and the trace is a box
+quadrature of v(x) C(x, sigma): each axis is integrated over [0, L]
 with doubled weights, on panels that start at the origin, since a panel
 across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which is not smooth
 there.  Its order-24 sum is checked against the order-40 sum, which is
 returned, per sigma; the cases of consecutive sigmas go to one Kummer call,
-a block of at most :data:`_PHI_CHUNK` arguments at a time.  The scalar
+a block of at most :data:`_PHI_CHUNK` arguments at a time.  It becomes a
+product of the same per-axis factors only once the normalization keeps the
+whole product bracket, whose 2^D terms factorize; the two extreme terms it
+keeps now are exact at D = 1 alone.  The scalar
 ``kummer_phi`` is left to the pointwise normalization,
 :func:`ordinary_normalization`, which shares its Gamma-ratio prefactors with
 the binomial bracket.
@@ -445,18 +455,21 @@ def check_trace(spec: DiffusionSpec) -> None:
     """Every refusal of a trace that the spec alone decides: those of
     :func:`dispersion.check_dispersion`, and, where the model's ``kernel``
     row reads a multiscale space (the ordinary model), D <= 3 on one, whose
-    binomial box sum is O(N^D), and with fixed charges every charge at or
-    above :data:`_G_ALPHA_MIN`, the floor of the G_alpha table's 1e-12; with
-    fixed charges the trace is a product of one-dimensional factors at any D."""
+    binomial box sum at D >= 2 is O(N^D), and every charge of a per-axis
+    trace at or above :data:`_G_ALPHA_MIN`: with fixed charges, at any D,
+    where the floor is the G_alpha table's 1e-12, and in a one-dimensional
+    multiscale space, whose per-axis integral :func:`_binomial_axis` is held
+    to 1e-12 of mpmath down to the same floor."""
     check_dispersion(spec)
     if "multiscale_space" not in _MODELS[spec.model].commands.get("kernel", ()):
         return
     if spec.multiscale_space and spec.dim > 3:
         raise DomainError(f"the {spec.model}-model trace needs dim <= 3, got {spec.dim}")
     smallest = min(spec.charges.alphas)
-    if not spec.multiscale_space and smallest < _G_ALPHA_MIN:
+    if (not spec.multiscale_space or spec.dim == 1) and smallest < _G_ALPHA_MIN:
+        space = "in a multiscale space" if spec.multiscale_space else "with fixed charges"
         raise DomainError(
-            f"the {spec.model}-model trace with fixed charges needs alpha >= {_G_ALPHA_MIN:g}, "
+            f"the {spec.model}-model trace {space} needs alpha >= {_G_ALPHA_MIN:g}, "
             f"got alpha = {smallest}"
         )
 
@@ -467,6 +480,38 @@ def _reciprocal_series(coeffs: list[float]) -> list[float]:
     for k in range(1, len(coeffs)):
         inverse.append(-sum(coeffs[j] * inverse[k - j] for j in range(1, k + 1)))
     return inverse
+
+
+def _series_coefficients(alpha: float) -> tuple[list[float], list[float]]:
+    """The coefficients of Phi((1-alpha)/2; 1/2; -w) in w = u^2, the
+    :data:`_G_SERIES_TERMS` of the series at u <= 0.1, and of the large-u
+    series S(t) = sum (a)_s (1 - alpha/2)_s/s! t^s of DLMF 13.7.2,
+    a = (1 - alpha)/2, the :data:`_G_TAIL_TERMS` used past sqrt(30)."""
+    a = (1.0 - alpha) / 2.0
+    phi = [1.0]
+    for k in range(1, _G_SERIES_TERMS):
+        phi.append(-phi[-1] * (a + k - 1.0) / ((k - 0.5) * k))
+    s = [1.0]
+    for k in range(1, _G_TAIL_TERMS):
+        s.append(s[-1] * (a + k - 1.0) * (k - alpha / 2.0) / k)
+    return phi, s
+
+
+def _head_table(alpha: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The Gauss-Legendre panels of :data:`_G_EDGES` in ln u at orders
+    :data:`_GL_ORDER` and :data:`_GL_REFINE`: the nodes u of both orders in
+    one array, Phi((1-alpha)/2; 1/2; -u^2) at them from one
+    ``_kummer_phi_array`` call, every argument in (-30, 0), and the ln-u
+    weights of each order, whose nodes come in that order."""
+    edges = np.log(_G_EDGES)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = [], []
+    for order in (_GL_ORDER, _GL_REFINE):
+        gl_nodes, gl_weights = _gl_rule(order)
+        nodes.append(np.exp(mid[:, None] + half[:, None] * gl_nodes).ravel())
+        weights.append((half[:, None] * gl_weights).ravel())
+    u = np.concatenate(nodes)
+    return u, _kummer_phi_array((1.0 - alpha) / 2.0, 0.5, -(u * u)), weights
 
 
 def _g_table(alpha: float):
@@ -488,28 +533,15 @@ def _g_table(alpha: float):
     whose next order is about 1e-3 of it; the part of that integral beyond
     U >= 6 is dropped, 4e-14 of G_alpha at alpha = 0.001.
     """
-    a = (1.0 - alpha) / 2.0
-    phi = [1.0]  # of Phi(a; 1/2; -w) in w = u^2
-    for k in range(1, _G_SERIES_TERMS):
-        phi.append(-phi[-1] * (a + k - 1.0) / ((k - 0.5) * k))
+    phi, s = _series_coefficients(alpha)
     first = _G_EDGES[0]
     head = sum(e * first ** (alpha + 2 * k) / (alpha + 2 * k) for k, e in enumerate(_reciprocal_series(phi)))
-    edges = np.log(_G_EDGES)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    nodes, weights = [], []
-    for order in (_GL_ORDER, _GL_REFINE):
-        gl_nodes, gl_weights = _gl_rule(order)
-        nodes.append(np.exp(mid[:, None] + half[:, None] * gl_nodes).ravel())
-        weights.append((half[:, None] * gl_weights).ravel())
-    u = np.concatenate(nodes)
-    values = np.split(u ** alpha / _kummer_phi_array(a, 0.5, -(u * u)), [nodes[0].size])
+    u, phi_nodes, weights = _head_table(alpha)
+    values = np.split(u ** alpha / phi_nodes, [weights[0].size])
     coarse, fine = (head + float(w @ v) for w, v in zip(weights, values))
     if abs(fine - coarse) > _GL_RTOL * abs(fine):
         raise ConvergenceError(f"trace table not converged: {coarse!r} vs {fine!r} at alpha = {alpha}")
 
-    s = [1.0]
-    for k in range(1, _G_TAIL_TERMS):
-        s.append(s[-1] * (a + k - 1.0) * (k - alpha / 2.0) / k)
     # the antiderivative of 1/S(u^-2) is u + p(u^-2)/u
     p = [d / (1.0 - 2.0 * k) for k, d in enumerate(_reciprocal_series(s)) if k][::-1]
 
@@ -532,11 +564,92 @@ def _g_table(alpha: float):
     return lambda upper: const + antiderivative(upper)
 
 
+def _binomial_axis(alpha: float):
+    """I(lam, U) = int_0^U (1 + lam u^(alpha-1)/Gamma(alpha)) /
+    (sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du
+    at orders :data:`_GL_ORDER` and :data:`_GL_REFINE`, as a function of
+    arrays of lam > 0 and U >= sqrt(30) that makes no Kummer call.
+
+    In u = x/(2 ell) the trace of a one-dimensional multiscale space
+    integrates to 2 I(lam, L/(2 ell)), lam = (lstar/(2 ell))^(1-alpha): the
+    binomial bracket is exact at D = 1, and sigma enters only through lam
+    and U.  On [0, 0.1] the denominator's power series in u^2 is inverted,
+    each term integrated against 1 and u^(alpha-1).  On [0.1, sqrt(30)] the
+    integrand is one (sigma x node) array on the nodes of
+    :func:`_head_table`, made once per call.  Past sqrt(30) DLMF 13.7.2
+    gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2) + E(u), E the
+    e^(-u^2) term sqrt(pi) cos(pi alpha/2)/Gamma(a) e^(-u^2) u^(-alpha)
+    (1 - r1 u^-2), a = (1 - alpha)/2, with 1/Gamma(a) written as
+    Gamma(1 - a) cos(pi alpha/2)/pi as in :func:`_g_table`.
+    The integrand is then 1/sqrt(pi), integrated in closed form, less a
+    remainder of order u^(alpha-3) taken on Gauss-Legendre panels in ln u,
+    one per decade, the last cut at U.  The panels of all sigmas are
+    evaluated as one array and summed per sigma.  E moves I by about 1e-11
+    at alpha = 0.001 where lam is large and U small; a first panel of a
+    quarter of ln u, where E lives, changed no result by more than 2e-16.
+    """
+    phi, s = _series_coefficients(alpha)
+    u, phi_nodes, weights = _head_table(alpha)
+    u_alpha, split = u ** alpha, weights[0].size
+    first, root_pi = _G_EDGES[0], math.sqrt(math.pi)
+    powers_one = [first ** (2 * k + 1) / (2 * k + 1) for k in range(len(phi))]
+    powers_alpha = [first ** (alpha + 2 * k) / (alpha + 2 * k) for k in range(len(phi))]
+    g_alpha, ratio = gamma_fn(alpha), gamma_fn(alpha / 2.0) / gamma_fn(alpha)
+    r1 = alpha * (1.0 + alpha) / 4.0
+    # sqrt(pi) cos(pi alpha/2)/Gamma(a), by 1/Gamma(a) = Gamma(1 - a) cos(pi alpha/2)/pi
+    e_coeff = gamma_fn((1.0 + alpha) / 2.0) * math.cos(math.pi * alpha / 2.0) ** 2 / root_pi
+    tau_cut, root_cut = 0.5 * math.log(_G_CUT), math.sqrt(_G_CUT)
+    rules = [_gl_rule(order) for order in (_GL_ORDER, _GL_REFINE)]
+
+    # in a box past u = 1e154 u^2 overflows to inf, whose u^-2 and e^(-u^2)
+    # are the 0 they stand for
+    @np.errstate(over="ignore")
+    def integrals(lam: np.ndarray, uppers: np.ndarray) -> list[np.ndarray]:
+        mu, k = lam / g_alpha, lam * ratio
+        r = k / (root_pi + k)
+        inverse = _reciprocal_series([1.0, *(r * c for c in phi[1:])])
+        series = sum(e * (p + mu * q) for e, p, q in zip(inverse, powers_one, powers_alpha)) / (root_pi + k)
+        f = (u + mu[:, None] * u_alpha) / (root_pi + k[:, None] * phi_nodes)
+        heads = [(f[:, :split] * weights[0]).sum(axis=1), (f[:, split:] * weights[1]).sum(axis=1)]
+
+        span = np.log(uppers) - tau_cut
+        counts = np.maximum(np.ceil(span / math.log(10.0)).astype(int), 1)
+        owner = np.repeat(np.arange(lam.size), counts)
+        index = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        offsets = math.log(10.0) * np.arange(counts.max() + 1)
+        lo, hi = offsets[index], np.minimum(offsets[index + 1], span[owner])
+        mid, half = (tau_cut + 0.5 * (hi + lo))[:, None], 0.5 * (hi - lo)[:, None]
+        mu_p, k_p = mu[owner][:, None], k[owner][:, None]
+        tails = []
+        for gl_nodes, gl_weights in rules:
+            tau = mid + half * gl_nodes
+            x = np.exp(tau)
+            y = 1.0 / (x * x)
+            s_rest = np.zeros_like(y)  # (S - 1)/y
+            for coeff in s[:0:-1]:
+                s_rest = s_rest * y + coeff
+            power = mu_p * np.exp((alpha - 1.0) * tau)
+            e_term = k_p * e_coeff * np.exp(-(x * x) - alpha * tau) * (1.0 - r1 * y)
+            # 1/sqrt(pi) less the integrand, times du/dtau = x
+            rest = x * (root_pi * power * y * s_rest + e_term) / (
+                root_pi * (root_pi * (1.0 + power * (1.0 + y * s_rest)) + e_term)
+            )
+            panels = (rest * (half * gl_weights)).sum(axis=1)
+            tails.append(np.bincount(owner, weights=panels, minlength=lam.size))
+        linear = (uppers - root_cut) / root_pi
+        return [series + head + linear - tail for head, tail in zip(heads, tails)]
+
+    return integrals
+
+
 def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
     """ordinary: the trace of the module doc per Hausdorff volume of the box.
     With fixed charges each sigma is read off one :func:`_g_table` per
-    distinct charge at U = L/(2 ell) >= 6; in a multiscale space both orders
-    of every sigma come from one :func:`_trace_quadrature` call."""
+    distinct charge at U = L/(2 ell) >= 6; in a one-dimensional multiscale
+    space every sigma is 2 I(lam, U) of one :func:`_binomial_axis`, and at
+    D >= 2 both orders of every sigma come from one :func:`_trace_quadrature`
+    call.  Both multiscale rules refuse the first sigma whose orders differ
+    by more than :data:`_GL_RTOL`."""
     boxes = []
     for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
@@ -556,10 +669,17 @@ def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) ->
             axis = {a: 2.0 * g_alpha(halfwidth / (2.0 * ell)) for a, g_alpha in tables.items()}
             traces.append(math.prod(axis[a] for a in alphas) / _hausdorff_box_volume(spec, halfwidth))
         return np.array(traces)
-    cases = [(ell2, halfwidth, order) for ell2, _, halfwidth in boxes for order in (_GL_ORDER, _GL_REFINE)]
-    totals = _trace_quadrature(spec, cases)
+    if spec.dim == 1:
+        alpha, lstar = spec.charges.alphas[0], spec.scales.lstar
+        lam = np.array([(lstar / (2.0 * ell)) ** (1.0 - alpha) for _, ell, _ in boxes])
+        uppers = np.array([halfwidth / (2.0 * ell) for _, ell, halfwidth in boxes])
+        coarses, fines = ((2.0 * total).tolist() for total in _binomial_axis(alpha)(lam, uppers))
+    else:
+        cases = [(ell2, halfwidth, order) for ell2, _, halfwidth in boxes for order in (_GL_ORDER, _GL_REFINE)]
+        totals = _trace_quadrature(spec, cases)
+        coarses, fines = totals[::2], totals[1::2]
     traces = []
-    for sigma, (_, _, halfwidth), coarse, fine in zip(sigmas.tolist(), boxes, totals[::2], totals[1::2]):
+    for sigma, (_, _, halfwidth), coarse, fine in zip(sigmas.tolist(), boxes, coarses, fines):
         if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
             raise ConvergenceError(
                 f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
@@ -598,8 +718,10 @@ def heat_kernel_curve(
     """Sample Z(sigma) on a grid with the model's volume convention tag.
 
     The whole grid takes one dispersion call, and the ordinary-model traces
-    one G_alpha table per distinct charge (fixed charges) or one blocked
-    quadrature call (a multiscale space); each value equals the one-sigma
+    one G_alpha table per distinct charge (fixed charges), one Phi table (a
+    one-dimensional multiscale space) or one blocked quadrature call (a
+    multiscale space at D >= 2, until the exact bracket makes it a product
+    of per-axis tables); each value equals the one-sigma
     :func:`return_probability` bit for bit.
     """
     sig = np.asarray(sigmas, dtype=float)

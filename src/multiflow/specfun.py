@@ -47,6 +47,11 @@ _REL_TOL = 1e-14
 _MAX_TERMS = 10_000
 # Terms generated per step by the array series of Phi (_term_block).
 _SERIES_BLOCK = 32
+# Widest block whose running products and sums _term_block takes by
+# ``accumulate``.  timeit minima of _kummer_phi_array(0.27, 0.5, z) on a
+# 2-core x86-64 machine, row loop -> accumulate at every width: 104 -> 55 us
+# at 1 argument, but 381 -> 479 us at 320 and 633 -> 841 us at 800.
+_ACCUMULATE_COLUMNS = 128
 # Gauss-Legendre order in ln s of every decade panel (decade_panels): 16
 # nodes are within 1.6e-17 of the integral at |power| up to 0.999, 10 would
 # be 1.4e-15 off (tests/test_removable_poles.py).
@@ -82,14 +87,21 @@ def _term_block(
     Writes one row per term index in ``n`` and one column per element of
     ``x`` into ``terms`` and ``sums``, views of the caller's work arrays;
     ``term`` and ``total`` are each element's last term and sum before the
-    block.  The running products and sums go row by row: each element gets
-    the multiplications and additions of a term-by-term loop, in its order,
-    and each row is one array operation over all the elements.
+    block.  Each element gets the multiplications and additions of a
+    term-by-term loop, in its order.  Up to :data:`_ACCUMULATE_COLUMNS`
+    elements the running products and sums are one in-place ``accumulate``
+    each down the rows; wider blocks go row by row, one array operation per
+    row, since ``accumulate`` makes one inner-loop call per column.
     """
     np.multiply(coeff[:, None], x, out=terms)
     terms /= (n + 1.0)[:, None]
     terms[0] *= term
     np.add(terms[0], total, out=sums[0])
+    if x.size <= _ACCUMULATE_COLUMNS:
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        sums[1:] = terms[1:]
+        np.add.accumulate(sums, axis=0, out=sums)
+        return
     t, s = list(terms), list(sums)
     for i in range(1, n.size):
         np.multiply(t[i], t[i - 1], out=t[i])

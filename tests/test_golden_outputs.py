@@ -112,9 +112,10 @@ GOLDEN = {
         "a4e2a6334c07d39dcadfa3a999b7a5f17b398f3ebe481a22ecdd092b7f4cbc93",
         None,
     ),
+    # the per-axis integral I(lam, U) of a one-dimensional multiscale space
     "kernel-multiscale-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "7"),
-        "84ba2862d32769a6ab0c5e49f68c425591c11826d546333b22ac913ad647b34e",
+        "bebac6c0847a7687c88b0980df776db004ed642dfe179b25267d769e0349d8df",
         None,
     ),
     # the binomial box sum over the expanded 2^D term combinations

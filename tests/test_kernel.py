@@ -581,7 +581,8 @@ class TestTraceQuadrature:
 
 class TestCurveBatch:
     """heat_kernel_curve takes every sigma's trace from one G_alpha table per
-    charge (fixed charges) or one blocked quadrature (a multiscale space)."""
+    charge (fixed charges), one Phi table (a one-dimensional multiscale
+    space) or one blocked quadrature (a multiscale space at D >= 2)."""
 
     SPECS = {
         "frac-d1": ordinary_spec(0.8, dim=1),
@@ -594,6 +595,10 @@ class TestCurveBatch:
             charges=FractionalCharges((0.25, 0.6, 0.6)),
         ),
         "binomial-d1": multiscale_space_spec(0.7, dim=1),
+        "binomial-d1-beta-star": DiffusionSpec(
+            model="ordinary", dim=1, scales=GeometryScales(lstar=0.5),
+            charges=FractionalCharges((0.3,)), beta_star=0.5, multiscale_space=True,
+        ),
         "binomial-d2": multiscale_space_spec(0.35, dim=2, lstar=2.0),
     }
 
@@ -609,22 +614,30 @@ class TestCurveBatch:
         assert curve.Z.tolist() == scalar
 
     def test_refusal_names_first_failing_sigma(self, monkeypatch):
-        # the binomial box rule checks each sigma; its coarse/fine gaps are
-        # 1.1e-13 at the first sigma and 5.9e-13 at the second
-        spec = self.SPECS["binomial-d2"]
-        grid = np.geomspace(10 ** -1.5, 1e2, 8)
-        monkeypatch.setattr(kernel_mod, "_GL_RTOL", 3e-13)
-        messages = []
-        for s in grid:
-            try:
-                return_probability(spec, s)
-            except ConvergenceError as exc:
-                messages.append(str(exc))
-        # the first sigma passes, so the refusal must come from later in the grid
-        assert messages and f"at sigma = {grid[0]}" not in messages[0]
-        with pytest.raises(ConvergenceError) as refused:
-            heat_kernel_curve(spec, grid)
-        assert str(refused.value) == messages[0]
+        # both multiscale rules check each sigma.  The binomial box rule's
+        # coarse/fine gaps on binomial-d2 are 1.1e-13 at the first sigma and
+        # 5.9e-13 at the second; the per-axis integral's at order 4 on
+        # binomial-d1 are 4.6e-7 and 7.9e-7
+        cases = {
+            "binomial-d2": (np.geomspace(10 ** -1.5, 1e2, 8), {"_GL_RTOL": 3e-13}),
+            "binomial-d1": (np.geomspace(1e-2, 1e2, 9), {"_GL_ORDER": 4, "_GL_RTOL": 6e-7}),
+        }
+        for name, (grid, patches) in cases.items():
+            spec = self.SPECS[name]
+            with monkeypatch.context() as patch:
+                for constant, value in patches.items():
+                    patch.setattr(kernel_mod, constant, value)
+                messages = []
+                for s in grid:
+                    try:
+                        return_probability(spec, s)
+                    except ConvergenceError as exc:
+                        messages.append(str(exc))
+                # the first sigma passes, so the refusal must come from later in the grid
+                assert messages and f"at sigma = {grid[0]}" not in messages[0], name
+                with pytest.raises(ConvergenceError) as refused:
+                    heat_kernel_curve(spec, grid)
+                assert str(refused.value) == messages[0], name
 
     def test_table_refuses_a_coarse_fine_gap(self, monkeypatch):
         # the fixed-charge G_alpha table checks its order-24 sum against its
@@ -634,8 +647,10 @@ class TestCurveBatch:
             heat_kernel_curve(self.SPECS["frac-d2"], np.geomspace(1e-2, 1e2, 9))
 
     def test_kummer_calls_do_not_grow_with_the_grid(self, monkeypatch):
-        # one G_alpha table per distinct charge and call: the Kummer calls do
-        # not depend on the grid, and a second call makes them again
+        # one G_alpha table per distinct charge and call (fixed charges), one
+        # Phi table per call (a one-dimensional multiscale space, with or
+        # without beta*): the Kummer calls do not depend on the grid, and a
+        # second call makes them again
         calls = []
         engine = specfun_mod._kummer_phi_array
 
@@ -645,13 +660,13 @@ class TestCurveBatch:
 
         monkeypatch.setattr(kernel_mod, "_kummer_phi_array", counted)
         monkeypatch.setattr(specfun_mod, "_kummer_phi_array", counted)
-        spec = self.SPECS["frac-d3"]  # charges 0.25, 0.6, 0.6
-        counts = []
-        for points in (5, 500, 500):
-            calls.clear()
-            heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, points))
-            counts.append(len(calls))
-        assert 0 < counts[0] == counts[1] == counts[2] <= 2 * 2
+        for name in ("frac-d3", "binomial-d1", "binomial-d1-beta-star"):  # frac-d3: charges 0.25, 0.6, 0.6
+            counts = []
+            for points in (5, 500, 500):
+                calls.clear()
+                heat_kernel_curve(self.SPECS[name], np.geomspace(1e-2, 1e2, points))
+                counts.append(len(calls))
+            assert 0 < counts[0] == counts[1] == counts[2] <= (2 * 2 if name == "frac-d3" else 1), name
 
     def test_long_curve_memory(self):
         # cases are reduced block by block, so the memory held does not grow
@@ -674,19 +689,20 @@ def _mp_phi(alpha, xs, ell2):
         return np.array([float(mp.hyp1f1(a, 0.5, -mp.mpf(x) ** 2 / (4 * ell2))) for x in xs])
 
 
-def trace_d1_mpquad(alpha, sigma, multiscale, lstar=1.0):
+def trace_d1_mpquad(alpha, sigma, multiscale, lstar=1.0, ell2=None, box=None):
     """mpmath.quad of the one-dimensional ordinary-model trace per Hausdorff box volume.
 
-    beta = nu = kappa = 1, so ell^2 = sigma; the box is max(12 ell, 10 lstar).
-    Fixed charge: v = |x|^(alpha-1)/Gamma(alpha); binomial profile:
+    ell^2 is ``ell2`` if given, else sigma (beta = nu = kappa = 1); the box
+    half-width is ``box`` if given, else max(12 ell, 10 lstar).  Fixed
+    charge: v = |x|^(alpha-1)/Gamma(alpha); binomial profile:
     v = 1 + lstar^(1-alpha) |x|^(alpha-1)/Gamma(alpha).  The fractional part
     is integrated in u = x^alpha, with breaks at a few diffusion lengths.
     """
     with mp.workdps(20):
         a = mp.mpf(alpha)
-        ell2 = mp.mpf(sigma)
+        ell2 = mp.mpf(sigma if ell2 is None else ell2)
         ell = mp.sqrt(ell2)
-        box = max(12 * ell, 10 * mp.mpf(lstar))
+        box = max(12 * ell, 10 * mp.mpf(lstar)) if box is None else mp.mpf(box)
         kummer = mp.gamma(a / 2) / mp.gamma(a) * (2 * ell) ** a
         breaks = [ell * k for k in (1, 2, 4, 8, 16) if ell * k < box]
         if multiscale:
@@ -770,7 +786,10 @@ class TestTraceAccuracySweep:
     charges (one per axis, drawn separately) factorize, so the
     D-dimensional oracle is the product of one-dimensional mpmath
     quadratures; a binomial spatial profile takes mpmath.quad at D = 1 and
-    the tensor-product rule above at D = 2 and 3.
+    the tensor-product rule above at D = 2 and 3.  A one-dimensional
+    multiscale space is also swept densely at 1e-12: charges log-uniform from
+    the floor to 0.95, sigma in [1e-6, 1e3], with and without beta* and in a
+    fixed box.
     """
 
     CASES = {(1, False): 6, (2, False): 4, (3, False): 3, (1, True): 5, (2, True): 4, (3, True): 2}
@@ -799,6 +818,49 @@ class TestTraceAccuracySweep:
                 want = math.prod(trace_d1_mpquad(a, sigma, False) for a in alphas)
             got = return_probability(spec, sigma)
             assert abs(got / want - 1.0) < 1e-10, (spec, sigma, got, want)
+
+    # beta*, lstar, the largest charge drawn and the box: the default, a
+    # fixed half-width, or 13 ell.  In the narrow box U = 6.5, and with
+    # lstar/ell large the e^(-u^2) term of Phi moves small charges by 1e-11
+    MULTISCALE_D1 = {
+        "none": (None, 1.0, 0.95, None),
+        "beta-star-0.5": (0.5, 1.0, 0.95, None),
+        "beta-star-1.5": (1.5, 1.0, 0.95, None),
+        "fixed-box": (None, 1.0, 0.95, ("fixed", 60.0)),
+        "narrow-box": (None, 1e4, 0.01, ("ell", 13.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MULTISCALE_D1))
+    def test_multiscale_d1_dense(self, case):
+        # the per-axis integral of a one-dimensional multiscale space at
+        # 1e-12, from the charge floor up and over the sigma range where the
+        # binomial box rule was 1e-10 off or refused
+        beta_star, lstar, top, box = self.MULTISCALE_D1[case]
+        rng = np.random.default_rng(sorted(self.MULTISCALE_D1).index(case) + 36)
+        for _ in range(2 if box else 3):
+            alpha = math.exp(rng.uniform(math.log(kernel_mod._G_ALPHA_MIN), math.log(top)))
+            sigma = float(10.0 ** rng.uniform(-6.0, 3.0))
+            spec = DiffusionSpec(
+                model="ordinary", dim=1, scales=GeometryScales(lstar=lstar),
+                charges=FractionalCharges((alpha,)), beta_star=beta_star, multiscale_space=True,
+            )
+            halfwidth = None
+            if box and box[0] == "fixed":  # wide enough for 12 ell
+                sigma, halfwidth = min(sigma, (box[1] / 12.0) ** 2), box[1]
+            ell2 = dispersion(spec, sigma)
+            if box and box[0] == "ell":
+                halfwidth = box[1] * math.sqrt(ell2)
+            want = trace_d1_mpquad(alpha, sigma, True, lstar=lstar, ell2=ell2, box=halfwidth)
+            got = return_probability(spec, sigma, halfwidth)
+            assert abs(got / want - 1.0) < 1e-12, (spec, sigma, got, want)
+
+    def test_multiscale_d1_huge_box(self):
+        # u^2 overflows past u = 1e154 without a warning, and in a box that
+        # wide the constant part of the measure leaves the Gaussian trace
+        spec = multiscale_space_spec(0.5, dim=1)
+        for sigma in (1e-6, 1.0, 1e3):
+            z = return_probability(spec, sigma, 1e300)
+            assert abs(z * math.sqrt(4.0 * math.pi * sigma) - 1.0) < 1e-12, sigma
 
 
 def g_alpha_mpquad(alpha, uppers):
@@ -844,6 +906,10 @@ class TestChargeTable:
             heat_kernel_curve(spec, [1.0])
         # at the floor the trace runs
         return_probability(ordinary_spec(kernel_mod._G_ALPHA_MIN, dim=2), 1.0)
+        # the per-axis integral of a one-dimensional multiscale space has the same floor
+        with pytest.raises(DomainError, match=r"in a multiscale space needs alpha >= 0\.001, got alpha = 0\.0009$"):
+            heat_kernel_curve(multiscale_space_spec(9e-4, dim=1), [1.0])
+        return_probability(multiscale_space_spec(kernel_mod._G_ALPHA_MIN, dim=1), 1.0)
 
 
 def _kernel_rows(tmp_path, name, argv):
@@ -859,8 +925,9 @@ def _kernel_rows(tmp_path, name, argv):
 class TestSmallCharges:
     """At alpha = 0.02 every ordinary trace on the default grid, 1e-6 to 1e6,
     exited 3 at sigma = 1e-6 or 5.3e-6 with "trace quadrature not
-    converged".  With fixed charges the G_alpha table takes them; the
-    binomial box rule of a multiscale space still refuses them."""
+    converged".  With fixed charges the G_alpha table takes them, and in a
+    one-dimensional multiscale space the per-axis Phi table; the binomial
+    box rule of a multiscale space at D = 2 still refuses them."""
 
     def test_fixed_charges_run_at_every_dimension(self, tmp_path):
         curves = {}
@@ -874,7 +941,14 @@ class TestSmallCharges:
                 assert curves[dim][i][0] == sigma
                 assert abs(curves[dim][i][1] / z1 ** dim - 1.0) < 1e-10, (dim, sigma)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    def test_multiscale_space_runs_at_d1(self, tmp_path):
+        code, rows = _kernel_rows(tmp_path, "ms-d1", ["--dim", "1", "--alpha", "0.02", "--multiscale-space"])
+        assert code == EXIT_OK
+        for i in (0, 199):
+            sigma, z = rows[i]
+            assert abs(z / trace_d1_mpquad(0.02, sigma, True) - 1.0) < 1e-12, sigma
+
+    @pytest.mark.parametrize("dim", [2])
     def test_multiscale_space_is_still_refused(self, dim, tmp_path, capsys):
         argv = ["--dim", str(dim), "--alpha", "0.02", "--multiscale-space"]
         assert _kernel_rows(tmp_path, "ms", argv)[0] == EXIT_NUMERIC

@@ -397,3 +397,49 @@ def test_direct_series_overflow_is_refused(a, b, z):
     assert_refused(a, b, [1.0, 600.0, z, 2.0, z - 100.0])
     with mp.workdps(40):
         assert mp.isfinite(mp.hyp1f1(a, b, z - 100.0))
+
+
+def term_block_rows(coeff, x, n, term, total, terms, sums):
+    """The row loop of ``specfun._term_block``: the running products and sums
+    of a block one row at a time, each row one array operation."""
+    np.multiply(coeff[:, None], x, out=terms)
+    terms /= (n + 1.0)[:, None]
+    terms[0] *= term
+    np.add(terms[0], total, out=sums[0])
+    for i in range(1, n.size):
+        np.multiply(terms[i], terms[i - 1], out=terms[i])
+        np.add(sums[i - 1], terms[i], out=sums[i])
+
+
+def test_term_block_matches_row_loop(monkeypatch):
+    # accumulate and the row loop make the same products and sums in the
+    # same order: the same bits for one block, on both sides of the width
+    # where the block switches, and for whole Kummer calls, one-element calls
+    # and sums of several blocks included
+    rng = np.random.default_rng(36)
+    widest = specfun._ACCUMULATE_COLUMNS
+    for size in (1, 3, widest, widest + 1, 300):
+        block = specfun._SERIES_BLOCK
+        n = np.arange(block, block + int(rng.integers(1, block + 1)))
+        args = (rng.uniform(0.1, 2.0, n.size), rng.uniform(0.0, 30.0, size), n,
+                rng.uniform(0.1, 1.0, size), rng.uniform(1.0, 1e6, size))
+        got, want = (np.empty((2, n.size, size)) for _ in range(2))
+        specfun._term_block(*args, *got)
+        term_block_rows(*args, *want)
+        np.testing.assert_array_equal(got, want)
+
+    zs = np.concatenate(
+        [[-25.0, -29.9], -rng.uniform(0.0, 30.0, 200), -np.exp(rng.uniform(np.log(30.0), np.log(1e3), 50))]
+    )
+    params = [(0.27, 0.5)] + list(zip(rng.uniform(-1.5, 0.45, 5).tolist(), rng.uniform(0.5, 3.0, 5).tolist()))
+
+    def calls(a, b):
+        return [_kummer_phi_array(a, b, zs), *(_kummer_phi_array(a, b, zs[i : i + 1]) for i in range(0, zs.size, 25))]
+
+    for a, b in params:
+        got = calls(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_term_block", term_block_rows)
+            want = calls(a, b)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
