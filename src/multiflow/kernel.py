@@ -15,23 +15,21 @@ weight, the trace's per-axis tables and the box volume read one per-axis
 term table, :func:`_axis_terms`: the spec's spatial profile in a
 multiscale space, else one fractional term per direction.
 
-The ordinary-model trace with fixed charges is a product of one factor per
-direction.  In u = x/(2 ell) the factor of charge alpha is 2 G_alpha(U),
-G_alpha(U) = 1/Gamma(alpha/2) int_0^U u^(alpha-1)/Phi((1-alpha)/2; 1/2; -u^2) du,
-so sigma enters only through U = L/(2 ell) >= 6 for a box of half-width L.
-A trace call builds one table of G_alpha(sqrt(30)) per distinct charge,
-:func:`_g_table`, with one call of the array engine
-``specfun._kummer_phi_array`` on Gauss-Legendre panels in ln u, whose
-order-24 sum is checked against the order-40 sum; each sigma then adds the
-closed-form tail from sqrt(30) to U and makes no Kummer call.  In a
-one-dimensional multiscale space the binomial bracket is exact, and the
-trace is 2 I(lam, U)/vol_H with
-I(lam, U) = int_0^U (1 + lam u^(alpha-1)/Gamma(alpha)) /
-(sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du,
-lam = (lstar/(2 ell))^(1-alpha): :func:`_binomial_axis` takes Phi on the
-same panels from one Kummer call per trace call and from DLMF 13.7.2 past
-sqrt(30), and checks the order-24 sum against the order-40 sum per sigma.
-At D >= 2 the two-term bracket does not factorize, and the trace is a box
+The ordinary-model trace with fixed charges, and in a one-dimensional
+multiscale space, where the binomial bracket is exact, is a product of one
+factor per direction.  In u = x/(2 ell) the factor of charge alpha is
+2 I_p(lam, U), with
+I_p(lam, U) = int_0^U (p + lam u^(alpha-1)/Gamma(alpha)) /
+(p sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du,
+p the weight of the direction's constant term: 0 with fixed charges, where
+lam cancels, and 1 in a multiscale space, where lam = (lstar/(2 ell))^(1-alpha).
+sigma enters only through lam and U = L/(2 ell) >= 6 for a box of
+half-width L.  A trace call makes one :func:`_axis_integral` per distinct
+charge, with one call of the array engine ``specfun._kummer_phi_array`` on
+Gauss-Legendre panels in ln u out to sqrt(30), and takes Phi past sqrt(30)
+from DLMF 13.7.2; no sigma makes a Kummer call, and each sigma's order-24
+product is checked against its order-40 product.  In a multiscale space
+at D >= 2 the two-term bracket does not factorize, and the trace is a box
 quadrature of v(x) C(x, sigma): each axis is integrated over [0, L]
 with doubled weights, on panels that start at the origin, since a panel
 across x = 0 would see |u|^(2/alpha) in u = |x|^alpha, which is not smooth
@@ -56,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .dispersion import _MODELS, DiffusionSpec, check_dispersion, dispersion
-from .errors import BoxError, ConvergenceError, DomainError, SingularPointError
+from .errors import BoxError, ConvergenceError, DomainError, GridError, SingularPointError
 from .grid import check_grid, check_sigma, log_slope, powers
 from .measure import geometric_profile
 from .specfun import _kummer_phi_array, gamma_fn, kummer_phi
@@ -81,13 +79,13 @@ PER_HAUSDORFF_VOLUME = "per-hausdorff-volume"
 # Minimum box half-width in units of the diffusion length for trace quadrature.
 _BOX_ELL_FACTOR = 12.0
 _BOX_LSTAR_FACTOR = 10.0
-# Gauss-Legendre order per panel of the binomial box rule and of the G_alpha
-# table, and of the refinement check of each: the order-24 sum must be within
-# _GL_RTOL of the order-40 sum, which is returned.
+# Gauss-Legendre order per panel of the binomial box rule and of the per-axis
+# integral, and of the refinement check of each: per sigma, the order-24 sum
+# must be within _GL_RTOL of the order-40 sum, which is returned.
 _GL_ORDER = 24
 _GL_REFINE = 40
 _GL_RTOL = 1e-7
-# The G_alpha table of the fixed-charge trace: the power series of 1/Phi on
+# The head of the per-axis integral: the power series of its denominator on
 # [0, 0.1], one decade panel in ln u, then four panels of equal width in ln u
 # out to u^2 = _G_CUT.  Every Kummer argument -u^2 then lies in (-30, 0).  At
 # small charges 1/Phi climbs as e^(u^2) until u^2 is about ln(1/alpha), and
@@ -95,15 +93,19 @@ _GL_RTOL = 1e-7
 # 4e-10 off at alpha = 0.002.
 _G_CUT = 30.0
 _G_EDGES = (0.1, 1.0, *(_G_CUT ** (k / 8.0) for k in range(1, 4)), math.sqrt(_G_CUT))
-# Terms of the power series of 1/Phi at u <= 0.1, below 1e-20 of its sum, and
+# Terms of the power series of Phi at u <= 0.1, below 1e-20 of its sum, and
 # of the large-u series past sqrt(30), which diverges there past about 30
-# terms: 30 leave G_alpha within 3e-15 of mpmath at alpha >= 0.02, 20 left 8e-14.
+# terms: 30 leave the fixed-charge integral within 3e-15 of mpmath at
+# alpha >= 0.02, 20 left 8e-14.
 _G_SERIES_TERMS = 12
 _G_TAIL_TERMS = 30
-# The smallest fixed charge whose G_alpha holds 1e-12 of mpmath: the e^(-u^2)
-# term of the tail grows as 1/alpha, and the table's Kummer values lose
-# about 1e-16/alpha to the rounding of (1 - alpha)/2.
+# The smallest charge whose per-axis integral holds 1e-12 of mpmath: the
+# e^(-u^2) term of the tail grows as 1/alpha, and the head's Kummer values
+# lose about 1e-16/alpha to the rounding of (1 - alpha)/2.
 _G_ALPHA_MIN = 1e-3
+# Largest number of sigmas whose per-axis integrals are one array: the head
+# holds a few (sigma x 320) float arrays, about 0.2 MB each at 64 sigmas.
+_SIGMA_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -456,10 +458,9 @@ def check_trace(spec: DiffusionSpec) -> None:
     :func:`dispersion.check_dispersion`, and, where the model's ``kernel``
     row reads a multiscale space (the ordinary model), D <= 3 on one, whose
     binomial box sum at D >= 2 is O(N^D), and every charge of a per-axis
-    trace at or above :data:`_G_ALPHA_MIN`: with fixed charges, at any D,
-    where the floor is the G_alpha table's 1e-12, and in a one-dimensional
-    multiscale space, whose per-axis integral :func:`_binomial_axis` is held
-    to 1e-12 of mpmath down to the same floor."""
+    trace (fixed charges at any D, a multiscale space at D = 1) at or above
+    :data:`_G_ALPHA_MIN`, down to which :func:`_axis_integral` is held to
+    1e-12 of mpmath."""
     check_dispersion(spec)
     if "multiscale_space" not in _MODELS[spec.model].commands.get("kernel", ()):
         return
@@ -474,123 +475,49 @@ def check_trace(spec: DiffusionSpec) -> None:
         )
 
 
-def _reciprocal_series(coeffs: list[float]) -> list[float]:
-    """The coefficients of 1/f, as many as given, of a power series f with f_0 = 1."""
-    inverse = [1.0]
-    for k in range(1, len(coeffs)):
-        inverse.append(-sum(coeffs[j] * inverse[k - j] for j in range(1, k + 1)))
-    return inverse
-
-
-def _series_coefficients(alpha: float) -> tuple[list[float], list[float]]:
-    """The coefficients of Phi((1-alpha)/2; 1/2; -w) in w = u^2, the
-    :data:`_G_SERIES_TERMS` of the series at u <= 0.1, and of the large-u
-    series S(t) = sum (a)_s (1 - alpha/2)_s/s! t^s of DLMF 13.7.2,
-    a = (1 - alpha)/2, the :data:`_G_TAIL_TERMS` used past sqrt(30)."""
-    a = (1.0 - alpha) / 2.0
-    phi = [1.0]
-    for k in range(1, _G_SERIES_TERMS):
-        phi.append(-phi[-1] * (a + k - 1.0) / ((k - 0.5) * k))
-    s = [1.0]
-    for k in range(1, _G_TAIL_TERMS):
-        s.append(s[-1] * (a + k - 1.0) * (k - alpha / 2.0) / k)
-    return phi, s
-
-
-def _head_table(alpha: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The Gauss-Legendre panels of :data:`_G_EDGES` in ln u at orders
-    :data:`_GL_ORDER` and :data:`_GL_REFINE`: the nodes u of both orders in
-    one array, Phi((1-alpha)/2; 1/2; -u^2) at them from one
-    ``_kummer_phi_array`` call, every argument in (-30, 0), and the ln-u
-    weights of each order, whose nodes come in that order."""
-    edges = np.log(_G_EDGES)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    nodes, weights = [], []
-    for order in (_GL_ORDER, _GL_REFINE):
-        gl_nodes, gl_weights = _gl_rule(order)
-        nodes.append(np.exp(mid[:, None] + half[:, None] * gl_nodes).ravel())
-        weights.append((half[:, None] * gl_weights).ravel())
-    u = np.concatenate(nodes)
-    return u, _kummer_phi_array((1.0 - alpha) / 2.0, 0.5, -(u * u)), weights
-
-
-def _g_table(alpha: float):
-    """G_alpha(U) = 1/Gamma(alpha/2) int_0^U u^(alpha-1)/Phi((1-alpha)/2; 1/2; -u^2) du
-    as a function of U >= sqrt(30) that makes no Kummer call.
-
-    In u = x/(2 ell) one axis of the fixed-charge trace integrates to
-    2 G_alpha(L/(2 ell)).  G_alpha(sqrt(30)) is summed on :data:`_G_EDGES`:
-    the power series of 1/Phi in u^2 on [0, 0.1], each term integrated
-    against u^(alpha-1), then u^alpha/Phi on Gauss-Legendre panels in ln u,
-    at both orders in one Kummer call; orders that differ by more than
-    :data:`_GL_RTOL` raise :class:`ConvergenceError`.  Past sqrt(30), DLMF
-    13.7.2 gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2), with S
-    the series sum (a)_s (1 - alpha/2)_s/s! t^s, a = (1 - alpha)/2, plus an
-    e^(-u^2) term.  The first makes the integrand 1/(sqrt(pi) S), integrated
-    term by term in 1/S.  The second, of relative size Gamma(alpha/2)/Gamma(a)
-    cos(pi alpha/2) e^(-u^2) u^(1 - 2 alpha) (2.9e-10 at alpha = 0.002 and
-    u^2 = 30), adds its integral from sqrt(30) on, to first order in u^-2,
-    whose next order is about 1e-3 of it; the part of that integral beyond
-    U >= 6 is dropped, 4e-14 of G_alpha at alpha = 0.001.
-    """
-    phi, s = _series_coefficients(alpha)
-    first = _G_EDGES[0]
-    head = sum(e * first ** (alpha + 2 * k) / (alpha + 2 * k) for k, e in enumerate(_reciprocal_series(phi)))
-    u, phi_nodes, weights = _head_table(alpha)
-    values = np.split(u ** alpha / phi_nodes, [weights[0].size])
-    coarse, fine = (head + float(w @ v) for w, v in zip(weights, values))
-    if abs(fine - coarse) > _GL_RTOL * abs(fine):
-        raise ConvergenceError(f"trace table not converged: {coarse!r} vs {fine!r} at alpha = {alpha}")
-
-    # the antiderivative of 1/S(u^-2) is u + p(u^-2)/u
-    p = [d / (1.0 - 2.0 * k) for k, d in enumerate(_reciprocal_series(s)) if k][::-1]
-
-    def antiderivative(upper: float) -> float:
-        y, total = 1.0 / (upper * upper), 0.0
-        for coeff in p:
-            total = total * y + coeff
-        return (upper + total / upper) / math.sqrt(math.pi)
-
-    # the e^(-u^2) term's integral, -Gamma(alpha/2)/Gamma(a) cos(pi alpha/2)
-    # e^(-30) 30^(-alpha)/(2 sqrt(pi)) (1 - (alpha + r1 + 2 s1)/30): with
-    # 1/Gamma(a) = Gamma(1 - a) cos(pi alpha/2)/pi and the duplication formula
-    # it has no pole at alpha = 1, where it vanishes
-    r1 = alpha * (1.0 + alpha) / 4.0
-    exp_term = -(
-        2.0 ** -alpha * gamma_fn(alpha) * math.cos(math.pi * alpha / 2.0) ** 2 / math.pi
-        * math.exp(-_G_CUT) * _G_CUT ** -alpha * (1.0 - (alpha + r1 + 2.0 * s[1]) / _G_CUT)
-    )
-    const = fine / gamma_fn(alpha / 2.0) + exp_term - antiderivative(_G_EDGES[-1])
-    return lambda upper: const + antiderivative(upper)
-
-
-def _binomial_axis(alpha: float):
-    """I(lam, U) = int_0^U (1 + lam u^(alpha-1)/Gamma(alpha)) /
-    (sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du
+def _axis_integral(alpha: float, p: float):
+    """I_p(lam, U) = int_0^U (p + lam u^(alpha-1)/Gamma(alpha)) /
+    (p sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du
     at orders :data:`_GL_ORDER` and :data:`_GL_REFINE`, as a function of
     arrays of lam > 0 and U >= sqrt(30) that makes no Kummer call.
 
-    In u = x/(2 ell) the trace of a one-dimensional multiscale space
-    integrates to 2 I(lam, L/(2 ell)), lam = (lstar/(2 ell))^(1-alpha): the
-    binomial bracket is exact at D = 1, and sigma enters only through lam
-    and U.  On [0, 0.1] the denominator's power series in u^2 is inverted,
-    each term integrated against 1 and u^(alpha-1).  On [0.1, sqrt(30)] the
-    integrand is one (sigma x node) array on the nodes of
-    :func:`_head_table`, made once per call.  Past sqrt(30) DLMF 13.7.2
-    gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2) + E(u), E the
+    In u = x/(2 ell) one axis of the ordinary-model trace integrates to
+    2 I_p(lam, L/(2 ell)), p the weight of the axis's constant term.  With
+    fixed charges p = 0, lam cancels and I_0(U) = 1/Gamma(alpha/2)
+    int_0^U u^(alpha-1)/Phi du; in a one-dimensional multiscale space p = 1,
+    lam = (lstar/(2 ell))^(1-alpha), and sigma enters only through lam and
+    U.  On [0, 0.1] the denominator's power series in u^2 is inverted, each
+    term integrated against 1 and u^(alpha-1).  On [0.1, sqrt(30)] the
+    integrand is one (sigma x node) array on Gauss-Legendre panels in ln u
+    over :data:`_G_EDGES`, whose nodes of both orders take Phi from one
+    ``_kummer_phi_array`` call, made once per routine.  Past sqrt(30) DLMF
+    13.7.2 gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2) + E(u),
+    S(t) = sum (a)_s (1 - alpha/2)_s/s! t^s, a = (1 - alpha)/2, and E the
     e^(-u^2) term sqrt(pi) cos(pi alpha/2)/Gamma(a) e^(-u^2) u^(-alpha)
-    (1 - r1 u^-2), a = (1 - alpha)/2, with 1/Gamma(a) written as
-    Gamma(1 - a) cos(pi alpha/2)/pi as in :func:`_g_table`.
-    The integrand is then 1/sqrt(pi), integrated in closed form, less a
-    remainder of order u^(alpha-3) taken on Gauss-Legendre panels in ln u,
-    one per decade, the last cut at U.  The panels of all sigmas are
-    evaluated as one array and summed per sigma.  E moves I by about 1e-11
-    at alpha = 0.001 where lam is large and U small; a first panel of a
-    quarter of ln u, where E lives, changed no result by more than 2e-16.
+    (1 - r1 u^-2), r1 = alpha (1 + alpha)/4, with 1/Gamma(a) written as
+    Gamma(1 - a) cos(pi alpha/2)/pi, which has no pole at alpha = 1.  The integrand is then 1/sqrt(pi),
+    integrated in closed form, less a remainder of order u^(alpha-3) taken on
+    Gauss-Legendre panels in ln u, one per decade, the last cut at U.  Every
+    operation is per sigma row, so a sigma's integral has the same bits in
+    any block.  E moves I_1 by about 1e-11 at alpha = 0.001 where lam is
+    large and U small; a first panel of a quarter of ln u, where E lives,
+    changed no result by more than 2e-16.
     """
-    phi, s = _series_coefficients(alpha)
-    u, phi_nodes, weights = _head_table(alpha)
-    u_alpha, split = u ** alpha, weights[0].size
+    a = (1.0 - alpha) / 2.0
+    phi, s = [1.0], [1.0]
+    for k in range(1, _G_SERIES_TERMS):
+        phi.append(-phi[-1] * (a + k - 1.0) / ((k - 0.5) * k))
+    for k in range(1, _G_TAIL_TERMS):
+        s.append(s[-1] * (a + k - 1.0) * (k - alpha / 2.0) / k)
+    rules = [_gl_rule(order) for order in (_GL_ORDER, _GL_REFINE)]
+    edges = np.log(_G_EDGES)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    u = np.concatenate([np.exp(mid[:, None] + half[:, None] * nodes).ravel() for nodes, _ in rules])
+    phi_nodes, u_alpha = _kummer_phi_array(a, 0.5, -(u * u)), u ** alpha
+    # the weights of both orders side by side, as their nodes are
+    head_weights = np.concatenate([(half[:, None] * weights).ravel() for _, weights in rules])
+    tail_nodes, tail_weights = (np.concatenate(column) for column in zip(*rules))
+    head_split, tail_split = (len(_G_EDGES) - 1) * _GL_ORDER, _GL_ORDER
     first, root_pi = _G_EDGES[0], math.sqrt(math.pi)
     powers_one = [first ** (2 * k + 1) / (2 * k + 1) for k in range(len(phi))]
     powers_alpha = [first ** (alpha + 2 * k) / (alpha + 2 * k) for k in range(len(phi))]
@@ -599,18 +526,21 @@ def _binomial_axis(alpha: float):
     # sqrt(pi) cos(pi alpha/2)/Gamma(a), by 1/Gamma(a) = Gamma(1 - a) cos(pi alpha/2)/pi
     e_coeff = gamma_fn((1.0 + alpha) / 2.0) * math.cos(math.pi * alpha / 2.0) ** 2 / root_pi
     tau_cut, root_cut = 0.5 * math.log(_G_CUT), math.sqrt(_G_CUT)
-    rules = [_gl_rule(order) for order in (_GL_ORDER, _GL_REFINE)]
 
     # in a box past u = 1e154 u^2 overflows to inf, whose u^-2 and e^(-u^2)
     # are the 0 they stand for
     @np.errstate(over="ignore")
     def integrals(lam: np.ndarray, uppers: np.ndarray) -> list[np.ndarray]:
         mu, k = lam / g_alpha, lam * ratio
-        r = k / (root_pi + k)
-        inverse = _reciprocal_series([1.0, *(r * c for c in phi[1:])])
-        series = sum(e * (p + mu * q) for e, p, q in zip(inverse, powers_one, powers_alpha)) / (root_pi + k)
-        f = (u + mu[:, None] * u_alpha) / (root_pi + k[:, None] * phi_nodes)
-        heads = [(f[:, :split] * weights[0]).sum(axis=1), (f[:, split:] * weights[1]).sum(axis=1)]
+        r = k / (p * root_pi + k)
+        coeffs, inverse = [r * c for c in phi], [1.0]  # 1/(1 + r (Phi - 1)) in u^2
+        for n in range(1, len(phi)):
+            inverse.append(-sum(coeffs[j] * inverse[n - j] for j in range(1, n + 1)))
+        series = sum(
+            e * (p * one + mu * q) for e, one, q in zip(inverse, powers_one, powers_alpha)
+        ) / (p * root_pi + k)
+        f = (p * u + mu[:, None] * u_alpha) / (p * root_pi + k[:, None] * phi_nodes)
+        heads = [part.sum(axis=1) for part in np.split(f * head_weights, [head_split], axis=1)]
 
         span = np.log(uppers) - tau_cut
         counts = np.maximum(np.ceil(span / math.log(10.0)).astype(int), 1)
@@ -619,23 +549,20 @@ def _binomial_axis(alpha: float):
         offsets = math.log(10.0) * np.arange(counts.max() + 1)
         lo, hi = offsets[index], np.minimum(offsets[index + 1], span[owner])
         mid, half = (tau_cut + 0.5 * (hi + lo))[:, None], 0.5 * (hi - lo)[:, None]
-        mu_p, k_p = mu[owner][:, None], k[owner][:, None]
-        tails = []
-        for gl_nodes, gl_weights in rules:
-            tau = mid + half * gl_nodes
-            x = np.exp(tau)
-            y = 1.0 / (x * x)
-            s_rest = np.zeros_like(y)  # (S - 1)/y
-            for coeff in s[:0:-1]:
-                s_rest = s_rest * y + coeff
-            power = mu_p * np.exp((alpha - 1.0) * tau)
-            e_term = k_p * e_coeff * np.exp(-(x * x) - alpha * tau) * (1.0 - r1 * y)
-            # 1/sqrt(pi) less the integrand, times du/dtau = x
-            rest = x * (root_pi * power * y * s_rest + e_term) / (
-                root_pi * (root_pi * (1.0 + power * (1.0 + y * s_rest)) + e_term)
-            )
-            panels = (rest * (half * gl_weights)).sum(axis=1)
-            tails.append(np.bincount(owner, weights=panels, minlength=lam.size))
+        tau = mid + half * tail_nodes
+        x = np.exp(tau)
+        y = 1.0 / (x * x)
+        s_rest = np.polynomial.polynomial.polyval(y, s[1:])  # (S - 1)/y
+        power = mu[owner][:, None] * np.exp((alpha - 1.0) * tau)
+        e_term = k[owner][:, None] * e_coeff * np.exp(-(x * x) - alpha * tau) * (1.0 - r1 * y)
+        # 1/sqrt(pi) less the integrand, times du/dtau = x
+        rest = x * (root_pi * power * y * s_rest + e_term) / (
+            root_pi * (root_pi * (p + power * (1.0 + y * s_rest)) + e_term)
+        )
+        tails = [
+            np.bincount(owner, weights=part.sum(axis=1), minlength=lam.size)
+            for part in np.split(rest * (half * tail_weights), [tail_split], axis=1)
+        ]
         linear = (uppers - root_cut) / root_pi
         return [series + head + linear - tail for head, tail in zip(heads, tails)]
 
@@ -644,12 +571,12 @@ def _binomial_axis(alpha: float):
 
 def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
     """ordinary: the trace of the module doc per Hausdorff volume of the box.
-    With fixed charges each sigma is read off one :func:`_g_table` per
-    distinct charge at U = L/(2 ell) >= 6; in a one-dimensional multiscale
-    space every sigma is 2 I(lam, U) of one :func:`_binomial_axis`, and at
-    D >= 2 both orders of every sigma come from one :func:`_trace_quadrature`
-    call.  Both multiscale rules refuse the first sigma whose orders differ
-    by more than :data:`_GL_RTOL`."""
+    With fixed charges and in a one-dimensional multiscale space each sigma
+    is the product over the axes of 2 I_p(lam, U), one :func:`_axis_integral`
+    per distinct charge and call, evaluated :data:`_SIGMA_BLOCK` sigmas at a
+    time; in a multiscale space at D = 2 and 3 both orders of every sigma
+    come from one :func:`_trace_quadrature` call.  The first sigma whose
+    orders differ by more than :data:`_GL_RTOL` is refused."""
     boxes = []
     for ell2 in ell2s.tolist():
         ell = math.sqrt(ell2)
@@ -661,23 +588,25 @@ def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) ->
                 "contaminate the trace"
             )
         boxes.append((ell2, ell, halfwidth))
-    if not spec.multiscale_space:
-        alphas = spec.charges.alphas
-        tables = {a: _g_table(a) for a in set(alphas)}
-        traces = []
-        for _, ell, halfwidth in boxes:
-            axis = {a: 2.0 * g_alpha(halfwidth / (2.0 * ell)) for a, g_alpha in tables.items()}
-            traces.append(math.prod(axis[a] for a in alphas) / _hausdorff_box_volume(spec, halfwidth))
-        return np.array(traces)
-    if spec.dim == 1:
-        alpha, lstar = spec.charges.alphas[0], spec.scales.lstar
-        lam = np.array([(lstar / (2.0 * ell)) ** (1.0 - alpha) for _, ell, _ in boxes])
-        uppers = np.array([halfwidth / (2.0 * ell) for _, ell, halfwidth in boxes])
-        coarses, fines = ((2.0 * total).tolist() for total in _binomial_axis(alpha)(lam, uppers))
-    else:
+    if spec.multiscale_space and spec.dim > 1:
         cases = [(ell2, halfwidth, order) for ell2, _, halfwidth in boxes for order in (_GL_ORDER, _GL_REFINE)]
         totals = _trace_quadrature(spec, cases)
         coarses, fines = totals[::2], totals[1::2]
+    else:
+        # p, the weight of each axis's constant term; at p = 0 lam cancels
+        p, lstar, alphas = float(spec.multiscale_space), spec.scales.lstar, spec.charges.alphas
+        integrals = {a: _axis_integral(a, p) for a in set(alphas)}
+        coarses, fines = [], []
+        for start in range(0, len(boxes), _SIGMA_BLOCK):
+            block = boxes[start : start + _SIGMA_BLOCK]
+            uppers = np.array([halfwidth / (2.0 * ell) for _, ell, halfwidth in block])
+            axis = {}
+            for a, integral in integrals.items():
+                lam = [(lstar / (2.0 * ell)) ** (1.0 - a) if p else 1.0 for _, ell, _ in block]
+                axis[a] = 2.0 * np.array(integral(np.array(lam), uppers))
+            coarse, fine = np.prod([axis[a] for a in alphas], axis=0).tolist()
+            coarses += coarse
+            fines += fine
     traces = []
     for sigma, (_, _, halfwidth), coarse, fine in zip(sigmas.tolist(), boxes, coarses, fines):
         if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
@@ -717,14 +646,16 @@ def heat_kernel_curve(
 ) -> HeatKernelCurve:
     """Sample Z(sigma) on a grid with the model's volume convention tag.
 
-    The whole grid takes one dispersion call, and the ordinary-model traces
-    one G_alpha table per distinct charge (fixed charges), one Phi table (a
-    one-dimensional multiscale space) or one blocked quadrature call (a
-    multiscale space at D >= 2, until the exact bracket makes it a product
-    of per-axis tables); each value equals the one-sigma
-    :func:`return_probability` bit for bit.
+    An empty grid is refused before any work.  The whole grid takes one
+    dispersion call, and the ordinary-model traces one per-axis integral per
+    distinct charge (fixed charges, and a one-dimensional multiscale space)
+    or one blocked quadrature call (a multiscale space at D >= 2, until the
+    exact bracket makes it a product of per-axis integrals); each value
+    equals the one-sigma :func:`return_probability` bit for bit.
     """
     sig = np.asarray(sigmas, dtype=float)
+    if not sig.size:  # before any work: every trace route reduces over the grid
+        raise GridError("sigma grid needs at least 2 points, got 0")
     convention = PER_HAUSDORFF_VOLUME if _MODELS[spec.model].hausdorff_volume else PER_INTEGER_VOLUME
     return HeatKernelCurve(
         sigmas=sig, Z=_traces(spec, sig, box_halfwidth), convention=convention, model=spec.model

@@ -104,15 +104,15 @@ GOLDEN = {
     ),
     "kernel-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--sigma-points", "9"),
-        "c4972514c015c79780f104b3e648e2c10dab69f20a9cfa8897c52739392530f6",
+        "b473e7b127197bbda25b8b305798e7d02723a1fd0d3cb992f80e4af3b3d75608",
         None,
     ),
     "kernel-d2": (
         (*_KERNEL, "--dim", "2", "--alpha", "0.45", "--sigma-points", "5"),
-        "a4e2a6334c07d39dcadfa3a999b7a5f17b398f3ebe481a22ecdd092b7f4cbc93",
+        "d3b6a99e5cb5a471cadbf208f9b298a4518bb4ae6f7fc8f88b8359865de003d6",
         None,
     ),
-    # the per-axis integral I(lam, U) of a one-dimensional multiscale space
+    # the per-axis integral I_1(lam, U) of a one-dimensional multiscale space
     "kernel-multiscale-d1": (
         (*_KERNEL, "--dim", "1", "--alpha", "0.5", "--multiscale-space", "--sigma-points", "7"),
         "bebac6c0847a7687c88b0980df776db004ed642dfe179b25267d769e0349d8df",
@@ -124,16 +124,16 @@ GOLDEN = {
         "f879470914f9c6057b9a9f601ed28b11a75a8102aa48736ef90b74fef23c5a21",
         None,
     ),
-    # alpha = 1: Phi = 1, so each axis factor is G_1(U) = U/sqrt(pi) to rounding
+    # alpha = 1: Phi = 1, so each axis factor is I_0(U) = U/sqrt(pi) to rounding
     "kernel-alpha-one-d2": (
         (*_KERNEL, "--dim", "2", "--alpha", "1.0", "--sigma-points", "5"),
-        "a6588dace62c969a198492e74bc85fc331e52f3013008d8c52df94992fe59f53",
+        "3cdb095eba57b50e31c1ce814179eaff4e4bb13e5ef79d915fc1b0533f9c4f1b",
         None,
     ),
     # a binomial diffusion-time measure sets ell^2 and the box of the trace
     "kernel-d1-binomial-time": (
         ("kernel", "--model", "ordinary", "--dim", "1", "--alpha", "0.5", "--beta-star", "1.5"),
-        "78bd24c5d4784b60c55233e2e53ea951a72d0987e3190a6eab9294c6357462da",
+        "b3d6fc843d7da86ff30d8fdd23c89ab9a38e6238f83899863e0df4e4ab390820",
         None,
     ),
     # the README's kernel example

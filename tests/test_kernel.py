@@ -534,14 +534,11 @@ class TestHausdorffBoxVolume:
 
 
 class TestTraceQuadrature:
+    # the box rule serves a multiscale space at D = 2 and 3 only
     @pytest.mark.parametrize(
         "spec",
-        [
-            multiscale_space_spec(0.5, dim=1),
-            multiscale_space_spec(0.5, dim=2),
-            multiscale_space_spec(0.4, dim=3, lstar=2.0),
-        ],
-        ids=["binomial-d1", "binomial-d2", "binomial-d3"],
+        [multiscale_space_spec(0.5, dim=2), multiscale_space_spec(0.4, dim=3, lstar=2.0)],
+        ids=["binomial-d2", "binomial-d3"],
     )
     @pytest.mark.parametrize("sigma", [0.03, 2.0])
     def test_matches_tensor_product_sum(self, spec, sigma):
@@ -580,9 +577,10 @@ class TestTraceQuadrature:
 
 
 class TestCurveBatch:
-    """heat_kernel_curve takes every sigma's trace from one G_alpha table per
-    charge (fixed charges), one Phi table (a one-dimensional multiscale
-    space) or one blocked quadrature (a multiscale space at D >= 2)."""
+    """heat_kernel_curve takes every sigma's trace from one per-axis integral
+    per distinct charge, in blocks of sigmas (fixed charges and a
+    one-dimensional multiscale space), or from one blocked quadrature (a
+    multiscale space at D >= 2)."""
 
     SPECS = {
         "frac-d1": ordinary_spec(0.8, dim=1),
@@ -610,17 +608,41 @@ class TestCurveBatch:
         scalar = [return_probability(spec, s) for s in grid]
         if chunk == "one-case":
             monkeypatch.setattr(kernel_mod, "_PHI_CHUNK", 1)
+            monkeypatch.setattr(kernel_mod, "_SIGMA_BLOCK", 1)
         curve = heat_kernel_curve(spec, grid)
         assert curve.Z.tolist() == scalar
 
+    EMPTY_GRID_SPECS = {
+        "ordinary-fixed": ordinary_spec(0.5, dim=2),
+        "ordinary-multiscale-d1": multiscale_space_spec(0.5, dim=1),
+        "ordinary-multiscale-d2": multiscale_space_spec(0.5, dim=2),
+        "weighted": fractional_spec(beta=0.5, dim=2),
+        "q": q_spec(0.5, 0.5, dim=2, multiscale=True),
+        "legacy": DiffusionSpec(
+            model="legacy", dim=2, scales=GeometryScales(), charges=FractionalCharges.isotropic(0.5, 2)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_GRID_SPECS))
+    def test_empty_grid_is_refused_before_any_work(self, name, monkeypatch):
+        # a multiscale space raised an untyped ValueError from its sums
+        def no_dispersion(*args):
+            raise AssertionError("an empty grid reached the trace")
+
+        monkeypatch.setattr(kernel_mod, "dispersion", no_dispersion)
+        with pytest.raises(GridError, match=r"^sigma grid needs at least 2 points, got 0$"):
+            heat_kernel_curve(self.EMPTY_GRID_SPECS[name], [])
+
     def test_refusal_names_first_failing_sigma(self, monkeypatch):
-        # both multiscale rules check each sigma.  The binomial box rule's
-        # coarse/fine gaps on binomial-d2 are 1.1e-13 at the first sigma and
-        # 5.9e-13 at the second; the per-axis integral's at order 4 on
-        # binomial-d1 are 4.6e-7 and 7.9e-7
+        # both rules check each sigma.  The binomial box rule's coarse/fine
+        # gaps on binomial-d2 are 1.1e-13 at the first sigma and 5.9e-13 at
+        # the second; the per-axis integral's at order 4 on binomial-d1 are
+        # 4.6e-7 and 7.9e-7, and its product's at order 3 on frac-d2 2.4e-5
+        # and 4.4e-5
         cases = {
             "binomial-d2": (np.geomspace(10 ** -1.5, 1e2, 8), {"_GL_RTOL": 3e-13}),
             "binomial-d1": (np.geomspace(1e-2, 1e2, 9), {"_GL_ORDER": 4, "_GL_RTOL": 6e-7}),
+            "frac-d2": (np.geomspace(1e-2, 1e2, 9), {"_GL_ORDER": 3, "_GL_RTOL": 3e-5}),
         }
         for name, (grid, patches) in cases.items():
             spec = self.SPECS[name]
@@ -640,17 +662,17 @@ class TestCurveBatch:
                 assert str(refused.value) == messages[0], name
 
     def test_table_refuses_a_coarse_fine_gap(self, monkeypatch):
-        # the fixed-charge G_alpha table checks its order-24 sum against its
-        # order-40 sum once per charge; an order-3 rule misses by far more
+        # with fixed charges the per-axis integral checks its order-24 sum
+        # against its order-40 sum at each sigma; an order-3 rule misses by
+        # far more than the default tolerance, already at the first sigma
         monkeypatch.setattr(kernel_mod, "_GL_ORDER", 3)
-        with pytest.raises(ConvergenceError, match=r"trace table not converged: .* at alpha = 0\.3$"):
+        with pytest.raises(ConvergenceError, match=r"^trace quadrature not converged: .* at sigma = 0\.01$"):
             heat_kernel_curve(self.SPECS["frac-d2"], np.geomspace(1e-2, 1e2, 9))
 
     def test_kummer_calls_do_not_grow_with_the_grid(self, monkeypatch):
-        # one G_alpha table per distinct charge and call (fixed charges), one
-        # Phi table per call (a one-dimensional multiscale space, with or
-        # without beta*): the Kummer calls do not depend on the grid, and a
-        # second call makes them again
+        # one Phi table per distinct charge and call (fixed charges, and a
+        # one-dimensional multiscale space with or without beta*): the Kummer
+        # calls do not depend on the grid, and a second call makes them again
         calls = []
         engine = specfun_mod._kummer_phi_array
 
@@ -669,17 +691,17 @@ class TestCurveBatch:
             assert 0 < counts[0] == counts[1] == counts[2] <= (2 * 2 if name == "frac-d3" else 1), name
 
     def test_long_curve_memory(self):
-        # cases are reduced block by block, so the memory held does not grow
-        # with the grid
-        spec = ordinary_spec(0.6, dim=1)
-        tracemalloc.start()
-        try:
-            curve = heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, 2000))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert curve.Z.size == 2000
-        assert peak < 4 * 2 ** 20
+        # sigmas are taken block by block, so the memory held does not grow
+        # with the grid, with fixed charges or in a multiscale space
+        for spec in (ordinary_spec(0.6, dim=1), multiscale_space_spec(0.6, dim=1)):
+            tracemalloc.start()
+            try:
+                curve = heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, 2000))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert curve.Z.size == 2000
+            assert peak < 4 * 2 ** 20, spec
 
 
 def _mp_phi(alpha, xs, ell2):
@@ -888,15 +910,15 @@ def g_alpha_mpquad(alpha, uppers):
 
 
 class TestChargeTable:
-    """G_alpha, one axis of the fixed-charge trace, from its table and
-    closed-form tail at every U = L/(2 ell) >= 6 the box rule admits."""
+    """G_alpha, one axis of the fixed-charge trace: the per-axis integral at
+    p = 0, whose lam cancels, at every U = L/(2 ell) >= 6 the box admits."""
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.002, 0.02, 0.2, 0.5, 0.95, 1.0])
     def test_matches_mpmath(self, alpha):
         uppers = [6.0, 7.5, 40.0, 1e4, 1e8]
-        g_alpha = kernel_mod._g_table(alpha)
-        for upper, want in zip(uppers, g_alpha_mpquad(alpha, uppers)):
-            assert abs(g_alpha(upper) / want - 1) < 1e-12, (alpha, upper)
+        _, g_alpha = kernel_mod._axis_integral(alpha, 0.0)(np.ones(len(uppers)), np.array(uppers))
+        for upper, got, want in zip(uppers, g_alpha.tolist(), g_alpha_mpquad(alpha, uppers)):
+            assert abs(got / want - 1) < 1e-12, (alpha, upper)
 
     def test_charge_below_the_floor_is_refused(self):
         spec = DiffusionSpec(
@@ -925,9 +947,9 @@ def _kernel_rows(tmp_path, name, argv):
 class TestSmallCharges:
     """At alpha = 0.02 every ordinary trace on the default grid, 1e-6 to 1e6,
     exited 3 at sigma = 1e-6 or 5.3e-6 with "trace quadrature not
-    converged".  With fixed charges the G_alpha table takes them, and in a
-    one-dimensional multiscale space the per-axis Phi table; the binomial
-    box rule of a multiscale space at D = 2 still refuses them."""
+    converged".  With fixed charges and in a one-dimensional multiscale
+    space the per-axis integral takes them; the binomial box rule of a
+    multiscale space at D = 2 still refuses them."""
 
     def test_fixed_charges_run_at_every_dimension(self, tmp_path):
         curves = {}
