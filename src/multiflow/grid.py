@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import ConvergenceError, DomainError, GridError
 
 __all__ = [
     "geometric_grid", "uniform_grid", "check_grid_args", "check_sigma", "check_grid",
@@ -79,9 +79,20 @@ def powers(values: np.ndarray, exponent: float) -> np.ndarray:
 
     numpy's vectorised power rounds differently from ``pow`` in a few
     percent of elements; this keeps every element the bits of its scalar
-    expression.  ``values`` is flattened.
+    expression.  ``values`` is flattened.  A power past the double range is
+    a :class:`ConvergenceError` naming the first such value and the
+    exponent, where ``pow`` raises ``OverflowError``.
     """
-    return np.array([v ** exponent for v in np.ravel(values).tolist()], dtype=float)
+    vals = np.ravel(values).tolist()
+    try:
+        return np.array([v ** exponent for v in vals], dtype=float)
+    except OverflowError:
+        for v in vals:
+            try:
+                v ** exponent
+            except OverflowError:
+                raise ConvergenceError(f"{v!r} ** {exponent!r} leaves the double range") from None
+        raise
 
 
 def five_point_slope(f: Sequence[float], h: float) -> float:

@@ -24,11 +24,14 @@ I_p(lam, U) = int_0^U (p + lam u^(alpha-1)/Gamma(alpha)) /
 p the weight of the direction's constant term: 0 with fixed charges, where
 lam cancels, and 1 in a multiscale space, where lam = (lstar/(2 ell))^(1-alpha).
 sigma enters only through lam and U = L/(2 ell) >= 6 for a box of
-half-width L.  A trace call makes one :func:`_axis_integral` per distinct
-charge, with one call of the array engine ``specfun._kummer_phi_array`` on
-Gauss-Legendre panels in ln u out to sqrt(30), and takes Phi past sqrt(30)
-from DLMF 13.7.2; no sigma makes a Kummer call, and each sigma's order-24
-product is checked against its order-40 product.  In a multiscale space
+half-width L.  A trace call is one pass over its sigma array: the boxes,
+U and lam are arrays, and it makes one :func:`_axis_integral` call per
+distinct charge with every sigma, one call of the array engine
+``specfun._kummer_phi_array`` on Gauss-Legendre panels in ln u out to
+sqrt(30), and takes Phi past sqrt(30) from DLMF 13.7.2; no sigma makes a
+Kummer call.  One gate then refuses the first sigma whose order-24 product
+differs from its order-40 product, or whose U, product or Z leaves the
+double range, with :class:`ConvergenceError`.  In a multiscale space
 at D >= 2 the two-term bracket does not factorize, and the trace is a box
 quadrature of v(x) C(x, sigma): each axis is integrated over [0, L]
 with doubled weights, on panels that start at the origin, since a panel
@@ -104,13 +107,15 @@ _G_TAIL_TERMS = 30
 # lose about 1e-16/alpha to the rounding of (1 - alpha)/2.
 _G_ALPHA_MIN = 1e-3
 # Largest number of sigmas whose per-axis integrals are one array: the head
-# holds a few (sigma x 320) float arrays, about 0.2 MB each at 64 sigmas.
+# of a per-sigma lam holds a few (sigma x 320) float arrays, about 0.2 MB
+# each at 64 sigmas, and the tail one row per sigma and decade of U.
 _SIGMA_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class HeatKernelCurve:
-    """Sampled return probability Z(sigma) with its volume convention."""
+    """Sampled return probability Z(sigma) with its volume convention: every
+    Z finite, positive and not increasing."""
 
     sigmas: np.ndarray
     Z: np.ndarray
@@ -125,6 +130,8 @@ class HeatKernelCurve:
         if self.convention not in (PER_INTEGER_VOLUME, PER_HAUSDORFF_VOLUME):
             raise DomainError(f"unknown volume convention {self.convention!r}")
         check_grid(sig, zz)
+        if not np.all(np.isfinite(zz)):
+            raise DomainError(f"return probability must be finite, got {zz[~np.isfinite(zz)][0]}")
         if np.any(zz <= 0.0):
             raise DomainError("return probability must be positive")
         # equal neighbours are allowed: a trace can be flat to double
@@ -431,18 +438,20 @@ def _trace_quadrature(
     return totals + _case_totals(spec, block)
 
 
-def _hausdorff_box_volume(spec: DiffusionSpec, halfwidth: float) -> float:
-    """Closed-form measure volume of the cubic box [-L, L]^D: the product
-    over directions of the :func:`_axis_terms` sums g 2 L^c/Gamma(c + 1)."""
+def _hausdorff_box_volume(spec: DiffusionSpec, halfwidths) -> np.ndarray:
+    """Closed-form measure volume of the cubic box [-L, L]^D at each
+    half-width L of an array: the product over directions of the
+    :func:`_axis_terms` sums g 2 L^c/Gamma(c + 1), with one ``gamma_fn``
+    call per term and each L^c a scalar power (:func:`grid.powers`)."""
     vol = 1.0
     for terms in _axis_terms(spec):
-        vol *= sum(g * 2.0 * halfwidth ** c / gamma_fn(c + 1.0) for g, c in terms)
+        vol *= sum(g * 2.0 * powers(halfwidths, c) / gamma_fn(c + 1.0) for g, c in terms)
     return vol
 
 
-def _box_for(spec: DiffusionSpec, ell2: float) -> float:
-    """Default box half-width at dispersion ell2: max(12 ell, 10 lstar)."""
-    return max(_BOX_ELL_FACTOR * math.sqrt(ell2), _BOX_LSTAR_FACTOR * spec.scales.lstar)
+def _box_for(spec: DiffusionSpec, ell2s) -> np.ndarray:
+    """Default box half-width at each dispersion ell^2: max(12 ell, 10 lstar)."""
+    return np.maximum(_BOX_ELL_FACTOR * np.sqrt(ell2s), _BOX_LSTAR_FACTOR * spec.scales.lstar)
 
 
 def return_probability(
@@ -475,11 +484,14 @@ def check_trace(spec: DiffusionSpec) -> None:
         )
 
 
-def _axis_integral(alpha: float, p: float):
+# past u = 1e154 u^2 overflows to inf, whose u^-2 and e^(-u^2) are the 0 they stand for
+@np.errstate(over="ignore")
+def _axis_integral(alpha: float, p: float, lam: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     """I_p(lam, U) = int_0^U (p + lam u^(alpha-1)/Gamma(alpha)) /
     (p sqrt(pi) + lam Gamma(alpha/2)/Gamma(alpha) Phi((1-alpha)/2; 1/2; -u^2)) du
-    at orders :data:`_GL_ORDER` and :data:`_GL_REFINE`, as a function of
-    arrays of lam > 0 and U >= sqrt(30) that makes no Kummer call.
+    at each finite U >= sqrt(30) of ``uppers``, a (2, U) array of its order
+    :data:`_GL_ORDER` and :data:`_GL_REFINE` values.  ``lam`` > 0 holds one
+    value per U, or one value that every U shares.
 
     In u = x/(2 ell) one axis of the ordinary-model trace integrates to
     2 I_p(lam, L/(2 ell)), p the weight of the axis's constant term.  With
@@ -488,20 +500,22 @@ def _axis_integral(alpha: float, p: float):
     lam = (lstar/(2 ell))^(1-alpha), and sigma enters only through lam and
     U.  On [0, 0.1] the denominator's power series in u^2 is inverted, each
     term integrated against 1 and u^(alpha-1).  On [0.1, sqrt(30)] the
-    integrand is one (sigma x node) array on Gauss-Legendre panels in ln u
+    integrand is one (lam x node) array on Gauss-Legendre panels in ln u
     over :data:`_G_EDGES`, whose nodes of both orders take Phi from one
-    ``_kummer_phi_array`` call, made once per routine.  Past sqrt(30) DLMF
+    ``_kummer_phi_array`` call per call.  These two parts depend on lam
+    alone: a shared lam takes them once per call.  Past sqrt(30) DLMF
     13.7.2 gives Phi = sqrt(pi)/Gamma(alpha/2) u^(alpha-1) S(u^-2) + E(u),
     S(t) = sum (a)_s (1 - alpha/2)_s/s! t^s, a = (1 - alpha)/2, and E the
     e^(-u^2) term sqrt(pi) cos(pi alpha/2)/Gamma(a) e^(-u^2) u^(-alpha)
     (1 - r1 u^-2), r1 = alpha (1 + alpha)/4, with 1/Gamma(a) written as
-    Gamma(1 - a) cos(pi alpha/2)/pi, which has no pole at alpha = 1.  The integrand is then 1/sqrt(pi),
-    integrated in closed form, less a remainder of order u^(alpha-3) taken on
-    Gauss-Legendre panels in ln u, one per decade, the last cut at U.  Every
-    operation is per sigma row, so a sigma's integral has the same bits in
-    any block.  E moves I_1 by about 1e-11 at alpha = 0.001 where lam is
-    large and U small; a first panel of a quarter of ln u, where E lives,
-    changed no result by more than 2e-16.
+    Gamma(1 - a) cos(pi alpha/2)/pi, which has no pole at alpha = 1.  The
+    integrand is then 1/sqrt(pi), integrated in closed form, less a
+    remainder of order u^(alpha-3) taken on Gauss-Legendre panels in ln u,
+    one per decade, the last cut at U.  The U are taken
+    :data:`_SIGMA_BLOCK` at a time, and every operation is per U, so a
+    value has the same bits in any block.  E moves I_1 by about 1e-11 at
+    alpha = 0.001 where lam is large and U small; a first panel of a quarter
+    of ln u, where E lives, changed no result by more than 2e-16.
     """
     a = (1.0 - alpha) / 2.0
     phi, s = [1.0], [1.0]
@@ -527,10 +541,8 @@ def _axis_integral(alpha: float, p: float):
     e_coeff = gamma_fn((1.0 + alpha) / 2.0) * math.cos(math.pi * alpha / 2.0) ** 2 / root_pi
     tau_cut, root_cut = 0.5 * math.log(_G_CUT), math.sqrt(_G_CUT)
 
-    # in a box past u = 1e154 u^2 overflows to inf, whose u^-2 and e^(-u^2)
-    # are the 0 they stand for
-    @np.errstate(over="ignore")
-    def integrals(lam: np.ndarray, uppers: np.ndarray) -> list[np.ndarray]:
+    def heads(lam: np.ndarray):
+        """mu, k and the integral up to sqrt(30) at both orders, per lam."""
         mu, k = lam / g_alpha, lam * ratio
         r = k / (p * root_pi + k)
         coeffs, inverse = [r * c for c in phi], [1.0]  # 1/(1 + r (Phi - 1)) in u^2
@@ -540,81 +552,89 @@ def _axis_integral(alpha: float, p: float):
             e * (p * one + mu * q) for e, one, q in zip(inverse, powers_one, powers_alpha)
         ) / (p * root_pi + k)
         f = (p * u + mu[:, None] * u_alpha) / (p * root_pi + k[:, None] * phi_nodes)
-        heads = [part.sum(axis=1) for part in np.split(f * head_weights, [head_split], axis=1)]
+        return mu, k, [series + part.sum(axis=1) for part in np.split(f * head_weights, [head_split], axis=1)]
 
-        span = np.log(uppers) - tau_cut
+    shared = heads(lam) if lam.size == 1 else None
+    out = np.empty((2, uppers.size))
+    for start in range(0, uppers.size, _SIGMA_BLOCK):
+        rows = slice(start, start + _SIGMA_BLOCK)
+        mu, k, head = shared or heads(lam[rows])
+        upper = uppers[rows]
+        span = np.log(upper) - tau_cut
         counts = np.maximum(np.ceil(span / math.log(10.0)).astype(int), 1)
-        owner = np.repeat(np.arange(lam.size), counts)
+        owner = np.repeat(np.arange(upper.size), counts)
         index = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
         offsets = math.log(10.0) * np.arange(counts.max() + 1)
         lo, hi = offsets[index], np.minimum(offsets[index + 1], span[owner])
-        mid, half = (tau_cut + 0.5 * (hi + lo))[:, None], 0.5 * (hi - lo)[:, None]
-        tau = mid + half * tail_nodes
+        middle, width = (tau_cut + 0.5 * (hi + lo))[:, None], 0.5 * (hi - lo)[:, None]
+        tau = middle + width * tail_nodes
         x = np.exp(tau)
         y = 1.0 / (x * x)
         s_rest = np.polynomial.polynomial.polyval(y, s[1:])  # (S - 1)/y
-        power = mu[owner][:, None] * np.exp((alpha - 1.0) * tau)
-        e_term = k[owner][:, None] * e_coeff * np.exp(-(x * x) - alpha * tau) * (1.0 - r1 * y)
+        # a shared lam is the one row 0 of mu and k
+        power = mu[owner % mu.size][:, None] * np.exp((alpha - 1.0) * tau)
+        e_term = k[owner % k.size][:, None] * e_coeff * np.exp(-(x * x) - alpha * tau) * (1.0 - r1 * y)
         # 1/sqrt(pi) less the integrand, times du/dtau = x
         rest = x * (root_pi * power * y * s_rest + e_term) / (
             root_pi * (root_pi * (p + power * (1.0 + y * s_rest)) + e_term)
         )
         tails = [
-            np.bincount(owner, weights=part.sum(axis=1), minlength=lam.size)
-            for part in np.split(rest * (half * tail_weights), [tail_split], axis=1)
+            np.bincount(owner, weights=part.sum(axis=1), minlength=upper.size)
+            for part in np.split(rest * (width * tail_weights), [tail_split], axis=1)
         ]
-        linear = (uppers - root_cut) / root_pi
-        return [series + head + linear - tail for head, tail in zip(heads, tails)]
-
-    return integrals
+        linear = (upper - root_cut) / root_pi
+        out[:, rows] = [h + linear - t for h, t in zip(head, tails)]
+    return out
 
 
 def _box_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:
-    """ordinary: the trace of the module doc per Hausdorff volume of the box.
-    With fixed charges and in a one-dimensional multiscale space each sigma
-    is the product over the axes of 2 I_p(lam, U), one :func:`_axis_integral`
-    per distinct charge and call, evaluated :data:`_SIGMA_BLOCK` sigmas at a
-    time; in a multiscale space at D = 2 and 3 both orders of every sigma
-    come from one :func:`_trace_quadrature` call.  The first sigma whose
-    orders differ by more than :data:`_GL_RTOL` is refused."""
-    boxes = []
-    for ell2 in ell2s.tolist():
-        ell = math.sqrt(ell2)
-        halfwidth = _box_for(spec, ell2) if box_halfwidth is None else box_halfwidth
-        if halfwidth < _BOX_ELL_FACTOR * ell:
-            raise BoxError(
-                f"box half-width {halfwidth} is below {_BOX_ELL_FACTOR} "
-                f"diffusion lengths ({_BOX_ELL_FACTOR * ell:.3e}); boundary region would "
-                "contaminate the trace"
-            )
-        boxes.append((ell2, ell, halfwidth))
-    if spec.multiscale_space and spec.dim > 1:
-        cases = [(ell2, halfwidth, order) for ell2, _, halfwidth in boxes for order in (_GL_ORDER, _GL_REFINE)]
-        totals = _trace_quadrature(spec, cases)
-        coarses, fines = totals[::2], totals[1::2]
-    else:
-        # p, the weight of each axis's constant term; at p = 0 lam cancels
-        p, lstar, alphas = float(spec.multiscale_space), spec.scales.lstar, spec.charges.alphas
-        integrals = {a: _axis_integral(a, p) for a in set(alphas)}
-        coarses, fines = [], []
-        for start in range(0, len(boxes), _SIGMA_BLOCK):
-            block = boxes[start : start + _SIGMA_BLOCK]
-            uppers = np.array([halfwidth / (2.0 * ell) for _, ell, halfwidth in block])
-            axis = {}
-            for a, integral in integrals.items():
-                lam = [(lstar / (2.0 * ell)) ** (1.0 - a) if p else 1.0 for _, ell, _ in block]
-                axis[a] = 2.0 * np.array(integral(np.array(lam), uppers))
-            coarse, fine = np.prod([axis[a] for a in alphas], axis=0).tolist()
-            coarses += coarse
-            fines += fine
-    traces = []
-    for sigma, (_, _, halfwidth), coarse, fine in zip(sigmas.tolist(), boxes, coarses, fines):
-        if abs(fine - coarse) > _GL_RTOL * abs(fine) + 1e-300:
-            raise ConvergenceError(
-                f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}"
-            )
-        traces.append(fine / _hausdorff_box_volume(spec, halfwidth))
-    return np.array(traces)
+    """ordinary: the trace of the module doc per Hausdorff volume of the box,
+    in one pass over the sigma array.  With fixed charges and in a
+    one-dimensional multiscale space it is the product over the axes of
+    2 I_p(lam, U), one :func:`_axis_integral` call per distinct charge with
+    every sigma; in a multiscale space at D = 2 and 3 both orders of every
+    sigma come from one :func:`_trace_quadrature` call.  The first sigma
+    whose box is below 12 ell is a :class:`BoxError`; a sigma whose U =
+    L/(2 ell) is past the double range is refused before any integral, and
+    then the first sigma whose orders differ by more than :data:`_GL_RTOL`,
+    or whose product or Z is not finite and positive, is refused."""
+    ells = np.sqrt(ell2s)
+    halfwidths = _box_for(spec, ell2s) if box_halfwidth is None else np.full(ells.shape, float(box_halfwidth))
+    small = np.flatnonzero(halfwidths < _BOX_ELL_FACTOR * ells)
+    if small.size:
+        raise BoxError(
+            f"box half-width {halfwidths[small[0]]} is below {_BOX_ELL_FACTOR} "
+            f"diffusion lengths ({_BOX_ELL_FACTOR * ells[small[0]]:.3e}); boundary region would "
+            "contaminate the trace"
+        )
+    # a value past the double range is refused below by name, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.multiscale_space and spec.dim > 1:
+            orders = [_GL_ORDER, _GL_REFINE] * ells.size
+            cases = zip(np.repeat(ell2s, 2).tolist(), np.repeat(halfwidths, 2).tolist(), orders)
+            coarse, fine = np.reshape(_trace_quadrature(spec, list(cases)), (-1, 2)).T
+        else:
+            uppers = halfwidths / (2.0 * ells)
+            overflow = np.flatnonzero(np.isinf(uppers))
+            if overflow.size:
+                raise ConvergenceError(
+                    f"trace leaves the double range: U = L/(2 ell) = inf at sigma = {sigmas[overflow[0]]}"
+                )
+            # p, the weight of each axis's constant term; at p = 0 lam cancels
+            p, lstar = float(spec.multiscale_space), spec.scales.lstar
+            charges, which = np.unique(spec.charges.alphas, return_inverse=True)
+            factors = [_axis_integral(c, p, powers(lstar / (2.0 * ells), 1.0 - c) if p else np.ones(1), uppers)
+                       for c in charges.tolist()]
+            coarse, fine = np.prod(2.0 * np.array(factors)[which], axis=0)
+        traces = fine / _hausdorff_box_volume(spec, halfwidths)
+        ok = (np.abs(fine - coarse) <= _GL_RTOL * np.abs(fine) + 1e-300) & (0.0 < traces) & (traces < math.inf)
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        coarse, fine, z, sigma = (float(v[failed[0]]) for v in (coarse, fine, traces, sigmas))
+        if 0.0 < z < math.inf:
+            raise ConvergenceError(f"trace quadrature not converged: {coarse!r} vs {fine!r} at sigma = {sigma}")
+        raise ConvergenceError(f"trace leaves the double range: Z = {z!r} (product {fine!r}) at sigma = {sigma}")
+    return traces
 
 
 def _gaussian_trace(spec: DiffusionSpec, sigmas, ell2s: np.ndarray, box_halfwidth) -> np.ndarray:

@@ -1096,6 +1096,61 @@ class TestKernelAndPdfCommands:
         assert code == EXIT_NUMERIC
 
 
+# every command that samples a sigma grid, on each model or process, at each
+# edge of the double range
+_EDGE_RANGES = {"tiny": ("1e-300", "1e-290"), "huge": ("1e290", "1e300")}
+_EDGE_RUNS = {
+    f"{command}-{name}-{edge}": (command, "--model", name, "--sigma-min", lo, "--sigma-max", hi, *extra)
+    for edge, (lo, hi) in _EDGE_RANGES.items()
+    for command, names, extra in (
+        ("flow", MODELS, ("--sigma-points", "8")),
+        ("kernel", MODELS, ("--sigma-points", "8")),
+        ("simulate", walker.PROCESSES, ("--paths", "16", "--steps", "64", "--traj-paths", "0")),
+    )
+    for name in names
+}
+
+
+class TestDoubleRange:
+    """A run at an edge of the double range writes finite numbers or is a
+    typed refusal: never a traceback, inf or nan."""
+
+    @pytest.mark.parametrize(
+        "argv,power",
+        [
+            (("flow", "--model", "weighted", "--dim", "4", "--nu", "2", "--sigma-min", "1",
+              "--sigma-max", "1e300", "--sigma-points", "3"), "1e+300 ** 2.0"),
+            (("flow", "--model", "ordinary", "--dim", "3", "--beta", "0.5", "--sigma-min", "1e290",
+              "--sigma-max", "1e300"), "1e+290 ** 1.5"),
+            (("kernel", "--model", "weighted", "--dim", "4", "--sigma-min", "1e-300",
+              "--sigma-max", "1e-299", "--sigma-points", "3"), "1.2566370614359172e-299 ** -2.0"),
+        ],
+        ids=["flow-weighted", "flow-ordinary", "kernel-weighted"],
+    )
+    def test_power_past_the_double_range_refused(self, argv, power, tmp_path, capsys):
+        # pow's OverflowError ended each in a traceback and exit 1, the
+        # code of a failed validate
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: {power} leaves the double range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run", sorted(_EDGE_RUNS))
+    def test_no_traceback_at_the_edges(self, run, tmp_path):
+        # a RuntimeWarning is an error in this suite, so none leaks either
+        out = tmp_path / "x.csv"
+        code = main([*_EDGE_RUNS[run], "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        if code == EXIT_OK:
+            numbers = []
+            for cell in (cell for row in read_csv(out)[2] for cell in row):
+                try:
+                    numbers.append(float(cell))
+                except ValueError:  # a model or convention name
+                    pass
+            assert numbers and all(np.isfinite(numbers))
+
+
 class TestValidateCommand:
     def test_default_suite_passes(self, capsys):
         assert main(["validate"]) == EXIT_OK

@@ -348,6 +348,14 @@ class TestDsFromKernel:
             HeatKernelCurve(sigmas=sig, Z=np.array([0.5, 0.25, 0.25 + 2 ** -54, 0.125]),
                             convention=PER_INTEGER_VOLUME, model="weighted")
 
+    @pytest.mark.parametrize("z", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_curve_refuses_non_finite_z(self, z):
+        # heat_kernel_curve returned [inf, inf] and [nan, nan] for ordinary
+        # traces past the double range
+        with pytest.raises(DomainError, match=rf"^return probability must be finite, got {z}$"):
+            HeatKernelCurve(sigmas=np.array([0.1, 1.0]), Z=np.array([z, z]),
+                            convention=PER_HAUSDORFF_VOLUME, model="ordinary")
+
     def test_grid_errors(self):
         sig = np.geomspace(0.1, 10.0, 11)
         curve = HeatKernelCurve(
@@ -690,18 +698,76 @@ class TestCurveBatch:
                 counts.append(len(calls))
             assert 0 < counts[0] == counts[1] == counts[2] <= (2 * 2 if name == "frac-d3" else 1), name
 
+    def test_one_axis_integral_call_per_charge(self, monkeypatch):
+        # the per-axis route takes the whole grid in one call per distinct
+        # charge, with one shared lam for fixed charges and one lam per
+        # sigma in a multiscale space
+        calls = []
+        integral = kernel_mod._axis_integral
+
+        def counted(alpha, p, lam, uppers):
+            calls.append((alpha, lam.size, uppers.size))
+            return integral(alpha, p, lam, uppers)
+
+        monkeypatch.setattr(kernel_mod, "_axis_integral", counted)
+        for name, want in (("frac-d3", [(0.25, 1), (0.6, 1)]), ("binomial-d1", [(0.7, 300)])):
+            calls.clear()
+            heat_kernel_curve(self.SPECS[name], np.geomspace(1e-2, 1e2, 300))
+            assert calls == [(alpha, size, 300) for alpha, size in want], name
+
     def test_long_curve_memory(self):
-        # sigmas are taken block by block, so the memory held does not grow
-        # with the grid, with fixed charges or in a multiscale space
-        for spec in (ordinary_spec(0.6, dim=1), multiscale_space_spec(0.6, dim=1)):
-            tracemalloc.start()
-            try:
-                curve = heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, 2000))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert curve.Z.size == 2000
-            assert peak < 4 * 2 ** 20, spec
+        # sigmas are taken block by block, and the grid is held as arrays,
+        # not per-sigma Python objects, so the memory held stays flat in the
+        # grid, with fixed charges or in a multiscale space
+        for size in (2000, 20000):
+            for spec in (ordinary_spec(0.6, dim=1), multiscale_space_spec(0.6, dim=1)):
+                tracemalloc.start()
+                try:
+                    curve = heat_kernel_curve(spec, np.geomspace(1e-2, 1e2, size))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert curve.Z.size == size
+                assert peak < 4 * 2 ** 20, (size, spec)
+
+
+class TestTraceRange:
+    """An ordinary trace whose U = L/(2 ell), product over the axes or Z
+    leaves the double range is refused at the first such sigma, with no
+    RuntimeWarning (the suite makes one an error).  Each case wrote inf or
+    nan rows and exited 0, or returned 0."""
+
+    CLI_CASES = {
+        # U = 5e150 on each of three axes: the product overflows
+        "product-d3": (
+            ["--dim", "3", "--alpha", "0.5", "--sigma-min", "1e-300", "--sigma-max", "1e-290"],
+            "Z = inf (product inf) at sigma = 1e-300",
+        ),
+        # U = 5e302 on each of two axes; Z is about 2.5e305, but not from this product
+        "product-d2-box": (
+            ["--dim", "2", "--alpha", "0.5", "--box", "1e300"], "Z = inf (product inf) at sigma = 1e-06"
+        ),
+        # L/(2 ell) overflows, and its tail panel count was an invalid cast
+        "upper-multiscale-d1": (
+            ["--dim", "1", "--alpha", "0.5", "--multiscale-space", "--box", "1.7e308",
+             "--sigma-min", "1e-6", "--sigma-max", "1e-5"],
+            "U = L/(2 ell) = inf at sigma = 1e-06",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLI_CASES))
+    def test_kernel_is_refused(self, case, tmp_path, capsys):
+        argv, where = self.CLI_CASES[case]
+        assert _kernel_rows(tmp_path, case, [*argv, "--sigma-points", "4"])[0] == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: trace leaves the double range: {where}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_box_volume_past_the_double_range(self):
+        # vol_H = 2L + 2L^alpha/Gamma(alpha + 1) overflows at L = 1.7e308, and Z was 0.0
+        with pytest.raises(
+            ConvergenceError, match=r"^trace leaves the double range: Z = 0\.0 \(product 9\.\d+e\+307\) at sigma = 1\.0$"
+        ):
+            return_probability(multiscale_space_spec(0.5, dim=1), 1.0, 1.7e308)
 
 
 def _mp_phi(alpha, xs, ell2):
@@ -916,7 +982,7 @@ class TestChargeTable:
     @pytest.mark.parametrize("alpha", [1e-3, 0.002, 0.02, 0.2, 0.5, 0.95, 1.0])
     def test_matches_mpmath(self, alpha):
         uppers = [6.0, 7.5, 40.0, 1e4, 1e8]
-        _, g_alpha = kernel_mod._axis_integral(alpha, 0.0)(np.ones(len(uppers)), np.array(uppers))
+        _, g_alpha = kernel_mod._axis_integral(alpha, 0.0, np.ones(1), np.array(uppers))
         for upper, got, want in zip(uppers, g_alpha.tolist(), g_alpha_mpquad(alpha, uppers)):
             assert abs(got / want - 1) < 1e-12, (alpha, upper)
 
